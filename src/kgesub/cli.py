@@ -23,7 +23,7 @@ from .data import (Dataset, Direction, count_queries, load_dataset,
                    query_frequency, query_of, singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
-from .models import (ModelKind, init_params, load_params, load_params_tag,
+from .models import (ModelKind, init_params, load_params, load_tagged_params,
                      save_params)
 from .subsampling import (SubModelScores, SubsamplingMethod, WeightTable,
                           build_cbs_weights, build_mbs_weights, load_scores,
@@ -128,12 +128,11 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
         return build_cbs_weights(dataset, freq, method)
     if config.mbs_query_mass == "all_candidates":
         try:
-            sub_params = load_params(config.submodel_checkpoint)
+            sub_params, tag = load_tagged_params(config.submodel_checkpoint)
         except OSError as exc:
             raise DataError(f"cannot read sub-model checkpoint "
                             f"{config.submodel_checkpoint}: {exc}") from exc
-        sid = (load_params_tag(config.submodel_checkpoint)
-               or Path(config.submodel_checkpoint).stem)
+        sid = tag or Path(config.submodel_checkpoint).stem
         f_xy, f_x = submodel.mbs_frequencies_all_candidates(sub_params,
                                                             dataset)
     else:
@@ -277,8 +276,7 @@ def cmd_score_triples(args) -> int:
     dataset = _load_data(config)
     run_dir = _make_run_dir(args)
     try:
-        params = load_params(args.checkpoint)
-        tag = load_params_tag(args.checkpoint)
+        params, tag = load_tagged_params(args.checkpoint)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint: {exc}") from exc
     provenance = tag or Path(args.checkpoint).stem

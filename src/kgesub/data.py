@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DataError, VocabMismatchError
 
 
@@ -59,6 +61,17 @@ def answer_of(triple: Triple, direction: Direction) -> int:
 
 def example_id(triple_index: int, direction: Direction) -> int:
     return 2 * triple_index + int(direction)
+
+
+def example_queries(triples: Sequence[Triple]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Direction, entity, relation and answer id arrays of the
+    direction-expanded examples of `triples`, in example-id order."""
+    ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    directions = np.tile(np.array([Direction.TAIL_QUERY,
+                                   Direction.HEAD_QUERY]), len(ids))
+    return (directions, ids[:, [0, 2]].ravel(), np.repeat(ids[:, 1], 2),
+            ids[:, [2, 0]].ravel())
 
 
 def expand_examples(triples: Sequence[Triple]) -> Iterable[tuple[int, int, Direction]]:

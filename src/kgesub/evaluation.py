@@ -7,23 +7,36 @@ always stays in the list).  Score ties use the mean-rank convention:
 rank = 1 + |better| + |tied others| / 2, rounded half up, which avoids
 the optimistic bias of insertion-order ranking.
 
-Ranking only reads the parameters, so queries are independent; reports
-are assembled in split order for determinism.
+Ranking is chunked.  The split's queries are scored against every
+entity a chunk of one direction at a time (`models.iter_candidate_scores`),
+and each is ranked from its row of scores: count the entities that
+score above or tie with the answer over the whole row, then subtract
+the known other answers that do, instead of masking an E-sized
+candidate list per query.  A chunk holds as many queries as fit
+`models.RANK_BUDGET_BYTES` of (queries, E) scores, and at most dim of
+them, so its scores are never larger than the entity table; distances
+are taken over blocks of entities under the same budget.  Memory stays
+bounded whatever the split's size.  `filtered_rank` is the same path
+for one query.
+
+Ranking only reads the parameters; reports are assembled in split order
+for determinism.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, Direction, QueryKey, answer_of, query_of,
+from .data import (Dataset, Direction, QueryKey, example_queries,
                    true_answers_index)
-from .models import ModelParams, score_batch
+from .models import ModelParams, check_vocab, iter_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
+_DIRECTIONS = (Direction.TAIL_QUERY, Direction.HEAD_QUERY)
 
 
 @dataclass
@@ -50,17 +63,48 @@ class AggregateReport:
 def filtered_rank(params: ModelParams, query: QueryKey, answer: int,
                   known_true: set[int] | frozenset[int]) -> int:
     """Rank of `answer` among all entities after filtering known answers."""
-    scores = score_batch(params, query,
-                         np.arange(params.num_entities, dtype=np.int64))
-    keep = np.ones(params.num_entities, dtype=bool)
-    for other in known_true:
-        keep[other] = False
-    keep[answer] = True
-    answer_score = scores[answer]
-    kept = scores[keep]
-    better = int((kept > answer_score).sum())
-    tied_others = int((kept == answer_score).sum()) - 1
-    return int(math.floor(1.0 + better + tied_others / 2.0 + 0.5))
+    ranks = _filtered_ranks(params, np.array([int(query.direction)]),
+                            np.array([query.entity]),
+                            np.array([query.relation]), np.array([answer]),
+                            [np.fromiter(known_true, dtype=np.int64)])
+    return int(ranks[0])
+
+
+def _filtered_ranks(params: ModelParams, directions: np.ndarray,
+                    entities: np.ndarray, relations: np.ndarray,
+                    answers: np.ndarray,
+                    known: Sequence[np.ndarray]) -> np.ndarray:
+    """Filtered rank of each answer to its query, in input order;
+    known[i] holds the known-true answers of query i."""
+    # one direction at a time, so that every chunk is full
+    order = np.argsort(directions, kind="stable")
+    ranks = np.empty(len(answers), dtype=np.int64)
+    for start, stop, scores in iter_candidate_scores(
+            params, directions[order], entities[order], relations[order]):
+        rows = order[start:stop]
+        ranks[rows] = _rank_rows(scores, answers[rows],
+                                 [known[i] for i in rows])
+    return ranks
+
+
+def _rank_rows(scores: np.ndarray, answers: np.ndarray,
+               known: list[np.ndarray]) -> np.ndarray:
+    """Rank of answers[i] in scores[i], counting neither the known
+    answers known[i] nor the answer itself as competitors."""
+    rows = np.arange(len(answers))
+    own = scores[rows, answers]
+    better = (scores > own[:, None]).sum(axis=1)
+    ties = (scores == own[:, None]).sum(axis=1) - 1
+    owner = np.repeat(rows, [k.size for k in known])
+    others = np.concatenate(known)
+    competing = others != answers[owner]
+    owner, others = owner[competing], others[competing]
+    other_scores, answer_scores = scores[owner, others], own[owner]
+    better -= np.bincount(owner[other_scores > answer_scores],
+                          minlength=len(rows))
+    ties -= np.bincount(owner[other_scores == answer_scores],
+                        minlength=len(rows))
+    return 1 + better + (ties + 1) // 2
 
 
 def build_filter_index(dataset: Dataset) -> dict[QueryKey, set[int]]:
@@ -80,25 +124,23 @@ def evaluate(params: ModelParams, dataset: Dataset, split: str,
                "train": dataset.train}[split]
     if not triples:
         raise ValueError(f"split {split!r} is empty")
+    check_vocab(params, dataset)
     if filter_index is None:
         filter_index = build_filter_index(dataset)
-    ranks: list[int] = []
-    queries: list[QueryKey] = []
-    for triple in triples:
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            query = query_of(triple, direction)
-            answer = answer_of(triple, direction)
-            rank = filtered_rank(params, query, answer,
-                                 filter_index.get(query, set()))
-            ranks.append(rank)
-            queries.append(query)
-    rank_arr = np.array(ranks, dtype=np.float64)
+    directions, entities, relations, answers = example_queries(triples)
+    queries = [QueryKey(_DIRECTIONS[d], e, r) for d, e, r in
+               zip(directions.tolist(), entities.tolist(), relations.tolist())]
+    known = [np.fromiter(filter_index.get(query, ()), dtype=np.int64)
+             for query in queries]
+    ranks = _filtered_ranks(params, directions, entities, relations, answers,
+                            known)
+    rank_arr = ranks.astype(np.float64)
     return EvalReport(
         mrr=float((1.0 / rank_arr).mean()),
         h1=float((rank_arr <= 1).mean()),
         h3=float((rank_arr <= 3).mean()),
         h10=float((rank_arr <= 10).mean()),
-        per_query_ranks=ranks,
+        per_query_ranks=ranks.tolist(),
         queries=queries,
         split=split,
     )

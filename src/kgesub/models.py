@@ -22,6 +22,11 @@ row is carried for layout compatibility with the model's published
 parameterization but does not enter this score function.  Gradients use
 the subgradient convention sign(0) = 0 at the kinks of L1 terms.
 
+`iter_candidate_scores` scores chunks of same-direction queries against
+every entity for ranking: one matmul per chunk for DistMult and ComplEx,
+and for TransE, RotatE and HAKE direct distances over blocks of
+entities.  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk.
+
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
 read phases.
@@ -32,16 +37,22 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Direction, QueryKey, Triple
-from .errors import CheckpointError
+from .data import Dataset, Direction, QueryKey, Triple
+from .errors import CheckpointError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
+
+# Bytes of one candidate-scoring temporary: the (queries, E) scores of
+# a chunk, and the (queries, entities, width) block of a distance.
+RANK_BUDGET_BYTES = 4 << 20
 
 _MAGIC = b"KGESUBCK"
 _FORMAT_VERSION = 1
@@ -104,6 +115,16 @@ class ModelParams:
         return ModelParams(self.kind, self.dim, self.entity_emb.copy(),
                            self.relation_emb.copy(), self.gamma,
                            dict(self.aux))
+
+
+def check_vocab(params: ModelParams, dataset: Dataset) -> None:
+    """Reject parameters trained on a vocabulary of another size."""
+    if (params.num_entities != dataset.num_entities
+            or params.num_relations != dataset.num_relations):
+        raise VocabMismatchError(
+            f"model covers {params.num_entities} entities / "
+            f"{params.num_relations} relations, dataset has "
+            f"{dataset.num_entities} / {dataset.num_relations}")
 
 
 def init_params(kind: ModelKind, num_entities: int, num_relations: int,
@@ -227,6 +248,145 @@ def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
                        params.entity_emb[np.asarray(tails, dtype=np.int64)])
 
 
+def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
+                          entities: np.ndarray, relations: np.ndarray
+                          ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Scores of every entity as the answer to each query, by chunks.
+
+    Query i is (directions[i], entities[i], relations[i]) with the
+    `Direction` convention.  Yields (start, stop, scores) with scores of
+    shape (stop - start, E), a fresh array the caller may overwrite.  A
+    chunk never mixes directions, so sorting the queries by direction
+    keeps the chunks full.  Scores equal `score_batch` up to rounding in
+    the last bits.
+    """
+    directions = np.asarray(directions, dtype=np.int64)
+    entities = np.asarray(entities, dtype=np.int64)
+    relations = np.asarray(relations, dtype=np.int64)
+    score_chunk = _chunk_scorer(params)
+    # a chunk's scores fit the budget and are no larger than the entity
+    # table, which every matmul chunk reads once anyway
+    step = max(1, min(params.dim,
+                      RANK_BUDGET_BYTES // (8 * params.num_entities)))
+    start = 0
+    while start < len(directions):
+        stop = min(start + step, len(directions))
+        switch = np.flatnonzero(directions[start:stop] != directions[start])
+        if switch.size:
+            stop = start + int(switch[0])
+        yield start, stop, score_chunk(
+            directions[start] == Direction.TAIL_QUERY,
+            params.entity_emb[entities[start:stop]],
+            params.relation_emb[relations[start:stop]])
+        start = stop
+
+
+def _blocked(num_queries: int, width: int, num_entities: int,
+             block_scores) -> np.ndarray:
+    """(Q, E) scores assembled from `block_scores(entity_slice)`, with
+    blocks sized so that a (Q, block, width) temporary fits the budget."""
+    step = max(1, RANK_BUDGET_BYTES // (8 * num_queries * width))
+    out = np.empty((num_queries, num_entities))
+    for lo in range(0, num_entities, step):
+        out[:, lo:lo + step] = block_scores(slice(lo, lo + step))
+    return out
+
+
+def _chunk_scorer(params: ModelParams):
+    """score(tail, fixed, rel) -> (Q, E) for one chunk of queries.
+
+    `tail` says whether the chunk asks for tails; `fixed` (Q, dim) and
+    `rel` (Q, dim_r) are the rows of the given entities and relations.
+    Entity-side tables are computed once, here, for all chunks.
+    """
+    kind, ent = params.kind, params.entity_emb
+    num_entities = ent.shape[0]
+    if kind == ModelKind.DISTMULT:
+        return lambda tail, fixed, rel: (fixed * rel) @ ent.T
+    if kind == ModelKind.COMPLEX:
+        def complex_scores(tail, fixed, rel):
+            # fold the relation into the coefficients of the free slot
+            f_re, f_im = _complex_view(fixed)
+            r_re, r_im = _complex_view(rel)
+            q = np.empty_like(fixed)
+            if tail:
+                q[:, 0::2] = r_re * f_re - r_im * f_im
+                q[:, 1::2] = r_re * f_im + r_im * f_re
+            else:
+                q[:, 0::2] = r_re * f_re + r_im * f_im
+                q[:, 1::2] = r_re * f_im - r_im * f_re
+            return q @ ent.T
+        return complex_scores
+    if kind == ModelKind.TRANSE:
+        l1 = params.aux.get("norm_p", 1.0) == 1.0
+
+        def transe_scores(tail, fixed, rel):
+            q = fixed + rel if tail else fixed - rel
+
+            def block(cols):
+                d = q[:, None, :] - ent[None, cols]
+                if l1:
+                    return -np.abs(d, out=d).sum(axis=2)
+                return -np.sqrt(np.square(d, out=d).sum(axis=2))
+            return _blocked(len(q), params.dim, num_entities, block)
+        return transe_scores
+    if kind == ModelKind.ROTATE:
+        e_re, e_im = _complex_view(ent)
+
+        def rotate_scores(tail, fixed, rel):
+            # rotate the fixed side once: h*r for tails, t*conj(r) for
+            # heads, which has the same distance because |r| = 1
+            f_re, f_im = _complex_view(fixed)
+            cos_r, sin_r = np.cos(rel), np.sin(rel)
+            if tail:
+                q_re = f_re * cos_r - f_im * sin_r
+                q_im = f_re * sin_r + f_im * cos_r
+            else:
+                q_re = f_re * cos_r + f_im * sin_r
+                q_im = f_im * cos_r - f_re * sin_r
+
+            def block(cols):
+                u_re = q_re[:, None, :] - e_re[None, cols]
+                u_im = q_im[:, None, :] - e_im[None, cols]
+                u_re *= u_re
+                u_im *= u_im
+                u_re += u_im
+                return -np.sqrt(u_re, out=u_re).sum(axis=2)
+            return _blocked(len(q_re), params.dim, num_entities, block)
+        return rotate_scores
+    if kind == ModelKind.HAKE:
+        half = params.dim // 2
+        weight = params.aux["phase_weight"]
+        half_phase = ent[:, half:] / 2.0
+        sin_e = np.sin(half_phase)
+        cos_e = np.cos(half_phase, out=half_phase)
+
+        def hake_scores(tail, fixed, rel):
+            f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
+            f_phase, r_phase = fixed[:, half:], rel[:, half:2 * half]
+            # |sin((h + r - t) / 2)| = |sin(a - e / 2)| with a from the
+            # fixed side; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine
+            # per (query, entity) pair
+            a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
+            sin_a, cos_a = np.sin(a)[:, None, :], np.cos(a)[:, None, :]
+            q_mod = (f_mod * r_mod)[:, None, :]
+
+            def block(cols):
+                e_mod = np.abs(ent[cols, :half])[None]
+                if tail:
+                    v = q_mod - e_mod
+                else:
+                    v = e_mod * r_mod[:, None, :] - f_mod[:, None, :]
+                modulus = np.sqrt(np.square(v, out=v).sum(axis=2))
+                s = sin_a * cos_e[None, cols]
+                s -= cos_a * sin_e[None, cols]
+                phase = np.abs(s, out=s).sum(axis=2)
+                return -(modulus + weight * phase)
+            return _blocked(len(a), params.dim, num_entities, block)
+        return hake_scores
+    raise AssertionError(f"unhandled kind {kind}")
+
+
 # ---------------------------------------------------------------------------
 # analytic gradients
 
@@ -338,6 +498,7 @@ def write_container(path: str | Path, header: dict,
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
@@ -345,30 +506,46 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if len(raw_len) != 8:
             raise CheckpointError(f"{path}: truncated header")
         (blob_len,) = struct.unpack("<Q", raw_len)
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
+        if blob_len > size - fh.tell():
             raise CheckpointError(f"{path}: truncated header")
+        blob = fh.read(blob_len)
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("format_version") != _FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported format version "
                 f"{header.get('format_version')}")
         arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            nbytes = 8 * int(np.prod(shape)) if shape else 8
+        for name, shape in _array_specs(path, header.get("arrays")):
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated array {name!r}")
             raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise CheckpointError(
-                    f"{path}: truncated array {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(
                 shape).astype(np.float64)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after arrays")
     return header, arrays
+
+
+def _array_specs(path: str | Path,
+                 specs: object) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) pairs of a header's "arrays" list, validated."""
+    if not isinstance(specs, list):
+        raise CheckpointError(f"{path}: header has no array list")
+    out = []
+    for spec in specs:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: bad array entry {spec!r}")
+        out.append((name, tuple(shape)))
+    return out
 
 
 def save_params(params: ModelParams, path: str | Path,
@@ -388,27 +565,39 @@ def save_params(params: ModelParams, path: str | Path,
                                    "relation_emb": params.relation_emb})
 
 
-def load_params_tag(path: str | Path) -> str | None:
-    """The provenance tag a checkpoint was saved with, if any."""
-    header, _ = read_container(path)
-    return header.get("tag")
-
-
 def params_from_container(header: dict,
                           arrays: dict[str, np.ndarray]) -> ModelParams:
-    return ModelParams(
-        kind=ModelKind.from_string(header["kind"]),
-        dim=int(header["dim"]),
-        entity_emb=arrays["entity_emb"],
-        relation_emb=arrays["relation_emb"],
-        gamma=float(header["gamma"]),
-        aux={k: float(v) for k, v in header["aux"].items()},
-    )
+    try:
+        kind = ModelKind.from_string(header["kind"])
+        dim = int(header["dim"])
+        params = ModelParams(
+            kind=kind, dim=dim,
+            entity_emb=arrays["entity_emb"],
+            relation_emb=arrays["relation_emb"],
+            gamma=float(header["gamma"]),
+            aux={k: float(v) for k, v in header["aux"].items()},
+        )
+        widths = (dim, relation_dim(kind, dim))
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise CheckpointError(f"incomplete model header: {exc!r}") from exc
+    shapes = (params.entity_emb.shape, params.relation_emb.shape)
+    if any(len(shape) != 2 or shape[1] != width
+           for shape, width in zip(shapes, widths)):
+        raise CheckpointError(f"embedding shapes {shapes} do not fit "
+                              f"{kind.value} with dim {dim}")
+    return params
 
 
-def load_params(path: str | Path) -> ModelParams:
+def load_tagged_params(path: str | Path) -> tuple[ModelParams, str | None]:
+    """Parameters and the provenance tag they were saved with, if any,
+    from one read of the checkpoint."""
     header, arrays = read_container(path)
     if header.get("payload") not in ("model-params", "train-checkpoint"):
         raise CheckpointError(f"{path}: unexpected payload "
                               f"{header.get('payload')!r}")
-    return params_from_container(header, arrays)
+    return params_from_container(header, arrays), header.get("tag")
+
+
+def load_params(path: str | Path) -> ModelParams:
+    return load_tagged_params(path)[0]

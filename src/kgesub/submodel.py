@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Direction, count_queries, query_of
-from .errors import VocabMismatchError
-from .models import ModelKind, ModelParams, init_params, score_triples
+from .data import Dataset, count_queries, example_queries
+from .models import (ModelKind, ModelParams, check_vocab, init_params,
+                     iter_candidate_scores, score_triples)
 from .subsampling import (SubModelScores, SubsamplingMethod,
                           build_cbs_weights, uniform_weights)
 from .training import TrainConfig, train
@@ -68,20 +68,11 @@ def score_training_triples(submodel: ModelParams, dataset: Dataset,
     of (sub-model, dataset): recomputing from a persisted copy of either
     gives identical output.
     """
-    _check_vocab(submodel, dataset)
+    check_vocab(submodel, dataset)
     ids = np.array(dataset.train, dtype=np.int64)
     per_triple = score_triples(submodel, ids[:, 0], ids[:, 1], ids[:, 2])
     raw = np.repeat(per_triple, 2)
     return SubModelScores(raw_score=raw, submodel_id=provenance)
-
-
-def _check_vocab(submodel: ModelParams, dataset: Dataset) -> None:
-    if (submodel.num_entities != dataset.num_entities
-            or submodel.num_relations != dataset.num_relations):
-        raise VocabMismatchError(
-            f"sub-model covers {submodel.num_entities} entities / "
-            f"{submodel.num_relations} relations, dataset has "
-            f"{dataset.num_entities} / {dataset.num_relations}")
 
 
 def mbs_frequencies_all_candidates(
@@ -95,29 +86,26 @@ def mbs_frequencies_all_candidates(
     probability of any (query, candidate) pair shares the training-set
     softmax normalizer, and the link frequencies are unchanged.
     Needs the live sub-model, so this variant cannot be driven from a
-    persisted score file.
+    persisted score file.  Each distinct query is scored once, in
+    chunks, and its mass is gathered back to every example asking it.
     """
-    from .models import score_batch
-    _check_vocab(submodel, dataset)
     scores = score_training_triples(submodel, dataset, "_")
     raw = scores.raw_score
     shift = raw.max()
     z = np.exp(raw - shift).sum()
     n = dataset.num_examples
     f_xy = n * np.exp(raw - shift) / z
-    candidates = np.arange(dataset.num_entities, dtype=np.int64)
-    mass_cache: dict = {}
-    f_x = np.empty(n)
-    for i, triple in enumerate(dataset.train):
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            query = query_of(triple, direction)
-            mass = mass_cache.get(query)
-            if mass is None:
-                candidate_scores = score_batch(submodel, query, candidates)
-                mass = np.exp(candidate_scores - shift).sum() / z
-                mass_cache[query] = mass
-            f_x[2 * i + int(direction)] = n * mass
-    return f_xy, f_x
+    directions, entities, relations, _ = example_queries(dataset.train)
+    unique, inverse = np.unique(
+        np.stack([directions, entities, relations], axis=1), axis=0,
+        return_inverse=True)
+    mass = np.empty(len(unique))
+    for start, stop, candidate_scores in iter_candidate_scores(
+            submodel, *unique.T):
+        np.subtract(candidate_scores, shift, out=candidate_scores)
+        mass[start:stop] = np.exp(candidate_scores,
+                                  out=candidate_scores).sum(axis=1) / z
+    return f_xy, n * mass[inverse.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------

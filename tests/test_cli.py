@@ -130,6 +130,49 @@ class TestEvaluateCommand:
                 == (out_b / "metrics.tsv").read_text())
 
 
+class TestEvaluateInputErrors:
+    @pytest.fixture()
+    def six_entity_dir(self, tmp_path):
+        """Train names e0..e5 first; valid only uses ids below 3, test
+        uses ids 4 and 5."""
+        directory = tmp_path / "kg6"
+        directory.mkdir()
+        train = "".join(f"e{i}\tr0\te{i + 1}\n" for i in range(5))
+        (directory / "train.txt").write_text(train, encoding="utf-8")
+        (directory / "valid.txt").write_text("e0\tr0\te1\n")
+        (directory / "test.txt").write_text("e4\tr0\te5\n")
+        return directory
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    @pytest.mark.parametrize("entities, relations", [(3, 1), (6, 2)])
+    def test_vocab_mismatch_is_exit_2(self, six_entity_dir, tmp_path,
+                                      capsys, split, entities, relations):
+        from kgesub.models import ModelKind, init_params, save_params
+        checkpoint = tmp_path / "small.bin"
+        save_params(init_params(ModelKind.DISTMULT, entities, relations, 4,
+                                1.0, seed=1), checkpoint)
+        code = run(["evaluate", "--data", six_entity_dir, "--checkpoint",
+                    checkpoint, "--split", split,
+                    "--run-dir", tmp_path / "eval"])
+        assert code == 2
+        assert "dataset has 6 / 1" in capsys.readouterr().err
+
+    def test_checkpoint_without_array_list_is_exit_2(self, six_entity_dir,
+                                                     tmp_path, capsys):
+        import json
+        import struct
+        blob = json.dumps({"format_version": 1, "payload": "model-params",
+                           "kind": "distmult", "dim": 4, "gamma": 1.0,
+                           "aux": {}}).encode()
+        checkpoint = tmp_path / "bad.bin"
+        checkpoint.write_bytes(b"KGESUBCK" + struct.pack("<Q", len(blob))
+                               + blob)
+        code = run(["evaluate", "--data", six_entity_dir, "--checkpoint",
+                    checkpoint, "--run-dir", tmp_path / "eval"])
+        assert code == 2
+        assert "array list" in capsys.readouterr().err
+
+
 class TestSubmodelPipeline:
     def test_full_mbs_and_mix_flow(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"

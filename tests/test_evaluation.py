@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from kgesub.data import Dataset, Direction, QueryKey, Triple
+from kgesub import models
+from kgesub.data import (Dataset, Direction, QueryKey, Triple, answer_of,
+                         query_of)
+from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, build_filter_index,
                                evaluate, filtered_rank, format_report,
                                write_rank_dump)
@@ -119,7 +122,6 @@ class TestEvaluate:
             for triple in dataset.test:
                 for direction in (Direction.TAIL_QUERY,
                                   Direction.HEAD_QUERY):
-                    from kgesub.data import answer_of, query_of
                     query = query_of(triple, direction)
                     answer = answer_of(triple, direction)
                     scores = score_batch(params, query,
@@ -157,6 +159,42 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, dataset, "valid")
 
+    def test_chunked_ranks_match_oracle(self, monkeypatch):
+        """A split spanning many chunks and entity blocks, with repeated
+        queries and exact ties, ranks exactly like the per-query oracle."""
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 30 * 3)
+        rng = np.random.default_rng(13)
+        for trial, kind in enumerate(list(ModelKind) * 2):
+            dataset = random_kg(rng, num_entities=30, num_relations=2,
+                                num_train=60, num_test=25)
+            dataset.test.extend(dataset.test[:5])
+            params = init_params(kind, 30, 2, 6, 1.5, seed=trial)
+            if trial >= 5:  # identical rows tie under every kind
+                params.entity_emb[::4] = params.entity_emb[1]
+            index = build_filter_index(dataset)
+            report = evaluate(params, dataset, "test", index)
+            expected, queries = [], []
+            for triple in dataset.test:
+                for direction in (Direction.TAIL_QUERY,
+                                  Direction.HEAD_QUERY):
+                    query = query_of(triple, direction)
+                    scores = score_batch(params, query, np.arange(30))
+                    expected.append(oracle_filtered_rank(
+                        scores, answer_of(triple, direction),
+                        index.get(query, set())))
+                    queries.append(query)
+            assert report.per_query_ranks == expected
+            assert report.queries == queries
+
+    def test_vocab_mismatch_rejected(self):
+        rng = np.random.default_rng(14)
+        dataset = random_kg(rng, num_entities=6, num_relations=2)
+        for entities, relations in ((3, 2), (6, 1), (9, 2)):
+            params = init_params(ModelKind.DISTMULT, entities, relations, 4,
+                                 1.0, seed=15)
+            with pytest.raises(VocabMismatchError):
+                evaluate(params, dataset, "test")
+
     def test_filtering_soundness(self):
         """Known-true competitors cannot push the answer's rank down."""
         rng = np.random.default_rng(9)
@@ -165,7 +203,6 @@ class TestEvaluate:
         params = init_params(ModelKind.HAKE, 10, 2, 8, 2.0, seed=10)
         index = build_filter_index(dataset)
         for triple in dataset.test:
-            from kgesub.data import answer_of, query_of
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = query_of(triple, direction)
                 answer = answer_of(triple, direction)

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import json
+import struct
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgesub import models
 from kgesub.data import Direction, QueryKey, Triple
 from kgesub.errors import CheckpointError
-from kgesub.models import (ModelKind, init_params, load_params, relation_dim,
+from kgesub.models import (ModelKind, init_params, iter_candidate_scores,
+                           load_params, load_tagged_params, relation_dim,
                            save_params, score, score_batch, score_gradient,
                            score_triples)
 
@@ -211,6 +220,62 @@ class TestScoreGradient:
         assert max_relative_error(analytic, numeric) <= 1e-8
 
 
+class TestCandidateScores:
+    """Chunked all-entity scoring against the per-query `score_batch`."""
+
+    CASES = [(kind, {}) for kind in ALL_KINDS] + [(ModelKind.TRANSE,
+                                                   {"norm_p": 2.0})]
+
+    @pytest.mark.parametrize(
+        "kind, aux", CASES,
+        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
+    def test_matches_score_batch(self, kind, aux, monkeypatch):
+        # room for 3 queries of 40 entities: many chunks and entity blocks
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 40 * 3)
+        params = init_params(kind, 40, 3, 8, 2.0, seed=12, aux=aux)
+        rng = np.random.default_rng(13)
+        directions = rng.integers(0, 2, size=30)
+        entities = rng.integers(0, 40, size=30)
+        relations = rng.integers(0, 3, size=30)
+        covered = []
+        for start, stop, scores in iter_candidate_scores(
+                params, directions, entities, relations):
+            assert scores.shape == (stop - start, 40)
+            assert len(set(directions[start:stop])) == 1
+            for i in range(start, stop):
+                query = QueryKey(Direction(int(directions[i])),
+                                 int(entities[i]), int(relations[i]))
+                want = score_batch(params, query, np.arange(40))
+                got = scores[i - start]
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            covered.extend(range(start, stop))
+        assert covered == list(range(30))
+
+    def test_chunk_size_follows_budget_and_dim(self, monkeypatch):
+        params = init_params(ModelKind.DISTMULT, 10, 1, 4, 1.0, seed=14)
+        zeros = np.zeros(9, dtype=np.int64)
+
+        def spans():
+            return [(start, stop) for start, stop, _ in
+                    iter_candidate_scores(params, zeros, zeros, zeros)]
+        # the default budget holds far more than dim = 4 queries
+        assert spans() == [(0, 4), (4, 8), (8, 9)]
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
+        assert spans() == [(0, 3), (3, 6), (6, 9)]
+
+
+def _container_bytes(header: dict, payload: bytes = b"") -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return b"KGESUBCK" + struct.pack("<Q", len(blob)) + blob + payload
+
+
+_GOOD_HEADER = {"format_version": 1, "payload": "model-params",
+                "kind": "distmult", "dim": 2, "gamma": 1.0, "aux": {},
+                "num_entities": 1, "num_relations": 1,
+                "arrays": [{"name": "entity_emb", "shape": [1, 2]},
+                           {"name": "relation_emb", "shape": [1, 2]}]}
+
+
 class TestCheckpoints:
     def test_save_load_bitwise(self, tmp_path):
         for kind in ALL_KINDS:
@@ -248,6 +313,66 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="trailing"):
             load_params(path)
 
+    def test_tag_read_with_params(self, tmp_path):
+        params = init_params(ModelKind.ROTATE, 4, 2, 4, 1.0, seed=24)
+        path = tmp_path / "model.bin"
+        save_params(params, path, tag="rotate-none-seed24")
+        loaded, tag = load_tagged_params(path)
+        assert tag == "rotate-none-seed24"
+        assert np.array_equal(loaded.entity_emb, params.entity_emb)
+        save_params(params, path)
+        assert load_tagged_params(path)[1] is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("arrays", None),
+        ("arrays", {"entity_emb": [1, 2]}),
+        ("arrays", ["entity_emb"]),
+        ("arrays", [{"name": "entity_emb"}]),
+        ("arrays", [{"name": "entity_emb", "shape": [-1, 2]}]),
+        ("arrays", [{"name": "entity_emb", "shape": [1.5, 2]}]),
+        ("arrays", [{"name": "entity_emb", "shape": ["1", 2]}]),
+        ("arrays", [{"name": "entity_emb", "shape": 2}]),
+        ("arrays", [{"name": 7, "shape": [1, 2]}]),
+        ("arrays", [{"name": "entity_emb", "shape": [10 ** 12, 2]}]),
+        ("arrays", [{"name": "entity_emb", "shape": [2]},
+                    {"name": "relation_emb", "shape": [1, 2]}]),
+        ("kind", None),
+        ("kind", "nope"),
+        ("dim", "two"),
+        ("dim", 3),
+        ("dim", float("inf")),
+        ("aux", []),
+    ], ids=lambda v: json.dumps(v)[:30])
+    def test_crafted_header_fails_cleanly(self, tmp_path, key, value):
+        """A header field that is absent (None here) or malformed gives
+        CheckpointError, not a raw exception."""
+        header = dict(_GOOD_HEADER)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path = tmp_path / "model.bin"
+        path.write_bytes(_container_bytes(header, bytes(32)))
+        with pytest.raises(CheckpointError):
+            load_params(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"KGESUBCK" + struct.pack("<Q", 2 ** 62) + b"{}",
+        _container_bytes([1, 2]),
+        _container_bytes({"format_version": 1}),
+    ])
+    def test_crafted_framing_fails_cleanly(self, tmp_path, blob):
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_params(path)
+
+    def test_crafted_good_header_loads(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(_container_bytes(_GOOD_HEADER, bytes(32)))
+        params = load_params(path)
+        assert params.entity_emb.shape == (1, 2)
+
 
 class TestInitEpsilon:
     def test_bound_scales_with_epsilon(self):
@@ -257,3 +382,31 @@ class TestInitEpsilon:
                              init_epsilon=0.4)
         assert np.abs(wide.entity_emb).max() > 1.0
         assert np.abs(narrow.entity_emb).max() <= 0.1
+
+
+class TestCheckpointFuzz:
+    """Any bytes give either parameters or a CheckpointError."""
+
+    @staticmethod
+    def _load(blob: bytes):
+        import tempfile
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "model.bin"
+            path.write_bytes(blob)
+            try:
+                load_params(path)
+            except CheckpointError:
+                pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_random_tail_after_magic(self, tail):
+        self._load(b"KGESUBCK" + tail)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0), st.integers(0, 255))
+    def test_one_byte_overwritten(self, position, value):
+        blob = bytearray(_container_bytes(
+            _GOOD_HEADER, bytes(32)))
+        blob[position % len(blob)] = value
+        self._load(bytes(blob))

@@ -268,6 +268,36 @@ class TestAllCandidatesQueryMass:
                 got = f_x[2 * i + int(direction)]
                 assert got == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_per_query_loop(self, kind, monkeypatch):
+        """Chunked unique-query scoring gives the per-example masses of
+        scoring every example's query on its own."""
+        from kgesub import models
+        from kgesub.data import Direction, query_of
+        from kgesub.models import score_batch
+        from kgesub.submodel import mbs_frequencies_all_candidates
+        from conftest import zipf_kg
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 50 * 7)
+        dataset = zipf_kg(3)  # Zipf heads: most queries repeat
+        sub = init_params(kind, dataset.num_entities, dataset.num_relations,
+                          8, 2.0, seed=9)
+        f_xy, f_x = mbs_frequencies_all_candidates(sub, dataset)
+        raw = score_training_triples(sub, dataset, "_").raw_score
+        shift = raw.max()
+        z = np.exp(raw - shift).sum()
+        n = dataset.num_examples
+        candidates = np.arange(dataset.num_entities)
+        expected = np.empty(n)
+        for i, triple in enumerate(dataset.train):
+            for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
+                scores = score_batch(sub, query_of(triple, direction),
+                                     candidates)
+                mass = np.exp(scores - shift).sum() / z
+                expected[2 * i + int(direction)] = n * mass
+        assert len(set(expected.tolist())) < n / 2
+        np.testing.assert_allclose(f_x, expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(f_xy, n * np.exp(raw - shift) / z)
+
     def test_vocab_mismatch_rejected(self, toy_dataset):
         from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.DISTMULT, 9, 1, 4, 1.0, seed=8)
