@@ -1,7 +1,7 @@
 """Knowledge-graph embedding training with pluggable subsampling.
 
 Subpackages:
-    data         triples, vocabularies, query frequency counts
+    data         triples, vocabularies, the query index
     models       score functions, gradients, parameter checkpoints
     subsampling  count-based / model-based / mixed weight tables
     training     negative sampling, weighted loss, SGD/Adam loop
@@ -10,9 +10,8 @@ Subpackages:
     cli          command-line pipeline
 """
 
-from .data import (Dataset, Direction, FrequencyTable, QueryKey, Triple,
-                   Vocab, count_queries, load_dataset, load_triples,
-                   query_frequency, singleton_query_stats, triple_frequency)
+from .data import (Dataset, Direction, QueryIndex, QueryKey, Triple, Vocab,
+                   load_dataset, load_triples, singleton_query_stats)
 from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
                          build_filter_index, evaluate, filtered_rank)
 from .models import (ModelKind, ModelParams, init_params, load_params,
@@ -23,8 +22,9 @@ from .submodel import (Selection, mbs_frequencies_all_candidates,
                        select_submodel)
 from .subsampling import (ALPHA_GRID, LAMBDA_GRID, SubModelScores,
                           SubsamplingMethod, WeightTable, build_cbs_weights,
-                          build_mbs_weights, mbs_frequencies, mix_weights,
-                          softmax_over_train, uniform_weights)
+                          build_mbs_weights, counted_frequencies,
+                          mbs_frequencies, mix_weights, softmax_over_train,
+                          uniform_weights)
 from .training import (TrainConfig, TrainExample, batch_loss, load_checkpoint,
                        ns_loss, sample_negatives, save_checkpoint, train)
 

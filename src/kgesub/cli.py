@@ -15,16 +15,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluation, submodel, subsampling, training
 from .config import RunConfig, load_config, save_config, validate_config
-from .data import (Dataset, Direction, count_queries, load_dataset,
-                   query_frequency, query_of, singleton_query_stats)
+from .data import (DIRECTION_NAMES, Dataset, load_dataset,
+                   singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
-from .models import (ModelKind, init_params, load_params, load_tagged_params,
-                     save_params)
+from .models import (ModelKind, default_aux, init_params, load_params,
+                     load_tagged_params, save_params)
 from .subsampling import (SubModelScores, SubsamplingMethod, WeightTable,
                           build_cbs_weights, build_mbs_weights, load_scores,
                           mbs_frequencies, mix_weights, save_scores,
@@ -98,24 +101,13 @@ def _load_data(config: RunConfig) -> Dataset:
 
 
 def _model_aux(config: RunConfig) -> dict[str, float]:
-    kind = ModelKind.from_string(config.model)
-    if kind == ModelKind.TRANSE:
-        return {"norm_p": config.norm_p}
-    if kind == ModelKind.HAKE:
-        return {"phase_weight": config.phase_weight}
-    return {}
+    return {key: getattr(config, key)
+            for key in default_aux(ModelKind.from_string(config.model))}
 
 
 def _train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        nu=config.nu, batch_size=config.batch_size, steps=config.steps,
-        learning_rate=config.learning_rate, optimizer=config.optimizer,
-        adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
-        adam_epsilon=config.adam_epsilon,
-        adversarial_beta=config.adversarial_beta, seed=config.seed,
-        valid_every=config.valid_every,
-        lr_decay_every=config.lr_decay_every,
-        lr_decay_factor=config.lr_decay_factor)
+    return TrainConfig(**{f.name: getattr(config, f.name)
+                          for f in fields(TrainConfig)})
 
 
 def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
@@ -123,9 +115,8 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
     if source == "none":
         return uniform_weights(dataset.num_examples)
     method = SubsamplingMethod.from_string(config.method)
-    freq = count_queries(dataset.train, smoothing=config.smoothing)
     if source == "cbs":
-        return build_cbs_weights(dataset, freq, method)
+        return build_cbs_weights(dataset, method, config.smoothing)
     if config.mbs_query_mass == "all_candidates":
         try:
             sub_params, tag = load_tagged_params(config.submodel_checkpoint)
@@ -142,7 +133,7 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
     mbs = build_mbs_weights(f_xy, f_x, method, config.alpha, submodel_id=sid)
     if source == "mbs":
         return mbs
-    cbs = build_cbs_weights(dataset, freq, method)
+    cbs = build_cbs_weights(dataset, method, config.smoothing)
     return mix_weights(cbs, mbs, config.lam)
 
 
@@ -326,30 +317,27 @@ def query_appearance_report(dataset: Dataset, cbs: WeightTable,
     """
     if n < 0:
         raise ConfigError("n must be >= 0")
-    freq = count_queries(dataset.train, smoothing=smoothing)
-    queries = sorted(freq.keys())
-    if n > len(queries):
-        print(f"warning: only {len(queries)} distinct queries; "
+    index = dataset.train_index
+    if n > index.num_queries:
+        print(f"warning: only {index.num_queries} distinct queries; "
               f"clamping n={n}", file=sys.stderr)
-        n = len(queries)
-    mass_cbs: dict = {q: 0.0 for q in queries}
-    mass_mbs: dict = {q: 0.0 for q in queries}
-    for i, triple in enumerate(dataset.train):
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            q = query_of(triple, direction)
-            eid = 2 * i + int(direction)
-            mass_cbs[q] += cbs.b[eid]
-            mass_mbs[q] += mbs.b[eid]
-    total_cbs = sum(mass_cbs.values())
-    total_mbs = sum(mass_mbs.values())
-    lowest = sorted(queries,
-                    key=lambda q: (query_frequency(freq, q), q))[:n]
-    lowest.sort(key=lambda q: (-query_frequency(freq, q), q))
-    names = {0: "tail-query", 1: "head-query"}
-    return [(q.entity, q.relation, names[int(q.direction)],
-             query_frequency(freq, q),
-             100.0 * mass_cbs[q] / total_cbs,
-             100.0 * mass_mbs[q] / total_mbs) for q in lowest]
+        n = index.num_queries
+    # masses add up in example order and totals in sorted-query order,
+    # one term at a time (never pairwise), so the report's digits do not
+    # depend on the numpy or Python version
+    mass_cbs = np.bincount(index.query_id, weights=cbs.b)
+    mass_mbs = np.bincount(index.query_id, weights=mbs.b)
+    total_cbs = float(np.cumsum(mass_cbs)[-1])
+    total_mbs = float(np.cumsum(mass_mbs)[-1])
+    lowest = np.argsort(index.count, kind="stable")[:n]
+    lowest = lowest[np.lexsort((lowest, -index.count[lowest]))]
+    return [(e, r, DIRECTION_NAMES[d], c + smoothing, 100.0 * mc / total_cbs,
+             100.0 * mm / total_mbs) for e, r, d, c, mc, mm in zip(
+                 index.entity[lowest].tolist(),
+                 index.relation[lowest].tolist(),
+                 index.direction[lowest].tolist(),
+                 index.count[lowest].tolist(), mass_cbs[lowest].tolist(),
+                 mass_mbs[lowest].tolist())]
 
 
 def cmd_singleton_stats(args) -> int:
@@ -358,15 +346,14 @@ def cmd_singleton_stats(args) -> int:
     run_dir = _make_run_dir(args)
     if args.stride < 1:
         raise ConfigError("stride must be >= 1")
-    rows = singleton_query_stats(dataset.train)[::args.stride]
-    names = {0: "tail-query", 1: "head-query"}
+    rows = singleton_query_stats(dataset)[::args.stride]
     out_path = run_dir / "singleton-stats.tsv"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("entity\trelation\tdirection\tentity_count\t"
                  "relation_count\n")
         for key, entity_count, relation_count in rows:
             fh.write(f"{key.entity}\t{key.relation}\t"
-                     f"{names[int(key.direction)]}\t{entity_count}\t"
+                     f"{DIRECTION_NAMES[key.direction]}\t{entity_count}\t"
                      f"{relation_count}\n")
     _write_manifest(run_dir, {"singleton_stats": out_path})
     print(f"{len(rows)} singleton-query rows; artifacts in {run_dir}")
@@ -393,9 +380,8 @@ def cmd_sweep(args) -> int:
     alpha_grid = _parse_grid(args.alpha_grid, subsampling.ALPHA_GRID)
     lambda_grid = _parse_grid(args.lambda_grid, subsampling.LAMBDA_GRID)
 
-    freq = count_queries(dataset.train, smoothing=config.smoothing)
     method = SubsamplingMethod.from_string(config.method)
-    cbs = build_cbs_weights(dataset, freq, method)
+    cbs = build_cbs_weights(dataset, method, config.smoothing)
     kind = ModelKind.from_string(config.model)
     train_config = _train_config(config)
     filter_index = evaluation.build_filter_index(dataset)

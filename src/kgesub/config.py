@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .models import INIT_EPSILON
 
 DATA_ROOT_ENV = "KGESUB_DATA_ROOT"
 
@@ -29,7 +30,7 @@ class RunConfig:
     gamma: float = 6.0
     norm_p: float = 1.0
     phase_weight: float = 0.5
-    init_epsilon: float = 2.0
+    init_epsilon: float = INIT_EPSILON
     # [train]
     nu: int = 4
     batch_size: int = 64
@@ -114,16 +115,18 @@ def _coerce(field_name: str, raw: str):
 
 def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     config = RunConfig()
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            field_name = _LAYOUT.get((section, key))
-            if field_name is None:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            setattr(config, field_name, _coerce(field_name, raw))
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                field_name = _LAYOUT.get((section, key))
+                if field_name is None:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
+                setattr(config, field_name, _coerce(field_name, raw))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     validate_config(config)
     return config
 

@@ -1,4 +1,4 @@
-"""Knowledge-graph triples, vocabularies, and query frequency counts.
+"""Knowledge-graph triples, vocabularies, and the query index.
 
 A triple (h, r, t) projects onto two queries: the tail query (h, r, ?)
 answered by t, and the head query (?, r, t) answered by h.  Training
@@ -7,19 +7,29 @@ dataset with N stored triples provides 2N examples.  Example ids are
 assigned as ``2 * triple_index + direction`` with direction 0 for tail
 queries and 1 for head queries.
 
-Frequencies of links are approximated by the arithmetic mean of the two
-query counts (the back-off used by count-based subsampling), optionally
-shifted by an additive smoothing constant.
+`QueryIndex` is the one array index of examples and queries behind
+query counts, subsampling weights, the negative-sample filter and
+filtered ranking.  Built once from the (N, 3) id array of a triple
+list, it holds per example (in example-id order) `query_id` and
+`answer`; per query `direction`, `entity`, `relation` and `count`; and
+a CSR list of answers: the sorted distinct answers of query q are
+``answers[offsets[q]:offsets[q + 1]]``.  Query ids follow the packed
+int64 key ``(direction * E + entity) * R + relation``, ascending, which
+is the order of `QueryKey` tuples; `find` maps queries to ids by binary
+search on that key.  `Dataset.train_index` is the index of the training
+split, built on first use; the evaluation filter indexes all three.
 
-Datasets, vocabularies, and frequency tables are never mutated after
+Datasets, vocabularies, and indexes are never mutated after
 construction; any number of threads may read them concurrently.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+import itertools
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,6 +43,10 @@ class Direction(enum.IntEnum):
 
     TAIL_QUERY = 0  # (h, r, ?)
     HEAD_QUERY = 1  # (?, r, t)
+
+
+# How files and reports spell each direction, indexed by `Direction`.
+DIRECTION_NAMES = ("tail-query", "head-query")
 
 
 class Triple(NamedTuple):
@@ -59,26 +73,91 @@ def answer_of(triple: Triple, direction: Direction) -> int:
     return triple.tail if direction == Direction.TAIL_QUERY else triple.head
 
 
-def example_id(triple_index: int, direction: Direction) -> int:
-    return 2 * triple_index + int(direction)
+def triple_array(triples: Sequence[Triple]) -> np.ndarray:
+    """(N, 3) int64 array of the head, relation and tail ids."""
+    return np.fromiter(itertools.chain.from_iterable(triples),
+                       dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
 
 
-def example_queries(triples: Sequence[Triple]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Direction, entity, relation and answer id arrays of the
-    direction-expanded examples of `triples`, in example-id order."""
-    ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    directions = np.tile(np.array([Direction.TAIL_QUERY,
-                                   Direction.HEAD_QUERY]), len(ids))
-    return (directions, ids[:, [0, 2]].ravel(), np.repeat(ids[:, 1], 2),
-            ids[:, [2, 0]].ravel())
+@dataclass(frozen=True, eq=False)
+class QueryIndex:
+    """Examples, queries and answers of a triple list as arrays."""
+
+    num_entities: int
+    num_relations: int
+    query_id: np.ndarray  # (2N,) per example
+    answer: np.ndarray  # (2N,) per example
+    key: np.ndarray  # (Q,) packed keys, ascending
+    direction: np.ndarray  # (Q,)
+    entity: np.ndarray  # (Q,)
+    relation: np.ndarray  # (Q,)
+    count: np.ndarray  # (Q,)
+    offsets: np.ndarray  # (Q + 1,)
+    answers: np.ndarray  # (offsets[-1],)
+
+    @classmethod
+    def build(cls, triples: Sequence[Triple], num_entities: int,
+              num_relations: int) -> "QueryIndex":
+        ids = triple_array(triples)
+        if ids.size and (ids.min() < 0 or ids[:, 1].max() >= num_relations
+                         or ids[:, [0, 2]].max() >= num_entities):
+            raise ValueError("triple ids outside the vocabulary")
+        entities = ids[:, [0, 2]].ravel()
+        relations = np.repeat(ids[:, 1], 2)
+        answer = ids[:, [2, 0]].ravel()
+        directions = np.tile(np.array([Direction.TAIL_QUERY,
+                                       Direction.HEAD_QUERY]), len(ids))
+        key, query_id = np.unique(
+            (directions * num_entities + entities) * num_relations
+            + relations, return_inverse=True)
+        rest, relation = np.divmod(key, num_relations)
+        direction, entity = np.divmod(rest, num_entities)
+        # distinct (query, answer) pairs by sorting: np.unique would take
+        # its hash-table path here (numpy >= 2.3), far slower and erratic
+        pairs = np.sort(query_id * num_entities + answer)
+        owner, answers = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0],
+                                   num_entities)
+        offsets = np.zeros(len(key) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(key)), out=offsets[1:])
+        arrays = (query_id, answer, key, direction, entity, relation,
+                  np.bincount(query_id, minlength=len(key)), offsets, answers)
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(num_entities, num_relations, *arrays)
+
+    @property
+    def num_queries(self) -> int:
+        return len(self.key)
+
+    def find(self, directions: np.ndarray, entities: np.ndarray,
+             relations: np.ndarray) -> np.ndarray:
+        """Query id of each (direction, entity, relation), -1 where the
+        index does not hold the query."""
+        keys = ((np.asarray(directions, dtype=np.int64) * self.num_entities
+                 + entities) * self.num_relations + relations)
+        pos = np.searchsorted(self.key, keys)
+        found = pos < len(self.key)
+        found[found] = self.key[pos[found]] == keys[found]
+        return np.where(found, pos, -1)
+
+    def answers_of(self, query_id: int) -> np.ndarray:
+        """Sorted distinct answers of one query."""
+        return self.answers[self.offsets[query_id]:self.offsets[query_id + 1]]
 
 
-def expand_examples(triples: Sequence[Triple]) -> Iterable[tuple[int, int, Direction]]:
-    """Yield (example_id, triple_index, direction) in canonical order."""
-    for i in range(len(triples)):
-        yield 2 * i, i, Direction.TAIL_QUERY
-        yield 2 * i + 1, i, Direction.HEAD_QUERY
+def text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each non-blank line of a UTF-8 text file,
+    without its newline; undecodable bytes raise DataError."""
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}:{lineno + 1}: not UTF-8 text at or after "
+                        f"this line ({exc.reason})") from None
 
 
 class Vocab:
@@ -147,21 +226,17 @@ class Vocab:
             ("relations.tsv", vocab.relation_to_id, vocab.relation_labels),
         ):
             path = directory / name
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    parts = line.split("\t")
-                    if len(parts) != 2:
-                        raise DataError(f"{path}:{lineno}: expected `label<TAB>id`")
-                    label, idx = parts[0], int(parts[1])
-                    if idx != len(labels):
-                        raise DataError(
-                            f"{path}:{lineno}: ids must be dense and ordered "
-                            f"(got {idx}, expected {len(labels)})")
-                    to_id[label] = idx
-                    labels.append(label)
+            for lineno, line in text_lines(path):
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise DataError(
+                        f"{path}:{lineno}: expected `label<TAB>id`")
+                if parts[1] != str(len(labels)):
+                    raise DataError(
+                        f"{path}:{lineno}: ids must be dense and ordered "
+                        f"(got {parts[1]!r}, expected {len(labels)})")
+                to_id[parts[0]] = len(labels)
+                labels.append(parts[0])
         return vocab
 
 
@@ -184,6 +259,12 @@ class Dataset:
     def num_examples(self) -> int:
         """Direction-expanded training example count (2 per triple)."""
         return 2 * len(self.train)
+
+    @cached_property
+    def train_index(self) -> QueryIndex:
+        """The query index of the training split."""
+        return QueryIndex.build(self.train, self.num_entities,
+                                self.num_relations)
 
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
@@ -209,19 +290,17 @@ def load_triples(path: str | Path,
     path = Path(path)
     vocab = existing_vocab if existing_vocab is not None else Vocab()
     triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}")
-            h, r, t = parts
-            triples.append(Triple(vocab.entity_id(h), vocab.relation_id(r),
-                                  vocab.entity_id(t)))
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, "
+                f"got {len(parts)}")
+        h, r, t = parts
+        triples.append(Triple(vocab.entity_id(h), vocab.relation_id(r),
+                              vocab.entity_id(t)))
     if not triples:
         raise DataError(f"{path}: no triples found")
     return triples, vocab
@@ -241,82 +320,29 @@ def load_dataset(directory: str | Path) -> Dataset:
     return Dataset(train=train, valid=valid, test=test, vocab=vocab)
 
 
-@dataclass
-class FrequencyTable:
-    """Smoothed occurrence counts of query keys over the training split.
-
-    Raw integer counts are stored; the smoothing constant is added at
-    lookup time, so absent keys report exactly `smoothing`.
-    """
-
-    smoothing: float
-    _raw: dict[QueryKey, int] = field(default_factory=dict)
-
-    def count(self, key: QueryKey) -> float:
-        return self._raw.get(key, 0) + self.smoothing
-
-    def raw_count(self, key: QueryKey) -> int:
-        return self._raw.get(key, 0)
-
-    def keys(self) -> Iterable[QueryKey]:
-        return self._raw.keys()
-
-
-def count_queries(train: Sequence[Triple], smoothing: float = 4.0) -> FrequencyTable:
-    """Tally both query projections of every training triple.
-
-    count(TailQuery, h, r) is the number of training occurrences of
-    (h, r, *); count(HeadQuery, t, r) likewise for (*, r, t).
-    """
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    raw: dict[QueryKey, int] = {}
-    for triple in train:
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            key = query_of(triple, direction)
-            raw[key] = raw.get(key, 0) + 1
-    return FrequencyTable(smoothing=smoothing, _raw=raw)
-
-
-def triple_frequency(freq: FrequencyTable, triple: Triple) -> float:
-    """Back-off link frequency: the mean of the two query counts."""
-    tail_q = freq.count(query_of(triple, Direction.TAIL_QUERY))
-    head_q = freq.count(query_of(triple, Direction.HEAD_QUERY))
-    return (tail_q + head_q) / 2.0
-
-
-def query_frequency(freq: FrequencyTable, query: QueryKey) -> float:
-    return freq.count(query)
-
-
 def singleton_query_stats(
-        train: Sequence[Triple]) -> list[tuple[QueryKey, int, int]]:
+        dataset: Dataset) -> list[tuple[QueryKey, int, int]]:
     """Entity/relation frequencies of queries seen exactly once in train.
 
-    For every query key with raw count 1, reports how many training
-    triples contain its entity (in either slot) and how many contain
-    its relation, sorted by entity frequency descending.  Ties keep a
-    deterministic order (relation frequency, then key).
+    For every training query asked by one example, reports how many
+    training triples contain its entity (in either slot; a self-loop
+    counts once) and how many contain its relation, sorted by entity
+    frequency descending.  Ties keep a deterministic order (relation
+    frequency, then key).
     """
-    freq = count_queries(train, smoothing=0.0)
-    entity_count: dict[int, int] = {}
-    relation_count: dict[int, int] = {}
-    for h, r, t in train:
-        entity_count[h] = entity_count.get(h, 0) + 1
-        if t != h:
-            entity_count[t] = entity_count.get(t, 0) + 1
-        relation_count[r] = relation_count.get(r, 0) + 1
-    rows = [(key, entity_count[key.entity], relation_count[key.relation])
-            for key in freq.keys() if freq.raw_count(key) == 1]
-    rows.sort(key=lambda row: (-row[1], -row[2], row[0]))
-    return rows
-
-
-def true_answers_index(triples: Iterable[Triple]) -> dict[QueryKey, set[int]]:
-    """Map each query to the set of answers observed in `triples`."""
-    index: dict[QueryKey, set[int]] = {}
-    for triple in triples:
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            key = query_of(triple, direction)
-            index.setdefault(key, set()).add(answer_of(triple, direction))
-    return index
+    index = dataset.train_index
+    tail_queries = index.query_id[0::2]
+    heads, tails = index.entity[tail_queries], index.answer[0::2]
+    entity_count = (np.bincount(heads, minlength=index.num_entities)
+                    + np.bincount(tails[tails != heads],
+                                  minlength=index.num_entities))
+    relation_count = np.bincount(index.relation[tail_queries],
+                                 minlength=index.num_relations)
+    single = np.flatnonzero(index.count == 1)
+    entities, relations = index.entity[single], index.relation[single]
+    by_entity, by_relation = entity_count[entities], relation_count[relations]
+    order = np.lexsort((single, -by_relation, -by_entity))
+    return [(QueryKey(Direction(d), e, r), ce, cr) for d, e, r, ce, cr in zip(
+        index.direction[single][order].tolist(), entities[order].tolist(),
+        relations[order].tolist(), by_entity[order].tolist(),
+        by_relation[order].tolist())]

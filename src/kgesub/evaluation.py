@@ -3,9 +3,12 @@
 Every triple of the evaluated split is ranked twice, once per query
 direction.  The candidate list is all entities minus the other answers
 known to be true anywhere in the dataset (the evaluated answer itself
-always stays in the list).  Score ties use the mean-rank convention:
-rank = 1 + |better| + |tied others| / 2, rounded half up, which avoids
-the optimistic bias of insertion-order ranking.
+always stays in the list).  Those answers come from
+`build_filter_index`, the query index of all three splits: each
+evaluated query is found in it by binary search and reads its answers
+as a slice of the index's CSR list.  Score ties use the mean-rank
+convention: rank = 1 + |better| + |tied others| / 2, rounded half up,
+which avoids the optimistic bias of insertion-order ranking.
 
 Ranking is chunked.  The split's queries are scored against every
 entity a chunk of one direction at a time (`models.iter_candidate_scores`),
@@ -31,12 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, Direction, QueryKey, example_queries,
-                   true_answers_index)
+from .data import DIRECTION_NAMES, Dataset, Direction, QueryIndex, QueryKey
 from .models import ModelParams, check_vocab, iter_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
-_DIRECTIONS = (Direction.TAIL_QUERY, Direction.HEAD_QUERY)
 
 
 @dataclass
@@ -107,18 +108,14 @@ def _rank_rows(scores: np.ndarray, answers: np.ndarray,
     return 1 + better + (ties + 1) // 2
 
 
-def build_filter_index(dataset: Dataset) -> dict[QueryKey, set[int]]:
+def build_filter_index(dataset: Dataset) -> QueryIndex:
     """Known-true answers per query over train, valid, and test."""
-    index = true_answers_index(dataset.train)
-    for split in (dataset.valid, dataset.test):
-        for query, answers in true_answers_index(split).items():
-            index.setdefault(query, set()).update(answers)
-    return index
+    return QueryIndex.build(dataset.train + dataset.valid + dataset.test,
+                            dataset.num_entities, dataset.num_relations)
 
 
 def evaluate(params: ModelParams, dataset: Dataset, split: str,
-             filter_index: dict[QueryKey, set[int]] | None = None
-             ) -> EvalReport:
+             filter_index: QueryIndex | None = None) -> EvalReport:
     """Filtered MRR and Hits@{1,3,10} over both directions of a split."""
     triples = {"valid": dataset.valid, "test": dataset.test,
                "train": dataset.train}[split]
@@ -127,13 +124,19 @@ def evaluate(params: ModelParams, dataset: Dataset, split: str,
     check_vocab(params, dataset)
     if filter_index is None:
         filter_index = build_filter_index(dataset)
-    directions, entities, relations, answers = example_queries(triples)
-    queries = [QueryKey(_DIRECTIONS[d], e, r) for d, e, r in
+    examples = QueryIndex.build(triples, dataset.num_entities,
+                                dataset.num_relations)
+    query_ids = filter_index.find(examples.direction, examples.entity,
+                                  examples.relation)[examples.query_id]
+    if np.any(query_ids < 0):
+        raise ValueError(f"the filter index does not cover split {split!r}")
+    directions, entities, relations = (column[query_ids] for column in (
+        filter_index.direction, filter_index.entity, filter_index.relation))
+    queries = [QueryKey(Direction(d), e, r) for d, e, r in
                zip(directions.tolist(), entities.tolist(), relations.tolist())]
-    known = [np.fromiter(filter_index.get(query, ()), dtype=np.int64)
-             for query in queries]
-    ranks = _filtered_ranks(params, directions, entities, relations, answers,
-                            known)
+    known = [filter_index.answers_of(q) for q in query_ids.tolist()]
+    ranks = _filtered_ranks(params, directions, entities, relations,
+                            examples.answer, known)
     rank_arr = ranks.astype(np.float64)
     return EvalReport(
         mrr=float((1.0 / rank_arr).mean()),
@@ -190,9 +193,7 @@ def write_metrics(report: EvalReport, path: str | Path) -> None:
 
 def write_rank_dump(report: EvalReport, path: str | Path) -> None:
     """`query<TAB>direction<TAB>rank` rows; query is `entity|relation`."""
-    names = {Direction.TAIL_QUERY: "tail-query",
-             Direction.HEAD_QUERY: "head-query"}
     with open(path, "w", encoding="utf-8") as fh:
         for query, rank in zip(report.queries, report.per_query_ranks):
             fh.write(f"{query.entity}|{query.relation}\t"
-                     f"{names[query.direction]}\t{rank}\n")
+                     f"{DIRECTION_NAMES[query.direction]}\t{rank}\n")

@@ -21,9 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, count_queries, example_queries
-from .models import (ModelKind, ModelParams, check_vocab, init_params,
-                     iter_candidate_scores, score_triples)
+from .data import Dataset, text_lines, triple_array
+from .errors import DataError
+from .models import (INIT_EPSILON, ModelKind, ModelParams, check_vocab,
+                     init_params, iter_candidate_scores, score_triples)
 from .subsampling import (SubModelScores, SubsamplingMethod,
                           build_cbs_weights, uniform_weights)
 from .training import TrainConfig, train
@@ -39,7 +40,8 @@ def pretrain_submodel(dataset: Dataset, kind: ModelKind, subsampling: str,
                       dim: int, gamma: float, config: TrainConfig,
                       aux: dict[str, float] | None = None,
                       smoothing: float = 4.0,
-                      init_epsilon: float = 2.0) -> tuple[ModelParams, str]:
+                      init_epsilon: float = INIT_EPSILON
+                      ) -> tuple[ModelParams, str]:
     """Train a sub-model candidate and tag it with its provenance id.
 
     `subsampling` is restricted to the candidate grid: "none" or
@@ -49,8 +51,8 @@ def pretrain_submodel(dataset: Dataset, kind: ModelKind, subsampling: str,
         raise ValueError(f"sub-model subsampling must be one of "
                          f"{SUBMODEL_SUBSAMPLING}, got {subsampling!r}")
     if subsampling == "cbs-base":
-        freq = count_queries(dataset.train, smoothing=smoothing)
-        weights = build_cbs_weights(dataset, freq, SubsamplingMethod.BASE)
+        weights = build_cbs_weights(dataset, SubsamplingMethod.BASE,
+                                    smoothing)
     else:
         weights = uniform_weights(dataset.num_examples)
     params = init_params(kind, dataset.num_entities, dataset.num_relations,
@@ -69,7 +71,7 @@ def score_training_triples(submodel: ModelParams, dataset: Dataset,
     gives identical output.
     """
     check_vocab(submodel, dataset)
-    ids = np.array(dataset.train, dtype=np.int64)
+    ids = triple_array(dataset.train)
     per_triple = score_triples(submodel, ids[:, 0], ids[:, 1], ids[:, 2])
     raw = np.repeat(per_triple, 2)
     return SubModelScores(raw_score=raw, submodel_id=provenance)
@@ -95,17 +97,14 @@ def mbs_frequencies_all_candidates(
     z = np.exp(raw - shift).sum()
     n = dataset.num_examples
     f_xy = n * np.exp(raw - shift) / z
-    directions, entities, relations, _ = example_queries(dataset.train)
-    unique, inverse = np.unique(
-        np.stack([directions, entities, relations], axis=1), axis=0,
-        return_inverse=True)
-    mass = np.empty(len(unique))
+    index = dataset.train_index
+    mass = np.empty(index.num_queries)
     for start, stop, candidate_scores in iter_candidate_scores(
-            submodel, *unique.T):
+            submodel, index.direction, index.entity, index.relation):
         np.subtract(candidate_scores, shift, out=candidate_scores)
         mass[start:stop] = np.exp(candidate_scores,
                                   out=candidate_scores).sum(axis=1) / z
-    return f_xy, n * mass[inverse.reshape(-1)]
+    return f_xy, n * mass[index.query_id]
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +134,19 @@ def read_ledger(path: str | Path) -> list[GridRecord]:
     if not path.exists():
         return []
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        try:
             sid, alpha, lam, mrr = line.split("\t")
             records.append(GridRecord(
                 submodel_id=sid, alpha=float(alpha),
                 lam=None if lam == "-" else float(lam),
                 valid_mrr=float(mrr)))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: expected `submodel_id<TAB>"
+                            f"alpha<TAB>lambda<TAB>valid_mrr` ({exc})"
+                            ) from None
     return records
 
 

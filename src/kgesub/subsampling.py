@@ -25,22 +25,18 @@ resulting tables are immutable and safe for concurrent readers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, Direction, FrequencyTable, QueryKey,
-                   query_of, triple_frequency)
+from .data import DIRECTION_NAMES, Dataset, text_lines
 from .errors import DataError, DegenerateInputError
 
 # Hyper-parameter search grids.
 ALPHA_GRID = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
 LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-_DIRECTION_NAMES = {Direction.TAIL_QUERY: "tail-query",
-                    Direction.HEAD_QUERY: "head-query"}
-_DIRECTION_FROM_NAME = {v: k for k, v in _DIRECTION_NAMES.items()}
 
 
 class SubsamplingMethod(enum.Enum):
@@ -110,28 +106,27 @@ def uniform_weights(num_examples: int) -> WeightTable:
                        provenance=Provenance(source="none", method="none"))
 
 
-def _example_count_arrays(
-        dataset: Dataset,
-        freq: FrequencyTable) -> tuple[np.ndarray, np.ndarray]:
-    """Counted (link frequency, query frequency) per expanded example."""
-    n = dataset.num_examples
-    f_xy = np.empty(n)
-    f_x = np.empty(n)
-    for i, triple in enumerate(dataset.train):
-        link = triple_frequency(freq, triple)
-        f_xy[2 * i] = link
-        f_xy[2 * i + 1] = link
-        f_x[2 * i] = freq.count(query_of(triple, Direction.TAIL_QUERY))
-        f_x[2 * i + 1] = freq.count(query_of(triple, Direction.HEAD_QUERY))
-    return f_xy, f_x
+def counted_frequencies(dataset: Dataset,
+                        smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counted (link frequency, query frequency) per expanded example.
+
+    The query frequency is the query's training count plus `smoothing`;
+    the link frequency is the mean of its triple's two query
+    frequencies.
+    """
+    if smoothing < 0:
+        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    index = dataset.train_index
+    f_x = index.count[index.query_id] + smoothing
+    return np.repeat((f_x[0::2] + f_x[1::2]) / 2.0, 2), f_x
 
 
 def _normalize_to_mean_one(unnormalized: np.ndarray) -> np.ndarray:
     return unnormalized * (unnormalized.shape[0] / unnormalized.sum())
 
 
-def build_cbs_weights(dataset: Dataset, freq: FrequencyTable,
-                      method: SubsamplingMethod) -> WeightTable:
+def build_cbs_weights(dataset: Dataset, method: SubsamplingMethod,
+                      smoothing: float) -> WeightTable:
     """Count-based weights: 1/sqrt discounting of counted frequencies.
 
     Base uses the link frequency for both columns, Freq uses the link
@@ -140,11 +135,7 @@ def build_cbs_weights(dataset: Dataset, freq: FrequencyTable,
     """
     if method == SubsamplingMethod.NONE:
         return uniform_weights(dataset.num_examples)
-    f_xy, f_x = _example_count_arrays(dataset, freq)
-    if np.any(f_xy <= 0) or np.any(f_x <= 0):
-        raise DegenerateInputError(
-            "zero counted frequency for an observed training example; "
-            "counts do not match the training split")
+    f_xy, f_x = counted_frequencies(dataset, smoothing)
     inv_sqrt_xy = 1.0 / np.sqrt(f_xy)
     inv_sqrt_x = 1.0 / np.sqrt(f_x)
     if method == SubsamplingMethod.BASE:
@@ -185,17 +176,8 @@ def mbs_frequencies(dataset: Dataset,
     n = dataset.num_examples
     if p.shape[0] != n:
         raise ValueError(f"p covers {p.shape[0]} examples, dataset has {n}")
-    f_xy = n * p
-    query_mass: dict[QueryKey, float] = {}
-    queries: list[QueryKey] = []
-    for i, triple in enumerate(dataset.train):
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            q = query_of(triple, direction)
-            queries.append(q)
-            query_mass[q] = query_mass.get(q, 0.0) + p[2 * i + int(direction)]
-    f_x = np.fromiter((n * query_mass[q] for q in queries), dtype=np.float64,
-                      count=n)
-    return f_xy, f_x
+    query_id = dataset.train_index.query_id
+    return n * p, n * np.bincount(query_id, weights=p)[query_id]
 
 
 def build_mbs_weights(f_xy: np.ndarray, f_x: np.ndarray,
@@ -258,21 +240,19 @@ def save_weight_table(table: WeightTable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {table.provenance.describe()}\n")
         for i in range(table.num_examples):
-            direction = Direction(i % 2)
-            fh.write(f"{i}\t{_DIRECTION_NAMES[direction]}\t"
+            fh.write(f"{i}\t{DIRECTION_NAMES[i % 2]}\t"
                      f"{float(table.a[i])!r}\t{float(table.b[i])!r}\n")
 
 
 def load_weight_table(path: str | Path) -> WeightTable:
+    """Read a table written by `save_weight_table`; weights must be
+    finite and positive."""
     path = Path(path)
     provenance = Provenance(source="unknown", method="unknown")
     a: list[float] = []
     b: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    for lineno, line in text_lines(path):
+        try:
             if line.startswith("#"):
                 provenance = _parse_provenance(line)
                 continue
@@ -281,10 +261,16 @@ def load_weight_table(path: str | Path) -> WeightTable:
                 raise DataError(f"{path}:{lineno}: expected 4 fields")
             if int(parts[0]) != len(a):
                 raise DataError(f"{path}:{lineno}: example ids must be dense")
-            if parts[1] not in _DIRECTION_FROM_NAME:
+            if parts[1] not in DIRECTION_NAMES:
                 raise DataError(f"{path}:{lineno}: bad direction {parts[1]!r}")
-            a.append(float(parts[2]))
-            b.append(float(parts[3]))
+            weights = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not all(0.0 < w < math.inf for w in weights):
+            raise DataError(f"{path}:{lineno}: weights must be finite and "
+                            "positive")
+        a.append(weights[0])
+        b.append(weights[1])
     if not a:
         raise DataError(f"{path}: empty weight table")
     return WeightTable(a=np.array(a), b=np.array(b), provenance=provenance)
@@ -315,22 +301,21 @@ def load_scores(path: str | Path) -> SubModelScores:
     path = Path(path)
     submodel_id = "unknown"
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = dict(item.split("=", 1)
-                              for item in line[1:].split() if "=" in item)
-                submodel_id = fields.get("submodel", submodel_id)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            fields = dict(item.split("=", 1)
+                          for item in line[1:].split() if "=" in item)
+            submodel_id = fields.get("submodel", submodel_id)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields")
+        try:
             if int(parts[0]) != len(values):
                 raise DataError(f"{path}:{lineno}: example ids must be dense")
             values.append(float(parts[1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not values:
         raise DataError(f"{path}: empty score file")
     return SubModelScores(raw_score=np.array(values), submodel_id=submodel_id)

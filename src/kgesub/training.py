@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import (Dataset, Direction, QueryKey, Triple, answer_of, query_of,
-                   true_answers_index)
+from .data import Dataset, Direction, QueryKey, Triple, query_of
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
 from .models import (ModelParams, params_from_container, read_container,
                      score, score_batch, score_gradient, write_container)
@@ -96,9 +95,13 @@ class LogRecord:
 
 
 def sample_negatives(query: QueryKey, nu: int, rng: np.random.Generator,
-                     true_answers: frozenset[int] | set[int],
+                     true_answers: np.ndarray,
                      num_entities: int) -> np.ndarray:
-    """nu uniform entity draws, rejecting training-set answers to `query`."""
+    """nu uniform entity draws, rejecting training-set answers to `query`.
+
+    `true_answers` is sorted and distinct.  Rejected draws are redrawn,
+    in batches of the number still missing.
+    """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if len(true_answers) >= num_entities:
@@ -109,10 +112,10 @@ def sample_negatives(query: QueryKey, nu: int, rng: np.random.Generator,
     filled = 0
     while filled < nu:
         draws = rng.integers(0, num_entities, size=nu - filled)
-        for value in draws:
-            if int(value) not in true_answers:
-                out[filled] = value
-                filled += 1
+        kept = draws[np.searchsorted(true_answers, draws, "left")
+                     == np.searchsorted(true_answers, draws, "right")]
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
     return out
 
 
@@ -278,19 +281,6 @@ class TrainResult:
         return self.state.params
 
 
-def _make_examples(dataset: Dataset, weights: WeightTable) -> list[TrainExample]:
-    examples: list[TrainExample] = []
-    for i, triple in enumerate(dataset.train):
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            eid = 2 * i + int(direction)
-            examples.append(TrainExample(
-                triple=triple, direction=direction,
-                answer=answer_of(triple, direction),
-                weight_a=float(weights.a[eid]),
-                weight_b=float(weights.b[eid])))
-    return examples
-
-
 def train(dataset: Dataset, weights: WeightTable, params: ModelParams,
           config: TrainConfig,
           eval_callback: Callable[[ModelParams, int], float] | None = None
@@ -316,11 +306,9 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
         raise ValueError(
             f"weight table covers {weights.num_examples} examples, "
             f"dataset expands to {dataset.num_examples}")
-    examples = _make_examples(dataset, weights)
-    answers = {q: frozenset(a) for q, a in
-               true_answers_index(dataset.train).items()}
+    index = dataset.train_index
     num_entities = dataset.num_entities
-    num_examples = len(examples)
+    num_examples = dataset.num_examples
     batches_per_epoch = max(1, math.ceil(num_examples / config.batch_size))
 
     result = TrainResult(state=state)
@@ -337,10 +325,15 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
 
         neg_rng = np.random.default_rng([config.seed, _NEG_STREAM, step])
         batch: list[tuple[TrainExample, np.ndarray]] = []
-        for eid in batch_ids:
-            example = examples[eid]
-            negatives = sample_negatives(example.query, config.nu, neg_rng,
-                                         answers[example.query], num_entities)
+        for eid in batch_ids.tolist():
+            example = TrainExample(
+                triple=dataset.train[eid // 2], direction=Direction(eid % 2),
+                answer=int(index.answer[eid]),
+                weight_a=float(weights.a[eid]),
+                weight_b=float(weights.b[eid]))
+            negatives = sample_negatives(
+                example.query, config.nu, neg_rng,
+                index.answers_of(index.query_id[eid]), num_entities)
             batch.append((example, negatives))
 
         loss, grads = batch_loss(state.params, batch,

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kgesub.data import Dataset, Triple, Vocab
+from kgesub.data import (Dataset, Direction, QueryKey, Triple, Vocab,
+                         answer_of, query_of)
+from kgesub.errors import DegenerateInputError
 from kgesub.models import ModelKind, ModelParams, score
 
 
@@ -75,6 +77,19 @@ def zipf_kg(seed: int, num_entities: int = 50, num_relations: int = 5,
                    valid=triples[num_train:num_train + num_valid],
                    test=triples[num_train + num_valid:],
                    vocab=make_vocab(num_entities, num_relations))
+
+
+def looped_zipf_kg(seed: int, **kwargs) -> Dataset:
+    """`zipf_kg` whose training split also holds self-loops and repeated
+    triples."""
+    dataset = zipf_kg(seed, **kwargs)
+    rng = np.random.default_rng([seed, 1])
+    loops = [Triple(e, int(rng.integers(dataset.num_relations)), e)
+             for e in rng.integers(0, dataset.num_entities, size=12).tolist()]
+    repeats = [dataset.train[i] for i in
+               rng.integers(0, len(dataset.train), size=20).tolist()]
+    return Dataset(train=dataset.train + loops + repeats, valid=dataset.valid,
+                   test=dataset.test, vocab=dataset.vocab)
 
 
 @pytest.fixture
@@ -204,3 +219,114 @@ def oracle_filtered_rank(scores: np.ndarray, answer: int,
         elif value == answer_score and candidate != answer:
             tied += 1
     return int(math.floor(1.0 + better + tied / 2.0 + 0.5))
+
+
+# Scalar oracles for the query index: the dict loops it replaced.
+
+_DIRECTIONS = (Direction.TAIL_QUERY, Direction.HEAD_QUERY)
+
+
+def oracle_query_counts(triples: list[Triple]) -> dict:
+    """Examples per query key, tallied one example at a time."""
+    counts: dict[QueryKey, int] = {}
+    for triple in triples:
+        for direction in _DIRECTIONS:
+            key = query_of(triple, direction)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def oracle_answer_sets(triples: list[Triple]) -> dict:
+    """The set of answers observed for each query key."""
+    index: dict[QueryKey, set[int]] = {}
+    for triple in triples:
+        for direction in _DIRECTIONS:
+            index.setdefault(query_of(triple, direction), set()).add(
+                answer_of(triple, direction))
+    return index
+
+
+def oracle_counted_frequencies(train: list[Triple], smoothing: float):
+    """Per-example (link, query) counted frequencies: smoothed query
+    counts, and for a link the mean of its two query counts."""
+    counts = oracle_query_counts(train)
+    f_xy, f_x = [], []
+    for triple in train:
+        tail, head = (counts[query_of(triple, d)] + smoothing
+                      for d in _DIRECTIONS)
+        f_xy += [(tail + head) / 2.0] * 2
+        f_x += [tail, head]
+    return np.array(f_xy), np.array(f_x)
+
+
+def oracle_mbs_query_frequencies(train: list[Triple], p: np.ndarray):
+    """|D| times the probability mass of each example's query, summed
+    over the query's examples in example order."""
+    n = 2 * len(train)
+    mass: dict[QueryKey, float] = {}
+    queries = []
+    for i, triple in enumerate(train):
+        for direction in _DIRECTIONS:
+            q = query_of(triple, direction)
+            queries.append(q)
+            mass[q] = mass.get(q, 0.0) + p[2 * i + int(direction)]
+    return np.array([n * mass[q] for q in queries])
+
+
+def oracle_sample_negatives(nu: int, rng: np.random.Generator,
+                            true_answers: set[int],
+                            num_entities: int) -> np.ndarray:
+    """Uniform draws in batches of the number still missing, keeping
+    those outside the set one at a time."""
+    if len(true_answers) >= num_entities:
+        raise DegenerateInputError("no false candidates")
+    out = np.empty(nu, dtype=np.int64)
+    filled = 0
+    while filled < nu:
+        for value in rng.integers(0, num_entities, size=nu - filled):
+            if int(value) not in true_answers:
+                out[filled] = value
+                filled += 1
+    return out
+
+
+def oracle_singleton_query_stats(train: list[Triple]) -> list:
+    """(key, entity count, relation count) of each query asked once,
+    by entity count, then relation count, descending, then key."""
+    counts = oracle_query_counts(train)
+    entity_count: dict[int, int] = {}
+    relation_count: dict[int, int] = {}
+    for h, r, t in train:
+        entity_count[h] = entity_count.get(h, 0) + 1
+        if t != h:
+            entity_count[t] = entity_count.get(t, 0) + 1
+        relation_count[r] = relation_count.get(r, 0) + 1
+    rows = [(key, entity_count[key.entity], relation_count[key.relation])
+            for key, count in counts.items() if count == 1]
+    rows.sort(key=lambda row: (-row[1], -row[2], row[0]))
+    return rows
+
+
+def oracle_appearance_report(train: list[Triple], cbs_b: np.ndarray,
+                             mbs_b: np.ndarray, n: int,
+                             smoothing: float) -> list:
+    """The appearance-probability rows of the n lowest-counted queries,
+    from per-query dicts of negative-side weight."""
+    counts = oracle_query_counts(train)
+    queries = sorted(counts)
+    n = min(n, len(queries))
+    mass_cbs = {q: 0.0 for q in queries}
+    mass_mbs = {q: 0.0 for q in queries}
+    for i, triple in enumerate(train):
+        for direction in _DIRECTIONS:
+            q = query_of(triple, direction)
+            mass_cbs[q] += cbs_b[2 * i + int(direction)]
+            mass_mbs[q] += mbs_b[2 * i + int(direction)]
+    total_cbs = sum(mass_cbs.values())
+    total_mbs = sum(mass_mbs.values())
+    lowest = sorted(queries, key=lambda q: (counts[q], q))[:n]
+    lowest.sort(key=lambda q: (-counts[q], q))
+    names = ("tail-query", "head-query")
+    return [(q.entity, q.relation, names[q.direction], counts[q] + smoothing,
+             100.0 * mass_cbs[q] / total_cbs, 100.0 * mass_mbs[q] / total_mbs)
+            for q in lowest]

@@ -13,23 +13,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgesub.data import (Dataset, Direction, QueryKey, Triple, answer_of,
-                         count_queries, load_triples, query_of,
-                         triple_frequency)
+from kgesub.data import (Dataset, Direction, Triple, answer_of, load_triples,
+                         query_of)
 from kgesub.evaluation import build_filter_index, evaluate, filtered_rank
 from kgesub.models import (ModelKind, init_params, score, score_batch,
                            score_gradient)
 from kgesub.submodel import pretrain_submodel, score_training_triples
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 build_cbs_weights, build_mbs_weights,
-                                mbs_frequencies, mix_weights,
-                                softmax_over_train, uniform_weights)
+                                counted_frequencies, mbs_frequencies,
+                                mix_weights, softmax_over_train,
+                                uniform_weights)
 from kgesub.training import (TrainConfig, TrainExample, batch_loss,
                              continue_train, load_checkpoint, ns_loss,
                              save_checkpoint, train)
 
 from conftest import (fd_function_row_gradients, fd_score_row_gradients,
-                      make_vocab, max_relative_error, oracle_filtered_rank,
+                      make_vocab, max_relative_error, oracle_answer_sets,
+                      oracle_counted_frequencies, oracle_filtered_rank,
                       random_kg, random_triples, sorted_query_counts,
                       zipf_kg)
 
@@ -58,10 +59,9 @@ def test_c1_mixed_loss_decomposition():
     for g in range(5):
         dataset = random_kg(rng, num_entities=10, num_relations=3,
                             num_train=24)
-        freq = count_queries(dataset.train, smoothing=1.0)
         method = (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                   SubsamplingMethod.UNIQ)[g % 3]
-        cbs = build_cbs_weights(dataset, freq, method)
+        cbs = build_cbs_weights(dataset, method, 1.0)
         scores = SubModelScores(rng.normal(size=dataset.num_examples),
                                 f"rand-{g}")
         f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
@@ -106,17 +106,10 @@ def test_c2_count_and_model_weights_agree_at_half():
         dataset = random_kg(rng, num_entities=int(rng.integers(5, 40)),
                             num_relations=int(rng.integers(1, 6)),
                             num_train=size)
-        freq = count_queries(dataset.train, smoothing=0.0)
-        f_xy = np.empty(dataset.num_examples)
-        f_x = np.empty(dataset.num_examples)
-        for i, triple in enumerate(dataset.train):
-            f_xy[2 * i] = f_xy[2 * i + 1] = triple_frequency(freq, triple)
-            for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-                f_x[2 * i + int(direction)] = freq.count(
-                    query_of(triple, direction))
+        f_xy, f_x = oracle_counted_frequencies(dataset.train, 0.0)
         for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                        SubsamplingMethod.UNIQ):
-            cbs = build_cbs_weights(dataset, freq, method)
+            cbs = build_cbs_weights(dataset, method, 0.0)
             mbs = build_mbs_weights(f_xy, f_x, method, alpha=0.5)
             worst = max(worst,
                         float(np.abs(cbs.a - mbs.a).max()),
@@ -133,19 +126,22 @@ def test_c3_counting_matches_independent_oracle():
     checked = 0
     for trial in range(100):
         size = int(rng.integers(10, 10001))
-        train = random_triples(rng, int(rng.integers(5, 200)),
-                               int(rng.integers(1, 10)), size)
-        freq = count_queries(train, smoothing=0.0)
+        num_entities = int(rng.integers(5, 200))
+        num_relations = int(rng.integers(1, 10))
+        train = random_triples(rng, num_entities, num_relations, size)
+        dataset = Dataset(train=train, valid=[], test=[],
+                          vocab=make_vocab(num_entities, num_relations))
+        index = dataset.train_index
         oracle = sorted_query_counts(train)
-        assert len(oracle) == sum(1 for _ in freq.keys())
-        for key_tuple, expected in oracle.items():
-            key = QueryKey(Direction(key_tuple[0]), key_tuple[1],
-                           key_tuple[2])
-            assert freq.raw_count(key) == expected
-        for triple in train[:50]:
+        assert list(oracle) == list(zip(index.direction.tolist(),
+                                        index.entity.tolist(),
+                                        index.relation.tolist()))
+        assert list(oracle.values()) == index.count.tolist()
+        f_xy, _ = counted_frequencies(dataset, 0.0)
+        for i, triple in enumerate(train[:50]):
             tail = oracle[(0, triple.head, triple.relation)]
             head = oracle[(1, triple.tail, triple.relation)]
-            assert triple_frequency(freq, triple) == (tail + head) / 2.0
+            assert f_xy[2 * i] == f_xy[2 * i + 1] == (tail + head) / 2.0
         checked += size
     elapsed = time.monotonic() - started
     _verdict(3, "counting oracle", elapsed < 30.0,
@@ -245,6 +241,8 @@ def test_c5_evaluation_matches_exhaustive_oracle():
                              1.5, seed=trial)
         index = build_filter_index(dataset)
         report = evaluate(params, dataset, "test", index)
+        known = oracle_answer_sets(dataset.train + dataset.valid
+                                   + dataset.test)
         expected = []
         for triple in dataset.test:
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
@@ -252,10 +250,10 @@ def test_c5_evaluation_matches_exhaustive_oracle():
                 answer = answer_of(triple, direction)
                 scores = score_batch(params, query,
                                      np.arange(num_entities))
-                oracle_rank = oracle_filtered_rank(
-                    scores, answer, index.get(query, set()))
+                oracle_rank = oracle_filtered_rank(scores, answer,
+                                                   known[query])
                 assert filtered_rank(params, query, answer,
-                                     index.get(query, set())) == oracle_rank
+                                     known[query]) == oracle_rank
                 expected.append(oracle_rank)
         assert report.per_query_ranks == expected
         assert report.mrr == np.mean([1.0 / r for r in expected])
@@ -280,8 +278,7 @@ def test_c6_desk_scale_subsampling_direction():
     assert values[0] >= 5 * values[len(values) // 2], \
         "query frequencies are not skewed"
 
-    freq = count_queries(dataset.train, smoothing=0.0)
-    cbs = build_cbs_weights(dataset, freq, SubsamplingMethod.BASE)
+    cbs = build_cbs_weights(dataset, SubsamplingMethod.BASE, 0.0)
     none = uniform_weights(dataset.num_examples)
     filter_index = build_filter_index(dataset)
 
@@ -410,12 +407,11 @@ def test_c9_degenerate_submodel_identity():
     sub.entity_emb[:] = 0.0  # every training score is exactly 0
     scores = score_training_triples(sub, dataset, "flat")
     f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
-    freq = count_queries(dataset.train, smoothing=0.0)
     for alpha in (0.05, 0.5, 2.0):
         mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, alpha)
         worst_mbs = max(worst_mbs, float(np.abs(mbs.a - 1.0).max()),
                         float(np.abs(mbs.b - 1.0).max()))
-        cbs = build_cbs_weights(dataset, freq, SubsamplingMethod.BASE)
+        cbs = build_cbs_weights(dataset, SubsamplingMethod.BASE, 0.0)
         for lam in (0.1, 0.5, 0.9):
             mixed = mix_weights(cbs, mbs, lam)
             expected = (1.0 - lam) * cbs.a + lam * 1.0
@@ -427,13 +423,12 @@ def test_c9_degenerate_submodel_identity():
                     valid=[], test=[], vocab=make_vocab(9, 1))
     flat = SubModelScores(np.full(cycle.num_examples, 2.5), "flat")
     f_xy, f_x = mbs_frequencies(cycle, softmax_over_train(flat))
-    cycle_freq = count_queries(cycle.train, smoothing=0.0)
     for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                    SubsamplingMethod.UNIQ):
         mbs = build_mbs_weights(f_xy, f_x, method, alpha=1.0)
         worst_mbs = max(worst_mbs, float(np.abs(mbs.a - 1.0).max()),
                         float(np.abs(mbs.b - 1.0).max()))
-        cbs = build_cbs_weights(cycle, cycle_freq, method)
+        cbs = build_cbs_weights(cycle, method, 0.0)
         mixed = mix_weights(cbs, mbs, 0.7)
         expected = 0.3 * cbs.b + 0.7 * 1.0
         worst_mix = max(worst_mix, float(np.abs(mixed.b - expected).max()))

@@ -259,6 +259,29 @@ class TestReportCommands:
                  .read_text().strip().split("\n"))
         assert len(lines) == 1
 
+    @pytest.mark.parametrize("field, value", [(0, "zero"), (3, "-1")])
+    def test_malformed_weight_table_is_exit_2(self, data_dir, tmp_path,
+                                              capsys, field, value):
+        cbs, mbs = self._weights(data_dir, tmp_path)
+        lines = cbs.read_text(encoding="utf-8").split("\n")
+        parts = lines[3].split("\t")
+        parts[field] = value
+        lines[3] = "\t".join(parts)
+        cbs.write_text("\n".join(lines), encoding="utf-8")
+        assert run(["weights-report", "--data", data_dir,
+                    "--run-dir", tmp_path / "report", "--cbs-weights", cbs,
+                    "--mbs-weights", mbs]) == 2
+        assert "weights.tsv:4:" in capsys.readouterr().err
+
+    def test_malformed_score_file_is_exit_2(self, data_dir, tmp_path,
+                                            capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=x\n0\t1.5\n1\tx\n", encoding="utf-8")
+        assert run(["build-weights", "--data", data_dir,
+                    "--run-dir", tmp_path / "w", "--subsampling", "mbs",
+                    "--method", "freq", "--submodel-scores", scores]) == 2
+        assert "scores.tsv:3:" in capsys.readouterr().err
+
     def test_singleton_stats_stride(self, data_dir, tmp_path):
         full_dir = tmp_path / "full"
         assert run(["singleton-stats", "--data", data_dir,
@@ -391,15 +414,14 @@ class TestQueryAppearanceReport:
         """
         import math
         from kgesub.cli import query_appearance_report
-        from kgesub.data import Dataset, Triple, count_queries
+        from kgesub.data import Dataset, Triple
         from kgesub.subsampling import (SubsamplingMethod,
                                         build_cbs_weights, uniform_weights)
         from conftest import make_vocab
         dataset = Dataset(train=[Triple(0, 0, 1), Triple(0, 0, 2),
                                  Triple(1, 0, 2)],
                           valid=[], test=[], vocab=make_vocab(3, 1))
-        freq = count_queries(dataset.train, smoothing=0.0)
-        cbs = build_cbs_weights(dataset, freq, SubsamplingMethod.FREQ)
+        cbs = build_cbs_weights(dataset, SubsamplingMethod.FREQ, 0.0)
         ones = uniform_weights(dataset.num_examples)
         rows = query_appearance_report(dataset, cbs, ones, 2, smoothing=0.0)
         assert len(rows) == 2
@@ -412,16 +434,15 @@ class TestQueryAppearanceReport:
 
     def test_uniform_kg_constant_columns(self):
         from kgesub.cli import query_appearance_report
-        from kgesub.data import Dataset, Triple, count_queries
+        from kgesub.data import Dataset, Triple
         from kgesub.subsampling import SubsamplingMethod, build_cbs_weights
         from conftest import make_vocab
         n = 6
         dataset = Dataset(train=[Triple(i, 0, (i + 1) % n)
                                  for i in range(n)],
                           valid=[], test=[], vocab=make_vocab(n, 1))
-        freq = count_queries(dataset.train, smoothing=0.0)
-        base = build_cbs_weights(dataset, freq, SubsamplingMethod.BASE)
-        uniq = build_cbs_weights(dataset, freq, SubsamplingMethod.UNIQ)
+        base = build_cbs_weights(dataset, SubsamplingMethod.BASE, 0.0)
+        uniq = build_cbs_weights(dataset, SubsamplingMethod.UNIQ, 0.0)
         rows = query_appearance_report(dataset, base, uniq, 2 * n,
                                        smoothing=0.0)
         cbs_col = {row[4] for row in rows}
@@ -429,6 +450,25 @@ class TestQueryAppearanceReport:
         assert len(rows) == 2 * n
         assert max(cbs_col) - min(cbs_col) <= 1e-12
         assert max(mbs_col) - min(mbs_col) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 7, 40, 10_000])
+    def test_matches_dict_oracle(self, n):
+        """Rows equal the per-query dict report exactly, including the
+        types that the TSV prints."""
+        from kgesub.cli import query_appearance_report
+        from kgesub.subsampling import SubsamplingMethod, build_cbs_weights
+        from conftest import looped_zipf_kg, oracle_appearance_report
+        for seed in range(3):
+            dataset = looped_zipf_kg(seed)
+            cbs = build_cbs_weights(dataset, SubsamplingMethod.FREQ, 1.5)
+            mbs = build_cbs_weights(dataset, SubsamplingMethod.UNIQ, 0.0)
+            rows = query_appearance_report(dataset, cbs, mbs, n,
+                                           smoothing=1.5)
+            want = oracle_appearance_report(dataset.train, cbs.b, mbs.b, n,
+                                            1.5)
+            assert rows == want
+            assert ["\t".join(str(v) for v in row) for row in rows] == \
+                ["\t".join(str(v) for v in row) for row in want]
 
 
 class TestSingletonStatsEmptyBody:

@@ -40,6 +40,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="warp"):
             load_config(path)
 
+    @pytest.mark.parametrize("body", [
+        b"[data]\nthis line has no equals\n",
+        b"[data]\ndim = 4\n[data]\n",  # section twice
+        b"dim = 4\n",  # no section header
+        b"[model]\ndim = \xff\n",
+        b"[data]\ndir = 100%\n",  # bad interpolation
+    ])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, body):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match="run.cfg"):
+            load_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")

@@ -1,16 +1,41 @@
 """Triple loading, vocabularies, and query counting."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgesub.data import (Dataset, Direction, QueryKey, Triple, Vocab,
-                         count_queries, load_dataset, load_triples,
-                         query_frequency, singleton_query_stats,
-                         triple_frequency)
-from kgesub.errors import DataError, VocabMismatchError
+from kgesub.data import (Dataset, Direction, QueryIndex, QueryKey, Triple,
+                         Vocab, load_dataset, load_triples, query_of,
+                         singleton_query_stats)
+from kgesub.errors import DataError, KgesubError, VocabMismatchError
+from kgesub.submodel import read_ledger
+from kgesub.subsampling import counted_frequencies, load_scores
 
-from conftest import (brute_force_query_counts, make_vocab, random_triples,
-                      sorted_query_counts)
+from conftest import (brute_force_query_counts, looped_zipf_kg, make_vocab,
+                      oracle_answer_sets, oracle_counted_frequencies,
+                      oracle_query_counts, oracle_singleton_query_stats,
+                      random_triples, sorted_query_counts)
+
+
+def index_of(train, num_entities=None, num_relations=None):
+    num_entities = num_entities or 1 + max(max(h, t) for h, _, t in train)
+    num_relations = num_relations or 1 + max(r for _, r, _ in train)
+    return QueryIndex.build(train, num_entities, num_relations)
+
+
+def count_of(index, key):
+    """The index's count of one query key, 0 for a key it lacks."""
+    q = int(index.find([key[0]], [key[1]], [key[2]])[0])
+    return 0 if q < 0 else int(index.count[q])
+
+
+def train_only(train, num_entities, num_relations=1):
+    return Dataset(train=train, valid=[], test=[],
+                   vocab=make_vocab(num_entities, num_relations))
 
 
 class TestLoadTriples:
@@ -70,6 +95,27 @@ class TestVocabRoundTrip:
         assert loaded.relation_to_id == vocab.relation_to_id
         assert loaded.entity_labels == vocab.entity_labels
 
+    @pytest.mark.parametrize("body, where", [
+        ("a\t0\nb\tone\n", ":2:"),  # id is not an integer
+        ("a\t0\nb\t2\n", ":2:"),  # id skips one
+        ("a\t0\tx\n", ":1:"),  # three fields
+        ("a\n", ":1:"),  # one field
+    ])
+    def test_malformed_entities_file(self, tmp_path, body, where):
+        (tmp_path / "entities.tsv").write_text(body, encoding="utf-8")
+        (tmp_path / "relations.tsv").write_text("r\t0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=where):
+            Vocab.load(tmp_path)
+
+    def test_undecodable_bytes_are_data_errors(self, tmp_path):
+        (tmp_path / "entities.tsv").write_bytes(b"a\t0\n\xff\t1\n")
+        (tmp_path / "relations.tsv").write_text("r\t0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="UTF-8"):
+            Vocab.load(tmp_path)
+        (tmp_path / "train.txt").write_bytes(b"a\tr\t\xfe\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_triples(tmp_path / "train.txt")
+
     def test_dataset_round_trip(self, tmp_path, toy_dataset):
         toy_dataset.save(tmp_path)
         loaded = load_dataset(tmp_path)
@@ -81,89 +127,146 @@ class TestVocabRoundTrip:
 
 class TestCountQueries:
     def test_hand_tally(self, toy_triples):
-        freq = count_queries(toy_triples, smoothing=0.0)
-        assert freq.count(QueryKey(Direction.TAIL_QUERY, 0, 0)) == 2
-        assert freq.count(QueryKey(Direction.HEAD_QUERY, 2, 0)) == 2
-        assert freq.count(QueryKey(Direction.HEAD_QUERY, 1, 0)) == 1
+        index = index_of(toy_triples)
+        assert count_of(index, QueryKey(Direction.TAIL_QUERY, 0, 0)) == 2
+        assert count_of(index, QueryKey(Direction.HEAD_QUERY, 2, 0)) == 2
+        assert count_of(index, QueryKey(Direction.HEAD_QUERY, 1, 0)) == 1
 
-    def test_empty_train_smoothing_floor(self):
-        freq = count_queries([], smoothing=4.0)
-        assert freq.count(QueryKey(Direction.TAIL_QUERY, 5, 1)) == 4.0
+    def test_empty_train_has_no_queries(self):
+        index = QueryIndex.build([], 6, 2)
+        assert index.num_queries == 0
+        assert index.find([0], [5], [1]).tolist() == [-1]
 
-    def test_negative_smoothing_rejected(self):
+    def test_negative_smoothing_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
-            count_queries([], smoothing=-1.0)
+            counted_frequencies(toy_dataset, -1.0)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(42)
         train = random_triples(rng, 10, 3, 100)
-        freq = count_queries(train, smoothing=0.0)
+        index = index_of(train, 10, 3)
         oracle = brute_force_query_counts(train)
         for (direction, entity, relation), expected in oracle.items():
             key = QueryKey(Direction(direction), entity, relation)
-            assert freq.count(key) == expected
+            assert count_of(index, key) == expected
 
     def test_count_conservation(self):
-        """With smoothing 0, each direction's counts sum to |train|."""
+        """Each direction's counts sum to |train|."""
         rng = np.random.default_rng(3)
         train = random_triples(rng, 20, 4, 250)
-        freq = count_queries(train, smoothing=0.0)
-        tail_total = sum(freq.raw_count(k) for k in freq.keys()
-                         if k.direction == Direction.TAIL_QUERY)
-        head_total = sum(freq.raw_count(k) for k in freq.keys()
-                         if k.direction == Direction.HEAD_QUERY)
-        assert tail_total == len(train)
-        assert head_total == len(train)
+        index = index_of(train, 20, 4)
+        for direction in Direction:
+            assert index.count[index.direction == direction].sum() \
+                == len(train)
 
     def test_matches_sort_based_oracle(self):
         rng = np.random.default_rng(11)
         train = random_triples(rng, 40, 6, 3000)
-        freq = count_queries(train, smoothing=0.0)
+        index = index_of(train, 40, 6)
         oracle = sorted_query_counts(train)
-        assert len(oracle) == len(list(freq.keys()))
+        assert len(oracle) == index.num_queries
         for key_tuple, expected in oracle.items():
             key = QueryKey(Direction(key_tuple[0]), key_tuple[1],
                            key_tuple[2])
-            assert freq.raw_count(key) == expected
+            assert count_of(index, key) == expected
+
+
+class TestQueryIndex:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dict_oracles(self, seed):
+        """Queries, counts and answer sets equal the dict loops exactly,
+        on Zipf graphs with repeated queries and self-loops."""
+        dataset = looped_zipf_kg(seed)
+        index = dataset.train_index
+        counts = oracle_query_counts(dataset.train)
+        answers = oracle_answer_sets(dataset.train)
+        keys = sorted(counts)
+        assert [QueryKey(Direction(d), e, r) for d, e, r in zip(
+            index.direction.tolist(), index.entity.tolist(),
+            index.relation.tolist())] == keys
+        assert index.count.tolist() == [counts[k] for k in keys]
+        for q, key in enumerate(keys):
+            assert index.answers_of(q).tolist() == sorted(answers[key])
+        assert max(counts.values()) > 1
+        assert any(h == t for h, _, t in dataset.train)
+
+    def test_examples_in_example_id_order(self):
+        dataset = looped_zipf_kg(3)
+        index = dataset.train_index
+        for eid in range(dataset.num_examples):
+            triple, direction = dataset.train[eid // 2], Direction(eid % 2)
+            q = index.query_id[eid]
+            key = (index.direction[q], index.entity[q], index.relation[q])
+            assert key == query_of(triple, direction)
+            assert index.answer[eid] == (triple.tail if eid % 2 == 0
+                                         else triple.head)
+
+    def test_find(self):
+        dataset = looped_zipf_kg(4)
+        index = dataset.train_index
+        ids = index.find(index.direction, index.entity, index.relation)
+        np.testing.assert_array_equal(ids, np.arange(index.num_queries))
+        absent = [(d, e, r) for d in (0, 1)
+                  for e in range(dataset.num_entities)
+                  for r in range(dataset.num_relations)
+                  if QueryKey(Direction(d), e, r)
+                  not in oracle_query_counts(dataset.train)]
+        assert absent
+        d, e, r = (np.array(column) for column in zip(*absent))
+        assert np.all(index.find(d, e, r) == -1)
+
+    def test_read_only(self, toy_dataset):
+        with pytest.raises(ValueError):
+            toy_dataset.train_index.count[0] = 5
+
+    def test_ids_outside_vocabulary_rejected(self):
+        with pytest.raises(ValueError):
+            QueryIndex.build([Triple(0, 0, 3)], 3, 1)
+        with pytest.raises(ValueError):
+            QueryIndex.build([Triple(0, 1, 2)], 3, 1)
+
+    def test_train_index_is_cached(self, toy_dataset):
+        assert toy_dataset.train_index is toy_dataset.train_index
 
 
 class TestTripleFrequency:
-    def test_hand_value(self, toy_triples):
-        freq = count_queries(toy_triples, smoothing=0.0)
-        assert triple_frequency(freq, Triple(0, 0, 1)) == 1.5
+    def test_hand_value(self, toy_dataset):
+        f_xy, _ = counted_frequencies(toy_dataset, 0.0)
+        assert f_xy[0] == f_xy[1] == 1.5
 
-    def test_unseen_triple(self, toy_triples):
-        freq0 = count_queries(toy_triples, smoothing=0.0)
-        freq4 = count_queries(toy_triples, smoothing=4.0)
-        unseen = Triple(2, 0, 0)
-        assert triple_frequency(freq0, unseen) == 0.0
-        assert triple_frequency(freq4, unseen) == 4.0
+    def test_matches_dict_oracle(self):
+        for seed in range(3):
+            dataset = looped_zipf_kg(seed)
+            for smoothing in (0.0, 0.5, 4.0):
+                got = counted_frequencies(dataset, smoothing)
+                want = oracle_counted_frequencies(dataset.train, smoothing)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)
         train = random_triples(rng, 12, 3, 60)
-        shuffled = list(train)
-        rng.shuffle(shuffled)
-        f1 = count_queries(train, smoothing=0.5)
-        f2 = count_queries(shuffled, smoothing=0.5)
-        for triple in train:
-            assert triple_frequency(f1, triple) == triple_frequency(f2, triple)
+        order = rng.permutation(len(train))
+        shuffled = [train[i] for i in order]
+        f1, _ = counted_frequencies(train_only(train, 12, 3), 0.5)
+        f2, _ = counted_frequencies(train_only(shuffled, 12, 3), 0.5)
+        np.testing.assert_array_equal(f1[0::2][order], f2[0::2])
 
 
 class TestQueryFrequency:
-    def test_hand_value(self, toy_triples):
-        freq = count_queries(toy_triples, smoothing=0.0)
-        assert query_frequency(freq, QueryKey(Direction.TAIL_QUERY, 0, 0)) == 2
+    def test_hand_value(self, toy_dataset):
+        _, f_x = counted_frequencies(toy_dataset, 0.0)
+        assert f_x[0] == 2  # (e1, r1, ?)
 
-    def test_unseen_key_floors(self, toy_triples):
-        key = QueryKey(Direction.TAIL_QUERY, 2, 0)
-        assert query_frequency(count_queries(toy_triples, 0.0), key) == 0
-        assert query_frequency(count_queries(toy_triples, 4.0), key) == 4
+    def test_smoothing_is_added(self, toy_dataset):
+        _, f0 = counted_frequencies(toy_dataset, 0.0)
+        _, f4 = counted_frequencies(toy_dataset, 4.0)
+        np.testing.assert_array_equal(f4, f0 + 4.0)
 
 
 class TestSingletonQueryStats:
-    def test_hand_tally(self, toy_triples):
-        rows = singleton_query_stats(toy_triples)
+    def test_hand_tally(self, toy_dataset):
+        rows = singleton_query_stats(toy_dataset)
         by_key = {row[0]: row for row in rows}
         key = QueryKey(Direction.HEAD_QUERY, 1, 0)  # (?, r1, e2)
         assert key in by_key
@@ -174,16 +277,46 @@ class TestSingletonQueryStats:
     def test_sorted_by_entity_frequency_descending(self):
         rng = np.random.default_rng(5)
         train = random_triples(rng, 15, 4, 80)
-        rows = singleton_query_stats(train)
+        rows = singleton_query_stats(train_only(train, 15, 4))
         entity_counts = [row[1] for row in rows]
         assert entity_counts == sorted(entity_counts, reverse=True)
 
     def test_all_repeated_queries_gives_empty(self):
         train = [Triple(0, 0, 1), Triple(0, 0, 1)]
-        assert singleton_query_stats(train) == []
+        assert singleton_query_stats(train_only(train, 2)) == []
 
     def test_single_triple_has_two_singletons(self):
-        assert len(singleton_query_stats([Triple(0, 0, 1)])) == 2
+        assert len(singleton_query_stats(
+            train_only([Triple(0, 0, 1)], 2))) == 2
+
+    def test_self_loop_counts_once(self):
+        train = [Triple(0, 0, 0), Triple(0, 1, 1)]
+        rows = singleton_query_stats(train_only(train, 2, 2))
+        assert {row[0].entity: row[1] for row in rows}[0] == 2
+
+    def test_matches_dict_oracle(self):
+        for seed in range(4):
+            dataset = looped_zipf_kg(seed)
+            rows = singleton_query_stats(dataset)
+            assert rows == oracle_singleton_query_stats(dataset.train)
+            assert all(type(v) is int for row in rows for v in row[0][1:]
+                       + row[1:])
+
+
+class TestTextParsersFuzz:
+    @pytest.mark.parametrize("load", [load_triples, load_scores,
+                                      read_ledger],
+                             ids=["triples", "scores", "ledger"])
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.binary(max_size=200))
+    def test_any_bytes_give_a_value_or_a_typed_error(self, load, blob):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "input.txt"
+            path.write_bytes(blob)
+            try:
+                load(path)
+            except KgesubError:
+                pass
 
 
 class TestDataset:

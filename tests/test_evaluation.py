@@ -12,7 +12,12 @@ from kgesub.evaluation import (EvalReport, aggregate_runs, build_filter_index,
                                write_rank_dump)
 from kgesub.models import ModelKind, init_params, score, score_batch
 
-from conftest import make_vocab, oracle_filtered_rank, random_kg
+from conftest import (looped_zipf_kg, make_vocab, oracle_answer_sets,
+                      oracle_filtered_rank, random_kg)
+
+
+def known_answers(dataset):
+    return oracle_answer_sets(dataset.train + dataset.valid + dataset.test)
 
 
 def scripted_distmult(values: np.ndarray):
@@ -117,7 +122,7 @@ class TestEvaluate:
             params = init_params(ModelKind.DISTMULT, dataset.num_entities,
                                  2, 6, 1.0, seed=trial)
             report = evaluate(params, dataset, "test")
-            index = build_filter_index(dataset)
+            known = known_answers(dataset)
             expected_ranks = []
             for triple in dataset.test:
                 for direction in (Direction.TAIL_QUERY,
@@ -127,7 +132,7 @@ class TestEvaluate:
                     scores = score_batch(params, query,
                                          np.arange(dataset.num_entities))
                     expected_ranks.append(oracle_filtered_rank(
-                        scores, answer, index.get(query, set())))
+                        scores, answer, known[query]))
             assert report.per_query_ranks == expected_ranks
             assert report.mrr == pytest.approx(
                 np.mean([1.0 / r for r in expected_ranks]), abs=1e-15)
@@ -173,6 +178,7 @@ class TestEvaluate:
                 params.entity_emb[::4] = params.entity_emb[1]
             index = build_filter_index(dataset)
             report = evaluate(params, dataset, "test", index)
+            known = known_answers(dataset)
             expected, queries = [], []
             for triple in dataset.test:
                 for direction in (Direction.TAIL_QUERY,
@@ -180,11 +186,32 @@ class TestEvaluate:
                     query = query_of(triple, direction)
                     scores = score_batch(params, query, np.arange(30))
                     expected.append(oracle_filtered_rank(
-                        scores, answer_of(triple, direction),
-                        index.get(query, set())))
+                        scores, answer_of(triple, direction), known[query]))
                     queries.append(query)
             assert report.per_query_ranks == expected
             assert report.queries == queries
+
+    def test_filter_index_matches_answer_sets(self):
+        """The filter holds every query of the three splits with exactly
+        its known answers."""
+        for seed in range(3):
+            dataset = looped_zipf_kg(seed)
+            index = build_filter_index(dataset)
+            known = known_answers(dataset)
+            assert index.num_queries == len(known)
+            for q, key in enumerate(sorted(known)):
+                assert (index.direction[q], index.entity[q],
+                        index.relation[q]) == key
+                assert index.answers_of(q).tolist() == sorted(known[key])
+
+    def test_filter_without_the_split_rejected(self):
+        dataset = Dataset(train=[Triple(0, 0, 1)], valid=[],
+                          test=[Triple(2, 1, 3)], vocab=make_vocab(4, 2))
+        train_only = Dataset(train=dataset.train, valid=[], test=[],
+                             vocab=dataset.vocab)
+        params = init_params(ModelKind.DISTMULT, 4, 2, 4, 1.0, seed=15)
+        with pytest.raises(ValueError, match="does not cover"):
+            evaluate(params, dataset, "test", build_filter_index(train_only))
 
     def test_vocab_mismatch_rejected(self):
         rng = np.random.default_rng(14)
@@ -201,13 +228,12 @@ class TestEvaluate:
         dataset = random_kg(rng, num_entities=10, num_relations=2,
                             num_train=30, num_test=8)
         params = init_params(ModelKind.HAKE, 10, 2, 8, 2.0, seed=10)
-        index = build_filter_index(dataset)
+        known = known_answers(dataset)
         for triple in dataset.test:
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = query_of(triple, direction)
                 answer = answer_of(triple, direction)
-                filtered = filtered_rank(params, query, answer,
-                                         index.get(query, set()))
+                filtered = filtered_rank(params, query, answer, known[query])
                 raw = filtered_rank(params, query, answer, set())
                 assert filtered <= raw
 

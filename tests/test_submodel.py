@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from kgesub.data import Dataset, Triple, count_queries
-from kgesub.errors import VocabMismatchError
+from kgesub.data import Dataset, Triple
+from kgesub.errors import DataError, VocabMismatchError
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import (GridRecord, append_ledger, pretrain_submodel,
                              read_ledger, score_training_triples,
@@ -104,8 +104,7 @@ class TestDegenerateSubmodel:
         p = softmax_over_train(scores)
         f_xy, f_x = mbs_frequencies(toy_dataset, p)
         mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, 0.5)
-        freq = count_queries(toy_dataset.train, smoothing=0.0)
-        cbs = build_cbs_weights(toy_dataset, freq, SubsamplingMethod.BASE)
+        cbs = build_cbs_weights(toy_dataset, SubsamplingMethod.BASE, 0.0)
         for lam in (0.1, 0.5, 0.9):
             mixed = mix_weights(cbs, mbs, lam)
             np.testing.assert_allclose(
@@ -224,6 +223,21 @@ class TestSelectSubmodel:
         loaded = read_ledger(ledger)
         assert loaded[0] == record
         assert loaded[1].lam == 0.7
+
+    @pytest.mark.parametrize("line", [
+        "m\t0.5\t-\n",  # three fields
+        "m\t0.5\t-\t0.25\textra\n",
+        "m\thalf\t-\t0.25\n",
+        "m\t0.5\tx\t0.25\n",
+        "m\t0.5\t0.7\t",  # torn mid-number
+    ])
+    def test_malformed_ledger_line_is_a_data_error(self, tmp_path, line):
+        ledger = tmp_path / "ledger.tsv"
+        append_ledger(ledger, GridRecord("m", 0.5, None, 0.25))
+        with open(ledger, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        with pytest.raises(DataError, match="ledger.tsv:2:"):
+            read_ledger(ledger)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Weight tables: count-based, model-based, and mixed."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgesub.data import (Dataset, Direction, Triple, count_queries,
-                         query_of)
+from kgesub.data import Dataset, Direction, Triple, query_of
 from kgesub.errors import DataError, DegenerateInputError
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 WeightTable, build_cbs_weights,
@@ -15,7 +18,9 @@ from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 mix_weights, save_scores, save_weight_table,
                                 softmax_over_train, uniform_weights)
 
-from conftest import make_vocab, random_kg
+from conftest import (looped_zipf_kg, make_vocab,
+                      oracle_counted_frequencies,
+                      oracle_mbs_query_frequencies, random_kg)
 
 
 def cycle_dataset(n=6):
@@ -26,28 +31,18 @@ def cycle_dataset(n=6):
 
 def counted_frequency_arrays(dataset, smoothing=0.0):
     """Per-example (link, query) counted frequencies, by definition."""
-    from kgesub.data import triple_frequency
-    freq = count_queries(dataset.train, smoothing=smoothing)
-    f_xy, f_x = [], []
-    for triple in dataset.train:
-        link = triple_frequency(freq, triple)
-        for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-            f_xy.append(link)
-            f_x.append(freq.count(query_of(triple, direction)))
-    return np.array(f_xy), np.array(f_x)
+    return oracle_counted_frequencies(dataset.train, 0.0)
 
 
 class TestCbsWeights:
     def test_method_none_gives_ones(self, toy_dataset):
-        freq = count_queries(toy_dataset.train, smoothing=0.0)
-        table = build_cbs_weights(toy_dataset, freq, SubsamplingMethod.NONE)
+        table = build_cbs_weights(toy_dataset, SubsamplingMethod.NONE, 0.0)
         assert np.all(table.a == 1.0)
         assert np.all(table.b == 1.0)
 
     def test_toy_base_hand_computation(self, toy_dataset):
         """Link frequencies 1.5,1.5,2,2,1.5,1.5 under the back-off mean."""
-        freq = count_queries(toy_dataset.train, smoothing=0.0)
-        table = build_cbs_weights(toy_dataset, freq, SubsamplingMethod.BASE)
+        table = build_cbs_weights(toy_dataset, SubsamplingMethod.BASE, 0.0)
         unnormalized = np.array([1 / math.sqrt(1.5), 1 / math.sqrt(1.5),
                                  1 / math.sqrt(2.0), 1 / math.sqrt(2.0),
                                  1 / math.sqrt(1.5), 1 / math.sqrt(1.5)])
@@ -58,8 +53,7 @@ class TestCbsWeights:
 
     def test_toy_freq_uses_query_counts_for_b(self, toy_dataset):
         """Query counts per example are 2,1,2,2,1,2 in the toy graph."""
-        freq = count_queries(toy_dataset.train, smoothing=0.0)
-        table = build_cbs_weights(toy_dataset, freq, SubsamplingMethod.FREQ)
+        table = build_cbs_weights(toy_dataset, SubsamplingMethod.FREQ, 0.0)
         b_unnormalized = np.array([1 / math.sqrt(2.0), 1.0,
                                    1 / math.sqrt(2.0), 1 / math.sqrt(2.0),
                                    1.0, 1 / math.sqrt(2.0)])
@@ -68,10 +62,9 @@ class TestCbsWeights:
 
     def test_uniform_kg_gives_all_ones(self):
         dataset = cycle_dataset()
-        freq = count_queries(dataset.train, smoothing=0.0)
         for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                        SubsamplingMethod.UNIQ):
-            table = build_cbs_weights(dataset, freq, method)
+            table = build_cbs_weights(dataset, method, 0.0)
             np.testing.assert_allclose(table.a, 1.0, atol=1e-12)
             np.testing.assert_allclose(table.b, 1.0, atol=1e-12)
 
@@ -80,10 +73,9 @@ class TestCbsWeights:
         for trial in range(5):
             dataset = random_kg(rng, num_entities=12, num_relations=4,
                                 num_train=80)
-            freq = count_queries(dataset.train, smoothing=float(trial))
             for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                            SubsamplingMethod.UNIQ):
-                table = build_cbs_weights(dataset, freq, method)
+                table = build_cbs_weights(dataset, method, float(trial))
                 assert table.a.mean() == pytest.approx(1.0, abs=1e-9)
                 assert table.b.mean() == pytest.approx(1.0, abs=1e-9)
                 assert np.all(table.a >= 0) and np.all(table.b >= 0)
@@ -92,8 +84,7 @@ class TestCbsWeights:
         rng = np.random.default_rng(1)
         dataset = random_kg(rng, num_entities=8, num_relations=2,
                             num_train=120)
-        freq = count_queries(dataset.train, smoothing=0.0)
-        table = build_cbs_weights(dataset, freq, SubsamplingMethod.BASE)
+        table = build_cbs_weights(dataset, SubsamplingMethod.BASE, 0.0)
         f_xy, _ = counted_frequency_arrays(dataset)
         for i in range(len(f_xy)):
             for j in range(i + 1, len(f_xy)):
@@ -102,10 +93,19 @@ class TestCbsWeights:
                 elif f_xy[i] == f_xy[j]:
                     assert table.a[i] == table.a[j]
 
-    def test_zero_frequency_is_an_error(self, toy_dataset):
-        freq = count_queries([], smoothing=0.0)  # counts of nothing
-        with pytest.raises(DegenerateInputError):
-            build_cbs_weights(toy_dataset, freq, SubsamplingMethod.BASE)
+    def test_frequencies_match_dict_oracle(self):
+        """Every method's table equals 1/sqrt of the dict-loop counted
+        frequencies, normalized, bit for bit."""
+        for seed in range(3):
+            dataset = looped_zipf_kg(seed)
+            f_xy, f_x = oracle_counted_frequencies(dataset.train, 4.0)
+            inv_xy, inv_x = 1.0 / np.sqrt(f_xy), 1.0 / np.sqrt(f_x)
+            for method, a, b in ((SubsamplingMethod.BASE, inv_xy, inv_xy),
+                                 (SubsamplingMethod.FREQ, inv_xy, inv_x),
+                                 (SubsamplingMethod.UNIQ, inv_x, inv_x)):
+                table = build_cbs_weights(dataset, method, 4.0)
+                np.testing.assert_array_equal(table.a, a * (len(a) / a.sum()))
+                np.testing.assert_array_equal(table.b, b * (len(b) / b.sum()))
 
 
 class TestSoftmaxOverTrain:
@@ -168,6 +168,17 @@ class TestMbsFrequencies:
         with pytest.raises(ValueError):
             mbs_frequencies(toy_dataset, np.full(4, 0.25))
 
+    def test_matches_dict_oracle(self):
+        """Query masses equal the per-query dict sums bit for bit."""
+        rng = np.random.default_rng(9)
+        for seed in range(3):
+            dataset = looped_zipf_kg(seed)
+            p = rng.dirichlet(np.ones(dataset.num_examples))
+            f_xy, f_x = mbs_frequencies(dataset, p)
+            np.testing.assert_array_equal(f_xy, dataset.num_examples * p)
+            np.testing.assert_array_equal(
+                f_x, oracle_mbs_query_frequencies(dataset.train, p))
+
 
 class TestMbsWeights:
     def test_hand_computation_two_examples(self):
@@ -191,11 +202,10 @@ class TestMbsWeights:
         for trial in range(5):
             dataset = random_kg(rng, num_entities=10, num_relations=3,
                                 num_train=60)
-            freq = count_queries(dataset.train, smoothing=0.0)
             f_xy, f_x = counted_frequency_arrays(dataset)
             for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                            SubsamplingMethod.UNIQ):
-                cbs = build_cbs_weights(dataset, freq, method)
+                cbs = build_cbs_weights(dataset, method, 0.0)
                 mbs = build_mbs_weights(f_xy, f_x, method, alpha=0.5)
                 np.testing.assert_allclose(mbs.a, cbs.a, atol=1e-12)
                 np.testing.assert_allclose(mbs.b, cbs.b, atol=1e-12)
@@ -267,8 +277,7 @@ class TestMixWeights:
 
 class TestFiles:
     def test_weight_table_round_trip_bitwise(self, tmp_path, toy_dataset):
-        freq = count_queries(toy_dataset.train, smoothing=0.0)
-        table = build_cbs_weights(toy_dataset, freq, SubsamplingMethod.FREQ)
+        table = build_cbs_weights(toy_dataset, SubsamplingMethod.FREQ, 0.0)
         path = tmp_path / "weights.tsv"
         save_weight_table(table, path)
         loaded = load_weight_table(path)
@@ -303,6 +312,69 @@ class TestFiles:
         path.write_text("0\ttail-query\t1.0\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_weight_table(path)
+
+    @pytest.mark.parametrize("body, where", [
+        ("0\ttail-query\t1.0\t1.0\nx\thead-query\t1.0\t1.0\n", ":2:"),
+        ("0\ttail-query\tzero\t1.0\n", ":1:"),
+        ("0\ttail-query\t1.0\t-1\n", ":1:"),
+        ("0\ttail-query\t0.0\t1.0\n", ":1:"),
+        ("0\ttail-query\tnan\t1.0\n", ":1:"),
+        ("0\ttail-query\t1.0\tinf\n", ":1:"),
+        ("0\ttail-query\t1.0\t1e999\n", ":1:"),
+        ("# source=mbs alpha=half\n0\ttail-query\t1.0\t1.0\n", ":1:"),
+        ("0\tsideways\t1.0\t1.0\n", ":1:"),
+    ])
+    def test_crafted_weight_lines_rejected(self, tmp_path, body, where):
+        path = tmp_path / "weights.tsv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError, match=f"weights.tsv{where}"):
+            load_weight_table(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_any_bytes_give_a_table_or_a_data_error(self, blob):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "weights.tsv"
+            path.write_bytes(blob)
+            try:
+                table = load_weight_table(path)
+            except DataError:
+                return
+        assert np.all(np.isfinite(table.a)) and np.all(table.a > 0)
+        assert np.all(np.isfinite(table.b)) and np.all(table.b > 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["0", "1", "2", "-1", "x", "tail-query", "head-query", "nan",
+         "1.5", "1e999", "#", "=", "alpha=", "\xff"]), max_size=12),
+        st.lists(st.sampled_from(["\t", "\n", " "]), max_size=12))
+    def test_near_valid_lines_give_a_table_or_a_data_error(self, words,
+                                                           seps):
+        text = "".join(w + s for w, s in zip(words, seps + ["\n"] * 12))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "weights.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                load_weight_table(path)
+            except DataError:
+                pass
+
+    @pytest.mark.parametrize("body, where", [
+        ("0\t1.5\n1\tx\n", ":2:"),
+        ("zero\t1.5\n", ":1:"),
+        ("0\t1.5\n2\t1.5\n", ":2:"),
+    ])
+    def test_crafted_score_lines_rejected(self, tmp_path, body, where):
+        path = tmp_path / "scores.tsv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError, match=f"scores.tsv{where}"):
+            load_scores(path)
+
+    def test_undecodable_score_file_rejected(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_bytes(b"0\t1.5\n\x80\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_scores(path)
 
     def test_uniform_weights_shape(self):
         table = uniform_weights(10)

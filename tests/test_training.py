@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kgesub.data import Direction, QueryKey, Triple, count_queries
+from kgesub.data import Direction, QueryKey, Triple
 from kgesub.errors import DegenerateInputError, TrainingDivergedError
 from kgesub.models import ModelKind, init_params
 from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
@@ -15,8 +15,9 @@ from kgesub.training import (TrainConfig, TrainExample, batch_loss,
                              load_checkpoint, ns_loss, sample_negatives,
                              save_checkpoint, train, continue_train)
 
-from conftest import (fd_function_row_gradients, max_relative_error,
-                      random_kg)
+from conftest import (fd_function_row_gradients, looped_zipf_kg,
+                      max_relative_error, oracle_answer_sets,
+                      oracle_sample_negatives, random_kg)
 
 
 def make_example(triple, direction, a=1.0, b=1.0):
@@ -30,29 +31,32 @@ class TestSampleNegatives:
     def test_only_candidate_left(self):
         rng = np.random.default_rng(0)
         query = QueryKey(Direction.TAIL_QUERY, 0, 0)
-        out = sample_negatives(query, 10, rng, {0}, num_entities=2)
+        out = sample_negatives(query, 10, rng, np.array([0]),
+                               num_entities=2)
         assert np.all(out == 1)
 
     def test_deterministic_given_stream(self):
         query = QueryKey(Direction.TAIL_QUERY, 0, 0)
-        a = sample_negatives(query, 50, np.random.default_rng(42), {3},
-                             num_entities=100)
-        b = sample_negatives(query, 50, np.random.default_rng(42), {3},
-                             num_entities=100)
+        a = sample_negatives(query, 50, np.random.default_rng(42),
+                             np.array([3]), num_entities=100)
+        b = sample_negatives(query, 50, np.random.default_rng(42),
+                             np.array([3]), num_entities=100)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_true_answers(self):
         rng = np.random.default_rng(1)
         query = QueryKey(Direction.HEAD_QUERY, 5, 0)
         true = {0, 1, 2, 3, 4}
-        out = sample_negatives(query, 200, rng, true, num_entities=10)
+        out = sample_negatives(query, 200, rng, np.array(sorted(true)),
+                               num_entities=10)
         assert not (set(out.tolist()) & true)
 
     def test_uniform_within_binomial_bounds(self):
         """Each entity's count within 5 sigma of n/E over 1e5 draws."""
         rng = np.random.default_rng(2)
         query = QueryKey(Direction.TAIL_QUERY, 0, 0)
-        draws = sample_negatives(query, 100_000, rng, set(),
+        draws = sample_negatives(query, 100_000, rng,
+                                 np.array([], dtype=np.int64),
                                  num_entities=100)
         counts = np.bincount(draws, minlength=100)
         expected = 1000.0
@@ -63,7 +67,27 @@ class TestSampleNegatives:
         rng = np.random.default_rng(3)
         query = QueryKey(Direction.TAIL_QUERY, 0, 0)
         with pytest.raises(DegenerateInputError):
-            sample_negatives(query, 1, rng, {0, 1, 2}, num_entities=3)
+            sample_negatives(query, 1, rng, np.array([0, 1, 2]),
+                             num_entities=3)
+
+    @pytest.mark.parametrize("nu", [1, 4, 16])
+    def test_same_draws_as_set_loop(self, nu):
+        """For the same generator state, every training query's negatives
+        equal those of the old per-draw set loop."""
+        dataset = looped_zipf_kg(2, num_entities=12, num_links=120,
+                                 num_valid=10, num_test=10)
+        index = dataset.train_index
+        sets = oracle_answer_sets(dataset.train)
+        for q in range(index.num_queries):
+            key = QueryKey(Direction(int(index.direction[q])),
+                           int(index.entity[q]), int(index.relation[q]))
+            if len(sets[key]) >= dataset.num_entities:
+                continue
+            got = sample_negatives(key, nu, np.random.default_rng([q, nu]),
+                                   index.answers_of(q), dataset.num_entities)
+            want = oracle_sample_negatives(nu, np.random.default_rng([q, nu]),
+                                           sets[key], dataset.num_entities)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestNsLoss:
@@ -224,8 +248,7 @@ class TestMixLossIdentity:
         rng = np.random.default_rng(16)
         dataset = random_kg(rng, num_entities=10, num_relations=3,
                             num_train=30)
-        freq = count_queries(dataset.train, smoothing=1.0)
-        cbs = build_cbs_weights(dataset, freq, SubsamplingMethod.FREQ)
+        cbs = build_cbs_weights(dataset, SubsamplingMethod.FREQ, 1.0)
         f = rng.uniform(0.5, 3.0, size=dataset.num_examples)
         mbs = build_mbs_weights(f, f, SubsamplingMethod.FREQ, alpha=0.3)
         params = init_params(ModelKind.TRANSE, 10, 3, 8, 2.0, seed=17)
