@@ -2,9 +2,9 @@
 
 Subpackages:
     data         triples, vocabularies, the query index
-    models       score functions, gradients, parameter checkpoints
+    models       batched scores and gradients, parameter checkpoints
     subsampling  count-based / model-based / mixed weight tables
-    training     negative sampling, weighted loss, SGD/Adam loop
+    training     batched negative sampling, weighted loss, SGD/Adam loop
     evaluation   filtered link-prediction ranking and metrics
     submodel     sub-model pre-training, scoring, and grid selection
     cli          command-line pipeline
@@ -15,8 +15,7 @@ from .data import (Dataset, Direction, QueryIndex, QueryKey, Triple, Vocab,
 from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
                          build_filter_index, evaluate, filtered_rank)
 from .models import (ModelKind, ModelParams, init_params, load_params,
-                     save_params, score, score_batch, score_gradient,
-                     score_triples)
+                     save_params, score_and_grad, score_triples)
 from .submodel import (Selection, mbs_frequencies_all_candidates,
                        pretrain_submodel, score_training_triples,
                        select_submodel)
@@ -25,7 +24,7 @@ from .subsampling import (ALPHA_GRID, LAMBDA_GRID, SubModelScores,
                           build_mbs_weights, counted_frequencies,
                           mbs_frequencies, mix_weights, softmax_over_train,
                           uniform_weights)
-from .training import (TrainConfig, TrainExample, batch_loss, load_checkpoint,
-                       ns_loss, sample_negatives, save_checkpoint, train)
+from .training import (Gradients, TrainConfig, batch_loss, load_checkpoint,
+                       sample_negatives, save_checkpoint, train)
 
 __version__ = "0.1.0"

@@ -13,7 +13,8 @@ filtered ranking.  Built once from the (N, 3) id array of a triple
 list, it holds per example (in example-id order) `query_id` and
 `answer`; per query `direction`, `entity`, `relation` and `count`; and
 a CSR list of answers: the sorted distinct answers of query q are
-``answers[offsets[q]:offsets[q + 1]]``.  Query ids follow the packed
+``answers[offsets[q]:offsets[q + 1]]``, and `complement_key` maps a
+rank among q's non-answers to the entity, for negative sampling.  Query ids follow the packed
 int64 key ``(direction * E + entity) * R + relation``, ascending, which
 is the order of `QueryKey` tuples; `find` maps queries to ids by binary
 search on that key.  `Dataset.train_index` is the index of the training
@@ -143,6 +144,20 @@ class QueryIndex:
     def answers_of(self, query_id: int) -> np.ndarray:
         """Sorted distinct answers of one query."""
         return self.answers[self.offsets[query_id]:self.offsets[query_id + 1]]
+
+    @cached_property
+    def complement_key(self) -> np.ndarray:
+        """q * E + (answer - its position in q's list), per CSR answer.
+
+        The second term counts the entities below the answer that do
+        not answer q, so the keys ascend and the u-th such entity of
+        query q is u plus the number of q's keys <= q * E + u.
+        """
+        owner = np.repeat(np.arange(self.num_queries), np.diff(self.offsets))
+        key = (owner * self.num_entities + self.answers
+               - (np.arange(len(self.answers)) - self.offsets[owner]))
+        key.flags.writeable = False
+        return key
 
 
 def text_lines(path: Path) -> Iterator[tuple[int, str]]:

@@ -22,6 +22,14 @@ row is carried for layout compatibility with the model's published
 parameterization but does not enter this score function.  Gradients use
 the subgradient convention sign(0) = 0 at the kinks of L1 terms.
 
+Each kind has one kernel that scores rows along the last axis and, on
+request, returns the analytic gradient of the score with respect to
+the head, relation and tail rows.  `score_and_grad` runs it on the
+gathered (B, 1 + nu, dim) blocks of a training step, and
+`score_triples` runs the same forward formulas on (N, dim) rows.
+There is no per-triple scoring entry point; the scalar scorers the
+kernels replaced are kept as test oracles.
+
 `iter_candidate_scores` scores chunks of same-direction queries against
 every entity for ranking: one matmul per chunk for DistMult and ComplEx,
 and for TransE, RotatE and HAKE direct distances over blocks of
@@ -45,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Direction, QueryKey, Triple
+from .data import Dataset, Direction
 from .errors import CheckpointError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
@@ -161,91 +169,133 @@ def init_params(kind: ModelKind, num_entities: int, num_relations: int,
 
 
 # ---------------------------------------------------------------------------
-# scoring
-
-
-def _as_rows(x: np.ndarray) -> np.ndarray:
-    return x if x.ndim == 2 else x[None, :]
+# scoring and analytic gradients
 
 
 def _complex_view(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split interleaved (re, im) pairs into two (n, dim/2) arrays."""
-    return rows[:, 0::2], rows[:, 1::2]
+    """Split interleaved (re, im) pairs along the last axis."""
+    return rows[..., 0::2], rows[..., 1::2]
 
 
-def _score_rows(params: ModelParams, h: np.ndarray, r: np.ndarray,
-                t: np.ndarray) -> np.ndarray:
-    """Scores for stacked embedding rows.
+def _interleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape[:-1] + (2 * re.shape[-1],))
+    out[..., 0::2] = re
+    out[..., 1::2] = im
+    return out
 
-    h and t have shape (n, dim); r has shape (n, dim_r) or (dim_r,),
-    broadcast against them.
+
+def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den with the convention 0/0 = 0 (norm kinks)."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den != 0)
+    return out
+
+
+# One kernel per kind: kernel(params, h, r, t, grad) scores the rows of
+# h, r and t (broadcast against each other) along the last axis, and
+# with grad=True also returns d score / d h, d r and d t.
+
+
+def _transe(params, h, r, t, grad):
+    d = h + r - t
+    l1 = params.aux.get("norm_p", 1.0) == 1.0
+    norm = np.abs(d).sum(axis=-1) if l1 else np.sqrt((d * d).sum(axis=-1))
+    if not grad:
+        return -norm
+    g = -np.sign(d) if l1 else -_safe_div(d, norm[..., None])
+    return -norm, g, g, -g
+
+
+def _distmult(params, h, r, t, grad):
+    s = (h * r * t).sum(axis=-1)
+    return (s, r * t, h * t, h * r) if grad else s
+
+
+def _complex(params, h, r, t, grad):
+    h_re, h_im = _complex_view(h)
+    t_re, t_im = _complex_view(t)
+    r_re, r_im = _complex_view(r)
+    a = h_re * t_re + h_im * t_im
+    b = h_re * t_im - h_im * t_re
+    s = (r_re * a + r_im * b).sum(axis=-1)
+    if not grad:
+        return s
+    return (s, _interleave(r_re * t_re + r_im * t_im,
+                           r_re * t_im - r_im * t_re),
+            _interleave(a, b),
+            _interleave(r_re * h_re - r_im * h_im, r_re * h_im + r_im * h_re))
+
+
+def _rotate(params, h, r, t, grad):
+    h_re, h_im = _complex_view(h)
+    t_re, t_im = _complex_view(t)
+    cos_r, sin_r = np.cos(r), np.sin(r)
+    rot_re = h_re * cos_r - h_im * sin_r
+    rot_im = h_re * sin_r + h_im * cos_r
+    u_re = rot_re - t_re
+    u_im = rot_im - t_im
+    m = np.sqrt(u_re * u_re + u_im * u_im)
+    s = -m.sum(axis=-1)
+    if not grad:
+        return s
+    w_re, w_im = _safe_div(u_re, m), _safe_div(u_im, m)
+    g_h = _interleave(-(w_re * cos_r + w_im * sin_r),
+                      -(-w_re * sin_r + w_im * cos_r))
+    g_r = -(w_re * -rot_im + w_im * rot_re)
+    return s, g_h, g_r, _interleave(w_re, w_im)
+
+
+def _hake(params, h, r, t, grad):
+    half = params.dim // 2
+    w_p = params.aux["phase_weight"]
+    h_mod, h_phase = h[..., :half], h[..., half:]
+    t_mod, t_phase = t[..., :half], t[..., half:]
+    r_mod, r_phase = r[..., :half], r[..., half:2 * half]
+    v = np.abs(h_mod) * np.abs(r_mod) - np.abs(t_mod)
+    norm = np.sqrt((v * v).sum(axis=-1))
+    theta = (h_phase + r_phase - t_phase) / 2.0
+    sin_theta = np.sin(theta)
+    s = -(norm + w_p * np.abs(sin_theta).sum(axis=-1))
+    if not grad:
+        return s
+    vn = _safe_div(v, norm[..., None])
+    phase_g = w_p * np.sign(sin_theta) * np.cos(theta) * 0.5
+    g_h = np.concatenate([-vn * np.abs(r_mod) * np.sign(h_mod), -phase_g],
+                         axis=-1)
+    g_t = np.concatenate([vn * np.sign(t_mod), phase_g], axis=-1)
+    # the bias third of the relation row does not enter the score
+    g_r = np.zeros(phase_g.shape[:-1] + (r.shape[-1],))
+    g_r[..., :half] = -vn * np.abs(h_mod) * np.sign(r_mod)
+    g_r[..., half:2 * half] = -phase_g
+    return s, g_h, g_r, g_t
+
+
+_KERNELS = {ModelKind.TRANSE: _transe, ModelKind.DISTMULT: _distmult,
+            ModelKind.COMPLEX: _complex, ModelKind.ROTATE: _rotate,
+            ModelKind.HAKE: _hake}
+
+
+def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,
+                   t: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scores and slot gradients of gathered embedding rows.
+
+    h and t are (B, K, dim) head and tail rows, r is (B, 1, dim_r) and
+    broadcasts over K.  Returns the (B, K) scores and d score / d h,
+    d r and d t, each (B, K, width of its slot).  Slot gradients are
+    independent: a caller accumulates them where slots share a row.  The
+    arrays may share memory with each other; do not write into them.
     """
-    kind = params.kind
-    r = _as_rows(r)
-    if kind == ModelKind.TRANSE:
-        d = h + r - t
-        p = params.aux.get("norm_p", 1.0)
-        if p == 1.0:
-            return -np.abs(d).sum(axis=1)
-        return -np.sqrt((d * d).sum(axis=1))
-    if kind == ModelKind.DISTMULT:
-        return (h * r * t).sum(axis=1)
-    if kind == ModelKind.COMPLEX:
-        h_re, h_im = _complex_view(h)
-        t_re, t_im = _complex_view(t)
-        r_re, r_im = _complex_view(r)
-        return (r_re * (h_re * t_re + h_im * t_im)
-                + r_im * (h_re * t_im - h_im * t_re)).sum(axis=1)
-    if kind == ModelKind.ROTATE:
-        h_re, h_im = _complex_view(h)
-        t_re, t_im = _complex_view(t)
-        cos_r, sin_r = np.cos(r), np.sin(r)
-        u_re = h_re * cos_r - h_im * sin_r - t_re
-        u_im = h_re * sin_r + h_im * cos_r - t_im
-        return -np.sqrt(u_re * u_re + u_im * u_im).sum(axis=1)
-    if kind == ModelKind.HAKE:
-        half = params.dim // 2
-        h_mod, h_phase = h[:, :half], h[:, half:]
-        t_mod, t_phase = t[:, :half], t[:, half:]
-        r_mod, r_phase = r[:, :half], r[:, half:2 * half]
-        v = np.abs(h_mod) * np.abs(r_mod) - np.abs(t_mod)
-        modulus_term = np.sqrt((v * v).sum(axis=1))
-        theta = (h_phase + r_phase - t_phase) / 2.0
-        phase_term = np.abs(np.sin(theta)).sum(axis=1)
-        return -(modulus_term + params.aux["phase_weight"] * phase_term)
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def score(params: ModelParams, triple: Triple) -> float:
-    """Plausibility score of a single triple."""
-    h = _as_rows(params.entity_emb[triple.head])
-    t = _as_rows(params.entity_emb[triple.tail])
-    r = params.relation_emb[triple.relation]
-    return float(_score_rows(params, h, r, t)[0])
-
-
-def score_batch(params: ModelParams, query: QueryKey,
-                candidates: np.ndarray) -> np.ndarray:
-    """Scores of all candidate answers to one query, vectorized."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    r = params.relation_emb[query.relation]
-    fixed = _as_rows(params.entity_emb[query.entity])
-    cand_rows = params.entity_emb[candidates]
-    if query.direction == Direction.TAIL_QUERY:
-        h = np.broadcast_to(fixed, cand_rows.shape)
-        return _score_rows(params, h, r, cand_rows)
-    t = np.broadcast_to(fixed, cand_rows.shape)
-    return _score_rows(params, cand_rows, r, t)
+    return _KERNELS[params.kind](params, h, r, t, True)
 
 
 def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> np.ndarray:
     """Scores of many (h, r, t) id triples at once."""
-    return _score_rows(params,
-                       params.entity_emb[np.asarray(heads, dtype=np.int64)],
-                       params.relation_emb[np.asarray(relations,
-                                                      dtype=np.int64)],
-                       params.entity_emb[np.asarray(tails, dtype=np.int64)])
+    return _KERNELS[params.kind](
+        params, params.entity_emb[np.asarray(heads, dtype=np.int64)],
+        params.relation_emb[np.asarray(relations, dtype=np.int64)],
+        params.entity_emb[np.asarray(tails, dtype=np.int64)], False)
 
 
 def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
@@ -257,8 +307,8 @@ def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
     `Direction` convention.  Yields (start, stop, scores) with scores of
     shape (stop - start, E), a fresh array the caller may overwrite.  A
     chunk never mixes directions, so sorting the queries by direction
-    keeps the chunks full.  Scores equal `score_batch` up to rounding in
-    the last bits.
+    keeps the chunks full.  Scores equal `score_triples` of the same
+    triples up to rounding in the last bits.
     """
     directions = np.asarray(directions, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -384,95 +434,6 @@ def _chunk_scorer(params: ModelParams):
                 return -(modulus + weight * phase)
             return _blocked(len(a), params.dim, num_entities, block)
         return hake_scores
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-# ---------------------------------------------------------------------------
-# analytic gradients
-
-
-def _safe_div(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
-    """num / den with the convention 0/0 = 0 (norm kinks)."""
-    den = np.asarray(den, dtype=np.float64)
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den != 0)
-    return out
-
-
-def score_gradient(params: ModelParams,
-                   triple: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d score / d head_row, d/d relation_row, d/d tail_row).
-
-    Slot gradients are independent; callers accumulate them when the
-    head and tail slots reference the same entity row.
-    """
-    kind = params.kind
-    h = params.entity_emb[triple.head]
-    t = params.entity_emb[triple.tail]
-    r = params.relation_emb[triple.relation]
-    if kind == ModelKind.TRANSE:
-        d = h + r - t
-        p = params.aux.get("norm_p", 1.0)
-        if p == 1.0:
-            g = -np.sign(d)
-        else:
-            norm = math.sqrt(float((d * d).sum()))
-            g = -_safe_div(d, norm)
-        return g.copy(), g.copy(), -g
-    if kind == ModelKind.DISTMULT:
-        return r * t, h * t, h * r
-    if kind == ModelKind.COMPLEX:
-        h_re, h_im = h[0::2], h[1::2]
-        t_re, t_im = t[0::2], t[1::2]
-        r_re, r_im = r[0::2], r[1::2]
-        g_h = np.empty_like(h)
-        g_h[0::2] = r_re * t_re + r_im * t_im
-        g_h[1::2] = r_re * t_im - r_im * t_re
-        g_r = np.empty_like(r)
-        g_r[0::2] = h_re * t_re + h_im * t_im
-        g_r[1::2] = h_re * t_im - h_im * t_re
-        g_t = np.empty_like(t)
-        g_t[0::2] = r_re * h_re - r_im * h_im
-        g_t[1::2] = r_re * h_im + r_im * h_re
-        return g_h, g_r, g_t
-    if kind == ModelKind.ROTATE:
-        h_re, h_im = h[0::2], h[1::2]
-        t_re, t_im = t[0::2], t[1::2]
-        cos_r, sin_r = np.cos(r), np.sin(r)
-        u_re = h_re * cos_r - h_im * sin_r - t_re
-        u_im = h_re * sin_r + h_im * cos_r - t_im
-        m = np.sqrt(u_re * u_re + u_im * u_im)
-        w_re, w_im = _safe_div(u_re, m), _safe_div(u_im, m)
-        g_h = np.empty_like(h)
-        g_h[0::2] = -(w_re * cos_r + w_im * sin_r)
-        g_h[1::2] = -(-w_re * sin_r + w_im * cos_r)
-        g_t = np.empty_like(t)
-        g_t[0::2] = w_re
-        g_t[1::2] = w_im
-        g_r = -(w_re * (-(h_re * sin_r + h_im * cos_r))
-                + w_im * (h_re * cos_r - h_im * sin_r))
-        return g_h, g_r, g_t
-    if kind == ModelKind.HAKE:
-        half = params.dim // 2
-        w_p = params.aux["phase_weight"]
-        h_mod, h_phase = h[:half], h[half:]
-        t_mod, t_phase = t[:half], t[half:]
-        r_mod, r_phase = r[:half], r[half:2 * half]
-        v = np.abs(h_mod) * np.abs(r_mod) - np.abs(t_mod)
-        norm = math.sqrt(float((v * v).sum()))
-        vn = _safe_div(v, norm)
-        theta = (h_phase + r_phase - t_phase) / 2.0
-        phase_g = w_p * np.sign(np.sin(theta)) * np.cos(theta) * 0.5
-        g_h = np.empty_like(h)
-        g_h[:half] = -vn * np.abs(r_mod) * np.sign(h_mod)
-        g_h[half:] = -phase_g
-        g_t = np.empty_like(t)
-        g_t[:half] = vn * np.sign(t_mod)
-        g_t[half:] = phase_g
-        g_r = np.zeros_like(r)
-        g_r[:half] = -vn * np.abs(h_mod) * np.sign(r_mod)
-        g_r[half:2 * half] = -phase_g
-        return g_h, g_r, g_t
     raise AssertionError(f"unhandled kind {kind}")
 
 

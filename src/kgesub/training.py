@@ -12,6 +12,28 @@ beta-scaled negative scores (treated as constants) in self-adversarial
 mode.  The loss is linear in (a, b), which makes the mixed-subsampling
 loss decompose exactly into lam * model-based + (1 - lam) * count-based.
 
+A step works on the whole batch at once:
+
+- `sample_negatives` draws the (B, nu) negatives in one `rng.integers`
+  call, each uniform over the entities that are not a training answer
+  of its query.  A query q with n_q answers a_0 < a_1 < ... draws u
+  from [0, E - n_q); the u-th free entity is u plus the number of j
+  with a_j - j <= u, which `QueryIndex.complement_key` turns into one
+  binary search.  No draw is rejected, however many answers q has.
+- `batch_loss` gathers the (B, 1 + nu, dim) head and tail blocks (the
+  answer first, then the negatives) and the relation rows, scores them
+  with `models.score_and_grad`, and sums the weighted slot gradients
+  into the step's unique entity and relation rows, in ascending row
+  order with each row's terms added in block order.
+- `_apply_update` applies SGD or lazy Adam to those rows only: a row's
+  Adam moments move in the steps that touch it, and bias correction
+  uses the global step count.
+
+No step loops over examples or triples in Python.  The per-example
+loss with dict-of-rows gradients and the per-triple scorers that this
+replaced live on in tests/conftest.py as the oracles the batched step
+is checked against.
+
 Determinism: the permutation of each epoch and the negative draws of
 each step come from generators derived from (seed, stream, index), so a
 run is a pure function of (data, weights, initial params, config), and
@@ -24,21 +46,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, Direction, QueryKey, Triple, query_of
+from .data import Dataset, Direction, QueryIndex, QueryKey
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
 from .models import (ModelParams, params_from_container, read_container,
-                     score, score_batch, score_gradient, write_container)
+                     score_and_grad, write_container)
 from .subsampling import WeightTable
 
 _PERM_STREAM = 0
 _NEG_STREAM = 1
-
-# Gradient rows keyed by ("entity" | "relation", row_id), insertion-ordered.
-RowGradients = dict[tuple[str, int], np.ndarray]
 
 
 @dataclass
@@ -75,139 +94,124 @@ class TrainConfig:
 
 
 @dataclass
-class TrainExample:
-    triple: Triple
-    direction: Direction
-    answer: int
-    weight_a: float
-    weight_b: float
-
-    @property
-    def query(self) -> QueryKey:
-        return query_of(self.triple, self.direction)
-
-
-@dataclass
 class LogRecord:
     step: int
     loss: float
     valid_mrr: float | None = None
 
 
-def sample_negatives(query: QueryKey, nu: int, rng: np.random.Generator,
-                     true_answers: np.ndarray,
-                     num_entities: int) -> np.ndarray:
-    """nu uniform entity draws, rejecting training-set answers to `query`.
+class Gradients(NamedTuple):
+    """Summed gradients of the rows one step touches: ascending entity
+    and relation row ids, and a gradient row for each."""
 
-    `true_answers` is sorted and distinct.  Rejected draws are redrawn,
-    in batches of the number still missing.
-    """
+    entity_rows: np.ndarray
+    entity: np.ndarray
+    relation_rows: np.ndarray
+    relation: np.ndarray
+
+
+def sample_negatives(query_ids: np.ndarray, nu: int, rng: np.random.Generator,
+                     index: QueryIndex) -> np.ndarray:
+    """(len(query_ids), nu) entities drawn uniformly from the entities
+    that are not training answers of each query, in one draw."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if len(true_answers) >= num_entities:
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    start = index.offsets[query_ids]
+    free = index.num_entities - (index.offsets[query_ids + 1] - start)
+    if np.any(free <= 0):
+        q = int(query_ids[np.argmin(free)])
+        query = QueryKey(Direction(int(index.direction[q])),
+                         int(index.entity[q]), int(index.relation[q]))
         raise DegenerateInputError(
-            f"query {query} has no false candidates: all {num_entities} "
-            "entities are true answers")
-    out = np.empty(nu, dtype=np.int64)
-    filled = 0
-    while filled < nu:
-        draws = rng.integers(0, num_entities, size=nu - filled)
-        kept = draws[np.searchsorted(true_answers, draws, "left")
-                     == np.searchsorted(true_answers, draws, "right")]
-        out[filled:filled + len(kept)] = kept
-        filled += len(kept)
-    return out
+            f"query {query} has no false candidates: all "
+            f"{index.num_entities} entities are true answers")
+    draws = rng.integers(0, free[:, None], size=(len(query_ids), nu))
+    below = np.searchsorted(index.complement_key,
+                            query_ids[:, None] * index.num_entities + draws,
+                            side="right")
+    return draws + (below - start[:, None])
 
 
-def _log_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     # log sigmoid(z) = -softplus(-z), overflow-safe
     return -np.logaddexp(0.0, -z)
 
 
-def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(_log_sigmoid(z))
 
 
-def _accumulate(grads: RowGradients, key: tuple[str, int],
-                value: np.ndarray) -> None:
-    slot = grads.get(key)
-    if slot is None:
-        grads[key] = value.copy()
-    else:
-        slot += value
+def _row_sums(rows: np.ndarray,
+              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows, ascending, and the sum of each row's values, added
+    in the order they come (bincount adds its weights in input order)."""
+    unique, inverse = np.unique(rows, return_inverse=True)
+    width = values.shape[1]
+    cells = (inverse[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(),
+                       minlength=len(unique) * width)
+    return unique, sums.reshape(len(unique), width)
 
 
-def _negative_triple(example: TrainExample, candidate: int) -> Triple:
-    h, r, t = example.triple
-    if example.direction == Direction.TAIL_QUERY:
-        return Triple(h, r, candidate)
-    return Triple(candidate, r, t)
-
-
-def ns_loss(params: ModelParams, example: TrainExample,
-            negatives: np.ndarray, gamma: float,
-            adversarial_beta: float = 0.0) -> tuple[float, RowGradients]:
-    """Loss and row gradients of one example against its negatives."""
-    if len(negatives) == 0:
-        raise ValueError("negatives must be non-empty")
-    s_pos = score(params, example.triple)
-    s_neg = score_batch(params, example.query, negatives)
-    if not (math.isfinite(s_pos) and np.all(np.isfinite(s_neg))):
+def batch_loss(params: ModelParams, index: QueryIndex,
+               example_ids: np.ndarray, negatives: np.ndarray,
+               weights: WeightTable,
+               adversarial_beta: float = 0.0) -> tuple[float, Gradients]:
+    """Mean loss and mean gradient of the examples `example_ids` of
+    `index`, example i against the negative answers `negatives[i]`."""
+    example_ids = np.asarray(example_ids, dtype=np.int64)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    if not example_ids.size:
+        raise ValueError("batch must be non-empty")
+    if (negatives.ndim != 2 or len(negatives) != len(example_ids)
+            or not negatives.size):
+        raise ValueError("negatives must be a non-empty (B, nu) block")
+    queries = index.query_id[example_ids]
+    fixed = index.entity[queries][:, None]
+    candidates = np.concatenate([index.answer[example_ids][:, None],
+                                 negatives], axis=1)
+    tail = (index.direction[queries] == Direction.TAIL_QUERY)[:, None]
+    heads = np.where(tail, fixed, candidates)
+    tails = np.where(tail, candidates, fixed)
+    relations = index.relation[queries]
+    entity, relation = params.entity_emb, params.relation_emb
+    scores, g_h, g_r, g_t = score_and_grad(
+        params, entity[heads], relation[relations][:, None], entity[tails])
+    if not np.all(np.isfinite(scores)):
         raise TrainingDivergedError("non-finite score; training diverged")
 
-    nu = len(negatives)
+    gamma = params.gamma
+    s_pos, s_neg = scores[:, 0], scores[:, 1:]
     if adversarial_beta > 0.0:
         z = adversarial_beta * s_neg
-        z = z - z.max()
+        z -= z.max(axis=1, keepdims=True)
         exp_z = np.exp(z)
-        neg_w = exp_z / exp_z.sum()  # constants w.r.t. the parameters
+        # constants w.r.t. the parameters
+        neg_w = exp_z / exp_z.sum(axis=1, keepdims=True)
     else:
-        neg_w = np.full(nu, 1.0 / nu)
+        neg_w = np.full(s_neg.shape, 1.0 / s_neg.shape[1])
+    a, b = weights.a[example_ids], weights.b[example_ids]
+    losses = -(a * _log_sigmoid(s_pos + gamma)
+               + (neg_w * _log_sigmoid(-s_neg - gamma)).sum(axis=1) * b)
 
-    loss = -(example.weight_a * _log_sigmoid(s_pos + gamma)
-             + float(neg_w @ _log_sigmoid(-s_neg - gamma)) * example.weight_b)
-
-    grads: RowGradients = {}
+    scale = 1.0 / len(example_ids)
+    coeff = np.empty_like(scores)
     # d loss / d s_pos = -a * sigmoid(-(s_pos + gamma))
-    pos_coeff = -example.weight_a * _sigmoid(-(s_pos + gamma))
-    g_h, g_r, g_t = score_gradient(params, example.triple)
-    h, r, t = example.triple
-    _accumulate(grads, ("entity", h), pos_coeff * g_h)
-    _accumulate(grads, ("relation", r), pos_coeff * g_r)
-    _accumulate(grads, ("entity", t), pos_coeff * g_t)
+    coeff[:, 0] = -a * _sigmoid(-(s_pos + gamma))
     # d loss / d s_neg_i = +w_i * b * sigmoid(s_neg_i + gamma)
-    neg_coeff = example.weight_b * neg_w * _sigmoid(s_neg + gamma)
-    for i, candidate in enumerate(negatives):
-        neg_triple = _negative_triple(example, int(candidate))
-        g_h, g_r, g_t = score_gradient(params, neg_triple)
-        c = neg_coeff[i]
-        _accumulate(grads, ("entity", neg_triple.head), c * g_h)
-        _accumulate(grads, ("relation", neg_triple.relation), c * g_r)
-        _accumulate(grads, ("entity", neg_triple.tail), c * g_t)
-    return float(loss), grads
-
-
-def batch_loss(params: ModelParams,
-               batch: list[tuple[TrainExample, np.ndarray]], gamma: float,
-               adversarial_beta: float = 0.0) -> tuple[float, RowGradients]:
-    """Mean loss and mean gradient over (example, negatives) pairs.
-
-    Accumulation follows batch order, so results are reproducible.
-    """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    total = 0.0
-    grads: RowGradients = {}
-    for example, negatives in batch:
-        loss, example_grads = ns_loss(params, example, negatives, gamma,
-                                      adversarial_beta)
-        total += loss
-        for key, g in example_grads.items():
-            _accumulate(grads, key, g)
-    scale = 1.0 / len(batch)
-    for g in grads.values():
-        g *= scale
-    return total * scale, grads
+    coeff[:, 1:] = b[:, None] * neg_w * _sigmoid(s_neg + gamma)
+    coeff = (coeff * scale)[..., None]
+    slots = np.empty((2,) + g_h.shape)
+    np.multiply(g_h, coeff, out=slots[0])
+    np.multiply(g_t, coeff, out=slots[1])
+    entity_rows, entity_grad = _row_sums(
+        np.concatenate([heads.ravel(), tails.ravel()]),
+        slots.reshape(-1, g_h.shape[-1]))
+    relation_rows, relation_grad = _row_sums(relations,
+                                             (g_r * coeff).sum(axis=1))
+    return float(losses.sum() * scale), Gradients(
+        entity_rows, entity_grad, relation_rows, relation_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +238,30 @@ class OptimizerState:
 
 
 def _apply_update(params: ModelParams, opt: OptimizerState,
-                  grads: RowGradients, rate: float, step: int,
+                  grads: Gradients, rate: float, step: int,
                   config: TrainConfig) -> None:
     """One optimizer step touching only the rows present in `grads`.
 
     Adam moment rows are updated lazily; bias correction uses the global
     step count.
     """
-    matrices = {"entity": params.entity_emb, "relation": params.relation_emb}
+    targets = ((params.entity_emb, grads.entity_rows, grads.entity,
+                opt.m_entity, opt.v_entity),
+               (params.relation_emb, grads.relation_rows, grads.relation,
+                opt.m_relation, opt.v_relation))
     if opt.kind == "sgd":
-        for (name, row), g in grads.items():
-            matrices[name][row] -= rate * g
+        for table, rows, g, _, _ in targets:
+            table[rows] -= rate * g
         return
-    moments = {"entity": (opt.m_entity, opt.v_entity),
-               "relation": (opt.m_relation, opt.v_relation)}
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     bc1 = 1.0 - b1 ** step
     bc2 = 1.0 - b2 ** step
-    for (name, row), g in grads.items():
-        m, v = moments[name]
-        m[row] = b1 * m[row] + (1.0 - b1) * g
-        v[row] = b2 * v[row] + (1.0 - b2) * (g * g)
-        m_hat = m[row] / bc1
-        v_hat = v[row] / bc2
-        matrices[name][row] -= rate * m_hat / (np.sqrt(v_hat) + eps)
+    for table, rows, g, m, v in targets:
+        m_rows = b1 * m[rows] + (1.0 - b1) * g
+        v_rows = b2 * v[rows] + (1.0 - b2) * (g * g)
+        m[rows] = m_rows
+        v[rows] = v_rows
+        table[rows] -= rate * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,6 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
             f"weight table covers {weights.num_examples} examples, "
             f"dataset expands to {dataset.num_examples}")
     index = dataset.train_index
-    num_entities = dataset.num_entities
     num_examples = dataset.num_examples
     batches_per_epoch = max(1, math.ceil(num_examples / config.batch_size))
 
@@ -324,21 +327,10 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
         batch_ids = perm[lo:lo + config.batch_size]
 
         neg_rng = np.random.default_rng([config.seed, _NEG_STREAM, step])
-        batch: list[tuple[TrainExample, np.ndarray]] = []
-        for eid in batch_ids.tolist():
-            example = TrainExample(
-                triple=dataset.train[eid // 2], direction=Direction(eid % 2),
-                answer=int(index.answer[eid]),
-                weight_a=float(weights.a[eid]),
-                weight_b=float(weights.b[eid]))
-            negatives = sample_negatives(
-                example.query, config.nu, neg_rng,
-                index.answers_of(index.query_id[eid]), num_entities)
-            batch.append((example, negatives))
-
-        loss, grads = batch_loss(state.params, batch,
-                                 state.params.gamma,
-                                 config.adversarial_beta)
+        negatives = sample_negatives(index.query_id[batch_ids], config.nu,
+                                     neg_rng, index)
+        loss, grads = batch_loss(state.params, index, batch_ids, negatives,
+                                 weights, config.adversarial_beta)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"loss diverged at step {step + 1}")
         state.step = step + 1

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from kgesub.data import (Dataset, Direction, QueryKey, Triple, Vocab,
                          answer_of, query_of)
 from kgesub.errors import DegenerateInputError
-from kgesub.models import ModelKind, ModelParams, score
+from kgesub.models import ModelKind, ModelParams
+from kgesub.subsampling import uniform_weights
+from kgesub.training import batch_loss
 
 
 def make_vocab(num_entities: int, num_relations: int) -> Vocab:
@@ -49,7 +54,14 @@ def zipf_kg(seed: int, num_entities: int = 50, num_relations: int = 5,
     translated head, so the graph has learnable structure.  Heads and
     relations are drawn with probability proportional to 1/rank, which
     skews the query counts the way real KG benchmarks are skewed.
+    Each (head, relation) has top_k possible tails, so asking for more
+    links than num_entities * num_relations * top_k raises ValueError.
     """
+    if num_links > num_entities * num_relations * min(top_k, num_entities):
+        raise ValueError(
+            f"{num_links} distinct links cannot be drawn from "
+            f"{num_entities} entities x {num_relations} relations x "
+            f"{top_k} tails")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(-1, 1, size=(num_entities, latent))
     offsets = rng.uniform(-1, 1, size=(num_relations, latent))
@@ -114,6 +126,255 @@ def random_params(kind: ModelKind, num_entities: int, num_relations: int,
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+# Scalar oracles for the batched training step: the per-triple scorers,
+# the per-example loss with dict-of-rows gradients, and the row-at-a-time
+# optimizer update that `models.score_and_grad`, `training.batch_loss`
+# and `training._apply_update` replaced.
+
+
+def _safe_div(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
+    den = np.asarray(den, dtype=np.float64)
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den != 0)
+    return out
+
+
+def _complex_view(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return rows[:, 0::2], rows[:, 1::2]
+
+
+def _score_rows(params: ModelParams, h: np.ndarray, r: np.ndarray,
+                t: np.ndarray) -> np.ndarray:
+    """Scores of stacked (n, dim) rows; r may be one row, broadcast."""
+    kind = params.kind
+    r = r if r.ndim == 2 else r[None, :]
+    if kind == ModelKind.TRANSE:
+        d = h + r - t
+        if params.aux.get("norm_p", 1.0) == 1.0:
+            return -np.abs(d).sum(axis=1)
+        return -np.sqrt((d * d).sum(axis=1))
+    if kind == ModelKind.DISTMULT:
+        return (h * r * t).sum(axis=1)
+    if kind == ModelKind.COMPLEX:
+        h_re, h_im = _complex_view(h)
+        t_re, t_im = _complex_view(t)
+        r_re, r_im = _complex_view(r)
+        return (r_re * (h_re * t_re + h_im * t_im)
+                + r_im * (h_re * t_im - h_im * t_re)).sum(axis=1)
+    if kind == ModelKind.ROTATE:
+        h_re, h_im = _complex_view(h)
+        t_re, t_im = _complex_view(t)
+        cos_r, sin_r = np.cos(r), np.sin(r)
+        u_re = h_re * cos_r - h_im * sin_r - t_re
+        u_im = h_re * sin_r + h_im * cos_r - t_im
+        return -np.sqrt(u_re * u_re + u_im * u_im).sum(axis=1)
+    half = params.dim // 2
+    v = (np.abs(h[:, :half]) * np.abs(r[:, :half]) - np.abs(t[:, :half]))
+    theta = (h[:, half:] + r[:, half:2 * half] - t[:, half:]) / 2.0
+    return -(np.sqrt((v * v).sum(axis=1))
+             + params.aux["phase_weight"] * np.abs(np.sin(theta)).sum(axis=1))
+
+
+def score(params: ModelParams, triple: Triple) -> float:
+    """Plausibility score of a single triple."""
+    ent, rel = params.entity_emb, params.relation_emb
+    return float(_score_rows(params, ent[triple.head][None],
+                             rel[triple.relation], ent[triple.tail][None])[0])
+
+
+def score_batch(params: ModelParams, query: QueryKey,
+                candidates: np.ndarray) -> np.ndarray:
+    """Scores of candidate answers to one query."""
+    cand_rows = params.entity_emb[np.asarray(candidates, dtype=np.int64)]
+    fixed = np.broadcast_to(params.entity_emb[query.entity], cand_rows.shape)
+    r = params.relation_emb[query.relation]
+    if query.direction == Direction.TAIL_QUERY:
+        return _score_rows(params, fixed, r, cand_rows)
+    return _score_rows(params, cand_rows, r, fixed)
+
+
+def score_gradient(params: ModelParams, triple: Triple):
+    """(d score / d head_row, d/d relation_row, d/d tail_row) of one
+    triple."""
+    kind = params.kind
+    h = params.entity_emb[triple.head]
+    t = params.entity_emb[triple.tail]
+    r = params.relation_emb[triple.relation]
+    if kind == ModelKind.TRANSE:
+        d = h + r - t
+        if params.aux.get("norm_p", 1.0) == 1.0:
+            g = -np.sign(d)
+        else:
+            g = -_safe_div(d, math.sqrt(float((d * d).sum())))
+        return g.copy(), g.copy(), -g
+    if kind == ModelKind.DISTMULT:
+        return r * t, h * t, h * r
+    if kind == ModelKind.COMPLEX:
+        h_re, h_im = h[0::2], h[1::2]
+        t_re, t_im = t[0::2], t[1::2]
+        r_re, r_im = r[0::2], r[1::2]
+        g_h, g_r, g_t = np.empty_like(h), np.empty_like(r), np.empty_like(t)
+        g_h[0::2] = r_re * t_re + r_im * t_im
+        g_h[1::2] = r_re * t_im - r_im * t_re
+        g_r[0::2] = h_re * t_re + h_im * t_im
+        g_r[1::2] = h_re * t_im - h_im * t_re
+        g_t[0::2] = r_re * h_re - r_im * h_im
+        g_t[1::2] = r_re * h_im + r_im * h_re
+        return g_h, g_r, g_t
+    if kind == ModelKind.ROTATE:
+        h_re, h_im = h[0::2], h[1::2]
+        t_re, t_im = t[0::2], t[1::2]
+        cos_r, sin_r = np.cos(r), np.sin(r)
+        u_re = h_re * cos_r - h_im * sin_r - t_re
+        u_im = h_re * sin_r + h_im * cos_r - t_im
+        m = np.sqrt(u_re * u_re + u_im * u_im)
+        w_re, w_im = _safe_div(u_re, m), _safe_div(u_im, m)
+        g_h, g_t = np.empty_like(h), np.empty_like(t)
+        g_h[0::2] = -(w_re * cos_r + w_im * sin_r)
+        g_h[1::2] = -(-w_re * sin_r + w_im * cos_r)
+        g_t[0::2] = w_re
+        g_t[1::2] = w_im
+        g_r = -(w_re * (-(h_re * sin_r + h_im * cos_r))
+                + w_im * (h_re * cos_r - h_im * sin_r))
+        return g_h, g_r, g_t
+    half = params.dim // 2
+    w_p = params.aux["phase_weight"]
+    h_mod, h_phase = h[:half], h[half:]
+    t_mod, t_phase = t[:half], t[half:]
+    r_mod, r_phase = r[:half], r[half:2 * half]
+    v = np.abs(h_mod) * np.abs(r_mod) - np.abs(t_mod)
+    vn = _safe_div(v, math.sqrt(float((v * v).sum())))
+    theta = (h_phase + r_phase - t_phase) / 2.0
+    phase_g = w_p * np.sign(np.sin(theta)) * np.cos(theta) * 0.5
+    g_h, g_t, g_r = np.empty_like(h), np.empty_like(t), np.zeros_like(r)
+    g_h[:half] = -vn * np.abs(r_mod) * np.sign(h_mod)
+    g_h[half:] = -phase_g
+    g_t[:half] = vn * np.sign(t_mod)
+    g_t[half:] = phase_g
+    g_r[:half] = -vn * np.abs(h_mod) * np.sign(r_mod)
+    g_r[half:2 * half] = -phase_g
+    return g_h, g_r, g_t
+
+
+@dataclass
+class TrainExample:
+    triple: Triple
+    direction: Direction
+    weight_a: float = 1.0
+    weight_b: float = 1.0
+
+
+def _negative_triple(example: TrainExample, candidate: int) -> Triple:
+    h, r, t = example.triple
+    if example.direction == Direction.TAIL_QUERY:
+        return Triple(h, r, candidate)
+    return Triple(candidate, r, t)
+
+
+def _accumulate(grads: dict, key: tuple[str, int], value: np.ndarray) -> None:
+    if key in grads:
+        grads[key] = grads[key] + value
+    else:
+        grads[key] = value.copy()
+
+
+def _log_sigmoid(z):
+    return -np.logaddexp(0.0, -z)
+
+
+def oracle_ns_loss(params: ModelParams, example: TrainExample,
+                   negatives: np.ndarray, adversarial_beta: float = 0.0):
+    """Loss and ("entity" | "relation", row) gradients of one example,
+    one score and one score_gradient call per triple."""
+    gamma = params.gamma
+    s_pos = score(params, example.triple)
+    s_neg = score_batch(params, query_of(example.triple, example.direction),
+                        negatives)
+    nu = len(negatives)
+    if adversarial_beta > 0.0:
+        z = adversarial_beta * s_neg
+        z = z - z.max()
+        neg_w = np.exp(z) / np.exp(z).sum()
+    else:
+        neg_w = np.full(nu, 1.0 / nu)
+    loss = -(example.weight_a * _log_sigmoid(s_pos + gamma)
+             + float(neg_w @ _log_sigmoid(-s_neg - gamma)) * example.weight_b)
+    grads: dict = {}
+    triples = [example.triple] + [_negative_triple(example, int(c))
+                                  for c in negatives]
+    coeffs = [-example.weight_a * np.exp(_log_sigmoid(-(s_pos + gamma)))]
+    coeffs += list(example.weight_b * neg_w
+                   * np.exp(_log_sigmoid(s_neg + gamma)))
+    for triple, c in zip(triples, coeffs):
+        g_h, g_r, g_t = score_gradient(params, triple)
+        _accumulate(grads, ("entity", triple.head), c * g_h)
+        _accumulate(grads, ("relation", triple.relation), c * g_r)
+        _accumulate(grads, ("entity", triple.tail), c * g_t)
+    return float(loss), grads
+
+
+def oracle_batch_loss(params: ModelParams, batch, adversarial_beta=0.0):
+    """Mean loss and mean row gradients over (example, negatives) pairs,
+    accumulated in batch order."""
+    total = 0.0
+    grads: dict = {}
+    for example, negatives in batch:
+        loss, example_grads = oracle_ns_loss(params, example, negatives,
+                                             adversarial_beta)
+        total += loss
+        for key, g in example_grads.items():
+            _accumulate(grads, key, g)
+    scale = 1.0 / len(batch)
+    return total * scale, {key: g * scale for key, g in grads.items()}
+
+
+def oracle_apply_update(params: ModelParams, opt, grads: dict, rate: float,
+                        step: int, config) -> None:
+    """SGD or lazy Adam, one dict row at a time."""
+    matrices = {"entity": params.entity_emb, "relation": params.relation_emb}
+    if opt.kind == "sgd":
+        for (name, row), g in grads.items():
+            matrices[name][row] -= rate * g
+        return
+    moments = {"entity": (opt.m_entity, opt.v_entity),
+               "relation": (opt.m_relation, opt.v_relation)}
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    for (name, row), g in grads.items():
+        m, v = moments[name]
+        m[row] = b1 * m[row] + (1.0 - b1) * g
+        v[row] = b2 * v[row] + (1.0 - b2) * (g * g)
+        matrices[name][row] -= rate * (m[row] / bc1) / (
+            np.sqrt(v[row] / bc2) + eps)
+
+
+def row_dict(grads) -> dict:
+    """`training.Gradients` keyed like the dict oracles."""
+    out = {("entity", int(row)): g
+           for row, g in zip(grads.entity_rows, grads.entity)}
+    out.update({("relation", int(row)): g
+                for row, g in zip(grads.relation_rows, grads.relation)})
+    return out
+
+
+def example_batch_loss(params: ModelParams, batch, adversarial_beta=0.0):
+    """`training.batch_loss` of (example, negatives) pairs: the examples'
+    triples become the training split of a dataset sized like params."""
+    dataset = Dataset(train=[example.triple for example, _ in batch],
+                      valid=[], test=[],
+                      vocab=make_vocab(params.num_entities,
+                                       params.num_relations))
+    weights = uniform_weights(dataset.num_examples)
+    ids = np.array([2 * i + int(example.direction)
+                    for i, (example, _) in enumerate(batch)], dtype=np.int64)
+    weights.a[ids] = [example.weight_a for example, _ in batch]
+    weights.b[ids] = [example.weight_b for example, _ in batch]
+    negatives = np.array([np.asarray(n, dtype=np.int64) for _, n in batch])
+    loss, grads = batch_loss(params, dataset.train_index, ids, negatives,
+                             weights, adversarial_beta)
+    return loss, row_dict(grads)
 
 
 def fd_score_row_gradients(params: ModelParams, triple: Triple,
@@ -288,6 +549,20 @@ def oracle_sample_negatives(nu: int, rng: np.random.Generator,
                 out[filled] = value
                 filled += 1
     return out
+
+
+def oracle_complement_negatives(nu: int, rng: np.random.Generator,
+                                answer_sets: list[set[int]],
+                                num_entities: int) -> np.ndarray:
+    """The same uniform ranks as `training.sample_negatives` draws, each
+    looked up in an explicit list of the query's non-answers."""
+    free = [[e for e in range(num_entities) if e not in answers]
+            for answers in answer_sets]
+    ranks = rng.integers(0, np.array([[len(f)] for f in free]),
+                         size=(len(free), nu))
+    return np.array([[f[u] for u in row]
+                     for f, row in zip(free, ranks.tolist())],
+                    dtype=np.int64).reshape(len(free), nu)
 
 
 def oracle_singleton_query_stats(train: list[Triple]) -> list:

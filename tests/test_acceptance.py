@@ -16,23 +16,22 @@ import pytest
 from kgesub.data import (Dataset, Direction, Triple, answer_of, load_triples,
                          query_of)
 from kgesub.evaluation import build_filter_index, evaluate, filtered_rank
-from kgesub.models import (ModelKind, init_params, score, score_batch,
-                           score_gradient)
+from kgesub.models import ModelKind, init_params, score_and_grad
 from kgesub.submodel import pretrain_submodel, score_training_triples
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 build_cbs_weights, build_mbs_weights,
                                 counted_frequencies, mbs_frequencies,
                                 mix_weights, softmax_over_train,
                                 uniform_weights)
-from kgesub.training import (TrainConfig, TrainExample, batch_loss,
-                             continue_train, load_checkpoint, ns_loss,
-                             save_checkpoint, train)
+from kgesub.training import (TrainConfig, batch_loss, continue_train,
+                             load_checkpoint, save_checkpoint, train)
 
-from conftest import (fd_function_row_gradients, fd_score_row_gradients,
+from conftest import (TrainExample, example_batch_loss,
+                      fd_function_row_gradients, fd_score_row_gradients,
                       make_vocab, max_relative_error, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_filtered_rank,
-                      random_kg, random_triples, sorted_query_counts,
-                      zipf_kg)
+                      random_kg, random_triples, score, score_batch,
+                      sorted_query_counts, zipf_kg)
 
 ALL_KINDS = list(ModelKind)
 
@@ -41,13 +40,6 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number}] {name}: {status}  {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def _example(triple, direction, table, eid):
-    return TrainExample(triple=triple, direction=direction,
-                        answer=answer_of(triple, direction),
-                        weight_a=float(table.a[eid]),
-                        weight_b=float(table.b[eid]))
 
 
 def test_c1_mixed_loss_decomposition():
@@ -77,17 +69,14 @@ def test_c1_mixed_loss_decomposition():
         kind = ALL_KINDS[instance % 5]
         params = init_params(kind, 10, 3, 6, 2.0, seed=instance)
         batch_ids = rng.integers(0, dataset.num_examples, size=3)
+        negatives = np.array([
+            np.random.default_rng([instance, int(eid)]).integers(0, 10,
+                                                                 size=2)
+            for eid in batch_ids])
         losses = {}
         for name, table in (("cbs", cbs), ("mbs", mbs), ("mix", mix)):
-            batch = []
-            for eid in batch_ids:
-                triple = dataset.train[eid // 2]
-                direction = Direction(eid % 2)
-                neg_rng = np.random.default_rng([instance, int(eid)])
-                negatives = neg_rng.integers(0, 10, size=2)
-                batch.append((_example(triple, direction, table, int(eid)),
-                              negatives))
-            losses[name], _ = batch_loss(params, batch, params.gamma)
+            losses[name], _ = batch_loss(params, dataset.train_index,
+                                         batch_ids, negatives, table)
         gap = abs(losses["mix"]
                   - (lam * losses["mbs"] + (1.0 - lam) * losses["cbs"]))
         worst = max(worst, gap)
@@ -163,7 +152,10 @@ def test_c4_gradient_suite():
                                  seed=1000 + point, aux=aux)
             triple = Triple(int(rng.integers(8)), int(rng.integers(3)),
                             int(rng.integers(8)))
-            g_h, g_r, g_t = score_gradient(params, triple)
+            ent, rel = params.entity_emb, params.relation_emb
+            _, g_h, g_r, g_t = (g[0, 0] for g in score_and_grad(
+                params, ent[triple.head][None, None],
+                rel[triple.relation][None, None], ent[triple.tail][None, None]))
             analytic = {}
             for key, grad in ((("entity", triple.head), g_h),
                               (("relation", triple.relation), g_r),
@@ -183,12 +175,11 @@ def test_c4_gradient_suite():
                 direction = Direction(point % 2)
                 example = TrainExample(
                     triple=triple, direction=direction,
-                    answer=answer_of(triple, direction),
                     weight_a=float(rng.uniform(0.1, 2.5)),
                     weight_b=float(rng.uniform(0.1, 2.5)))
                 negatives = rng.integers(0, 8, size=3)
-                _, grads = ns_loss(params, example, negatives,
-                                   params.gamma, beta)
+                _, grads = example_batch_loss(params, [(example, negatives)],
+                                              beta)
 
                 neg_triples = [
                     Triple(triple.head, triple.relation, int(v))

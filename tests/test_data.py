@@ -18,7 +18,7 @@ from kgesub.subsampling import counted_frequencies, load_scores
 from conftest import (brute_force_query_counts, looped_zipf_kg, make_vocab,
                       oracle_answer_sets, oracle_counted_frequencies,
                       oracle_query_counts, oracle_singleton_query_stats,
-                      random_triples, sorted_query_counts)
+                      random_triples, sorted_query_counts, zipf_kg)
 
 
 def index_of(train, num_entities=None, num_relations=None):
@@ -227,6 +227,32 @@ class TestQueryIndex:
 
     def test_train_index_is_cached(self, toy_dataset):
         assert toy_dataset.train_index is toy_dataset.train_index
+
+    def test_complement_key_locates_non_answers(self):
+        """Key q * E + u finds the u-th non-answer of q, by the rule
+        `training.sample_negatives` uses, for every q and u."""
+        dataset = looped_zipf_kg(5, num_entities=12, num_links=150,
+                                 num_valid=10, num_test=10)
+        index = dataset.train_index
+        key = index.complement_key
+        assert np.all(np.diff(key) >= 0)
+        with pytest.raises(ValueError):
+            key[0] = 0
+        num = dataset.num_entities
+        for q in range(index.num_queries):
+            answers = set(index.answers_of(q).tolist())
+            free = [e for e in range(num) if e not in answers]
+            found = [u + int(np.searchsorted(key, q * num + u, "right"))
+                     - int(index.offsets[q]) for u in range(len(free))]
+            assert found == free
+
+
+class TestSyntheticGraphs:
+    def test_zipf_kg_rejects_impossible_link_count(self):
+        """12 entities x 5 relations x 3 tails hold 180 distinct links,
+        fewer than the default 620: an error at once, not a hang."""
+        with pytest.raises(ValueError):
+            zipf_kg(2, num_entities=12)
 
 
 class TestTripleFrequency:

@@ -10,10 +10,10 @@ from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, build_filter_index,
                                evaluate, filtered_rank, format_report,
                                write_rank_dump)
-from kgesub.models import ModelKind, init_params, score, score_batch
+from kgesub.models import ModelKind, init_params
 
 from conftest import (looped_zipf_kg, make_vocab, oracle_answer_sets,
-                      oracle_filtered_rank, random_kg)
+                      oracle_filtered_rank, random_kg, score_batch)
 
 
 def known_answers(dataset):

@@ -17,16 +17,47 @@ from kgesub.data import Direction, QueryKey, Triple
 from kgesub.errors import CheckpointError
 from kgesub.models import (ModelKind, init_params, iter_candidate_scores,
                            load_params, load_tagged_params, relation_dim,
-                           save_params, score, score_batch, score_gradient,
-                           score_triples)
+                           save_params, score_and_grad, score_triples)
 
-from conftest import fd_score_row_gradients, max_relative_error
+from conftest import (fd_score_row_gradients, looped_zipf_kg,
+                      max_relative_error, score, score_batch, score_gradient)
 
 ALL_KINDS = list(ModelKind)
+GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [
+    (ModelKind.TRANSE, {"norm_p": 2.0})]
+GRADIENT_IDS = [kind.value + ("-l2" if aux else "")
+                for kind, aux in GRADIENT_CASES]
+
+
+def _triple_score(params, triple):
+    """One triple through the library's forward formulas."""
+    return float(score_triples(params, [triple.head], [triple.relation],
+                               [triple.tail])[0])
+
+
+def _triple_slots(params, triples):
+    """score_and_grad of triples as a (n, 1) block: scores and the head,
+    relation and tail gradients, one row per triple."""
+    ids = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    ent, rel = params.entity_emb, params.relation_emb
+    out = score_and_grad(params, ent[ids[:, 0]][:, None],
+                         rel[ids[:, 1]][:, None], ent[ids[:, 2]][:, None])
+    return [x[:, 0] for x in out]
+
+
+def _query_block(params, direction, entity, relation, candidates):
+    """score_and_grad of one query's candidates as a (1, K) block."""
+    ent = params.entity_emb
+    cand = ent[np.asarray(candidates)][None]
+    fixed = np.broadcast_to(ent[entity], cand.shape)
+    rel = params.relation_emb[relation][None, None]
+    if direction == Direction.TAIL_QUERY:
+        return score_and_grad(params, fixed, rel, cand)
+    return score_and_grad(params, cand, rel, fixed)
 
 
 def _accumulated_row_gradients(params, triple):
-    g_h, g_r, g_t = score_gradient(params, triple)
+    _, g_h, g_r, g_t = (x[0] for x in _triple_slots(params, [triple]))
     grads = {}
     for key, value in ((("entity", triple.head), g_h),
                        (("relation", triple.relation), g_r),
@@ -81,18 +112,18 @@ class TestScoreValues:
     def test_transe_exact_translation_scores_zero(self):
         params = init_params(ModelKind.TRANSE, 3, 1, 4, 1.0, seed=0)
         params.entity_emb[2] = params.entity_emb[0] + params.relation_emb[0]
-        assert score(params, Triple(0, 0, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert _triple_score(params, Triple(0, 0, 2)) == pytest.approx(0.0, abs=1e-15)
 
     def test_distmult_is_symmetric(self):
         params = init_params(ModelKind.DISTMULT, 5, 2, 6, 1.0, seed=3)
-        assert score(params, Triple(1, 0, 4)) == pytest.approx(
-            score(params, Triple(4, 0, 1)), abs=1e-12)
+        assert _triple_score(params, Triple(1, 0, 4)) == pytest.approx(
+            _triple_score(params, Triple(4, 0, 1)), abs=1e-12)
 
     def test_rotate_identity_rotation(self):
         params = init_params(ModelKind.ROTATE, 4, 1, 8, 2.0, seed=5)
         params.relation_emb[0] = 0.0
         params.entity_emb[3] = params.entity_emb[1]
-        assert score(params, Triple(1, 0, 3)) == pytest.approx(0.0, abs=1e-15)
+        assert _triple_score(params, Triple(1, 0, 3)) == pytest.approx(0.0, abs=1e-15)
 
     def test_rotate_preserves_modulus(self):
         """A phase rotation never changes the complex modulus of h."""
@@ -114,45 +145,52 @@ class TestScoreValues:
         conjugated = params.copy()
         conjugated.relation_emb[:, 1::2] *= -1.0
         for h, r, t in ((0, 0, 3), (2, 1, 2), (4, 0, 1)):
-            assert score(conjugated, Triple(h, r, t)) == pytest.approx(
-                score(params, Triple(t, r, h)), abs=1e-12)
+            assert _triple_score(conjugated, Triple(h, r, t)) == pytest.approx(
+                _triple_score(params, Triple(t, r, h)), abs=1e-12)
 
     def test_hake_score_finite_and_negative_semidefinite(self):
         params = init_params(ModelKind.HAKE, 6, 2, 8, 3.0, seed=8)
         for triple in (Triple(0, 0, 1), Triple(5, 1, 5)):
-            value = score(params, triple)
+            value = _triple_score(params, triple)
             assert math.isfinite(value)
             assert value <= 0.0
 
 
 class TestScoreBatch:
+    """`score_and_grad` and `score_triples` against the scalar oracles."""
+
     def test_singleton(self):
         params = init_params(ModelKind.COMPLEX, 5, 2, 8, 1.0, seed=1)
-        query = QueryKey(Direction.TAIL_QUERY, 2, 1)
-        batch = score_batch(params, query, np.array([4]))
-        assert batch[0] == pytest.approx(score(params, Triple(2, 1, 4)),
-                                         abs=1e-15)
+        scores = _query_block(params, Direction.TAIL_QUERY, 2, 1, [4])[0]
+        assert scores.shape == (1, 1)
+        assert scores[0, 0] == pytest.approx(score(params, Triple(2, 1, 4)),
+                                             abs=1e-15)
 
     def test_permutation_equivariant(self):
         params = init_params(ModelKind.HAKE, 8, 2, 8, 2.0, seed=2)
-        query = QueryKey(Direction.HEAD_QUERY, 3, 0)
         candidates = np.arange(8)
         perm = np.random.default_rng(0).permutation(8)
-        base = score_batch(params, query, candidates)
-        shuffled = score_batch(params, query, candidates[perm])
-        np.testing.assert_array_equal(shuffled, base[perm])
+        base = _query_block(params, Direction.HEAD_QUERY, 3, 0, candidates)
+        shuffled = _query_block(params, Direction.HEAD_QUERY, 3, 0,
+                                candidates[perm])
+        for got, want in zip(shuffled, base):
+            np.testing.assert_array_equal(got, want[:, perm])
 
     def test_matches_scalar_loop(self):
-        """Vectorized scoring equals the scalar path to 1e-12."""
+        """Blocks of mixed-direction queries score like the scalar
+        path to 1e-12."""
         rng = np.random.default_rng(3)
-        for kind in ALL_KINDS:
-            params = init_params(kind, 50, 4, 8, 2.0, seed=11)
+        for kind, aux in GRADIENT_CASES:
+            params = init_params(kind, 50, 4, 8, 2.0, seed=11, aux=aux)
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = QueryKey(direction, int(rng.integers(50)),
                                  int(rng.integers(4)))
                 candidates = rng.integers(0, 50, size=50)
-                batch = score_batch(params, query, candidates)
-                for value, candidate in zip(batch, candidates):
+                block = _query_block(params, *query, candidates)[0][0]
+                np.testing.assert_allclose(
+                    block, score_batch(params, query, candidates),
+                    rtol=0, atol=1e-12)
+                for value, candidate in zip(block, candidates):
                     triple = (Triple(query.entity, query.relation,
                                      int(candidate))
                               if direction == Direction.TAIL_QUERY
@@ -162,8 +200,8 @@ class TestScoreBatch:
 
     def test_score_triples_matches_scalar(self):
         rng = np.random.default_rng(4)
-        for kind in ALL_KINDS:
-            params = init_params(kind, 12, 3, 8, 2.0, seed=13)
+        for kind, aux in GRADIENT_CASES:
+            params = init_params(kind, 12, 3, 8, 2.0, seed=13, aux=aux)
             heads = rng.integers(0, 12, size=20)
             rels = rng.integers(0, 3, size=20)
             tails = rng.integers(0, 12, size=20)
@@ -177,8 +215,8 @@ class TestScoreBatch:
 class TestScoreGradient:
     def test_distmult_closed_form(self):
         params = init_params(ModelKind.DISTMULT, 4, 2, 6, 1.0, seed=5)
-        triple = Triple(0, 1, 3)
-        g_h, g_r, g_t = score_gradient(params, triple)
+        _, g_h, g_r, g_t = (x[0] for x in _triple_slots(params,
+                                                        [Triple(0, 1, 3)]))
         np.testing.assert_allclose(
             g_h, params.relation_emb[1] * params.entity_emb[3], atol=1e-15)
         np.testing.assert_allclose(
@@ -190,7 +228,7 @@ class TestScoreGradient:
         params = init_params(ModelKind.TRANSE, 3, 1, 4, 1.0, seed=6,
                              aux={"norm_p": 2.0})
         params.entity_emb[2] = params.entity_emb[0] + params.relation_emb[0]
-        g_h, g_r, g_t = score_gradient(params, Triple(0, 0, 2))
+        _, g_h, g_r, g_t = _triple_slots(params, [Triple(0, 0, 2)])
         assert np.all(g_h == 0.0)
         assert np.all(g_r == 0.0)
         assert np.all(g_t == 0.0)
@@ -218,6 +256,41 @@ class TestScoreGradient:
         analytic = _accumulated_row_gradients(params, triple)
         numeric = fd_score_row_gradients(params, triple)
         assert max_relative_error(analytic, numeric) <= 1e-8
+
+    @pytest.mark.parametrize("kind, aux", GRADIENT_CASES, ids=GRADIENT_IDS)
+    def test_matches_scalar_gradient(self, kind, aux):
+        """Every slot gradient of a block of training triples, self-loops
+        included, equals `score_gradient` to 1e-12 of its largest entry."""
+        dataset = looped_zipf_kg(4, num_entities=20, num_links=150,
+                                 num_valid=10, num_test=10)
+        params = init_params(kind, 20, dataset.num_relations, 8, 2.0,
+                             seed=15, aux=aux)
+        blocks = _triple_slots(params, dataset.train)
+        assert any(h == t for h, _, t in dataset.train)
+        for i, triple in enumerate(dataset.train):
+            assert abs(blocks[0][i] - score(params, triple)) <= 1e-12
+            for got, want in zip(blocks[1:], score_gradient(params, triple)):
+                assert (np.abs(got[i] - want).max()
+                        <= 1e-12 * np.abs(want).max())
+
+    def test_gradient_blocks_broadcast_the_relation(self):
+        """A (B, K) block equals its triples scored one by one."""
+        rng = np.random.default_rng(18)
+        for kind, aux in GRADIENT_CASES:
+            params = init_params(kind, 10, 3, 8, 2.0, seed=19, aux=aux)
+            heads = rng.integers(0, 10, size=(4, 5))
+            tails = rng.integers(0, 10, size=(4, 5))
+            rels = rng.integers(0, 3, size=4)
+            ent = params.entity_emb
+            block = score_and_grad(params, ent[heads],
+                                   params.relation_emb[rels][:, None],
+                                   ent[tails])
+            for b in range(4):
+                singles = _triple_slots(params, [
+                    Triple(int(h), int(rels[b]), int(t))
+                    for h, t in zip(heads[b], tails[b])])
+                for got, want in zip(block, singles):
+                    np.testing.assert_array_equal(got[b], want)
 
 
 class TestCandidateScores:

@@ -257,7 +257,7 @@ class TestAllCandidatesQueryMass:
 
     def test_matches_brute_force_probability_sums(self, toy_dataset):
         from kgesub.data import Direction, query_of
-        from kgesub.models import score
+        from conftest import score
         from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.COMPLEX, 3, 1, 4, 1.0, seed=7)
         _, f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
@@ -288,7 +288,7 @@ class TestAllCandidatesQueryMass:
         scoring every example's query on its own."""
         from kgesub import models
         from kgesub.data import Direction, query_of
-        from kgesub.models import score_batch
+        from conftest import score_batch
         from kgesub.submodel import mbs_frequencies_all_candidates
         from conftest import zipf_kg
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 50 * 7)

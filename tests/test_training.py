@@ -5,99 +5,151 @@ import math
 import numpy as np
 import pytest
 
-from kgesub.data import Direction, QueryKey, Triple
+from kgesub.data import Dataset, Direction, QueryIndex, Triple
 from kgesub.errors import DegenerateInputError, TrainingDivergedError
 from kgesub.models import ModelKind, init_params
 from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
                                 build_mbs_weights, mix_weights,
                                 uniform_weights)
-from kgesub.training import (TrainConfig, TrainExample, batch_loss,
-                             load_checkpoint, ns_loss, sample_negatives,
+from kgesub.training import (OptimizerState, TrainConfig, _apply_update,
+                             batch_loss, load_checkpoint, sample_negatives,
                              save_checkpoint, train, continue_train)
 
-from conftest import (fd_function_row_gradients, looped_zipf_kg,
+from conftest import (TrainExample, example_batch_loss,
+                      fd_function_row_gradients, looped_zipf_kg, make_vocab,
                       max_relative_error, oracle_answer_sets,
-                      oracle_sample_negatives, random_kg)
+                      oracle_apply_update, oracle_batch_loss,
+                      oracle_complement_negatives, oracle_sample_negatives,
+                      random_kg, row_dict, score)
 
 
 def make_example(triple, direction, a=1.0, b=1.0):
-    from kgesub.data import answer_of
-    return TrainExample(triple=triple, direction=direction,
-                        answer=answer_of(triple, direction),
-                        weight_a=a, weight_b=b)
+    return TrainExample(triple=triple, direction=direction, weight_a=a,
+                        weight_b=b)
+
+
+def answer_index(answers, num_entities):
+    """Index whose tail query (0, r0) has exactly `answers`."""
+    return QueryIndex.build([Triple(0, 0, a) for a in answers],
+                            num_entities, 1)
+
+
+class CountingRng:
+    """Counts the calls made to a generator's `integers`."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
 
 
 class TestSampleNegatives:
     def test_only_candidate_left(self):
-        rng = np.random.default_rng(0)
-        query = QueryKey(Direction.TAIL_QUERY, 0, 0)
-        out = sample_negatives(query, 10, rng, np.array([0]),
-                               num_entities=2)
-        assert np.all(out == 1)
+        """A query with E - 1 answers gets the one free entity nu times,
+        from one draw."""
+        index = answer_index([0, 1, 2, 4, 5], 6)
+        rng = CountingRng(0)
+        out = sample_negatives(np.array([0, 0, 0]), 10, rng, index)
+        assert out.shape == (3, 10)
+        assert np.all(out == 3)
+        assert rng.calls == 1
 
     def test_deterministic_given_stream(self):
-        query = QueryKey(Direction.TAIL_QUERY, 0, 0)
-        a = sample_negatives(query, 50, np.random.default_rng(42),
-                             np.array([3]), num_entities=100)
-        b = sample_negatives(query, 50, np.random.default_rng(42),
-                             np.array([3]), num_entities=100)
+        index = answer_index([3], 100)
+        a = sample_negatives(np.zeros(5, dtype=np.int64), 50,
+                             np.random.default_rng(42), index)
+        b = sample_negatives(np.zeros(5, dtype=np.int64), 50,
+                             np.random.default_rng(42), index)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_true_answers(self):
-        rng = np.random.default_rng(1)
-        query = QueryKey(Direction.HEAD_QUERY, 5, 0)
-        true = {0, 1, 2, 3, 4}
-        out = sample_negatives(query, 200, rng, np.array(sorted(true)),
-                               num_entities=10)
-        assert not (set(out.tolist()) & true)
+        """No query of a graph with self-loops and repeats ever gets one
+        of its training answers."""
+        dataset = looped_zipf_kg(5, num_entities=15, num_links=200,
+                                 num_valid=10, num_test=10)
+        index = dataset.train_index
+        queries = np.arange(index.num_queries)
+        out = sample_negatives(queries, 64, np.random.default_rng(1), index)
+        assert out.shape == (index.num_queries, 64)
+        assert out.min() >= 0 and out.max() < dataset.num_entities
+        for q, row in zip(queries, out):
+            assert not set(row.tolist()) & set(index.answers_of(q).tolist())
 
     def test_uniform_within_binomial_bounds(self):
-        """Each entity's count within 5 sigma of n/E over 1e5 draws."""
-        rng = np.random.default_rng(2)
-        query = QueryKey(Direction.TAIL_QUERY, 0, 0)
-        draws = sample_negatives(query, 100_000, rng,
-                                 np.array([], dtype=np.int64),
-                                 num_entities=100)
-        counts = np.bincount(draws, minlength=100)
-        expected = 1000.0
-        sigma = math.sqrt(100_000 * 0.01 * 0.99)
-        assert np.all(np.abs(counts - expected) <= 5.0 * sigma)
+        """Every non-answer appears, each within 5 sigma of n / free
+        over 1e5 draws."""
+        answers = [0, 7, 8, 9, 50, 99]
+        index = answer_index(answers, 100)
+        draws = sample_negatives(np.zeros(100, dtype=np.int64), 1000,
+                                 np.random.default_rng(2), index)
+        counts = np.bincount(draws.ravel(), minlength=100)
+        assert np.all(counts[answers] == 0)
+        free = np.delete(counts, answers)
+        p = 1.0 / len(free)
+        sigma = math.sqrt(100_000 * p * (1.0 - p))
+        assert free.min() > 0
+        assert np.all(np.abs(free - 100_000 * p) <= 5.0 * sigma)
 
     def test_degenerate_query_rejected(self):
-        rng = np.random.default_rng(3)
-        query = QueryKey(Direction.TAIL_QUERY, 0, 0)
+        index = answer_index([0, 1, 2], 3)
         with pytest.raises(DegenerateInputError):
-            sample_negatives(query, 1, rng, np.array([0, 1, 2]),
-                             num_entities=3)
+            sample_negatives(np.array([0]), 1, np.random.default_rng(3),
+                             index)
+
+    def test_nu_must_be_positive(self):
+        with pytest.raises(ValueError):
+            sample_negatives(np.array([0]), 0, np.random.default_rng(3),
+                             answer_index([0], 3))
 
     @pytest.mark.parametrize("nu", [1, 4, 16])
     def test_same_draws_as_set_loop(self, nu):
         """For the same generator state, every training query's negatives
-        equal those of the old per-draw set loop."""
+        equal the same ranks looked up in a list of its non-answers."""
         dataset = looped_zipf_kg(2, num_entities=12, num_links=120,
                                  num_valid=10, num_test=10)
         index = dataset.train_index
         sets = oracle_answer_sets(dataset.train)
-        for q in range(index.num_queries):
-            key = QueryKey(Direction(int(index.direction[q])),
-                           int(index.entity[q]), int(index.relation[q]))
-            if len(sets[key]) >= dataset.num_entities:
-                continue
-            got = sample_negatives(key, nu, np.random.default_rng([q, nu]),
-                                   index.answers_of(q), dataset.num_entities)
-            want = oracle_sample_negatives(nu, np.random.default_rng([q, nu]),
-                                           sets[key], dataset.num_entities)
-            np.testing.assert_array_equal(got, want)
+        keys = sorted(sets)
+        assert [len(sets[k]) for k in keys] == np.diff(index.offsets).tolist()
+        queries = np.array([q for q, k in enumerate(keys)
+                            if len(sets[k]) < dataset.num_entities])
+        got = sample_negatives(queries, nu, np.random.default_rng(nu), index)
+        want = oracle_complement_negatives(
+            nu, np.random.default_rng(nu), [sets[keys[q]] for q in queries],
+            dataset.num_entities)
+        np.testing.assert_array_equal(got, want)
+
+    def test_same_distribution_as_rejection_loop(self):
+        """The complement draw and the old rejection loop draw from the
+        same support with the same frequencies, within 5 sigma."""
+        answers = set(range(0, 40, 3))
+        index = answer_index(sorted(answers), 40)
+        n = 60_000
+        new = sample_negatives(np.zeros(60, dtype=np.int64), n // 60,
+                               np.random.default_rng(4), index).ravel()
+        old = oracle_sample_negatives(n, np.random.default_rng(5), answers,
+                                      40)
+        new_counts = np.bincount(new, minlength=40)
+        old_counts = np.bincount(old, minlength=40)
+        assert np.array_equal(new_counts > 0, old_counts > 0)
+        p = 1.0 / (40 - len(answers))
+        sigma = math.sqrt(2 * n * p * (1.0 - p))
+        assert np.all(np.abs(new_counts - old_counts) <= 5.0 * sigma)
 
 
 class TestNsLoss:
+    """The loss of single examples, through `batch_loss`."""
+
     def test_all_zero_scores_closed_form(self):
         """sigmoid(0) = 1/2 on both terms gives 2 ln 2."""
         params = init_params(ModelKind.DISTMULT, 4, 1, 6, 0.0, seed=0)
         params.entity_emb[:] = 0.0
         params.relation_emb[:] = 0.0
         example = make_example(Triple(0, 0, 1), Direction.TAIL_QUERY)
-        loss, _ = ns_loss(params, example, np.array([2, 3]), gamma=0.0)
+        loss, _ = example_batch_loss(params, [(example, [2, 3])])
         assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_linear_in_weights(self):
@@ -107,9 +159,10 @@ class TestNsLoss:
                             a=0.7, b=1.3)
         scaled = make_example(Triple(0, 1, 2), Direction.TAIL_QUERY,
                               a=0.7 * 2.5, b=1.3 * 2.5)
-        loss1, grads1 = ns_loss(params, base, negatives, gamma=1.0)
-        loss2, grads2 = ns_loss(params, scaled, negatives, gamma=1.0)
+        loss1, grads1 = example_batch_loss(params, [(base, negatives)])
+        loss2, grads2 = example_batch_loss(params, [(scaled, negatives)])
         assert loss2 == pytest.approx(2.5 * loss1, rel=1e-12)
+        assert grads1.keys() == grads2.keys()
         for key in grads1:
             np.testing.assert_allclose(grads2[key], 2.5 * grads1[key],
                                        rtol=1e-12)
@@ -124,18 +177,17 @@ class TestNsLoss:
                 Direction.TAIL_QUERY, a=rng.uniform(0.1, 2.0),
                 b=rng.uniform(0.1, 2.0))
             negatives = rng.integers(0, 8, size=4)
-            loss, _ = ns_loss(params, example, negatives, gamma=2.0)
+            loss, _ = example_batch_loss(params, [(example, negatives)])
             assert loss >= 0.0
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_gradient_matches_finite_differences(self, kind, beta):
-        """FD oracle: the loss formula rewritten from score() directly.
+        """FD oracle: the loss formula rewritten from the scalar score.
 
         Self-adversarial weights are constants of the loss, so the
         oracle freezes them at the base point before differencing.
         """
-        from kgesub.models import score
         rng = np.random.default_rng(6)
         params = init_params(kind, 8, 3, 8, 2.0, seed=7)
         triple = Triple(int(rng.integers(8)), int(rng.integers(3)),
@@ -144,8 +196,8 @@ class TestNsLoss:
         negatives = [int(v) for v in rng.integers(0, 8, size=3)]
         neg_triples = [Triple(triple.head, triple.relation, v)
                        for v in negatives]
-        loss, grads = ns_loss(params, example, np.array(negatives),
-                              params.gamma, beta)
+        loss, grads = example_batch_loss(params, [(example, negatives)],
+                                         beta)
 
         base_neg_scores = np.array([score(params, nt) for nt in neg_triples])
         if beta > 0:
@@ -174,29 +226,71 @@ class TestNsLoss:
         params = init_params(ModelKind.TRANSE, 4, 1, 4, 1.0, seed=8)
         example = make_example(Triple(0, 0, 1), Direction.TAIL_QUERY)
         with pytest.raises(ValueError):
-            ns_loss(params, example, np.array([], dtype=np.int64), 1.0)
+            example_batch_loss(params, [(example, np.array([], dtype=int))])
 
     def test_non_finite_score_reports_divergence(self):
         params = init_params(ModelKind.DISTMULT, 4, 1, 4, 1.0, seed=9)
         params.entity_emb[0, 0] = np.inf
         example = make_example(Triple(0, 0, 1), Direction.TAIL_QUERY)
         with pytest.raises(TrainingDivergedError):
-            ns_loss(params, example, np.array([2]), 1.0)
+            example_batch_loss(params, [(example, np.array([2]))])
 
     def test_self_adversarial_reweights_negatives(self):
         """beta > 0 shifts negative mass toward higher-scored negatives."""
         params = init_params(ModelKind.DISTMULT, 6, 1, 6, 0.0, seed=10)
         example = make_example(Triple(0, 0, 1), Direction.TAIL_QUERY)
         negatives = np.array([2, 3])
-        uniform, _ = ns_loss(params, example, negatives, 0.0, 0.0)
-        from kgesub.models import score
+        uniform, _ = example_batch_loss(params, [(example, negatives)], 0.0)
         s2 = score(params, Triple(0, 0, 2))
         s3 = score(params, Triple(0, 0, 3))
-        sharp, _ = ns_loss(params, example, negatives, 0.0, 10.0)
+        sharp, _ = example_batch_loss(params, [(example, negatives)], 10.0)
         # with strong beta the weight concentrates on the higher score,
         # whose -log sigmoid(-s) term is the larger of the two
         assert sharp >= uniform - 1e-12
         assert s2 != s3
+
+
+# all five kinds, TransE with both norms, uniform and self-adversarial
+ORACLE_CASES = [(kind, aux, beta)
+                for kind, aux in [(k, None) for k in ModelKind]
+                + [(ModelKind.TRANSE, {"norm_p": 2.0})]
+                for beta in (0.0, 1.0)]
+ORACLE_IDS = [f"{kind.value}{'-l2' if aux else ''}-beta{beta:g}"
+              for kind, aux, beta in ORACLE_CASES]
+
+
+def oracle_batch(dataset, ids, negatives, weights):
+    """The (example, negatives) pairs of the dict-loop oracle."""
+    return [(make_example(dataset.train[e // 2], Direction(e % 2),
+                          weights.a[e], weights.b[e]), row)
+            for e, row in zip(ids.tolist(), negatives)]
+
+
+def looped_step(seed, kind, aux, batch_size=48, nu=5):
+    """A training-step batch of a graph with self-loops and repeated
+    triples, with every self-loop example in it."""
+    dataset = looped_zipf_kg(seed, num_entities=25, num_links=250,
+                             num_valid=10, num_test=10)
+    rng = np.random.default_rng(seed)
+    loops = [2 * i + d for i, (h, _, t) in enumerate(dataset.train)
+             if h == t for d in (0, 1)]
+    ids = np.concatenate([loops, rng.permutation(dataset.num_examples)
+                          [:batch_size - len(loops)]]).astype(np.int64)
+    index = dataset.train_index
+    negatives = sample_negatives(index.query_id[ids], nu, rng, index)
+    weights = uniform_weights(dataset.num_examples)
+    weights.a[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
+    weights.b[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
+    params = init_params(kind, dataset.num_entities, dataset.num_relations,
+                         8, 2.0, seed=seed, aux=aux)
+    return dataset, ids, negatives, weights, params
+
+
+def assert_rows_close(got: dict, want: dict, rtol: float) -> None:
+    """Same rows; each row within rtol of its largest entry."""
+    assert got.keys() == want.keys()
+    for key, g in want.items():
+        assert np.abs(got[key] - g).max() <= rtol * np.abs(g).max(), key
 
 
 class TestBatchLoss:
@@ -204,8 +298,8 @@ class TestBatchLoss:
         params = init_params(ModelKind.TRANSE, 6, 2, 6, 1.0, seed=11)
         example = make_example(Triple(0, 1, 2), Direction.TAIL_QUERY)
         negatives = np.array([3, 4])
-        single, _ = ns_loss(params, example, negatives, 1.0)
-        batched, _ = batch_loss(params, [(example, negatives)] * 5, 1.0)
+        single, _ = example_batch_loss(params, [(example, negatives)])
+        batched, _ = example_batch_loss(params, [(example, negatives)] * 5)
         assert batched == pytest.approx(single, rel=1e-12)
 
     def test_concatenation_means(self):
@@ -220,9 +314,9 @@ class TestBatchLoss:
             return example, rng.integers(0, 8, size=3)
         first = [random_pair() for _ in range(4)]
         second = [random_pair() for _ in range(4)]
-        loss_a, _ = batch_loss(params, first, 1.5)
-        loss_b, _ = batch_loss(params, second, 1.5)
-        loss_ab, _ = batch_loss(params, first + second, 1.5)
+        loss_a, _ = example_batch_loss(params, first)
+        loss_b, _ = example_batch_loss(params, second)
+        loss_ab, _ = example_batch_loss(params, first + second)
         assert loss_ab == pytest.approx((loss_a + loss_b) / 2.0, rel=1e-12)
 
     def test_matches_scalar_loop(self):
@@ -232,14 +326,92 @@ class TestBatchLoss:
         for _ in range(8):
             triple = Triple(int(rng.integers(8)), int(rng.integers(2)),
                             int(rng.integers(8)))
-            example = make_example(triple, Direction.TAIL_QUERY,
+            example = make_example(triple, Direction(int(rng.integers(2))),
                                    a=rng.uniform(0.5, 1.5),
                                    b=rng.uniform(0.5, 1.5))
             batch.append((example, rng.integers(0, 8, size=4)))
-        total, _ = batch_loss(params, batch, 2.0)
-        looped = sum(ns_loss(params, ex, neg, 2.0)[0]
-                     for ex, neg in batch) / len(batch)
+        total, grads = example_batch_loss(params, batch)
+        looped, looped_grads = oracle_batch_loss(params, batch)
         assert total == pytest.approx(looped, abs=1e-12)
+        assert_rows_close(grads, looped_grads, 1e-12)
+
+    @pytest.mark.parametrize("kind, aux, beta", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_matches_dict_oracle(self, kind, aux, beta):
+        """Loss to 1e-12 and every touched row's gradient to 1e-12
+        relative of the per-triple dict loop, self-loops included."""
+        dataset, ids, negatives, weights, params = looped_step(3, kind, aux)
+        assert any(dataset.train[e // 2].head == dataset.train[e // 2].tail
+                   for e in ids.tolist())
+        loss, grads = batch_loss(params, dataset.train_index, ids, negatives,
+                                 weights, beta)
+        want_loss, want_grads = oracle_batch_loss(
+            params, oracle_batch(dataset, ids, negatives, weights), beta)
+        assert abs(loss - want_loss) <= 1e-12
+        assert_rows_close(row_dict(grads), want_grads, 1e-12)
+        assert np.all(np.diff(grads.entity_rows) > 0)
+        assert np.all(np.diff(grads.relation_rows) > 0)
+
+    def test_rejects_mismatched_negatives(self):
+        dataset, ids, negatives, weights, params = looped_step(
+            3, ModelKind.DISTMULT, None)
+        with pytest.raises(ValueError):
+            batch_loss(params, dataset.train_index, ids, negatives[1:],
+                       weights)
+        with pytest.raises(ValueError):
+            batch_loss(params, dataset.train_index, ids[:0], negatives[:0],
+                       weights)
+
+
+class TestApplyUpdate:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_dict_loop(self, optimizer):
+        """One step from the batched gradients gives the parameters of
+        the row-at-a-time update of the dict-loop gradients, to 1e-12,
+        and bitwise for the same gradients."""
+        dataset, ids, negatives, weights, params = looped_step(
+            6, ModelKind.ROTATE, None)
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.05)
+        opt = OptimizerState.fresh(optimizer, params)
+        if optimizer == "adam":  # moments from an earlier step
+            rng = np.random.default_rng(7)
+            for m in (opt.m_entity, opt.v_entity, opt.m_relation,
+                      opt.v_relation):
+                m[:] = rng.uniform(0.0, 0.1, size=m.shape)
+        _, grads = batch_loss(params, dataset.train_index, ids, negatives,
+                              weights)
+        _, dict_grads = oracle_batch_loss(
+            params, oracle_batch(dataset, ids, negatives, weights))
+
+        runs = []
+        for update, g in ((_apply_update, grads),
+                          (oracle_apply_update, dict_grads),
+                          (oracle_apply_update, row_dict(grads))):
+            p, o = params.copy(), OptimizerState(
+                opt.kind, *(None if m is None else m.copy() for m in (
+                    opt.m_entity, opt.v_entity, opt.m_relation,
+                    opt.v_relation)))
+            update(p, o, g, 0.05, 3, config)
+            runs.append((p, o))
+        batched, oracle, same_grads = runs
+        for p, _ in (oracle, same_grads):
+            np.testing.assert_allclose(batched[0].entity_emb, p.entity_emb,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched[0].relation_emb,
+                                       p.relation_emb, rtol=0, atol=1e-12)
+        assert np.array_equal(batched[0].entity_emb,
+                              same_grads[0].entity_emb)
+        assert np.array_equal(batched[0].relation_emb,
+                              same_grads[0].relation_emb)
+        if optimizer == "adam":
+            assert np.array_equal(batched[1].v_entity, same_grads[1].v_entity)
+            # rows no example touched keep their moments
+            untouched = np.setdiff1d(np.arange(params.num_entities),
+                                     grads.entity_rows)
+            assert np.array_equal(batched[1].m_entity[untouched],
+                                  opt.m_entity[untouched])
+        changed = np.flatnonzero(np.any(
+            batched[0].entity_emb != params.entity_emb, axis=1))
+        assert set(changed) <= set(grads.entity_rows.tolist())
 
 
 class TestMixLossIdentity:
@@ -252,18 +424,19 @@ class TestMixLossIdentity:
         f = rng.uniform(0.5, 3.0, size=dataset.num_examples)
         mbs = build_mbs_weights(f, f, SubsamplingMethod.FREQ, alpha=0.3)
         params = init_params(ModelKind.TRANSE, 10, 3, 8, 2.0, seed=17)
+        index = dataset.train_index
         for lam in (0.0, 0.25, 0.7, 1.0):
             mix = mix_weights(cbs, mbs, lam)
-            for i, triple in enumerate(dataset.train[:6]):
-                negatives = rng.integers(0, 10, size=3)
-                eid = 2 * i
-                def ex(table):
-                    return make_example(triple, Direction.TAIL_QUERY,
-                                        a=table.a[eid], b=table.b[eid])
-                l_mix, _ = ns_loss(params, ex(mix), negatives, 2.0)
-                l_cbs, _ = ns_loss(params, ex(cbs), negatives, 2.0)
-                l_mbs, _ = ns_loss(params, ex(mbs), negatives, 2.0)
+            for i in range(6):
+                ids = np.array([2 * i])
+                negatives = rng.integers(0, 10, size=(1, 3))
+                l_mix, g_mix = batch_loss(params, index, ids, negatives, mix)
+                l_cbs, g_cbs = batch_loss(params, index, ids, negatives, cbs)
+                l_mbs, g_mbs = batch_loss(params, index, ids, negatives, mbs)
                 assert abs(l_mix - (lam * l_mbs + (1 - lam) * l_cbs)) <= 1e-9
+                np.testing.assert_allclose(
+                    g_mix.entity, lam * g_mbs.entity + (1 - lam) * g_cbs.entity,
+                    rtol=0, atol=1e-9)
 
 
 class TestTrainLoop:
@@ -302,6 +475,16 @@ class TestTrainLoop:
         early = np.mean([r.loss for r in result.log[:10]])
         late = np.mean([r.loss for r in result.log[-10:]])
         assert late < early
+
+    def test_query_without_false_candidates_rejected(self):
+        """A batch holding a query whose answers are every entity raises
+        DegenerateInputError instead of looping."""
+        dataset = Dataset(train=[Triple(0, 0, t) for t in range(3)],
+                          valid=[], test=[], vocab=make_vocab(3, 1))
+        params = init_params(ModelKind.TRANSE, 3, 1, 4, 1.0, seed=1)
+        with pytest.raises(DegenerateInputError):
+            train(dataset, uniform_weights(6), params,
+                  TrainConfig(steps=1, batch_size=6))
 
     def test_weight_coverage_checked(self):
         rng = np.random.default_rng(23)
