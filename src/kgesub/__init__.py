@@ -10,7 +10,7 @@ Subpackages:
     cli          command-line pipeline
 """
 
-from .data import (Dataset, Direction, QueryIndex, QueryKey, Triple, Vocab,
+from .data import (Dataset, Direction, QueryIndex, QueryKey, Vocab,
                    load_dataset, load_triples, singleton_query_stats)
 from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
                          build_filter_index, evaluate, filtered_rank)

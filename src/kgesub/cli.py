@@ -71,23 +71,12 @@ def _write_manifest(run_dir: Path, artifacts: dict[str, Path]) -> None:
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "data": "data_dir", "model": "model", "dim": "dim", "gamma": "gamma",
-        "norm_p": "norm_p", "phase_weight": "phase_weight",
-        "init_epsilon": "init_epsilon", "nu": "nu",
-        "batch_size": "batch_size", "steps": "steps",
-        "learning_rate": "learning_rate", "optimizer": "optimizer",
-        "adversarial_beta": "adversarial_beta", "seed": "seed",
-        "valid_every": "valid_every", "smoothing": "smoothing",
-        "subsampling": "subsampling", "method": "method", "alpha": "alpha",
-        "lam": "lam", "submodel_scores": "submodel_scores",
-        "mbs_query_mass": "mbs_query_mass",
-        "submodel_checkpoint": "submodel_checkpoint",
-    }
-    for arg_name, field_name in overrides.items():
-        value = getattr(args, arg_name, None)
+    # every flag is named after its field, except --data for data_dir
+    for field in fields(RunConfig):
+        value = getattr(args, "data" if field.name == "data_dir"
+                        else field.name, None)
         if value is not None:
-            setattr(config, field_name, value)
+            setattr(config, field.name, value)
     validate_config(config)
     return config
 
@@ -98,6 +87,13 @@ def _load_data(config: RunConfig) -> Dataset:
         return load_dataset(directory)
     except OSError as exc:
         raise DataError(f"cannot load dataset from {directory}: {exc}") from exc
+
+
+def _start(args) -> tuple[RunConfig, Dataset, Path]:
+    """A command's resolved config, its dataset and its run directory."""
+    config = _resolve_config(args)
+    dataset = _load_data(config)
+    return config, dataset, _make_run_dir(args)
 
 
 def _model_aux(config: RunConfig) -> dict[str, float]:
@@ -151,11 +147,8 @@ def _load_scores_checked(path: str, dataset: Dataset) -> SubModelScores:
 
 def _valid_mrr_callback(dataset: Dataset):
     filter_index = evaluation.build_filter_index(dataset)
-
-    def callback(params, step: int) -> float:
-        return evaluation.evaluate(params, dataset, "valid",
-                                   filter_index).mrr
-    return callback
+    return lambda params, step: evaluation.evaluate(
+        params, dataset, "valid", filter_index).mrr
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +156,7 @@ def _valid_mrr_callback(dataset: Dataset):
 
 
 def cmd_train(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     save_config(config, run_dir / "config.resolved.cfg")
 
     weights = _build_weights(config, dataset)
@@ -194,9 +185,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     filter_index = evaluation.build_filter_index(dataset)
     reports = []
     artifacts: dict[str, Path] = {}
@@ -229,9 +218,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_build_weights(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     save_config(config, run_dir / "config.resolved.cfg")
     weights = _build_weights(config, dataset)
     save_weight_table(weights, run_dir / "weights.tsv")
@@ -244,9 +231,7 @@ def cmd_build_weights(args) -> int:
 
 
 def cmd_pretrain_submodel(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     save_config(config, run_dir / "config.resolved.cfg")
     kind = ModelKind.from_string(args.submodel_kind or config.model)
     params, sid = submodel.pretrain_submodel(
@@ -263,9 +248,7 @@ def cmd_pretrain_submodel(args) -> int:
 
 
 def cmd_score_triples(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     try:
         params, tag = load_tagged_params(args.checkpoint)
     except OSError as exc:
@@ -280,9 +263,7 @@ def cmd_score_triples(args) -> int:
 
 
 def cmd_weights_report(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     try:
         cbs = subsampling.load_weight_table(args.cbs_weights)
         mbs = subsampling.load_weight_table(args.mbs_weights)
@@ -341,9 +322,7 @@ def query_appearance_report(dataset: Dataset, cbs: WeightTable,
 
 
 def cmd_singleton_stats(args) -> int:
-    config = _resolve_config(args)
-    dataset = _load_data(config)
-    run_dir = _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     if args.stride < 1:
         raise ConfigError("stride must be >= 1")
     rows = singleton_query_stats(dataset)[::args.stride]

@@ -1,23 +1,22 @@
 """Knowledge-graph triples, vocabularies, and the query index.
 
-A triple (h, r, t) projects onto two queries: the tail query (h, r, ?)
-answered by t, and the head query (?, r, t) answered by h.  Training
-and evaluation both operate on these direction-expanded examples, so a
-dataset with N stored triples provides 2N examples.  Example ids are
-assigned as ``2 * triple_index + direction`` with direction 0 for tail
-queries and 1 for head queries.
+A dataset's splits are read-only (N, 3) int64 arrays of (head,
+relation, tail) ids.  A triple (h, r, t) projects onto two queries: the
+tail query (h, r, ?) answered by t, and the head query (?, r, t)
+answered by h.  So N triples give 2N examples, with example id
+``2 * triple_index + direction`` (0 for tail, 1 for head queries).
 
 `QueryIndex` is the one array index of examples and queries behind
 query counts, subsampling weights, the negative-sample filter and
-filtered ranking.  Built once from the (N, 3) id array of a triple
-list, it holds per example (in example-id order) `query_id` and
-`answer`; per query `direction`, `entity`, `relation` and `count`; and
-a CSR list of answers: the sorted distinct answers of query q are
-``answers[offsets[q]:offsets[q + 1]]``, and `complement_key` maps a
-rank among q's non-answers to the entity, for negative sampling.  Query ids follow the packed
-int64 key ``(direction * E + entity) * R + relation``, ascending, which
-is the order of `QueryKey` tuples; `find` maps queries to ids by binary
-search on that key.  `Dataset.train_index` is the index of the training
+filtered ranking.  Built once from an (N, 3) id array, it holds per
+example (in example-id order) `query_id` and `answer`; per query
+`direction`, `entity`, `relation` and `count`; and a CSR list of
+answers: the sorted distinct answers of query q are
+``answers[offsets[q]:offsets[q + 1]]``, and `complement_key` maps a rank
+among q's non-answers to the entity, for negative sampling.  Query ids
+follow the packed int64 key ``(direction * E + entity) * R + relation``,
+ascending, which is the order of `QueryKey` tuples; `find` maps queries
+to ids by binary search on that key.  `Dataset.train_index` is the index of the training
 split, built on first use; the evaluation filter indexes all three.
 
 Datasets, vocabularies, and indexes are never mutated after
@@ -27,16 +26,18 @@ construction; any number of threads may read them concurrently.
 from __future__ import annotations
 
 import enum
-import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, VocabMismatchError
+from .errors import DataError, KgesubError, VocabMismatchError
+
+BLOCK_BYTES = 1 << 16  # about this many bytes of lines per parsed block
 
 
 class Direction(enum.IntEnum):
@@ -50,34 +51,10 @@ class Direction(enum.IntEnum):
 DIRECTION_NAMES = ("tail-query", "head-query")
 
 
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
 class QueryKey(NamedTuple):
     direction: Direction
     entity: int
     relation: int
-
-
-def query_of(triple: Triple, direction: Direction) -> QueryKey:
-    """The query obtained by blanking the answer slot of `triple`."""
-    if direction == Direction.TAIL_QUERY:
-        return QueryKey(Direction.TAIL_QUERY, triple.head, triple.relation)
-    return QueryKey(Direction.HEAD_QUERY, triple.tail, triple.relation)
-
-
-def answer_of(triple: Triple, direction: Direction) -> int:
-    """The entity filling the blanked slot of `triple`."""
-    return triple.tail if direction == Direction.TAIL_QUERY else triple.head
-
-
-def triple_array(triples: Sequence[Triple]) -> np.ndarray:
-    """(N, 3) int64 array of the head, relation and tail ids."""
-    return np.fromiter(itertools.chain.from_iterable(triples),
-                       dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +74,9 @@ class QueryIndex:
     answers: np.ndarray  # (offsets[-1],)
 
     @classmethod
-    def build(cls, triples: Sequence[Triple], num_entities: int,
+    def build(cls, triples: np.ndarray, num_entities: int,
               num_relations: int) -> "QueryIndex":
-        ids = triple_array(triples)
+        ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         if ids.size and (ids.min() < 0 or ids[:, 1].max() >= num_relations
                          or ids[:, [0, 2]].max() >= num_entities):
             raise ValueError("triple ids outside the vocabulary")
@@ -175,6 +152,54 @@ def text_lines(path: Path) -> Iterator[tuple[int, str]]:
                         f"this line ({exc.reason})") from None
 
 
+def parse_text(path: Path,
+               parse: Callable[[list[str], list[str], int], None]) -> None:
+    """Feed a UTF-8 text file to `parse(rows, comments, start)` in blocks
+    of about BLOCK_BYTES of lines (newlines kept; `comments` start with
+    `#`, `rows` are the other non-blank lines, `start` counts the rows
+    before them).  A block that `parse` raises ValueError or KgesubError
+    on, or that is not UTF-8, is fed again a line at a time, so that its
+    first bad line raises DataError with `path:line`."""
+    lines_done = rows_done = 0
+
+    def one_by_one(numbered: Iterator[tuple[int, str]]) -> None:
+        nonlocal rows_done
+        for lineno, line in numbered:
+            if line.rstrip("\n"):
+                comment = line[0] == "#"
+                try:
+                    parse(*(([], [line]) if comment else ([line], [])), rows_done)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                rows_done += not comment
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while lines := fh.readlines(BLOCK_BYTES):
+                rows = [line for line in lines
+                        if line[0] != "#" and line != "\n"]
+                try:
+                    parse(rows, [line for line in lines if line[0] == "#"],
+                          rows_done)
+                    rows_done += len(rows)
+                except (ValueError, KgesubError):
+                    one_by_one(enumerate(lines, lines_done + 1))
+                lines_done += len(lines)
+    except UnicodeDecodeError:
+        one_by_one(item for item in text_lines(path) if item[0] > lines_done)
+
+
+def split_fields(rows: list[str], width: int, message: str) -> list[str]:
+    """Fields of tab-separated rows, flat, `width` per row; another count
+    raises ValueError(message), the count in place of `{}`."""
+    counts = set(map(str.count, rows, repeat("\t"))) - {width - 1}
+    if counts:
+        raise ValueError(message.format(min(counts) + 1))
+    fields = "".join(rows).replace("\n", "\t").split("\t")
+    del fields[width * len(rows):]
+    return fields
+
+
 class Vocab:
     """Bidirectional label <-> dense-id maps for entities and relations.
 
@@ -202,38 +227,29 @@ class Vocab:
         self._frozen = True
         return self
 
-    def entity_id(self, label: str) -> int:
-        eid = self.entity_to_id.get(label)
-        if eid is None:
-            if self._frozen:
-                raise VocabMismatchError(f"unknown entity label: {label!r}")
-            eid = len(self.entity_labels)
-            self.entity_to_id[label] = eid
-            self.entity_labels.append(label)
-        return eid
+    def add(self, kind: str, labels: list[str]) -> None:
+        """Give unseen `kind` ("entity" or "relation") labels the next
+        ids in first-appearance order, unless frozen."""
+        to_id = getattr(self, f"{kind}_to_id")
+        known = getattr(self, f"{kind}_labels")
+        fresh = [] if self._frozen else [
+            label for label in dict.fromkeys(labels) if label not in to_id]
+        to_id.update(zip(fresh, range(len(known), len(known) + len(fresh))))
+        known.extend(fresh)
 
-    def relation_id(self, label: str) -> int:
-        rid = self.relation_to_id.get(label)
-        if rid is None:
-            if self._frozen:
-                raise VocabMismatchError(f"unknown relation label: {label!r}")
-            rid = len(self.relation_labels)
-            self.relation_to_id[label] = rid
-            self.relation_labels.append(label)
-        return rid
-
-    def save(self, directory: str | Path) -> None:
-        """Write entities.tsv and relations.tsv (`label<TAB>id` lines)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, labels in (("entities.tsv", self.entity_labels),
-                             ("relations.tsv", self.relation_labels)):
-            with open(directory / name, "w", encoding="utf-8") as fh:
-                for idx, label in enumerate(labels):
-                    fh.write(f"{label}\t{idx}\n")
+    def ids(self, kind: str, labels: list[str]) -> np.ndarray:
+        """Ids of `kind` labels; an unknown one raises VocabMismatchError."""
+        to_id = getattr(self, f"{kind}_to_id")
+        try:
+            return np.fromiter(map(to_id.__getitem__, labels), np.int64,
+                               len(labels))
+        except KeyError as exc:
+            raise VocabMismatchError(
+                f"unknown {kind} label: {exc.args[0]!r}") from None
 
     @classmethod
     def load(cls, directory: str | Path) -> "Vocab":
+        """Read entities.tsv and relations.tsv (`label<TAB>id` lines)."""
         directory = Path(directory)
         vocab = cls()
         for name, to_id, labels in (
@@ -255,12 +271,21 @@ class Vocab:
         return vocab
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    train: list[Triple]
-    valid: list[Triple]
-    test: list[Triple]
+    """Splits as read-only (N, 3) int64 arrays of (head, relation, tail)
+    ids, copied from any sequence of id triples, and their vocabulary."""
+
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     vocab: Vocab
+
+    def __post_init__(self) -> None:
+        for split in ("train", "valid", "test"):
+            ids = np.array(getattr(self, split), dtype=np.int64).reshape(-1, 3)
+            ids.flags.writeable = False
+            setattr(self, split, ids)
 
     @property
     def num_entities(self) -> int:
@@ -281,42 +306,34 @@ class Dataset:
         return QueryIndex.build(self.train, self.num_entities,
                                 self.num_relations)
 
-    def save(self, directory: str | Path) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.vocab.save(directory)
-        for split, triples in (("train", self.train), ("valid", self.valid),
-                               ("test", self.test)):
-            with open(directory / f"{split}.txt", "w", encoding="utf-8") as fh:
-                for h, r, t in triples:
-                    fh.write(f"{self.vocab.entity_labels[h]}\t"
-                             f"{self.vocab.relation_labels[r]}\t"
-                             f"{self.vocab.entity_labels[t]}\n")
-
 
 def load_triples(path: str | Path,
-                 existing_vocab: Vocab | None = None) -> tuple[list[Triple], Vocab]:
-    """Parse a `head<TAB>relation<TAB>tail` file into id triples.
+                 existing_vocab: Vocab | None = None) -> tuple[np.ndarray, Vocab]:
+    """Parse a `head<TAB>relation<TAB>tail` file into an (N, 3) id array.
 
-    Ids are assigned in first-appearance order when building a fresh
-    vocabulary.  Under an existing (frozen) vocabulary, unknown labels
-    raise VocabMismatchError.  Lines starting with `#` are comments.
+    Ids are assigned in first-appearance order (head before tail) when
+    building a fresh vocabulary.  Under an existing (frozen) vocabulary,
+    unknown labels raise VocabMismatchError.  Lines starting with `#`
+    are comments.
     """
     path = Path(path)
     vocab = existing_vocab if existing_vocab is not None else Vocab()
-    triples: list[Triple] = []
-    for lineno, line in text_lines(path):
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(
-                f"{path}:{lineno}: expected 3 tab-separated fields, "
-                f"got {len(parts)}")
-        h, r, t = parts
-        triples.append(Triple(vocab.entity_id(h), vocab.relation_id(r),
-                              vocab.entity_id(t)))
-    if not triples:
+    blocks: list[np.ndarray] = [np.empty((0, 3), np.int64)]
+
+    def parse(rows: list[str], comments: list[str], start: int) -> None:
+        fields = split_fields(rows, 3,
+                              "expected 3 tab-separated fields, got {}")
+        relations = fields[1::3]
+        del fields[1::3]  # heads and tails, interleaved
+        vocab.add("entity", fields)
+        vocab.add("relation", relations)
+        blocks.append(np.stack([vocab.ids("entity", fields[0::2]),
+                                vocab.ids("relation", relations),
+                                vocab.ids("entity", fields[1::2])], axis=1))
+
+    parse_text(path, parse)
+    triples = np.concatenate(blocks)
+    if not len(triples):
         raise DataError(f"{path}: no triples found")
     return triples, vocab
 

@@ -110,8 +110,9 @@ def _rank_rows(scores: np.ndarray, answers: np.ndarray,
 
 def build_filter_index(dataset: Dataset) -> QueryIndex:
     """Known-true answers per query over train, valid, and test."""
-    return QueryIndex.build(dataset.train + dataset.valid + dataset.test,
-                            dataset.num_entities, dataset.num_relations)
+    return QueryIndex.build(
+        np.concatenate([dataset.train, dataset.valid, dataset.test]),
+        dataset.num_entities, dataset.num_relations)
 
 
 def evaluate(params: ModelParams, dataset: Dataset, split: str,
@@ -119,7 +120,7 @@ def evaluate(params: ModelParams, dataset: Dataset, split: str,
     """Filtered MRR and Hits@{1,3,10} over both directions of a split."""
     triples = {"valid": dataset.valid, "test": dataset.test,
                "train": dataset.train}[split]
-    if not triples:
+    if not len(triples):
         raise ValueError(f"split {split!r} is empty")
     check_vocab(params, dataset)
     if filter_index is None:

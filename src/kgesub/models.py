@@ -509,17 +509,17 @@ def _array_specs(path: str | Path,
     return out
 
 
+def params_header(params: ModelParams, payload: str) -> dict:
+    """The container header fields that describe `params`."""
+    return {"payload": payload, "kind": params.kind.value, "dim": params.dim,
+            "gamma": params.gamma, "aux": params.aux,
+            "num_entities": params.num_entities,
+            "num_relations": params.num_relations}
+
+
 def save_params(params: ModelParams, path: str | Path,
                 tag: str | None = None) -> None:
-    header = {
-        "payload": "model-params",
-        "kind": params.kind.value,
-        "dim": params.dim,
-        "gamma": params.gamma,
-        "aux": params.aux,
-        "num_entities": params.num_entities,
-        "num_relations": params.num_relations,
-    }
+    header = params_header(params, "model-params")
     if tag is not None:
         header["tag"] = tag
     write_container(path, header, {"entity_emb": params.entity_emb,

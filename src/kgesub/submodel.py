@@ -15,13 +15,14 @@ toward smaller temperature, then smaller ratio, then candidate order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, text_lines, triple_array
+from .data import Dataset, text_lines
 from .errors import DataError
 from .models import (INIT_EPSILON, ModelKind, ModelParams, check_vocab,
                      init_params, iter_candidate_scores, score_triples)
@@ -71,8 +72,7 @@ def score_training_triples(submodel: ModelParams, dataset: Dataset,
     gives identical output.
     """
     check_vocab(submodel, dataset)
-    ids = triple_array(dataset.train)
-    per_triple = score_triples(submodel, ids[:, 0], ids[:, 1], ids[:, 2])
+    per_triple = score_triples(submodel, *dataset.train.T)
     raw = np.repeat(per_triple, 2)
     return SubModelScores(raw_score=raw, submodel_id=provenance)
 
@@ -150,6 +150,14 @@ def read_ledger(path: str | Path) -> list[GridRecord]:
     return records
 
 
+def drop_torn_tail(path: str | Path) -> None:
+    """Cut a ledger's last line if it lacks its newline: a record that a
+    crash cut short, which may even parse to a wrong MRR."""
+    data = Path(path).read_bytes() if Path(path).exists() else b""
+    if data and not data.endswith(b"\n"):
+        os.truncate(path, data.rfind(b"\n") + 1)
+
+
 def append_ledger(path: str | Path, record: GridRecord) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         lam = "-" if record.lam is None else repr(record.lam)
@@ -168,7 +176,8 @@ def select_submodel(candidates: Sequence[SubModelScores],
     `evaluate_point(scores, alpha, lam)` must return the validation MRR
     of a main model trained with model-based weights (lam is None) or
     mixed weights (lam set).  Grid points already present in the ledger
-    file are reused, so an interrupted sweep resumes without retraining.
+    file are reused, so an interrupted sweep resumes without retraining;
+    a record the interruption cut short is dropped and run again.
     A stage-1 grid with a single point is a forced choice and skips its
     evaluation; the ratio stage always evaluates, since its MRR is the
     search's deliverable.
@@ -177,6 +186,7 @@ def select_submodel(candidates: Sequence[SubModelScores],
         raise ValueError("candidates and grids must be non-empty")
     cached = {}
     if ledger_path is not None:
+        drop_torn_tail(ledger_path)
         for record in read_ledger(ledger_path):
             cached[(record.submodel_id, record.alpha, record.lam)] = \
                 record.valid_mrr

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, Dataset, text_lines
+from .data import DIRECTION_NAMES, Dataset, parse_text, split_fields
 from .errors import DataError, DegenerateInputError
 
 # Hyper-parameter search grids.
@@ -62,11 +62,9 @@ class Provenance:
     submodel_id: str | None = None
 
     def describe(self) -> str:
-        parts = [f"source={self.source}", f"method={self.method}"]
-        parts.append(f"alpha={self.alpha if self.alpha is not None else '-'}")
-        parts.append(f"lambda={self.lam if self.lam is not None else '-'}")
-        parts.append(f"submodel={self.submodel_id or '-'}")
-        return " ".join(parts)
+        alpha, lam = ("-" if v is None else v for v in (self.alpha, self.lam))
+        return (f"source={self.source} method={self.method} alpha={alpha} "
+                f"lambda={lam} submodel={self.submodel_id or '-'}")
 
 
 @dataclass
@@ -121,6 +119,15 @@ def counted_frequencies(dataset: Dataset,
     return np.repeat((f_x[0::2] + f_x[1::2]) / 2.0, 2), f_x
 
 
+def _columns(method: SubsamplingMethod, link: np.ndarray,
+             query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A method's unnormalized (a, b) from discounted link and query
+    frequencies."""
+    if method == SubsamplingMethod.BASE:
+        return link, link
+    return (link, query) if method == SubsamplingMethod.FREQ else (query, query)
+
+
 def _normalize_to_mean_one(unnormalized: np.ndarray) -> np.ndarray:
     return unnormalized * (unnormalized.shape[0] / unnormalized.sum())
 
@@ -136,14 +143,7 @@ def build_cbs_weights(dataset: Dataset, method: SubsamplingMethod,
     if method == SubsamplingMethod.NONE:
         return uniform_weights(dataset.num_examples)
     f_xy, f_x = counted_frequencies(dataset, smoothing)
-    inv_sqrt_xy = 1.0 / np.sqrt(f_xy)
-    inv_sqrt_x = 1.0 / np.sqrt(f_x)
-    if method == SubsamplingMethod.BASE:
-        a_u, b_u = inv_sqrt_xy, inv_sqrt_xy
-    elif method == SubsamplingMethod.FREQ:
-        a_u, b_u = inv_sqrt_xy, inv_sqrt_x
-    else:  # UNIQ
-        a_u, b_u = inv_sqrt_x, inv_sqrt_x
+    a_u, b_u = _columns(method, 1.0 / np.sqrt(f_xy), 1.0 / np.sqrt(f_x))
     return WeightTable(a=_normalize_to_mean_one(a_u),
                        b=_normalize_to_mean_one(b_u),
                        provenance=Provenance(source="cbs",
@@ -195,19 +195,11 @@ def build_mbs_weights(f_xy: np.ndarray, f_x: np.ndarray,
     provenance = Provenance(source="mbs", method=method.value, alpha=alpha,
                             submodel_id=submodel_id)
     if method == SubsamplingMethod.NONE:
-        table = uniform_weights(f_xy.shape[0])
-        table.provenance = provenance
-        return table
+        return WeightTable(a=np.ones(len(f_xy)), b=np.ones(len(f_xy)),
+                           provenance=provenance)
     if np.any(f_xy <= 0) or np.any(f_x <= 0):
         raise DegenerateInputError("non-positive model-based frequency")
-    pow_xy = np.power(f_xy, -alpha)
-    pow_x = np.power(f_x, -alpha)
-    if method == SubsamplingMethod.BASE:
-        a_u, b_u = pow_xy, pow_xy
-    elif method == SubsamplingMethod.FREQ:
-        a_u, b_u = pow_xy, pow_x
-    else:  # UNIQ
-        a_u, b_u = pow_x, pow_x
+    a_u, b_u = _columns(method, np.power(f_xy, -alpha), np.power(f_x, -alpha))
     return WeightTable(a=_normalize_to_mean_one(a_u),
                        b=_normalize_to_mean_one(b_u),
                        provenance=provenance)
@@ -235,9 +227,14 @@ def save_weight_table(table: WeightTable, path: str | Path) -> None:
     """`example_id<TAB>direction<TAB>a<TAB>b` rows with a comment header.
 
     Weights are written as shortest round-trip decimals, so the file
-    reloads to bitwise-equal arrays.
+    reloads to bitwise-equal arrays.  A table whose weights are all
+    exactly 1 is written as its header alone, ending in `examples=N`.
     """
     with open(path, "w", encoding="utf-8") as fh:
+        if np.all(table.a == 1.0) and np.all(table.b == 1.0):
+            fh.write(f"# {table.provenance.describe()} "
+                     f"examples={table.num_examples}\n")
+            return
         fh.write(f"# {table.provenance.describe()}\n")
         for i in range(table.num_examples):
             fh.write(f"{i}\t{DIRECTION_NAMES[i % 2]}\t"
@@ -246,39 +243,48 @@ def save_weight_table(table: WeightTable, path: str | Path) -> None:
 
 def load_weight_table(path: str | Path) -> WeightTable:
     """Read a table written by `save_weight_table`; weights must be
-    finite and positive."""
+    finite and positive.  A header-only table with `examples=N` is N
+    examples of weight 1."""
     path = Path(path)
-    provenance = Provenance(source="unknown", method="unknown")
-    a: list[float] = []
-    b: list[float] = []
-    for lineno, line in text_lines(path):
-        try:
-            if line.startswith("#"):
-                provenance = _parse_provenance(line)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            if int(parts[0]) != len(a):
-                raise DataError(f"{path}:{lineno}: example ids must be dense")
-            if parts[1] not in DIRECTION_NAMES:
-                raise DataError(f"{path}:{lineno}: bad direction {parts[1]!r}")
-            weights = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not all(0.0 < w < math.inf for w in weights):
-            raise DataError(f"{path}:{lineno}: weights must be finite and "
-                            "positive")
-        a.append(weights[0])
-        b.append(weights[1])
-    if not a:
+    header = {"provenance": Provenance(source="unknown", method="unknown"),
+              "examples": 0}
+    columns = [np.empty((2, 0))]  # (a, b) rows of each block
+
+    def parse(rows: list[str], comments: list[str], start: int) -> None:
+        for line in comments:
+            fields = _header_fields(line)
+            header["provenance"] = _parse_provenance(fields)
+            header["examples"] = int(fields.get("examples", 0))
+        fields = split_fields(rows, 4, "expected 4 fields")
+        _check_dense(fields[0::4], start)
+        bad = set(fields[1::4]).difference(DIRECTION_NAMES)
+        if bad:
+            raise ValueError(f"bad direction {min(bad)!r}")
+        weights = np.stack([_floats(fields[2::4]), _floats(fields[3::4])])
+        if not np.all((weights > 0) & (weights < math.inf)):
+            raise ValueError("weights must be finite and positive")
+        columns.append(weights)
+
+    parse_text(path, parse)
+    weights, n = np.concatenate(columns, axis=1), header["examples"]
+    if n > 0 and not weights.shape[1]:  # a read-only view, whatever n
+        weights = np.broadcast_to(1.0, (2, n))
+    if n and weights.shape[1] != n:
+        raise DataError(f"{path}: header gives {n} examples, table has "
+                        f"{weights.shape[1]}")
+    if not weights.shape[1]:
         raise DataError(f"{path}: empty weight table")
-    return WeightTable(a=np.array(a), b=np.array(b), provenance=provenance)
+    return WeightTable(a=weights[0], b=weights[1],
+                       provenance=header["provenance"])
 
 
-def _parse_provenance(comment: str) -> Provenance:
-    fields = dict(item.split("=", 1) for item in comment[1:].split()
-                  if "=" in item)
+def _header_fields(comment: str) -> dict[str, str]:
+    """`key=value` items of a `#` header line."""
+    return dict(item.split("=", 1) for item in comment[1:].split()
+                if "=" in item)
+
+
+def _parse_provenance(fields: dict[str, str]) -> Provenance:
     def opt_float(key: str) -> float | None:
         value = fields.get(key, "-")
         return None if value == "-" else float(value)
@@ -287,6 +293,15 @@ def _parse_provenance(comment: str) -> Provenance:
                       method=fields.get("method", "unknown"),
                       alpha=opt_float("alpha"), lam=opt_float("lambda"),
                       submodel_id=None if submodel == "-" else submodel)
+
+
+def _check_dense(ids: list[str], start: int) -> None:
+    if list(map(int, ids)) != list(range(start, start + len(ids))):
+        raise ValueError("example ids must be dense")
+
+
+def _floats(column: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, column), np.float64, len(column))
 
 
 def save_scores(scores: SubModelScores, path: str | Path) -> None:
@@ -299,23 +314,18 @@ def save_scores(scores: SubModelScores, path: str | Path) -> None:
 
 def load_scores(path: str | Path) -> SubModelScores:
     path = Path(path)
-    submodel_id = "unknown"
-    values: list[float] = []
-    for lineno, line in text_lines(path):
-        if line.startswith("#"):
-            fields = dict(item.split("=", 1)
-                          for item in line[1:].split() if "=" in item)
-            submodel_id = fields.get("submodel", submodel_id)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields")
-        try:
-            if int(parts[0]) != len(values):
-                raise DataError(f"{path}:{lineno}: example ids must be dense")
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not values:
+    header = {"submodel": "unknown"}
+    values: list[np.ndarray] = [np.empty(0)]
+
+    def parse(rows: list[str], comments: list[str], start: int) -> None:
+        for line in comments:
+            header.update(_header_fields(line))
+        fields = split_fields(rows, 2, "expected 2 fields")
+        _check_dense(fields[0::2], start)
+        values.append(_floats(fields[1::2]))
+
+    parse_text(path, parse)
+    raw = np.concatenate(values)
+    if not len(raw):
         raise DataError(f"{path}: empty score file")
-    return SubModelScores(raw_score=np.array(values), submodel_id=submodel_id)
+    return SubModelScores(raw_score=raw, submodel_id=header["submodel"])

@@ -52,8 +52,8 @@ import numpy as np
 
 from .data import Dataset, Direction, QueryIndex, QueryKey
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
-from .models import (ModelParams, params_from_container, read_container,
-                     score_and_grad, write_container)
+from .models import (ModelParams, params_from_container, params_header,
+                     read_container, score_and_grad, write_container)
 from .subsampling import WeightTable
 
 _PERM_STREAM = 0
@@ -218,6 +218,9 @@ def batch_loss(params: ModelParams, index: QueryIndex,
 # optimizers
 
 
+_MOMENTS = ("m_entity", "v_entity", "m_relation", "v_relation")  # Adam's
+
+
 @dataclass
 class OptimizerState:
     kind: str
@@ -230,11 +233,9 @@ class OptimizerState:
     def fresh(cls, kind: str, params: ModelParams) -> "OptimizerState":
         if kind == "sgd":
             return cls(kind="sgd")
-        return cls(kind="adam",
-                   m_entity=np.zeros_like(params.entity_emb),
-                   v_entity=np.zeros_like(params.entity_emb),
-                   m_relation=np.zeros_like(params.relation_emb),
-                   v_relation=np.zeros_like(params.relation_emb))
+        return cls(kind="adam", **{name: np.zeros_like(
+            params.entity_emb if name.endswith("entity")
+            else params.relation_emb) for name in _MOMENTS})
 
 
 def _apply_update(params: ModelParams, opt: OptimizerState,
@@ -350,11 +351,8 @@ def write_log(log: list[LogRecord], path: str | Path) -> None:
     """`step<TAB>loss<TAB>valid_mrr?` lines."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in log:
-            if record.valid_mrr is None:
-                fh.write(f"{record.step}\t{record.loss!r}\n")
-            else:
-                fh.write(f"{record.step}\t{record.loss!r}\t"
-                         f"{record.valid_mrr!r}\n")
+            mrr = "" if record.valid_mrr is None else f"\t{record.valid_mrr!r}"
+            fh.write(f"{record.step}\t{record.loss!r}{mrr}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +361,13 @@ def write_log(log: list[LogRecord], path: str | Path) -> None:
 
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
     params = state.params
-    header = {
-        "payload": "train-checkpoint",
-        "kind": params.kind.value,
-        "dim": params.dim,
-        "gamma": params.gamma,
-        "aux": params.aux,
-        "num_entities": params.num_entities,
-        "num_relations": params.num_relations,
-        "optimizer": state.optimizer.kind,
-        "step": state.step,
-    }
+    header = dict(params_header(params, "train-checkpoint"),
+                  optimizer=state.optimizer.kind, step=state.step)
     arrays = {"entity_emb": params.entity_emb,
               "relation_emb": params.relation_emb}
     if state.optimizer.kind == "adam":
-        arrays.update(adam_m_entity=state.optimizer.m_entity,
-                      adam_v_entity=state.optimizer.v_entity,
-                      adam_m_relation=state.optimizer.m_relation,
-                      adam_v_relation=state.optimizer.v_relation)
+        arrays.update({f"adam_{name}": getattr(state.optimizer, name)
+                       for name in _MOMENTS})
     write_container(path, header, arrays)
 
 
@@ -389,13 +376,9 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if header.get("payload") != "train-checkpoint":
         raise CheckpointError(f"{path}: not a training checkpoint")
     params = params_from_container(header, arrays)
-    kind = header["optimizer"]
-    if kind == "adam":
-        opt = OptimizerState(kind="adam",
-                             m_entity=arrays["adam_m_entity"],
-                             v_entity=arrays["adam_v_entity"],
-                             m_relation=arrays["adam_m_relation"],
-                             v_relation=arrays["adam_v_relation"])
+    if header["optimizer"] == "adam":
+        opt = OptimizerState(kind="adam", **{
+            name: arrays[f"adam_{name}"] for name in _MOMENTS})
     else:
         opt = OptimizerState(kind="sgd")
     return TrainState(params=params, optimizer=opt, step=int(header["step"]))

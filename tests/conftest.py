@@ -4,25 +4,76 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from kgesub.data import (Dataset, Direction, QueryKey, Triple, Vocab,
-                         answer_of, query_of)
-from kgesub.errors import DegenerateInputError
+from kgesub.data import DIRECTION_NAMES, Dataset, Direction, QueryKey, Vocab
+from kgesub.errors import DataError, DegenerateInputError, VocabMismatchError
 from kgesub.models import ModelKind, ModelParams
-from kgesub.subsampling import uniform_weights
+from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
+                                uniform_weights)
 from kgesub.training import batch_loss
+
+
+class Triple(NamedTuple):
+    head: int
+    relation: int
+    tail: int
+
+
+def as_triples(rows) -> list[Triple]:
+    """The rows of an (N, 3) id array (or any triple sequence) as
+    `Triple`s of Python ints."""
+    return [Triple(*row) for row in np.asarray(rows, dtype=np.int64)
+            .reshape(-1, 3).tolist()]
+
+
+def query_of(triple: Triple, direction: Direction) -> QueryKey:
+    """The query obtained by blanking the answer slot of `triple`."""
+    if direction == Direction.TAIL_QUERY:
+        return QueryKey(Direction.TAIL_QUERY, triple.head, triple.relation)
+    return QueryKey(Direction.HEAD_QUERY, triple.tail, triple.relation)
+
+
+def answer_of(triple: Triple, direction: Direction) -> int:
+    """The entity filling the blanked slot of `triple`."""
+    return triple.tail if direction == Direction.TAIL_QUERY else triple.head
 
 
 def make_vocab(num_entities: int, num_relations: int) -> Vocab:
     vocab = Vocab()
-    for i in range(num_entities):
-        vocab.entity_id(f"e{i}")
-    for j in range(num_relations):
-        vocab.relation_id(f"r{j}")
+    vocab.add("entity", [f"e{i}" for i in range(num_entities)])
+    vocab.add("relation", [f"r{j}" for j in range(num_relations)])
     return vocab.freeze()
+
+
+def save_vocab(vocab: Vocab, directory) -> None:
+    """Write entities.tsv and relations.tsv (`label<TAB>id` lines), the
+    files `Vocab.load` reads."""
+    for name, labels in (("entities.tsv", vocab.entity_labels),
+                         ("relations.tsv", vocab.relation_labels)):
+        with open(Path(directory) / name, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{label}\t{idx}\n"
+                          for idx, label in enumerate(labels))
+
+
+def save_dataset(dataset: Dataset, directory) -> None:
+    """Write a dataset as the vocabulary files and train/valid/test.txt
+    with its labels, the layout `load_dataset` reads."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    save_vocab(dataset.vocab, directory)
+    entities = np.array(dataset.vocab.entity_labels, dtype=object)
+    relations = np.array(dataset.vocab.relation_labels, dtype=object)
+    for split in ("train", "valid", "test"):
+        ids = getattr(dataset, split)
+        with open(directory / f"{split}.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in zip(
+                entities[ids[:, 0]], relations[ids[:, 1]],
+                entities[ids[:, 2]]))
 
 
 def random_triples(rng: np.random.Generator, num_entities: int,
@@ -98,9 +149,10 @@ def looped_zipf_kg(seed: int, **kwargs) -> Dataset:
     rng = np.random.default_rng([seed, 1])
     loops = [Triple(e, int(rng.integers(dataset.num_relations)), e)
              for e in rng.integers(0, dataset.num_entities, size=12).tolist()]
-    repeats = [dataset.train[i] for i in
-               rng.integers(0, len(dataset.train), size=20).tolist()]
-    return Dataset(train=dataset.train + loops + repeats, valid=dataset.valid,
+    train = as_triples(dataset.train)
+    repeats = [train[i] for i in
+               rng.integers(0, len(train), size=20).tolist()]
+    return Dataset(train=train + loops + repeats, valid=dataset.valid,
                    test=dataset.test, vocab=dataset.vocab)
 
 
@@ -435,6 +487,7 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
 
 def brute_force_query_counts(train: list[Triple]) -> dict:
     """O(n^2) recount: for each query of each triple, scan all triples."""
+    train = as_triples(train)
     counts = {}
     for triple in train:
         tail_key = (0, triple.head, triple.relation)
@@ -490,7 +543,7 @@ _DIRECTIONS = (Direction.TAIL_QUERY, Direction.HEAD_QUERY)
 def oracle_query_counts(triples: list[Triple]) -> dict:
     """Examples per query key, tallied one example at a time."""
     counts: dict[QueryKey, int] = {}
-    for triple in triples:
+    for triple in as_triples(triples):
         for direction in _DIRECTIONS:
             key = query_of(triple, direction)
             counts[key] = counts.get(key, 0) + 1
@@ -500,7 +553,7 @@ def oracle_query_counts(triples: list[Triple]) -> dict:
 def oracle_answer_sets(triples: list[Triple]) -> dict:
     """The set of answers observed for each query key."""
     index: dict[QueryKey, set[int]] = {}
-    for triple in triples:
+    for triple in as_triples(triples):
         for direction in _DIRECTIONS:
             index.setdefault(query_of(triple, direction), set()).add(
                 answer_of(triple, direction))
@@ -512,7 +565,7 @@ def oracle_counted_frequencies(train: list[Triple], smoothing: float):
     counts, and for a link the mean of its two query counts."""
     counts = oracle_query_counts(train)
     f_xy, f_x = [], []
-    for triple in train:
+    for triple in as_triples(train):
         tail, head = (counts[query_of(triple, d)] + smoothing
                       for d in _DIRECTIONS)
         f_xy += [(tail + head) / 2.0] * 2
@@ -526,7 +579,7 @@ def oracle_mbs_query_frequencies(train: list[Triple], p: np.ndarray):
     n = 2 * len(train)
     mass: dict[QueryKey, float] = {}
     queries = []
-    for i, triple in enumerate(train):
+    for i, triple in enumerate(as_triples(train)):
         for direction in _DIRECTIONS:
             q = query_of(triple, direction)
             queries.append(q)
@@ -571,7 +624,7 @@ def oracle_singleton_query_stats(train: list[Triple]) -> list:
     counts = oracle_query_counts(train)
     entity_count: dict[int, int] = {}
     relation_count: dict[int, int] = {}
-    for h, r, t in train:
+    for h, r, t in as_triples(train):
         entity_count[h] = entity_count.get(h, 0) + 1
         if t != h:
             entity_count[t] = entity_count.get(t, 0) + 1
@@ -592,7 +645,7 @@ def oracle_appearance_report(train: list[Triple], cbs_b: np.ndarray,
     n = min(n, len(queries))
     mass_cbs = {q: 0.0 for q in queries}
     mass_mbs = {q: 0.0 for q in queries}
-    for i, triple in enumerate(train):
+    for i, triple in enumerate(as_triples(train)):
         for direction in _DIRECTIONS:
             q = query_of(triple, direction)
             mass_cbs[q] += cbs_b[2 * i + int(direction)]
@@ -605,3 +658,123 @@ def oracle_appearance_report(train: list[Triple], cbs_b: np.ndarray,
     return [(q.entity, q.relation, names[q.direction], counts[q] + smoothing,
              100.0 * mass_cbs[q] / total_cbs, 100.0 * mass_mbs[q] / total_mbs)
             for q in lowest]
+
+
+# Line-by-line text readers that the block-wise `load_triples`,
+# `load_scores` and `load_weight_table` replaced, kept as their oracles:
+# one Python loop iteration and one error check per line.
+
+
+def _oracle_text_lines(path: Path):
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}:{lineno + 1}: not UTF-8 text at or after "
+                        f"this line ({exc.reason})") from None
+
+
+def oracle_load_triples(path, existing_vocab: Vocab | None = None):
+    path = Path(path)
+    vocab = existing_vocab if existing_vocab is not None else Vocab()
+
+    def label_id(kind: str, label: str) -> int:
+        to_id = getattr(vocab, f"{kind}_to_id")
+        labels = getattr(vocab, f"{kind}_labels")
+        eid = to_id.get(label)
+        if eid is None:
+            if vocab._frozen:
+                raise VocabMismatchError(f"unknown {kind} label: {label!r}")
+            eid = len(labels)
+            to_id[label] = eid
+            labels.append(label)
+        return eid
+
+    triples: list[Triple] = []
+    for lineno, line in _oracle_text_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, "
+                f"got {len(parts)}")
+        h, r, t = parts
+        triples.append(Triple(label_id("entity", h),
+                              label_id("relation", r),
+                              label_id("entity", t)))
+    if not triples:
+        raise DataError(f"{path}: no triples found")
+    return triples, vocab
+
+
+def _oracle_provenance(comment: str) -> Provenance:
+    fields = dict(item.split("=", 1) for item in comment[1:].split()
+                  if "=" in item)
+
+    def opt_float(key: str) -> float | None:
+        value = fields.get(key, "-")
+        return None if value == "-" else float(value)
+    submodel = fields.get("submodel", "-")
+    return Provenance(source=fields.get("source", "unknown"),
+                      method=fields.get("method", "unknown"),
+                      alpha=opt_float("alpha"), lam=opt_float("lambda"),
+                      submodel_id=None if submodel == "-" else submodel)
+
+
+def oracle_load_weight_table(path) -> WeightTable:
+    path = Path(path)
+    provenance = Provenance(source="unknown", method="unknown")
+    a: list[float] = []
+    b: list[float] = []
+    for lineno, line in _oracle_text_lines(path):
+        try:
+            if line.startswith("#"):
+                provenance = _oracle_provenance(line)
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 fields")
+            if int(parts[0]) != len(a):
+                raise DataError(f"{path}:{lineno}: example ids must be dense")
+            if parts[1] not in DIRECTION_NAMES:
+                raise DataError(f"{path}:{lineno}: bad direction {parts[1]!r}")
+            weights = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not all(0.0 < w < math.inf for w in weights):
+            raise DataError(f"{path}:{lineno}: weights must be finite and "
+                            "positive")
+        a.append(weights[0])
+        b.append(weights[1])
+    if not a:
+        raise DataError(f"{path}: empty weight table")
+    return WeightTable(a=np.array(a), b=np.array(b), provenance=provenance)
+
+
+def oracle_load_scores(path) -> SubModelScores:
+    path = Path(path)
+    submodel_id = "unknown"
+    values: list[float] = []
+    for lineno, line in _oracle_text_lines(path):
+        if line.startswith("#"):
+            fields = dict(item.split("=", 1)
+                          for item in line[1:].split() if "=" in item)
+            submodel_id = fields.get("submodel", submodel_id)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields")
+        try:
+            if int(parts[0]) != len(values):
+                raise DataError(f"{path}:{lineno}: example ids must be dense")
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    if not values:
+        raise DataError(f"{path}: empty score file")
+    return SubModelScores(raw_score=np.array(values), submodel_id=submodel_id)

@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgesub.data import (Dataset, Direction, Triple, answer_of, load_triples,
-                         query_of)
+from kgesub.data import Dataset, Direction, load_triples
 from kgesub.evaluation import build_filter_index, evaluate, filtered_rank
 from kgesub.models import ModelKind, init_params, score_and_grad
 from kgesub.submodel import pretrain_submodel, score_training_triples
@@ -26,7 +25,8 @@ from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
 from kgesub.training import (TrainConfig, batch_loss, continue_train,
                              load_checkpoint, save_checkpoint, train)
 
-from conftest import (TrainExample, example_batch_loss,
+from conftest import (Triple, TrainExample, answer_of, as_triples,
+                      example_batch_loss, query_of,
                       fd_function_row_gradients, fd_score_row_gradients,
                       make_vocab, max_relative_error, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_filtered_rank,
@@ -232,10 +232,10 @@ def test_c5_evaluation_matches_exhaustive_oracle():
                              1.5, seed=trial)
         index = build_filter_index(dataset)
         report = evaluate(params, dataset, "test", index)
-        known = oracle_answer_sets(dataset.train + dataset.valid
-                                   + dataset.test)
+        known = oracle_answer_sets(
+            np.concatenate([dataset.train, dataset.valid, dataset.test]))
         expected = []
-        for triple in dataset.test:
+        for triple in as_triples(dataset.test):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = query_of(triple, direction)
                 answer = answer_of(triple, direction)
@@ -261,7 +261,7 @@ def test_c6_desk_scale_subsampling_direction():
     started = time.monotonic()
     dataset = zipf_kg(7)  # ~50 entities, 5 relations, 500 train links
     counts = {}
-    for triple in dataset.train:
+    for triple in as_triples(dataset.train):
         for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
             key = query_of(triple, direction)
             counts[key] = counts.get(key, 0) + 1

@@ -8,7 +8,7 @@ import pytest
 from kgesub.cli import main
 from kgesub.subsampling import load_weight_table
 
-from conftest import zipf_kg
+from conftest import save_dataset, zipf_kg
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def data_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("kg")
     dataset = zipf_kg(5, num_entities=20, num_relations=3, num_links=160,
                       num_valid=15, num_test=15)
-    dataset.save(directory)
+    save_dataset(dataset, directory)
     return directory
 
 
@@ -330,6 +330,33 @@ class TestSweepCommand:
         assert (best_dir / "checkpoint.bin").exists()
 
 
+class TestSweepResumesTornLedger:
+    def test_ledger_cut_mid_line_resumes(self, data_dir, tmp_path):
+        """A sweep whose ledger a crash cut inside its last record
+        resumes: the cut record is run again and the ledger and the
+        selection equal those of an uninterrupted sweep."""
+        sub_dir, score_dir = tmp_path / "sub", tmp_path / "scores"
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    sub_dir, "--submodel-kind", "distmult"] + FAST) == 0
+        assert run(["score-triples", "--data", data_dir, "--run-dir",
+                    score_dir, "--checkpoint", sub_dir / "submodel.bin"]) == 0
+        sweep_dir = tmp_path / "sweep"
+        args = ["sweep", "--data", data_dir, "--run-dir", sweep_dir,
+                "--method", "freq", "--smoothing", "0",
+                "--submodel-scores", score_dir / "scores.tsv",
+                "--alpha-grid", "1.0,0.5", "--lambda-grid", "0.3,0.7"] + FAST
+        assert run(args) == 0
+        ledger = sweep_dir / "ledger.tsv"
+        whole = ledger.read_bytes()
+        best = (sweep_dir / "best.cfg").read_bytes()
+        last = whole.rstrip(b"\n").rfind(b"\n") + 1
+        ledger.write_bytes(whole[:last + 5])  # `sid\t` and part of alpha
+        (sweep_dir / "best.cfg").unlink()
+        assert run(args) == 0
+        assert ledger.read_bytes() == whole
+        assert (sweep_dir / "best.cfg").read_bytes() == best
+
+
 class TestEvaluateAggregation:
     def test_three_seed_mean_and_sd(self, data_dir, tmp_path):
         checkpoints = []
@@ -414,10 +441,10 @@ class TestQueryAppearanceReport:
         """
         import math
         from kgesub.cli import query_appearance_report
-        from kgesub.data import Dataset, Triple
+        from kgesub.data import Dataset
         from kgesub.subsampling import (SubsamplingMethod,
                                         build_cbs_weights, uniform_weights)
-        from conftest import make_vocab
+        from conftest import Triple, make_vocab
         dataset = Dataset(train=[Triple(0, 0, 1), Triple(0, 0, 2),
                                  Triple(1, 0, 2)],
                           valid=[], test=[], vocab=make_vocab(3, 1))
@@ -434,9 +461,9 @@ class TestQueryAppearanceReport:
 
     def test_uniform_kg_constant_columns(self):
         from kgesub.cli import query_appearance_report
-        from kgesub.data import Dataset, Triple
+        from kgesub.data import Dataset
         from kgesub.subsampling import SubsamplingMethod, build_cbs_weights
-        from conftest import make_vocab
+        from conftest import Triple, make_vocab
         n = 6
         dataset = Dataset(train=[Triple(i, 0, (i + 1) % n)
                                  for i in range(n)],

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgesub.data import (Dataset, Direction, QueryIndex, QueryKey, Triple,
-                         Vocab, load_dataset, load_triples, query_of,
-                         singleton_query_stats)
+from kgesub.data import (Dataset, Direction, QueryIndex, QueryKey, Vocab,
+                         load_dataset, load_triples, singleton_query_stats)
 from kgesub.errors import DataError, KgesubError, VocabMismatchError
 from kgesub.submodel import read_ledger
 from kgesub.subsampling import counted_frequencies, load_scores
 
-from conftest import (brute_force_query_counts, looped_zipf_kg, make_vocab,
-                      oracle_answer_sets, oracle_counted_frequencies,
-                      oracle_query_counts, oracle_singleton_query_stats,
-                      random_triples, sorted_query_counts, zipf_kg)
+from conftest import (Triple, as_triples, brute_force_query_counts,
+                      looped_zipf_kg, make_vocab, oracle_answer_sets,
+                      oracle_counted_frequencies, oracle_query_counts,
+                      oracle_singleton_query_stats, query_of, random_triples,
+                      save_dataset, save_vocab, sorted_query_counts, zipf_kg)
 
 
 def index_of(train, num_entities=None, num_relations=None):
@@ -43,7 +43,8 @@ class TestLoadTriples:
         path = tmp_path / "train.txt"
         path.write_text("a\tr\tb\na\tr\tc\n", encoding="utf-8")
         triples, vocab = load_triples(path)
-        assert triples == [Triple(0, 0, 1), Triple(0, 0, 2)]
+        assert triples.dtype == np.int64
+        assert triples.tolist() == [[0, 0, 1], [0, 0, 2]]
         assert vocab.num_entities == 3
         assert vocab.num_relations == 1
 
@@ -70,8 +71,8 @@ class TestLoadTriples:
         path = tmp_path / "train.txt"
         path.write_text("a\tr\tzz\n", encoding="utf-8")
         vocab = Vocab()
-        vocab.entity_id("a")
-        vocab.relation_id("r")
+        vocab.add("entity", ["a"])
+        vocab.add("relation", ["r"])
         with pytest.raises(VocabMismatchError, match="zz"):
             load_triples(path, vocab.freeze())
 
@@ -85,11 +86,9 @@ class TestLoadTriples:
 class TestVocabRoundTrip:
     def test_save_load_identity(self, tmp_path):
         vocab = Vocab()
-        for label in ("amber", "birch", "cedar"):
-            vocab.entity_id(label)
-        for label in ("grows_near", "taller_than"):
-            vocab.relation_id(label)
-        vocab.save(tmp_path)
+        vocab.add("entity", ["amber", "birch", "cedar"])
+        vocab.add("relation", ["grows_near", "taller_than"])
+        save_vocab(vocab, tmp_path)
         loaded = Vocab.load(tmp_path)
         assert loaded.entity_to_id == vocab.entity_to_id
         assert loaded.relation_to_id == vocab.relation_to_id
@@ -117,11 +116,11 @@ class TestVocabRoundTrip:
             load_triples(tmp_path / "train.txt")
 
     def test_dataset_round_trip(self, tmp_path, toy_dataset):
-        toy_dataset.save(tmp_path)
+        save_dataset(toy_dataset, tmp_path)
         loaded = load_dataset(tmp_path)
-        assert loaded.train == toy_dataset.train
-        assert loaded.valid == toy_dataset.valid
-        assert loaded.test == toy_dataset.test
+        np.testing.assert_array_equal(loaded.train, toy_dataset.train)
+        np.testing.assert_array_equal(loaded.valid, toy_dataset.valid)
+        np.testing.assert_array_equal(loaded.test, toy_dataset.test)
         assert loaded.vocab.entity_labels == toy_dataset.vocab.entity_labels
 
 
@@ -193,8 +192,9 @@ class TestQueryIndex:
     def test_examples_in_example_id_order(self):
         dataset = looped_zipf_kg(3)
         index = dataset.train_index
+        train = as_triples(dataset.train)
         for eid in range(dataset.num_examples):
-            triple, direction = dataset.train[eid // 2], Direction(eid % 2)
+            triple, direction = train[eid // 2], Direction(eid % 2)
             q = index.query_id[eid]
             key = (index.direction[q], index.entity[q], index.relation[q])
             assert key == query_of(triple, direction)
@@ -355,4 +355,5 @@ class TestDataset:
 
     def test_make_vocab_is_dense(self):
         vocab = make_vocab(4, 2)
-        assert [vocab.entity_id(f"e{i}") for i in range(4)] == [0, 1, 2, 3]
+        assert vocab.ids("entity", [f"e{i}" for i in range(4)]).tolist() \
+            == [0, 1, 2, 3]

@@ -1,23 +1,26 @@
 """Filtered ranking, metrics, and multi-run aggregation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kgesub import models
-from kgesub.data import (Dataset, Direction, QueryKey, Triple, answer_of,
-                         query_of)
+from kgesub.data import Dataset, Direction, QueryKey
 from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, build_filter_index,
                                evaluate, filtered_rank, format_report,
                                write_rank_dump)
 from kgesub.models import ModelKind, init_params
 
-from conftest import (looped_zipf_kg, make_vocab, oracle_answer_sets,
-                      oracle_filtered_rank, random_kg, score_batch)
+from conftest import (Triple, answer_of, as_triples, looped_zipf_kg,
+                      make_vocab, oracle_answer_sets, oracle_filtered_rank,
+                      query_of, random_kg, score_batch)
 
 
 def known_answers(dataset):
-    return oracle_answer_sets(dataset.train + dataset.valid + dataset.test)
+    return oracle_answer_sets(
+        np.concatenate([dataset.train, dataset.valid, dataset.test]))
 
 
 def scripted_distmult(values: np.ndarray):
@@ -124,7 +127,7 @@ class TestEvaluate:
             report = evaluate(params, dataset, "test")
             known = known_answers(dataset)
             expected_ranks = []
-            for triple in dataset.test:
+            for triple in as_triples(dataset.test):
                 for direction in (Direction.TAIL_QUERY,
                                   Direction.HEAD_QUERY):
                     query = query_of(triple, direction)
@@ -140,7 +143,8 @@ class TestEvaluate:
     def test_duplicated_triple_keeps_metrics(self):
         params, dataset = self._perfect_transe_dataset()
         doubled = Dataset(train=dataset.train, valid=dataset.valid,
-                          test=dataset.test * 2, vocab=dataset.vocab)
+                          test=np.concatenate([dataset.test] * 2),
+                          vocab=dataset.vocab)
         a = evaluate(params, dataset, "test")
         b = evaluate(params, doubled, "test")
         assert a.mrr == b.mrr
@@ -159,7 +163,7 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         rng = np.random.default_rng(7)
         dataset = random_kg(rng)
-        dataset.valid.clear()
+        dataset = replace(dataset, valid=[])
         params = init_params(ModelKind.TRANSE, 10, 3, 6, 1.0, seed=8)
         with pytest.raises(ValueError):
             evaluate(params, dataset, "valid")
@@ -172,7 +176,8 @@ class TestEvaluate:
         for trial, kind in enumerate(list(ModelKind) * 2):
             dataset = random_kg(rng, num_entities=30, num_relations=2,
                                 num_train=60, num_test=25)
-            dataset.test.extend(dataset.test[:5])
+            dataset = replace(dataset, test=np.concatenate(
+                [dataset.test, dataset.test[:5]]))
             params = init_params(kind, 30, 2, 6, 1.5, seed=trial)
             if trial >= 5:  # identical rows tie under every kind
                 params.entity_emb[::4] = params.entity_emb[1]
@@ -180,7 +185,7 @@ class TestEvaluate:
             report = evaluate(params, dataset, "test", index)
             known = known_answers(dataset)
             expected, queries = [], []
-            for triple in dataset.test:
+            for triple in as_triples(dataset.test):
                 for direction in (Direction.TAIL_QUERY,
                                   Direction.HEAD_QUERY):
                     query = query_of(triple, direction)
@@ -229,7 +234,7 @@ class TestEvaluate:
                             num_train=30, num_test=8)
         params = init_params(ModelKind.HAKE, 10, 2, 8, 2.0, seed=10)
         known = known_answers(dataset)
-        for triple in dataset.test:
+        for triple in as_triples(dataset.test):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = query_of(triple, direction)
                 answer = answer_of(triple, direction)

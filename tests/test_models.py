@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgesub import models
-from kgesub.data import Direction, QueryKey, Triple
+from kgesub.data import Direction, QueryKey
 from kgesub.errors import CheckpointError
 from kgesub.models import (ModelKind, init_params, iter_candidate_scores,
                            load_params, load_tagged_params, relation_dim,
                            save_params, score_and_grad, score_triples)
 
-from conftest import (fd_score_row_gradients, looped_zipf_kg,
-                      max_relative_error, score, score_batch, score_gradient)
+from conftest import (Triple, as_triples, fd_score_row_gradients,
+                      looped_zipf_kg, max_relative_error, score, score_batch,
+                      score_gradient)
 
 ALL_KINDS = list(ModelKind)
 GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [
@@ -265,9 +266,10 @@ class TestScoreGradient:
                                  num_valid=10, num_test=10)
         params = init_params(kind, 20, dataset.num_relations, 8, 2.0,
                              seed=15, aux=aux)
-        blocks = _triple_slots(params, dataset.train)
-        assert any(h == t for h, _, t in dataset.train)
-        for i, triple in enumerate(dataset.train):
+        train = as_triples(dataset.train)
+        blocks = _triple_slots(params, train)
+        assert any(h == t for h, _, t in train)
+        for i, triple in enumerate(train):
             assert abs(blocks[0][i] - score(params, triple)) <= 1e-12
             for got, want in zip(blocks[1:], score_gradient(params, triple)):
                 assert (np.abs(got[i] - want).max()

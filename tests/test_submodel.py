@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kgesub.data import Dataset, Triple
+from kgesub.data import Dataset
 from kgesub.errors import DataError, VocabMismatchError
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import (GridRecord, append_ledger, pretrain_submodel,
@@ -72,7 +72,7 @@ class TestScoreTrainingTriples:
     def test_permuting_train_permutes_scores(self, toy_dataset):
         params = init_params(ModelKind.ROTATE, 3, 1, 4, 1.0, seed=4)
         base = score_training_triples(params, toy_dataset, "x")
-        flipped = Dataset(train=list(reversed(toy_dataset.train)),
+        flipped = Dataset(train=toy_dataset.train[::-1],
                           valid=toy_dataset.valid, test=toy_dataset.test,
                           vocab=toy_dataset.vocab)
         permuted = score_training_triples(params, flipped, "x")
@@ -215,6 +215,30 @@ class TestSelectSubmodel:
         assert second.alpha == first.alpha
         assert second.lam == first.lam
 
+    @pytest.mark.parametrize("cut", [1, 7, -2])
+    def test_torn_last_record_is_run_again(self, tmp_path, cut):
+        """A resumed search drops a last record cut short by a crash,
+        even one that still parses (an MRR missing its last digits),
+        and appends the point's full record after the whole lines."""
+        ledger = tmp_path / "ledger.tsv"
+        def point(scores, alpha, lam):
+            return 0.375 if lam is None else 0.25
+        select_submodel([fake_scores("m")], [1.0, 2.0], [0.5], point,
+                        ledger_path=ledger)
+        whole = ledger.read_bytes()
+        last = whole.rstrip(b"\n").rfind(b"\n") + 1
+        ledger.write_bytes(whole[:last + cut] if cut > 0
+                           else whole[:cut])
+        calls = []
+        def counted(scores, alpha, lam):
+            calls.append((alpha, lam))
+            return point(scores, alpha, lam)
+        select_submodel([fake_scores("m")], [1.0, 2.0], [0.5], counted,
+                        ledger_path=ledger)
+        assert calls == [(1.0, 0.5)]  # only the torn stage-two point
+        assert ledger.read_bytes() == whole
+        assert len(read_ledger(ledger)) == 3
+
     def test_ledger_round_trip(self, tmp_path):
         ledger = tmp_path / "ledger.tsv"
         record = GridRecord("m", 0.5, None, 0.25)
@@ -256,17 +280,17 @@ class TestAllCandidatesQueryMass:
         np.testing.assert_allclose(f_x, 3.0, atol=1e-12)
 
     def test_matches_brute_force_probability_sums(self, toy_dataset):
-        from kgesub.data import Direction, query_of
-        from conftest import score
+        from kgesub.data import Direction
+        from conftest import Triple, as_triples, query_of, score
         from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.COMPLEX, 3, 1, 4, 1.0, seed=7)
         _, f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
         train_scores = []
-        for triple in toy_dataset.train:
+        for triple in as_triples(toy_dataset.train):
             train_scores.extend([score(sub, triple)] * 2)
         z = np.exp(np.array(train_scores)).sum()
         n = toy_dataset.num_examples
-        for i, triple in enumerate(toy_dataset.train):
+        for i, triple in enumerate(as_triples(toy_dataset.train)):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = query_of(triple, direction)
                 mass = 0.0
@@ -287,8 +311,8 @@ class TestAllCandidatesQueryMass:
         """Chunked unique-query scoring gives the per-example masses of
         scoring every example's query on its own."""
         from kgesub import models
-        from kgesub.data import Direction, query_of
-        from conftest import score_batch
+        from kgesub.data import Direction
+        from conftest import as_triples, query_of, score_batch
         from kgesub.submodel import mbs_frequencies_all_candidates
         from conftest import zipf_kg
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 50 * 7)
@@ -302,7 +326,7 @@ class TestAllCandidatesQueryMass:
         n = dataset.num_examples
         candidates = np.arange(dataset.num_entities)
         expected = np.empty(n)
-        for i, triple in enumerate(dataset.train):
+        for i, triple in enumerate(as_triples(dataset.train)):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 scores = score_batch(sub, query_of(triple, direction),
                                      candidates)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgesub.data import Dataset, Direction, Triple, query_of
+from kgesub.data import Dataset, Direction
 from kgesub.errors import DataError, DegenerateInputError
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 WeightTable, build_cbs_weights,
@@ -18,9 +18,9 @@ from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 mix_weights, save_scores, save_weight_table,
                                 softmax_over_train, uniform_weights)
 
-from conftest import (looped_zipf_kg, make_vocab,
+from conftest import (Triple, as_triples, looped_zipf_kg, make_vocab,
                       oracle_counted_frequencies,
-                      oracle_mbs_query_frequencies, random_kg)
+                      oracle_mbs_query_frequencies, query_of, random_kg)
 
 
 def cycle_dataset(n=6):
@@ -158,7 +158,7 @@ class TestMbsFrequencies:
         p = rng.dirichlet(np.ones(n))
         _, f_x = mbs_frequencies(toy_dataset, p)
         per_query = {}
-        for i, triple in enumerate(toy_dataset.train):
+        for i, triple in enumerate(as_triples(toy_dataset.train)):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 per_query[query_of(triple, direction)] = \
                     f_x[2 * i + int(direction)]

@@ -1,0 +1,366 @@
+"""Block-wise text readers against the line-by-line oracles.
+
+`load_triples`, `load_scores` and `load_weight_table` parse about
+`data.BLOCK_BYTES` of lines at a time and read a failing block again
+line by line.  Generated files, cut into blocks of sizes from one line
+to 1 MiB, must give the oracles' ids, vocabulary order and bitwise
+arrays, or the same exception type and message.
+"""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgesub import data
+from kgesub.data import Dataset, Vocab, load_triples
+from kgesub.errors import DataError, KgesubError
+from kgesub.subsampling import (Provenance, SubsamplingMethod,
+                                build_mbs_weights, load_scores,
+                                load_weight_table, save_weight_table,
+                                uniform_weights)
+
+from conftest import (make_vocab, oracle_load_scores, oracle_load_triples,
+                      oracle_load_weight_table)
+
+# "\x0b", "\x85" and "\u2028" end a line for str.splitlines but not
+# for the text reader
+LABEL = st.text(alphabet=list("ab#= ") + ["é", "中", "😀", "\x0b", "\x85",
+                                          "\u2028"], max_size=3)
+BAD_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])
+BLOCK = st.sampled_from([1, 7, 64, 1 << 20])
+# files of more than 1 MiB, read in blocks of the default size and of 1 MiB
+BIG_BLOCK = st.sampled_from([data.BLOCK_BYTES, 1 << 20])
+# weighted toward well-formed lines so that long valid runs occur
+LINE_KIND = st.sampled_from(["row"] * 12 + ["comment", "blank", "fields",
+                                             "cr"])
+
+
+@st.composite
+def text_file(draw, row, start: int = 0) -> bytes:
+    """Lines of `row(draw, index)` rows, comments, blank lines, lines of
+    any field count and rows cut by "\r", with mixed line endings and
+    maybe undecodable bytes somewhere."""
+    lines, rows = [], start
+    for kind in draw(st.lists(LINE_KIND, max_size=25)):
+        if kind == "row":
+            lines.append(row(draw, rows))
+            rows += 1
+        elif kind == "comment":
+            lines.append("#" + draw(st.text(max_size=6)))
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "cr":  # "\r" inside a row ends a line
+            line = row(draw, rows)
+            cut = draw(st.integers(0, len(line)))
+            lines.append(line[:cut] + "\r" + line[cut:])
+        else:
+            lines.append("\t".join(draw(st.lists(LABEL, min_size=1,
+                                                 max_size=5))))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and draw(st.booleans()):
+        text = text[:-len(endings[-1])]  # no newline at the end
+    blob = text.encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        cut = draw(st.integers(0, len(blob)))
+        blob = blob[:cut] + draw(BAD_BYTES) + blob[cut:]
+    return blob
+
+
+def triple_row(draw, index: int) -> str:
+    return "\t".join(draw(st.tuples(LABEL, LABEL, LABEL)))
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", " 1.5 ", "1_0.5",
+                     "0x1p3", "abc", "", "٣.5", "0", "-1"]))
+
+
+def example_id(draw, index: int) -> str:
+    return draw(st.sampled_from([str(index)] * 8 + [
+        f"+{index}", f" {index}", f"0{index}", str(index + 1), "x",
+        "9" * 30]))
+
+
+def score_row(draw, index: int) -> str:
+    return f"{example_id(draw, index)}\t{draw(NUMBER)}"
+
+
+def weight_row(draw, index: int) -> str:
+    direction = draw(st.sampled_from(["tail-query", "head-query"] * 4
+                                     + ["head", ""]))
+    return f"{example_id(draw, index)}\t{direction}\t{draw(NUMBER)}\t" \
+           f"{draw(NUMBER)}"
+
+
+def outcome(load, path: Path, *args):
+    """What a reader gives: ("ok", value) or (exception type, message)."""
+    try:
+        return "ok", load(path, *args)
+    except KgesubError as exc:
+        return type(exc), str(exc)
+
+
+def same_triples(got, want) -> None:
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    (triples, vocab), (oracle_triples, oracle_vocab) = got[1], want[1]
+    assert triples.dtype == np.int64 and triples.shape == (len(oracle_triples), 3)
+    assert triples.tolist() == [list(t) for t in oracle_triples]
+    assert vocab.entity_labels == oracle_vocab.entity_labels
+    assert vocab.relation_labels == oracle_vocab.relation_labels
+    assert vocab.entity_to_id == oracle_vocab.entity_to_id
+    assert vocab.relation_to_id == oracle_vocab.relation_to_id
+
+
+def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    return (x.dtype == y.dtype == np.float64 and x.shape == y.shape
+            and np.array_equal(x.view(np.uint64), y.view(np.uint64)))
+
+
+def same_scores(got, want) -> None:
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    assert got[1].submodel_id == want[1].submodel_id
+    assert bitwise_equal(got[1].raw_score, want[1].raw_score)
+
+
+def same_tables(got, want) -> None:
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    assert got[1].provenance == want[1].provenance
+    assert bitwise_equal(got[1].a, want[1].a)
+    assert bitwise_equal(got[1].b, want[1].b)
+
+
+def written(directory: str, blob: bytes, name: str = "input.txt") -> Path:
+    path = Path(directory) / name
+    path.write_bytes(blob)
+    return path
+
+
+def frozen_vocab(entities: list[str], relations: list[str]) -> Vocab:
+    vocab = Vocab()
+    vocab.add("entity", entities)
+    vocab.add("relation", relations)
+    return vocab.freeze()
+
+
+class TestTriples:
+    @settings(max_examples=150, deadline=None)
+    @given(blob=text_file(triple_row), block=BLOCK)
+    def test_matches_line_oracle(self, blob, block):
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, blob)
+            same_triples(outcome(load_triples, path),
+                         outcome(oracle_load_triples, path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=text_file(triple_row), block=BLOCK,
+           entities=st.lists(LABEL, max_size=6),
+           relations=st.lists(LABEL, max_size=3))
+    def test_matches_line_oracle_under_frozen_vocab(self, blob, block,
+                                                    entities, relations):
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, blob)
+            same_triples(
+                outcome(load_triples, path,
+                        frozen_vocab(entities, relations)),
+                outcome(oracle_load_triples, path,
+                        frozen_vocab(entities, relations)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=text_file(triple_row), second=text_file(triple_row),
+           block=BLOCK)
+    def test_ids_continue_across_files(self, first, second, block):
+        """The second file extends the first one's vocabulary, as the
+        splits of a dataset do."""
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            paths = (written(directory, first, "a.txt"),
+                     written(directory, second, "b.txt"))
+            vocab, oracle_vocab = Vocab(), Vocab()
+            for path in paths:
+                same_triples(outcome(load_triples, path, vocab),
+                             outcome(oracle_load_triples, path,
+                                     oracle_vocab))
+
+    @settings(max_examples=3, deadline=None)
+    @given(tail=text_file(triple_row), block=BIG_BLOCK)
+    def test_error_in_a_later_megabyte_block(self, tail, block):
+        """Behind more than 1 MiB of good lines, a generated tail (bad
+        field counts, undecodable bytes) reads like the oracle reads it."""
+        filler = "".join(f"f{i}\tq{i % 5}\tf{i * 7 % 9000}\n"
+                         for i in range(80_000)).encode("utf-8")
+        assert len(filler) > 1 << 20
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, filler + tail)
+            same_triples(outcome(load_triples, path),
+                         outcome(oracle_load_triples, path))
+
+
+class TestScores:
+    @settings(max_examples=150, deadline=None)
+    @given(blob=text_file(score_row), block=BLOCK)
+    def test_matches_line_oracle(self, blob, block):
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, blob)
+            same_scores(outcome(load_scores, path),
+                        outcome(oracle_load_scores, path))
+
+    @settings(max_examples=3, deadline=None)
+    @given(tail=text_file(score_row, start=120_000), block=BIG_BLOCK)
+    def test_error_in_a_later_megabyte_block(self, tail, block):
+        filler = ("# submodel=filler\n" + "".join(
+            f"{i}\t{i / 7!r}\n" for i in range(120_000))).encode("utf-8")
+        assert len(filler) > 1 << 20
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, filler + b"\n" + tail)
+            same_scores(outcome(load_scores, path),
+                        outcome(oracle_load_scores, path))
+
+
+HEADER = st.one_of(
+    st.text(max_size=8),
+    st.builds(lambda alpha, lam: f" source=mbs method=freq alpha={alpha} "
+                                 f"lambda={lam} submodel=s",
+              st.sampled_from(["0.5", "-", "zz", "1e400"]),
+              st.sampled_from(["0.3", "-", "x"])))
+
+
+def weight_file(start: int = 0):
+    """Weight-table files whose comments are provenance headers; none
+    has `examples=`, the header-only form the oracle predates."""
+    return st.tuples(HEADER, text_file(weight_row, start)).map(
+        lambda parts: ("#" + parts[0].replace("examples=", "")
+                       ).encode("utf-8") + b"\n" + parts[1]
+        if parts[0] else parts[1])
+
+
+class TestWeightTables:
+    @settings(max_examples=150, deadline=None)
+    @given(blob=weight_file(), block=BLOCK)
+    def test_matches_line_oracle(self, blob, block):
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, blob)
+            same_tables(outcome(load_weight_table, path),
+                        outcome(oracle_load_weight_table, path))
+
+    @settings(max_examples=3, deadline=None)
+    @given(tail=text_file(weight_row, start=50_000), block=BIG_BLOCK)
+    def test_error_in_a_later_megabyte_block(self, tail, block):
+        filler = ("# source=cbs method=base alpha=- lambda=- submodel=-\n"
+                  + "".join(f"{i}\thead-query\t{i / 3 + 1!r}\t{2.5 / (i + 1)!r}\n"
+                            for i in range(50_000))).encode("utf-8")
+        assert len(filler) > 1 << 20
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, filler + b"\n" + tail)
+            same_tables(outcome(load_weight_table, path),
+                        outcome(oracle_load_weight_table, path))
+
+
+class TestHeaderOnlyTables:
+    def test_uniform_table_is_its_header(self, tmp_path):
+        path = tmp_path / "weights.tsv"
+        save_weight_table(uniform_weights(7), path)
+        assert path.read_text(encoding="utf-8") == (
+            "# source=none method=none alpha=- lambda=- submodel=- "
+            "examples=7\n")
+        table = load_weight_table(path)
+        assert table.provenance == Provenance(source="none", method="none")
+        np.testing.assert_array_equal(table.a, np.ones(7))
+        np.testing.assert_array_equal(table.b, np.ones(7))
+
+    def test_the_condition_is_the_weights_not_the_source(self, tmp_path):
+        """A model-based table of method None is all ones too, and a
+        table with one weight off 1 keeps its rows."""
+        path = tmp_path / "weights.tsv"
+        table = build_mbs_weights(np.ones(4), np.ones(4),
+                                  SubsamplingMethod.NONE, 0.5,
+                                  submodel_id="m")
+        save_weight_table(table, path)
+        assert path.read_text(encoding="utf-8").count("\n") == 1
+        assert load_weight_table(path).provenance == table.provenance
+        table.b[3] = 1.5
+        save_weight_table(table, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 5 and "examples=" not in lines[0]
+        loaded = load_weight_table(path)
+        assert loaded.b.tolist() == [1.0, 1.0, 1.0, 1.5]
+
+    def test_row_form_of_a_uniform_table_still_loads(self, tmp_path):
+        path = tmp_path / "weights.tsv"
+        path.write_text("# source=none method=none alpha=- lambda=- "
+                        "submodel=-\n0\ttail-query\t1.0\t1.0\n"
+                        "1\thead-query\t1.0\t1.0\n", encoding="utf-8")
+        table = load_weight_table(path)
+        assert table.a.tolist() == table.b.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("body, message", [
+        ("# source=none examples=3\n0\ttail-query\t1.0\t1.0\n",
+         "header gives 3 examples, table has 1"),
+        ("# source=none examples=-2\n", "header gives -2 examples"),
+        ("# source=none examples=0\n", "empty weight table"),
+        ("# source=none\n", "empty weight table"),
+        ("# source=none examples=two\n", ":1: invalid literal"),
+    ])
+    def test_bad_header_only_tables(self, tmp_path, body, message):
+        path = tmp_path / "weights.tsv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            load_weight_table(path)
+
+    def test_a_huge_count_allocates_nothing(self, tmp_path):
+        """The ones are a read-only view, so a header cannot make the
+        reader allocate memory in proportion to its count."""
+        path = tmp_path / "weights.tsv"
+        path.write_text("# source=none examples=1000000000000\n",
+                        encoding="utf-8")
+        table = load_weight_table(path)
+        assert table.num_examples == 10 ** 12
+        assert not table.a.flags.writeable
+        assert table.a.strides == (0,)
+
+
+class TestDatasetArrays:
+    def test_splits_are_read_only_int64_arrays(self, toy_dataset):
+        for split in (toy_dataset.train, toy_dataset.valid,
+                      toy_dataset.test):
+            assert split.dtype == np.int64 and split.ndim == 2
+            assert split.shape[1] == 3
+            with pytest.raises(ValueError):
+                split[0, 0] = 1
+
+    def test_empty_sequences_become_empty_arrays(self):
+        dataset = Dataset(train=[(0, 0, 1)], valid=[], test=(),
+                          vocab=make_vocab(2, 1))
+        assert dataset.valid.shape == dataset.test.shape == (0, 3)
+
+    def test_source_arrays_are_copied(self):
+        ids = np.array([[0, 0, 1]])
+        dataset = Dataset(train=ids, valid=ids, test=ids,
+                          vocab=make_vocab(2, 1))
+        ids[0, 0] = 1
+        assert ids.flags.writeable
+        assert dataset.train.tolist() == [[0, 0, 1]]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kgesub.data import Dataset, Direction, QueryIndex, Triple
+from kgesub.data import Dataset, Direction, QueryIndex
 from kgesub.errors import DegenerateInputError, TrainingDivergedError
 from kgesub.models import ModelKind, init_params
 from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
@@ -15,7 +15,7 @@ from kgesub.training import (OptimizerState, TrainConfig, _apply_update,
                              batch_loss, load_checkpoint, sample_negatives,
                              save_checkpoint, train, continue_train)
 
-from conftest import (TrainExample, example_batch_loss,
+from conftest import (Triple, TrainExample, as_triples, example_batch_loss,
                       fd_function_row_gradients, looped_zipf_kg, make_vocab,
                       max_relative_error, oracle_answer_sets,
                       oracle_apply_update, oracle_batch_loss,
@@ -261,7 +261,8 @@ ORACLE_IDS = [f"{kind.value}{'-l2' if aux else ''}-beta{beta:g}"
 
 def oracle_batch(dataset, ids, negatives, weights):
     """The (example, negatives) pairs of the dict-loop oracle."""
-    return [(make_example(dataset.train[e // 2], Direction(e % 2),
+    train = as_triples(dataset.train)
+    return [(make_example(train[e // 2], Direction(e % 2),
                           weights.a[e], weights.b[e]), row)
             for e, row in zip(ids.tolist(), negatives)]
 
@@ -340,7 +341,8 @@ class TestBatchLoss:
         """Loss to 1e-12 and every touched row's gradient to 1e-12
         relative of the per-triple dict loop, self-loops included."""
         dataset, ids, negatives, weights, params = looped_step(3, kind, aux)
-        assert any(dataset.train[e // 2].head == dataset.train[e // 2].tail
+        train = as_triples(dataset.train)
+        assert any(train[e // 2].head == train[e // 2].tail
                    for e in ids.tolist())
         loss, grads = batch_loss(params, dataset.train_index, ids, negatives,
                                  weights, beta)
