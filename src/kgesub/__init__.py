@@ -1,6 +1,7 @@
 """Knowledge-graph embedding training with pluggable subsampling.
 
 Subpackages:
+    config       the run settings: one schema for files, flags and checks
     data         triples, vocabularies, the query index
     models       batched scores and gradients, parameter checkpoints
     subsampling  count-based / model-based / mixed weight tables
@@ -24,7 +25,7 @@ from .subsampling import (ALPHA_GRID, LAMBDA_GRID, SubModelScores,
                           build_mbs_weights, counted_frequencies,
                           mbs_frequencies, mix_weights, softmax_over_train,
                           uniform_weights)
-from .training import (Gradients, TrainConfig, batch_loss, load_checkpoint,
+from .training import (Gradients, batch_loss, load_checkpoint,
                        sample_negatives, save_checkpoint, train)
 
 __version__ = "0.1.0"

@@ -15,25 +15,26 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, submodel, subsampling, training
-from .config import RunConfig, load_config, save_config, validate_config
+from .config import (RunConfig, check_setting, file_key, flag_name,
+                     load_config, save_config)
 from .data import (DIRECTION_NAMES, Dataset, load_dataset,
                    singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
-from .models import (ModelKind, default_aux, init_params, load_params,
-                     load_tagged_params, save_params)
+from .models import (ModelKind, init_params, load_params, load_tagged_params,
+                     save_params)
 from .subsampling import (SubModelScores, SubsamplingMethod, WeightTable,
                           build_cbs_weights, build_mbs_weights, load_scores,
                           mbs_frequencies, mix_weights, save_scores,
                           save_weight_table, softmax_over_train,
                           uniform_weights)
-from .training import TrainConfig, save_checkpoint
+from .training import save_checkpoint
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,14 +72,11 @@ def _write_manifest(run_dir: Path, artifacts: dict[str, Path]) -> None:
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    # every flag is named after its field, except --data for data_dir
-    for field in fields(RunConfig):
-        value = getattr(args, "data" if field.name == "data_dir"
-                        else field.name, None)
-        if value is not None:
-            setattr(config, field.name, value)
-    validate_config(config)
-    return config
+    # each setting's flag stores into the field of that name
+    return replace(config, **{
+        setting.name: getattr(args, setting.name)
+        for setting in fields(RunConfig)
+        if getattr(args, setting.name, None) is not None})
 
 
 def _load_data(config: RunConfig) -> Dataset:
@@ -94,16 +92,6 @@ def _start(args) -> tuple[RunConfig, Dataset, Path]:
     config = _resolve_config(args)
     dataset = _load_data(config)
     return config, dataset, _make_run_dir(args)
-
-
-def _model_aux(config: RunConfig) -> dict[str, float]:
-    return {key: getattr(config, key)
-            for key in default_aux(ModelKind.from_string(config.model))}
-
-
-def _train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(config, f.name)
-                          for f in fields(TrainConfig)})
 
 
 def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
@@ -165,11 +153,10 @@ def cmd_train(args) -> int:
     kind = ModelKind.from_string(config.model)
     params = init_params(kind, dataset.num_entities, dataset.num_relations,
                          config.dim, config.gamma, config.seed,
-                         aux=_model_aux(config),
+                         aux=config.model_aux(),
                          init_epsilon=config.init_epsilon)
     callback = _valid_mrr_callback(dataset) if config.valid_every > 0 else None
-    result = training.train(dataset, weights, params, _train_config(config),
-                            callback)
+    result = training.train(dataset, weights, params, config, callback)
     save_checkpoint(result.state, run_dir / "checkpoint.bin")
     training.write_log(result.log, run_dir / "train.log")
     _write_manifest(run_dir, {
@@ -235,9 +222,7 @@ def cmd_pretrain_submodel(args) -> int:
     save_config(config, run_dir / "config.resolved.cfg")
     kind = ModelKind.from_string(args.submodel_kind or config.model)
     params, sid = submodel.pretrain_submodel(
-        dataset, kind, args.submodel_subsampling, config.dim, config.gamma,
-        _train_config(config), aux=_model_aux(config),
-        smoothing=config.smoothing, init_epsilon=config.init_epsilon)
+        dataset, kind, args.submodel_subsampling, config)
     save_params(params, run_dir / "submodel.bin", tag=sid)
     _write_manifest(run_dir, {
         "config": run_dir / "config.resolved.cfg",
@@ -344,25 +329,26 @@ def cmd_sweep(args) -> int:
     if config.method == "none":
         raise ConfigError("sweep needs a subsampling method "
                           "(base, freq, or uniq)")
+    alpha_grid = _parse_grid(args.alpha_grid, subsampling.ALPHA_GRID,
+                             "alpha")
+    lambda_grid = _parse_grid(args.lambda_grid, subsampling.LAMBDA_GRID,
+                              "lam")
     dataset = _load_data(config)
     run_dir = _make_run_dir(args)
     save_config(config, run_dir / "config.resolved.cfg")
 
     candidates = [_load_scores_checked(path, dataset)
-                  for path in args.submodel_scores]
+                  for path in args.candidate_scores]
     by_id = {}
-    for path, scores in zip(args.submodel_scores, candidates):
+    for path, scores in zip(args.candidate_scores, candidates):
         if scores.submodel_id in by_id:
             raise ConfigError(
                 f"duplicate sub-model id {scores.submodel_id!r}")
         by_id[scores.submodel_id] = path
-    alpha_grid = _parse_grid(args.alpha_grid, subsampling.ALPHA_GRID)
-    lambda_grid = _parse_grid(args.lambda_grid, subsampling.LAMBDA_GRID)
 
     method = SubsamplingMethod.from_string(config.method)
     cbs = build_cbs_weights(dataset, method, config.smoothing)
     kind = ModelKind.from_string(config.model)
-    train_config = _train_config(config)
     filter_index = evaluation.build_filter_index(dataset)
 
     def evaluate_point(scores: SubModelScores, alpha: float,
@@ -375,10 +361,10 @@ def cmd_sweep(args) -> int:
             table = mix_weights(cbs, table, lam)
         params = init_params(kind, dataset.num_entities,
                              dataset.num_relations, config.dim, config.gamma,
-                             config.seed, aux=_model_aux(config),
+                             config.seed, aux=config.model_aux(),
                              init_epsilon=config.init_epsilon)
         result = training.train(dataset, weights=table, params=params,
-                                config=train_config)
+                                config=config)
         mrr = evaluation.evaluate(result.params, dataset, "valid",
                                   filter_index).mrr
         lam_text = "-" if lam is None else lam
@@ -390,11 +376,10 @@ def cmd_sweep(args) -> int:
     selection = submodel.select_submodel(candidates, alpha_grid, lambda_grid,
                                          evaluate_point,
                                          ledger_path=ledger_path)
-    best = RunConfig(**vars(config))
-    best.subsampling = "mix"
-    best.alpha = selection.alpha
-    best.lam = selection.lam
-    best.submodel_scores = str(by_id[selection.submodel_id])
+    # the grid ran on score files, so the best point's mass is observed
+    best = replace(config, subsampling="mix", alpha=selection.alpha,
+                   lam=selection.lam, mbs_query_mass="observed",
+                   submodel_scores=str(by_id[selection.submodel_id]))
     save_config(best, run_dir / "best.cfg")
     _write_manifest(run_dir, {
         "config": run_dir / "config.resolved.cfg",
@@ -410,62 +395,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_grid(text: str | None, default: tuple[float, ...]) -> list[float]:
+def _parse_grid(text: str | None, default: tuple[float, ...],
+                setting: str) -> list[float]:
+    """Grid points for `setting`, each held to that setting's range."""
     if not text:
         return list(default)
     try:
-        return [float(item) for item in text.split(",") if item.strip()]
+        points = [float(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}") from exc
+    return [check_setting(setting, point) for point in points]
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="config file (key = value sections)")
-    sub.add_argument("--run-dir", help="exact artifact directory "
-                     "(default: timestamped under --out)")
-    sub.add_argument("--out", default="runs",
-                     help="base directory for timestamped run dirs")
-    sub.add_argument("--data", help="dataset directory with "
-                     "train.txt/valid.txt/test.txt")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--smoothing", type=float)
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model",
-                     choices=[kind.value for kind in ModelKind])
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--norm-p", dest="norm_p", type=float)
-    sub.add_argument("--phase-weight", dest="phase_weight", type=float)
-    sub.add_argument("--init-epsilon", dest="init_epsilon", type=float)
-
-
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--nu", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--optimizer", choices=["adam", "sgd"])
-    sub.add_argument("--adversarial-beta", dest="adversarial_beta",
-                     type=float)
-    sub.add_argument("--valid-every", dest="valid_every", type=int)
-
-
-def _add_subsampling_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--subsampling",
-                     choices=["none", "cbs", "mbs", "mix"])
-    sub.add_argument("--method", choices=["none", "base", "freq", "uniq"])
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--submodel-scores", dest="submodel_scores")
-    sub.add_argument("--mbs-query-mass", dest="mbs_query_mass",
-                     choices=["observed", "all_candidates"])
-    sub.add_argument("--submodel-checkpoint", dest="submodel_checkpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,74 +417,72 @@ def build_parser() -> argparse.ArgumentParser:
                                  "pluggable subsampling")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("train", parents=[], help="build weights and "
-                              "train a model")
-    _add_common(sub)
-    _add_model_flags(sub)
-    _add_train_flags(sub)
-    _add_subsampling_flags(sub)
-    sub.set_defaults(func=cmd_train)
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        """A subcommand with the run-directory flags and the flag of
+        every setting that the command takes."""
+        sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        sub.add_argument("--config", help="config file (key = value "
+                         "sections)")
+        sub.add_argument("--run-dir", help="exact artifact directory "
+                         "(default: timestamped under --out)")
+        sub.add_argument("--out", default="runs",
+                         help="base directory for timestamped run dirs")
+        for setting in fields(RunConfig):
+            takers = setting.metadata["commands"]
+            if takers is None or name in takers:
+                section, key = file_key(setting)
+                sub.add_argument(
+                    flag_name(setting), dest=setting.name,
+                    type=type(setting.default),
+                    choices=setting.metadata["choices"] or None,
+                    help=f"overrides [{section}] {key}")
+        return sub
 
-    sub = commands.add_parser("evaluate", help="filtered link-prediction "
-                              "metrics of one or more checkpoints")
-    _add_common(sub)
+    command("train", cmd_train, "build weights and train a model")
+
+    sub = command("evaluate", cmd_evaluate, "filtered link-prediction "
+                  "metrics of one or more checkpoints")
     sub.add_argument("--checkpoint", required=True, nargs="+",
                      help="one checkpoint per trained seed; several "
                           "produce a mean/sd aggregate")
     sub.add_argument("--split", choices=["valid", "test"], default="test")
-    sub.set_defaults(func=cmd_evaluate)
 
-    sub = commands.add_parser("build-weights", help="write a weight table "
-                              "without training")
-    _add_common(sub)
-    _add_subsampling_flags(sub)
-    sub.set_defaults(func=cmd_build_weights)
+    command("build-weights", cmd_build_weights,
+            "write a weight table without training")
 
-    sub = commands.add_parser("pretrain-submodel", help="train a sub-model "
-                              "candidate for model-based subsampling")
-    _add_common(sub)
-    _add_model_flags(sub)
-    _add_train_flags(sub)
+    sub = command("pretrain-submodel", cmd_pretrain_submodel, "train a "
+                  "sub-model candidate for model-based subsampling")
     sub.add_argument("--submodel-kind",
                      choices=[kind.value for kind in ModelKind])
     sub.add_argument("--submodel-subsampling",
                      choices=list(submodel.SUBMODEL_SUBSAMPLING),
                      default="none")
-    sub.set_defaults(func=cmd_pretrain_submodel)
 
-    sub = commands.add_parser("score-triples", help="score the training "
-                              "set under a frozen sub-model")
-    _add_common(sub)
+    sub = command("score-triples", cmd_score_triples,
+                  "score the training set under a frozen sub-model")
     sub.add_argument("--checkpoint", required=True)
-    sub.set_defaults(func=cmd_score_triples)
 
-    sub = commands.add_parser("weights-report", help="CBS vs MBS appearance "
-                              "probabilities of the rarest queries")
-    _add_common(sub)
+    sub = command("weights-report", cmd_weights_report, "CBS vs MBS "
+                  "appearance probabilities of the rarest queries")
     sub.add_argument("--cbs-weights", required=True)
     sub.add_argument("--mbs-weights", required=True)
     sub.add_argument("-n", "--num-queries", dest="num_queries", type=int,
                      default=100)
-    sub.set_defaults(func=cmd_weights_report)
 
-    sub = commands.add_parser("singleton-stats", help="entity/relation "
-                              "frequencies of queries seen once")
-    _add_common(sub)
+    sub = command("singleton-stats", cmd_singleton_stats,
+                  "entity/relation frequencies of queries seen once")
     sub.add_argument("--stride", type=int, default=1)
-    sub.set_defaults(func=cmd_singleton_stats)
 
-    sub = commands.add_parser("sweep", help="two-stage sub-model/alpha/"
-                              "lambda selection on validation MRR")
-    _add_common(sub)
-    _add_model_flags(sub)
-    _add_train_flags(sub)
-    sub.add_argument("--method", choices=["base", "freq", "uniq"])
-    sub.add_argument("--submodel-scores", nargs="+", required=True)
+    sub = command("sweep", cmd_sweep, "two-stage sub-model/alpha/lambda "
+                  "selection on validation MRR")
+    # the candidates, not the [subsampling] submodel_scores setting
+    sub.add_argument("--submodel-scores", dest="candidate_scores",
+                     nargs="+", required=True)
     sub.add_argument("--alpha-grid", help="comma-separated, default "
                      "2.0,1.0,0.5,0.1,0.05,0.01")
     sub.add_argument("--lambda-grid", help="comma-separated, default "
                      "0.1,0.3,0.5,0.7,0.9")
-    sub.set_defaults(func=cmd_sweep)
 
     return parser
 

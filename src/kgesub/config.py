@@ -1,4 +1,15 @@
-"""Run configuration: sectioned `key = value` files plus CLI overrides.
+"""Run configuration: one schema for config files, flags and checks.
+
+Each setting is declared once, as a field of `RunConfig`.  Its metadata
+gives its `[section] key` in config files (the key is the field name
+unless set), its command-line flag (the field name with dashes unless
+set), the commands whose parser takes that flag (every command unless
+set), and its allowed choices or range.  Loading, saving, flag
+registration and the per-field checks are loops over these fields; only
+the cross-field rules are written out, in `validate_config`.
+
+A `RunConfig` validates itself when it is built, so every one that
+exists is valid; overrides are applied with `dataclasses.replace`.
 
 The effective configuration of every run (defaults resolved, overrides
 applied) is echoed back to a file that reproduces the run when re-fed.
@@ -9,53 +20,82 @@ environment variable when it is set.
 from __future__ import annotations
 
 import configparser
+import math
+import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .models import INIT_EPSILON
+from .models import INIT_EPSILON, ModelKind, default_aux
 
 DATA_ROOT_ENV = "KGESUB_DATA_ROOT"
+
+_TRAINING = ("train", "pretrain-submodel", "sweep")
+_WEIGHTS = ("train", "build-weights")
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+        "<": operator.lt}
+
+
+def _setting(default, section: str, commands: tuple[str, ...] | None = None,
+             *, key: str = "", flag: str = "", choices: tuple = (),
+             rule: tuple[tuple[str, float], ...] = ()):
+    """A RunConfig field.  `rule` holds (operator, bound) pairs that the
+    value must all meet; float settings must also be finite."""
+    return field(default=default, metadata={
+        "section": section, "commands": commands, "key": key, "flag": flag,
+        "choices": choices, "rule": rule})
 
 
 @dataclass
 class RunConfig:
-    # [data]
-    data_dir: str = "."
-    smoothing: float = 4.0
-    # [model]
-    model: str = "transe"
-    dim: int = 32
-    gamma: float = 6.0
-    norm_p: float = 1.0
-    phase_weight: float = 0.5
-    init_epsilon: float = INIT_EPSILON
-    # [train]
-    nu: int = 4
-    batch_size: int = 64
-    steps: int = 1000
-    learning_rate: float = 0.01
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    adversarial_beta: float = 0.0
-    seed: int = 0
-    valid_every: int = 0
-    lr_decay_every: int = 0
-    lr_decay_factor: float = 1.0
-    # [subsampling]
-    subsampling: str = "none"  # none | cbs | mbs | mix
-    method: str = "none"  # none | base | freq | uniq
-    alpha: float = 0.5
-    lam: float = 0.5
-    submodel_scores: str = ""
+    data_dir: str = _setting(".", "data", key="dir", flag="--data")
+    smoothing: float = _setting(4.0, "data", rule=((">=", 0),))
+    model: str = _setting("transe", "model", _TRAINING, key="kind",
+                          choices=tuple(kind.value for kind in ModelKind))
+    dim: int = _setting(32, "model", _TRAINING, rule=((">=", 1),))
+    gamma: float = _setting(6.0, "model", _TRAINING)
+    # the TransE distance is L1 or L2; nothing else is implemented
+    norm_p: float = _setting(1.0, "model", _TRAINING, choices=(1.0, 2.0))
+    phase_weight: float = _setting(0.5, "model", _TRAINING)
+    init_epsilon: float = _setting(INIT_EPSILON, "model", _TRAINING)
+    nu: int = _setting(4, "train", _TRAINING, rule=((">=", 1),))
+    batch_size: int = _setting(64, "train", _TRAINING, rule=((">=", 1),))
+    steps: int = _setting(1000, "train", _TRAINING, rule=((">=", 0),))
+    learning_rate: float = _setting(0.01, "train", _TRAINING,
+                                    rule=((">", 0),))
+    optimizer: str = _setting("adam", "train", _TRAINING,
+                              choices=("adam", "sgd"))
+    adam_beta1: float = _setting(0.9, "train", _TRAINING,
+                                 rule=((">=", 0), ("<", 1)))
+    adam_beta2: float = _setting(0.999, "train", _TRAINING,
+                                 rule=((">=", 0), ("<", 1)))
+    adam_epsilon: float = _setting(1e-8, "train", _TRAINING)
+    adversarial_beta: float = _setting(0.0, "train", _TRAINING,
+                                       rule=((">=", 0),))
+    seed: int = _setting(0, "train", rule=((">=", 0),))
+    valid_every: int = _setting(0, "train", _TRAINING)  # 0 disables it
+    lr_decay_every: int = _setting(0, "train", _TRAINING)  # 0: constant
+    lr_decay_factor: float = _setting(1.0, "train", _TRAINING)
+    subsampling: str = _setting("none", "subsampling", _WEIGHTS,
+                                key="source",
+                                choices=("none", "cbs", "mbs", "mix"))
+    method: str = _setting("none", "subsampling", _WEIGHTS + ("sweep",),
+                           choices=("none", "base", "freq", "uniq"))
+    alpha: float = _setting(0.5, "subsampling", _WEIGHTS, rule=((">", 0),))
+    # "lambda" is a keyword in Python, so the field is `lam`
+    lam: float = _setting(0.5, "subsampling", _WEIGHTS, key="lambda",
+                          flag="--lambda", rule=((">=", 0), ("<=", 1)))
+    submodel_scores: str = _setting("", "subsampling", _WEIGHTS)
     # query mass: "observed" sums the sub-model probability over the
     # answers seen in training; "all_candidates" sums over every entity
     # and needs the sub-model checkpoint instead of a score file
-    mbs_query_mass: str = "observed"
-    submodel_checkpoint: str = ""
+    mbs_query_mass: str = _setting("observed", "subsampling", _WEIGHTS,
+                                   choices=("observed", "all_candidates"))
+    submodel_checkpoint: str = _setting("", "subsampling", _WEIGHTS)
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
     def resolved_data_dir(self) -> Path:
         path = Path(self.data_dir)
@@ -64,116 +104,97 @@ class RunConfig:
             return Path(root) / path
         return path
 
+    def model_aux(self) -> dict[str, float]:
+        """The auxiliary settings of the configured model kind."""
+        return {key: getattr(self, key)
+                for key in default_aux(ModelKind.from_string(self.model))}
 
-# (section, key) -> dataclass field name; "lambda" is a keyword in Python,
-# so the field is `lam` while files and flags say "lambda".
-_LAYOUT: dict[tuple[str, str], str] = {
-    ("data", "dir"): "data_dir",
-    ("data", "smoothing"): "smoothing",
-    ("model", "kind"): "model",
-    ("model", "dim"): "dim",
-    ("model", "gamma"): "gamma",
-    ("model", "norm_p"): "norm_p",
-    ("model", "phase_weight"): "phase_weight",
-    ("model", "init_epsilon"): "init_epsilon",
-    ("train", "nu"): "nu",
-    ("train", "batch_size"): "batch_size",
-    ("train", "steps"): "steps",
-    ("train", "learning_rate"): "learning_rate",
-    ("train", "optimizer"): "optimizer",
-    ("train", "adam_beta1"): "adam_beta1",
-    ("train", "adam_beta2"): "adam_beta2",
-    ("train", "adam_epsilon"): "adam_epsilon",
-    ("train", "adversarial_beta"): "adversarial_beta",
-    ("train", "seed"): "seed",
-    ("train", "valid_every"): "valid_every",
-    ("train", "lr_decay_every"): "lr_decay_every",
-    ("train", "lr_decay_factor"): "lr_decay_factor",
-    ("subsampling", "source"): "subsampling",
-    ("subsampling", "method"): "method",
-    ("subsampling", "alpha"): "alpha",
-    ("subsampling", "lambda"): "lam",
-    ("subsampling", "submodel_scores"): "submodel_scores",
-    ("subsampling", "mbs_query_mass"): "mbs_query_mass",
-    ("subsampling", "submodel_checkpoint"): "submodel_checkpoint",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+    def rate_at(self, step: int) -> float:
+        if self.lr_decay_every <= 0:
+            return self.learning_rate
+        drops = step // self.lr_decay_every
+        return self.learning_rate * self.lr_decay_factor ** drops
 
 
-def _coerce(field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {field_name}: {raw!r}") from exc
+def file_key(setting: Field) -> tuple[str, str]:
+    """The `[section] key` of a RunConfig field in config files."""
+    return setting.metadata["section"], setting.metadata["key"] or setting.name
+
+
+def flag_name(setting: Field) -> str:
+    """The command-line flag of a RunConfig field."""
+    return setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
+
+
+_SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
+
+
+def check_setting(name: str, value):
+    """`value` if it is allowed for setting `name`, else ConfigError."""
+    setting = _SETTINGS[name]
+    choices, rule = setting.metadata["choices"], setting.metadata["rule"]
+    if isinstance(setting.default, float) and not math.isfinite(value):
+        problem = "must be finite"
+    elif choices and value not in choices:
+        problem = f"must be one of {', '.join(map(str, choices))}"
+    elif not all(_OPS[op](value, bound) for op, bound in rule):
+        problem = "must be " + " and ".join(f"{op} {bound}"
+                                            for op, bound in rule)
+    else:
+        return value
+    section, key = file_key(setting)
+    raise ConfigError(f"[{section}] {key} {problem}, got {value!r}")
+
+
+def validate_config(config: RunConfig) -> None:
+    """Check every setting, then the rules that tie settings together."""
+    for name in _SETTINGS:
+        check_setting(name, getattr(config, name))
+    source = config.subsampling
+    if source != "none" and config.method == "none":
+        raise ConfigError(f"subsampling source {source!r} needs a method "
+                          "(base, freq, or uniq)")
+    if source in ("mbs", "mix"):
+        if config.mbs_query_mass == "observed" and not config.submodel_scores:
+            raise ConfigError(
+                f"subsampling source {source!r} needs submodel_scores")
+        if (config.mbs_query_mass == "all_candidates"
+                and not config.submodel_checkpoint):
+            raise ConfigError(
+                "mbs_query_mass = all_candidates needs submodel_checkpoint")
 
 
 def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    config = RunConfig()
+    by_key = {file_key(setting): setting for setting in _SETTINGS.values()}
+    values = {}
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                field_name = _LAYOUT.get((section, key))
-                if field_name is None:
+                setting = by_key.get((section, key))
+                if setting is None:
                     raise ConfigError(f"unknown config key [{section}] {key}")
-                setattr(config, field_name, _coerce(field_name, raw))
+                try:
+                    # a setting's type is that of its default
+                    values[setting.name] = type(setting.default)(raw)
+                except ValueError:
+                    raise ConfigError(f"bad value for [{section}] {key}: "
+                                      f"{raw!r}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
-    validate_config(config)
-    return config
+    return RunConfig(**values)
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
     parser = configparser.ConfigParser()
-    for (section, key), field_name in _LAYOUT.items():
+    for setting in _SETTINGS.values():
+        section, key = file_key(setting)
         if not parser.has_section(section):
             parser.add_section(section)
-        value = getattr(config, field_name)
+        value = getattr(config, setting.name)
         parser.set(section, key, repr(value) if isinstance(value, float)
                    else str(value))
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
-
-
-def validate_config(config: RunConfig) -> None:
-    if config.subsampling not in ("none", "cbs", "mbs", "mix"):
-        raise ConfigError(f"unknown subsampling source "
-                          f"{config.subsampling!r}")
-    if config.method not in ("none", "base", "freq", "uniq"):
-        raise ConfigError(f"unknown subsampling method {config.method!r}")
-    if config.subsampling in ("cbs", "mbs", "mix") and config.method == "none":
-        raise ConfigError(
-            f"subsampling source {config.subsampling!r} needs a method "
-            "(base, freq, or uniq)")
-    if config.mbs_query_mass not in ("observed", "all_candidates"):
-        raise ConfigError(
-            f"unknown mbs_query_mass {config.mbs_query_mass!r}")
-    if config.subsampling in ("mbs", "mix"):
-        if config.mbs_query_mass == "observed" and not config.submodel_scores:
-            raise ConfigError(
-                f"subsampling source {config.subsampling!r} needs "
-                "submodel_scores")
-        if (config.mbs_query_mass == "all_candidates"
-                and not config.submodel_checkpoint):
-            raise ConfigError(
-                "mbs_query_mass = all_candidates needs submodel_checkpoint")
-    if config.subsampling in ("mbs", "mix") and config.alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    if not 0.0 <= config.lam <= 1.0:
-        raise ConfigError("lambda must lie in [0, 1]")
-    if config.smoothing < 0:
-        raise ConfigError("smoothing must be >= 0")
-    if config.optimizer not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer {config.optimizer!r}")
-    if config.steps < 0 or config.nu < 1 or config.batch_size < 1:
-        raise ConfigError("steps must be >= 0; nu, batch_size >= 1")
-    if config.dim < 1 or config.learning_rate <= 0:
-        raise ConfigError("dim must be >= 1 and learning_rate positive")

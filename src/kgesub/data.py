@@ -249,7 +249,8 @@ class Vocab:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Vocab":
-        """Read entities.tsv and relations.tsv (`label<TAB>id` lines)."""
+        """Read entities.tsv and relations.tsv: `label<TAB>id` lines with
+        ids 0, 1, 2, ... in order and no label twice."""
         directory = Path(directory)
         vocab = cls()
         for name, to_id, labels in (
@@ -266,6 +267,9 @@ class Vocab:
                     raise DataError(
                         f"{path}:{lineno}: ids must be dense and ordered "
                         f"(got {parts[1]!r}, expected {len(labels)})")
+                if parts[0] in to_id:
+                    raise DataError(
+                        f"{path}:{lineno}: label {parts[0]!r} listed twice")
                 to_id[parts[0]] = len(labels)
                 labels.append(parts[0])
         return vocab

@@ -22,13 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .data import Dataset, text_lines
 from .errors import DataError
-from .models import (INIT_EPSILON, ModelKind, ModelParams, check_vocab,
-                     init_params, iter_candidate_scores, score_triples)
+from .models import (ModelKind, ModelParams, check_vocab, init_params,
+                     iter_candidate_scores, score_triples)
 from .subsampling import (SubModelScores, SubsamplingMethod,
                           build_cbs_weights, uniform_weights)
-from .training import TrainConfig, train
+from .training import train
 
 SUBMODEL_SUBSAMPLING = ("none", "cbs-base")
 
@@ -38,27 +39,25 @@ def submodel_id(kind: ModelKind, subsampling: str, seed: int) -> str:
 
 
 def pretrain_submodel(dataset: Dataset, kind: ModelKind, subsampling: str,
-                      dim: int, gamma: float, config: TrainConfig,
-                      aux: dict[str, float] | None = None,
-                      smoothing: float = 4.0,
-                      init_epsilon: float = INIT_EPSILON
-                      ) -> tuple[ModelParams, str]:
+                      config: RunConfig) -> tuple[ModelParams, str]:
     """Train a sub-model candidate and tag it with its provenance id.
 
     `subsampling` is restricted to the candidate grid: "none" or
-    "cbs-base".
+    "cbs-base".  Every other setting comes from `config`, the auxiliary
+    ones (`config.model_aux()`) included.
     """
     if subsampling not in SUBMODEL_SUBSAMPLING:
         raise ValueError(f"sub-model subsampling must be one of "
                          f"{SUBMODEL_SUBSAMPLING}, got {subsampling!r}")
     if subsampling == "cbs-base":
         weights = build_cbs_weights(dataset, SubsamplingMethod.BASE,
-                                    smoothing)
+                                    config.smoothing)
     else:
         weights = uniform_weights(dataset.num_examples)
     params = init_params(kind, dataset.num_entities, dataset.num_relations,
-                         dim, gamma, config.seed, aux=aux,
-                         init_epsilon=init_epsilon)
+                         config.dim, config.gamma, config.seed,
+                         aux=config.model_aux(),
+                         init_epsilon=config.init_epsilon)
     result = train(dataset, weights, params, config)
     return result.params, submodel_id(kind, subsampling, config.seed)
 

@@ -50,6 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .data import Dataset, Direction, QueryIndex, QueryKey
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
 from .models import (ModelParams, params_from_container, params_header,
@@ -58,39 +59,6 @@ from .subsampling import WeightTable
 
 _PERM_STREAM = 0
 _NEG_STREAM = 1
-
-
-@dataclass
-class TrainConfig:
-    nu: int = 4
-    batch_size: int = 64
-    steps: int = 1000
-    learning_rate: float = 0.01
-    optimizer: str = "adam"  # "adam" | "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    adversarial_beta: float = 0.0
-    seed: int = 0
-    valid_every: int = 0  # 0 disables periodic validation
-    lr_decay_every: int = 0  # 0 keeps the rate constant
-    lr_decay_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.nu < 1 or self.batch_size < 1 or self.steps < 0:
-            raise ValueError("nu and batch_size must be >= 1, steps >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.adversarial_beta < 0:
-            raise ValueError("adversarial_beta must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-
-    def rate_at(self, step: int) -> float:
-        if self.lr_decay_every <= 0:
-            return self.learning_rate
-        drops = step // self.lr_decay_every
-        return self.learning_rate * self.lr_decay_factor ** drops
 
 
 @dataclass
@@ -240,7 +208,7 @@ class OptimizerState:
 
 def _apply_update(params: ModelParams, opt: OptimizerState,
                   grads: Gradients, rate: float, step: int,
-                  config: TrainConfig) -> None:
+                  config: RunConfig) -> None:
     """One optimizer step touching only the rows present in `grads`.
 
     Adam moment rows are updated lazily; bias correction uses the global
@@ -287,7 +255,7 @@ class TrainResult:
 
 
 def train(dataset: Dataset, weights: WeightTable, params: ModelParams,
-          config: TrainConfig,
+          config: RunConfig,
           eval_callback: Callable[[ModelParams, int], float] | None = None
           ) -> TrainResult:
     """Run `config.steps` batch updates from fresh optimizer state."""
@@ -299,7 +267,7 @@ def train(dataset: Dataset, weights: WeightTable, params: ModelParams,
 
 
 def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
-                   config: TrainConfig,
+                   config: RunConfig,
                    eval_callback: Callable[[ModelParams, int], float] | None = None
                    ) -> TrainResult:
     """Run updates from `state.step` until `config.steps`.

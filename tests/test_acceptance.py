@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction, load_triples
 from kgesub.evaluation import build_filter_index, evaluate, filtered_rank
 from kgesub.models import ModelKind, init_params, score_and_grad
@@ -22,8 +23,8 @@ from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 counted_frequencies, mbs_frequencies,
                                 mix_weights, softmax_over_train,
                                 uniform_weights)
-from kgesub.training import (TrainConfig, batch_loss, continue_train,
-                             load_checkpoint, save_checkpoint, train)
+from kgesub.training import (batch_loss, continue_train, load_checkpoint,
+                             save_checkpoint, train)
 
 from conftest import (Triple, TrainExample, answer_of, as_triples,
                       example_batch_loss, query_of,
@@ -276,8 +277,8 @@ def test_c6_desk_scale_subsampling_direction():
     def run_transe(weights, seed):
         params = init_params(ModelKind.TRANSE, dataset.num_entities,
                              dataset.num_relations, 24, 6.0, seed=seed)
-        config = TrainConfig(nu=4, batch_size=64, steps=600,
-                             learning_rate=0.05, seed=seed)
+        config = RunConfig(nu=4, batch_size=64, steps=600,
+                           learning_rate=0.05, seed=seed)
         result = train(dataset, weights, params, config)
         return evaluate(result.params, dataset, "valid", filter_index).mrr
 
@@ -290,10 +291,10 @@ def test_c6_desk_scale_subsampling_direction():
         wins += weighted >= baseline
 
     # model-based and mixed pipelines, end to end
-    sub_config = TrainConfig(nu=4, batch_size=64, steps=600,
-                             learning_rate=0.05, seed=1)
+    sub_config = RunConfig(nu=4, batch_size=64, steps=600,
+                           learning_rate=0.05, seed=1, dim=24, gamma=6.0)
     sub_params, sid = pretrain_submodel(dataset, ModelKind.COMPLEX, "none",
-                                        dim=24, gamma=6.0, config=sub_config)
+                                        config=sub_config)
     scores = score_training_triples(sub_params, dataset, sid)
     f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
     mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, alpha=0.5,
@@ -305,8 +306,8 @@ def test_c6_desk_scale_subsampling_direction():
     for name, table in (("mbs", mbs), ("mix", mix)):
         params = init_params(ModelKind.TRANSE, dataset.num_entities,
                              dataset.num_relations, 24, 6.0, seed=1)
-        config = TrainConfig(nu=4, batch_size=64, steps=600,
-                             learning_rate=0.05, seed=1)
+        config = RunConfig(nu=4, batch_size=64, steps=600,
+                           learning_rate=0.05, seed=1)
         result = train(dataset, table, params, config)
         report = evaluate(result.params, dataset, "valid", filter_index)
         end_to_end[name] = report.mrr
@@ -362,7 +363,7 @@ def test_c8_training_determinism_and_resume(tmp_path):
     weights = uniform_weights(dataset.num_examples)
     params = init_params(ModelKind.ROTATE, dataset.num_entities,
                          dataset.num_relations, 8, 3.0, seed=4)
-    full = TrainConfig(steps=30, batch_size=32, nu=3, seed=11)
+    full = RunConfig(steps=30, batch_size=32, nu=3, seed=11)
 
     one = train(dataset, weights, params, full)
     two = train(dataset, weights, params, full)
@@ -372,7 +373,7 @@ def test_c8_training_determinism_and_resume(tmp_path):
     identical = path_a.read_bytes() == path_b.read_bytes()
 
     partial = train(dataset, weights, params,
-                    TrainConfig(steps=13, batch_size=32, nu=3, seed=11))
+                    RunConfig(steps=13, batch_size=32, nu=3, seed=11))
     ckpt = tmp_path / "partial.bin"
     save_checkpoint(partial.state, ckpt)
     resumed = continue_train(dataset, weights, load_checkpoint(ckpt), full)

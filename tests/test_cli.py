@@ -1,11 +1,13 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
+import argparse
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgesub.cli import main
+from kgesub.cli import build_parser, main
+from kgesub.config import load_config
 from kgesub.subsampling import load_weight_table
 
 from conftest import save_dataset, zipf_kg
@@ -91,6 +93,35 @@ class TestExitCodes:
 
     def test_unknown_command_is_exit_1(self):
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv,config_text", [
+        (["train", "--adversarial-beta", "-1"], ""),
+        (["train", "--gamma", "nan"], ""),
+        (["train"], "[model]\ninit_epsilon = nan\n"),
+        (["train"], "[train]\nlearning_rate = inf\n"),
+        (["train"], "[data]\nsmoothing = nan\n"),
+        (["train"], "[train]\nadam_beta1 = 1.0\n"),
+        (["train", "--norm-p", "3"], ""),
+        (["train", "--seed", "-1"], ""),
+        (["sweep", "--alpha-grid", "0"], ""),
+        (["sweep", "--lambda-grid", "1.5"], ""),
+    ], ids=["adversarial_beta", "gamma", "init_epsilon", "learning_rate",
+            "smoothing", "adam_beta1", "norm_p", "seed", "alpha_grid",
+            "lambda_grid"])
+    def test_bad_setting_is_exit_1(self, data_dir, tmp_path, capsys, argv,
+                                   config_text):
+        """An out-of-range setting is a config error, not a traceback or
+        a diverged run."""
+        args = argv[:1] + ["--data", data_dir, "--run-dir", tmp_path / "r"]
+        if argv[0] == "sweep":
+            args += ["--method", "freq", "--submodel-scores",
+                     tmp_path / "scores.tsv"]
+        if config_text:
+            config = tmp_path / "bad.cfg"
+            config.write_text(config_text, encoding="utf-8")
+            args += ["--config", config]
+        assert run(args + FAST + argv[1:]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_key_is_exit_1(self, data_dir, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -315,7 +346,11 @@ class TestSweepCommand:
         assert run(args) == 0
         ledger = (sweep_dir / "ledger.tsv").read_text().strip().split("\n")
         assert len(ledger) == 4  # 2 alphas + 2 lambdas
-        assert (sweep_dir / "best.cfg").exists()
+        # the candidates are not the [subsampling] submodel_scores setting
+        assert load_config(sweep_dir / "config.resolved.cfg") \
+            .submodel_scores == ""
+        assert (load_config(sweep_dir / "best.cfg").submodel_scores
+                == str(score_dir / "scores.tsv"))
 
         # rerun: ledger already complete, no new rows
         assert run(args) == 0
@@ -549,3 +584,76 @@ class TestSingletonStatsBenchmark:
         lines = ((run_dir / "singleton-stats.tsv")
                  .read_text().strip().split("\n"))
         assert len(lines) - 1 == 45
+
+
+MODELS = ["transe", "rotate", "complex", "distmult", "hake"]
+RUN_DIR_FLAGS = [("--config", "config", None, None),
+                 ("--out", "out", None, None),
+                 ("--run-dir", "run_dir", None, None),
+                 ("-h --help", "help", None, None)]
+EVERY_COMMAND = [("--data", "data_dir", "str", None),
+                 ("--seed", "seed", "int", None),
+                 ("--smoothing", "smoothing", "float", None)]
+MODEL_AND_TRAIN = [
+    ("--model", "model", "str", MODELS),
+    ("--dim", "dim", "int", None),
+    ("--gamma", "gamma", "float", None),
+    ("--norm-p", "norm_p", "float", [1.0, 2.0]),
+    ("--phase-weight", "phase_weight", "float", None),
+    ("--init-epsilon", "init_epsilon", "float", None),
+    ("--nu", "nu", "int", None),
+    ("--batch-size", "batch_size", "int", None),
+    ("--steps", "steps", "int", None),
+    ("--learning-rate", "learning_rate", "float", None),
+    ("--optimizer", "optimizer", "str", ["adam", "sgd"]),
+    ("--adam-beta1", "adam_beta1", "float", None),
+    ("--adam-beta2", "adam_beta2", "float", None),
+    ("--adam-epsilon", "adam_epsilon", "float", None),
+    ("--adversarial-beta", "adversarial_beta", "float", None),
+    ("--valid-every", "valid_every", "int", None),
+    ("--lr-decay-every", "lr_decay_every", "int", None),
+    ("--lr-decay-factor", "lr_decay_factor", "float", None)]
+METHOD = [("--method", "method", "str", ["none", "base", "freq", "uniq"])]
+SUBSAMPLING = METHOD + [
+    ("--subsampling", "subsampling", "str", ["none", "cbs", "mbs", "mix"]),
+    ("--alpha", "alpha", "float", None),
+    ("--lambda", "lam", "float", None),
+    ("--submodel-scores", "submodel_scores", "str", None),
+    ("--mbs-query-mass", "mbs_query_mass", "str",
+     ["observed", "all_candidates"]),
+    ("--submodel-checkpoint", "submodel_checkpoint", "str", None)]
+PARSER_TABLE = {
+    "train": MODEL_AND_TRAIN + SUBSAMPLING,
+    "evaluate": [("--checkpoint", "checkpoint", None, None),
+                 ("--split", "split", None, ["valid", "test"])],
+    "build-weights": SUBSAMPLING,
+    "pretrain-submodel": MODEL_AND_TRAIN + [
+        ("--submodel-kind", "submodel_kind", None, MODELS),
+        ("--submodel-subsampling", "submodel_subsampling", None,
+         ["none", "cbs-base"])],
+    "score-triples": [("--checkpoint", "checkpoint", None, None)],
+    "weights-report": [("--cbs-weights", "cbs_weights", None, None),
+                       ("--mbs-weights", "mbs_weights", None, None),
+                       ("-n --num-queries", "num_queries", "int", None)],
+    "singleton-stats": [("--stride", "stride", "int", None)],
+    "sweep": MODEL_AND_TRAIN + METHOD + [
+        ("--submodel-scores", "candidate_scores", None, None),
+        ("--alpha-grid", "alpha_grid", None, None),
+        ("--lambda-grid", "lambda_grid", None, None)],
+}
+
+
+def test_parser_snapshot():
+    """Each command's options with their dest, type and choices."""
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands.choices) == list(PARSER_TABLE)
+    for name, sub in commands.choices.items():
+        table = sorted(
+            (" ".join(a.option_strings), a.dest,
+             getattr(a.type, "__name__", None),
+             None if a.choices is None else list(a.choices))
+            for a in sub._actions)
+        expected = sorted(RUN_DIR_FLAGS + EVERY_COMMAND + PARSER_TABLE[name])
+        assert table == expected, name

@@ -1,11 +1,65 @@
 """Config files: parsing, validation, round trips."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
-from kgesub.config import RunConfig, load_config, save_config, validate_config
+from kgesub.cli import _resolve_config, build_parser
+from kgesub.config import (RunConfig, file_key, flag_name, load_config,
+                           save_config, validate_config)
 from kgesub.errors import ConfigError
+
+# a config that sets every key to a value other than its default, and
+# the bytes that save_config has always written for it
+EVERY_KEY = RunConfig(
+    data_dir="data/fb15k237", smoothing=0.25, model="hake", dim=48,
+    gamma=9.5, norm_p=2.0, phase_weight=0.75, init_epsilon=1.5, nu=8,
+    batch_size=128, steps=250, learning_rate=2.5e-4, optimizer="sgd",
+    adam_beta1=0.8, adam_beta2=0.99, adam_epsilon=1e-6, adversarial_beta=0.5,
+    seed=7, valid_every=50, lr_decay_every=100, lr_decay_factor=0.1,
+    subsampling="mix", method="uniq", alpha=0.05, lam=0.3,
+    submodel_scores="runs/scores/scores.tsv", mbs_query_mass="all_candidates",
+    submodel_checkpoint="runs/sub/submodel.bin")
+EVERY_KEY_FILE = """\
+[data]
+dir = data/fb15k237
+smoothing = 0.25
+
+[model]
+kind = hake
+dim = 48
+gamma = 9.5
+norm_p = 2.0
+phase_weight = 0.75
+init_epsilon = 1.5
+
+[train]
+nu = 8
+batch_size = 128
+steps = 250
+learning_rate = 0.00025
+optimizer = sgd
+adam_beta1 = 0.8
+adam_beta2 = 0.99
+adam_epsilon = 1e-06
+adversarial_beta = 0.5
+seed = 7
+valid_every = 50
+lr_decay_every = 100
+lr_decay_factor = 0.1
+
+[subsampling]
+source = mix
+method = uniq
+alpha = 0.05
+lambda = 0.3
+submodel_scores = runs/scores/scores.tsv
+mbs_query_mass = all_candidates
+submodel_checkpoint = runs/sub/submodel.bin
+
+"""
 
 
 class TestRoundTrip:
@@ -25,6 +79,17 @@ class TestRoundTrip:
         config = load_config(path)
         assert config.model == "rotate"
         assert config.nu == RunConfig().nu
+
+    def test_every_key_golden_bytes(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        save_config(EVERY_KEY, path)
+        assert path.read_bytes() == EVERY_KEY_FILE.encode()
+        assert load_config(path) == EVERY_KEY
+
+    def test_integral_norm_p_loads(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[model]\nnorm_p = 2\n", encoding="utf-8")
+        assert load_config(path).norm_p == 2.0
 
     def test_inline_comments_allowed(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -70,6 +135,17 @@ class TestValidation:
         ("smoothing", -1.0),
         ("optimizer", "lion"),
         ("mbs_query_mass", "guess"),
+        ("norm_p", 3),
+        ("gamma", float("nan")),
+        ("init_epsilon", float("nan")),
+        ("learning_rate", float("inf")),
+        ("lr_decay_factor", float("-inf")),
+        ("adam_beta1", 1.0),
+        ("adam_beta2", -0.5),
+        ("adversarial_beta", -1.0),
+        ("seed", -1),
+        ("model", "bert"),
+        ("alpha", 0.0),
     ])
     def test_bad_field_values(self, field, value):
         config = RunConfig()
@@ -78,14 +154,13 @@ class TestValidation:
             validate_config(config)
 
     def test_mbs_needs_scores(self):
-        config = RunConfig(subsampling="mbs", method="base")
+        # a RunConfig checks itself when it is built
         with pytest.raises(ConfigError, match="submodel_scores"):
-            validate_config(config)
+            RunConfig(subsampling="mbs", method="base")
 
     def test_cbs_needs_method(self):
-        config = RunConfig(subsampling="cbs")
         with pytest.raises(ConfigError, match="method"):
-            validate_config(config)
+            RunConfig(subsampling="cbs")
 
 
 class TestDataRoot:
@@ -105,9 +180,37 @@ class TestDataRoot:
         assert str(config.resolved_data_dir()) == "relative/dir"
 
 
-def test_every_field_is_reachable_from_a_file():
-    """The file layout covers each config field exactly once."""
-    from kgesub.config import _LAYOUT
-    mapped = sorted(_LAYOUT.values())
-    fields = sorted(f.name for f in dataclasses.fields(RunConfig))
-    assert mapped == fields
+def test_every_field_is_reachable_from_a_file_and_a_flag(tmp_path):
+    """The every-key file and `train` with every setting's flag both give
+    EVERY_KEY, which differs from the defaults in every field."""
+    defaults = RunConfig()
+    assert all(getattr(EVERY_KEY, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(RunConfig))
+    keys = [file_key(f) for f in dataclasses.fields(RunConfig)]
+    assert len(set(keys)) == len(keys)
+    path = tmp_path / "every.cfg"
+    path.write_text(EVERY_KEY_FILE, encoding="utf-8")
+    assert load_config(path) == EVERY_KEY
+    argv = ["train"]
+    for field in dataclasses.fields(RunConfig):
+        argv += [flag_name(field), str(getattr(EVERY_KEY, field.name))]
+    assert _resolve_config(build_parser().parse_args(argv)) == EVERY_KEY
+
+
+def test_readme_lists_every_key(tmp_path):
+    """README's configuration block names each `[section] key` once,
+    and loads."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1]
+    block = block.split("```", 1)[0]
+    listed, section = [], None
+    for line in block.splitlines():
+        if re.fullmatch(r"\[\w+\]", line.strip()):
+            section = line.strip()[1:-1]
+        elif "=" in line:
+            listed.append((section, line.split("=", 1)[0].strip()))
+    assert sorted(listed) == sorted(file_key(f)
+                                    for f in dataclasses.fields(RunConfig))
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert load_config(path).submodel_checkpoint == ""

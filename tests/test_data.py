@@ -99,6 +99,8 @@ class TestVocabRoundTrip:
         ("a\t0\nb\t2\n", ":2:"),  # id skips one
         ("a\t0\tx\n", ":1:"),  # three fields
         ("a\n", ":1:"),  # one field
+        ("a\t0\na\t1\n", ":2: label 'a' listed twice"),
+        ("a\t0\nb\t0\n", ":2:"),  # id listed twice
     ])
     def test_malformed_entities_file(self, tmp_path, body, where):
         (tmp_path / "entities.tsv").write_text(body, encoding="utf-8")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kgesub.config import RunConfig
 from kgesub.data import Dataset
 from kgesub.errors import DataError, VocabMismatchError
 from kgesub.models import ModelKind, init_params
@@ -13,15 +14,14 @@ from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 build_cbs_weights, build_mbs_weights,
                                 load_scores, mbs_frequencies, mix_weights,
                                 save_scores, softmax_over_train)
-from kgesub.training import TrainConfig
 
 
 
 class TestPretrain:
     def test_zero_steps_yields_usable_scores(self, toy_dataset):
         params, sid = pretrain_submodel(
-            toy_dataset, ModelKind.DISTMULT, "none", dim=4, gamma=1.0,
-            config=TrainConfig(steps=0, seed=3))
+            toy_dataset, ModelKind.DISTMULT, "none",
+            config=RunConfig(dim=4, gamma=1.0, steps=0, seed=3))
         scores = score_training_triples(params, toy_dataset, sid)
         assert scores.raw_score.shape == (6,)
         assert np.all(np.isfinite(scores.raw_score))
@@ -30,8 +30,9 @@ class TestPretrain:
     def test_same_seed_identical_downstream_weights(self, toy_dataset):
         def build():
             params, sid = pretrain_submodel(
-                toy_dataset, ModelKind.COMPLEX, "none", dim=4, gamma=1.0,
-                config=TrainConfig(steps=8, batch_size=4, nu=2, seed=5))
+                toy_dataset, ModelKind.COMPLEX, "none",
+                config=RunConfig(dim=4, gamma=1.0, steps=8, batch_size=4,
+                                 nu=2, seed=5))
             scores = score_training_triples(params, toy_dataset, sid)
             p = softmax_over_train(scores)
             f_xy, f_x = mbs_frequencies(toy_dataset, p)
@@ -42,15 +43,15 @@ class TestPretrain:
 
     def test_cbs_base_candidate_supported(self, toy_dataset):
         params, sid = pretrain_submodel(
-            toy_dataset, ModelKind.TRANSE, "cbs-base", dim=4, gamma=1.0,
-            config=TrainConfig(steps=4, batch_size=4, nu=2, seed=1),
-            smoothing=0.0)
+            toy_dataset, ModelKind.TRANSE, "cbs-base",
+            config=RunConfig(dim=4, gamma=1.0, steps=4, batch_size=4, nu=2,
+                             seed=1, smoothing=0.0))
         assert sid.startswith("transe-cbs-base")
 
     def test_unknown_subsampling_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
             pretrain_submodel(toy_dataset, ModelKind.TRANSE, "uniq",
-                              dim=4, gamma=1.0, config=TrainConfig(steps=0))
+                              config=RunConfig(dim=4, gamma=1.0, steps=0))
 
 
 class TestScoreTrainingTriples:
@@ -114,8 +115,9 @@ class TestDegenerateSubmodel:
                                                         toy_dataset):
         """Weights from persisted scores equal weights from live scores."""
         params, sid = pretrain_submodel(
-            toy_dataset, ModelKind.COMPLEX, "none", dim=4, gamma=1.0,
-            config=TrainConfig(steps=5, batch_size=4, nu=2, seed=8))
+            toy_dataset, ModelKind.COMPLEX, "none",
+            config=RunConfig(dim=4, gamma=1.0, steps=5, batch_size=4, nu=2,
+                             seed=8))
         live = score_training_triples(params, toy_dataset, sid)
         path = tmp_path / "scores.tsv"
         save_scores(live, path)

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction, QueryIndex
 from kgesub.errors import DegenerateInputError, TrainingDivergedError
 from kgesub.models import ModelKind, init_params
 from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
                                 build_mbs_weights, mix_weights,
                                 uniform_weights)
-from kgesub.training import (OptimizerState, TrainConfig, _apply_update,
-                             batch_loss, load_checkpoint, sample_negatives,
+from kgesub.training import (OptimizerState, _apply_update, batch_loss,
+                             load_checkpoint, sample_negatives,
                              save_checkpoint, train, continue_train)
 
 from conftest import (Triple, TrainExample, as_triples, example_batch_loss,
@@ -372,7 +373,7 @@ class TestApplyUpdate:
         and bitwise for the same gradients."""
         dataset, ids, negatives, weights, params = looped_step(
             6, ModelKind.ROTATE, None)
-        config = TrainConfig(optimizer=optimizer, learning_rate=0.05)
+        config = RunConfig(optimizer=optimizer, learning_rate=0.05)
         opt = OptimizerState.fresh(optimizer, params)
         if optimizer == "adam":  # moments from an earlier step
             rng = np.random.default_rng(7)
@@ -446,7 +447,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(18)
         dataset = random_kg(rng)
         params = init_params(ModelKind.TRANSE, 10, 3, 6, 1.0, seed=19)
-        config = TrainConfig(steps=0, seed=1)
+        config = RunConfig(steps=0, seed=1)
         result = train(dataset, uniform_weights(dataset.num_examples),
                        params, config)
         assert np.array_equal(result.params.entity_emb, params.entity_emb)
@@ -456,7 +457,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(20)
         dataset = random_kg(rng, num_train=30)
         params = init_params(ModelKind.COMPLEX, 10, 3, 8, 2.0, seed=21)
-        config = TrainConfig(steps=25, batch_size=16, nu=2, seed=5)
+        config = RunConfig(steps=25, batch_size=16, nu=2, seed=5)
         weights = uniform_weights(dataset.num_examples)
         one = train(dataset, weights, params, config)
         two = train(dataset, weights, params, config)
@@ -470,8 +471,8 @@ class TestTrainLoop:
         dataset = zipf_kg(3, num_entities=30, num_relations=3,
                           num_links=260, num_valid=30, num_test=30)
         params = init_params(ModelKind.TRANSE, 30, 3, 8, 4.0, seed=22)
-        config = TrainConfig(steps=150, batch_size=32, nu=2,
-                             learning_rate=0.05, seed=6)
+        config = RunConfig(steps=150, batch_size=32, nu=2,
+                           learning_rate=0.05, seed=6)
         result = train(dataset, uniform_weights(dataset.num_examples),
                        params, config)
         early = np.mean([r.loss for r in result.log[:10]])
@@ -486,21 +487,21 @@ class TestTrainLoop:
         params = init_params(ModelKind.TRANSE, 3, 1, 4, 1.0, seed=1)
         with pytest.raises(DegenerateInputError):
             train(dataset, uniform_weights(6), params,
-                  TrainConfig(steps=1, batch_size=6))
+                  RunConfig(steps=1, batch_size=6))
 
     def test_weight_coverage_checked(self):
         rng = np.random.default_rng(23)
         dataset = random_kg(rng)
         params = init_params(ModelKind.TRANSE, 10, 3, 6, 1.0, seed=24)
         with pytest.raises(ValueError):
-            train(dataset, uniform_weights(4), params, TrainConfig(steps=1))
+            train(dataset, uniform_weights(4), params, RunConfig(steps=1))
 
     def test_validation_callback_recorded(self):
         rng = np.random.default_rng(25)
         dataset = random_kg(rng, num_train=20)
         params = init_params(ModelKind.TRANSE, 10, 3, 6, 1.0, seed=26)
-        config = TrainConfig(steps=6, batch_size=8, nu=2, seed=7,
-                             valid_every=3)
+        config = RunConfig(steps=6, batch_size=8, nu=2, seed=7,
+                           valid_every=3)
         calls = []
         def callback(p, step):
             calls.append(step)
@@ -515,8 +516,8 @@ class TestTrainLoop:
         rng = np.random.default_rng(27)
         dataset = random_kg(rng, num_train=20)
         params = init_params(ModelKind.DISTMULT, 10, 3, 6, 1.0, seed=28)
-        config = TrainConfig(steps=10, batch_size=8, nu=2, seed=8,
-                             optimizer="sgd", learning_rate=0.1)
+        config = RunConfig(steps=10, batch_size=8, nu=2, seed=8,
+                           optimizer="sgd", learning_rate=0.1)
         result = train(dataset, uniform_weights(dataset.num_examples),
                        params, config)
         assert not np.array_equal(result.params.entity_emb,
@@ -533,7 +534,7 @@ class TestCheckpointResume:
 
     def test_save_load_bitwise(self, tmp_path):
         dataset, params, weights = self._setup()
-        config = TrainConfig(steps=12, batch_size=16, nu=2, seed=9)
+        config = RunConfig(steps=12, batch_size=16, nu=2, seed=9)
         result = train(dataset, weights, params, config)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(result.state, path)
@@ -547,8 +548,8 @@ class TestCheckpointResume:
     def test_resume_equals_uninterrupted(self, tmp_path):
         """Stop at k, resume to k+m: bitwise-equal to a straight run."""
         dataset, params, weights = self._setup()
-        short = TrainConfig(steps=10, batch_size=16, nu=2, seed=9)
-        full = TrainConfig(steps=25, batch_size=16, nu=2, seed=9)
+        short = RunConfig(steps=10, batch_size=16, nu=2, seed=9)
+        full = RunConfig(steps=25, batch_size=16, nu=2, seed=9)
         straight = train(dataset, weights, params, full)
 
         partial = train(dataset, weights, params, short)
@@ -566,7 +567,7 @@ class TestCheckpointResume:
         from kgesub.errors import CheckpointError
         dataset, params, weights = self._setup()
         result = train(dataset, weights, params,
-                       TrainConfig(steps=3, batch_size=16, nu=2, seed=9))
+                       RunConfig(steps=3, batch_size=16, nu=2, seed=9))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(result.state, path)
         blob = path.read_bytes()
@@ -577,12 +578,12 @@ class TestCheckpointResume:
 
 class TestLearningRateDecay:
     def test_constant_by_default(self):
-        config = TrainConfig(learning_rate=0.1)
+        config = RunConfig(learning_rate=0.1)
         assert config.rate_at(0) == config.rate_at(999) == 0.1
 
     def test_step_decay_schedule(self):
-        config = TrainConfig(learning_rate=0.8, lr_decay_every=10,
-                             lr_decay_factor=0.5)
+        config = RunConfig(learning_rate=0.8, lr_decay_every=10,
+                           lr_decay_factor=0.5)
         assert config.rate_at(0) == 0.8
         assert config.rate_at(9) == 0.8
         assert config.rate_at(10) == 0.4
@@ -592,9 +593,9 @@ class TestLearningRateDecay:
         rng = np.random.default_rng(31)
         dataset = random_kg(rng, num_train=20)
         params = init_params(ModelKind.TRANSE, 10, 3, 6, 1.0, seed=32)
-        config = TrainConfig(steps=12, batch_size=8, nu=2, seed=10,
-                             learning_rate=0.1, lr_decay_every=4,
-                             lr_decay_factor=0.5)
+        config = RunConfig(steps=12, batch_size=8, nu=2, seed=10,
+                           learning_rate=0.1, lr_decay_every=4,
+                           lr_decay_factor=0.5)
         result = train(dataset, uniform_weights(dataset.num_examples),
                        params, config)
         assert len(result.log) == 12
