@@ -22,9 +22,8 @@ from .submodel import (Selection, mbs_frequencies_all_candidates,
                        select_submodel)
 from .subsampling import (ALPHA_GRID, LAMBDA_GRID, SubModelScores,
                           SubsamplingMethod, WeightTable, build_cbs_weights,
-                          build_mbs_weights, counted_frequencies,
-                          mbs_frequencies, mix_weights, softmax_over_train,
-                          uniform_weights)
+                          counted_frequencies, discounted_weights,
+                          log_model_frequencies, mix_weights, uniform_weights)
 from .training import (Gradients, batch_loss, load_checkpoint,
                        sample_negatives, save_checkpoint, train)
 

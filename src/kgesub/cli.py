@@ -29,11 +29,10 @@ from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
 from .models import (ModelKind, init_params, load_params, load_tagged_params,
                      save_params)
-from .subsampling import (SubModelScores, SubsamplingMethod, WeightTable,
-                          build_cbs_weights, build_mbs_weights, load_scores,
-                          mbs_frequencies, mix_weights, save_scores,
-                          save_weight_table, softmax_over_train,
-                          uniform_weights)
+from .subsampling import (Provenance, SubModelScores, SubsamplingMethod,
+                          WeightTable, build_cbs_weights, discounted_weights,
+                          load_scores, log_model_frequencies, mix_weights,
+                          save_scores, save_weight_table, uniform_weights)
 from .training import save_checkpoint
 
 
@@ -108,17 +107,23 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
             raise DataError(f"cannot read sub-model checkpoint "
                             f"{config.submodel_checkpoint}: {exc}") from exc
         sid = tag or Path(config.submodel_checkpoint).stem
-        f_xy, f_x = submodel.mbs_frequencies_all_candidates(sub_params,
-                                                            dataset)
+        log_f = submodel.mbs_frequencies_all_candidates(sub_params, dataset)
     else:
         scores = _load_scores_checked(config.submodel_scores, dataset)
-        sid = scores.submodel_id
-        f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
-    mbs = build_mbs_weights(f_xy, f_x, method, config.alpha, submodel_id=sid)
-    if source == "mbs":
-        return mbs
-    cbs = build_cbs_weights(dataset, method, config.smoothing)
-    return mix_weights(cbs, mbs, config.lam)
+        sid, log_f = scores.submodel_id, log_model_frequencies(dataset, scores)
+    mix = None if source == "mbs" else (
+        build_cbs_weights(dataset, method, config.smoothing), config.lam)
+    return _model_weights(log_f, method, config.alpha, sid, mix)
+
+
+def _model_weights(log_f: tuple[np.ndarray, np.ndarray],
+                   method: SubsamplingMethod, alpha: float, sid: str,
+                   mix: tuple[WeightTable, float] | None) -> WeightTable:
+    """The model-based table on log frequencies `log_f`, or its mix with
+    a count-based table when `mix` is (that table, lambda)."""
+    mbs = discounted_weights(*log_f, method, alpha, Provenance(
+        source="mbs", method=method.value, alpha=alpha, submodel_id=sid))
+    return mbs if mix is None else mix_weights(mix[0], mbs, mix[1])
 
 
 def _load_scores_checked(path: str, dataset: Dataset) -> SubModelScores:
@@ -218,11 +223,14 @@ def cmd_build_weights(args) -> int:
 
 
 def cmd_pretrain_submodel(args) -> int:
-    config, dataset, run_dir = _start(args)
+    config = _resolve_config(args)
+    # the settings must suit the sub-model's own kind too (an even dim
+    # for the complex kinds); checked before the data load
+    kind = replace(config, model=args.submodel_kind or config.model).model
+    dataset, run_dir = _load_data(config), _make_run_dir(args)
     save_config(config, run_dir / "config.resolved.cfg")
-    kind = ModelKind.from_string(args.submodel_kind or config.model)
     params, sid = submodel.pretrain_submodel(
-        dataset, kind, args.submodel_subsampling, config)
+        dataset, ModelKind(kind), args.submodel_subsampling, config)
     save_params(params, run_dir / "submodel.bin", tag=sid)
     _write_manifest(run_dir, {
         "config": run_dir / "config.resolved.cfg",
@@ -353,12 +361,9 @@ def cmd_sweep(args) -> int:
 
     def evaluate_point(scores: SubModelScores, alpha: float,
                        lam: float | None) -> float:
-        p = softmax_over_train(scores)
-        f_xy, f_x = mbs_frequencies(dataset, p)
-        table = build_mbs_weights(f_xy, f_x, method, alpha,
-                                  submodel_id=scores.submodel_id)
-        if lam is not None:
-            table = mix_weights(cbs, table, lam)
+        table = _model_weights(log_model_frequencies(dataset, scores),
+                               method, alpha, scores.submodel_id,
+                               None if lam is None else (cbs, lam))
         params = init_params(kind, dataset.num_entities,
                              dataset.num_relations, config.dim, config.gamma,
                              config.seed, aux=config.model_aux(),

@@ -27,7 +27,7 @@ from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .models import INIT_EPSILON, ModelKind, default_aux
+from .models import INIT_EPSILON, ModelKind, default_aux, relation_dim
 
 DATA_ROOT_ENV = "KGESUB_DATA_ROOT"
 
@@ -150,6 +150,10 @@ def validate_config(config: RunConfig) -> None:
     """Check every setting, then the rules that tie settings together."""
     for name in _SETTINGS:
         check_setting(name, getattr(config, name))
+    try:  # the complex kinds split each embedding into two halves
+        relation_dim(ModelKind.from_string(config.model), config.dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     source = config.subsampling
     if source != "none" and config.method == "none":
         raise ConfigError(f"subsampling source {source!r} needs a method "

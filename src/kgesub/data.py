@@ -203,8 +203,7 @@ def split_fields(rows: list[str], width: int, message: str) -> list[str]:
 class Vocab:
     """Bidirectional label <-> dense-id maps for entities and relations.
 
-    Ids are assigned contiguously in first-appearance order and are
-    stable across save/load round trips.
+    Ids are assigned contiguously in first-appearance order.
     """
 
     def __init__(self) -> None:
@@ -246,33 +245,6 @@ class Vocab:
         except KeyError as exc:
             raise VocabMismatchError(
                 f"unknown {kind} label: {exc.args[0]!r}") from None
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "Vocab":
-        """Read entities.tsv and relations.tsv: `label<TAB>id` lines with
-        ids 0, 1, 2, ... in order and no label twice."""
-        directory = Path(directory)
-        vocab = cls()
-        for name, to_id, labels in (
-            ("entities.tsv", vocab.entity_to_id, vocab.entity_labels),
-            ("relations.tsv", vocab.relation_to_id, vocab.relation_labels),
-        ):
-            path = directory / name
-            for lineno, line in text_lines(path):
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(
-                        f"{path}:{lineno}: expected `label<TAB>id`")
-                if parts[1] != str(len(labels)):
-                    raise DataError(
-                        f"{path}:{lineno}: ids must be dense and ordered "
-                        f"(got {parts[1]!r}, expected {len(labels)})")
-                if parts[0] in to_id:
-                    raise DataError(
-                        f"{path}:{lineno}: label {parts[0]!r} listed twice")
-                to_id[parts[0]] = len(labels)
-                labels.append(parts[0])
-        return vocab
 
 
 @dataclass(eq=False)

@@ -16,7 +16,7 @@ toward smaller temperature, then smaller ratio, then candidate order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,7 +28,8 @@ from .errors import DataError
 from .models import (ModelKind, ModelParams, check_vocab, init_params,
                      iter_candidate_scores, score_triples)
 from .subsampling import (SubModelScores, SubsamplingMethod,
-                          build_cbs_weights, uniform_weights)
+                          build_cbs_weights, log_frequency_offset, logsumexp,
+                          uniform_weights)
 from .training import train
 
 SUBMODEL_SUBSAMPLING = ("none", "cbs-base")
@@ -43,12 +44,13 @@ def pretrain_submodel(dataset: Dataset, kind: ModelKind, subsampling: str,
     """Train a sub-model candidate and tag it with its provenance id.
 
     `subsampling` is restricted to the candidate grid: "none" or
-    "cbs-base".  Every other setting comes from `config`, the auxiliary
-    ones (`config.model_aux()`) included.
+    "cbs-base".  Every other setting comes from `config`; the auxiliary
+    ones are those of `kind`, whatever `config.model` is.
     """
     if subsampling not in SUBMODEL_SUBSAMPLING:
         raise ValueError(f"sub-model subsampling must be one of "
                          f"{SUBMODEL_SUBSAMPLING}, got {subsampling!r}")
+    config = replace(config, model=kind.value)
     if subsampling == "cbs-base":
         weights = build_cbs_weights(dataset, SubsamplingMethod.BASE,
                                     config.smoothing)
@@ -79,31 +81,26 @@ def score_training_triples(submodel: ModelParams, dataset: Dataset,
 def mbs_frequencies_all_candidates(
         submodel: ModelParams,
         dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Query frequencies summed over every candidate entity.
+    """Log query frequencies summed over every candidate entity.
 
     Alternative reading of the model-based query mass: instead of the
     answers observed for the query in the training set, the sub-model's
     probability is accumulated over all E candidate answers.  The
     probability of any (query, candidate) pair shares the training-set
-    softmax normalizer, and the link frequencies are unchanged.
+    softmax normalizer, and the link frequencies are unchanged.  Returns
+    (log f_xy, log f_x) as `log_model_frequencies` does.
     Needs the live sub-model, so this variant cannot be driven from a
     persisted score file.  Each distinct query is scored once, in
-    chunks, and its mass is gathered back to every example asking it.
+    chunks, and its log mass is gathered back to every example asking it.
     """
-    scores = score_training_triples(submodel, dataset, "_")
-    raw = scores.raw_score
-    shift = raw.max()
-    z = np.exp(raw - shift).sum()
-    n = dataset.num_examples
-    f_xy = n * np.exp(raw - shift) / z
+    raw = score_training_triples(submodel, dataset, "_").raw_score
+    offset = log_frequency_offset(raw)
     index = dataset.train_index
-    mass = np.empty(index.num_queries)
+    log_mass = np.empty(index.num_queries)
     for start, stop, candidate_scores in iter_candidate_scores(
             submodel, index.direction, index.entity, index.relation):
-        np.subtract(candidate_scores, shift, out=candidate_scores)
-        mass[start:stop] = np.exp(candidate_scores,
-                                  out=candidate_scores).sum(axis=1) / z
-    return f_xy, n * mass[index.query_id]
+        log_mass[start:stop] = logsumexp(candidate_scores, axis=1)
+    return raw + offset, (log_mass + offset)[index.query_id]
 
 
 # ---------------------------------------------------------------------------

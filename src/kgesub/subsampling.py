@@ -8,15 +8,22 @@ false-link terms).  Weights are built once from frozen inputs and are
 normalized to mean 1 over the whole example set, so subsampling never
 changes the overall scale of the loss.
 
-Count-based weights (CBS) discount by 1/sqrt of counted frequencies:
-the link frequency is approximated by the mean of the two query counts,
-and the query frequency is the count itself.  Model-based weights (MBS)
-replace counts with frequencies derived from a frozen sub-model: its
-raw scores over all training examples are softmax-normalized into a
-distribution p, giving a link frequency of |D| * p(example) and a query
-frequency that aggregates p over the answers observed for the query.
-A temperature exponent alpha replaces CBS's fixed 1/2.  Mixed weights
-(MIX) are the elementwise convex combination of the two tables.
+Model-based weights (MBS) discount frequencies derived from a frozen
+sub-model: its raw scores over all training examples are
+softmax-normalized, giving a link frequency of |D| * p(example) and a
+query frequency that sums the link frequencies of the answers observed
+for the query.  Both live in log space:
+
+    log f_xy = log |D| + raw - logsumexp(raw)
+    log f_x  = logsumexp of log f_xy over the query's examples
+
+and each weight column is the temperature-alpha discount f ** -alpha,
+normalized to mean 1 as n * exp(x - logsumexp(x)) with
+x = -alpha * log f, so scores any distance apart give finite weights.
+Count-based weights (CBS) are the same discount with alpha = 1/2 on
+counted frequencies: the query frequency is the query's count and the
+link frequency the mean of its triple's two query counts.  Mixed
+weights (MIX) are the elementwise convex combination of the two tables.
 
 Weight construction is a pure function of its frozen inputs, and the
 resulting tables are immutable and safe for concurrent readers.
@@ -37,6 +44,8 @@ from .errors import DataError, DegenerateInputError
 # Hyper-parameter search grids.
 ALPHA_GRID = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
 LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class SubsamplingMethod(enum.Enum):
@@ -121,15 +130,68 @@ def counted_frequencies(dataset: Dataset,
 
 def _columns(method: SubsamplingMethod, link: np.ndarray,
              query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A method's unnormalized (a, b) from discounted link and query
-    frequencies."""
+    """A method's (a, b) columns from link and query columns."""
     if method == SubsamplingMethod.BASE:
         return link, link
     return (link, query) if method == SubsamplingMethod.FREQ else (query, query)
 
 
-def _normalize_to_mean_one(unnormalized: np.ndarray) -> np.ndarray:
-    return unnormalized * (unnormalized.shape[0] / unnormalized.sum())
+def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) along `axis`, shifted by the maximum so that no
+    term overflows and the largest is exp(0) = 1."""
+    peak = x.max(axis=axis, keepdims=True)
+    terms = x - peak
+    return np.log(np.exp(terms, out=terms).sum(axis=axis)) + peak.squeeze(axis)
+
+
+def log_frequency_offset(raw_score: np.ndarray) -> float:
+    """log |D| - logsumexp(raw): added to a raw score, the log of |D|
+    times that score's softmax probability over the training examples."""
+    return math.log(raw_score.shape[0]) - float(logsumexp(raw_score))
+
+
+def log_model_frequencies(dataset: Dataset, scores: SubModelScores
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Model-based (log f_xy, log f_x) per expanded example.
+
+    The link frequency of example i is |D| times its softmax probability
+    over the training examples.  The query frequency of example i sums
+    the link frequencies of the examples that share its query, i.e. the
+    probability mass of the answers observed for that query; each sum is
+    taken in log space, shifted by the query's largest term.
+    """
+    raw, n = scores.raw_score, dataset.num_examples
+    if raw.shape[0] != n:
+        raise ValueError(f"scores cover {raw.shape[0]} examples, dataset "
+                         f"has {n}")
+    log_f_xy = raw + log_frequency_offset(raw)
+    query_id = dataset.train_index.query_id
+    peak = np.full(dataset.train_index.num_queries, -np.inf)
+    np.maximum.at(peak, query_id, log_f_xy)
+    mass = np.bincount(query_id, weights=np.exp(log_f_xy - peak[query_id]))
+    return log_f_xy, (np.log(mass) + peak)[query_id]
+
+
+def discounted_weights(log_f_xy: np.ndarray, log_f_x: np.ndarray,
+                       method: SubsamplingMethod, alpha: float,
+                       provenance: Provenance) -> WeightTable:
+    """Weights f ** -alpha of log frequencies, normalized to mean 1.
+
+    Each column is n * exp(x - logsumexp(x)) with x = -alpha * log f,
+    so no power overflows however far apart the frequencies lie.  A
+    weight below the smallest normal double is raised to it, so the
+    table stays positive where the spread is too wide for a double.
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if log_f_xy.shape != log_f_x.shape:
+        raise ValueError("f_xy and f_x must cover the same examples")
+    if method == SubsamplingMethod.NONE:
+        return WeightTable(a=np.ones(len(log_f_xy)),
+                           b=np.ones(len(log_f_xy)), provenance=provenance)
+    a, b = (np.maximum(len(x) * np.exp(x - logsumexp(x)), _TINY)
+            for x in _columns(method, -alpha * log_f_xy, -alpha * log_f_x))
+    return WeightTable(a=a, b=b, provenance=provenance)
 
 
 def build_cbs_weights(dataset: Dataset, method: SubsamplingMethod,
@@ -140,69 +202,9 @@ def build_cbs_weights(dataset: Dataset, method: SubsamplingMethod,
     frequency for `a` and the query frequency for `b`, Uniq uses the
     query frequency for both.
     """
-    if method == SubsamplingMethod.NONE:
-        return uniform_weights(dataset.num_examples)
     f_xy, f_x = counted_frequencies(dataset, smoothing)
-    a_u, b_u = _columns(method, 1.0 / np.sqrt(f_xy), 1.0 / np.sqrt(f_x))
-    return WeightTable(a=_normalize_to_mean_one(a_u),
-                       b=_normalize_to_mean_one(b_u),
-                       provenance=Provenance(source="cbs",
-                                             method=method.value))
-
-
-def softmax_over_train(scores: SubModelScores) -> np.ndarray:
-    """Softmax of the raw scores over the whole training example set.
-
-    Computed with max-subtraction, so uniformly shifted scores give
-    identical probabilities.
-    """
-    raw = scores.raw_score
-    if raw.shape[0] == 0:
-        raise ValueError("need at least one example")
-    shifted = raw - raw.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
-def mbs_frequencies(dataset: Dataset,
-                    p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Model-based frequencies per expanded example.
-
-    The link frequency of example i is |D| * p[i].  The query frequency
-    of example i is |D| times the total probability of the examples that
-    share its query, i.e. the probability mass of the answers observed
-    for that query within the training set.
-    """
-    n = dataset.num_examples
-    if p.shape[0] != n:
-        raise ValueError(f"p covers {p.shape[0]} examples, dataset has {n}")
-    query_id = dataset.train_index.query_id
-    return n * p, n * np.bincount(query_id, weights=p)[query_id]
-
-
-def build_mbs_weights(f_xy: np.ndarray, f_x: np.ndarray,
-                      method: SubsamplingMethod, alpha: float,
-                      submodel_id: str | None = None) -> WeightTable:
-    """Model-based weights: temperature-alpha discounting f ** -alpha.
-
-    With alpha = 0.5 and counted frequencies this reproduces the
-    count-based table.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if f_xy.shape != f_x.shape:
-        raise ValueError("f_xy and f_x must cover the same examples")
-    provenance = Provenance(source="mbs", method=method.value, alpha=alpha,
-                            submodel_id=submodel_id)
-    if method == SubsamplingMethod.NONE:
-        return WeightTable(a=np.ones(len(f_xy)), b=np.ones(len(f_xy)),
-                           provenance=provenance)
-    if np.any(f_xy <= 0) or np.any(f_x <= 0):
-        raise DegenerateInputError("non-positive model-based frequency")
-    a_u, b_u = _columns(method, np.power(f_xy, -alpha), np.power(f_x, -alpha))
-    return WeightTable(a=_normalize_to_mean_one(a_u),
-                       b=_normalize_to_mean_one(b_u),
-                       provenance=provenance)
+    return discounted_weights(np.log(f_xy), np.log(f_x), method, 0.5,
+                              Provenance(source="cbs", method=method.value))
 
 
 def mix_weights(cbs: WeightTable, mbs: WeightTable, lam: float) -> WeightTable:

@@ -14,7 +14,7 @@ from kgesub.data import DIRECTION_NAMES, Dataset, Direction, QueryKey, Vocab
 from kgesub.errors import DataError, DegenerateInputError, VocabMismatchError
 from kgesub.models import ModelKind, ModelParams
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
-                                uniform_weights)
+                                discounted_weights, uniform_weights)
 from kgesub.training import batch_loss
 
 
@@ -50,22 +50,11 @@ def make_vocab(num_entities: int, num_relations: int) -> Vocab:
     return vocab.freeze()
 
 
-def save_vocab(vocab: Vocab, directory) -> None:
-    """Write entities.tsv and relations.tsv (`label<TAB>id` lines), the
-    files `Vocab.load` reads."""
-    for name, labels in (("entities.tsv", vocab.entity_labels),
-                         ("relations.tsv", vocab.relation_labels)):
-        with open(Path(directory) / name, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{label}\t{idx}\n"
-                          for idx, label in enumerate(labels))
-
-
 def save_dataset(dataset: Dataset, directory) -> None:
-    """Write a dataset as the vocabulary files and train/valid/test.txt
-    with its labels, the layout `load_dataset` reads."""
+    """Write a dataset as train/valid/test.txt with its labels, the
+    layout `load_dataset` reads."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_vocab(dataset.vocab, directory)
     entities = np.array(dataset.vocab.entity_labels, dtype=object)
     relations = np.array(dataset.vocab.relation_labels, dtype=object)
     for split in ("train", "valid", "test"):
@@ -573,18 +562,39 @@ def oracle_counted_frequencies(train: list[Triple], smoothing: float):
     return np.array(f_xy), np.array(f_x)
 
 
-def oracle_mbs_query_frequencies(train: list[Triple], p: np.ndarray):
-    """|D| times the probability mass of each example's query, summed
-    over the query's examples in example order."""
-    n = 2 * len(train)
+def mbs_weights(log_f, method, alpha: float,
+                submodel_id: str | None = None) -> WeightTable:
+    """The model-based table of log frequencies (log f_xy, log f_x)."""
+    return discounted_weights(*log_f, method, alpha, Provenance(
+        "mbs", method.value, alpha=alpha, submodel_id=submodel_id))
+
+
+def oracle_logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) shifted by the maximum."""
+    peak = x.max()
+    return np.log(np.exp(x - peak).sum()) + peak
+
+
+def oracle_log_model_frequencies(train: list[Triple], raw: np.ndarray):
+    """Per-example (log link, log query) model frequencies: log |D| plus
+    the log softmax of the raw scores, and for a query the log-sum-exp
+    of its examples' link terms, shifted by their maximum and summed in
+    example order."""
+    log_f_xy = raw + (math.log(len(raw)) - oracle_logsumexp(raw))
+    queries = [query_of(triple, direction) for triple in as_triples(train)
+               for direction in _DIRECTIONS]
+    peak: dict[QueryKey, float] = {}
+    for q, value in zip(queries, log_f_xy):
+        peak[q] = max(peak.get(q, -math.inf), value)
     mass: dict[QueryKey, float] = {}
-    queries = []
-    for i, triple in enumerate(as_triples(train)):
-        for direction in _DIRECTIONS:
-            q = query_of(triple, direction)
-            queries.append(q)
-            mass[q] = mass.get(q, 0.0) + p[2 * i + int(direction)]
-    return np.array([n * mass[q] for q in queries])
+    for q, value in zip(queries, log_f_xy):
+        mass[q] = mass.get(q, 0.0) + np.exp(value - peak[q])
+    return log_f_xy, np.array([np.log(mass[q]) + peak[q] for q in queries])
+
+
+def oracle_mean_one(x: np.ndarray) -> np.ndarray:
+    """exp(x) scaled to mean 1, in log space."""
+    return len(x) * np.exp(x - oracle_logsumexp(x))
 
 
 def oracle_sample_negatives(nu: int, rng: np.random.Generator,

@@ -19,9 +19,8 @@ from kgesub.evaluation import build_filter_index, evaluate, filtered_rank
 from kgesub.models import ModelKind, init_params, score_and_grad
 from kgesub.submodel import pretrain_submodel, score_training_triples
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
-                                build_cbs_weights, build_mbs_weights,
-                                counted_frequencies, mbs_frequencies,
-                                mix_weights, softmax_over_train,
+                                build_cbs_weights, counted_frequencies,
+                                log_model_frequencies, mix_weights,
                                 uniform_weights)
 from kgesub.training import (batch_loss, continue_train, load_checkpoint,
                              save_checkpoint, train)
@@ -29,7 +28,8 @@ from kgesub.training import (batch_loss, continue_train, load_checkpoint,
 from conftest import (Triple, TrainExample, answer_of, as_triples,
                       example_batch_loss, query_of,
                       fd_function_row_gradients, fd_score_row_gradients,
-                      make_vocab, max_relative_error, oracle_answer_sets,
+                      make_vocab, max_relative_error, mbs_weights,
+                      oracle_answer_sets,
                       oracle_counted_frequencies, oracle_filtered_rank,
                       random_kg, random_triples, score, score_batch,
                       sorted_query_counts, zipf_kg)
@@ -57,9 +57,8 @@ def test_c1_mixed_loss_decomposition():
         cbs = build_cbs_weights(dataset, method, 1.0)
         scores = SubModelScores(rng.normal(size=dataset.num_examples),
                                 f"rand-{g}")
-        f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
-        mbs = build_mbs_weights(f_xy, f_x, method,
-                                alpha=float(rng.uniform(0.05, 2.0)))
+        mbs = mbs_weights(log_model_frequencies(dataset, scores), method,
+                          alpha=float(rng.uniform(0.05, 2.0)))
         graphs.append((dataset, cbs, mbs))
 
     worst = 0.0
@@ -100,7 +99,7 @@ def test_c2_count_and_model_weights_agree_at_half():
         for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                        SubsamplingMethod.UNIQ):
             cbs = build_cbs_weights(dataset, method, 0.0)
-            mbs = build_mbs_weights(f_xy, f_x, method, alpha=0.5)
+            mbs = mbs_weights((np.log(f_xy), np.log(f_x)), method, alpha=0.5)
             worst = max(worst,
                         float(np.abs(cbs.a - mbs.a).max()),
                         float(np.abs(cbs.b - mbs.b).max()))
@@ -296,9 +295,8 @@ def test_c6_desk_scale_subsampling_direction():
     sub_params, sid = pretrain_submodel(dataset, ModelKind.COMPLEX, "none",
                                         config=sub_config)
     scores = score_training_triples(sub_params, dataset, sid)
-    f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
-    mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, alpha=0.5,
-                            submodel_id=sid)
+    mbs = mbs_weights(log_model_frequencies(dataset, scores),
+                      SubsamplingMethod.BASE, alpha=0.5, submodel_id=sid)
     mix = mix_weights(cbs, mbs, lam=0.5)
 
     finite = True
@@ -398,9 +396,9 @@ def test_c9_degenerate_submodel_identity():
     sub = init_params(ModelKind.COMPLEX, 8, 2, 6, 1.0, seed=5)
     sub.entity_emb[:] = 0.0  # every training score is exactly 0
     scores = score_training_triples(sub, dataset, "flat")
-    f_xy, f_x = mbs_frequencies(dataset, softmax_over_train(scores))
+    log_f = log_model_frequencies(dataset, scores)
     for alpha in (0.05, 0.5, 2.0):
-        mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, alpha)
+        mbs = mbs_weights(log_f, SubsamplingMethod.BASE, alpha)
         worst_mbs = max(worst_mbs, float(np.abs(mbs.a - 1.0).max()),
                         float(np.abs(mbs.b - 1.0).max()))
         cbs = build_cbs_weights(dataset, SubsamplingMethod.BASE, 0.0)
@@ -414,10 +412,10 @@ def test_c9_degenerate_submodel_identity():
     cycle = Dataset(train=[Triple(i, 0, (i + 1) % 9) for i in range(9)],
                     valid=[], test=[], vocab=make_vocab(9, 1))
     flat = SubModelScores(np.full(cycle.num_examples, 2.5), "flat")
-    f_xy, f_x = mbs_frequencies(cycle, softmax_over_train(flat))
+    log_f = log_model_frequencies(cycle, flat)
     for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
                    SubsamplingMethod.UNIQ):
-        mbs = build_mbs_weights(f_xy, f_x, method, alpha=1.0)
+        mbs = mbs_weights(log_f, method, alpha=1.0)
         worst_mbs = max(worst_mbs, float(np.abs(mbs.a - 1.0).max()),
                         float(np.abs(mbs.b - 1.0).max()))
         cbs = build_cbs_weights(cycle, method, 0.0)

@@ -8,6 +8,7 @@ import pytest
 
 from kgesub.cli import build_parser, main
 from kgesub.config import load_config
+from kgesub.models import load_params
 from kgesub.subsampling import load_weight_table
 
 from conftest import save_dataset, zipf_kg
@@ -123,6 +124,21 @@ class TestExitCodes:
         assert run(args + FAST + argv[1:]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "rotate"], ["train", "--model", "complex"],
+        ["train", "--model", "hake"],
+        ["pretrain-submodel", "--submodel-kind", "rotate"],
+        ["pretrain-submodel", "--submodel-kind", "complex"],
+        ["pretrain-submodel", "--submodel-kind", "hake"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_odd_dim_for_complex_kind_is_exit_1(self, tmp_path, capsys,
+                                                argv):
+        """Checked before the data load: the data directory is absent,
+        which would be exit 2."""
+        assert run(argv + ["--data", tmp_path / "nope", "--run-dir",
+                           tmp_path / "r"] + FAST + ["--dim", "7"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_config_key_is_exit_1(self, data_dir, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("[train]\nwarp_speed = 9\n", encoding="utf-8")
@@ -233,6 +249,18 @@ class TestSubmodelPipeline:
         assert table.provenance.source == "mix"
         assert table.provenance.alpha == 0.1
         assert table.provenance.lam == 0.7
+
+    @pytest.mark.parametrize("kind, aux", [
+        ("distmult", {}), ("hake", {"phase_weight": 0.5})])
+    def test_submodel_aux_follows_its_kind(self, data_dir, tmp_path, kind,
+                                           aux):
+        """Under the default --model transe, the sub-model's checkpoint
+        header holds the auxiliary settings of its own kind."""
+        sub_dir = tmp_path / "sub"
+        assert run(["pretrain-submodel", "--data", data_dir,
+                    "--run-dir", sub_dir, "--submodel-kind", kind]
+                   + FAST) == 0
+        assert load_params(sub_dir / "submodel.bin").aux == aux
 
     def test_build_weights_standalone(self, data_dir, tmp_path):
         run_dir = tmp_path / "weights"
@@ -415,6 +443,32 @@ class TestEvaluateAggregation:
         assert 0.0 < mean <= 1.0
         assert sd >= 0.0
         assert (eval_dir / "metrics.run2.tsv").exists()
+
+
+class TestWideScoreSpread:
+    def test_mbs_weights_of_scores_2000_nats_apart(self, tmp_path):
+        """Softmax probabilities below the double range still give a
+        finite, positive, mean-1 table."""
+        data = tmp_path / "kg"
+        data.mkdir()
+        (data / "train.txt").write_text(
+            "a\tr\tb\na\tr\tc\nb\tr\tc\nc\ts\ta\n", encoding="utf-8")
+        for split in ("valid", "test"):
+            (data / f"{split}.txt").write_text("a\tr\tb\n", encoding="utf-8")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=wide\n" + "".join(
+            f"{i}\t{v!r}\n" for i, v in enumerate(
+                [0.0, 0.0, -2000.0, -2000.0, 5.0, 5.0, -1000.0, -1000.0])),
+            encoding="utf-8")
+        run_dir = tmp_path / "weights"
+        assert run(["build-weights", "--data", data, "--run-dir", run_dir,
+                    "--subsampling", "mbs", "--method", "freq",
+                    "--submodel-scores", scores]) == 0
+        table = load_weight_table(run_dir / "weights.tsv")
+        assert table.provenance.submodel_id == "wide"
+        for column in (table.a, table.b):
+            assert np.all(np.isfinite(column)) and np.all(column > 0)
+            assert column.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAllCandidatesSwitch:

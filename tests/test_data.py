@@ -18,7 +18,7 @@ from conftest import (Triple, as_triples, brute_force_query_counts,
                       looped_zipf_kg, make_vocab, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_query_counts,
                       oracle_singleton_query_stats, query_of, random_triples,
-                      save_dataset, save_vocab, sorted_query_counts, zipf_kg)
+                      save_dataset, sorted_query_counts, zipf_kg)
 
 
 def index_of(train, num_entities=None, num_relations=None):
@@ -84,35 +84,7 @@ class TestLoadTriples:
 
 
 class TestVocabRoundTrip:
-    def test_save_load_identity(self, tmp_path):
-        vocab = Vocab()
-        vocab.add("entity", ["amber", "birch", "cedar"])
-        vocab.add("relation", ["grows_near", "taller_than"])
-        save_vocab(vocab, tmp_path)
-        loaded = Vocab.load(tmp_path)
-        assert loaded.entity_to_id == vocab.entity_to_id
-        assert loaded.relation_to_id == vocab.relation_to_id
-        assert loaded.entity_labels == vocab.entity_labels
-
-    @pytest.mark.parametrize("body, where", [
-        ("a\t0\nb\tone\n", ":2:"),  # id is not an integer
-        ("a\t0\nb\t2\n", ":2:"),  # id skips one
-        ("a\t0\tx\n", ":1:"),  # three fields
-        ("a\n", ":1:"),  # one field
-        ("a\t0\na\t1\n", ":2: label 'a' listed twice"),
-        ("a\t0\nb\t0\n", ":2:"),  # id listed twice
-    ])
-    def test_malformed_entities_file(self, tmp_path, body, where):
-        (tmp_path / "entities.tsv").write_text(body, encoding="utf-8")
-        (tmp_path / "relations.tsv").write_text("r\t0\n", encoding="utf-8")
-        with pytest.raises(DataError, match=where):
-            Vocab.load(tmp_path)
-
     def test_undecodable_bytes_are_data_errors(self, tmp_path):
-        (tmp_path / "entities.tsv").write_bytes(b"a\t0\n\xff\t1\n")
-        (tmp_path / "relations.tsv").write_text("r\t0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="UTF-8"):
-            Vocab.load(tmp_path)
         (tmp_path / "train.txt").write_bytes(b"a\tr\t\xfe\n")
         with pytest.raises(DataError, match="UTF-8"):
             load_triples(tmp_path / "train.txt")

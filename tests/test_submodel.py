@@ -11,9 +11,11 @@ from kgesub.submodel import (GridRecord, append_ledger, pretrain_submodel,
                              read_ledger, score_training_triples,
                              select_submodel)
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
-                                build_cbs_weights, build_mbs_weights,
-                                load_scores, mbs_frequencies, mix_weights,
-                                save_scores, softmax_over_train)
+                                build_cbs_weights, load_scores,
+                                log_model_frequencies, mix_weights,
+                                save_scores)
+
+from conftest import mbs_weights
 
 
 
@@ -34,9 +36,8 @@ class TestPretrain:
                 config=RunConfig(dim=4, gamma=1.0, steps=8, batch_size=4,
                                  nu=2, seed=5))
             scores = score_training_triples(params, toy_dataset, sid)
-            p = softmax_over_train(scores)
-            f_xy, f_x = mbs_frequencies(toy_dataset, p)
-            return build_mbs_weights(f_xy, f_x, SubsamplingMethod.FREQ, 0.5)
+            return mbs_weights(log_model_frequencies(toy_dataset, scores),
+                               SubsamplingMethod.FREQ, 0.5)
         one, two = build(), build()
         assert np.array_equal(one.a, two.a)
         assert np.array_equal(one.b, two.b)
@@ -92,9 +93,8 @@ class TestDegenerateSubmodel:
         params = init_params(ModelKind.DISTMULT, 3, 1, 4, 1.0, seed=6)
         params.entity_emb[:] = 0.0  # every score is exactly 0
         scores = score_training_triples(params, toy_dataset, "flat")
-        p = softmax_over_train(scores)
-        f_xy, f_x = mbs_frequencies(toy_dataset, p)
-        mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, 0.5)
+        mbs = mbs_weights(log_model_frequencies(toy_dataset, scores),
+                          SubsamplingMethod.BASE, 0.5)
         np.testing.assert_allclose(mbs.a, 1.0, atol=1e-12)
         np.testing.assert_allclose(mbs.b, 1.0, atol=1e-12)
 
@@ -102,9 +102,8 @@ class TestDegenerateSubmodel:
         params = init_params(ModelKind.DISTMULT, 3, 1, 4, 1.0, seed=7)
         params.entity_emb[:] = 0.0
         scores = score_training_triples(params, toy_dataset, "flat")
-        p = softmax_over_train(scores)
-        f_xy, f_x = mbs_frequencies(toy_dataset, p)
-        mbs = build_mbs_weights(f_xy, f_x, SubsamplingMethod.BASE, 0.5)
+        mbs = mbs_weights(log_model_frequencies(toy_dataset, scores),
+                          SubsamplingMethod.BASE, 0.5)
         cbs = build_cbs_weights(toy_dataset, SubsamplingMethod.BASE, 0.0)
         for lam in (0.1, 0.5, 0.9):
             mixed = mix_weights(cbs, mbs, lam)
@@ -124,9 +123,8 @@ class TestDegenerateSubmodel:
         persisted = load_scores(path)
 
         def weights_from(scores):
-            p = softmax_over_train(scores)
-            f_xy, f_x = mbs_frequencies(toy_dataset, p)
-            return build_mbs_weights(f_xy, f_x, SubsamplingMethod.UNIQ, 1.0)
+            return mbs_weights(log_model_frequencies(toy_dataset, scores),
+                               SubsamplingMethod.UNIQ, 1.0)
 
         a = weights_from(live)
         b = weights_from(persisted)
@@ -277,16 +275,16 @@ class TestAllCandidatesQueryMass:
         from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.DISTMULT, 3, 1, 4, 1.0, seed=6)
         sub.entity_emb[:] = 0.0
-        f_xy, f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
-        np.testing.assert_allclose(f_xy, 1.0, atol=1e-12)
-        np.testing.assert_allclose(f_x, 3.0, atol=1e-12)
+        log_f_xy, log_f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
+        np.testing.assert_allclose(np.exp(log_f_xy), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(log_f_x), 3.0, atol=1e-12)
 
     def test_matches_brute_force_probability_sums(self, toy_dataset):
         from kgesub.data import Direction
         from conftest import Triple, as_triples, query_of, score
         from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.COMPLEX, 3, 1, 4, 1.0, seed=7)
-        _, f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
+        _, log_f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
         train_scores = []
         for triple in as_triples(toy_dataset.train):
             train_scores.extend([score(sub, triple)] * 2)
@@ -305,13 +303,13 @@ class TestAllCandidatesQueryMass:
                                        query.entity)
                     mass += np.exp(score(sub, probe)) / z
                 expected = n * mass
-                got = f_x[2 * i + int(direction)]
+                got = np.exp(log_f_x[2 * i + int(direction)])
                 assert got == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_per_query_loop(self, kind, monkeypatch):
         """Chunked unique-query scoring gives the per-example masses of
-        scoring every example's query on its own."""
+        scoring every example's query on its own, in linear space."""
         from kgesub import models
         from kgesub.data import Direction
         from conftest import as_triples, query_of, score_batch
@@ -321,8 +319,9 @@ class TestAllCandidatesQueryMass:
         dataset = zipf_kg(3)  # Zipf heads: most queries repeat
         sub = init_params(kind, dataset.num_entities, dataset.num_relations,
                           8, 2.0, seed=9)
-        f_xy, f_x = mbs_frequencies_all_candidates(sub, dataset)
-        raw = score_training_triples(sub, dataset, "_").raw_score
+        log_f_xy, log_f_x = mbs_frequencies_all_candidates(sub, dataset)
+        train_scores = score_training_triples(sub, dataset, "_")
+        raw = train_scores.raw_score
         shift = raw.max()
         z = np.exp(raw - shift).sum()
         n = dataset.num_examples
@@ -335,8 +334,11 @@ class TestAllCandidatesQueryMass:
                 mass = np.exp(scores - shift).sum() / z
                 expected[2 * i + int(direction)] = n * mass
         assert len(set(expected.tolist())) < n / 2
-        np.testing.assert_allclose(f_x, expected, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(f_xy, n * np.exp(raw - shift) / z)
+        np.testing.assert_allclose(np.exp(log_f_x), expected, rtol=1e-12,
+                                   atol=0)
+        # the link frequencies are those of the observed-mass path
+        np.testing.assert_array_equal(
+            log_f_xy, log_model_frequencies(dataset, train_scores)[0])
 
     def test_vocab_mismatch_rejected(self, toy_dataset):
         from kgesub.submodel import mbs_frequencies_all_candidates

@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 
 from kgesub.data import Dataset, Direction
 from kgesub.errors import DataError, DegenerateInputError
-from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
-                                WeightTable, build_cbs_weights,
-                                build_mbs_weights, load_scores,
-                                load_weight_table, mbs_frequencies,
-                                mix_weights, save_scores, save_weight_table,
-                                softmax_over_train, uniform_weights)
+from kgesub.models import ModelKind, init_params
+from kgesub.submodel import mbs_frequencies_all_candidates
+from kgesub.subsampling import (ALPHA_GRID, Provenance, SubModelScores,
+                                SubsamplingMethod, WeightTable,
+                                build_cbs_weights, discounted_weights,
+                                load_scores, load_weight_table,
+                                log_model_frequencies, mix_weights,
+                                save_scores, save_weight_table,
+                                uniform_weights)
 
 from conftest import (Triple, as_triples, looped_zipf_kg, make_vocab,
-                      oracle_counted_frequencies,
-                      oracle_mbs_query_frequencies, query_of, random_kg)
+                      mbs_weights, oracle_counted_frequencies,
+                      oracle_log_model_frequencies, oracle_mean_one,
+                      query_of, random_kg)
 
 
 def cycle_dataset(n=6):
@@ -32,6 +36,15 @@ def cycle_dataset(n=6):
 def counted_frequency_arrays(dataset, smoothing=0.0):
     """Per-example (link, query) counted frequencies, by definition."""
     return oracle_counted_frequencies(dataset.train, 0.0)
+
+
+def mbs_table(f_xy, f_x, method, alpha):
+    """The model-based table of linear frequencies."""
+    return mbs_weights((np.log(f_xy), np.log(f_x)), method, alpha)
+
+
+ALL_METHODS = (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
+               SubsamplingMethod.UNIQ)
 
 
 class TestCbsWeights:
@@ -94,105 +107,121 @@ class TestCbsWeights:
                     assert table.a[i] == table.a[j]
 
     def test_frequencies_match_dict_oracle(self):
-        """Every method's table equals 1/sqrt of the dict-loop counted
-        frequencies, normalized, bit for bit."""
+        """Every method's table is the alpha-1/2 discount of the dict-loop
+        counted frequencies, normalized in log space, bit for bit."""
         for seed in range(3):
             dataset = looped_zipf_kg(seed)
             f_xy, f_x = oracle_counted_frequencies(dataset.train, 4.0)
-            inv_xy, inv_x = 1.0 / np.sqrt(f_xy), 1.0 / np.sqrt(f_x)
-            for method, a, b in ((SubsamplingMethod.BASE, inv_xy, inv_xy),
-                                 (SubsamplingMethod.FREQ, inv_xy, inv_x),
-                                 (SubsamplingMethod.UNIQ, inv_x, inv_x)):
+            x_xy, x_x = -0.5 * np.log(f_xy), -0.5 * np.log(f_x)
+            for method, a, b in ((SubsamplingMethod.BASE, x_xy, x_xy),
+                                 (SubsamplingMethod.FREQ, x_xy, x_x),
+                                 (SubsamplingMethod.UNIQ, x_x, x_x)):
                 table = build_cbs_weights(dataset, method, 4.0)
-                np.testing.assert_array_equal(table.a, a * (len(a) / a.sum()))
-                np.testing.assert_array_equal(table.b, b * (len(b) / b.sum()))
+                np.testing.assert_array_equal(table.a, oracle_mean_one(a))
+                np.testing.assert_array_equal(table.b, oracle_mean_one(b))
+
+
+def link_frequencies(raw):
+    """exp(log f_xy) of raw scores over a same-sized example set."""
+    n = len(raw)
+    dataset = cycle_dataset(n // 2)
+    return np.exp(log_model_frequencies(
+        dataset, SubModelScores(np.asarray(raw, dtype=float), "x"))[0])
 
 
 class TestSoftmaxOverTrain:
+    """The link frequency is |D| times the softmax over the training
+    examples."""
+
     def test_uniform_when_scores_equal(self):
-        scores = SubModelScores(raw_score=np.full(8, 3.25), submodel_id="x")
-        p = softmax_over_train(scores)
-        np.testing.assert_allclose(p, 1.0 / 8.0, atol=1e-15)
+        np.testing.assert_allclose(link_frequencies(np.full(8, 3.25)), 1.0,
+                                   atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         raw = rng.normal(size=50)
-        p1 = softmax_over_train(SubModelScores(raw, "x"))
-        p2 = softmax_over_train(SubModelScores(raw + 123.456, "x"))
-        np.testing.assert_allclose(p1, p2, atol=1e-12)
+        np.testing.assert_allclose(link_frequencies(raw),
+                                   link_frequencies(raw + 123.456),
+                                   atol=1e-12)
 
     def test_closed_form_two_examples(self):
-        scores = SubModelScores(np.array([0.0, math.log(3.0)]), "x")
-        np.testing.assert_allclose(softmax_over_train(scores), [0.25, 0.75],
-                                   atol=1e-15)
+        np.testing.assert_allclose(link_frequencies([0.0, math.log(3.0)]),
+                                   [0.5, 1.5], atol=1e-15)
 
     def test_positive_and_normalized(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(scale=40.0, size=200)  # large spread, still stable
-        p = softmax_over_train(SubModelScores(raw, "x"))
-        assert np.all(p > 0)
-        assert abs(p.sum() - 1.0) <= 1e-12
+        f = link_frequencies(raw)
+        assert np.all(f > 0)
+        assert abs(f.sum() / 200 - 1.0) <= 1e-12
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(DegenerateInputError):
             SubModelScores(np.array([0.0, np.inf]), "x")
 
 
+def flat_scores(dataset):
+    return SubModelScores(np.zeros(dataset.num_examples), "flat")
+
+
 class TestMbsFrequencies:
     def test_uniform_p_gives_unit_link_frequency(self, toy_dataset):
-        n = toy_dataset.num_examples
-        f_xy, _ = mbs_frequencies(toy_dataset, np.full(n, 1.0 / n))
-        np.testing.assert_allclose(f_xy, 1.0, atol=1e-15)
+        log_f_xy, _ = log_model_frequencies(toy_dataset,
+                                            flat_scores(toy_dataset))
+        np.testing.assert_allclose(np.exp(log_f_xy), 1.0, atol=1e-15)
 
     def test_uniform_p_query_frequency_counts_answers(self, toy_dataset):
         """(e1, r1, ?) has two observed answers, so its frequency is 2."""
-        n = toy_dataset.num_examples
-        _, f_x = mbs_frequencies(toy_dataset, np.full(n, 1.0 / n))
-        assert f_x[0] == pytest.approx(2.0, abs=1e-12)  # t0 tail query
-        assert f_x[1] == pytest.approx(1.0, abs=1e-12)  # t0 head query
+        _, log_f_x = log_model_frequencies(toy_dataset,
+                                           flat_scores(toy_dataset))
+        assert np.exp(log_f_x[0]) == pytest.approx(2.0, abs=1e-12)  # tail
+        assert np.exp(log_f_x[1]) == pytest.approx(1.0, abs=1e-12)  # head
 
     def test_query_mass_partitions_total(self, toy_dataset):
         """Summed over distinct queries, frequencies recover |D|."""
         rng = np.random.default_rng(4)
         n = toy_dataset.num_examples
-        p = rng.dirichlet(np.ones(n))
-        _, f_x = mbs_frequencies(toy_dataset, p)
+        scores = SubModelScores(np.log(rng.dirichlet(np.ones(n))), "x")
+        _, log_f_x = log_model_frequencies(toy_dataset, scores)
         per_query = {}
         for i, triple in enumerate(as_triples(toy_dataset.train)):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 per_query[query_of(triple, direction)] = \
-                    f_x[2 * i + int(direction)]
+                    np.exp(log_f_x[2 * i + int(direction)])
         assert sum(per_query.values()) == pytest.approx(n, abs=1e-9)
 
     def test_length_mismatch_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
-            mbs_frequencies(toy_dataset, np.full(4, 0.25))
+            log_model_frequencies(toy_dataset,
+                                  SubModelScores(np.zeros(4), "x"))
 
     def test_matches_dict_oracle(self):
-        """Query masses equal the per-query dict sums bit for bit."""
+        """Link and query log frequencies equal the per-query dict
+        log-sum-exps bit for bit."""
         rng = np.random.default_rng(9)
         for seed in range(3):
             dataset = looped_zipf_kg(seed)
-            p = rng.dirichlet(np.ones(dataset.num_examples))
-            f_xy, f_x = mbs_frequencies(dataset, p)
-            np.testing.assert_array_equal(f_xy, dataset.num_examples * p)
-            np.testing.assert_array_equal(
-                f_x, oracle_mbs_query_frequencies(dataset.train, p))
+            raw = rng.normal(scale=3.0, size=dataset.num_examples)
+            log_f_xy, log_f_x = log_model_frequencies(
+                dataset, SubModelScores(raw, "x"))
+            oracle_xy, oracle_x = oracle_log_model_frequencies(dataset.train,
+                                                               raw)
+            np.testing.assert_array_equal(log_f_xy, oracle_xy)
+            np.testing.assert_array_equal(log_f_x, oracle_x)
 
 
 class TestMbsWeights:
     def test_hand_computation_two_examples(self):
         f = np.array([1.0, 4.0])
-        table = build_mbs_weights(f, f, SubsamplingMethod.BASE, alpha=1.0)
+        table = mbs_table(f, f, SubsamplingMethod.BASE, alpha=1.0)
         np.testing.assert_allclose(table.a, [1.6, 0.4], atol=1e-12)
         np.testing.assert_allclose(table.b, [1.6, 0.4], atol=1e-12)
 
     def test_uniform_frequencies_give_ones(self):
         f = np.full(10, 7.5)
         for alpha in (0.01, 0.5, 2.0):
-            for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
-                           SubsamplingMethod.UNIQ):
-                table = build_mbs_weights(f, f, method, alpha=alpha)
+            for method in ALL_METHODS:
+                table = mbs_table(f, f, method, alpha=alpha)
                 np.testing.assert_allclose(table.a, 1.0, atol=1e-12)
                 np.testing.assert_allclose(table.b, 1.0, atol=1e-12)
 
@@ -203,22 +232,71 @@ class TestMbsWeights:
             dataset = random_kg(rng, num_entities=10, num_relations=3,
                                 num_train=60)
             f_xy, f_x = counted_frequency_arrays(dataset)
-            for method in (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
-                           SubsamplingMethod.UNIQ):
+            for method in ALL_METHODS:
                 cbs = build_cbs_weights(dataset, method, 0.0)
-                mbs = build_mbs_weights(f_xy, f_x, method, alpha=0.5)
+                mbs = mbs_table(f_xy, f_x, method, alpha=0.5)
                 np.testing.assert_allclose(mbs.a, cbs.a, atol=1e-12)
                 np.testing.assert_allclose(mbs.b, cbs.b, atol=1e-12)
 
     def test_invalid_alpha_rejected(self):
         f = np.ones(4)
         with pytest.raises(ValueError):
-            build_mbs_weights(f, f, SubsamplingMethod.BASE, alpha=0.0)
+            mbs_table(f, f, SubsamplingMethod.BASE, alpha=0.0)
 
-    def test_non_positive_frequency_rejected(self):
-        f = np.array([1.0, 0.0])
-        with pytest.raises(DegenerateInputError):
-            build_mbs_weights(f, f, SubsamplingMethod.BASE, alpha=1.0)
+    def test_underflowing_frequency_gives_positive_weights(self):
+        """A frequency too small for a double, given as its log, still
+        weighs; a weight beyond the double range is floored, not 0."""
+        log_f = np.array([0.0, -2000.0])
+        light = math.exp(-20.0)
+        tiny = np.finfo(np.float64).tiny
+        for alpha, expected in ((0.01, [2 * light / (1 + light),
+                                        2 / (1 + light)]),
+                                (1.0, [tiny, 2.0])):
+            table = discounted_weights(log_f, log_f, SubsamplingMethod.BASE,
+                                       alpha, Provenance("mbs", "base"))
+            np.testing.assert_allclose(table.a, expected, rtol=1e-12)
+            np.testing.assert_array_equal(table.b, table.a)
+
+
+def assert_usable(table):
+    """Finite, positive, mean-1 columns."""
+    for column in (table.a, table.b):
+        assert np.all(np.isfinite(column)) and np.all(column > 0)
+        assert column.mean() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWideScoreSpread:
+    """Sub-model scores 2,000 nats apart, beyond exp's double range."""
+
+    def test_observed_mass_every_alpha(self):
+        dataset = looped_zipf_kg(0)
+        rng = np.random.default_rng(11)
+        raw = rng.permutation(np.linspace(-1000.0, 1000.0,
+                                          dataset.num_examples))
+        log_f = log_model_frequencies(dataset, SubModelScores(raw, "wide"))
+        assert np.all(np.isfinite(log_f[0])) and np.all(np.isfinite(log_f[1]))
+        self._check_every_alpha(log_f)
+
+    def test_all_candidates_mass_every_alpha(self, toy_dataset):
+        # DistMult scores h * r * t: the training triples score 0, 0 and
+        # 2,000, and candidates of (?, r0, e2) up to 2,500
+        sub = init_params(ModelKind.DISTMULT, 3, 1, 1, 1.0, seed=1)
+        sub.entity_emb[:] = [[0.0], [40.0], [50.0]]
+        sub.relation_emb[:] = [[1.0]]
+        log_f = mbs_frequencies_all_candidates(sub, toy_dataset)
+        assert np.ptp(log_f[0]) == 2000.0
+        self._check_every_alpha(log_f)
+
+    @staticmethod
+    def _check_every_alpha(log_f):
+        cbs = WeightTable(np.ones(len(log_f[0])), np.ones(len(log_f[0])),
+                          Provenance("cbs", "base"))
+        for alpha in ALPHA_GRID:
+            for method in ALL_METHODS:
+                table = discounted_weights(*log_f, method, alpha,
+                                           Provenance("mbs", method.value))
+                assert_usable(table)
+                assert_usable(mix_weights(cbs, table, 0.5))
 
 
 class TestMixWeights:

@@ -20,7 +20,7 @@ from kgesub import data
 from kgesub.data import Dataset, Vocab, load_triples
 from kgesub.errors import DataError, KgesubError
 from kgesub.subsampling import (Provenance, SubsamplingMethod,
-                                build_mbs_weights, load_scores,
+                                discounted_weights, load_scores,
                                 load_weight_table, save_weight_table,
                                 uniform_weights)
 
@@ -296,9 +296,10 @@ class TestHeaderOnlyTables:
         """A model-based table of method None is all ones too, and a
         table with one weight off 1 keeps its rows."""
         path = tmp_path / "weights.tsv"
-        table = build_mbs_weights(np.ones(4), np.ones(4),
-                                  SubsamplingMethod.NONE, 0.5,
-                                  submodel_id="m")
+        table = discounted_weights(np.zeros(4), np.zeros(4),
+                                   SubsamplingMethod.NONE, 0.5,
+                                   Provenance("mbs", "none", alpha=0.5,
+                                              submodel_id="m"))
         save_weight_table(table, path)
         assert path.read_text(encoding="utf-8").count("\n") == 1
         assert load_weight_table(path).provenance == table.provenance

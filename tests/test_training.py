@@ -9,9 +9,9 @@ from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction, QueryIndex
 from kgesub.errors import DegenerateInputError, TrainingDivergedError
 from kgesub.models import ModelKind, init_params
-from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
-                                build_mbs_weights, mix_weights,
-                                uniform_weights)
+from kgesub.subsampling import (Provenance, SubsamplingMethod,
+                                build_cbs_weights, discounted_weights,
+                                mix_weights, uniform_weights)
 from kgesub.training import (OptimizerState, _apply_update, batch_loss,
                              load_checkpoint, sample_negatives,
                              save_checkpoint, train, continue_train)
@@ -425,7 +425,9 @@ class TestMixLossIdentity:
                             num_train=30)
         cbs = build_cbs_weights(dataset, SubsamplingMethod.FREQ, 1.0)
         f = rng.uniform(0.5, 3.0, size=dataset.num_examples)
-        mbs = build_mbs_weights(f, f, SubsamplingMethod.FREQ, alpha=0.3)
+        mbs = discounted_weights(np.log(f), np.log(f),
+                                 SubsamplingMethod.FREQ, 0.3,
+                                 Provenance("mbs", "freq", alpha=0.3))
         params = init_params(ModelKind.TRANSE, 10, 3, 8, 2.0, seed=17)
         index = dataset.train_index
         for lam in (0.0, 0.25, 0.7, 1.0):
