@@ -26,6 +26,7 @@ import os
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
+from .data import replacing
 from .errors import ConfigError
 from .models import INIT_EPSILON, ModelKind, default_aux, relation_dim
 
@@ -200,5 +201,5 @@ def save_config(config: RunConfig, path: str | Path) -> None:
         value = getattr(config, setting.name)
         parser.set(section, key, repr(value) if isinstance(value, float)
                    else str(value))
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         parser.write(fh)

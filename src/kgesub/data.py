@@ -16,8 +16,14 @@ answers: the sorted distinct answers of query q are
 among q's non-answers to the entity, for negative sampling.  Query ids
 follow the packed int64 key ``(direction * E + entity) * R + relation``,
 ascending, which is the order of `QueryKey` tuples; `find` maps queries
-to ids by binary search on that key.  `Dataset.train_index` is the index of the training
-split, built on first use; the evaluation filter indexes all three.
+to ids by binary search on that key.  `Dataset.train_index` is the
+index of the training split, built on first use; the evaluation filter
+indexes all three.
+
+`load_dataset` keeps its parse beside the text as `.kgesub-dataset.bin`,
+in the binary container of checkpoints, and reads that copy while the
+SHA-256 of the splits is unchanged.  Artifacts are written through
+`replacing`: a reader finds the old file or the new, never a torn one.
 
 Datasets, vocabularies, and indexes are never mutated after
 construction; any number of threads may read them concurrently.
@@ -26,18 +32,30 @@ construction; any number of threads may read them concurrently.
 from __future__ import annotations
 
 import enum
+import hashlib
+import json
+import math
+import os
+import struct
+import threading
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import IO, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, KgesubError, VocabMismatchError
+from .errors import CheckpointError, DataError, KgesubError, VocabMismatchError
 
 BLOCK_BYTES = 1 << 16  # about this many bytes of lines per parsed block
+_MAGIC = b"KGESUBCK"  # of the binary container
+_FORMAT_VERSION = 1
+SPLITS = ("train", "valid", "test")
+COPY_NAME = ".kgesub-dataset.bin"  # the parsed copy in a dataset directory
+COPY_VERSION = 1  # of the parse rules: a change must bump it
 
 
 class Direction(enum.IntEnum):
@@ -80,25 +98,37 @@ class QueryIndex:
         if ids.size and (ids.min() < 0 or ids[:, 1].max() >= num_relations
                          or ids[:, [0, 2]].max() >= num_entities):
             raise ValueError("triple ids outside the vocabulary")
-        entities = ids[:, [0, 2]].ravel()
-        relations = np.repeat(ids[:, 1], 2)
+        # query keys of the tail then head query of each triple
+        packed = (np.stack([ids[:, 0], ids[:, 2] + num_entities], axis=1)
+                  * num_relations + ids[:, 1:2]).ravel()
         answer = ids[:, [2, 0]].ravel()
-        directions = np.tile(np.array([Direction.TAIL_QUERY,
-                                       Direction.HEAD_QUERY]), len(ids))
-        key, query_id = np.unique(
-            (directions * num_entities + entities) * num_relations
-            + relations, return_inverse=True)
+        # one sort by (query key, answer): of both and the example id in
+        # one int64 where that fits, else a lexsort of the two
+        key_bits, ebits, nbits = ((int(n) - 1).bit_length() for n in (
+            2 * num_entities * num_relations, num_entities, len(packed)))
+        if key_bits + ebits + nbits <= 63:
+            coded = (packed << ebits | answer) << nbits | np.arange(answer.size)
+            coded.sort()
+            order = coded & ((1 << nbits) - 1)
+            coded >>= nbits
+            answers = coded & ((1 << ebits) - 1)
+            keys = np.right_shift(coded, ebits, out=coded)
+        else:
+            order = np.lexsort((answer, packed))
+            keys, answers = packed[order], answer[order]
+        starts = np.diff(keys, prepend=-1) != 0  # each query's first example
+        distinct = starts | (np.diff(answers, prepend=-1) != 0)
+        query_id = np.empty(len(order), dtype=np.int64)
+        query_id[order] = np.cumsum(starts) - 1
+        first = np.flatnonzero(starts)
+        key = keys[first]
         rest, relation = np.divmod(key, num_relations)
         direction, entity = np.divmod(rest, num_entities)
-        # distinct (query, answer) pairs by sorting: np.unique would take
-        # its hash-table path here (numpy >= 2.3), far slower and erratic
-        pairs = np.sort(query_id * num_entities + answer)
-        owner, answers = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0],
-                                   num_entities)
-        offsets = np.zeros(len(key) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=len(key)), out=offsets[1:])
+        # each query's first example is distinct, so it starts its list
+        offsets = np.append(np.flatnonzero(starts[distinct]),
+                            np.count_nonzero(distinct))
         arrays = (query_id, answer, key, direction, entity, relation,
-                  np.bincount(query_id, minlength=len(key)), offsets, answers)
+                  np.diff(first, append=len(keys)), offsets, answers[distinct])
         for array in arrays:
             array.flags.writeable = False
         return cls(num_entities, num_relations, *arrays)
@@ -200,6 +230,86 @@ def split_fields(rows: list[str], width: int, message: str) -> list[str]:
     return fields
 
 
+@contextmanager
+def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A file beside `path` to write (text as UTF-8) that replaces
+    `path` when the block ends, and is removed if the block raises."""
+    temp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(temp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        with suppress(OSError):  # left only when the block raised
+            os.unlink(temp)
+
+
+def write_container(path: str | Path, header: dict,
+                    arrays: dict[str, np.ndarray]) -> None:
+    """Binary container: magic, length-prefixed JSON header, then the
+    arrays named in header["arrays"] as row-major little-endian f64."""
+    header = dict(header)
+    header["format_version"] = _FORMAT_VERSION
+    header["arrays"] = [{"name": name, "shape": list(arr.shape)}
+                        for name, arr in arrays.items()]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with replacing(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for arr in arrays.values():
+            flat, step = np.ravel(arr), BLOCK_BYTES // 8  # 64 KiB writes
+            for start in range(0, flat.size, step):
+                fh.write(flat[start:start + step].astype("<f8"))
+
+
+def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(_MAGIC))
+        if magic != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        raw_len = fh.read(8)
+        if len(raw_len) != 8:
+            raise CheckpointError(f"{path}: truncated header")
+        (blob_len,) = struct.unpack("<Q", raw_len)
+        if blob_len > size - fh.tell():
+            raise CheckpointError(f"{path}: truncated header")
+        blob = fh.read(blob_len)
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bytes, syntax, size
+            raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        if header.get("format_version") != _FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported format version "
+                f"{header.get('format_version')}")
+        specs = header.get("arrays")
+        if not isinstance(specs, list):
+            raise CheckpointError(f"{path}: header has no array list")
+        arrays: dict[str, np.ndarray] = {}
+        for spec in specs:
+            name, shape = ((spec.get("name"), spec.get("shape"))
+                           if isinstance(spec, dict) else (None, None))
+            if (not isinstance(name, str) or not isinstance(shape, list)
+                    or not all(type(n) is int and n >= 0 for n in shape)):
+                raise CheckpointError(f"{path}: bad array entry {spec!r}")
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated array {name!r}")
+            try:
+                arrays[name] = np.empty(shape, dtype="<f8")
+            except ValueError as exc:  # a shape numpy cannot make
+                raise CheckpointError(f"{path}: {name!r}: {exc}") from exc
+            if fh.readinto(arrays[name]) != nbytes:  # cut since the stat
+                raise CheckpointError(f"{path}: truncated array {name!r}")
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after arrays")
+    return header, arrays
+
+
 class Vocab:
     """Bidirectional label <-> dense-id maps for entities and relations.
 
@@ -258,7 +368,7 @@ class Dataset:
     vocab: Vocab
 
     def __post_init__(self) -> None:
-        for split in ("train", "valid", "test"):
+        for split in SPLITS:
             ids = np.array(getattr(self, split), dtype=np.int64).reshape(-1, 3)
             ids.flags.writeable = False
             setattr(self, split, ids)
@@ -318,14 +428,59 @@ def load_dataset(directory: str | Path) -> Dataset:
     """Load train.txt/valid.txt/test.txt under one shared vocabulary.
 
     The vocabulary is built from all three splits (train first) so that
-    evaluation candidates cover every known entity.
+    evaluation candidates cover every known entity.  The parse is kept
+    as `COPY_NAME` and read back while the text is unchanged.
     """
-    directory = Path(directory)
+    directory, digest = Path(directory), None
+    with suppress(OSError, CheckpointError):  # the parse raises, if any
+        digest = _splits_digest(directory)
+        if dataset := _copied(digest, *read_container(directory / COPY_NAME)):
+            return dataset
     vocab = Vocab()
-    train, _ = load_triples(directory / "train.txt", vocab)
-    valid, _ = load_triples(directory / "valid.txt", vocab)
-    test, _ = load_triples(directory / "test.txt", vocab)
-    return Dataset(train=train, valid=valid, test=test, vocab=vocab)
+    dataset = Dataset(*(load_triples(directory / f"{split}.txt", vocab)[0]
+                        for split in SPLITS), vocab=vocab)
+    with suppress(OSError):  # not if a split changed during the parse
+        if digest and digest == _splits_digest(directory):
+            write_container(directory / COPY_NAME, {
+                "payload": "dataset", "digest": digest,
+                "entities": "\t".join(vocab.entity_labels),
+                "relations": "\t".join(vocab.relation_labels)},
+                {split: getattr(dataset, split) for split in SPLITS})
+    return dataset
+
+
+def _splits_digest(directory: Path) -> str:
+    """SHA-256 of the parse rules' version, then of each split's length
+    and bytes, read in blocks."""
+    digest = hashlib.sha256(f"kgesub-dataset {COPY_VERSION}".encode())
+    for path in (directory / f"{split}.txt" for split in SPLITS):
+        digest.update(path.stat().st_size.to_bytes(8, "little"))
+        with open(path, "rb") as fh:
+            while block := fh.read(BLOCK_BYTES):
+                digest.update(block)
+    return digest.hexdigest()
+
+
+def _copied(digest: str, header: dict,
+            arrays: dict[str, np.ndarray]) -> Dataset | None:
+    """The dataset of a parsed copy made for `digest`, None when the
+    copy is for other text or is not a valid dataset."""
+    labels = [header.get("entities"), header.get("relations")]
+    if (header.get("digest") != digest
+            or not all(isinstance(names, str) for names in labels)):
+        return None
+    labels = [names.split("\t") for names in labels]  # never empty
+    vocab = Vocab()
+    vocab.add("entity", labels[0])
+    vocab.add("relation", labels[1])
+    bounds = [vocab.num_entities, vocab.num_relations, vocab.num_entities]
+    splits = [arrays.get(split, np.empty(0)) for split in SPLITS]
+    if list(map(len, labels)) != bounds[:2] or not all(
+            ids.ndim == 2 and ids.shape[1] == 3 and len(ids)
+            and np.all((ids >= 0) & (ids < bounds) & (ids == np.floor(ids)))
+            for ids in splits):
+        return None  # duplicate labels, or ids that are not theirs
+    return Dataset(*splits, vocab=vocab)
 
 
 def singleton_query_stats(

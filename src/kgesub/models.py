@@ -43,17 +43,14 @@ read phases.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import os
-import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Direction
+from .data import Dataset, Direction, read_container, write_container
 from .errors import CheckpointError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
@@ -61,9 +58,6 @@ INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 # Bytes of one candidate-scoring temporary: the (queries, E) scores of
 # a chunk, and the (queries, entities, width) block of a distance.
 RANK_BUDGET_BYTES = 4 << 20
-
-_MAGIC = b"KGESUBCK"
-_FORMAT_VERSION = 1
 
 
 class ModelKind(enum.Enum):
@@ -438,76 +432,7 @@ def _chunk_scorer(params: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container
-
-def write_container(path: str | Path, header: dict,
-                    arrays: dict[str, np.ndarray]) -> None:
-    """Binary container: magic, length-prefixed JSON header, then the
-    arrays named in header["arrays"] as row-major little-endian f64."""
-    header = dict(header)
-    header["format_version"] = _FORMAT_VERSION
-    header["arrays"] = [{"name": name, "shape": list(arr.shape)}
-                        for name, arr in arrays.items()]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        raw_len = fh.read(8)
-        if len(raw_len) != 8:
-            raise CheckpointError(f"{path}: truncated header")
-        (blob_len,) = struct.unpack("<Q", raw_len)
-        if blob_len > size - fh.tell():
-            raise CheckpointError(f"{path}: truncated header")
-        blob = fh.read(blob_len)
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: header is not a JSON object")
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version "
-                f"{header.get('format_version')}")
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in _array_specs(path, header.get("arrays")):
-            nbytes = 8 * math.prod(shape)
-            if nbytes > size - fh.tell():
-                raise CheckpointError(f"{path}: truncated array {name!r}")
-            raw = fh.read(nbytes)
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(
-                shape).astype(np.float64)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after arrays")
-    return header, arrays
-
-
-def _array_specs(path: str | Path,
-                 specs: object) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) pairs of a header's "arrays" list, validated."""
-    if not isinstance(specs, list):
-        raise CheckpointError(f"{path}: header has no array list")
-    out = []
-    for spec in specs:
-        name = spec.get("name") if isinstance(spec, dict) else None
-        shape = spec.get("shape") if isinstance(spec, dict) else None
-        if (not isinstance(name, str) or not isinstance(shape, list)
-                or not all(type(n) is int and n >= 0 for n in shape)):
-            raise CheckpointError(f"{path}: bad array entry {spec!r}")
-        out.append((name, tuple(shape)))
-    return out
-
+# parameter checkpoints
 
 def params_header(params: ModelParams, payload: str) -> dict:
     """The container header fields that describe `params`."""

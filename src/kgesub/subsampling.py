@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, Dataset, parse_text, split_fields
+from .data import DIRECTION_NAMES, Dataset, parse_text, replacing, split_fields
 from .errors import DataError, DegenerateInputError
 
 # Hyper-parameter search grids.
@@ -232,7 +232,7 @@ def save_weight_table(table: WeightTable, path: str | Path) -> None:
     reloads to bitwise-equal arrays.  A table whose weights are all
     exactly 1 is written as its header alone, ending in `examples=N`.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         if np.all(table.a == 1.0) and np.all(table.b == 1.0):
             fh.write(f"# {table.provenance.describe()} "
                      f"examples={table.num_examples}\n")
@@ -308,7 +308,7 @@ def _floats(column: list[str]) -> np.ndarray:
 
 def save_scores(scores: SubModelScores, path: str | Path) -> None:
     """`example_id<TAB>raw_score` rows with a provenance header."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(f"# submodel={scores.submodel_id}\n")
         for i, value in enumerate(scores.raw_score):
             fh.write(f"{i}\t{float(value)!r}\n")

@@ -51,10 +51,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import RunConfig
-from .data import Dataset, Direction, QueryIndex, QueryKey
+from .data import (Dataset, Direction, QueryIndex, QueryKey, read_container,
+                   write_container)
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
 from .models import (ModelParams, params_from_container, params_header,
-                     read_container, score_and_grad, write_container)
+                     score_and_grad)
 from .subsampling import WeightTable
 
 _PERM_STREAM = 0

@@ -539,6 +539,31 @@ def oracle_query_counts(triples: list[Triple]) -> dict:
     return counts
 
 
+def oracle_query_index(triples, num_entities: int,
+                       num_relations: int) -> tuple[np.ndarray, ...]:
+    """The arrays of `QueryIndex.build`, in field order, by the earlier
+    builder: `np.unique` of the packed query keys, then a second sort of
+    the (query id, answer) pairs."""
+    ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    entities = ids[:, [0, 2]].ravel()
+    relations = np.repeat(ids[:, 1], 2)
+    answer = ids[:, [2, 0]].ravel()
+    directions = np.tile(np.array([0, 1]), len(ids))
+    key, query_id = np.unique(
+        (directions * num_entities + entities) * num_relations + relations,
+        return_inverse=True)
+    query_id = query_id.reshape(-1)
+    rest, relation = np.divmod(key, num_relations)
+    direction, entity = np.divmod(rest, num_entities)
+    pairs = np.sort(query_id * num_entities + answer)
+    owner, answers = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0],
+                               num_entities)
+    offsets = np.zeros(len(key) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=len(key)), out=offsets[1:])
+    return (query_id, answer, key, direction, entity, relation,
+            np.bincount(query_id, minlength=len(key)), offsets, answers)
+
+
 def oracle_answer_sets(triples: list[Triple]) -> dict:
     """The set of answers observed for each query key."""
     index: dict[QueryKey, set[int]] = {}

@@ -1,24 +1,35 @@
 """Triple loading, vocabularies, and query counting."""
 
+import os
+import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgesub import data
 from kgesub.data import (Dataset, Direction, QueryIndex, QueryKey, Vocab,
-                         load_dataset, load_triples, singleton_query_stats)
+                         load_dataset, load_triples, read_container,
+                         replacing, singleton_query_stats, write_container)
 from kgesub.errors import DataError, KgesubError, VocabMismatchError
 from kgesub.submodel import read_ledger
-from kgesub.subsampling import counted_frequencies, load_scores
+from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
+                                counted_frequencies, load_scores,
+                                save_scores, save_weight_table)
 
 from conftest import (Triple, as_triples, brute_force_query_counts,
                       looped_zipf_kg, make_vocab, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_query_counts,
-                      oracle_singleton_query_stats, query_of, random_triples,
-                      save_dataset, sorted_query_counts, zipf_kg)
+                      oracle_query_index, oracle_singleton_query_stats,
+                      query_of, random_triples, save_dataset,
+                      sorted_query_counts, zipf_kg)
+
+INDEX_FIELDS = ("query_id", "answer", "key", "direction", "entity",
+                "relation", "count", "offsets", "answers")
 
 
 def index_of(train, num_entities=None, num_relations=None):
@@ -221,6 +232,78 @@ class TestQueryIndex:
             assert found == free
 
 
+def same_index(index: QueryIndex, triples, num_entities: int,
+               num_relations: int) -> None:
+    """The index's arrays equal the earlier builder's, value and dtype,
+    and its queries, counts and answers equal the dict oracles."""
+    for name, want in zip(INDEX_FIELDS, oracle_query_index(
+            triples, num_entities, num_relations)):
+        got = getattr(index, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    counts = oracle_query_counts(triples)
+    answers = oracle_answer_sets(triples)
+    keys = sorted(counts)
+    assert [QueryKey(Direction(d), e, r) for d, e, r in zip(
+        index.direction.tolist(), index.entity.tolist(),
+        index.relation.tolist())] == keys
+    assert index.count.tolist() == [counts[k] for k in keys]
+    for q, key in enumerate(keys):
+        assert index.answers_of(q).tolist() == sorted(answers[key])
+
+
+# vocabulary sizes that take each sort of `QueryIndex.build`: query key,
+# answer and example id in one int64 (small sizes, and 2**28 entities of
+# 8 relations for at most 4 triples, which fill all 63 bits); a lexsort
+# of the two (2**28 entities for more triples, and 2**40 entities)
+@st.composite
+def small_graph(draw):
+    num_entities, num_relations = draw(st.sampled_from(
+        [(0, 0), (2 ** 28, 8), (2 ** 40, 2)]))
+    if not num_entities:
+        num_entities = draw(st.integers(1, 6))
+        num_relations = draw(st.integers(1, 3))
+        entity = st.integers(0, num_entities - 1)
+    else:
+        entity = st.sampled_from([0, 1, 2, num_entities - 1])
+    triples = draw(st.lists(st.tuples(
+        entity, st.integers(0, num_relations - 1), entity), max_size=40))
+    return [Triple(*t) for t in triples], num_entities, num_relations
+
+
+class TestQueryIndexBuild:
+    """`QueryIndex.build` sorts once; the arrays are those of the earlier
+    `np.unique` builder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graph())
+    def test_equals_unique_based_builder(self, graph):
+        triples, num_entities, num_relations = graph
+        same_index(QueryIndex.build(triples, num_entities, num_relations),
+                   triples, num_entities, num_relations)
+
+    @pytest.mark.parametrize("num_entities, num_relations, size, lexsort", [
+        (50, 5, 300, False), (2 ** 28, 8, 4, False), (2 ** 28, 8, 5, True),
+        (2 ** 40, 2, 300, True)])
+    def test_each_sort(self, num_entities, num_relations, size, lexsort):
+        rng = np.random.default_rng(num_relations)
+        pool = np.array([0, 1, 2, 3, num_entities - 1])
+        ids = np.stack([rng.choice(pool, size),
+                        rng.integers(0, num_relations, size),
+                        rng.choice(pool, size)], axis=1)
+        triples = [Triple(*row) for row in ids.tolist()]
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+            index = QueryIndex.build(ids, num_entities, num_relations)
+        assert spy.called == lexsort
+        same_index(index, triples, num_entities, num_relations)
+
+    def test_zipf_graphs(self):
+        for seed in range(3):
+            dataset = looped_zipf_kg(seed)
+            same_index(dataset.train_index, as_triples(dataset.train),
+                       dataset.num_entities, dataset.num_relations)
+
+
 class TestSyntheticGraphs:
     def test_zipf_kg_rejects_impossible_link_count(self):
         """12 entities x 5 relations x 3 tails hold 180 distinct links,
@@ -331,3 +414,290 @@ class TestDataset:
         vocab = make_vocab(4, 2)
         assert vocab.ids("entity", [f"e{i}" for i in range(4)]).tolist() \
             == [0, 1, 2, 3]
+
+
+SPLITS = ("train", "valid", "test")
+# labels that JSON escapes, that end lines for str.splitlines but not for
+# the text reader, and an empty relation label
+TRICKY_TRAIN = ("a b\tr 1\t#x\n"
+                "\u00e9\u4e2d\U0001f600\tr 1\ta b\n"
+                "\x85\t\t\u2028\n"
+                "\"q\\\tr 1\t\x0b\n")
+
+
+def parsed(directory: Path) -> Dataset:
+    """The dataset of the text alone, as `load_dataset` parsed it before
+    it kept a copy."""
+    vocab = Vocab()
+    splits = [load_triples(directory / f"{split}.txt", vocab)[0]
+              for split in SPLITS]
+    return Dataset(*splits, vocab=vocab)
+
+
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    for split in SPLITS:
+        ids = getattr(got, split)
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        np.testing.assert_array_equal(ids, getattr(want, split))
+    for name in ("entity_labels", "relation_labels", "entity_to_id",
+                 "relation_to_id"):
+        assert getattr(got.vocab, name) == getattr(want.vocab, name)
+    assert all(type(i) is int for i in got.vocab.entity_to_id.values())
+
+
+def no_parse(*args):
+    raise AssertionError("the text was parsed")
+
+
+def huge_integer_header(path: Path) -> None:
+    """Give a container a 5,000-digit format version, which `json`
+    refuses to convert."""
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<Q", blob[8:16])
+    header = blob[16:16 + size].replace(
+        b'"format_version": 1', b'"format_version": ' + b"1" * 5000)
+    assert len(header) > size
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header
+                     + blob[16 + size:])
+
+
+class TestParsedCopy:
+    """`load_dataset` keeps its parse as a container beside the text and
+    reads it back while the text is unchanged."""
+
+    @pytest.fixture
+    def kg_dir(self, tmp_path):
+        directory = tmp_path / "kg"
+        save_dataset(looped_zipf_kg(1), directory)
+        with open(directory / "train.txt", "a", encoding="utf-8") as fh:
+            fh.write(TRICKY_TRAIN)
+        return directory
+
+    def test_hit_equals_a_fresh_parse(self, kg_dir, monkeypatch):
+        first = load_dataset(kg_dir)
+        assert (kg_dir / data.COPY_NAME).is_file()
+        monkeypatch.setattr(data, "parse_text", no_parse)
+        hit = load_dataset(kg_dir)
+        monkeypatch.undo()
+        want = parsed(kg_dir)
+        assert_same_dataset(first, want)
+        assert_same_dataset(hit, want)
+        assert "\u2028" in hit.vocab.entity_to_id
+        assert "" in hit.vocab.relation_to_id
+        assert sorted(os.listdir(kg_dir)) == sorted(
+            [data.COPY_NAME] + [f"{split}.txt" for split in SPLITS])
+
+    def test_hit_does_not_parse_text(self, kg_dir, monkeypatch):
+        load_dataset(kg_dir)
+        monkeypatch.setattr(data, "parse_text", no_parse)
+        load_dataset(kg_dir)
+        (kg_dir / data.COPY_NAME).unlink()
+        with pytest.raises(AssertionError, match="parsed"):
+            load_dataset(kg_dir)
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_an_edit_at_the_same_size_and_mtime_misses(self, kg_dir, split):
+        old = load_dataset(kg_dir)
+        path = kg_dir / f"{split}.txt"
+        before = path.stat()
+        text = path.read_text(encoding="utf-8")
+        head, rest = text.split("\t", 1)
+        # another entity label of the same length
+        swap = next(label for label in old.vocab.entity_labels
+                    if len(label) == len(head) and label != head)
+        path.write_text(swap + "\t" + rest, encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                      before.st_mtime_ns)
+        got = load_dataset(kg_dir)
+        assert_same_dataset(got, parsed(kg_dir))
+        assert not np.array_equal(getattr(got, split), getattr(old, split))
+
+    @staticmethod
+    def _crafted(edit):
+        def craft(path: Path) -> None:
+            header, arrays = read_container(path)
+            edit(header, arrays)
+            write_container(path, header, arrays)
+        return craft
+
+    @staticmethod
+    def _set(split, row, column, value):
+        def edit(header, arrays):
+            arrays[split][row, column] = value
+        return edit
+
+    @staticmethod
+    def _entities(change):
+        def edit(header, arrays):
+            header["entities"] = change(header["entities"].split("\t"))
+        return edit
+
+    @staticmethod
+    def _duplicate_in_range(header, arrays):
+        """The second entity label made the first's twin, and the last
+        entity's ids made 0, so every id stays below the count of
+        distinct labels."""
+        labels = header["entities"].split("\t")
+        header["entities"] = "\t".join(labels[:1] * 2 + labels[2:])
+        for ids in arrays.values():
+            ids[:, [0, 2]] %= len(labels) - 1
+
+    BAD_COPIES = {
+        "truncated": lambda path: path.write_bytes(path.read_bytes()[:-5]),
+        "header only": lambda path: path.write_bytes(path.read_bytes()[:40]),
+        "empty": lambda path: path.write_bytes(b""),
+        "not a container": lambda path: path.write_text("train\tvalid\n"),
+        "entity id too large": _crafted(_set("train", 0, 0, 10 ** 6)),
+        "relation id too large": _crafted(_set("test", 0, 1, 10 ** 6)),
+        "negative id": _crafted(_set("valid", 0, 2, -1)),
+        "non-integral id": _crafted(_set("train", 1, 0, 0.5)),
+        "nan id": _crafted(_set("train", 2, 2, float("nan"))),
+        "wrong shape": _crafted(lambda header, arrays: arrays.update(
+            train=arrays["train"][:, :2])),
+        "flat split": _crafted(lambda header, arrays: arrays.update(
+            valid=arrays["valid"].ravel())),
+        "empty split": _crafted(lambda header, arrays: arrays.update(
+            test=np.empty((0, 3)))),
+        "missing split": _crafted(lambda header, arrays: arrays.pop("test")),
+        "duplicate labels": _crafted(_entities(
+            lambda labels: "\t".join(labels[:-1] + labels[:1]))),
+        "duplicate labels in range": _crafted(_duplicate_in_range),
+        "labels as a list": _crafted(_entities(lambda labels: labels)),
+        "too few labels": _crafted(_entities(
+            lambda labels: "\t".join(labels[:2]))),
+        "wrong digest": _crafted(lambda header, arrays: header.update(
+            digest="0" * 64)),
+        "huge integer in header": huge_integer_header,
+        "no digest": _crafted(lambda header, arrays: header.pop("digest")),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_COPIES))
+    def test_bad_copy_is_parsed_over_and_rewritten(self, kg_dir, name,
+                                                   monkeypatch):
+        copy = kg_dir / data.COPY_NAME
+        load_dataset(kg_dir)
+        good = copy.read_bytes()
+        self.BAD_COPIES[name](copy)
+        assert copy.read_bytes() != good
+        assert_same_dataset(load_dataset(kg_dir), parsed(kg_dir))
+        assert copy.read_bytes() == good
+        monkeypatch.setattr(data, "parse_text", no_parse)
+        load_dataset(kg_dir)
+
+    def test_split_edited_during_the_parse_writes_no_copy(self, kg_dir,
+                                                          monkeypatch):
+        path = kg_dir / "valid.txt"
+        old = path.read_bytes()
+        parse = data.load_triples
+
+        def racing(split_path, vocab=None):
+            if split_path == path:  # an edit after the digest was taken
+                path.write_bytes(b"".join(old.splitlines(True)[1:]))
+            return parse(split_path, vocab)
+
+        monkeypatch.setattr(data, "load_triples", racing)
+        load_dataset(kg_dir)
+        monkeypatch.undo()
+        assert not (kg_dir / data.COPY_NAME).exists()
+        path.write_bytes(old)  # the digest's text again
+        assert_same_dataset(load_dataset(kg_dir), parsed(kg_dir))
+
+    def test_copy_that_cannot_be_written_is_skipped(self, kg_dir):
+        (kg_dir / data.COPY_NAME).mkdir()
+        for _ in range(2):
+            assert_same_dataset(load_dataset(kg_dir), parsed(kg_dir))
+        assert sorted(os.listdir(kg_dir)) == sorted(
+            [data.COPY_NAME] + [f"{split}.txt" for split in SPLITS])
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs a directory this user cannot write")
+    def test_read_only_directory(self, kg_dir):
+        kg_dir.chmod(0o555)
+        try:
+            assert_same_dataset(load_dataset(kg_dir), parsed(kg_dir))
+            assert sorted(os.listdir(kg_dir)) == sorted(
+                f"{split}.txt" for split in SPLITS)
+        finally:
+            kg_dir.chmod(0o755)
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_bad_line_raises_as_before_and_writes_no_copy(self, kg_dir,
+                                                          split):
+        path = kg_dir / f"{split}.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(1, "a r b\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            load_dataset(kg_dir)
+        with pytest.raises(DataError) as wanted:
+            parsed(kg_dir)
+        assert str(raised.value) == str(wanted.value)
+        assert f"{split}.txt:2:" in str(raised.value)
+        assert not (kg_dir / data.COPY_NAME).exists()
+
+    def test_missing_split_raises_even_with_a_copy(self, kg_dir):
+        load_dataset(kg_dir)
+        (kg_dir / "test.txt").unlink()
+        with pytest.raises(FileNotFoundError, match="test.txt"):
+            load_dataset(kg_dir)
+        with pytest.raises(FileNotFoundError, match="train.txt"):
+            load_dataset(kg_dir.parent / "absent")
+
+
+class TestReplacingWrites:
+    """Artifacts are written beside their path and moved into place, so
+    a write that raises part-way leaves the previous file as it was."""
+
+    @staticmethod
+    def _bad_table(path: Path) -> None:
+        column = np.array([0.5, 1.5, object()], dtype=object)
+        save_weight_table(WeightTable(a=column, b=column, provenance=(
+            Provenance(source="mbs", method="freq"))), path)
+
+    @staticmethod
+    def _bad_scores(path: Path) -> None:
+        scores = SubModelScores(raw_score=np.ones(3), submodel_id="s")
+        scores.raw_score = np.array([0.5, 1.5, object()], dtype=object)
+        save_scores(scores, path)
+
+    @staticmethod
+    def _raise_in_block(path: Path) -> None:
+        with replacing(path) as fh:
+            fh.write("new")
+            raise KeyboardInterrupt
+
+    WRITERS = {
+        "container": (lambda path: write_container(
+            path, {}, {"x": np.ones(3)}), lambda path: write_container(
+            path, {}, {"x": np.ones(1 << 17), "y": np.array(["?"])})),
+        "weight table": (lambda path: save_weight_table(WeightTable(
+            a=np.full(3, 0.5), b=np.full(3, 2.0), provenance=Provenance(
+                source="mbs", method="freq")), path), _bad_table),
+        "scores": (lambda path: save_scores(SubModelScores(
+            raw_score=np.arange(3.0), submodel_id="s"), path), _bad_scores),
+        "any block": (lambda path: path.write_text("old"), _raise_in_block),
+    }
+
+    @pytest.mark.parametrize("name", list(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, name):
+        good, bad = self.WRITERS[name]
+        path = tmp_path / "artifact"
+        good(path)
+        before = path.read_bytes()
+        with pytest.raises((ValueError, TypeError, KeyboardInterrupt)):
+            bad(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_text("old")
+        with replacing(path) as fh:
+            fh.write("new \u00e9")
+        assert path.read_bytes() == "new \u00e9".encode("utf-8")
+        with replacing(path, "wb") as fh:
+            fh.write(b"\x00")
+        assert path.read_bytes() == b"\x00"
+        assert os.listdir(tmp_path) == ["artifact"]

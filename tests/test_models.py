@@ -409,6 +409,9 @@ class TestCheckpoints:
         ("arrays", [{"name": "entity_emb", "shape": 2}]),
         ("arrays", [{"name": 7, "shape": [1, 2]}]),
         ("arrays", [{"name": "entity_emb", "shape": [10 ** 12, 2]}]),
+        ("arrays", [{"name": "entity_emb", "shape": [0, 10 ** 30]}]),
+        ("arrays", [{"name": "entity_emb", "shape": [0, 2 ** 62, 2 ** 62]}]),
+        ("arrays", [{"name": "entity_emb", "shape": [1] * 70}]),
         ("arrays", [{"name": "entity_emb", "shape": [2]},
                     {"name": "relation_emb", "shape": [1, 2]}]),
         ("kind", None),
@@ -435,6 +438,10 @@ class TestCheckpoints:
         b"KGESUBCK" + struct.pack("<Q", 2 ** 62) + b"{}",
         _container_bytes([1, 2]),
         _container_bytes({"format_version": 1}),
+        pytest.param(b"KGESUBCK" + struct.pack("<Q", 100_000)
+                     + b"[" * 100_000, id="nested-too-deep"),
+        pytest.param(b"KGESUBCK" + struct.pack("<Q", 5000) + b"1" * 5000,
+                     id="huge-integer"),
     ])
     def test_crafted_framing_fails_cleanly(self, tmp_path, blob):
         path = tmp_path / "model.bin"
