@@ -360,7 +360,8 @@ class Vocab:
 @dataclass(eq=False)
 class Dataset:
     """Splits as read-only (N, 3) int64 arrays of (head, relation, tail)
-    ids, copied from any sequence of id triples, and their vocabulary."""
+    ids, copied from any sequence of id triples but those, and their
+    vocabulary."""
 
     train: np.ndarray
     valid: np.ndarray
@@ -369,7 +370,10 @@ class Dataset:
 
     def __post_init__(self) -> None:
         for split in SPLITS:
-            ids = np.array(getattr(self, split), dtype=np.int64).reshape(-1, 3)
+            ids = getattr(self, split)
+            if not isinstance(ids, np.ndarray) or ids.flags.writeable:
+                ids = np.array(ids, dtype=np.int64)
+            ids = ids.astype(np.int64, copy=False).reshape(-1, 3)
             ids.flags.writeable = False
             setattr(self, split, ids)
 
@@ -473,13 +477,20 @@ def _copied(digest: str, header: dict,
     vocab = Vocab()
     vocab.add("entity", labels[0])
     vocab.add("relation", labels[1])
+    if list(map(len, labels)) != [vocab.num_entities, vocab.num_relations]:
+        return None  # duplicate labels
     bounds = [vocab.num_entities, vocab.num_relations, vocab.num_entities]
-    splits = [arrays.get(split, np.empty(0)) for split in SPLITS]
-    if list(map(len, labels)) != bounds[:2] or not all(
-            ids.ndim == 2 and ids.shape[1] == 3 and len(ids)
-            and np.all((ids >= 0) & (ids < bounds) & (ids == np.floor(ids)))
-            for ids in splits):
-        return None  # duplicate labels, or ids that are not theirs
+    splits = []
+    for floats in (arrays.get(split, np.empty(0)) for split in SPLITS):
+        with np.errstate(invalid="ignore"):  # nan and huge ids cast too
+            ids = floats.astype(np.int64)
+        # max by column: a reduction along axis 0 is many times slower
+        if not (ids.ndim == 2 and ids.shape[1] == 3 and len(ids)
+                and np.array_equal(ids, floats) and ids.min() >= 0 and all(
+                    col.max() < bound for col, bound in zip(ids.T, bounds))):
+            return None  # not (n, 3) ids that are integral and theirs
+        ids.flags.writeable = False
+        splits.append(ids)
     return Dataset(*splits, vocab=vocab)
 
 

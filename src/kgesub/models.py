@@ -22,13 +22,12 @@ row is carried for layout compatibility with the model's published
 parameterization but does not enter this score function.  Gradients use
 the subgradient convention sign(0) = 0 at the kinks of L1 terms.
 
-Each kind has one kernel that scores rows along the last axis and, on
-request, returns the analytic gradient of the score with respect to
-the head, relation and tail rows.  `score_and_grad` runs it on the
-gathered (B, 1 + nu, dim) blocks of a training step, and
-`score_triples` runs the same forward formulas on (N, dim) rows.
-There is no per-triple scoring entry point; the scalar scorers the
-kernels replaced are kept as test oracles.
+Each kind has one kernel (`score_block`): a forward pass over the
+candidates of same-direction queries, each query's fixed entity row
+gathered once, and a vector-Jacobian product that folds the loss
+coefficients into the row gradients.  `score_and_grad` and
+`score_triples` are views of it; the scalar scorers it replaced are
+kept as test oracles.
 
 `iter_candidate_scores` scores chunks of same-direction queries against
 every entity for ranking: one matmul per chunk for DistMult and ComplEx,
@@ -55,8 +54,8 @@ from .errors import CheckpointError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
-# Bytes of one candidate-scoring temporary: the (queries, E) scores of
-# a chunk, and the (queries, entities, width) block of a distance.
+# Bytes of one temporary: ranking scores or distances, or a training
+# step's (examples, 1 + nu, dim) candidate rows or update rows.
 RANK_BUDGET_BYTES = 4 << 20
 
 
@@ -180,93 +179,126 @@ def _interleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den with the convention 0/0 = 0 (norm kinks)."""
-    out = np.zeros_like(num)
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
     np.divide(num, den, out=out, where=den != 0)
     return out
 
 
-# One kernel per kind: kernel(params, h, r, t, grad) scores the rows of
-# h, r and t (broadcast against each other) along the last axis, and
-# with grad=True also returns d score / d h, d r and d t.
+def _cmul(a_re, a_im, b_re, b_im):
+    """The complex product a * b, as (re, im) parts."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def _transe(params, h, r, t, grad):
-    d = h + r - t
+def _transe(params, tail, fixed, rel, cand):
+    # |h + r - t| = |q - cand| with q = h + r (tails) or t - r (heads)
+    u = (fixed + rel if tail else fixed - rel)[:, None] - cand
     l1 = params.aux.get("norm_p", 1.0) == 1.0
-    norm = np.abs(d).sum(axis=-1) if l1 else np.sqrt((d * d).sum(axis=-1))
-    if not grad:
-        return -norm
-    g = -np.sign(d) if l1 else -_safe_div(d, norm[..., None])
-    return -norm, g, g, -g
+    norm = np.abs(u).sum(axis=-1) if l1 else np.sqrt((u * u).sum(axis=-1))
+
+    def back(c):  # d loss / d cand = c d|u| / du
+        g_cand = (np.multiply(np.sign(u), c[..., None]) if l1
+                  else u * _safe_div(c, norm)[..., None])
+        g_q = -g_cand.sum(axis=1)
+        return g_q, g_q if tail else -g_q, g_cand
+    return -norm, back
 
 
-def _distmult(params, h, r, t, grad):
-    s = (h * r * t).sum(axis=-1)
-    return (s, r * t, h * t, h * r) if grad else s
+def _distmult(params, tail, fixed, rel, cand):
+    q = fixed * rel
+
+    def back(c):
+        g = (c[:, None] @ cand)[:, 0]
+        return g * rel, g * fixed, c[..., None] * q[:, None]
+    return (cand @ q[..., None])[..., 0], back
 
 
-def _complex(params, h, r, t, grad):
-    h_re, h_im = _complex_view(h)
-    t_re, t_im = _complex_view(t)
-    r_re, r_im = _complex_view(r)
-    a = h_re * t_re + h_im * t_im
-    b = h_re * t_im - h_im * t_re
-    s = (r_re * a + r_im * b).sum(axis=-1)
-    if not grad:
-        return s
-    return (s, _interleave(r_re * t_re + r_im * t_im,
-                           r_re * t_im - r_im * t_re),
-            _interleave(a, b),
-            _interleave(r_re * h_re - r_im * h_im, r_re * h_im + r_im * h_re))
+def _complex_query(tail, fixed, rel):
+    """fixed * r (tails) or fixed * conj(r) (heads), interleaved: the
+    ComplEx score Re <h, r, conj t> is its dot product with the answer."""
+    (f_re, f_im), (r_re, r_im) = _complex_view(fixed), _complex_view(rel)
+    return _interleave(*_cmul(f_re, f_im, r_re, r_im if tail else -r_im))
 
 
-def _rotate(params, h, r, t, grad):
-    h_re, h_im = _complex_view(h)
-    t_re, t_im = _complex_view(t)
-    cos_r, sin_r = np.cos(r), np.sin(r)
-    rot_re = h_re * cos_r - h_im * sin_r
-    rot_im = h_re * sin_r + h_im * cos_r
-    u_re = rot_re - t_re
-    u_im = rot_im - t_im
+def _complex(params, tail, fixed, rel, cand):
+    q = _complex_query(tail, fixed, rel)
+
+    def back(c):  # d/d fixed = g conj(r'), d/d r' = g conj(fixed)
+        g = (c[:, None] @ cand)[:, 0]
+        return (_complex_query(not tail, g, rel),
+                _complex_query(False, *((g, fixed) if tail else (fixed, g))),
+                c[..., None] * q[:, None])
+    return (cand @ q[..., None])[..., 0], back
+
+
+def _rotation(tail, fixed, rel):
+    """h * r (tails) or t * conj(r) (heads, same distance), and r used."""
+    f_re, f_im = _complex_view(fixed)
+    cos_r, sin_r = np.cos(rel), np.sin(rel) * (1.0 if tail else -1.0)
+    return (*_cmul(f_re, f_im, cos_r, sin_r), cos_r, sin_r)
+
+
+def _rotate(params, tail, fixed, rel, cand):
+    q_re, q_im, cos_r, sin_r = _rotation(tail, fixed, rel)
+    c_re, c_im = _complex_view(cand)
+    u_re, u_im = q_re[:, None] - c_re, q_im[:, None] - c_im
     m = np.sqrt(u_re * u_re + u_im * u_im)
-    s = -m.sum(axis=-1)
-    if not grad:
-        return s
-    w_re, w_im = _safe_div(u_re, m), _safe_div(u_im, m)
-    g_h = _interleave(-(w_re * cos_r + w_im * sin_r),
-                      -(-w_re * sin_r + w_im * cos_r))
-    g_r = -(w_re * -rot_im + w_im * rot_re)
-    return s, g_h, g_r, _interleave(w_re, w_im)
+
+    def back(c):  # d loss / d cand = c u / |u| per complex coordinate
+        scale = _safe_div(c[..., None], m)
+        w_re, w_im = (np.multiply(u, scale, out=u) for u in (u_re, u_im))
+        g_re, g_im = -w_re.sum(axis=1), -w_im.sum(axis=1)
+        # q = fixed * exp(i theta), theta negated for heads: d/d fixed =
+        # g * exp(-i theta), d/d theta = Im(conj(g) q)
+        g_theta = g_im * q_re - g_re * q_im
+        return (_interleave(*_cmul(g_re, g_im, cos_r, -sin_r)),
+                g_theta if tail else -g_theta, _interleave(w_re, w_im))
+    return -m.sum(axis=-1), back
 
 
-def _hake(params, h, r, t, grad):
-    half = params.dim // 2
-    w_p = params.aux["phase_weight"]
-    h_mod, h_phase = h[..., :half], h[..., half:]
-    t_mod, t_phase = t[..., :half], t[..., half:]
-    r_mod, r_phase = r[..., :half], r[..., half:2 * half]
-    v = np.abs(h_mod) * np.abs(r_mod) - np.abs(t_mod)
+def _hake(params, tail, fixed, rel, cand):
+    half, weight = params.dim // 2, params.aux["phase_weight"]
+    f_mod, r_mod = np.abs(fixed[:, None, :half]), np.abs(rel[:, None, :half])
+    c_mod = np.abs(cand[..., :half])
+    v = f_mod * r_mod - c_mod if tail else c_mod * r_mod - f_mod
     norm = np.sqrt((v * v).sum(axis=-1))
-    theta = (h_phase + r_phase - t_phase) / 2.0
+    # |sin((h + r - t) / 2)| = |sin(theta)| with theta = (a - cand) / 2,
+    # a = h + r (tails) or t - r (heads), since |sin| is even
+    r_phase = rel[:, half:2 * half]
+    a = fixed[:, half:] + (r_phase if tail else -r_phase)
+    theta = (a[:, None] - cand[..., half:]) / 2.0
     sin_theta = np.sin(theta)
-    s = -(norm + w_p * np.abs(sin_theta).sum(axis=-1))
-    if not grad:
-        return s
-    vn = _safe_div(v, norm[..., None])
-    phase_g = w_p * np.sign(sin_theta) * np.cos(theta) * 0.5
-    g_h = np.concatenate([-vn * np.abs(r_mod) * np.sign(h_mod), -phase_g],
-                         axis=-1)
-    g_t = np.concatenate([vn * np.sign(t_mod), phase_g], axis=-1)
-    # the bias third of the relation row does not enter the score
-    g_r = np.zeros(phase_g.shape[:-1] + (r.shape[-1],))
-    g_r[..., :half] = -vn * np.abs(h_mod) * np.sign(r_mod)
-    g_r[..., half:2 * half] = -phase_g
-    return s, g_h, g_r, g_t
+
+    def back(c):
+        g_v = v * _safe_div(c, norm)[..., None]  # -d loss / d v
+        g_phase = weight * np.sign(sin_theta) * np.cos(theta) * 0.5
+        g_phase *= c[..., None]  # d loss / d cand phase
+        g_a = -g_phase.sum(axis=1)
+        if tail:  # d loss / d |fixed|, |r| (both summed over K), |cand|
+            g_sum = g_v.sum(axis=1)
+            g_f, g_r, g_c = -g_sum * r_mod[:, 0], -g_sum * f_mod[:, 0], g_v
+        else:
+            g_f, g_r, g_c = (g_v.sum(axis=1), -(g_v * c_mod).sum(axis=1),
+                             -g_v * r_mod)
+        return (np.concatenate([g_f * np.sign(fixed[:, :half]), g_a], 1),
+                np.concatenate([g_r * np.sign(rel[:, :half]),  # no bias
+                                g_a if tail else -g_a, np.zeros_like(g_a)], 1),
+                np.concatenate([g_c * np.sign(cand[..., :half]), g_phase], -1))
+    return -(norm + weight * np.abs(sin_theta).sum(axis=-1)), back
 
 
 _KERNELS = {ModelKind.TRANSE: _transe, ModelKind.DISTMULT: _distmult,
             ModelKind.COMPLEX: _complex, ModelKind.ROTATE: _rotate,
             ModelKind.HAKE: _hake}
+
+
+def score_block(params: ModelParams, tail: bool, fixed: np.ndarray,
+                rel: np.ndarray, cand: np.ndarray):
+    """(B, K) scores of the rows `cand` (B, K, dim) as answers to queries
+    whose given entity (the head when `tail`, else the tail) and relation
+    have the rows `fixed` (B, dim) and `rel` (B, dim_r); and back(c), to
+    call once, which maps the loss coefficients c = d loss / d score to
+    the loss gradients g_fixed, g_rel and g_cand of those rows."""
+    return _KERNELS[params.kind](params, tail, fixed, rel, cand)
 
 
 def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,
@@ -277,19 +309,25 @@ def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,
     h and t are (B, K, dim) head and tail rows, r is (B, 1, dim_r) and
     broadcasts over K.  Returns the (B, K) scores and d score / d h,
     d r and d t, each (B, K, width of its slot).  Slot gradients are
-    independent: a caller accumulates them where slots share a row.  The
-    arrays may share memory with each other; do not write into them.
+    independent: a caller accumulates them where slots share a row.
+    Each (h, t) pair is a one-candidate tail query of `score_block`.
     """
-    return _KERNELS[params.kind](params, h, r, t, True)
+    shape = np.broadcast_shapes(h.shape[:-1], r.shape[:-1], t.shape[:-1])
+    h, r, t = (np.broadcast_to(x, shape + x.shape[-1:]).reshape(
+        -1, x.shape[-1]) for x in (h, r, t))
+    scores, back = score_block(params, True, h, r, t[:, None])
+    return (scores.reshape(shape), *(g.reshape(shape + (-1,))
+                                     for g in back(np.ones(scores.shape))))
 
 
 def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> np.ndarray:
     """Scores of many (h, r, t) id triples at once."""
-    return _KERNELS[params.kind](
-        params, params.entity_emb[np.asarray(heads, dtype=np.int64)],
-        params.relation_emb[np.asarray(relations, dtype=np.int64)],
-        params.entity_emb[np.asarray(tails, dtype=np.int64)], False)
+    heads, relations, tails = (np.asarray(x, dtype=np.int64)
+                               for x in (heads, relations, tails))
+    return score_block(params, True, params.entity_emb[heads],
+                       params.relation_emb[relations],
+                       params.entity_emb[tails][:, None])[0][:, 0]
 
 
 def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
@@ -348,19 +386,8 @@ def _chunk_scorer(params: ModelParams):
     if kind == ModelKind.DISTMULT:
         return lambda tail, fixed, rel: (fixed * rel) @ ent.T
     if kind == ModelKind.COMPLEX:
-        def complex_scores(tail, fixed, rel):
-            # fold the relation into the coefficients of the free slot
-            f_re, f_im = _complex_view(fixed)
-            r_re, r_im = _complex_view(rel)
-            q = np.empty_like(fixed)
-            if tail:
-                q[:, 0::2] = r_re * f_re - r_im * f_im
-                q[:, 1::2] = r_re * f_im + r_im * f_re
-            else:
-                q[:, 0::2] = r_re * f_re + r_im * f_im
-                q[:, 1::2] = r_re * f_im - r_im * f_re
-            return q @ ent.T
-        return complex_scores
+        return lambda tail, fixed, rel: _complex_query(
+            tail, fixed, rel) @ ent.T
     if kind == ModelKind.TRANSE:
         l1 = params.aux.get("norm_p", 1.0) == 1.0
 
@@ -378,16 +405,7 @@ def _chunk_scorer(params: ModelParams):
         e_re, e_im = _complex_view(ent)
 
         def rotate_scores(tail, fixed, rel):
-            # rotate the fixed side once: h*r for tails, t*conj(r) for
-            # heads, which has the same distance because |r| = 1
-            f_re, f_im = _complex_view(fixed)
-            cos_r, sin_r = np.cos(rel), np.sin(rel)
-            if tail:
-                q_re = f_re * cos_r - f_im * sin_r
-                q_im = f_re * sin_r + f_im * cos_r
-            else:
-                q_re = f_re * cos_r + f_im * sin_r
-                q_im = f_im * cos_r - f_re * sin_r
+            q_re, q_im, _, _ = _rotation(tail, fixed, rel)
 
             def block(cols):
                 u_re = q_re[:, None, :] - e_re[None, cols]

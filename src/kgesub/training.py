@@ -12,7 +12,7 @@ beta-scaled negative scores (treated as constants) in self-adversarial
 mode.  The loss is linear in (a, b), which makes the mixed-subsampling
 loss decompose exactly into lam * model-based + (1 - lam) * count-based.
 
-A step works on the whole batch at once:
+A step works on the batch in array operations:
 
 - `sample_negatives` draws the (B, nu) negatives in one `rng.integers`
   call, each uniform over the entities that are not a training answer
@@ -20,14 +20,15 @@ A step works on the whole batch at once:
   from [0, E - n_q); the u-th free entity is u plus the number of j
   with a_j - j <= u, which `QueryIndex.complement_key` turns into one
   binary search.  No draw is rejected, however many answers q has.
-- `batch_loss` gathers the (B, 1 + nu, dim) head and tail blocks (the
-  answer first, then the negatives) and the relation rows, scores them
-  with `models.score_and_grad`, and sums the weighted slot gradients
-  into the step's unique entity and relation rows, in ascending row
-  order with each row's terms added in block order.
-- `_apply_update` applies SGD or lazy Adam to those rows only: a row's
-  Adam moments move in the steps that touch it, and bias correction
-  uses the global step count.
+- `batch_loss` takes the batch in one-direction chunks whose
+  (chunk, 1 + nu, dim) candidate block (the answer, then the negatives)
+  fits `models.RANK_BUDGET_BYTES`, so memory is bounded whatever nu and
+  dim are.  It gathers each fixed entity row once, scores and
+  back-propagates with `models.score_block`, and sums the B(1 + nu) + B
+  entity terms into the step's unique rows, ascending, by one bincount
+  (one per chunk when the batch's block exceeds the budget).
+- `_apply_update` applies SGD or lazy Adam (bias-corrected by the global
+  step) in place to those rows only, in cache-sized row blocks.
 
 No step loops over examples or triples in Python.  The per-example
 loss with dict-of-rows gradients and the per-triple scorers that this
@@ -54,8 +55,9 @@ from .config import RunConfig
 from .data import (Dataset, Direction, QueryIndex, QueryKey, read_container,
                    write_container)
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
+from . import models
 from .models import (ModelParams, params_from_container, params_header,
-                     score_and_grad)
+                     score_block)
 from .subsampling import WeightTable
 
 _PERM_STREAM = 0
@@ -111,16 +113,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(_log_sigmoid(z))
 
 
-def _row_sums(rows: np.ndarray,
-              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows, ascending, and the sum of each row's values, added
-    in the order they come (bincount adds its weights in input order)."""
-    unique, inverse = np.unique(rows, return_inverse=True)
+def _row_sums(inverse: np.ndarray, values: np.ndarray,
+              count: int) -> np.ndarray:
+    """(count, width) sums of the value rows by `inverse`, each row's
+    values added in the order they come (bincount adds its weights in
+    input order)."""
     width = values.shape[1]
     cells = (inverse[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(cells, weights=values.ravel(),
-                       minlength=len(unique) * width)
-    return unique, sums.reshape(len(unique), width)
+    return np.bincount(cells, weights=values.ravel(),
+                       minlength=count * width).reshape(count, width)
 
 
 def batch_loss(params: ModelParams, index: QueryIndex,
@@ -137,48 +138,64 @@ def batch_loss(params: ModelParams, index: QueryIndex,
             or not negatives.size):
         raise ValueError("negatives must be a non-empty (B, nu) block")
     queries = index.query_id[example_ids]
-    fixed = index.entity[queries][:, None]
-    candidates = np.concatenate([index.answer[example_ids][:, None],
-                                 negatives], axis=1)
-    tail = (index.direction[queries] == Direction.TAIL_QUERY)[:, None]
-    heads = np.where(tail, fixed, candidates)
-    tails = np.where(tail, candidates, fixed)
-    relations = index.relation[queries]
-    entity, relation = params.entity_emb, params.relation_emb
-    scores, g_h, g_r, g_t = score_and_grad(
-        params, entity[heads], relation[relations][:, None], entity[tails])
-    if not np.all(np.isfinite(scores)):
-        raise TrainingDivergedError("non-finite score; training diverged")
-
-    gamma = params.gamma
-    s_pos, s_neg = scores[:, 0], scores[:, 1:]
-    if adversarial_beta > 0.0:
-        z = adversarial_beta * s_neg
-        z -= z.max(axis=1, keepdims=True)
-        exp_z = np.exp(z)
-        # constants w.r.t. the parameters
-        neg_w = exp_z / exp_z.sum(axis=1, keepdims=True)
+    tail = index.direction[queries] == Direction.TAIL_QUERY
+    order = np.argsort(~tail, kind="stable")  # tail queries first
+    examples, queries = example_ids[order], queries[order]
+    fixed, relations = index.entity[queries], index.relation[queries]
+    candidates = np.concatenate([index.answer[examples][:, None],
+                                 negatives[order]], axis=1)
+    a, b = weights.a[examples], weights.b[examples]
+    num, width = candidates.shape
+    # the rows a step touches: each fixed entity once, then the candidates
+    entity_rows, entity_at = np.unique(
+        np.concatenate([fixed, candidates.ravel()]), return_inverse=True)
+    relation_rows, relation_at = np.unique(relations, return_inverse=True)
+    entity, relation, dim = params.entity_emb, params.relation_emb, params.dim
+    gamma, scale, num_tail = params.gamma, 1.0 / num, int(tail.sum())
+    losses, relation_terms = np.empty(num), np.empty((num, relation.shape[1]))
+    step = max(1, models.RANK_BUDGET_BYTES // (8 * width * dim))
+    whole = num <= step  # the batch's block fits the budget
+    terms = np.empty((num * (1 + width) if whole else num, dim))
+    entity_grad = None if whole else np.zeros((len(entity_rows), dim))
+    for lo, hi in ((lo, min(lo + step, last))  # one direction each
+                   for first, last in ((0, num_tail), (num_tail, num))
+                   for lo in range(first, last, step)):
+        scores, back = score_block(
+            params, lo < num_tail, entity[fixed[lo:hi]],
+            relation[relations[lo:hi]], entity[candidates[lo:hi]])
+        if not np.all(np.isfinite(scores)):
+            raise TrainingDivergedError("non-finite score; training diverged")
+        s_pos, s_neg = scores[:, 0], scores[:, 1:]
+        if adversarial_beta > 0.0:
+            z = adversarial_beta * s_neg
+            z -= z.max(axis=1, keepdims=True)
+            exp_z = np.exp(z)
+            # constants w.r.t. the parameters
+            neg_w = exp_z / exp_z.sum(axis=1, keepdims=True)
+        else:
+            neg_w = np.full(s_neg.shape, 1.0 / s_neg.shape[1])
+        losses[order[lo:hi]] = -(
+            a[lo:hi] * _log_sigmoid(s_pos + gamma)
+            + (neg_w * _log_sigmoid(-s_neg - gamma)).sum(axis=1) * b[lo:hi])
+        coeff = np.empty_like(scores)
+        # d loss / d s_pos = -a * sigmoid(-(s_pos + gamma))
+        coeff[:, 0] = -a[lo:hi] * _sigmoid(-(s_pos + gamma))
+        # d loss / d s_neg_i = +w_i * b * sigmoid(s_neg_i + gamma)
+        coeff[:, 1:] = b[lo:hi, None] * neg_w * _sigmoid(s_neg + gamma)
+        coeff *= scale
+        terms[lo:hi], relation_terms[lo:hi], g_cand = back(coeff)
+        cand_at = slice(num + lo * width, num + hi * width)
+        if whole:
+            terms[cand_at] = g_cand.reshape(-1, dim)
+            continue
+        rows, at = np.unique(entity_at[cand_at], return_inverse=True)
+        entity_grad[rows] += _row_sums(at, g_cand.reshape(-1, dim), len(rows))
+    if not whole:  # the fixed entities' terms, summed last
+        rows, at = np.unique(entity_at[:num], return_inverse=True)
+        entity_grad[rows] += _row_sums(at, terms, len(rows))
     else:
-        neg_w = np.full(s_neg.shape, 1.0 / s_neg.shape[1])
-    a, b = weights.a[example_ids], weights.b[example_ids]
-    losses = -(a * _log_sigmoid(s_pos + gamma)
-               + (neg_w * _log_sigmoid(-s_neg - gamma)).sum(axis=1) * b)
-
-    scale = 1.0 / len(example_ids)
-    coeff = np.empty_like(scores)
-    # d loss / d s_pos = -a * sigmoid(-(s_pos + gamma))
-    coeff[:, 0] = -a * _sigmoid(-(s_pos + gamma))
-    # d loss / d s_neg_i = +w_i * b * sigmoid(s_neg_i + gamma)
-    coeff[:, 1:] = b[:, None] * neg_w * _sigmoid(s_neg + gamma)
-    coeff = (coeff * scale)[..., None]
-    slots = np.empty((2,) + g_h.shape)
-    np.multiply(g_h, coeff, out=slots[0])
-    np.multiply(g_t, coeff, out=slots[1])
-    entity_rows, entity_grad = _row_sums(
-        np.concatenate([heads.ravel(), tails.ravel()]),
-        slots.reshape(-1, g_h.shape[-1]))
-    relation_rows, relation_grad = _row_sums(relations,
-                                             (g_r * coeff).sum(axis=1))
+        entity_grad = _row_sums(entity_at, terms, len(entity_rows))
+    relation_grad = _row_sums(relation_at, relation_terms, len(relation_rows))
     return float(losses.sum() * scale), Gradients(
         entity_rows, entity_grad, relation_rows, relation_grad)
 
@@ -210,28 +227,42 @@ class OptimizerState:
 def _apply_update(params: ModelParams, opt: OptimizerState,
                   grads: Gradients, rate: float, step: int,
                   config: RunConfig) -> None:
-    """One optimizer step touching only the rows present in `grads`.
+    """One optimizer step touching only the rows present in `grads`, in
+    blocks of rows whose buffers stay in cache.
 
     Adam moment rows are updated lazily; bias correction uses the global
     step count.
     """
-    targets = ((params.entity_emb, grads.entity_rows, grads.entity,
-                opt.m_entity, opt.v_entity),
-               (params.relation_emb, grads.relation_rows, grads.relation,
-                opt.m_relation, opt.v_relation))
-    if opt.kind == "sgd":
-        for table, rows, g, _, _ in targets:
-            table[rows] -= rate * g
-        return
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
-    bc1 = 1.0 - b1 ** step
-    bc2 = 1.0 - b2 ** step
-    for table, rows, g, m, v in targets:
-        m_rows = b1 * m[rows] + (1.0 - b1) * g
-        v_rows = b2 * v[rows] + (1.0 - b2) * (g * g)
-        m[rows] = m_rows
-        v[rows] = v_rows
-        table[rows] -= rate * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps)
+    bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    for table, all_rows, all_g, m, v in (
+            (params.entity_emb, grads.entity_rows, grads.entity,
+             opt.m_entity, opt.v_entity),
+            (params.relation_emb, grads.relation_rows, grads.relation,
+             opt.m_relation, opt.v_relation)):
+        # row blocks whose buffers, 1/32 of the budget each, stay in cache
+        block = max(1, models.RANK_BUDGET_BYTES // (256 * table.shape[1]))
+        for lo in range(0, len(all_rows), block):
+            rows, g = all_rows[lo:lo + block], all_g[lo:lo + block]
+            if opt.kind == "sgd":
+                table[rows] -= rate * g
+                continue
+            # the dict loop's formulas, operation by operation, in three
+            # row buffers ("clip" keeps `take` from buffering)
+            m_rows, v_rows, buf = m[rows], v[rows], g * (1.0 - b1)
+            m_rows *= b1
+            m_rows += buf
+            v_rows *= b2
+            v_rows += np.multiply(np.multiply(g, g, out=buf), 1.0 - b2,
+                                  out=buf)
+            m[rows], v[rows] = m_rows, v_rows
+            np.add(np.sqrt(np.divide(v_rows, bc2, out=buf), out=buf), eps,
+                   out=buf)
+            m_rows /= bc1
+            m_rows *= rate
+            m_rows /= buf
+            np.take(table, rows, axis=0, out=buf, mode="clip")
+            table[rows] = np.subtract(buf, m_rows, out=buf)
 
 
 # ---------------------------------------------------------------------------

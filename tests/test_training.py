@@ -1,10 +1,15 @@
 """Negative sampling, the weighted loss, and the training loop."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgesub import models
 from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction, QueryIndex
 from kgesub.errors import DegenerateInputError, TrainingDivergedError
@@ -363,6 +368,101 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss(params, dataset.train_index, ids[:0], negatives[:0],
                        weights)
+
+
+@pytest.fixture(scope="module")
+def looped_graph():
+    return looped_zipf_kg(3, num_entities=25, num_links=250, num_valid=10,
+                          num_test=10)
+
+
+class TestBatchLossProperties:
+    """`batch_loss` against the dict-loop oracle over drawn batches, in
+    one chunk and in many."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(ORACLE_CASES),
+           seed=st.integers(0, 2 ** 32 - 1),
+           directions=st.sampled_from(["tail", "head", "mixed"]),
+           size=st.integers(1, 12), nu=st.integers(1, 4),
+           fixed_negative=st.booleans(),
+           chunk=st.sampled_from([None, 1, 2, 5]))
+    def test_matches_dict_oracle(self, looped_graph, case, seed, directions,
+                                 size, nu, fixed_negative, chunk):
+        """Every kind, uniform and self-adversarial negatives, batches of
+        tail queries, head queries or both, and a self-loop in every
+        batch; with `fixed_negative` each query's fixed entity is also
+        its first negative.  `chunk` examples fit the budget (None: the
+        whole batch does)."""
+        kind, aux, beta = case
+        dataset = looped_graph
+        index = dataset.train_index
+        rng = np.random.default_rng(seed)
+        train = as_triples(dataset.train)
+        loops = [i for i, (h, _, t) in enumerate(train) if h == t]
+        triples = np.concatenate([[rng.choice(loops)],
+                                  rng.integers(0, len(train), size - 1)])
+        heads = {"tail": np.zeros(size, dtype=np.int64),
+                 "head": np.ones(size, dtype=np.int64),
+                 "mixed": rng.integers(0, 2, size)}[directions]
+        ids = 2 * triples + heads
+        negatives = rng.integers(0, dataset.num_entities, size=(size, nu))
+        if fixed_negative:
+            negatives[:, 0] = index.entity[index.query_id[ids]]
+        weights = uniform_weights(dataset.num_examples)
+        weights.a[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
+        weights.b[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
+        params = init_params(kind, dataset.num_entities,
+                             dataset.num_relations, 8, 2.0,
+                             seed=seed % 1000, aux=aux)
+        budget = (models.RANK_BUDGET_BYTES if chunk is None
+                  else 8 * (1 + nu) * params.dim * chunk)
+        with mock.patch.object(models, "RANK_BUDGET_BYTES", budget):
+            loss, grads = batch_loss(params, index, ids, negatives, weights,
+                                     beta)
+        want_loss, want_grads = oracle_batch_loss(
+            params, oracle_batch(dataset, ids, negatives, weights), beta)
+        assert abs(loss - want_loss) <= 1e-12
+        # each row to 1e-12 of the batch's largest gradient entry: a row
+        # whose terms cancel (a self-loop's TransE row) has no scale of
+        # its own
+        got = row_dict(grads)
+        assert got.keys() == want_grads.keys()
+        scale = max(np.abs(g).max() for g in want_grads.values())
+        for key, want in want_grads.items():
+            assert np.abs(got[key] - want).max() <= 1e-12 * scale, key
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_peak_is_bounded_by_the_budget(self, kind, monkeypatch):
+        """One step (`batch_loss` and the Adam update) whose
+        (B, 1 + nu, dim) block is 64 budgets allocates at most 12 budgets
+        plus its gradient rows, under half that one block."""
+        budget = 256 << 10
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", budget)
+        rng = np.random.default_rng(40)
+        dataset = random_kg(rng, num_entities=1000, num_relations=4,
+                            num_train=400)
+        index = dataset.train_index
+        params = init_params(kind, 1000, 4, 256, 2.0, seed=41)
+        ids = rng.permutation(dataset.num_examples)[:64]
+        negatives = sample_negatives(index.query_id[ids], 127, rng, index)
+        block = 8 * ids.size * (1 + 127) * params.dim
+        assert block == 64 * budget
+        opt = OptimizerState.fresh("adam", params)
+        weights = uniform_weights(dataset.num_examples)
+        tracemalloc.start()
+        try:
+            _, grads = batch_loss(params, index, ids, negatives, weights)
+            _apply_update(params, opt, grads, 0.01, 1,
+                          RunConfig(optimizer="adam"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = grads.entity.nbytes + grads.relation.nbytes
+        assert peak <= 12 * budget + rows < block / 2, (peak / budget,
+                                                        rows / budget)
 
 
 class TestApplyUpdate:
