@@ -360,8 +360,8 @@ class Vocab:
 @dataclass(eq=False)
 class Dataset:
     """Splits as read-only (N, 3) int64 arrays of (head, relation, tail)
-    ids, copied from any sequence of id triples but those, and their
-    vocabulary."""
+    ids, and their vocabulary.  A read-only array that owns its data is
+    kept as given; any other sequence of id triples is copied."""
 
     train: np.ndarray
     valid: np.ndarray
@@ -371,7 +371,8 @@ class Dataset:
     def __post_init__(self) -> None:
         for split in SPLITS:
             ids = getattr(self, split)
-            if not isinstance(ids, np.ndarray) or ids.flags.writeable:
+            if not (isinstance(ids, np.ndarray) and ids.base is None
+                    and not ids.flags.writeable):
                 ids = np.array(ids, dtype=np.int64)
             ids = ids.astype(np.int64, copy=False).reshape(-1, 3)
             ids.flags.writeable = False

@@ -28,7 +28,7 @@ A step works on the batch in array operations:
   entity terms into the step's unique rows, ascending, by one bincount
   (one per chunk when the batch's block exceeds the budget).
 - `_apply_update` applies SGD or lazy Adam (bias-corrected by the global
-  step) in place to those rows only, in cache-sized row blocks.
+  step) in place to those rows only, in row blocks under the same budget.
 
 No step loops over examples or triples in Python.  The per-example
 loss with dict-of-rows gradients and the per-triple scorers that this
@@ -115,9 +115,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _row_sums(inverse: np.ndarray, values: np.ndarray,
               count: int) -> np.ndarray:
-    """(count, width) sums of the value rows by `inverse`, each row's
-    values added in the order they come (bincount adds its weights in
-    input order)."""
+    """(count, width) sums of the rows of `values` by `inverse`, each
+    row's added in input order (as bincount adds its weights)."""
     width = values.shape[1]
     cells = (inverse[:, None] * width + np.arange(width)).ravel()
     return np.bincount(cells, weights=values.ravel(),
@@ -154,7 +153,7 @@ def batch_loss(params: ModelParams, index: QueryIndex,
     gamma, scale, num_tail = params.gamma, 1.0 / num, int(tail.sum())
     losses, relation_terms = np.empty(num), np.empty((num, relation.shape[1]))
     step = max(1, models.RANK_BUDGET_BYTES // (8 * width * dim))
-    whole = num <= step  # the batch's block fits the budget
+    whole = num <= step  # fits the budget: one bincount, not one per chunk
     terms = np.empty((num * (1 + width) if whole else num, dim))
     entity_grad = None if whole else np.zeros((len(entity_rows), dim))
     for lo, hi in ((lo, min(lo + step, last))  # one direction each
@@ -228,7 +227,7 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
                   grads: Gradients, rate: float, step: int,
                   config: RunConfig) -> None:
     """One optimizer step touching only the rows present in `grads`, in
-    blocks of rows whose buffers stay in cache.
+    blocks of rows whose buffers stay small.
 
     Adam moment rows are updated lazily; bias correction uses the global
     step count.
@@ -240,7 +239,7 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
              opt.m_entity, opt.v_entity),
             (params.relation_emb, grads.relation_rows, grads.relation,
              opt.m_relation, opt.v_relation)):
-        # row blocks whose buffers, 1/32 of the budget each, stay in cache
+        # row blocks keep the three row buffers at 1/32 of the budget
         block = max(1, models.RANK_BUDGET_BYTES // (256 * table.shape[1]))
         for lo in range(0, len(all_rows), block):
             rows, g = all_rows[lo:lo + block], all_g[lo:lo + block]
@@ -248,7 +247,7 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
                 table[rows] -= rate * g
                 continue
             # the dict loop's formulas, operation by operation, in three
-            # row buffers ("clip" keeps `take` from buffering)
+            # row buffers ("wrap": unbuffered, reads what `table[rows]` writes)
             m_rows, v_rows, buf = m[rows], v[rows], g * (1.0 - b1)
             m_rows *= b1
             m_rows += buf
@@ -261,7 +260,7 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
             m_rows /= bc1
             m_rows *= rate
             m_rows /= buf
-            np.take(table, rows, axis=0, out=buf, mode="clip")
+            np.take(table, rows, axis=0, out=buf, mode="wrap")
             table[rows] = np.subtract(buf, m_rows, out=buf)
 
 

@@ -415,6 +415,19 @@ class TestDataset:
         assert vocab.ids("entity", [f"e{i}" for i in range(4)]).tolist() \
             == [0, 1, 2, 3]
 
+    def test_keeps_only_read_only_arrays_that_own_their_data(self):
+        owned = np.array([[0, 0, 1]])
+        owned.flags.writeable = False
+        base = np.array([[0, 0, 1], [1, 0, 2]])
+        view = base[:1]
+        view.flags.writeable = False
+        dataset = Dataset(owned, view, [[1, 0, 0]], vocab=make_vocab(3, 1))
+        assert np.shares_memory(dataset.train, owned)
+        base[0, 2] = 2  # a later write to the view's base
+        assert dataset.valid.tolist() == [[0, 0, 1]]
+        assert not any(getattr(dataset, split).flags.writeable
+                       for split in SPLITS)
+
 
 SPLITS = ("train", "valid", "test")
 # labels that JSON escapes, that end lines for str.splitlines but not for

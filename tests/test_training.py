@@ -17,8 +17,8 @@ from kgesub.models import ModelKind, init_params
 from kgesub.subsampling import (Provenance, SubsamplingMethod,
                                 build_cbs_weights, discounted_weights,
                                 mix_weights, uniform_weights)
-from kgesub.training import (OptimizerState, _apply_update, batch_loss,
-                             load_checkpoint, sample_negatives,
+from kgesub.training import (Gradients, OptimizerState, _apply_update,
+                             batch_loss, load_checkpoint, sample_negatives,
                              save_checkpoint, train, continue_train)
 
 from conftest import (Triple, TrainExample, as_triples, example_batch_loss,
@@ -515,6 +515,22 @@ class TestApplyUpdate:
         changed = np.flatnonzero(np.any(
             batched[0].entity_emb != params.entity_emb, axis=1))
         assert set(changed) <= set(grads.entity_rows.tolist())
+
+    def test_negative_row_id_updates_the_row_it_names(self):
+        """Adam reads and writes the same row for an id that fancy
+        indexing wraps: -1 updates the last row as its own id does."""
+        params = init_params(ModelKind.DISTMULT, 5, 2, 4, 1.0, seed=8)
+        g = np.random.default_rng(9).normal(size=(1, 4))
+        updated = []
+        for row in (-1, 4):
+            p = params.copy()
+            _apply_update(p, OptimizerState.fresh("adam", p), Gradients(
+                np.array([row]), g, np.array([0]),
+                np.zeros((1, p.relation_emb.shape[1]))), 0.1, 1,
+                RunConfig(optimizer="adam"))
+            updated.append(p.entity_emb)
+        assert np.array_equal(*updated)
+        assert not np.array_equal(updated[0][4], params.entity_emb[4])
 
 
 class TestMixLossIdentity:
