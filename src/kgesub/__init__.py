@@ -11,12 +11,12 @@ Subpackages:
     cli          command-line pipeline
 """
 
-from .data import (Dataset, Direction, QueryIndex, QueryKey, Vocab,
-                   load_dataset, load_triples, singleton_query_stats)
+from .data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
+                   load_triples, singleton_query_stats)
 from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
-                         build_filter_index, evaluate, filtered_rank)
+                         build_filter_index, evaluate)
 from .models import (ModelKind, ModelParams, init_params, load_params,
-                     save_params, score_and_grad, score_triples)
+                     save_params, score_triples)
 from .submodel import (Selection, mbs_frequencies_all_candidates,
                        pretrain_submodel, score_training_triples,
                        select_submodel)

@@ -256,6 +256,8 @@ def cmd_score_triples(args) -> int:
 
 
 def cmd_weights_report(args) -> int:
+    if args.num_queries < 0:
+        raise ConfigError("n must be >= 0")
     config, dataset, run_dir = _start(args)
     try:
         cbs = subsampling.load_weight_table(args.cbs_weights)
@@ -289,8 +291,6 @@ def query_appearance_report(dataset: Dataset, cbs: WeightTable,
     negative-side weight of its examples as a share of all examples,
     in percent.  Rows come out sorted by counted frequency descending.
     """
-    if n < 0:
-        raise ConfigError("n must be >= 0")
     index = dataset.train_index
     if n > index.num_queries:
         print(f"warning: only {index.num_queries} distinct queries; "
@@ -315,20 +315,20 @@ def query_appearance_report(dataset: Dataset, cbs: WeightTable,
 
 
 def cmd_singleton_stats(args) -> int:
-    config, dataset, run_dir = _start(args)
     if args.stride < 1:
         raise ConfigError("stride must be >= 1")
-    rows = singleton_query_stats(dataset)[::args.stride]
+    config, dataset, run_dir = _start(args)
+    directions, *rest = (column[::args.stride].tolist()
+                         for column in singleton_query_stats(dataset))
     out_path = run_dir / "singleton-stats.tsv"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("entity\trelation\tdirection\tentity_count\t"
                  "relation_count\n")
-        for key, entity_count, relation_count in rows:
-            fh.write(f"{key.entity}\t{key.relation}\t"
-                     f"{DIRECTION_NAMES[key.direction]}\t{entity_count}\t"
+        for d, e, r, entity_count, relation_count in zip(directions, *rest):
+            fh.write(f"{e}\t{r}\t{DIRECTION_NAMES[d]}\t{entity_count}\t"
                      f"{relation_count}\n")
     _write_manifest(run_dir, {"singleton_stats": out_path})
-    print(f"{len(rows)} singleton-query rows; artifacts in {run_dir}")
+    print(f"{len(directions)} singleton-query rows; artifacts in {run_dir}")
     return 0
 
 

@@ -15,10 +15,10 @@ answers: the sorted distinct answers of query q are
 ``answers[offsets[q]:offsets[q + 1]]``, and `complement_key` maps a rank
 among q's non-answers to the entity, for negative sampling.  Query ids
 follow the packed int64 key ``(direction * E + entity) * R + relation``,
-ascending, which is the order of `QueryKey` tuples; `find` maps queries
-to ids by binary search on that key.  `Dataset.train_index` is the
-index of the training split, built on first use; the evaluation filter
-indexes all three.
+ascending, which is the lexicographic order of (direction, entity,
+relation); `find` maps queries to ids by binary search on that key.
+`Dataset.train_index` is the index of the training split, built on
+first use; the evaluation filter indexes all three.
 
 `load_dataset` keeps its parse beside the text as `.kgesub-dataset.bin`,
 in the binary container of checkpoints, and reads that copy while the
@@ -44,11 +44,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, KgesubError, VocabMismatchError
+from .errors import CheckpointError, DataError
 
 BLOCK_BYTES = 1 << 16  # about this many bytes of lines per parsed block
 _MAGIC = b"KGESUBCK"  # of the binary container
@@ -67,12 +67,6 @@ class Direction(enum.IntEnum):
 
 # How files and reports spell each direction, indexed by `Direction`.
 DIRECTION_NAMES = ("tail-query", "head-query")
-
-
-class QueryKey(NamedTuple):
-    direction: Direction
-    entity: int
-    relation: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +142,6 @@ class QueryIndex:
         found[found] = self.key[pos[found]] == keys[found]
         return np.where(found, pos, -1)
 
-    def answers_of(self, query_id: int) -> np.ndarray:
-        """Sorted distinct answers of one query."""
-        return self.answers[self.offsets[query_id]:self.offsets[query_id + 1]]
-
     @cached_property
     def complement_key(self) -> np.ndarray:
         """q * E + (answer - its position in q's list), per CSR answer.
@@ -187,9 +177,9 @@ def parse_text(path: Path,
     """Feed a UTF-8 text file to `parse(rows, comments, start)` in blocks
     of about BLOCK_BYTES of lines (newlines kept; `comments` start with
     `#`, `rows` are the other non-blank lines, `start` counts the rows
-    before them).  A block that `parse` raises ValueError or KgesubError
-    on, or that is not UTF-8, is fed again a line at a time, so that its
-    first bad line raises DataError with `path:line`."""
+    before them).  A block that `parse` raises ValueError on, or that is
+    not UTF-8, is fed again a line at a time, so that its first bad line
+    raises DataError with `path:line`."""
     lines_done = rows_done = 0
 
     def one_by_one(numbered: Iterator[tuple[int, str]]) -> None:
@@ -212,7 +202,7 @@ def parse_text(path: Path,
                     parse(rows, [line for line in lines if line[0] == "#"],
                           rows_done)
                     rows_done += len(rows)
-                except (ValueError, KgesubError):
+                except ValueError:
                     one_by_one(enumerate(lines, lines_done + 1))
                 lines_done += len(lines)
     except UnicodeDecodeError:
@@ -321,7 +311,6 @@ class Vocab:
         self.relation_to_id: dict[str, int] = {}
         self.entity_labels: list[str] = []
         self.relation_labels: list[str] = []
-        self._frozen = False
 
     @property
     def num_entities(self) -> int:
@@ -331,30 +320,20 @@ class Vocab:
     def num_relations(self) -> int:
         return len(self.relation_labels)
 
-    def freeze(self) -> "Vocab":
-        """Disallow the introduction of new labels."""
-        self._frozen = True
-        return self
-
     def add(self, kind: str, labels: list[str]) -> None:
         """Give unseen `kind` ("entity" or "relation") labels the next
-        ids in first-appearance order, unless frozen."""
+        ids in first-appearance order."""
         to_id = getattr(self, f"{kind}_to_id")
         known = getattr(self, f"{kind}_labels")
-        fresh = [] if self._frozen else [
-            label for label in dict.fromkeys(labels) if label not in to_id]
+        fresh = [label for label in dict.fromkeys(labels)
+                 if label not in to_id]
         to_id.update(zip(fresh, range(len(known), len(known) + len(fresh))))
         known.extend(fresh)
 
     def ids(self, kind: str, labels: list[str]) -> np.ndarray:
-        """Ids of `kind` labels; an unknown one raises VocabMismatchError."""
-        to_id = getattr(self, f"{kind}_to_id")
-        try:
-            return np.fromiter(map(to_id.__getitem__, labels), np.int64,
-                               len(labels))
-        except KeyError as exc:
-            raise VocabMismatchError(
-                f"unknown {kind} label: {exc.args[0]!r}") from None
+        """Ids of `kind` labels that `add` has seen."""
+        return np.fromiter(map(getattr(self, f"{kind}_to_id").__getitem__,
+                               labels), np.int64, len(labels))
 
 
 @dataclass(eq=False)
@@ -402,10 +381,9 @@ def load_triples(path: str | Path,
                  existing_vocab: Vocab | None = None) -> tuple[np.ndarray, Vocab]:
     """Parse a `head<TAB>relation<TAB>tail` file into an (N, 3) id array.
 
-    Ids are assigned in first-appearance order (head before tail) when
-    building a fresh vocabulary.  Under an existing (frozen) vocabulary,
-    unknown labels raise VocabMismatchError.  Lines starting with `#`
-    are comments.
+    Unseen labels get the next ids of the vocabulary (a fresh one unless
+    `existing_vocab` is given) in first-appearance order, head before
+    tail.  Lines starting with `#` are comments.
     """
     path = Path(path)
     vocab = existing_vocab if existing_vocab is not None else Vocab()
@@ -495,15 +473,15 @@ def _copied(digest: str, header: dict,
     return Dataset(*splits, vocab=vocab)
 
 
-def singleton_query_stats(
-        dataset: Dataset) -> list[tuple[QueryKey, int, int]]:
+def singleton_query_stats(dataset: Dataset) -> tuple[np.ndarray, ...]:
     """Entity/relation frequencies of queries seen exactly once in train.
 
     For every training query asked by one example, reports how many
     training triples contain its entity (in either slot; a self-loop
     counts once) and how many contain its relation, sorted by entity
     frequency descending.  Ties keep a deterministic order (relation
-    frequency, then key).
+    frequency, then query id).  Returns five int64 columns: direction,
+    entity, relation, entity count and relation count.
     """
     index = dataset.train_index
     tail_queries = index.query_id[0::2]
@@ -514,10 +492,9 @@ def singleton_query_stats(
     relation_count = np.bincount(index.relation[tail_queries],
                                  minlength=index.num_relations)
     single = np.flatnonzero(index.count == 1)
-    entities, relations = index.entity[single], index.relation[single]
-    by_entity, by_relation = entity_count[entities], relation_count[relations]
+    by_entity = entity_count[index.entity[single]]
+    by_relation = relation_count[index.relation[single]]
     order = np.lexsort((single, -by_relation, -by_entity))
-    return [(QueryKey(Direction(d), e, r), ce, cr) for d, e, r, ce, cr in zip(
-        index.direction[single][order].tolist(), entities[order].tolist(),
-        relations[order].tolist(), by_entity[order].tolist(),
-        by_relation[order].tolist())]
+    single = single[order]
+    return (index.direction[single], index.entity[single],
+            index.relation[single], by_entity[order], by_relation[order])

@@ -1,14 +1,16 @@
 """Filtered link-prediction ranking and metric aggregation.
 
 Every triple of the evaluated split is ranked twice, once per query
-direction.  The candidate list is all entities minus the other answers
-known to be true anywhere in the dataset (the evaluated answer itself
-always stays in the list).  Those answers come from
-`build_filter_index`, the query index of all three splits: each
-evaluated query is found in it by binary search and reads its answers
-as a slice of the index's CSR list.  Score ties use the mean-rank
-convention: rank = 1 + |better| + |tied others| / 2, rounded half up,
-which avoids the optimistic bias of insertion-order ranking.
+direction: example ``2 * i + d`` asks the tail query (d = 0) or the
+head query (d = 1) of triple i, and reports keep that order.  The
+candidate list is all entities minus the other answers known to be
+true anywhere in the dataset (the evaluated answer itself always stays
+in the list).  Those answers come from `build_filter_index`, the query
+index of all three splits: each query is found in it by binary search
+and reads its answers as a slice of the index's CSR list.  Score ties
+use the mean-rank convention: rank = 1 + |better| + |tied others| / 2,
+rounded half up, which avoids the optimistic bias of insertion-order
+ranking.
 
 Ranking is chunked.  The split's queries are scored against every
 entity a chunk of one direction at a time (`models.iter_candidate_scores`),
@@ -19,8 +21,7 @@ candidate list per query.  A chunk holds as many queries as fit
 `models.RANK_BUDGET_BYTES` of (queries, E) scores, and at most dim of
 them, so its scores are never larger than the entity table; distances
 are taken over blocks of entities under the same budget.  Memory stays
-bounded whatever the split's size.  `filtered_rank` is the same path
-for one query.
+bounded whatever the split's size.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, Dataset, Direction, QueryIndex, QueryKey
+from .data import DIRECTION_NAMES, Dataset, QueryIndex
 from .models import ModelParams, check_vocab, iter_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
@@ -46,8 +47,8 @@ class EvalReport:
     h1: float
     h3: float
     h10: float
-    per_query_ranks: list[int]
-    queries: list[QueryKey]
+    per_query_ranks: np.ndarray  # (n,) int64
+    queries: np.ndarray  # (n, 3) int64: direction, entity, relation
     split: str
 
     def metric(self, name: str) -> float:
@@ -61,20 +62,10 @@ class AggregateReport:
     metrics: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-def filtered_rank(params: ModelParams, query: QueryKey, answer: int,
-                  known_true: set[int] | frozenset[int]) -> int:
-    """Rank of `answer` among all entities after filtering known answers."""
-    ranks = _filtered_ranks(params, np.array([int(query.direction)]),
-                            np.array([query.entity]),
-                            np.array([query.relation]), np.array([answer]),
-                            [np.fromiter(known_true, dtype=np.int64)])
-    return int(ranks[0])
-
-
-def _filtered_ranks(params: ModelParams, directions: np.ndarray,
-                    entities: np.ndarray, relations: np.ndarray,
-                    answers: np.ndarray,
-                    known: Sequence[np.ndarray]) -> np.ndarray:
+def rank_answers(params: ModelParams, directions: np.ndarray,
+                 entities: np.ndarray, relations: np.ndarray,
+                 answers: np.ndarray,
+                 known: Sequence[np.ndarray]) -> np.ndarray:
     """Filtered rank of each answer to its query, in input order;
     known[i] holds the known-true answers of query i."""
     # one direction at a time, so that every chunk is full
@@ -125,26 +116,23 @@ def evaluate(params: ModelParams, dataset: Dataset, split: str,
     check_vocab(params, dataset)
     if filter_index is None:
         filter_index = build_filter_index(dataset)
-    examples = QueryIndex.build(triples, dataset.num_entities,
-                                dataset.num_relations)
-    query_ids = filter_index.find(examples.direction, examples.entity,
-                                  examples.relation)[examples.query_id]
+    queries = np.stack([np.tile([0, 1], len(triples)),
+                        triples[:, [0, 2]].ravel(),
+                        np.repeat(triples[:, 1], 2)], axis=1)
+    query_ids = filter_index.find(*queries.T)
     if np.any(query_ids < 0):
         raise ValueError(f"the filter index does not cover split {split!r}")
-    directions, entities, relations = (column[query_ids] for column in (
-        filter_index.direction, filter_index.entity, filter_index.relation))
-    queries = [QueryKey(Direction(d), e, r) for d, e, r in
-               zip(directions.tolist(), entities.tolist(), relations.tolist())]
-    known = [filter_index.answers_of(q) for q in query_ids.tolist()]
-    ranks = _filtered_ranks(params, directions, entities, relations,
-                            examples.answer, known)
+    offsets = filter_index.offsets
+    known = [filter_index.answers[offsets[q]:offsets[q + 1]]
+             for q in query_ids.tolist()]
+    ranks = rank_answers(params, *queries.T, triples[:, [2, 0]].ravel(), known)
     rank_arr = ranks.astype(np.float64)
     return EvalReport(
         mrr=float((1.0 / rank_arr).mean()),
         h1=float((rank_arr <= 1).mean()),
         h3=float((rank_arr <= 3).mean()),
         h10=float((rank_arr <= 10).mean()),
-        per_query_ranks=ranks.tolist(),
+        per_query_ranks=ranks,
         queries=queries,
         split=split,
     )
@@ -194,7 +182,8 @@ def write_metrics(report: EvalReport, path: str | Path) -> None:
 
 def write_rank_dump(report: EvalReport, path: str | Path) -> None:
     """`query<TAB>direction<TAB>rank` rows; query is `entity|relation`."""
+    directions, entities, relations = report.queries.T.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for query, rank in zip(report.queries, report.per_query_ranks):
-            fh.write(f"{query.entity}|{query.relation}\t"
-                     f"{DIRECTION_NAMES[query.direction]}\t{rank}\n")
+        for d, e, r, rank in zip(directions, entities, relations,
+                                 report.per_query_ranks.tolist()):
+            fh.write(f"{e}|{r}\t{DIRECTION_NAMES[d]}\t{rank}\n")

@@ -25,9 +25,9 @@ the subgradient convention sign(0) = 0 at the kinks of L1 terms.
 Each kind has one kernel (`score_block`): a forward pass over the
 candidates of same-direction queries, each query's fixed entity row
 gathered once, and a vector-Jacobian product that folds the loss
-coefficients into the row gradients.  `score_and_grad` and
-`score_triples` are views of it; the scalar scorers it replaced are
-kept as test oracles.
+coefficients into the row gradients.  `score_triples` is a view of
+it; the scalar scorers it replaced, and the per-slot gradient view the
+gradient checks use, live in tests/conftest.py.
 
 `iter_candidate_scores` scores chunks of same-direction queries against
 every entity for ranking: one matmul per chunk for DistMult and ComplEx,
@@ -299,25 +299,6 @@ def score_block(params: ModelParams, tail: bool, fixed: np.ndarray,
     call once, which maps the loss coefficients c = d loss / d score to
     the loss gradients g_fixed, g_rel and g_cand of those rows."""
     return _KERNELS[params.kind](params, tail, fixed, rel, cand)
-
-
-def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,
-                   t: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scores and slot gradients of gathered embedding rows.
-
-    h and t are (B, K, dim) head and tail rows, r is (B, 1, dim_r) and
-    broadcasts over K.  Returns the (B, K) scores and d score / d h,
-    d r and d t, each (B, K, width of its slot).  Slot gradients are
-    independent: a caller accumulates them where slots share a row.
-    Each (h, t) pair is a one-candidate tail query of `score_block`.
-    """
-    shape = np.broadcast_shapes(h.shape[:-1], r.shape[:-1], t.shape[:-1])
-    h, r, t = (np.broadcast_to(x, shape + x.shape[-1:]).reshape(
-        -1, x.shape[-1]) for x in (h, r, t))
-    scores, back = score_block(params, True, h, r, t[:, None])
-    return (scores.reshape(shape), *(g.reshape(shape + (-1,))
-                                     for g in back(np.ones(scores.shape))))
 
 
 def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,

@@ -15,6 +15,7 @@ toward smaller temperature, then smaller ratio, then candidate order.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -135,14 +136,21 @@ def read_ledger(path: str | Path) -> list[GridRecord]:
             continue
         try:
             sid, alpha, lam, mrr = line.split("\t")
-            records.append(GridRecord(
-                submodel_id=sid, alpha=float(alpha),
-                lam=None if lam == "-" else float(lam),
-                valid_mrr=float(mrr)))
+            record = GridRecord(submodel_id=sid, alpha=float(alpha),
+                                lam=None if lam == "-" else float(lam),
+                                valid_mrr=float(mrr))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: expected `submodel_id<TAB>"
                             f"alpha<TAB>lambda<TAB>valid_mrr` ({exc})"
                             ) from None
+        # every comparison with nan is false, so nan fails each check
+        if not (0.0 < record.alpha < math.inf
+                and (record.lam is None or 0.0 <= record.lam <= 1.0)
+                and 0.0 <= record.valid_mrr <= 1.0):
+            raise DataError(f"{path}:{lineno}: alpha must be finite and > 0, "
+                            f"lambda and valid_mrr in [0, 1], got alpha "
+                            f"{alpha}, lambda {lam}, valid_mrr {mrr}")
+        records.append(record)
     return records
 
 

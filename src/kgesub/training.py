@@ -31,9 +31,10 @@ A step works on the batch in array operations:
   step) in place to those rows only, in row blocks under the same budget.
 
 No step loops over examples or triples in Python.  The per-example
-loss with dict-of-rows gradients and the per-triple scorers that this
-replaced live on in tests/conftest.py as the oracles the batched step
-is checked against.
+loss with dict-of-rows gradients, the per-triple scorers and the
+row-at-a-time optimizer update that this replaced live in
+tests/conftest.py, beside the other oracles, and the batched step is
+checked against them.
 
 Determinism: the permutation of each epoch and the negative draws of
 each step come from generators derived from (seed, stream, index), so a
@@ -52,8 +53,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import RunConfig
-from .data import (Dataset, Direction, QueryIndex, QueryKey, read_container,
-                   write_container)
+from .data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
+                   read_container, write_container)
 from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
 from . import models
 from .models import (ModelParams, params_from_container, params_header,
@@ -92,11 +93,10 @@ def sample_negatives(query_ids: np.ndarray, nu: int, rng: np.random.Generator,
     free = index.num_entities - (index.offsets[query_ids + 1] - start)
     if np.any(free <= 0):
         q = int(query_ids[np.argmin(free)])
-        query = QueryKey(Direction(int(index.direction[q])),
-                         int(index.entity[q]), int(index.relation[q]))
         raise DegenerateInputError(
-            f"query {query} has no false candidates: all "
-            f"{index.num_entities} entities are true answers")
+            f"{DIRECTION_NAMES[index.direction[q]]} of entity "
+            f"{index.entity[q]}, relation {index.relation[q]} has no false "
+            f"candidates: all {index.num_entities} entities are true answers")
     draws = rng.integers(0, free[:, None], size=(len(query_ids), nu))
     below = np.searchsorted(index.complement_key,
                             query_ids[:, None] * index.num_entities + draws,

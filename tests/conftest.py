@@ -10,9 +10,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from kgesub.data import DIRECTION_NAMES, Dataset, Direction, QueryKey, Vocab
-from kgesub.errors import DataError, DegenerateInputError, VocabMismatchError
-from kgesub.models import ModelKind, ModelParams
+from kgesub.data import DIRECTION_NAMES, Dataset, Direction, QueryIndex, Vocab
+from kgesub.errors import DataError, DegenerateInputError
+from kgesub.evaluation import rank_answers
+from kgesub.models import ModelKind, ModelParams, score_block
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 discounted_weights, uniform_weights)
 from kgesub.training import batch_loss
@@ -22,6 +23,13 @@ class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
+
+
+class QueryKey(NamedTuple):
+    """A dict oracles' query key, in `QueryIndex` id order."""
+    direction: Direction
+    entity: int
+    relation: int
 
 
 def as_triples(rows) -> list[Triple]:
@@ -47,7 +55,7 @@ def make_vocab(num_entities: int, num_relations: int) -> Vocab:
     vocab = Vocab()
     vocab.add("entity", [f"e{i}" for i in range(num_entities)])
     vocab.add("relation", [f"r{j}" for j in range(num_relations)])
-    return vocab.freeze()
+    return vocab
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
@@ -157,21 +165,48 @@ def toy_dataset(toy_triples) -> Dataset:
                    test=[toy_triples[2]], vocab=make_vocab(3, 1))
 
 
-def random_params(kind: ModelKind, num_entities: int, num_relations: int,
-                  dim: int, seed: int, gamma: float = 2.0,
-                  aux: dict[str, float] | None = None) -> ModelParams:
-    from kgesub.models import init_params
-    return init_params(kind, num_entities, num_relations, dim, gamma, seed,
-                       aux=aux)
-
-
 # ---------------------------------------------------------------------------
-# oracles
+# oracles, and the views of the library that only tests use
+
+
+def answers_of(index: QueryIndex, query_id: int) -> np.ndarray:
+    """Sorted distinct answers of one query of `index`."""
+    return index.answers[index.offsets[query_id]:index.offsets[query_id + 1]]
+
+
+def filtered_rank(params: ModelParams, query: QueryKey, answer: int,
+                  known_true: set[int] | frozenset[int]) -> int:
+    """Rank of `answer` among all entities after filtering known answers,
+    by the ranking of `evaluation.evaluate`."""
+    return int(rank_answers(params, *(np.array([v]) for v in query),
+                            np.array([answer]),
+                            [np.fromiter(known_true, dtype=np.int64)])[0])
+
+
+def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,
+                   t: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(B, K) scores of (B, K, dim) head and tail rows h and t under
+    (B, 1, dim_r) relation rows r, and d score / d h, d r and d t, each
+    (B, K, width): one-candidate tail queries of `models.score_block`."""
+    shape = np.broadcast_shapes(h.shape[:-1], r.shape[:-1], t.shape[:-1])
+    h, r, t = (np.broadcast_to(x, shape + x.shape[-1:]).reshape(
+        -1, x.shape[-1]) for x in (h, r, t))
+    scores, back = score_block(params, True, h, r, t[:, None])
+    return (scores.reshape(shape), *(g.reshape(shape + (-1,))
+                                     for g in back(np.ones(scores.shape))))
+
+
+def singleton_rows(columns: tuple[np.ndarray, ...]) -> list:
+    """`data.singleton_query_stats` as (key, entity count, relation
+    count) rows."""
+    return [(QueryKey(Direction(d), e, r), ce, cr) for d, e, r, ce, cr
+            in zip(*(column.tolist() for column in columns))]
 
 
 # Scalar oracles for the batched training step: the per-triple scorers,
 # the per-example loss with dict-of-rows gradients, and the row-at-a-time
-# optimizer update that `models.score_and_grad`, `training.batch_loss`
+# optimizer update that `models.score_block`, `training.batch_loss`
 # and `training._apply_update` replaced.
 
 
@@ -722,8 +757,6 @@ def oracle_load_triples(path, existing_vocab: Vocab | None = None):
         labels = getattr(vocab, f"{kind}_labels")
         eid = to_id.get(label)
         if eid is None:
-            if vocab._frozen:
-                raise VocabMismatchError(f"unknown {kind} label: {label!r}")
             eid = len(labels)
             to_id[label] = eid
             labels.append(label)

@@ -15,8 +15,8 @@ import pytest
 
 from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction, load_triples
-from kgesub.evaluation import build_filter_index, evaluate, filtered_rank
-from kgesub.models import ModelKind, init_params, score_and_grad
+from kgesub.evaluation import build_filter_index, evaluate
+from kgesub.models import ModelKind, init_params
 from kgesub.submodel import pretrain_submodel, score_training_triples
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 build_cbs_weights, counted_frequencies,
@@ -28,11 +28,11 @@ from kgesub.training import (batch_loss, continue_train, load_checkpoint,
 from conftest import (Triple, TrainExample, answer_of, as_triples,
                       example_batch_loss, query_of,
                       fd_function_row_gradients, fd_score_row_gradients,
-                      make_vocab, max_relative_error, mbs_weights,
-                      oracle_answer_sets,
+                      filtered_rank, make_vocab, max_relative_error,
+                      mbs_weights, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_filtered_rank,
-                      random_kg, random_triples, score, score_batch,
-                      sorted_query_counts, zipf_kg)
+                      random_kg, random_triples, score, score_and_grad,
+                      score_batch, sorted_query_counts, zipf_kg)
 
 ALL_KINDS = list(ModelKind)
 
@@ -246,7 +246,7 @@ def test_c5_evaluation_matches_exhaustive_oracle():
                 assert filtered_rank(params, query, answer,
                                      known[query]) == oracle_rank
                 expected.append(oracle_rank)
-        assert report.per_query_ranks == expected
+        assert report.per_query_ranks.tolist() == expected
         assert report.mrr == np.mean([1.0 / r for r in expected])
         assert report.h10 == np.mean([r <= 10 for r in expected])
         instances += 1

@@ -8,7 +8,7 @@ import pytest
 
 from kgesub.cli import build_parser, main
 from kgesub.config import load_config
-from kgesub.models import load_params
+from kgesub.models import ModelKind, init_params, load_params, save_params
 from kgesub.subsampling import load_weight_table
 
 from conftest import save_dataset, zipf_kg
@@ -144,6 +144,53 @@ class TestExitCodes:
         config.write_text("[train]\nwarp_speed = 9\n", encoding="utf-8")
         assert run(["train", "--config", config,
                     "--run-dir", tmp_path / "r"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["singleton-stats", "--stride", "0"],
+        ["weights-report", "--cbs-weights", "c", "--mbs-weights", "m",
+         "-n", "-1"]], ids=["stride", "num_queries"])
+    def test_bad_count_is_exit_1_before_the_data_load(self, tmp_path, argv):
+        """Not exit 2 for the absent data, and no run directory made."""
+        assert run(argv + ["--data", tmp_path / "nope",
+                           "--run-dir", tmp_path / "r"]) == 1
+        assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def handmade_dir(tmp_path):
+    """Entities a, b, c, d (ids 0-3) and relations r, s (ids 0, 1)."""
+    for split, rows in (("train", "arb arc brc csa dsa"), ("valid", "asd"),
+                        ("test", "bsd ard")):
+        (tmp_path / f"{split}.txt").write_text(
+            "".join("\t".join(row) + "\n" for row in rows.split()),
+            encoding="utf-8")
+    return tmp_path
+
+
+class TestGoldenOutputs:
+    def test_ranks_tsv(self, handmade_dir, tmp_path):
+        """DistMult of dim 1 scores (h, r, t) as e_h * w_r * e_t.  The
+        tail query of (b, s, d) scores [10, 50, 40, 40]: b beats d and
+        c ties it, so its rank is 2.5, rounded up."""
+        params = init_params(ModelKind.DISTMULT, 4, 2, 1, 0.0, seed=0)
+        params.entity_emb[:, 0] = [1.0, 5.0, 4.0, 4.0]
+        params.relation_emb[:, 0] = [1.0, 2.0]
+        save_params(params, tmp_path / "model.bin")
+        assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "eval", "--checkpoint",
+                    tmp_path / "model.bin"]) == 0
+        assert (tmp_path / "eval" / "ranks.tsv").read_bytes() == (
+            b"1|1\ttail-query\t3\n3|1\thead-query\t1\n"
+            b"0|0\ttail-query\t1\n3|0\thead-query\t4\n")
+
+    def test_singleton_stats_tsv_stride_2(self, handmade_dir, tmp_path):
+        """The singleton queries by entity count, relation count, then
+        query id: (c, s, ?), (b, r, ?), (?, r, b), (d, s, ?)."""
+        assert run(["singleton-stats", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "stats", "--stride", "2"]) == 0
+        assert (tmp_path / "stats" / "singleton-stats.tsv").read_bytes() == (
+            b"entity\trelation\tdirection\tentity_count\trelation_count\n"
+            b"2\t1\ttail-query\t3\t2\n1\t0\thead-query\t2\t3\n")
 
 
 class TestEvaluateCommand:
@@ -391,6 +438,20 @@ class TestSweepCommand:
         assert run(["train", "--config", sweep_dir / "best.cfg",
                     "--run-dir", best_dir]) == 0
         assert (best_dir / "checkpoint.bin").exists()
+
+    def test_nan_mrr_in_resumed_ledger_is_exit_2(self, data_dir, tmp_path,
+                                                 capsys):
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=m\n" + "".join(
+            f"{i}\t0.0\n" for i in range(examples)), encoding="utf-8")
+        (tmp_path / "ledger.tsv").write_text("m\t1.0\t-\tnan\n")
+        assert run(["sweep", "--data", data_dir, "--run-dir", tmp_path,
+                    "--method", "freq", "--submodel-scores", scores,
+                    "--alpha-grid", "1.0,0.5", "--lambda-grid", "0.5"]
+                   + FAST) == 2
+        assert "ledger.tsv:1:" in capsys.readouterr().err
+        assert not (tmp_path / "best.cfg").exists()
 
 
 class TestSweepResumesTornLedger:

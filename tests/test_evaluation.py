@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from kgesub import models
-from kgesub.data import Dataset, Direction, QueryKey
+from kgesub.data import Dataset, Direction
 from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, build_filter_index,
-                               evaluate, filtered_rank, format_report,
-                               write_rank_dump)
+                               evaluate, format_report, write_rank_dump)
 from kgesub.models import ModelKind, init_params
 
-from conftest import (Triple, answer_of, as_triples, looped_zipf_kg,
-                      make_vocab, oracle_answer_sets, oracle_filtered_rank,
-                      query_of, random_kg, score_batch)
+from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
+                      filtered_rank, looped_zipf_kg, make_vocab,
+                      oracle_answer_sets, oracle_filtered_rank, query_of,
+                      random_kg, score_batch)
 
 
 def known_answers(dataset):
@@ -136,7 +136,7 @@ class TestEvaluate:
                                          np.arange(dataset.num_entities))
                     expected_ranks.append(oracle_filtered_rank(
                         scores, answer, known[query]))
-            assert report.per_query_ranks == expected_ranks
+            assert report.per_query_ranks.tolist() == expected_ranks
             assert report.mrr == pytest.approx(
                 np.mean([1.0 / r for r in expected_ranks]), abs=1e-15)
 
@@ -193,8 +193,8 @@ class TestEvaluate:
                     expected.append(oracle_filtered_rank(
                         scores, answer_of(triple, direction), known[query]))
                     queries.append(query)
-            assert report.per_query_ranks == expected
-            assert report.queries == queries
+            assert report.per_query_ranks.tolist() == expected
+            assert list(map(tuple, report.queries.tolist())) == queries
 
     def test_filter_index_matches_answer_sets(self):
         """The filter holds every query of the three splits with exactly
@@ -207,7 +207,7 @@ class TestEvaluate:
             for q, key in enumerate(sorted(known)):
                 assert (index.direction[q], index.entity[q],
                         index.relation[q]) == key
-                assert index.answers_of(q).tolist() == sorted(known[key])
+                assert answers_of(index, q).tolist() == sorted(known[key])
 
     def test_filter_without_the_split_rejected(self):
         dataset = Dataset(train=[Triple(0, 0, 1)], valid=[],
@@ -294,8 +294,9 @@ class TestReportOutput:
 
     def test_rank_dump_format(self, tmp_path):
         report = EvalReport(
-            mrr=1.0, h1=1.0, h3=1.0, h10=1.0, per_query_ranks=[4],
-            queries=[QueryKey(Direction.HEAD_QUERY, 7, 2)], split="test")
+            mrr=1.0, h1=1.0, h3=1.0, h10=1.0, per_query_ranks=np.array([4]),
+            queries=np.array([QueryKey(Direction.HEAD_QUERY, 7, 2)]),
+            split="test")
         path = tmp_path / "ranks.tsv"
         write_rank_dump(report, path)
         assert path.read_text() == "7|2\thead-query\t4\n"

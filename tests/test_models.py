@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgesub import models
-from kgesub.data import Direction, QueryKey
+from kgesub.data import Direction
 from kgesub.errors import CheckpointError
 from kgesub.models import (ModelKind, init_params, iter_candidate_scores,
                            load_params, load_tagged_params, relation_dim,
-                           save_params, score_and_grad, score_triples)
+                           save_params, score_triples)
 
-from conftest import (Triple, as_triples, fd_score_row_gradients,
-                      looped_zipf_kg, max_relative_error, score, score_batch,
-                      score_gradient)
+from conftest import (QueryKey, Triple, as_triples, fd_score_row_gradients,
+                      looped_zipf_kg, max_relative_error, score,
+                      score_and_grad, score_batch, score_gradient)
 
 ALL_KINDS = list(ModelKind)
 GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [

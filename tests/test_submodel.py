@@ -203,7 +203,7 @@ class TestSelectSubmodel:
         calls = []
         def point(scores, alpha, lam):
             calls.append((alpha, lam))
-            return alpha  # higher temperature wins here
+            return alpha / 2  # higher temperature wins; an MRR in [0, 1]
         first = select_submodel([fake_scores("m")], [1.0, 2.0], [0.5],
                                 point, ledger_path=ledger)
         assert len(calls) == 3
@@ -254,6 +254,11 @@ class TestSelectSubmodel:
         "m\thalf\t-\t0.25\n",
         "m\t0.5\tx\t0.25\n",
         "m\t0.5\t0.7\t",  # torn mid-number
+        # numbers that no grid point or MRR can be
+        "m\t0.5\t-\tnan\n", "m\t0.5\t-\tinf\n", "m\t0.5\t-\t1.5\n",
+        "m\t0.5\t-\t-0.25\n", "m\tnan\t-\t0.25\n", "m\tinf\t-\t0.25\n",
+        "m\t0\t-\t0.25\n", "m\t-0.5\t-\t0.25\n", "m\t0.5\t1.5\t0.25\n",
+        "m\t0.5\t-0.1\t0.25\n", "m\t0.5\tnan\t0.25\n",
     ])
     def test_malformed_ledger_line_is_a_data_error(self, tmp_path, line):
         ledger = tmp_path / "ledger.tsv"

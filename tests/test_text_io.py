@@ -153,13 +153,6 @@ def written(directory: str, blob: bytes, name: str = "input.txt") -> Path:
     return path
 
 
-def frozen_vocab(entities: list[str], relations: list[str]) -> Vocab:
-    vocab = Vocab()
-    vocab.add("entity", entities)
-    vocab.add("relation", relations)
-    return vocab.freeze()
-
-
 class TestTriples:
     @settings(max_examples=150, deadline=None)
     @given(blob=text_file(triple_row), block=BLOCK)
@@ -169,21 +162,6 @@ class TestTriples:
             path = written(directory, blob)
             same_triples(outcome(load_triples, path),
                          outcome(oracle_load_triples, path))
-
-    @settings(max_examples=100, deadline=None)
-    @given(blob=text_file(triple_row), block=BLOCK,
-           entities=st.lists(LABEL, max_size=6),
-           relations=st.lists(LABEL, max_size=3))
-    def test_matches_line_oracle_under_frozen_vocab(self, blob, block,
-                                                    entities, relations):
-        with tempfile.TemporaryDirectory() as directory, \
-                mock.patch.object(data, "BLOCK_BYTES", block):
-            path = written(directory, blob)
-            same_triples(
-                outcome(load_triples, path,
-                        frozen_vocab(entities, relations)),
-                outcome(oracle_load_triples, path,
-                        frozen_vocab(entities, relations)))
 
     @settings(max_examples=100, deadline=None)
     @given(first=text_file(triple_row), second=text_file(triple_row),

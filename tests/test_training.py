@@ -21,9 +21,10 @@ from kgesub.training import (Gradients, OptimizerState, _apply_update,
                              batch_loss, load_checkpoint, sample_negatives,
                              save_checkpoint, train, continue_train)
 
-from conftest import (Triple, TrainExample, as_triples, example_batch_loss,
-                      fd_function_row_gradients, looped_zipf_kg, make_vocab,
-                      max_relative_error, oracle_answer_sets,
+from conftest import (Triple, TrainExample, answers_of, as_triples,
+                      example_batch_loss, fd_function_row_gradients,
+                      looped_zipf_kg, make_vocab, max_relative_error,
+                      oracle_answer_sets,
                       oracle_apply_update, oracle_batch_loss,
                       oracle_complement_negatives, oracle_sample_negatives,
                       random_kg, row_dict, score)
@@ -82,7 +83,7 @@ class TestSampleNegatives:
         assert out.shape == (index.num_queries, 64)
         assert out.min() >= 0 and out.max() < dataset.num_entities
         for q, row in zip(queries, out):
-            assert not set(row.tolist()) & set(index.answers_of(q).tolist())
+            assert not set(row.tolist()) & set(answers_of(index, q).tolist())
 
     def test_uniform_within_binomial_bounds(self):
         """Every non-answer appears, each within 5 sigma of n / free
