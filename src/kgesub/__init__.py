@@ -14,7 +14,7 @@ Subpackages:
 from .data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
                    load_triples, singleton_query_stats)
 from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
-                         build_filter_index, evaluate)
+                         evaluate)
 from .models import (ModelKind, ModelParams, init_params, load_params,
                      save_params, score_triples)
 from .submodel import (Selection, mbs_frequencies_all_candidates,

@@ -138,12 +138,6 @@ def _load_scores_checked(path: str, dataset: Dataset) -> SubModelScores:
     return scores
 
 
-def _valid_mrr_callback(dataset: Dataset):
-    filter_index = evaluation.build_filter_index(dataset)
-    return lambda params, step: evaluation.evaluate(
-        params, dataset, "valid", filter_index).mrr
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -160,7 +154,8 @@ def cmd_train(args) -> int:
                          config.dim, config.gamma, config.seed,
                          aux=config.model_aux(),
                          init_epsilon=config.init_epsilon)
-    callback = _valid_mrr_callback(dataset) if config.valid_every > 0 else None
+    callback = None if config.valid_every <= 0 else (
+        lambda params, step: evaluation.evaluate(params, dataset, "valid").mrr)
     result = training.train(dataset, weights, params, config, callback)
     save_checkpoint(result.state, run_dir / "checkpoint.bin")
     training.write_log(result.log, run_dir / "train.log")
@@ -178,7 +173,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config, dataset, run_dir = _start(args)
-    filter_index = evaluation.build_filter_index(dataset)
     reports = []
     artifacts: dict[str, Path] = {}
     for index, checkpoint in enumerate(args.checkpoint):
@@ -186,13 +180,13 @@ def cmd_evaluate(args) -> int:
             params = load_params(checkpoint)
         except OSError as exc:
             raise DataError(f"cannot read checkpoint: {exc}") from exc
-        report = evaluation.evaluate(params, dataset, args.split,
-                                     filter_index)
+        report = evaluation.evaluate(params, dataset, args.split)
         reports.append(report)
         suffix = "" if len(args.checkpoint) == 1 else f".run{index}"
         text = evaluation.format_report(report)
         (run_dir / f"report{suffix}.txt").write_text(text, encoding="utf-8")
-        evaluation.write_metrics(report, run_dir / f"metrics{suffix}.tsv")
+        evaluation.write_aggregate(evaluation.aggregate_runs([report]),
+                                   run_dir / f"metrics{suffix}.tsv")
         evaluation.write_rank_dump(report, run_dir / f"ranks{suffix}.tsv")
         artifacts[f"report{suffix}"] = run_dir / f"report{suffix}.txt"
         artifacts[f"metrics{suffix}"] = run_dir / f"metrics{suffix}.tsv"
@@ -357,7 +351,6 @@ def cmd_sweep(args) -> int:
     method = SubsamplingMethod.from_string(config.method)
     cbs = build_cbs_weights(dataset, method, config.smoothing)
     kind = ModelKind.from_string(config.model)
-    filter_index = evaluation.build_filter_index(dataset)
 
     def evaluate_point(scores: SubModelScores, alpha: float,
                        lam: float | None) -> float:
@@ -370,8 +363,7 @@ def cmd_sweep(args) -> int:
                              init_epsilon=config.init_epsilon)
         result = training.train(dataset, weights=table, params=params,
                                 config=config)
-        mrr = evaluation.evaluate(result.params, dataset, "valid",
-                                  filter_index).mrr
+        mrr = evaluation.evaluate(result.params, dataset, "valid").mrr
         lam_text = "-" if lam is None else lam
         print(f"  {scores.submodel_id} alpha={alpha} lambda={lam_text} "
               f"valid MRR {mrr:.4f}")
@@ -503,10 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, KgesubError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KgesubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,10 @@ answers: the sorted distinct answers of query q are
 among q's non-answers to the entity, for negative sampling.  Query ids
 follow the packed int64 key ``(direction * E + entity) * R + relation``,
 ascending, which is the lexicographic order of (direction, entity,
-relation); `find` maps queries to ids by binary search on that key.
-`Dataset.train_index` is the index of the training split, built on
-first use; the evaluation filter indexes all three.
+relation).  `Dataset.train_index` is the index of the training split
+and `Dataset.filter_index` that of train, valid and test concatenated
+in `SPLITS` order, each built on first use; the examples of one split
+are a contiguous range of the filter index's examples.
 
 `load_dataset` keeps its parse beside the text as `.kgesub-dataset.bin`,
 in the binary container of checkpoints, and reads that copy while the
@@ -130,17 +131,6 @@ class QueryIndex:
     @property
     def num_queries(self) -> int:
         return len(self.key)
-
-    def find(self, directions: np.ndarray, entities: np.ndarray,
-             relations: np.ndarray) -> np.ndarray:
-        """Query id of each (direction, entity, relation), -1 where the
-        index does not hold the query."""
-        keys = ((np.asarray(directions, dtype=np.int64) * self.num_entities
-                 + entities) * self.num_relations + relations)
-        pos = np.searchsorted(self.key, keys)
-        found = pos < len(self.key)
-        found[found] = self.key[pos[found]] == keys[found]
-        return np.where(found, pos, -1)
 
     @cached_property
     def complement_key(self) -> np.ndarray:
@@ -375,6 +365,14 @@ class Dataset:
         """The query index of the training split."""
         return QueryIndex.build(self.train, self.num_entities,
                                 self.num_relations)
+
+    @cached_property
+    def filter_index(self) -> QueryIndex:
+        """The query index of all three splits, in `SPLITS` order: the
+        known answers that filtered ranking leaves out."""
+        return QueryIndex.build(
+            np.concatenate([getattr(self, split) for split in SPLITS]),
+            self.num_entities, self.num_relations)
 
 
 def load_triples(path: str | Path,

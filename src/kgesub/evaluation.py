@@ -5,12 +5,13 @@ direction: example ``2 * i + d`` asks the tail query (d = 0) or the
 head query (d = 1) of triple i, and reports keep that order.  The
 candidate list is all entities minus the other answers known to be
 true anywhere in the dataset (the evaluated answer itself always stays
-in the list).  Those answers come from `build_filter_index`, the query
-index of all three splits: each query is found in it by binary search
-and reads its answers as a slice of the index's CSR list.  Score ties
-use the mean-rank convention: rank = 1 + |better| + |tied others| / 2,
-rounded half up, which avoids the optimistic bias of insertion-order
-ranking.
+in the list).  Queries and answers come from `Dataset.filter_index`,
+the query index of train, valid and test concatenated in that order,
+so a split's examples are one contiguous range of the index's examples
+and each query's known answers are its slice of the index's CSR list.
+Score ties use the mean-rank convention: rank = 1 + |better| + |tied
+others| / 2, rounded half up, which avoids the optimistic bias of
+insertion-order ranking.
 
 Ranking is chunked.  The split's queries are scored against every
 entity a chunk of one direction at a time (`models.iter_candidate_scores`),
@@ -29,13 +30,12 @@ for determinism.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, Dataset, QueryIndex
+from .data import DIRECTION_NAMES, SPLITS, Dataset, QueryIndex
 from .models import ModelParams, check_vocab, iter_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
@@ -62,33 +62,38 @@ class AggregateReport:
     metrics: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-def rank_answers(params: ModelParams, directions: np.ndarray,
-                 entities: np.ndarray, relations: np.ndarray,
-                 answers: np.ndarray,
-                 known: Sequence[np.ndarray]) -> np.ndarray:
-    """Filtered rank of each answer to its query, in input order;
-    known[i] holds the known-true answers of query i."""
+def rank_answers(params: ModelParams, index: QueryIndex,
+                 query_ids: np.ndarray, answers: np.ndarray) -> np.ndarray:
+    """Filtered rank of answers[i] to query query_ids[i] of `index`, in
+    input order; the query's answers in `index` are the known ones."""
+    directions = index.direction[query_ids]
     # one direction at a time, so that every chunk is full
     order = np.argsort(directions, kind="stable")
+    query_ids, answers = query_ids[order], answers[order]
     ranks = np.empty(len(answers), dtype=np.int64)
     for start, stop, scores in iter_candidate_scores(
-            params, directions[order], entities[order], relations[order]):
-        rows = order[start:stop]
-        ranks[rows] = _rank_rows(scores, answers[rows],
-                                 [known[i] for i in rows])
+            params, directions[order], index.entity[query_ids],
+            index.relation[query_ids]):
+        ranks[order[start:stop]] = _rank_rows(
+            scores, answers[start:stop], index, query_ids[start:stop])
     return ranks
 
 
-def _rank_rows(scores: np.ndarray, answers: np.ndarray,
-               known: list[np.ndarray]) -> np.ndarray:
-    """Rank of answers[i] in scores[i], counting neither the known
-    answers known[i] nor the answer itself as competitors."""
+def _rank_rows(scores: np.ndarray, answers: np.ndarray, index: QueryIndex,
+               query_ids: np.ndarray) -> np.ndarray:
+    """Rank of answers[i] in scores[i], counting neither the answers of
+    query query_ids[i] in `index` nor the answer itself as competitors."""
     rows = np.arange(len(answers))
     own = scores[rows, answers]
     better = (scores > own[:, None]).sum(axis=1)
     ties = (scores == own[:, None]).sum(axis=1) - 1
-    owner = np.repeat(rows, [k.size for k in known])
-    others = np.concatenate(known)
+    # each row's CSR slice: position in the slice plus the slice's start
+    starts = index.offsets[query_ids]
+    sizes = index.offsets[query_ids + 1] - starts
+    owner = np.repeat(rows, sizes)
+    others = index.answers[np.arange(len(owner))
+                           + np.repeat(starts - (np.cumsum(sizes) - sizes),
+                                       sizes)]
     competing = others != answers[owner]
     owner, others = owner[competing], others[competing]
     other_scores, answer_scores = scores[owner, others], own[owner]
@@ -99,33 +104,18 @@ def _rank_rows(scores: np.ndarray, answers: np.ndarray,
     return 1 + better + (ties + 1) // 2
 
 
-def build_filter_index(dataset: Dataset) -> QueryIndex:
-    """Known-true answers per query over train, valid, and test."""
-    return QueryIndex.build(
-        np.concatenate([dataset.train, dataset.valid, dataset.test]),
-        dataset.num_entities, dataset.num_relations)
-
-
-def evaluate(params: ModelParams, dataset: Dataset, split: str,
-             filter_index: QueryIndex | None = None) -> EvalReport:
+def evaluate(params: ModelParams, dataset: Dataset,
+             split: str) -> EvalReport:
     """Filtered MRR and Hits@{1,3,10} over both directions of a split."""
-    triples = {"valid": dataset.valid, "test": dataset.test,
-               "train": dataset.train}[split]
-    if not len(triples):
+    sizes = [2 * len(getattr(dataset, name)) for name in SPLITS]
+    position = SPLITS.index(split)
+    if not sizes[position]:
         raise ValueError(f"split {split!r} is empty")
     check_vocab(params, dataset)
-    if filter_index is None:
-        filter_index = build_filter_index(dataset)
-    queries = np.stack([np.tile([0, 1], len(triples)),
-                        triples[:, [0, 2]].ravel(),
-                        np.repeat(triples[:, 1], 2)], axis=1)
-    query_ids = filter_index.find(*queries.T)
-    if np.any(query_ids < 0):
-        raise ValueError(f"the filter index does not cover split {split!r}")
-    offsets = filter_index.offsets
-    known = [filter_index.answers[offsets[q]:offsets[q + 1]]
-             for q in query_ids.tolist()]
-    ranks = rank_answers(params, *queries.T, triples[:, [2, 0]].ravel(), known)
+    index = dataset.filter_index
+    examples = slice(sum(sizes[:position]), sum(sizes[:position + 1]))
+    query_ids = index.query_id[examples]
+    ranks = rank_answers(params, index, query_ids, index.answer[examples])
     rank_arr = ranks.astype(np.float64)
     return EvalReport(
         mrr=float((1.0 / rank_arr).mean()),
@@ -133,7 +123,8 @@ def evaluate(params: ModelParams, dataset: Dataset, split: str,
         h3=float((rank_arr <= 3).mean()),
         h10=float((rank_arr <= 10).mean()),
         per_query_ranks=ranks,
-        queries=queries,
+        queries=np.stack([index.direction[query_ids], index.entity[query_ids],
+                          index.relation[query_ids]], axis=1),
         split=split,
     )
 
@@ -171,13 +162,6 @@ def write_aggregate(aggregate: AggregateReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name, (mean, sd) in aggregate.metrics.items():
             fh.write(f"{name}\t{mean!r}\t{sd!r}\n")
-
-
-def write_metrics(report: EvalReport, path: str | Path) -> None:
-    """Single-run `metric<TAB>mean<TAB>sd` rows (sd = 0)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in METRIC_NAMES:
-            fh.write(f"{name}\t{report.metric(name)!r}\t0.0\n")
 
 
 def write_rank_dump(report: EvalReport, path: str | Path) -> None:

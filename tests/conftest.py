@@ -174,13 +174,31 @@ def answers_of(index: QueryIndex, query_id: int) -> np.ndarray:
     return index.answers[index.offsets[query_id]:index.offsets[query_id + 1]]
 
 
+def find(index: QueryIndex, directions, entities, relations) -> np.ndarray:
+    """Query id of each (direction, entity, relation) in `index`, -1
+    where the index does not hold the query: a binary search on the
+    packed keys."""
+    keys = ((np.asarray(directions, dtype=np.int64) * index.num_entities
+             + entities) * index.num_relations + relations)
+    pos = np.searchsorted(index.key, keys)
+    found = pos < len(index.key)
+    found[found] = index.key[pos[found]] == keys[found]
+    return np.where(found, pos, -1)
+
+
 def filtered_rank(params: ModelParams, query: QueryKey, answer: int,
                   known_true: set[int] | frozenset[int]) -> int:
     """Rank of `answer` among all entities after filtering known answers,
-    by the ranking of `evaluation.evaluate`."""
-    return int(rank_answers(params, *(np.array([v]) for v in query),
-                            np.array([answer]),
-                            [np.fromiter(known_true, dtype=np.int64)])[0])
+    by the ranking of `evaluation.evaluate`: over the index of the
+    query's known answers and the answer itself."""
+    direction, entity, relation = query
+    others = sorted(set(known_true) | {answer})
+    triples = [(entity, relation, other) if direction == Direction.TAIL_QUERY
+               else (other, relation, entity) for other in others]
+    index = QueryIndex.build(triples, params.num_entities,
+                             params.num_relations)
+    query_id = find(index, [direction], [entity], [relation])
+    return int(rank_answers(params, index, query_id, np.array([answer]))[0])
 
 
 def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,

@@ -15,7 +15,7 @@ import pytest
 
 from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction, load_triples
-from kgesub.evaluation import build_filter_index, evaluate
+from kgesub.evaluation import evaluate
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import pretrain_submodel, score_training_triples
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
@@ -230,8 +230,7 @@ def test_c5_evaluation_matches_exhaustive_oracle():
         kind = ALL_KINDS[trial % 5]
         params = init_params(kind, num_entities, dataset.num_relations, 6,
                              1.5, seed=trial)
-        index = build_filter_index(dataset)
-        report = evaluate(params, dataset, "test", index)
+        report = evaluate(params, dataset, "test")
         known = oracle_answer_sets(
             np.concatenate([dataset.train, dataset.valid, dataset.test]))
         expected = []
@@ -271,7 +270,6 @@ def test_c6_desk_scale_subsampling_direction():
 
     cbs = build_cbs_weights(dataset, SubsamplingMethod.BASE, 0.0)
     none = uniform_weights(dataset.num_examples)
-    filter_index = build_filter_index(dataset)
 
     def run_transe(weights, seed):
         params = init_params(ModelKind.TRANSE, dataset.num_entities,
@@ -279,7 +277,7 @@ def test_c6_desk_scale_subsampling_direction():
         config = RunConfig(nu=4, batch_size=64, steps=600,
                            learning_rate=0.05, seed=seed)
         result = train(dataset, weights, params, config)
-        return evaluate(result.params, dataset, "valid", filter_index).mrr
+        return evaluate(result.params, dataset, "valid").mrr
 
     wins = 0
     pairs = []
@@ -307,7 +305,7 @@ def test_c6_desk_scale_subsampling_direction():
         config = RunConfig(nu=4, batch_size=64, steps=600,
                            learning_rate=0.05, seed=1)
         result = train(dataset, table, params, config)
-        report = evaluate(result.params, dataset, "valid", filter_index)
+        report = evaluate(result.params, dataset, "valid")
         end_to_end[name] = report.mrr
         finite &= all(math.isfinite(report.metric(m))
                       for m in ("mrr", "h1", "h3", "h10"))

@@ -167,21 +167,49 @@ def handmade_dir(tmp_path):
     return tmp_path
 
 
+def save_distmult_1d(path, entities, relations):
+    """A DistMult checkpoint of dim 1 over the handmade graph: it scores
+    (h, r, t) as e_h * w_r * e_t."""
+    params = init_params(ModelKind.DISTMULT, 4, 2, 1, 0.0, seed=0)
+    params.entity_emb[:, 0] = entities
+    params.relation_emb[:, 0] = relations
+    save_params(params, path)
+    return path
+
+
 class TestGoldenOutputs:
     def test_ranks_tsv(self, handmade_dir, tmp_path):
-        """DistMult of dim 1 scores (h, r, t) as e_h * w_r * e_t.  The
-        tail query of (b, s, d) scores [10, 50, 40, 40]: b beats d and
-        c ties it, so its rank is 2.5, rounded up."""
-        params = init_params(ModelKind.DISTMULT, 4, 2, 1, 0.0, seed=0)
-        params.entity_emb[:, 0] = [1.0, 5.0, 4.0, 4.0]
-        params.relation_emb[:, 0] = [1.0, 2.0]
-        save_params(params, tmp_path / "model.bin")
+        """The tail query of (b, s, d) scores [10, 50, 40, 40]: b beats d
+        and c ties it, so its rank is 2.5, rounded up."""
+        model = save_distmult_1d(tmp_path / "model.bin", [1.0, 5.0, 4.0, 4.0],
+                                 [1.0, 2.0])
         assert run(["evaluate", "--data", handmade_dir, "--run-dir",
-                    tmp_path / "eval", "--checkpoint",
-                    tmp_path / "model.bin"]) == 0
+                    tmp_path / "eval", "--checkpoint", model]) == 0
         assert (tmp_path / "eval" / "ranks.tsv").read_bytes() == (
             b"1|1\ttail-query\t3\n3|1\thead-query\t1\n"
             b"0|0\ttail-query\t1\n3|0\thead-query\t4\n")
+
+    def test_metrics_and_aggregate_tsv(self, handmade_dir, tmp_path):
+        """Ranks 3, 1, 1, 4 under the first model and 3, 1, 2, 2 under
+        the second: MRR 31/48 and 7/12, whose mean is 59/96 and whose
+        population sd is 1/32."""
+        models = [save_distmult_1d(tmp_path / f"{name}.bin", *rows)
+                  for name, rows in (("a", ([1.0, 5.0, 4.0, 4.0], [1.0, 2.0])),
+                                     ("b", ([2.0, -1.0, 3.0, 1.0],
+                                            [1.0, -1.0])))]
+        assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "one", "--checkpoint", models[0]]) == 0
+        assert (tmp_path / "one" / "metrics.tsv").read_bytes() == (
+            b"mrr\t0.6458333333333333\t0.0\nh1\t0.5\t0.0\n"
+            b"h3\t0.75\t0.0\nh10\t1.0\t0.0\n")
+        assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "two", "--checkpoint", *models]) == 0
+        assert (tmp_path / "two" / "metrics.run1.tsv").read_bytes() == (
+            b"mrr\t0.5833333333333333\t0.0\nh1\t0.25\t0.0\n"
+            b"h3\t1.0\t0.0\nh10\t1.0\t0.0\n")
+        assert (tmp_path / "two" / "aggregate.tsv").read_bytes() == (
+            b"mrr\t0.6145833333333333\t0.03125\nh1\t0.375\t0.125\n"
+            b"h3\t0.875\t0.125\nh10\t1.0\t0.0\n")
 
     def test_singleton_stats_tsv_stride_2(self, handmade_dir, tmp_path):
         """The singleton queries by entity count, relation count, then

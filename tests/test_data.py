@@ -22,12 +22,12 @@ from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 save_scores, save_weight_table)
 
 from conftest import (QueryKey, Triple, answers_of, as_triples,
-                      brute_force_query_counts, looped_zipf_kg, make_vocab,
-                      oracle_answer_sets, oracle_counted_frequencies,
-                      oracle_query_counts, oracle_query_index,
-                      oracle_singleton_query_stats, query_of, random_triples,
-                      save_dataset, singleton_rows, sorted_query_counts,
-                      zipf_kg)
+                      brute_force_query_counts, find, looped_zipf_kg,
+                      make_vocab, oracle_answer_sets,
+                      oracle_counted_frequencies, oracle_query_counts,
+                      oracle_query_index, oracle_singleton_query_stats,
+                      query_of, random_triples, save_dataset, singleton_rows,
+                      sorted_query_counts, zipf_kg)
 
 INDEX_FIELDS = ("query_id", "answer", "key", "direction", "entity",
                 "relation", "count", "offsets", "answers")
@@ -41,7 +41,7 @@ def index_of(train, num_entities=None, num_relations=None):
 
 def count_of(index, key):
     """The index's count of one query key, 0 for a key it lacks."""
-    q = int(index.find([key[0]], [key[1]], [key[2]])[0])
+    q = int(find(index, [key[0]], [key[1]], [key[2]])[0])
     return 0 if q < 0 else int(index.count[q])
 
 
@@ -111,7 +111,7 @@ class TestCountQueries:
     def test_empty_train_has_no_queries(self):
         index = QueryIndex.build([], 6, 2)
         assert index.num_queries == 0
-        assert index.find([0], [5], [1]).tolist() == [-1]
+        assert find(index, [0], [5], [1]).tolist() == [-1]
 
     def test_negative_smoothing_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ class TestQueryIndex:
     def test_find(self):
         dataset = looped_zipf_kg(4)
         index = dataset.train_index
-        ids = index.find(index.direction, index.entity, index.relation)
+        ids = find(index, index.direction, index.entity, index.relation)
         np.testing.assert_array_equal(ids, np.arange(index.num_queries))
         absent = [(d, e, r) for d in (0, 1)
                   for e in range(dataset.num_entities)
@@ -190,7 +190,7 @@ class TestQueryIndex:
                   not in oracle_query_counts(dataset.train)]
         assert absent
         d, e, r = (np.array(column) for column in zip(*absent))
-        assert np.all(index.find(d, e, r) == -1)
+        assert np.all(find(index, d, e, r) == -1)
 
     def test_read_only(self, toy_dataset):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import pytest
 from kgesub import models
 from kgesub.data import Dataset, Direction
 from kgesub.errors import VocabMismatchError
-from kgesub.evaluation import (EvalReport, aggregate_runs, build_filter_index,
-                               evaluate, format_report, write_rank_dump)
+from kgesub.evaluation import (EvalReport, aggregate_runs, evaluate,
+                               format_report, write_rank_dump)
 from kgesub.models import ModelKind, init_params
 
 from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
@@ -181,8 +181,7 @@ class TestEvaluate:
             params = init_params(kind, 30, 2, 6, 1.5, seed=trial)
             if trial >= 5:  # identical rows tie under every kind
                 params.entity_emb[::4] = params.entity_emb[1]
-            index = build_filter_index(dataset)
-            report = evaluate(params, dataset, "test", index)
+            report = evaluate(params, dataset, "test")
             known = known_answers(dataset)
             expected, queries = [], []
             for triple in as_triples(dataset.test):
@@ -201,7 +200,7 @@ class TestEvaluate:
         its known answers."""
         for seed in range(3):
             dataset = looped_zipf_kg(seed)
-            index = build_filter_index(dataset)
+            index = dataset.filter_index
             known = known_answers(dataset)
             assert index.num_queries == len(known)
             for q, key in enumerate(sorted(known)):
@@ -209,14 +208,37 @@ class TestEvaluate:
                         index.relation[q]) == key
                 assert answers_of(index, q).tolist() == sorted(known[key])
 
-    def test_filter_without_the_split_rejected(self):
-        dataset = Dataset(train=[Triple(0, 0, 1)], valid=[],
-                          test=[Triple(2, 1, 3)], vocab=make_vocab(4, 2))
-        train_only = Dataset(train=dataset.train, valid=[], test=[],
-                             vocab=dataset.vocab)
-        params = init_params(ModelKind.DISTMULT, 4, 2, 4, 1.0, seed=15)
-        with pytest.raises(ValueError, match="does not cover"):
-            evaluate(params, dataset, "test", build_filter_index(train_only))
+    def test_every_split_matches_oracle(self, monkeypatch):
+        """Train, valid and test each rank like the per-query oracle,
+        over many chunks and with exact ties.  The tail query (0, 0, ?)
+        is asked in train with answer 1 and in valid with answer 2, so
+        each split must read its own range of the filter index's
+        examples."""
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 12 * 3)
+        rng = np.random.default_rng(16)
+        for trial, kind in enumerate(ModelKind):
+            dataset = random_kg(rng, num_entities=12, num_relations=2,
+                                num_train=30, num_valid=7, num_test=9)
+            dataset = replace(
+                dataset, train=np.concatenate([dataset.train, [[0, 0, 1]]]),
+                valid=np.concatenate([[[0, 0, 2]], dataset.valid]))
+            params = init_params(kind, 12, 2, 6, 1.5, seed=trial)
+            params.entity_emb[::3] = params.entity_emb[1]
+            known = known_answers(dataset)
+            for split in ("train", "valid", "test"):
+                report = evaluate(params, dataset, split)
+                expected, queries = [], []
+                for triple in as_triples(getattr(dataset, split)):
+                    for direction in (Direction.TAIL_QUERY,
+                                      Direction.HEAD_QUERY):
+                        query = query_of(triple, direction)
+                        scores = score_batch(params, query, np.arange(12))
+                        expected.append(oracle_filtered_rank(
+                            scores, answer_of(triple, direction),
+                            known[query]))
+                        queries.append(query)
+                assert report.per_query_ranks.tolist() == expected
+                assert list(map(tuple, report.queries.tolist())) == queries
 
     def test_vocab_mismatch_rejected(self):
         rng = np.random.default_rng(14)
