@@ -21,8 +21,10 @@ the known other answers that do, instead of masking an E-sized
 candidate list per query.  A chunk holds as many queries as fit
 `models.RANK_BUDGET_BYTES` of (queries, E) scores, and at most dim of
 them, so its scores are never larger than the entity table; distances
-are taken over blocks of entities under the same budget.  Memory stays
-bounded whatever the split's size.
+are taken over blocks of entities under the same budget, split across
+one worker thread per CPU whose scratch shares that budget.  Memory
+stays bounded whatever the split's size, and the scores, so the ranks,
+are bitwise the same whatever the CPU count.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.

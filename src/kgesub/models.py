@@ -32,7 +32,14 @@ gradient checks use, live in tests/conftest.py.
 `iter_candidate_scores` scores chunks of same-direction queries against
 every entity for ranking: one matmul per chunk for DistMult and ComplEx,
 and for TransE, RotatE and HAKE direct distances over blocks of
-entities.  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk.
+entities.  The blocks of a chunk are shared by one worker thread per
+CPU that the process may use, worker w taking blocks w, w + W, ...;
+each writes its blocks' columns of the chunk's scores in place, with
+its temporaries in scratch that the calling thread allocates once per
+chunk.  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk, the
+scratch of all workers together.  Every score comes from the same
+operations in the same order whatever the number of workers, so
+rankings do not depend on the CPU count.
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -43,6 +50,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -321,7 +330,8 @@ def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
     shape (stop - start, E), a fresh array the caller may overwrite.  A
     chunk never mixes directions, so sorting the queries by direction
     keeps the chunks full.  Scores equal `score_triples` of the same
-    triples up to rounding in the last bits.
+    triples up to rounding in the last bits, and do not depend on the
+    number of workers.
     """
     directions = np.asarray(directions, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -344,14 +354,71 @@ def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
         start = stop
 
 
-def _blocked(num_queries: int, width: int, num_entities: int,
-             block_scores) -> np.ndarray:
-    """(Q, E) scores assembled from `block_scores(entity_slice)`, with
-    blocks sized so that a (Q, block, width) temporary fits the budget."""
-    step = max(1, RANK_BUDGET_BYTES // (8 * num_queries * width))
+# Ranking workers: one per CPU that the process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _run_workers(count: int, task) -> None:
+    """task(w) for each worker w in range(count): worker 0 in the calling
+    thread, each other one on a thread of its own (numpy releases the
+    GIL in its ufunc loops).  Returns once every worker has, raising the
+    error of the first worker that failed."""
+    errors = [None] * count
+
+    def call(w):
+        try:
+            task(w)
+        except BaseException as exc:  # raised again below
+            errors[w] = exc
+    threads = [threading.Thread(target=call, args=(w,))
+               for w in range(1, count)]
+    for thread in threads:
+        thread.start()
+    call(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _carve(scratch: list[np.ndarray], *shapes) -> list[np.ndarray]:
+    """Contiguous views, one per shape, of the fronts of the flat arrays
+    `scratch`."""
+    return [flat[:math.prod(shape)].reshape(shape)
+            for flat, shape in zip(scratch, shapes)]
+
+
+def _blocked(num_queries: int, num_entities: int, widths: list[int],
+             block) -> np.ndarray:
+    """(Q, E) scores, written by `block(cols, out, scratch)` for blocks of
+    entities: it writes the scores of the entities `cols` (a slice) into
+    `out`, the (Q, cols) view of the result, and keeps its temporaries
+    in `scratch`, one flat float64 array per temporary with `widths[i]`
+    floats per entity.
+
+    Worker w takes blocks w, w + W, ... of the W workers, each into its
+    own scratch.  The calling thread allocates the scratch of all
+    workers here, once per chunk, and together it fits the budget:
+    fewer workers take blocks when the budget holds less than one
+    entity each.  A block's scores come from the same operations in the
+    same order whichever worker takes it and however large it is, so
+    they do not depend on the worker count."""
+    floats_per_entity = sum(widths)
+    count = max(1, min(_WORKERS,
+                       RANK_BUDGET_BYTES // (8 * floats_per_entity)))
+    size = max(1, RANK_BUDGET_BYTES // (8 * count * floats_per_entity))
+    starts = range(0, num_entities, size)
     out = np.empty((num_queries, num_entities))
-    for lo in range(0, num_entities, step):
-        out[:, lo:lo + step] = block_scores(slice(lo, lo + step))
+    scratch = [[np.empty(size * width) for width in widths]
+               for _ in range(min(count, len(starts)))]
+
+    def task(w):
+        for lo in starts[w::count]:
+            cols = slice(lo, min(lo + size, num_entities))
+            block(cols, out[:, cols], scratch[w])
+    _run_workers(count, task)
     return out
 
 
@@ -362,7 +429,7 @@ def _chunk_scorer(params: ModelParams):
     `rel` (Q, dim_r) are the rows of the given entities and relations.
     Entity-side tables are computed once, here, for all chunks.
     """
-    kind, ent = params.kind, params.entity_emb
+    kind, ent, dim = params.kind, params.entity_emb, params.dim
     num_entities = ent.shape[0]
     if kind == ModelKind.DISTMULT:
         return lambda tail, fixed, rel: (fixed * rel) @ ent.T
@@ -373,36 +440,51 @@ def _chunk_scorer(params: ModelParams):
         l1 = params.aux.get("norm_p", 1.0) == 1.0
 
         def transe_scores(tail, fixed, rel):
-            q = fixed + rel if tail else fixed - rel
+            q = (fixed + rel if tail else fixed - rel)[:, None, :]
 
-            def block(cols):
-                d = q[:, None, :] - ent[None, cols]
-                if l1:
-                    return -np.abs(d, out=d).sum(axis=2)
-                return -np.sqrt(np.square(d, out=d).sum(axis=2))
-            return _blocked(len(q), params.dim, num_entities, block)
+            def block(cols, out, scratch):
+                d, = _carve(scratch, (len(q), out.shape[1], dim))
+                np.subtract(q, ent[cols], out=d)
+                (np.abs if l1 else np.square)(d, out=d)
+                np.sum(d, axis=2, out=out)
+                if not l1:
+                    np.sqrt(out, out=out)
+                np.negative(out, out=out)
+            return _blocked(len(q), num_entities, [len(q) * dim], block)
         return transe_scores
+    half = dim // 2
     if kind == ModelKind.ROTATE:
         e_re, e_im = _complex_view(ent)
 
         def rotate_scores(tail, fixed, rel):
             q_re, q_im, _, _ = _rotation(tail, fixed, rel)
 
-            def block(cols):
-                u_re = q_re[:, None, :] - e_re[None, cols]
-                u_im = q_im[:, None, :] - e_im[None, cols]
+            def block(cols, out, scratch):
+                u_re, u_im = _carve(scratch,
+                                    *2 * [(len(q_re), out.shape[1], half)])
+                np.subtract(q_re[:, None, :], e_re[cols], out=u_re)
+                np.subtract(q_im[:, None, :], e_im[cols], out=u_im)
                 u_re *= u_re
                 u_im *= u_im
                 u_re += u_im
-                return -np.sqrt(u_re, out=u_re).sum(axis=2)
-            return _blocked(len(q_re), params.dim, num_entities, block)
+                np.sum(np.sqrt(u_re, out=u_re), axis=2, out=out)
+                np.negative(out, out=out)
+            return _blocked(len(q_re), num_entities,
+                            2 * [len(q_re) * half], block)
         return rotate_scores
     if kind == ModelKind.HAKE:
-        half = params.dim // 2
         weight = params.aux["phase_weight"]
-        half_phase = ent[:, half:] / 2.0
-        sin_e = np.sin(half_phase)
-        cos_e = np.cos(half_phase, out=half_phase)
+        sin_e = np.empty((num_entities, half))
+        cos_e = np.empty((num_entities, half))
+        count = _WORKERS
+
+        def tables(w):  # sin and cos of e / 2 over worker w's rows
+            rows = slice(num_entities * w // count,
+                         num_entities * (w + 1) // count)
+            np.divide(ent[rows, half:], 2.0, out=cos_e[rows])
+            np.sin(cos_e[rows], out=sin_e[rows])
+            np.cos(cos_e[rows], out=cos_e[rows])
+        _run_workers(count, tables)
 
         def hake_scores(tail, fixed, rel):
             f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
@@ -413,19 +495,31 @@ def _chunk_scorer(params: ModelParams):
             a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
             sin_a, cos_a = np.sin(a)[:, None, :], np.cos(a)[:, None, :]
             q_mod = (f_mod * r_mod)[:, None, :]
+            num_queries = len(a)
 
-            def block(cols):
-                e_mod = np.abs(ent[cols, :half])[None]
+            def block(cols, out, scratch):
+                width = out.shape[1]
+                v, s, phase, e_mod = _carve(
+                    scratch, (num_queries, width, half),
+                    (num_queries, width, half), (num_queries, width),
+                    (width, half))
+                np.abs(ent[cols, :half], out=e_mod)
                 if tail:
-                    v = q_mod - e_mod
+                    np.subtract(q_mod, e_mod, out=v)
                 else:
-                    v = e_mod * r_mod[:, None, :] - f_mod[:, None, :]
-                modulus = np.sqrt(np.square(v, out=v).sum(axis=2))
-                s = sin_a * cos_e[None, cols]
-                s -= cos_a * sin_e[None, cols]
-                phase = np.abs(s, out=s).sum(axis=2)
-                return -(modulus + weight * phase)
-            return _blocked(len(a), params.dim, num_entities, block)
+                    np.multiply(e_mod, r_mod[:, None, :], out=v)
+                    v -= f_mod[:, None, :]
+                np.sum(np.square(v, out=v), axis=2, out=out)
+                np.sqrt(out, out=out)  # the modulus distance
+                np.multiply(sin_a, cos_e[cols], out=s)
+                s -= np.multiply(cos_a, sin_e[cols], out=v)  # v is free
+                np.sum(np.abs(s, out=s), axis=2, out=phase)
+                phase *= weight
+                out += phase
+                np.negative(out, out=out)
+            return _blocked(num_queries, num_entities,
+                            [num_queries * half, num_queries * half,
+                             num_queries, half], block)
         return hake_scores
     raise AssertionError(f"unhandled kind {kind}")
 
@@ -471,6 +565,13 @@ def params_from_container(header: dict,
            for shape, width in zip(shapes, widths)):
         raise CheckpointError(f"embedding shapes {shapes} do not fit "
                               f"{kind.value} with dim {dim}")
+    # a NaN score ties with nothing and beats nothing, so it would rank
+    # every answer first.  A finite sum has no NaN or inf term; only an
+    # overflowing sum needs the entrywise test
+    for name in ("entity_emb", "relation_emb"):
+        table = getattr(params, name)
+        if not (np.isfinite(table.sum()) or np.isfinite(table).all()):
+            raise CheckpointError(f"{name} holds a non-finite entry")
     return params
 
 

@@ -294,6 +294,25 @@ class TestEvaluateInputErrors:
         assert code == 2
         assert "array list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("evaluate", "metrics.tsv"), ("score-triples", "scores.tsv")])
+    @pytest.mark.parametrize("table, value", [
+        ("entity_emb", float("nan")), ("relation_emb", float("-inf"))])
+    def test_non_finite_checkpoint_is_exit_2(self, six_entity_dir, tmp_path,
+                                             capsys, command, artifact,
+                                             table, value):
+        """A NaN score would rank every answer first: such a checkpoint
+        gives no metric and no score file."""
+        params = init_params(ModelKind.TRANSE, 6, 1, 4, 1.0, seed=1)
+        getattr(params, table)[0] = value
+        checkpoint = tmp_path / "nan.bin"
+        save_params(params, checkpoint)
+        code = run([command, "--data", six_entity_dir, "--checkpoint",
+                    checkpoint, "--run-dir", tmp_path / "out"])
+        assert code == 2
+        assert f"{table} holds a non-finite entry" in capsys.readouterr().err
+        assert not (tmp_path / "out" / artifact).exists()
+
 
 class TestSubmodelPipeline:
     def test_full_mbs_and_mix_flow(self, data_dir, tmp_path):

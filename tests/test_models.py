@@ -1,6 +1,9 @@
 """Score functions, analytic gradients, and parameter checkpoints."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -337,6 +340,107 @@ class TestCandidateScores:
         assert spans() == [(0, 4), (4, 8), (8, 9)]
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
         assert spans() == [(0, 3), (3, 6), (6, 9)]
+
+
+class TestRankingWorkers:
+    """Entity blocks split across worker threads give the one-worker
+    scores bit for bit."""
+
+    DISTANCE_CASES = [(ModelKind.TRANSE, {}),
+                      (ModelKind.TRANSE, {"norm_p": 2.0}),
+                      (ModelKind.ROTATE, {}), (ModelKind.HAKE, {})]
+    # 12 workers are more than the 8 to 10 blocks of the ragged budget and
+    # the one block of the default budget
+    WORKER_COUNTS = (1, 2, 3, 12)
+
+    @staticmethod
+    def _scores(params, queries):
+        return np.concatenate([scores for _, _, scores in
+                               iter_candidate_scores(params, *queries)])
+
+    @pytest.mark.parametrize(
+        "kind, aux", DISTANCE_CASES,
+        ids=[kind.value + ("-l2" if aux else "")
+             for kind, aux in DISTANCE_CASES])
+    def test_bitwise_equal_across_workers(self, kind, aux, monkeypatch):
+        # 37 entities (a prime) at dim 8: the small budget holds chunks
+        # of 8 queries and blocks of 5 entities (4 for HAKE) per worker,
+        # so the last block is ragged whatever the worker count
+        params = init_params(kind, 37, 3, 8, 2.0, seed=15, aux=aux)
+        params.entity_emb[5] = params.entity_emb[6]  # tied candidates
+        rng = np.random.default_rng(16)
+        queries = (np.sort(rng.integers(0, 2, size=21)),
+                   rng.integers(0, 37, size=21), rng.integers(0, 3, size=21))
+        monkeypatch.setattr(models, "_WORKERS", 1)
+        want = self._scores(params, queries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in self.WORKER_COUNTS:
+                monkeypatch.setattr(models, "_WORKERS", workers)
+                for budget in (models.RANK_BUDGET_BYTES, 2560 * workers):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                        got = self._scores(params, queries)
+                    assert np.array_equal(got, want), (workers, budget)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_scratch_fits_budget_and_blocks_cover_entities(
+            self, workers, monkeypatch):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        widths = [3 * 8, 5]
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * sum(widths))
+        scratch_bytes = {}
+
+        def block(cols, out, scratch):
+            for flat, width in zip(scratch, widths, strict=True):
+                assert flat.size >= (cols.stop - cols.start) * width
+                scratch_bytes[id(flat)] = flat.nbytes
+            out[:] = cols.start
+        out = models._blocked(3, 40, widths, block)
+        assert sum(scratch_bytes.values()) <= models.RANK_BUDGET_BYTES
+        size = 7 // min(workers, 7)
+        assert np.array_equal(out[0], np.arange(40) // size * size)
+
+    @pytest.mark.parametrize("failing_block", [0, 1, 4])
+    def test_block_error_reaches_caller(self, failing_block, monkeypatch):
+        """Block 0 runs in the calling thread, blocks 1 and 4 on other
+        threads; the error comes back and the call returns."""
+        monkeypatch.setattr(models, "_WORKERS", 3)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 3)
+
+        def block(cols, out, scratch):
+            if cols.start == failing_block:
+                raise ZeroDivisionError(f"block {cols.start}")
+            out[:] = 0.0
+        raised = []
+
+        def call():
+            try:
+                models._blocked(1, 10, [1], block)
+            except ZeroDivisionError as exc:
+                raised.append(str(exc))
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert raised == [f"block {failing_block}"]
+
+    def test_run_returns_after_every_worker(self):
+        """An error in the calling thread's share is raised only once the
+        other workers are done with the shared output."""
+        done = []
+
+        def task(w):
+            if w == 0:
+                raise ZeroDivisionError("worker 0")
+            time.sleep(0.05)
+            done.append(w)
+        with pytest.raises(ZeroDivisionError):
+            models._run_workers(3, task)
+        assert sorted(done) == [1, 2]
 
 
 def _container_bytes(header: dict, payload: bytes = b"") -> bytes:
