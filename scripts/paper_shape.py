@@ -38,9 +38,8 @@ def child(src: str, kind: str) -> None:
     from kgesub.training import train
 
     shape = graphs.FB15K237
-    vocab = Vocab()
-    vocab.add("entity", [f"e{i}" for i in range(shape.entities)])
-    vocab.add("relation", [f"r{i}" for i in range(shape.relations)])
+    vocab = Vocab(tuple(f"e{i}" for i in range(shape.entities)),
+                  tuple(f"r{i}" for i in range(shape.relations)))
     dataset = Dataset(*graphs.generate(shape, 1), vocab=vocab)
     params = init_params(ModelKind(kind), dataset.num_entities,
                          dataset.num_relations, DIM, 12.0, seed=1)

@@ -1,10 +1,12 @@
 """Knowledge-graph triples, vocabularies, and the query index.
 
 A dataset's splits are read-only (N, 3) int64 arrays of (head,
-relation, tail) ids.  A triple (h, r, t) projects onto two queries: the
-tail query (h, r, ?) answered by t, and the head query (?, r, t)
-answered by h.  So N triples give 2N examples, with example id
-``2 * triple_index + direction`` (0 for tail, 1 for head queries).
+relation, tail) ids, and its `Vocab` holds the entity and relation
+labels in id order; label -> id maps live only inside a parse.  A
+triple (h, r, t) projects onto two queries: the tail query (h, r, ?)
+answered by t, and the head query (?, r, t) answered by h.  N triples
+give 2N examples, example id ``2 * triple_index + direction`` (0 for
+tail, 1 for head queries).
 
 `QueryIndex` is the one array index of examples and queries behind
 query counts, subsampling weights, the negative-sample filter and
@@ -25,6 +27,7 @@ are a contiguous range of the filter index's examples.
 in the binary container of checkpoints, and reads that copy while the
 SHA-256 of the splits is unchanged.  Artifacts are written through
 `replacing`: a reader finds the old file or the new, never a torn one.
+`read_container` rejects an array holding a NaN or inf.
 
 Datasets, vocabularies, and indexes are never mutated after
 construction; any number of threads may read them concurrently.
@@ -43,7 +46,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import IO
 
@@ -54,6 +57,7 @@ from .errors import CheckpointError, DataError
 BLOCK_BYTES = 1 << 16  # about this many bytes of lines per parsed block
 _MAGIC = b"KGESUBCK"  # of the binary container
 _FORMAT_VERSION = 1
+_PIECE = 1 << 16  # entries (512 KiB) of a container array read at once
 SPLITS = ("train", "valid", "test")
 COPY_NAME = ".kgesub-dataset.bin"  # the parsed copy in a dataset directory
 COPY_VERSION = 1  # of the parse rules: a change must bump it
@@ -244,10 +248,11 @@ def write_container(path: str | Path, header: dict,
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a container; a NaN or inf entry raises
+    CheckpointError (a NaN score would rank every answer first)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         raw_len = fh.read(8)
         if len(raw_len) != 8:
@@ -276,31 +281,36 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             if (not isinstance(name, str) or not isinstance(shape, list)
                     or not all(type(n) is int and n >= 0 for n in shape)):
                 raise CheckpointError(f"{path}: bad array entry {spec!r}")
-            nbytes = 8 * math.prod(shape)
-            if nbytes > size - fh.tell():
+            if 8 * math.prod(shape) > size - fh.tell():
                 raise CheckpointError(f"{path}: truncated array {name!r}")
             try:
                 arrays[name] = np.empty(shape, dtype="<f8")
             except ValueError as exc:  # a shape numpy cannot make
                 raise CheckpointError(f"{path}: {name!r}: {exc}") from exc
-            if fh.readinto(arrays[name]) != nbytes:  # cut since the stat
-                raise CheckpointError(f"{path}: truncated array {name!r}")
+            flat = arrays[name].reshape(-1)
+            for start in range(0, flat.size, _PIECE):
+                piece = flat[start:start + _PIECE]
+                if fh.readinto(piece) != piece.nbytes:  # cut since the stat
+                    raise CheckpointError(f"{path}: truncated array {name!r}")
+                # a finite sum has no NaN or inf term; one that overflows
+                # leaves it to the entrywise test
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if not (np.isfinite(piece.sum())
+                            or np.isfinite(piece).all()):
+                        raise CheckpointError(
+                            f"{path}: {name} holds a non-finite entry")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after arrays")
     return header, arrays
 
 
+@dataclass(frozen=True)
 class Vocab:
-    """Bidirectional label <-> dense-id maps for entities and relations.
+    """Entity and relation labels in id order: an id is the position of
+    its label.  A parse gives ids in first-appearance order."""
 
-    Ids are assigned contiguously in first-appearance order.
-    """
-
-    def __init__(self) -> None:
-        self.entity_to_id: dict[str, int] = {}
-        self.relation_to_id: dict[str, int] = {}
-        self.entity_labels: list[str] = []
-        self.relation_labels: list[str] = []
+    entity_labels: tuple[str, ...] = ()
+    relation_labels: tuple[str, ...] = ()
 
     @property
     def num_entities(self) -> int:
@@ -309,21 +319,6 @@ class Vocab:
     @property
     def num_relations(self) -> int:
         return len(self.relation_labels)
-
-    def add(self, kind: str, labels: list[str]) -> None:
-        """Give unseen `kind` ("entity" or "relation") labels the next
-        ids in first-appearance order."""
-        to_id = getattr(self, f"{kind}_to_id")
-        known = getattr(self, f"{kind}_labels")
-        fresh = [label for label in dict.fromkeys(labels)
-                 if label not in to_id]
-        to_id.update(zip(fresh, range(len(known), len(known) + len(fresh))))
-        known.extend(fresh)
-
-    def ids(self, kind: str, labels: list[str]) -> np.ndarray:
-        """Ids of `kind` labels that `add` has seen."""
-        return np.fromiter(map(getattr(self, f"{kind}_to_id").__getitem__,
-                               labels), np.int64, len(labels))
 
 
 @dataclass(eq=False)
@@ -376,15 +371,20 @@ class Dataset:
 
 
 def load_triples(path: str | Path,
-                 existing_vocab: Vocab | None = None) -> tuple[np.ndarray, Vocab]:
-    """Parse a `head<TAB>relation<TAB>tail` file into an (N, 3) id array.
-
-    Unseen labels get the next ids of the vocabulary (a fresh one unless
-    `existing_vocab` is given) in first-appearance order, head before
-    tail.  Lines starting with `#` are comments.
+                 existing_vocab: Vocab = Vocab()) -> tuple[np.ndarray, Vocab]:
+    """Parse a `head<TAB>relation<TAB>tail` file into a read-only (N, 3)
+    id array, and the vocabulary of `existing_vocab`'s labels then the
+    file's unseen ones, in first-appearance order, head before tail.
+    Lines starting with `#` are comments.
     """
-    path = Path(path)
-    vocab = existing_vocab if existing_vocab is not None else Vocab()
+    to_ids = [dict(zip(labels, range(len(labels)))) for labels in (
+        existing_vocab.entity_labels, existing_vocab.relation_labels)]
+    return _parse_triples(Path(path), *to_ids), Vocab(*map(tuple, to_ids))
+
+
+def _parse_triples(path: Path, entity_ids: dict[str, int],
+                   relation_ids: dict[str, int]) -> np.ndarray:
+    """`load_triples`' ids, its unseen labels added to the maps."""
     blocks: list[np.ndarray] = [np.empty((0, 3), np.int64)]
 
     def parse(rows: list[str], comments: list[str], start: int) -> None:
@@ -392,17 +392,24 @@ def load_triples(path: str | Path,
                               "expected 3 tab-separated fields, got {}")
         relations = fields[1::3]
         del fields[1::3]  # heads and tails, interleaved
-        vocab.add("entity", fields)
-        vocab.add("relation", relations)
-        blocks.append(np.stack([vocab.ids("entity", fields[0::2]),
-                                vocab.ids("relation", relations),
-                                vocab.ids("entity", fields[1::2])], axis=1))
+        block = np.empty((len(rows), 3), np.int64)
+        block[:, 0::2] = _ids(entity_ids, fields).reshape(-1, 2)
+        block[:, 1] = _ids(relation_ids, relations)
+        blocks.append(block)
 
     parse_text(path, parse)
     triples = np.concatenate(blocks)
     if not len(triples):
         raise DataError(f"{path}: no triples found")
-    return triples, vocab
+    triples.flags.writeable = False
+    return triples
+
+
+def _ids(to_id: dict[str, int], labels: list[str]) -> np.ndarray:
+    """Ids of `labels`; `to_id` first gives unseen ones its next ids."""
+    fresh = list(filterfalse(to_id.__contains__, dict.fromkeys(labels)))
+    to_id.update(zip(fresh, range(len(to_id), len(to_id) + len(fresh))))
+    return np.fromiter(map(to_id.__getitem__, labels), np.int64, len(labels))
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -417,15 +424,16 @@ def load_dataset(directory: str | Path) -> Dataset:
         digest = _splits_digest(directory)
         if dataset := _copied(digest, *read_container(directory / COPY_NAME)):
             return dataset
-    vocab = Vocab()
-    dataset = Dataset(*(load_triples(directory / f"{split}.txt", vocab)[0]
-                        for split in SPLITS), vocab=vocab)
+    to_ids: list[dict[str, int]] = [{}, {}]  # of entities, relations
+    splits = [_parse_triples(directory / f"{split}.txt", *to_ids)
+              for split in SPLITS]
+    dataset = Dataset(*splits, vocab=Vocab(*map(tuple, to_ids)))
     with suppress(OSError):  # not if a split changed during the parse
         if digest and digest == _splits_digest(directory):
             write_container(directory / COPY_NAME, {
                 "payload": "dataset", "digest": digest,
-                "entities": "\t".join(vocab.entity_labels),
-                "relations": "\t".join(vocab.relation_labels)},
+                "entities": "\t".join(dataset.vocab.entity_labels),
+                "relations": "\t".join(dataset.vocab.relation_labels)},
                 {split: getattr(dataset, split) for split in SPLITS})
     return dataset
 
@@ -450,16 +458,13 @@ def _copied(digest: str, header: dict,
     if (header.get("digest") != digest
             or not all(isinstance(names, str) for names in labels)):
         return None
-    labels = [names.split("\t") for names in labels]  # never empty
-    vocab = Vocab()
-    vocab.add("entity", labels[0])
-    vocab.add("relation", labels[1])
-    if list(map(len, labels)) != [vocab.num_entities, vocab.num_relations]:
+    labels = [tuple(names.split("\t")) for names in labels]  # never empty
+    if any(len(set(names)) != len(names) for names in labels):
         return None  # duplicate labels
-    bounds = [vocab.num_entities, vocab.num_relations, vocab.num_entities]
+    bounds = [len(labels[0]), len(labels[1]), len(labels[0])]
     splits = []
     for floats in (arrays.get(split, np.empty(0)) for split in SPLITS):
-        with np.errstate(invalid="ignore"):  # nan and huge ids cast too
+        with np.errstate(invalid="ignore"):  # huge ids cast too
             ids = floats.astype(np.int64)
         # max by column: a reduction along axis 0 is many times slower
         if not (ids.ndim == 2 and ids.shape[1] == 3 and len(ids)
@@ -468,7 +473,7 @@ def _copied(digest: str, header: dict,
             return None  # not (n, 3) ids that are integral and theirs
         ids.flags.writeable = False
         splits.append(ids)
-    return Dataset(*splits, vocab=vocab)
+    return Dataset(*splits, vocab=Vocab(*labels))
 
 
 def singleton_query_stats(dataset: Dataset) -> tuple[np.ndarray, ...]:

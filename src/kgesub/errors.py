@@ -14,11 +14,11 @@ class ConfigError(KgesubError):
 
 
 class DataError(KgesubError):
-    """Malformed input data (triple files, vocab files, weight tables)."""
+    """Malformed input data (triple and score files, weight tables, ledger)."""
 
 
 class VocabMismatchError(DataError):
-    """A label or id is not valid under the vocabulary in use."""
+    """Model parameters sized for another vocabulary than the dataset's."""
 
 
 class DegenerateInputError(KgesubError):

@@ -565,13 +565,6 @@ def params_from_container(header: dict,
            for shape, width in zip(shapes, widths)):
         raise CheckpointError(f"embedding shapes {shapes} do not fit "
                               f"{kind.value} with dim {dim}")
-    # a NaN score ties with nothing and beats nothing, so it would rank
-    # every answer first.  A finite sum has no NaN or inf term; only an
-    # overflowing sum needs the entrywise test
-    for name in ("entity_emb", "relation_emb"):
-        table = getattr(params, name)
-        if not (np.isfinite(table.sum()) or np.isfinite(table).all()):
-            raise CheckpointError(f"{name} holds a non-finite entry")
     return params
 
 

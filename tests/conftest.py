@@ -52,10 +52,8 @@ def answer_of(triple: Triple, direction: Direction) -> int:
 
 
 def make_vocab(num_entities: int, num_relations: int) -> Vocab:
-    vocab = Vocab()
-    vocab.add("entity", [f"e{i}" for i in range(num_entities)])
-    vocab.add("relation", [f"r{j}" for j in range(num_relations)])
-    return vocab
+    return Vocab(tuple(f"e{i}" for i in range(num_entities)),
+                 tuple(f"r{j}" for j in range(num_relations)))
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
@@ -766,18 +764,19 @@ def _oracle_text_lines(path: Path):
                         f"this line ({exc.reason})") from None
 
 
-def oracle_load_triples(path, existing_vocab: Vocab | None = None):
+def oracle_load_triples(path, existing_vocab: Vocab = Vocab()):
     path = Path(path)
-    vocab = existing_vocab if existing_vocab is not None else Vocab()
+    labels = {"entity": list(existing_vocab.entity_labels),
+              "relation": list(existing_vocab.relation_labels)}
+    to_id = {kind: {label: i for i, label in enumerate(known)}
+             for kind, known in labels.items()}
 
     def label_id(kind: str, label: str) -> int:
-        to_id = getattr(vocab, f"{kind}_to_id")
-        labels = getattr(vocab, f"{kind}_labels")
-        eid = to_id.get(label)
+        eid = to_id[kind].get(label)
         if eid is None:
-            eid = len(labels)
-            to_id[label] = eid
-            labels.append(label)
+            eid = len(labels[kind])
+            to_id[kind][label] = eid
+            labels[kind].append(label)
         return eid
 
     triples: list[Triple] = []
@@ -795,7 +794,7 @@ def oracle_load_triples(path, existing_vocab: Vocab | None = None):
                               label_id("entity", t)))
     if not triples:
         raise DataError(f"{path}: no triples found")
-    return triples, vocab
+    return triples, Vocab(tuple(labels["entity"]), tuple(labels["relation"]))
 
 
 def _oracle_provenance(comment: str) -> Provenance:

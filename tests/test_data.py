@@ -1,5 +1,6 @@
 """Triple loading, vocabularies, and query counting."""
 
+import dataclasses
 import os
 import struct
 import tempfile
@@ -15,7 +16,7 @@ from kgesub import data
 from kgesub.data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
                          load_triples, read_container, replacing,
                          singleton_query_stats, write_container)
-from kgesub.errors import DataError, KgesubError
+from kgesub.errors import CheckpointError, DataError, KgesubError
 from kgesub.submodel import read_ledger
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 counted_frequencies, load_scores,
@@ -64,8 +65,7 @@ class TestLoadTriples:
         path = tmp_path / "train.txt"
         path.write_text("x\tp\ty\ny\tq\tx\n", encoding="utf-8")
         _, vocab = load_triples(path)
-        assert vocab.entity_to_id == {"x": 0, "y": 1}
-        assert vocab.relation_to_id == {"p": 0, "q": 1}
+        assert vocab == Vocab(("x", "y"), ("p", "q"))
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "train.txt"
@@ -84,6 +84,23 @@ class TestLoadTriples:
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataError, match="no triples"):
             load_triples(path)
+
+    def test_existing_vocab_is_extended_not_changed(self, tmp_path):
+        path = tmp_path / "valid.txt"
+        path.write_text("y\tq\tz\nw\tp\tx\n", encoding="utf-8")
+        existing = Vocab(("x", "y"), ("p",))
+        triples, vocab = load_triples(path, existing)
+        assert triples.tolist() == [[1, 1, 2], [3, 0, 0]]
+        assert not triples.flags.writeable
+        assert vocab == Vocab(("x", "y", "z", "w"), ("p", "q"))
+        assert existing == Vocab(("x", "y"), ("p",))
+
+    def test_vocab_fields_cannot_be_assigned(self):
+        vocab = make_vocab(2, 1)
+        for name in ("entity_labels", "relation_labels"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vocab, name, ())
+        assert vocab == make_vocab(2, 1)
 
 
 class TestVocabRoundTrip:
@@ -407,8 +424,8 @@ class TestDataset:
 
     def test_make_vocab_is_dense(self):
         vocab = make_vocab(4, 2)
-        assert vocab.ids("entity", [f"e{i}" for i in range(4)]).tolist() \
-            == [0, 1, 2, 3]
+        assert vocab.entity_labels == ("e0", "e1", "e2", "e3")
+        assert vocab.relation_labels == ("r0", "r1")
 
     def test_keeps_only_read_only_arrays_that_own_their_data(self):
         owned = np.array([[0, 0, 1]])
@@ -423,6 +440,46 @@ class TestDataset:
         assert not any(getattr(dataset, split).flags.writeable
                        for split in SPLITS)
 
+    def test_keeps_the_parsed_splits(self, tmp_path, monkeypatch):
+        save_dataset(looped_zipf_kg(1), tmp_path)
+        parse, parses = data._parse_triples, []
+
+        def kept(*args):
+            parses.append(parse(*args))
+            return parses[-1]
+
+        monkeypatch.setattr(data, "_parse_triples", kept)
+        dataset = load_dataset(tmp_path)
+        assert len(parses) == 3 and all(
+            np.shares_memory(getattr(dataset, split), ids)
+            for split, ids in zip(SPLITS, parses))
+
+
+class TestContainerFiniteness:
+    """`read_container` rejects a NaN or inf entry in any piece of any
+    array, and reads back finite entries whose sum overflows."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 5, 9])
+    def test_non_finite_entry_names_the_array(self, tmp_path, monkeypatch,
+                                              value, position):
+        monkeypatch.setattr(data, "_PIECE", 4)  # pieces of 4, 4 and 2
+        bad = np.arange(10.0)
+        bad[position] = value
+        path = tmp_path / "c.bin"
+        write_container(path, {}, {"good": np.ones((3, 3)), "bad": bad})
+        with pytest.raises(CheckpointError) as raised:
+            read_container(path)
+        assert str(raised.value) == f"{path}: bad holds a non-finite entry"
+
+    def test_overflowing_sum_is_not_an_error(self, tmp_path):
+        table = np.full((5, 3), np.finfo(np.float64).max)
+        table[1] *= -1
+        path = tmp_path / "c.bin"
+        write_container(path, {}, {"table": table})
+        with np.errstate(all="raise"):
+            assert np.array_equal(read_container(path)[1]["table"], table)
+
 
 SPLITS = ("train", "valid", "test")
 # labels that JSON escapes, that end lines for str.splitlines but not for
@@ -436,9 +493,10 @@ TRICKY_TRAIN = ("a b\tr 1\t#x\n"
 def parsed(directory: Path) -> Dataset:
     """The dataset of the text alone, as `load_dataset` parsed it before
     it kept a copy."""
-    vocab = Vocab()
-    splits = [load_triples(directory / f"{split}.txt", vocab)[0]
-              for split in SPLITS]
+    vocab, splits = Vocab(), []
+    for split in SPLITS:
+        ids, vocab = load_triples(directory / f"{split}.txt", vocab)
+        splits.append(ids)
     return Dataset(*splits, vocab=vocab)
 
 
@@ -447,10 +505,10 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
         ids = getattr(got, split)
         assert ids.dtype == np.int64 and not ids.flags.writeable
         np.testing.assert_array_equal(ids, getattr(want, split))
-    for name in ("entity_labels", "relation_labels", "entity_to_id",
-                 "relation_to_id"):
-        assert getattr(got.vocab, name) == getattr(want.vocab, name)
-    assert all(type(i) is int for i in got.vocab.entity_to_id.values())
+    assert got.vocab == want.vocab
+    assert all(type(labels) is tuple and all(type(s) is str for s in labels)
+               for labels in (got.vocab.entity_labels,
+                              got.vocab.relation_labels))
 
 
 def no_parse(*args):
@@ -490,8 +548,8 @@ class TestParsedCopy:
         want = parsed(kg_dir)
         assert_same_dataset(first, want)
         assert_same_dataset(hit, want)
-        assert "\u2028" in hit.vocab.entity_to_id
-        assert "" in hit.vocab.relation_to_id
+        assert "\u2028" in hit.vocab.entity_labels
+        assert "" in hit.vocab.relation_labels
         assert sorted(os.listdir(kg_dir)) == sorted(
             [data.COPY_NAME] + [f"{split}.txt" for split in SPLITS])
 
@@ -598,14 +656,14 @@ class TestParsedCopy:
                                                           monkeypatch):
         path = kg_dir / "valid.txt"
         old = path.read_bytes()
-        parse = data.load_triples
+        parse = data._parse_triples
 
-        def racing(split_path, vocab=None):
+        def racing(split_path, *to_ids):
             if split_path == path:  # an edit after the digest was taken
                 path.write_bytes(b"".join(old.splitlines(True)[1:]))
-            return parse(split_path, vocab)
+            return parse(split_path, *to_ids)
 
-        monkeypatch.setattr(data, "load_triples", racing)
+        monkeypatch.setattr(data, "_parse_triples", racing)
         load_dataset(kg_dir)
         monkeypatch.undo()
         assert not (kg_dir / data.COPY_NAME).exists()

@@ -694,6 +694,18 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_non_finite_moment_rejected(self, tmp_path):
+        from kgesub.errors import CheckpointError
+        dataset, params, weights = self._setup()
+        result = train(dataset, weights, params, RunConfig(
+            steps=3, batch_size=16, nu=2, seed=9, optimizer="adam"))
+        result.state.optimizer.m_entity[4, 1] = float("nan")
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(result.state, path)
+        with pytest.raises(CheckpointError,
+                           match="adam_m_entity holds a non-finite entry"):
+            load_checkpoint(path)
+
 
 class TestLearningRateDecay:
     def test_constant_by_default(self):
