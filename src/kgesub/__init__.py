@@ -12,7 +12,7 @@ Subpackages:
 """
 
 from .data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
-                   load_triples, singleton_query_stats)
+                   singleton_query_stats)
 from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
                          evaluate)
 from .models import (ModelKind, ModelParams, init_params, load_params,

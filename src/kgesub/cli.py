@@ -4,8 +4,10 @@ Commands: train, evaluate, build-weights, pretrain-submodel,
 score-triples, weights-report, singleton-stats, sweep.
 
 Every run writes its artifacts into one run directory (timestamped
-unless --run-dir pins it) together with a manifest and an echo of the
-effective configuration; re-feeding that echo reproduces the run.
+unless --run-dir pins it) together with a manifest, each artifact
+through `data.replacing`.  train, build-weights, pretrain-submodel and
+sweep also echo the effective configuration; re-feeding that echo
+reproduces the run.
 Exit codes: 0 success, 1 usage or config error, 2 data error,
 3 numerical divergence.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from . import evaluation, submodel, subsampling, training
 from .config import (RunConfig, check_setting, file_key, flag_name,
                      load_config, save_config)
-from .data import (DIRECTION_NAMES, Dataset, load_dataset,
+from .data import (DIRECTION_NAMES, Dataset, load_dataset, replacing,
                    singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
@@ -64,7 +66,7 @@ def _make_run_dir(args) -> Path:
 
 
 def _write_manifest(run_dir: Path, artifacts: dict[str, Path]) -> None:
-    with open(run_dir / "manifest.tsv", "w", encoding="utf-8") as fh:
+    with replacing(run_dir / "manifest.tsv") as fh:
         for name, path in artifacts.items():
             fh.write(f"{name}\t{path.name}\n")
 
@@ -184,7 +186,8 @@ def cmd_evaluate(args) -> int:
         reports.append(report)
         suffix = "" if len(args.checkpoint) == 1 else f".run{index}"
         text = evaluation.format_report(report)
-        (run_dir / f"report{suffix}.txt").write_text(text, encoding="utf-8")
+        with replacing(run_dir / f"report{suffix}.txt") as fh:
+            fh.write(text)
         evaluation.write_aggregate(evaluation.aggregate_runs([report]),
                                    run_dir / f"metrics{suffix}.tsv")
         evaluation.write_rank_dump(report, run_dir / f"ranks{suffix}.tsv")
@@ -266,7 +269,7 @@ def cmd_weights_report(args) -> int:
     rows = query_appearance_report(dataset, cbs, mbs, args.num_queries,
                                    smoothing=config.smoothing)
     out_path = run_dir / "weights-report.tsv"
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replacing(out_path) as fh:
         fh.write("entity\trelation\tdirection\tcbs_count\t"
                  "cbs_pct\tmbs_pct\n")
         for row in rows:
@@ -315,7 +318,7 @@ def cmd_singleton_stats(args) -> int:
     directions, *rest = (column[::args.stride].tolist()
                          for column in singleton_query_stats(dataset))
     out_path = run_dir / "singleton-stats.tsv"
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replacing(out_path) as fh:
         fh.write("entity\trelation\tdirection\tentity_count\t"
                  "relation_count\n")
         for d, e, r, entity_count, relation_count in zip(directions, *rest):
@@ -476,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the candidates, not the [subsampling] submodel_scores setting
     sub.add_argument("--submodel-scores", dest="candidate_scores",
                      nargs="+", required=True)
-    sub.add_argument("--alpha-grid", help="comma-separated, default "
-                     "2.0,1.0,0.5,0.1,0.05,0.01")
-    sub.add_argument("--lambda-grid", help="comma-separated, default "
-                     "0.1,0.3,0.5,0.7,0.9")
+    for flag, grid in (("--alpha-grid", subsampling.ALPHA_GRID),
+                       ("--lambda-grid", subsampling.LAMBDA_GRID)):
+        sub.add_argument(flag, help="comma-separated, default "
+                         + ",".join(map(str, grid)))
 
     return parser
 

@@ -27,7 +27,8 @@ are a contiguous range of the filter index's examples.
 in the binary container of checkpoints, and reads that copy while the
 SHA-256 of the splits is unchanged.  Artifacts are written through
 `replacing`: a reader finds the old file or the new, never a torn one.
-`read_container` rejects an array holding a NaN or inf.
+`read_container` rejects a header that is not strict JSON (no NaN or
+Infinity) and an array holding a NaN or inf.
 
 Datasets, vocabularies, and indexes are never mutated after
 construction; any number of threads may read them concurrently.
@@ -82,7 +83,6 @@ class QueryIndex:
     num_relations: int
     query_id: np.ndarray  # (2N,) per example
     answer: np.ndarray  # (2N,) per example
-    key: np.ndarray  # (Q,) packed keys, ascending
     direction: np.ndarray  # (Q,)
     entity: np.ndarray  # (Q,)
     relation: np.ndarray  # (Q,)
@@ -120,13 +120,12 @@ class QueryIndex:
         query_id = np.empty(len(order), dtype=np.int64)
         query_id[order] = np.cumsum(starts) - 1
         first = np.flatnonzero(starts)
-        key = keys[first]
-        rest, relation = np.divmod(key, num_relations)
+        rest, relation = np.divmod(keys[first], num_relations)
         direction, entity = np.divmod(rest, num_entities)
         # each query's first example is distinct, so it starts its list
         offsets = np.append(np.flatnonzero(starts[distinct]),
                             np.count_nonzero(distinct))
-        arrays = (query_id, answer, key, direction, entity, relation,
+        arrays = (query_id, answer, direction, entity, relation,
                   np.diff(first, append=len(keys)), offsets, answers[distinct])
         for array in arrays:
             array.flags.writeable = False
@@ -134,7 +133,7 @@ class QueryIndex:
 
     @property
     def num_queries(self) -> int:
-        return len(self.key)
+        return len(self.count)
 
     @cached_property
     def complement_key(self) -> np.ndarray:
@@ -236,7 +235,7 @@ def write_container(path: str | Path, header: dict,
     header["format_version"] = _FORMAT_VERSION
     header["arrays"] = [{"name": name, "shape": list(arr.shape)}
                         for name, arr in arrays.items()]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     with replacing(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
@@ -247,9 +246,14 @@ def write_container(path: str | Path, header: dict,
                 fh.write(flat[start:start + step].astype("<f8"))
 
 
+def _not_json(literal: str):
+    raise ValueError(f"{literal} is not a JSON value")
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of a container; a NaN or inf entry raises
-    CheckpointError (a NaN score would rank every answer first)."""
+    """Header and arrays of a container; a NaN or inf entry, or a NaN or
+    Infinity literal in the header, raises CheckpointError (a NaN score
+    would rank every answer first)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -262,7 +266,8 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: truncated header")
         blob = fh.read(blob_len)
         try:
-            header = json.loads(blob.decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"),
+                                parse_constant=_not_json)
         except (ValueError, RecursionError) as exc:  # bytes, syntax, size
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
         if not isinstance(header, dict):
@@ -370,21 +375,12 @@ class Dataset:
             self.num_entities, self.num_relations)
 
 
-def load_triples(path: str | Path,
-                 existing_vocab: Vocab = Vocab()) -> tuple[np.ndarray, Vocab]:
-    """Parse a `head<TAB>relation<TAB>tail` file into a read-only (N, 3)
-    id array, and the vocabulary of `existing_vocab`'s labels then the
-    file's unseen ones, in first-appearance order, head before tail.
-    Lines starting with `#` are comments.
-    """
-    to_ids = [dict(zip(labels, range(len(labels)))) for labels in (
-        existing_vocab.entity_labels, existing_vocab.relation_labels)]
-    return _parse_triples(Path(path), *to_ids), Vocab(*map(tuple, to_ids))
-
-
 def _parse_triples(path: Path, entity_ids: dict[str, int],
                    relation_ids: dict[str, int]) -> np.ndarray:
-    """`load_triples`' ids, its unseen labels added to the maps."""
+    """Parse a `head<TAB>relation<TAB>tail` file into a read-only (N, 3)
+    id array.  Labels get their ids from the maps, and unseen ones the
+    next ids, in first-appearance order, head before tail; they are
+    added to the maps.  Lines starting with `#` are comments."""
     blocks: list[np.ndarray] = [np.empty((0, 3), np.int64)]
 
     def parse(rows: list[str], comments: list[str], start: int) -> None:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, SPLITS, Dataset, QueryIndex
+from .data import DIRECTION_NAMES, SPLITS, Dataset, QueryIndex, replacing
 from .models import ModelParams, check_vocab, iter_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
@@ -161,7 +161,7 @@ def format_report(report: EvalReport) -> str:
 
 def write_aggregate(aggregate: AggregateReport, path: str | Path) -> None:
     """`metric<TAB>mean<TAB>sd` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for name, (mean, sd) in aggregate.metrics.items():
             fh.write(f"{name}\t{mean!r}\t{sd!r}\n")
 
@@ -169,7 +169,7 @@ def write_aggregate(aggregate: AggregateReport, path: str | Path) -> None:
 def write_rank_dump(report: EvalReport, path: str | Path) -> None:
     """`query<TAB>direction<TAB>rank` rows; query is `entity|relation`."""
     directions, entities, relations = report.queries.T.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for d, e, r, rank in zip(directions, entities, relations,
                                  report.per_query_ranks.tolist()):
             fh.write(f"{e}|{r}\t{DIRECTION_NAMES[d]}\t{rank}\n")

@@ -12,15 +12,16 @@ transe        plain vector             plain vector (dim)
 distmult      plain vector             plain vector (dim)
 complex       interleaved re,im pairs  interleaved re,im pairs (dim)
 rotate        interleaved re,im pairs  dim/2 phase angles
-hake          [modulus | phase]        [modulus | phase | bias] (3*dim/2)
+hake          [modulus | phase]        [modulus | phase] (dim)
 ============  =======================  =====================================
 
 RotatE relations are stored as phase angles so the rotation has unit
 modulus by construction.  HAKE modulus parts are stored unconstrained
-and passed through abs() at score time; the bias third of the relation
-row is carried for layout compatibility with the model's published
-parameterization but does not enter this score function.  Gradients use
-the subgradient convention sign(0) = 0 at the kinks of L1 terms.
+and passed through abs() at score time.  A HAKE relation row holds only
+the modulus and phase that the score reads: the published model's
+mixture bias is not part of this score function, so it is not stored.
+Gradients use the subgradient convention sign(0) = 0 at the kinks of L1
+terms.
 
 Each kind has one kernel (`score_block`): a forward pass over the
 candidates of same-direction queries, each query's fixed entity row
@@ -59,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Direction, read_container, write_container
-from .errors import CheckpointError, VocabMismatchError
+from .errors import CheckpointError, ConfigError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
@@ -91,8 +92,6 @@ def relation_dim(kind: ModelKind, dim: int) -> int:
         raise ValueError(f"{kind.value} requires an even dim, got {dim}")
     if kind == ModelKind.ROTATE:
         return dim // 2
-    if kind == ModelKind.HAKE:
-        return 3 * (dim // 2)
     return dim
 
 
@@ -161,9 +160,12 @@ def init_params(kind: ModelKind, num_entities: int, num_relations: int,
     elif kind == ModelKind.HAKE:
         entity[:, half:] = rng.uniform(-math.pi, math.pi,
                                        size=(num_entities, half))
-        relation = rng.uniform(-bound, bound, size=(num_relations, dim_r))
-        relation[:, half:2 * half] = rng.uniform(-math.pi, math.pi,
-                                                 size=(num_relations, half))
+        # drawn 3 * half wide, as when rows carried an unused bias third,
+        # so that every seed keeps its modulus and phase values
+        relation = rng.uniform(-bound, bound, size=(num_relations, 3 * half))
+        relation[:, half:dim] = rng.uniform(-math.pi, math.pi,
+                                            size=(num_relations, half))
+        relation = np.ascontiguousarray(relation[:, :dim])
     else:
         relation = rng.uniform(-bound, bound, size=(num_relations, dim_r))
     return ModelParams(kind=kind, dim=dim, entity_emb=entity,
@@ -272,7 +274,7 @@ def _hake(params, tail, fixed, rel, cand):
     norm = np.sqrt((v * v).sum(axis=-1))
     # |sin((h + r - t) / 2)| = |sin(theta)| with theta = (a - cand) / 2,
     # a = h + r (tails) or t - r (heads), since |sin| is even
-    r_phase = rel[:, half:2 * half]
+    r_phase = rel[:, half:]
     a = fixed[:, half:] + (r_phase if tail else -r_phase)
     theta = (a[:, None] - cand[..., half:]) / 2.0
     sin_theta = np.sin(theta)
@@ -289,8 +291,8 @@ def _hake(params, tail, fixed, rel, cand):
             g_f, g_r, g_c = (g_v.sum(axis=1), -(g_v * c_mod).sum(axis=1),
                              -g_v * r_mod)
         return (np.concatenate([g_f * np.sign(fixed[:, :half]), g_a], 1),
-                np.concatenate([g_r * np.sign(rel[:, :half]),  # no bias
-                                g_a if tail else -g_a, np.zeros_like(g_a)], 1),
+                np.concatenate([g_r * np.sign(rel[:, :half]),
+                                g_a if tail else -g_a], 1),
                 np.concatenate([g_c * np.sign(cand[..., :half]), g_phase], -1))
     return -(norm + weight * np.abs(sin_theta).sum(axis=-1)), back
 
@@ -488,7 +490,7 @@ def _chunk_scorer(params: ModelParams):
 
         def hake_scores(tail, fixed, rel):
             f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
-            f_phase, r_phase = fixed[:, half:], rel[:, half:2 * half]
+            f_phase, r_phase = fixed[:, half:], rel[:, half:]
             # |sin((h + r - t) / 2)| = |sin(a - e / 2)| with a from the
             # fixed side; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine
             # per (query, entity) pair
@@ -546,26 +548,51 @@ def save_params(params: ModelParams, path: str | Path,
 
 def params_from_container(header: dict,
                           arrays: dict[str, np.ndarray]) -> ModelParams:
+    """The parameters of a container.  Its header is input like a config
+    file: kind, dim, gamma and the aux values are held to the rules of
+    the run settings of those names, and the entity and relation counts
+    to the rows of the tables; a breach raises CheckpointError that
+    names the field."""
+    from .config import check_setting  # config imports this module
+
+    def checked(name: str, value, setting: str, *types: type):
+        if types and type(value) not in types:  # bool is not a number
+            raise CheckpointError(
+                f"header field {name} must be "
+                f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        try:
+            return check_setting(setting, value)
+        except (ConfigError, OverflowError) as exc:
+            raise CheckpointError(f"header field {name}: {exc}") from None
+
+    kind = ModelKind(checked("kind", header.get("kind"), "model"))
+    dim = checked("dim", header.get("dim"), "dim", int)
+    gamma = float(checked("gamma", header.get("gamma"), "gamma", int, float))
+    aux = header.get("aux")
+    if not isinstance(aux, dict) or aux.keys() != default_aux(kind).keys():
+        raise CheckpointError(f"header field aux must hold the keys "
+                              f"{sorted(default_aux(kind))}, got {aux!r}")
+    aux = {key: float(checked(f"aux.{key}", value, key, int, float))
+           for key, value in aux.items()}
     try:
-        kind = ModelKind.from_string(header["kind"])
-        dim = int(header["dim"])
-        params = ModelParams(
-            kind=kind, dim=dim,
-            entity_emb=arrays["entity_emb"],
-            relation_emb=arrays["relation_emb"],
-            gamma=float(header["gamma"]),
-            aux={k: float(v) for k, v in header["aux"].items()},
-        )
         widths = (dim, relation_dim(kind, dim))
-    except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
-        raise CheckpointError(f"incomplete model header: {exc!r}") from exc
-    shapes = (params.entity_emb.shape, params.relation_emb.shape)
+        tables = (arrays["entity_emb"], arrays["relation_emb"])
+    except ValueError as exc:
+        raise CheckpointError(f"header field dim: {exc}") from None
+    except KeyError as exc:
+        raise CheckpointError(f"no {exc} array") from None
+    shapes = tuple(table.shape for table in tables)
     if any(len(shape) != 2 or shape[1] != width
            for shape, width in zip(shapes, widths)):
         raise CheckpointError(f"embedding shapes {shapes} do not fit "
                               f"{kind.value} with dim {dim}")
-    return params
+    for name, rows in zip(("num_entities", "num_relations"), shapes):
+        value = header.get(name)
+        if not (type(value) is int and value == rows[0]):
+            raise CheckpointError(f"header field {name} is {value!r}, the "
+                                  f"table has {rows[0]} rows")
+    return ModelParams(kind=kind, dim=dim, entity_emb=tables[0],
+                       relation_emb=tables[1], gamma=gamma, aux=aux)
 
 
 def load_tagged_params(path: str | Path) -> tuple[ModelParams, str | None]:

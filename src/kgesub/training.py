@@ -52,10 +52,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, check_setting
 from .data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
-                   read_container, write_container)
-from .errors import CheckpointError, DegenerateInputError, TrainingDivergedError
+                   read_container, replacing, write_container)
+from .errors import (CheckpointError, ConfigError, DegenerateInputError,
+                     TrainingDivergedError)
 from . import models
 from .models import (ModelParams, params_from_container, params_header,
                      score_block)
@@ -348,7 +349,7 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
 
 def write_log(log: list[LogRecord], path: str | Path) -> None:
     """`step<TAB>loss<TAB>valid_mrr?` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for record in log:
             mrr = "" if record.valid_mrr is None else f"\t{record.valid_mrr!r}"
             fh.write(f"{record.step}\t{record.loss!r}{mrr}\n")
@@ -375,9 +376,24 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if header.get("payload") != "train-checkpoint":
         raise CheckpointError(f"{path}: not a training checkpoint")
     params = params_from_container(header, arrays)
-    if header["optimizer"] == "adam":
-        opt = OptimizerState(kind="adam", **{
-            name: arrays[f"adam_{name}"] for name in _MOMENTS})
-    else:
-        opt = OptimizerState(kind="sgd")
-    return TrainState(params=params, optimizer=opt, step=int(header["step"]))
+    try:
+        kind = check_setting("optimizer", header.get("optimizer"))
+    except ConfigError as exc:
+        raise CheckpointError(
+            f"{path}: header field optimizer: {exc}") from None
+    step = header.get("step")
+    if not (type(step) is int and step >= 0):
+        raise CheckpointError(f"{path}: header field step must be an int "
+                              f">= 0, got {step!r}")
+    moments = {}
+    if kind == "adam":
+        for name in _MOMENTS:
+            moment = arrays.get(f"adam_{name}")
+            table = (params.entity_emb if name.endswith("entity")
+                     else params.relation_emb)
+            if moment is None or moment.shape != table.shape:
+                raise CheckpointError(f"{path}: adam_{name} is missing or "
+                                      f"not of shape {table.shape}")
+            moments[name] = moment
+    return TrainState(params=params, optimizer=OptimizerState(kind, **moments),
+                      step=step)

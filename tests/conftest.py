@@ -10,7 +10,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from kgesub.data import DIRECTION_NAMES, Dataset, Direction, QueryIndex, Vocab
+from kgesub.data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
+                         Vocab, _parse_triples)
 from kgesub.errors import DataError, DegenerateInputError
 from kgesub.evaluation import rank_answers
 from kgesub.models import ModelKind, ModelParams, score_block
@@ -175,12 +176,15 @@ def answers_of(index: QueryIndex, query_id: int) -> np.ndarray:
 def find(index: QueryIndex, directions, entities, relations) -> np.ndarray:
     """Query id of each (direction, entity, relation) in `index`, -1
     where the index does not hold the query: a binary search on the
-    packed keys."""
-    keys = ((np.asarray(directions, dtype=np.int64) * index.num_entities
-             + entities) * index.num_relations + relations)
-    pos = np.searchsorted(index.key, keys)
-    found = pos < len(index.key)
-    found[found] = index.key[pos[found]] == keys[found]
+    packed keys, which ascend with the query ids."""
+    def packed(directions, entities, relations):
+        return ((np.asarray(directions, dtype=np.int64) * index.num_entities
+                 + entities) * index.num_relations + relations)
+    key = packed(index.direction, index.entity, index.relation)
+    keys = packed(directions, entities, relations)
+    pos = np.searchsorted(key, keys)
+    found = pos < len(key)
+    found[found] = key[pos[found]] == keys[found]
     return np.where(found, pos, -1)
 
 
@@ -264,7 +268,7 @@ def _score_rows(params: ModelParams, h: np.ndarray, r: np.ndarray,
         return -np.sqrt(u_re * u_re + u_im * u_im).sum(axis=1)
     half = params.dim // 2
     v = (np.abs(h[:, :half]) * np.abs(r[:, :half]) - np.abs(t[:, :half]))
-    theta = (h[:, half:] + r[:, half:2 * half] - t[:, half:]) / 2.0
+    theta = (h[:, half:] + r[:, half:] - t[:, half:]) / 2.0
     return -(np.sqrt((v * v).sum(axis=1))
              + params.aux["phase_weight"] * np.abs(np.sin(theta)).sum(axis=1))
 
@@ -335,7 +339,7 @@ def score_gradient(params: ModelParams, triple: Triple):
     w_p = params.aux["phase_weight"]
     h_mod, h_phase = h[:half], h[half:]
     t_mod, t_phase = t[:half], t[half:]
-    r_mod, r_phase = r[:half], r[half:2 * half]
+    r_mod, r_phase = r[:half], r[half:]
     v = np.abs(h_mod) * np.abs(r_mod) - np.abs(t_mod)
     vn = _safe_div(v, math.sqrt(float((v * v).sum())))
     theta = (h_phase + r_phase - t_phase) / 2.0
@@ -346,7 +350,7 @@ def score_gradient(params: ModelParams, triple: Triple):
     g_t[:half] = vn * np.sign(t_mod)
     g_t[half:] = phase_g
     g_r[:half] = -vn * np.abs(h_mod) * np.sign(r_mod)
-    g_r[half:2 * half] = -phase_g
+    g_r[half:] = -phase_g
     return g_h, g_r, g_t
 
 
@@ -611,7 +615,7 @@ def oracle_query_index(triples, num_entities: int,
                                num_entities)
     offsets = np.zeros(len(key) + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=len(key)), out=offsets[1:])
-    return (query_id, answer, key, direction, entity, relation,
+    return (query_id, answer, direction, entity, relation,
             np.bincount(query_id, minlength=len(key)), offsets, answers)
 
 
@@ -744,6 +748,16 @@ def oracle_appearance_report(train: list[Triple], cbs_b: np.ndarray,
     return [(q.entity, q.relation, names[q.direction], counts[q] + smoothing,
              100.0 * mass_cbs[q] / total_cbs, 100.0 * mass_mbs[q] / total_mbs)
             for q in lowest]
+
+
+def load_triples(path, existing_vocab: Vocab = Vocab()
+                 ) -> tuple[np.ndarray, Vocab]:
+    """`data._parse_triples` of one file: its read-only (N, 3) ids, and
+    the vocabulary of `existing_vocab`'s labels then the file's unseen
+    ones, in first-appearance order."""
+    to_ids = [dict(zip(labels, range(len(labels)))) for labels in (
+        existing_vocab.entity_labels, existing_vocab.relation_labels)]
+    return _parse_triples(Path(path), *to_ids), Vocab(*map(tuple, to_ids))
 
 
 # Line-by-line text readers that the block-wise `load_triples`,

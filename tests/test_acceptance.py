@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kgesub.config import RunConfig
-from kgesub.data import Dataset, Direction, load_triples
+from kgesub.data import Dataset, Direction
 from kgesub.evaluation import evaluate
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import pretrain_submodel, score_training_triples
@@ -28,7 +28,8 @@ from kgesub.training import (batch_loss, continue_train, load_checkpoint,
 from conftest import (Triple, TrainExample, answer_of, as_triples,
                       example_batch_loss, query_of,
                       fd_function_row_gradients, fd_score_row_gradients,
-                      filtered_rank, make_vocab, max_relative_error,
+                      filtered_rank, load_triples, make_vocab,
+                      max_relative_error,
                       mbs_weights, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_filtered_rank,
                       random_kg, random_triples, score, score_and_grad,

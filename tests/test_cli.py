@@ -1,6 +1,8 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
 import argparse
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 
 from kgesub.cli import build_parser, main
 from kgesub.config import load_config
-from kgesub.models import ModelKind, init_params, load_params, save_params
+from kgesub.data import read_container, write_container
+from kgesub.models import (ModelKind, init_params, load_params, params_header,
+                           save_params)
 from kgesub.subsampling import load_weight_table
 
 from conftest import save_dataset, zipf_kg
@@ -29,6 +33,18 @@ FAST = ["--dim", "8", "--steps", "12", "--batch-size", "16", "--nu", "2",
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def rewrite_header(path: Path, field: str, text: str) -> None:
+    """Set `field` of the container header at `path` (`aux.<key>` for an
+    aux value) to the JSON text `text`, which need not be strict JSON."""
+    header, arrays = read_container(path)
+    *outer, name = field.split(".")
+    (header[outer[0]] if outer else header)[name] = "@"
+    blob = json.dumps(header).replace('"@"', text).encode()
+    path.write_bytes(b"KGESUBCK" + struct.pack("<Q", len(blob)) + blob
+                     + b"".join(arrays[spec["name"]].tobytes()
+                                for spec in header["arrays"]))
 
 
 class TestTrainCommand:
@@ -312,6 +328,59 @@ class TestEvaluateInputErrors:
         assert code == 2
         assert f"{table} holds a non-finite entry" in capsys.readouterr().err
         assert not (tmp_path / "out" / artifact).exists()
+
+    @pytest.mark.parametrize("command, artifact", [
+        (["evaluate"], "metrics.tsv"), (["score-triples"], "scores.tsv"),
+        (["build-weights", "--subsampling", "mbs", "--method", "freq",
+          "--mbs-query-mass", "all_candidates"], "weights.tsv")],
+        ids=lambda v: v[0] if isinstance(v, list) else None)
+    @pytest.mark.parametrize("kind, field, text, message", [
+        ("hake", "aux.phase_weight", "NaN", "NaN is not a JSON value"),
+        ("hake", "aux.phase_weight", "1e999", "header field aux.phase_weight"),
+        ("transe", "aux.norm_p", "3.0", "header field aux.norm_p"),
+        ("transe", "dim", "4.9", "header field dim"),
+        ("transe", "num_entities", "5", "header field num_entities"),
+        ("transe", "gamma", "NaN", "NaN is not a JSON value"),
+        ("transe", "gamma", "-Infinity", "-Infinity is not a JSON value"),
+        ("transe", "gamma", "1e999", "header field gamma"),
+        ("transe", "aux", '{"norm_p": 1.0, "phase_weight": 0.5}',
+         "header field aux"),
+    ])
+    def test_bad_header_is_exit_2(self, six_entity_dir, tmp_path, capsys,
+                                  command, artifact, kind, field, text,
+                                  message):
+        """A checkpoint header is input: its settings follow the rules of
+        the run settings and its counts the tables.  A NaN phase weight
+        would rank every answer first; no such header gives a metric, a
+        score file or a weight table."""
+        checkpoint = tmp_path / "crafted.bin"
+        save_params(init_params(ModelKind(kind), 6, 1, 4, 1.0, seed=1),
+                    checkpoint)
+        flag = ("--submodel-checkpoint" if command[0] == "build-weights"
+                else "--checkpoint")
+        args = [*command, "--data", six_entity_dir, flag, checkpoint,
+                "--run-dir", tmp_path / "out"]
+        assert run(args) == 0  # the file as written, before the edit
+        (tmp_path / "out" / artifact).unlink()
+        capsys.readouterr()
+        rewrite_header(checkpoint, field, text)
+        assert run(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / artifact).exists()
+
+    def test_hake_checkpoint_with_a_bias_third_is_exit_2(
+            self, six_entity_dir, tmp_path, capsys):
+        """HAKE relation rows were [modulus | phase | bias], 3 * dim / 2
+        wide; such a checkpoint no longer fits its header's dim."""
+        params = init_params(ModelKind.HAKE, 6, 1, 4, 1.0, seed=1)
+        checkpoint = tmp_path / "hake.bin"
+        write_container(checkpoint, params_header(params, "model-params"), {
+            "entity_emb": params.entity_emb,
+            "relation_emb": np.zeros((params.num_relations, 6))})
+        code = run(["evaluate", "--data", six_entity_dir, "--checkpoint",
+                    checkpoint, "--run-dir", tmp_path / "eval"])
+        assert code == 2
+        assert "do not fit hake with dim 4" in capsys.readouterr().err
 
 
 class TestSubmodelPipeline:

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from kgesub import data
 from kgesub.data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
-                         load_triples, read_container, replacing,
-                         singleton_query_stats, write_container)
+                         read_container, replacing, singleton_query_stats,
+                         write_container)
 from kgesub.errors import CheckpointError, DataError, KgesubError
 from kgesub.submodel import read_ledger
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
@@ -23,15 +23,15 @@ from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 save_scores, save_weight_table)
 
 from conftest import (QueryKey, Triple, answers_of, as_triples,
-                      brute_force_query_counts, find, looped_zipf_kg,
-                      make_vocab, oracle_answer_sets,
+                      brute_force_query_counts, find, load_triples,
+                      looped_zipf_kg, make_vocab, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_query_counts,
                       oracle_query_index, oracle_singleton_query_stats,
                       query_of, random_triples, save_dataset, singleton_rows,
                       sorted_query_counts, zipf_kg)
 
-INDEX_FIELDS = ("query_id", "answer", "key", "direction", "entity",
-                "relation", "count", "offsets", "answers")
+INDEX_FIELDS = ("query_id", "answer", "direction", "entity", "relation",
+                "count", "offsets", "answers")
 
 
 def index_of(train, num_entities=None, num_relations=None):
@@ -457,7 +457,18 @@ class TestDataset:
 
 class TestContainerFiniteness:
     """`read_container` rejects a NaN or inf entry in any piece of any
-    array, and reads back finite entries whose sum overflows."""
+    array, and reads back finite entries whose sum overflows.  Headers
+    are strict JSON both ways."""
+
+    def test_header_is_strict_json(self, tmp_path):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError):
+            write_container(path, {"gamma": float("nan")}, {})
+        assert not path.exists()
+        write_container(path, {"gamma": 1.0}, {})
+        path.write_bytes(path.read_bytes().replace(b"1.0", b"NaN"))
+        with pytest.raises(CheckpointError, match="NaN is not a JSON value"):
+            read_container(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("position", [0, 5, 9])

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from kgesub import models
 from kgesub.data import Direction
 from kgesub.errors import CheckpointError
-from kgesub.models import (ModelKind, init_params, iter_candidate_scores,
-                           load_params, load_tagged_params, relation_dim,
-                           save_params, score_triples)
+from kgesub.models import (INIT_EPSILON, ModelKind, init_params,
+                           iter_candidate_scores, load_params,
+                           load_tagged_params, relation_dim, save_params,
+                           score_triples)
 
 from conftest import (QueryKey, Triple, as_triples, fd_score_row_gradients,
                       looped_zipf_kg, max_relative_error, score,
@@ -92,8 +93,27 @@ class TestInitParams:
 
     def test_relation_dims_per_kind(self):
         assert relation_dim(ModelKind.ROTATE, 8) == 4
-        assert relation_dim(ModelKind.HAKE, 8) == 12
+        assert relation_dim(ModelKind.HAKE, 8) == 8
         assert relation_dim(ModelKind.COMPLEX, 8) == 8
+
+    def test_hake_rows_keep_the_draw_of_the_bias_layout(self):
+        """A HAKE relation row is [modulus | phase].  The draw keeps the
+        (R, 3 * dim / 2) width of the layout that carried an unused bias
+        third, so that a seed gives the same values bitwise."""
+        num_entities, num_relations, dim, gamma = 7, 5, 8, 3.0
+        half, bound = dim // 2, (gamma + INIT_EPSILON) / dim
+        rng = np.random.default_rng(4)
+        entity = rng.uniform(-bound, bound, size=(num_entities, dim))
+        entity[:, half:] = rng.uniform(-math.pi, math.pi,
+                                       size=(num_entities, half))
+        relation = rng.uniform(-bound, bound, size=(num_relations, 3 * half))
+        relation[:, half:2 * half] = rng.uniform(-math.pi, math.pi,
+                                                 size=(num_relations, half))
+        params = init_params(ModelKind.HAKE, num_entities, num_relations,
+                             dim, gamma, seed=4)
+        np.testing.assert_array_equal(params.entity_emb, entity)
+        np.testing.assert_array_equal(params.relation_emb, relation[:, :dim])
+        assert params.relation_emb.flags.c_contiguous
 
     def test_odd_dim_rejected_for_complex_kinds(self):
         with pytest.raises(ValueError):

@@ -17,15 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgesub import data
-from kgesub.data import Dataset, Vocab, load_triples
+from kgesub.data import Dataset, Vocab
 from kgesub.errors import DataError, KgesubError
 from kgesub.subsampling import (Provenance, SubsamplingMethod,
                                 discounted_weights, load_scores,
                                 load_weight_table, save_weight_table,
                                 uniform_weights)
 
-from conftest import (make_vocab, oracle_load_scores, oracle_load_triples,
-                      oracle_load_weight_table)
+from conftest import (load_triples, make_vocab, oracle_load_scores,
+                      oracle_load_triples, oracle_load_weight_table)
 
 # "\x0b", "\x85" and "\u2028" end a line for str.splitlines but not
 # for the text reader

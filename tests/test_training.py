@@ -706,6 +706,37 @@ class TestCheckpointResume:
                            match="adam_m_entity holds a non-finite entry"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("optimizer", None, "header field optimizer"),
+        ("optimizer", "adagrad", "header field optimizer"),
+        ("step", None, "header field step"),
+        ("step", -1, "header field step"),
+        ("step", 2.5, "header field step"),
+        ("step", True, "header field step"),
+        ("adam_v_relation", None, "adam_v_relation is missing"),
+        ("adam_m_entity", np.zeros((3, 8)), "adam_m_entity is missing or "
+         "not of shape"),
+    ])
+    def test_bad_train_field_rejected(self, tmp_path, field, value, message):
+        """The fields that only a training checkpoint has are input too:
+        None removes the field."""
+        from kgesub.data import read_container, write_container
+        from kgesub.errors import CheckpointError
+        dataset, params, weights = self._setup()
+        result = train(dataset, weights, params, RunConfig(
+            steps=3, batch_size=16, nu=2, seed=9, optimizer="adam"))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(result.state, path)
+        header, arrays = read_container(path)
+        fields = arrays if field.startswith("adam_") else header
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        write_container(path, header, arrays)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
 
 class TestLearningRateDecay:
     def test_constant_by_default(self):
