@@ -25,7 +25,9 @@ are a contiguous range of the filter index's examples.
 
 `load_dataset` keeps its parse beside the text as `.kgesub-dataset.bin`,
 in the binary container of checkpoints, and reads that copy while the
-SHA-256 of the splits is unchanged.  Artifacts are written through
+SHA-256 of the splits is unchanged; `subsampling.load_scores` keeps one
+beside each score file the same way, and `content_digest` keys both.
+Artifacts are written through
 `replacing`: a reader finds the old file or the new, never a torn one.
 `read_container` rejects a header that is not strict JSON (no NaN or
 Infinity) and an array holding a NaN or inf.
@@ -43,7 +45,7 @@ import math
 import os
 import struct
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +64,7 @@ _PIECE = 1 << 16  # entries (512 KiB) of a container array read at once
 SPLITS = ("train", "valid", "test")
 COPY_NAME = ".kgesub-dataset.bin"  # the parsed copy in a dataset directory
 COPY_VERSION = 1  # of the parse rules: a change must bump it
+_DATASET_TAG = f"kgesub-dataset {COPY_VERSION}"  # of the copy's digest
 
 
 class Direction(enum.IntEnum):
@@ -241,9 +244,9 @@ def write_container(path: str | Path, header: dict,
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for arr in arrays.values():
-            flat, step = np.ravel(arr), BLOCK_BYTES // 8  # 64 KiB writes
-            for start in range(0, flat.size, step):
-                fh.write(flat[start:start + step].astype("<f8"))
+            flat = np.ravel(arr)
+            for start in range(0, flat.size, _PIECE):
+                fh.write(flat[start:start + _PIECE].astype("<f8"))
 
 
 def _not_json(literal: str):
@@ -416,16 +419,16 @@ def load_dataset(directory: str | Path) -> Dataset:
     as `COPY_NAME` and read back while the text is unchanged.
     """
     directory, digest = Path(directory), None
+    paths = [directory / f"{split}.txt" for split in SPLITS]
     with suppress(OSError, CheckpointError):  # the parse raises, if any
-        digest = _splits_digest(directory)
+        digest = content_digest(_DATASET_TAG, paths)
         if dataset := _copied(digest, *read_container(directory / COPY_NAME)):
             return dataset
     to_ids: list[dict[str, int]] = [{}, {}]  # of entities, relations
-    splits = [_parse_triples(directory / f"{split}.txt", *to_ids)
-              for split in SPLITS]
+    splits = [_parse_triples(path, *to_ids) for path in paths]
     dataset = Dataset(*splits, vocab=Vocab(*map(tuple, to_ids)))
     with suppress(OSError):  # not if a split changed during the parse
-        if digest and digest == _splits_digest(directory):
+        if digest and digest == content_digest(_DATASET_TAG, paths):
             write_container(directory / COPY_NAME, {
                 "payload": "dataset", "digest": digest,
                 "entities": "\t".join(dataset.vocab.entity_labels),
@@ -434,13 +437,13 @@ def load_dataset(directory: str | Path) -> Dataset:
     return dataset
 
 
-def _splits_digest(directory: Path) -> str:
-    """SHA-256 of the parse rules' version, then of each split's length
-    and bytes, read in blocks."""
-    digest = hashlib.sha256(f"kgesub-dataset {COPY_VERSION}".encode())
-    for path in (directory / f"{split}.txt" for split in SPLITS):
-        digest.update(path.stat().st_size.to_bytes(8, "little"))
+def content_digest(tag: str, paths: Iterable[str | Path]) -> str:
+    """SHA-256 of `tag`, then of each file's byte length and bytes: the
+    key of a parsed copy, with the parse rules' version in `tag`."""
+    digest = hashlib.sha256(tag.encode())
+    for path in paths:
         with open(path, "rb") as fh:
+            digest.update(os.fstat(fh.fileno()).st_size.to_bytes(8, "little"))
             while block := fh.read(BLOCK_BYTES):
                 digest.update(block)
     return digest.hexdigest()

@@ -27,25 +27,37 @@ weights (MIX) are the elementwise convex combination of the two tables.
 
 Weight construction is a pure function of its frozen inputs, and the
 resulting tables are immutable and safe for concurrent readers.
+
+Weight tables and score files are text, written a block of rows at a
+time.  `load_scores` keeps each score file's parse beside it as a
+container (`scores_copy_path`) and reads that copy back while the
+text's digest is unchanged, as `data.load_dataset` does for a dataset;
+`save_scores` writes the copy with the text.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, Dataset, parse_text, replacing, split_fields
-from .errors import DataError, DegenerateInputError
+from .data import (DIRECTION_NAMES, Dataset, content_digest, parse_text,
+                   read_container, replacing, split_fields, write_container)
+from .errors import CheckpointError, DataError, DegenerateInputError
 
 # Hyper-parameter search grids.
 ALPHA_GRID = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
 LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 _TINY = np.finfo(np.float64).tiny
+_ROWS = 1 << 14  # table rows formatted and written at once
+# of a score copy's digest; a change to the score parse rules must bump it
+_SCORES_TAG = "kgesub-scores 1"
 
 
 class SubsamplingMethod(enum.Enum):
@@ -238,9 +250,23 @@ def save_weight_table(table: WeightTable, path: str | Path) -> None:
                      f"examples={table.num_examples}\n")
             return
         fh.write(f"# {table.provenance.describe()}\n")
-        for i in range(table.num_examples):
-            fh.write(f"{i}\t{DIRECTION_NAMES[i % 2]}\t"
-                     f"{float(table.a[i])!r}\t{float(table.b[i])!r}\n")
+        _write_rows(fh, table.a, table.b, directions=True)
+
+
+def _write_rows(fh: IO[str], *columns: np.ndarray,
+                directions: bool = False) -> None:
+    """`example_id[<TAB>direction]<TAB>value...` rows of float columns,
+    as shortest round-trip decimals, `_ROWS` rows per write."""
+    n = len(columns[0])
+    for start in range(0, n, _ROWS):
+        ids = range(start, min(start + _ROWS, n))
+        fields = [map(str, ids)]
+        if directions:  # a block starts at an even id, a tail query
+            fields.append((DIRECTION_NAMES * (len(ids) // 2 + 1))[:len(ids)])
+        # the repr of a list of floats is theirs, joined by ", "
+        fields += [repr(np.asarray(column[ids.start:ids.stop], np.float64)
+                        .tolist())[1:-1].split(", ") for column in columns]
+        fh.write("\n".join(map("\t".join, zip(*fields))) + "\n")
 
 
 def load_weight_table(path: str | Path) -> WeightTable:
@@ -306,16 +332,81 @@ def _floats(column: list[str]) -> np.ndarray:
     return np.fromiter(map(float, column), np.float64, len(column))
 
 
+def scores_copy_path(path: str | Path) -> Path:
+    """Where the parsed copy of a score file is kept: beside it, as
+    `.<file name>.kgesub.bin`."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.kgesub.bin")
+
+
 def save_scores(scores: SubModelScores, path: str | Path) -> None:
-    """`example_id<TAB>raw_score` rows with a provenance header."""
+    """`example_id<TAB>raw_score` rows with a provenance header, and the
+    parsed copy of those bytes beside them, so that the first
+    `load_scores` of the file reads the copy.
+
+    The copy holds the id as a parse reads it back (up to the first
+    whitespace); an id that breaks the header line, or no scores, gets
+    no copy.
+    """
+    header = f"# submodel={scores.submodel_id}"
     with replacing(path) as fh:
-        fh.write(f"# submodel={scores.submodel_id}\n")
-        for i, value in enumerate(scores.raw_score):
-            fh.write(f"{i}\t{float(value)!r}\n")
+        fh.write(header + "\n")
+        _write_rows(fh, scores.raw_score)
+        fh.flush()
+        digest = content_digest(_SCORES_TAG, [fh.name])
+    if len(scores.raw_score) and not {"\n", "\r"} & set(header):
+        with suppress(OSError):  # the copy is optional
+            _write_scores_copy(path, digest, scores.raw_score,
+                               _header_fields(header)["submodel"])
 
 
 def load_scores(path: str | Path) -> SubModelScores:
-    path = Path(path)
+    """Read a file written by `save_scores`; scores must be finite.
+
+    The parse is kept as `scores_copy_path(path)` and read back while
+    the text is unchanged: a SHA-256 of the parse rules' version, then
+    of the text's length and bytes, keys it.  A copy that is for other
+    text or is not valid is parsed over and written again, as is a
+    missing one, except when the text changed during the parse or the
+    directory cannot be written.
+    """
+    path, digest = Path(path), None
+    with suppress(OSError, CheckpointError):  # the parse raises, if any
+        digest = content_digest(_SCORES_TAG, [path])
+        header, arrays = read_container(scores_copy_path(path))
+        if scores := _copied_scores(digest, header, arrays):
+            return scores
+    scores = _parse_scores(path)
+    with suppress(OSError):  # not if the text changed during the parse
+        if digest and digest == content_digest(_SCORES_TAG, [path]):
+            _write_scores_copy(path, digest, scores.raw_score,
+                               scores.submodel_id)
+    return scores
+
+
+def _write_scores_copy(path: str | Path, digest: str, raw: np.ndarray,
+                       submodel_id: str) -> None:
+    write_container(scores_copy_path(path), {
+        "payload": "scores", "digest": digest, "submodel": submodel_id},
+        {"raw_score": raw})
+
+
+def _copied_scores(digest: str, header: dict,
+                   arrays: dict[str, np.ndarray]) -> SubModelScores | None:
+    """The scores of a parsed copy made for `digest`, None when the copy
+    is for other text or does not hold one id and one non-empty flat
+    array (`read_container` has rejected non-finite entries)."""
+    submodel_id = header.get("submodel")
+    if (header.get("payload") != "scores" or header.get("digest") != digest
+            or not isinstance(submodel_id, str)
+            or list(arrays) != ["raw_score"]
+            or arrays["raw_score"].ndim != 1 or not arrays["raw_score"].size):
+        return None
+    return SubModelScores(raw_score=arrays["raw_score"],
+                          submodel_id=submodel_id)
+
+
+def _parse_scores(path: Path) -> SubModelScores:
     header = {"submodel": "unknown"}
     values: list[np.ndarray] = [np.empty(0)]
 

@@ -2,18 +2,20 @@
 
 import argparse
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgesub import subsampling
 from kgesub.cli import build_parser, main
 from kgesub.config import load_config
 from kgesub.data import read_container, write_container
 from kgesub.models import (ModelKind, init_params, load_params, params_header,
                            save_params)
-from kgesub.subsampling import load_weight_table
+from kgesub.subsampling import load_weight_table, scores_copy_path
 
 from conftest import save_dataset, zipf_kg
 
@@ -33,6 +35,10 @@ FAST = ["--dim", "8", "--steps", "12", "--batch-size", "16", "--nu", "2",
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def no_parse(*args):
+    raise AssertionError("the text was parsed")
 
 
 def rewrite_header(path: Path, field: str, text: str) -> None:
@@ -412,6 +418,48 @@ class TestSubmodelPipeline:
         assert table.provenance.source == "mix"
         assert table.provenance.alpha == 0.1
         assert table.provenance.lam == 0.7
+
+    def test_score_file_is_parsed_once(self, data_dir, tmp_path,
+                                       monkeypatch):
+        """`score-triples` leaves the parsed copy of its file; a
+        `build-weights` reads it, and one that parses writes the same
+        table and the same copy."""
+        sub_dir, score_dir = tmp_path / "sub", tmp_path / "scores"
+        assert run(["pretrain-submodel", "--data", data_dir,
+                    "--run-dir", sub_dir] + FAST) == 0
+        assert run(["score-triples", "--data", data_dir, "--run-dir",
+                    score_dir, "--checkpoint", sub_dir / "submodel.bin"]) == 0
+        scores = score_dir / "scores.tsv"
+        copy = scores_copy_path(scores)
+        written = copy.read_bytes()
+        common = ["build-weights", "--data", data_dir, "--subsampling", "mix",
+                  "--method", "freq", "--alpha", "0.5", "--lambda", "0.5",
+                  "--submodel-scores", scores]
+        with monkeypatch.context() as patch:
+            patch.setattr(subsampling, "parse_text", no_parse)
+            assert run(common + ["--run-dir", tmp_path / "hit"]) == 0
+        copy.unlink()
+        assert run(common + ["--run-dir", tmp_path / "miss"]) == 0
+        assert copy.read_bytes() == written
+        assert (tmp_path / "hit" / "weights.tsv").read_bytes() == (
+            tmp_path / "miss" / "weights.tsv").read_bytes()
+        assert sorted(os.listdir(score_dir)) == [
+            copy.name, "manifest.tsv", "scores.tsv"]
+
+    def test_non_finite_scores_exit_2_and_leave_no_copy(self, data_dir,
+                                                        tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=m\n" + "".join(
+            f"{i}\t{'nan' if i == 5 else 0.5}\n" for i in range(320)),
+            encoding="utf-8")
+        for _ in range(2):
+            assert run(["build-weights", "--data", data_dir, "--run-dir",
+                        tmp_path / "w", "--subsampling", "mbs",
+                        "--method", "freq", "--submodel-scores",
+                        scores]) == 2
+            assert capsys.readouterr().err == (
+                "error: sub-model 'm' produced non-finite scores\n")
+        assert sorted(os.listdir(tmp_path)) == ["scores.tsv", "w"]
 
     @pytest.mark.parametrize("kind, aux", [
         ("distmult", {}), ("hake", {"phase_weight": 0.5})])

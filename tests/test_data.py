@@ -20,7 +20,8 @@ from kgesub.errors import CheckpointError, DataError, KgesubError
 from kgesub.submodel import read_ledger
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 counted_frequencies, load_scores,
-                                save_scores, save_weight_table)
+                                save_scores, save_weight_table,
+                                scores_copy_path)
 
 from conftest import (QueryKey, Triple, answers_of, as_triples,
                       brute_force_query_counts, find, load_triples,
@@ -763,10 +764,16 @@ class TestReplacingWrites:
         path = tmp_path / "artifact"
         good(path)
         before = path.read_bytes()
+        copy = scores_copy_path(path)  # save_scores keeps its parse there
+        copied = copy.read_bytes() if name == "scores" else None
         with pytest.raises((ValueError, TypeError, KeyboardInterrupt)):
             bad(path)
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["artifact"]
+        if name == "scores":
+            assert sorted(os.listdir(tmp_path)) == [copy.name, "artifact"]
+            assert copy.read_bytes() == copied
+        else:
+            assert os.listdir(tmp_path) == ["artifact"]
 
     def test_write_replaces_the_file(self, tmp_path):
         path = tmp_path / "artifact"

@@ -7,6 +7,7 @@ to 1 MiB, must give the oracles' ids, vocabulary order and bitwise
 arrays, or the same exception type and message.
 """
 
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgesub import data
-from kgesub.data import Dataset, Vocab
-from kgesub.errors import DataError, KgesubError
-from kgesub.subsampling import (Provenance, SubsamplingMethod,
+from kgesub import data, subsampling
+from kgesub.data import Dataset, Vocab, read_container, write_container
+from kgesub.errors import DataError, DegenerateInputError, KgesubError
+from kgesub.subsampling import (Provenance, SubModelScores,
+                                SubsamplingMethod, WeightTable,
                                 discounted_weights, load_scores,
-                                load_weight_table, save_weight_table,
+                                load_weight_table, save_scores,
+                                save_weight_table, scores_copy_path,
                                 uniform_weights)
 
 from conftest import (load_triples, make_vocab, oracle_load_scores,
@@ -204,6 +207,18 @@ class TestScores:
             same_scores(outcome(load_scores, path),
                         outcome(oracle_load_scores, path))
 
+    @settings(max_examples=100, deadline=None)
+    @given(blob=text_file(score_row), block=BLOCK)
+    def test_second_load_matches_line_oracle(self, blob, block):
+        """The load after the one that may write the parsed copy."""
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, blob)
+            want = outcome(oracle_load_scores, path)
+            for _ in range(2):
+                same_scores(outcome(load_scores, path), want)
+            assert scores_copy_path(path).exists() == (want[0] == "ok")
+
     @settings(max_examples=3, deadline=None)
     @given(tail=text_file(score_row, start=120_000), block=BIG_BLOCK)
     def test_error_in_a_later_megabyte_block(self, tail, block):
@@ -343,3 +358,213 @@ class TestDatasetArrays:
         ids[0, 0] = 1
         assert ids.flags.writeable
         assert dataset.train.tolist() == [[0, 0, 1]]
+
+
+def no_parse(*args):
+    raise AssertionError("the text was parsed")
+
+
+# finite doubles whose decimals are long, tiny, huge or signed zero
+SCORE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
+                                   0.1, -1 / 3]))
+
+
+class TestScoresCopy:
+    """`load_scores` keeps its parse beside the text and reads it back
+    while the text is unchanged; the copy never changes what a load
+    returns or raises."""
+
+    @pytest.fixture
+    def scores_file(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("# submodel=sé-中\n0\t1.5\n# note\n1\t-0.0\n"
+                        "\n2\t5e-324\n3\t0.1\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def same_as_parse(got, path: Path) -> None:
+        same_scores(("ok", got), outcome(oracle_load_scores, path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(SCORE, min_size=1, max_size=40), block=BLOCK)
+    def test_hit_is_bitwise_the_parse(self, values, block):
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = written(directory, ("# submodel=m\n" + "".join(
+                f"{i}\t{v!r}\n" for i, v in enumerate(values))).encode())
+            first = load_scores(path)
+            assert scores_copy_path(path).is_file()
+            with mock.patch.object(subsampling, "parse_text", no_parse):
+                hit = load_scores(path)
+            for got in (first, hit):
+                self.same_as_parse(got, path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(SCORE, max_size=40), block=BLOCK,
+           name=st.one_of(st.sampled_from(["m", "distmult-none-seed3"]),
+                          st.text(alphabet=list("a =#\t\r\n\x0b\u2028"),
+                                  max_size=6)))
+    def test_saved_file_is_a_hit(self, values, block, name):
+        """The copy that `save_scores` writes is what a parse of its text
+        gives, the id as read back from the header included; an id with
+        a line break gets no copy."""
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(data, "BLOCK_BYTES", block):
+            path = Path(directory) / "scores.tsv"
+            scores = SubModelScores(np.array(values, dtype=np.float64), name)
+            save_scores(scores, path)
+            copied = scores_copy_path(path).exists()
+            assert copied == (bool(values) and not {"\n", "\r"} & set(name))
+            want = outcome(oracle_load_scores, path)
+            with mock.patch.object(subsampling, "parse_text",
+                                   no_parse if copied else data.parse_text):
+                same_scores(outcome(load_scores, path), want)
+            if copied:
+                assert bitwise_equal(want[1].raw_score, scores.raw_score)
+
+    def test_save_writes_the_text_as_before(self, tmp_path):
+        """Block-wise rows are the bytes of one `repr` row at a time, for
+        row counts on both sides of a block."""
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, subsampling._ROWS - 1, subsampling._ROWS,
+                  2 * subsampling._ROWS + 1):
+            raw = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+            path = tmp_path / f"scores{n}.tsv"
+            save_scores(SubModelScores(raw, "m"), path)
+            assert path.read_text(encoding="utf-8") == "# submodel=m\n" + \
+                "".join(f"{i}\t{float(v)!r}\n" for i, v in enumerate(raw))
+            table = WeightTable(a=np.exp(raw / 1e300), b=np.abs(raw) + 1e-9,
+                                provenance=Provenance("mbs", "freq"))
+            save_weight_table(table, path)
+            directions = ("tail-query", "head-query")
+            assert path.read_text(encoding="utf-8") == (
+                f"# {table.provenance.describe()}\n" + "".join(
+                    f"{i}\t{directions[i % 2]}\t{float(table.a[i])!r}\t"
+                    f"{float(table.b[i])!r}\n" for i in range(n)))
+
+    @pytest.mark.parametrize("block", [1, 7, data.BLOCK_BYTES])
+    def test_edit_at_the_same_size_parses_again(self, scores_file, block):
+        with mock.patch.object(data, "BLOCK_BYTES", block):
+            old = load_scores(scores_file)
+            text = scores_file.read_text(encoding="utf-8")
+            scores_file.write_text(text.replace("1.5", "2.5"),
+                                   encoding="utf-8")
+            assert len(text) == len(scores_file.read_text(encoding="utf-8"))
+            got = load_scores(scores_file)
+            self.same_as_parse(got, scores_file)
+            assert got.raw_score[0] == 2.5 != old.raw_score[0]
+            with mock.patch.object(subsampling, "parse_text", no_parse):
+                self.same_as_parse(load_scores(scores_file), scores_file)
+
+    @staticmethod
+    def _crafted(edit):
+        def craft(path: Path) -> None:
+            header, arrays = read_container(path)
+            edit(header, arrays)
+            write_container(path, header, arrays)
+        return craft
+
+    BAD_COPIES = {
+        "truncated": lambda path: path.write_bytes(path.read_bytes()[:-3]),
+        "empty": lambda path: path.write_bytes(b""),
+        "not a container": lambda path: path.write_text("0\t1.5\n"),
+        "wrong payload": _crafted(lambda header, arrays: header.update(
+            payload="dataset")),
+        "no payload": _crafted(lambda header, arrays: header.pop("payload")),
+        "wrong digest": _crafted(lambda header, arrays: header.update(
+            digest="0" * 64)),
+        "id not a string": _crafted(lambda header, arrays: header.update(
+            submodel=7)),
+        "no id": _crafted(lambda header, arrays: header.pop("submodel")),
+        "wrong shape": _crafted(lambda header, arrays: arrays.update(
+            raw_score=arrays["raw_score"].reshape(2, -1))),
+        "no entries": _crafted(lambda header, arrays: arrays.update(
+            raw_score=np.empty(0))),
+        "renamed array": _crafted(lambda header, arrays: arrays.update(
+            scores=arrays.pop("raw_score"))),
+        "second array": _crafted(lambda header, arrays: arrays.update(
+            extra=np.ones(2))),
+        "nan score": _crafted(lambda header, arrays: arrays[
+            "raw_score"].__setitem__(1, np.nan)),
+        "inf score": _crafted(lambda header, arrays: arrays[
+            "raw_score"].__setitem__(0, -np.inf)),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_COPIES))
+    @pytest.mark.parametrize("block", [7, data.BLOCK_BYTES])
+    def test_bad_copy_is_parsed_over_and_rewritten(self, scores_file, name,
+                                                   block):
+        copy = scores_copy_path(scores_file)
+        with mock.patch.object(data, "BLOCK_BYTES", block):
+            load_scores(scores_file)
+            good = copy.read_bytes()
+            self.BAD_COPIES[name](copy)
+            assert copy.read_bytes() != good
+            self.same_as_parse(load_scores(scores_file), scores_file)
+            assert copy.read_bytes() == good
+
+    def test_text_edited_during_the_parse_writes_no_copy(self, scores_file,
+                                                         monkeypatch):
+        old = scores_file.read_bytes()
+        parse = subsampling.parse_text
+
+        def racing(path, rows):  # an edit after the digest was taken
+            scores_file.write_bytes(old.replace(b"1.5", b"2.5"))
+            parse(path, rows)
+
+        monkeypatch.setattr(subsampling, "parse_text", racing)
+        assert load_scores(scores_file).raw_score[0] == 2.5
+        monkeypatch.undo()
+        assert not scores_copy_path(scores_file).exists()
+        self.same_as_parse(load_scores(scores_file), scores_file)
+        assert scores_copy_path(scores_file).exists()
+
+    def test_copy_that_cannot_be_written_is_skipped(self, scores_file):
+        scores_copy_path(scores_file).mkdir()
+        for _ in range(2):
+            self.same_as_parse(load_scores(scores_file), scores_file)
+        save_scores(load_scores(scores_file), scores_file)
+        self.same_as_parse(load_scores(scores_file), scores_file)
+        assert scores_copy_path(scores_file).is_dir()
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs a directory this user cannot write")
+    def test_read_only_directory(self, scores_file):
+        scores_file.parent.chmod(0o555)
+        try:
+            self.same_as_parse(load_scores(scores_file), scores_file)
+            assert os.listdir(scores_file.parent) == [scores_file.name]
+        finally:
+            scores_file.parent.chmod(0o755)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("block", [1, data.BLOCK_BYTES])
+    def test_non_finite_text_writes_no_copy(self, scores_file, value, block):
+        scores_file.write_text(f"# submodel=m\n0\t1.5\n1\t{value}\n",
+                               encoding="utf-8")
+        with mock.patch.object(data, "BLOCK_BYTES", block):
+            for _ in range(2):
+                with pytest.raises(DegenerateInputError,
+                                   match="'m' produced non-finite scores"):
+                    load_scores(scores_file)
+                assert not scores_copy_path(scores_file).exists()
+
+    @pytest.mark.parametrize("bad", [b"2\t1.5\n", b"1\tx\n", b"1\n",
+                                     b"1\t\xff\n"])
+    @pytest.mark.parametrize("block", [1, 7, data.BLOCK_BYTES])
+    def test_bad_text_fails_alike_with_a_stale_copy(self, scores_file, bad,
+                                                    block):
+        with mock.patch.object(data, "BLOCK_BYTES", block):
+            load_scores(scores_file)
+            stale = scores_copy_path(scores_file).read_bytes()
+            scores_file.write_bytes(b"# submodel=m\n0\t1.5\n" + bad)
+            want = outcome(oracle_load_scores, scores_file)
+            assert want[0] is DataError
+            assert want[1].startswith(f"{scores_file}:")  # with its line
+            assert outcome(load_scores, scores_file) == want
+            scores_copy_path(scores_file).unlink()
+            assert outcome(load_scores, scores_file) == want
+            assert not scores_copy_path(scores_file).exists()
+            scores_copy_path(scores_file).write_bytes(stale)
+            assert outcome(load_scores, scores_file) == want
