@@ -5,7 +5,10 @@ score-triples, weights-report, singleton-stats, sweep.
 
 Every run writes its artifacts into one run directory (timestamped
 unless --run-dir pins it) together with a manifest, each artifact
-through `data.replacing`.  train, build-weights, pretrain-submodel and
+through `data.replacing`.  Every setting a command uses is a
+`RunConfig` field, set by a config file or its flag; pretrain-submodel,
+for one, takes the sub-model's kind as --model and its weighting as
+--submodel-subsampling.  train, build-weights, pretrain-submodel and
 sweep also echo the effective configuration; re-feeding that echo
 reproduces the run.
 Exit codes: 0 success, 1 usage or config error, 2 data error,
@@ -29,8 +32,7 @@ from .data import (DIRECTION_NAMES, Dataset, load_dataset, replacing,
                    singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
-from .models import (ModelKind, init_params, load_params, load_tagged_params,
-                     save_params)
+from .models import load_params, load_tagged_params, save_params
 from .subsampling import (Provenance, SubModelScores, SubsamplingMethod,
                           WeightTable, build_cbs_weights, discounted_weights,
                           load_scores, log_model_frequencies, mix_weights,
@@ -99,7 +101,7 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
     source = config.subsampling
     if source == "none":
         return uniform_weights(dataset.num_examples)
-    method = SubsamplingMethod.from_string(config.method)
+    method = SubsamplingMethod(config.method)
     if source == "cbs":
         return build_cbs_weights(dataset, method, config.smoothing)
     if config.mbs_query_mass == "all_candidates":
@@ -151,11 +153,8 @@ def cmd_train(args) -> int:
     weights = _build_weights(config, dataset)
     save_weight_table(weights, run_dir / "weights.tsv")
 
-    kind = ModelKind.from_string(config.model)
-    params = init_params(kind, dataset.num_entities, dataset.num_relations,
-                         config.dim, config.gamma, config.seed,
-                         aux=config.model_aux(),
-                         init_epsilon=config.init_epsilon)
+    params = config.initial_params(dataset.num_entities,
+                                   dataset.num_relations)
     callback = None if config.valid_every <= 0 else (
         lambda params, step: evaluation.evaluate(params, dataset, "valid").mrr)
     result = training.train(dataset, weights, params, config, callback)
@@ -220,14 +219,9 @@ def cmd_build_weights(args) -> int:
 
 
 def cmd_pretrain_submodel(args) -> int:
-    config = _resolve_config(args)
-    # the settings must suit the sub-model's own kind too (an even dim
-    # for the complex kinds); checked before the data load
-    kind = replace(config, model=args.submodel_kind or config.model).model
-    dataset, run_dir = _load_data(config), _make_run_dir(args)
+    config, dataset, run_dir = _start(args)
     save_config(config, run_dir / "config.resolved.cfg")
-    params, sid = submodel.pretrain_submodel(
-        dataset, ModelKind(kind), args.submodel_subsampling, config)
+    params, sid = submodel.pretrain_submodel(dataset, config)
     save_params(params, run_dir / "submodel.bin", tag=sid)
     _write_manifest(run_dir, {
         "config": run_dir / "config.resolved.cfg",
@@ -351,19 +345,16 @@ def cmd_sweep(args) -> int:
                 f"duplicate sub-model id {scores.submodel_id!r}")
         by_id[scores.submodel_id] = path
 
-    method = SubsamplingMethod.from_string(config.method)
+    method = SubsamplingMethod(config.method)
     cbs = build_cbs_weights(dataset, method, config.smoothing)
-    kind = ModelKind.from_string(config.model)
 
     def evaluate_point(scores: SubModelScores, alpha: float,
                        lam: float | None) -> float:
         table = _model_weights(log_model_frequencies(dataset, scores),
                                method, alpha, scores.submodel_id,
                                None if lam is None else (cbs, lam))
-        params = init_params(kind, dataset.num_entities,
-                             dataset.num_relations, config.dim, config.gamma,
-                             config.seed, aux=config.model_aux(),
-                             init_epsilon=config.init_epsilon)
+        params = config.initial_params(dataset.num_entities,
+                                       dataset.num_relations)
         result = training.train(dataset, weights=table, params=params,
                                 config=config)
         mrr = evaluation.evaluate(result.params, dataset, "valid").mrr
@@ -451,13 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("build-weights", cmd_build_weights,
             "write a weight table without training")
 
-    sub = command("pretrain-submodel", cmd_pretrain_submodel, "train a "
-                  "sub-model candidate for model-based subsampling")
-    sub.add_argument("--submodel-kind",
-                     choices=[kind.value for kind in ModelKind])
-    sub.add_argument("--submodel-subsampling",
-                     choices=list(submodel.SUBMODEL_SUBSAMPLING),
-                     default="none")
+    command("pretrain-submodel", cmd_pretrain_submodel, "train a "
+            "sub-model candidate for model-based subsampling")
 
     sub = command("score-triples", cmd_score_triples,
                   "score the training set under a frozen sub-model")

@@ -28,7 +28,8 @@ from pathlib import Path
 
 from .data import replacing
 from .errors import ConfigError
-from .models import INIT_EPSILON, ModelKind, default_aux, relation_dim
+from .models import (INIT_EPSILON, ModelKind, ModelParams, default_aux,
+                     init_params, relation_dim)
 
 DATA_ROOT_ENV = "KGESUB_DATA_ROOT"
 
@@ -94,6 +95,10 @@ class RunConfig:
     mbs_query_mass: str = _setting("observed", "subsampling", _WEIGHTS,
                                    choices=("observed", "all_candidates"))
     submodel_checkpoint: str = _setting("", "subsampling", _WEIGHTS)
+    # the weights a sub-model candidate is pre-trained under
+    submodel_subsampling: str = _setting("none", "subsampling",
+                                         ("pretrain-submodel",),
+                                         choices=("none", "cbs-base"))
 
     def __post_init__(self) -> None:
         validate_config(self)
@@ -108,7 +113,15 @@ class RunConfig:
     def model_aux(self) -> dict[str, float]:
         """The auxiliary settings of the configured model kind."""
         return {key: getattr(self, key)
-                for key in default_aux(ModelKind.from_string(self.model))}
+                for key in default_aux(ModelKind(self.model))}
+
+    def initial_params(self, num_entities: int,
+                       num_relations: int) -> ModelParams:
+        """The seeded initial parameters of the configured model."""
+        return init_params(ModelKind(self.model), num_entities,
+                           num_relations, self.dim, self.gamma, self.seed,
+                           aux=self.model_aux(),
+                           init_epsilon=self.init_epsilon)
 
     def rate_at(self, step: int) -> float:
         if self.lr_decay_every <= 0:
@@ -152,7 +165,7 @@ def validate_config(config: RunConfig) -> None:
     for name in _SETTINGS:
         check_setting(name, getattr(config, name))
     try:  # the complex kinds split each embedding into two halves
-        relation_dim(ModelKind.from_string(config.model), config.dim)
+        relation_dim(ModelKind(config.model), config.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     source = config.subsampling

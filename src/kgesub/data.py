@@ -25,8 +25,8 @@ are a contiguous range of the filter index's examples.
 
 `load_dataset` keeps its parse beside the text as `.kgesub-dataset.bin`,
 in the binary container of checkpoints, and reads that copy while the
-SHA-256 of the splits is unchanged; `subsampling.load_scores` keeps one
-beside each score file the same way, and `content_digest` keys both.
+SHA-256 of the splits is unchanged, through `kept_parse`, which the
+score files of `subsampling` use too; `content_digest` keys both.
 Artifacts are written through
 `replacing`: a reader finds the old file or the new, never a torn one.
 `read_container` rejects a header that is not strict JSON (no NaN or
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, TypeVar
 
 import numpy as np
 
@@ -65,6 +65,7 @@ SPLITS = ("train", "valid", "test")
 COPY_NAME = ".kgesub-dataset.bin"  # the parsed copy in a dataset directory
 COPY_VERSION = 1  # of the parse rules: a change must bump it
 _DATASET_TAG = f"kgesub-dataset {COPY_VERSION}"  # of the copy's digest
+_T = TypeVar("_T")
 
 
 class Direction(enum.IntEnum):
@@ -418,23 +419,41 @@ def load_dataset(directory: str | Path) -> Dataset:
     evaluation candidates cover every known entity.  The parse is kept
     as `COPY_NAME` and read back while the text is unchanged.
     """
-    directory, digest = Path(directory), None
-    paths = [directory / f"{split}.txt" for split in SPLITS]
+    paths = [Path(directory) / f"{split}.txt" for split in SPLITS]
+
+    def parse() -> Dataset:
+        to_ids: list[dict[str, int]] = [{}, {}]  # of entities, relations
+        splits = [_parse_triples(path, *to_ids) for path in paths]
+        return Dataset(*splits, vocab=Vocab(*map(tuple, to_ids)))
+
+    return kept_parse(Path(directory) / COPY_NAME, _DATASET_TAG, paths,
+                      parse, _copied, _packed)
+
+
+def kept_parse(copy: Path, tag: str, paths: list[Path],
+               parse: Callable[[], _T], unpack: Callable[..., _T | None],
+               pack: Callable[[_T], tuple[dict, dict]]) -> _T:
+    """`parse()` of the files `paths`, kept as the container `copy`.
+
+    The copy's `unpack(header, arrays)` stands in for the parse while its
+    header holds `content_digest(tag, paths)` and the unpack is not None.
+    Otherwise the parse is kept as `pack(value)`, a header and arrays,
+    unless the text changed during the parse or the copy cannot be
+    written.
+    """
+    digest = None
     with suppress(OSError, CheckpointError):  # the parse raises, if any
-        digest = content_digest(_DATASET_TAG, paths)
-        if dataset := _copied(digest, *read_container(directory / COPY_NAME)):
-            return dataset
-    to_ids: list[dict[str, int]] = [{}, {}]  # of entities, relations
-    splits = [_parse_triples(path, *to_ids) for path in paths]
-    dataset = Dataset(*splits, vocab=Vocab(*map(tuple, to_ids)))
-    with suppress(OSError):  # not if a split changed during the parse
-        if digest and digest == content_digest(_DATASET_TAG, paths):
-            write_container(directory / COPY_NAME, {
-                "payload": "dataset", "digest": digest,
-                "entities": "\t".join(dataset.vocab.entity_labels),
-                "relations": "\t".join(dataset.vocab.relation_labels)},
-                {split: getattr(dataset, split) for split in SPLITS})
-    return dataset
+        digest = content_digest(tag, paths)
+        header, arrays = read_container(copy)
+        if header.get("digest") == digest and (
+                value := unpack(header, arrays)) is not None:
+            return value
+    value = parse()
+    with suppress(OSError):  # not if the text changed during the parse
+        if digest and digest == content_digest(tag, paths):
+            header, arrays = pack(value)
+            write_container(copy, dict(header, digest=digest), arrays)
+    return value
 
 
 def content_digest(tag: str, paths: Iterable[str | Path]) -> str:
@@ -449,13 +468,18 @@ def content_digest(tag: str, paths: Iterable[str | Path]) -> str:
     return digest.hexdigest()
 
 
-def _copied(digest: str, header: dict,
-            arrays: dict[str, np.ndarray]) -> Dataset | None:
-    """The dataset of a parsed copy made for `digest`, None when the
-    copy is for other text or is not a valid dataset."""
+def _packed(dataset: Dataset) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and arrays of a dataset's parsed copy."""
+    return {"payload": "dataset",
+            "entities": "\t".join(dataset.vocab.entity_labels),
+            "relations": "\t".join(dataset.vocab.relation_labels)}, {
+                split: getattr(dataset, split) for split in SPLITS}
+
+
+def _copied(header: dict, arrays: dict[str, np.ndarray]) -> Dataset | None:
+    """The dataset of a parsed copy, None when it is not a valid one."""
     labels = [header.get("entities"), header.get("relations")]
-    if (header.get("digest") != digest
-            or not all(isinstance(names, str) for names in labels)):
+    if not all(isinstance(names, str) for names in labels):
         return None
     labels = [tuple(names.split("\t")) for names in labels]  # never empty
     if any(len(set(names)) != len(names) for names in labels):

@@ -76,13 +76,6 @@ class ModelKind(enum.Enum):
     DISTMULT = "distmult"
     HAKE = "hake"
 
-    @classmethod
-    def from_string(cls, name: str) -> "ModelKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown model kind: {name!r}") from None
-
 
 _COMPLEX_KINDS = {ModelKind.ROTATE, ModelKind.COMPLEX, ModelKind.HAKE}
 

@@ -2,10 +2,12 @@
 drives model-based subsampling.
 
 The sub-model is an ordinary embedding model trained up front (with no
-subsampling or with count-based Base weights), then frozen.  Its raw
-scores over the training examples are persisted so the expensive
-pre-training runs once per candidate, and weight construction only ever
-reads the score file.
+subsampling or with count-based Base weights), then frozen.  Its kind
+and weighting are settings like any other, `[model] kind` and
+`[subsampling] submodel_subsampling`, so the echoed configuration of a
+pre-training run reproduces it.  Its raw scores over the training
+examples are persisted so the expensive pre-training runs once per
+candidate, and weight construction only ever reads the score file.
 
 Selection is a two-stage grid search on validation MRR: first the best
 (sub-model, temperature) pair under model-based weights, then, with
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,43 +28,32 @@ import numpy as np
 from .config import RunConfig
 from .data import Dataset, text_lines
 from .errors import DataError
-from .models import (ModelKind, ModelParams, check_vocab, init_params,
-                     iter_candidate_scores, score_triples)
+from .models import (ModelParams, check_vocab, iter_candidate_scores,
+                     score_triples)
 from .subsampling import (SubModelScores, SubsamplingMethod,
                           build_cbs_weights, log_frequency_offset, logsumexp,
                           uniform_weights)
 from .training import train
 
-SUBMODEL_SUBSAMPLING = ("none", "cbs-base")
 
-
-def submodel_id(kind: ModelKind, subsampling: str, seed: int) -> str:
-    return f"{kind.value}-{subsampling}-seed{seed}"
-
-
-def pretrain_submodel(dataset: Dataset, kind: ModelKind, subsampling: str,
+def pretrain_submodel(dataset: Dataset,
                       config: RunConfig) -> tuple[ModelParams, str]:
-    """Train a sub-model candidate and tag it with its provenance id.
+    """Train the sub-model candidate that `config` describes and tag it
+    with its provenance id, `<kind>-<weighting>-seed<seed>`.
 
-    `subsampling` is restricted to the candidate grid: "none" or
-    "cbs-base".  Every other setting comes from `config`; the auxiliary
-    ones are those of `kind`, whatever `config.model` is.
+    The candidate is of kind `config.model`, trained under
+    `config.submodel_subsampling` weights: none, or count-based Base.
     """
-    if subsampling not in SUBMODEL_SUBSAMPLING:
-        raise ValueError(f"sub-model subsampling must be one of "
-                         f"{SUBMODEL_SUBSAMPLING}, got {subsampling!r}")
-    config = replace(config, model=kind.value)
-    if subsampling == "cbs-base":
+    if config.submodel_subsampling == "cbs-base":
         weights = build_cbs_weights(dataset, SubsamplingMethod.BASE,
                                     config.smoothing)
     else:
         weights = uniform_weights(dataset.num_examples)
-    params = init_params(kind, dataset.num_entities, dataset.num_relations,
-                         config.dim, config.gamma, config.seed,
-                         aux=config.model_aux(),
-                         init_epsilon=config.init_epsilon)
+    params = config.initial_params(dataset.num_entities,
+                                   dataset.num_relations)
     result = train(dataset, weights, params, config)
-    return result.params, submodel_id(kind, subsampling, config.seed)
+    return result.params, (f"{config.model}-{config.submodel_subsampling}"
+                           f"-seed{config.seed}")
 
 
 def score_training_triples(submodel: ModelParams, dataset: Dataset,

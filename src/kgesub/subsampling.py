@@ -29,26 +29,26 @@ Weight construction is a pure function of its frozen inputs, and the
 resulting tables are immutable and safe for concurrent readers.
 
 Weight tables and score files are text, written a block of rows at a
-time.  `load_scores` keeps each score file's parse beside it as a
-container (`scores_copy_path`) and reads that copy back while the
-text's digest is unchanged, as `data.load_dataset` does for a dataset;
-`save_scores` writes the copy with the text.
+time.  A score file's header gives the sub-model id as the rest of its
+line, so an id may hold spaces but no tab or line break.
+`load_scores` keeps each score file's parse beside it as a container
+(`scores_copy_path`) through `data.kept_parse`, as `data.load_dataset`
+does for a dataset; `save_scores` writes the copy with the text.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
-from .data import (DIRECTION_NAMES, Dataset, content_digest, parse_text,
-                   read_container, replacing, split_fields, write_container)
-from .errors import CheckpointError, DataError, DegenerateInputError
+from .data import (DIRECTION_NAMES, Dataset, kept_parse, parse_text,
+                   replacing, split_fields)
+from .errors import DataError, DegenerateInputError
 
 # Hyper-parameter search grids.
 ALPHA_GRID = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
@@ -57,7 +57,10 @@ LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _TINY = np.finfo(np.float64).tiny
 _ROWS = 1 << 14  # table rows formatted and written at once
 # of a score copy's digest; a change to the score parse rules must bump it
-_SCORES_TAG = "kgesub-scores 1"
+_SCORES_TAG = "kgesub-scores 2"
+_SUBMODEL = "# submodel="  # a score file's header, before the id
+# not in a sub-model id: a tab splits a ledger row, a line break a header
+_ID_BREAKS = frozenset("\t\n\r")
 
 
 class SubsamplingMethod(enum.Enum):
@@ -65,13 +68,6 @@ class SubsamplingMethod(enum.Enum):
     BASE = "base"
     FREQ = "freq"
     UNIQ = "uniq"
-
-    @classmethod
-    def from_string(cls, name: str) -> "SubsamplingMethod":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown subsampling method: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -110,9 +106,12 @@ class SubModelScores:
     """Raw scores of every training example under a frozen sub-model."""
 
     raw_score: np.ndarray  # (2 * |train|,)
-    submodel_id: str
+    submodel_id: str  # holds none of `_ID_BREAKS`
 
     def __post_init__(self) -> None:
+        if _ID_BREAKS.intersection(self.submodel_id):
+            raise DataError(f"sub-model id {self.submodel_id!r} holds a tab "
+                            "or a line break")
         if not np.all(np.isfinite(self.raw_score)):
             raise DegenerateInputError(
                 f"sub-model {self.submodel_id!r} produced non-finite scores")
@@ -340,65 +339,46 @@ def scores_copy_path(path: str | Path) -> Path:
 
 
 def save_scores(scores: SubModelScores, path: str | Path) -> None:
-    """`example_id<TAB>raw_score` rows with a provenance header, and the
-    parsed copy of those bytes beside them, so that the first
-    `load_scores` of the file reads the copy.
-
-    The copy holds the id as a parse reads it back (up to the first
-    whitespace); an id that breaks the header line, or no scores, gets
-    no copy.
-    """
-    header = f"# submodel={scores.submodel_id}"
+    """`example_id<TAB>raw_score` rows behind a `# submodel=<id>` header,
+    and the parsed copy of those bytes beside them, so that the first
+    `load_scores` of the file reads the copy.  No scores, no copy."""
     with replacing(path) as fh:
-        fh.write(header + "\n")
+        fh.write(f"{_SUBMODEL}{scores.submodel_id}\n")
         _write_rows(fh, scores.raw_score)
-        fh.flush()
-        digest = content_digest(_SCORES_TAG, [fh.name])
-    if len(scores.raw_score) and not {"\n", "\r"} & set(header):
-        with suppress(OSError):  # the copy is optional
-            _write_scores_copy(path, digest, scores.raw_score,
-                               _header_fields(header)["submodel"])
+    if len(scores.raw_score):  # `scores` is the parse of that text
+        _kept_scores(Path(path), lambda: scores)
 
 
 def load_scores(path: str | Path) -> SubModelScores:
-    """Read a file written by `save_scores`; scores must be finite.
+    """Read a file written by `save_scores`; scores must be finite.  The
+    id is the rest of the header line.
 
     The parse is kept as `scores_copy_path(path)` and read back while
     the text is unchanged: a SHA-256 of the parse rules' version, then
-    of the text's length and bytes, keys it.  A copy that is for other
-    text or is not valid is parsed over and written again, as is a
-    missing one, except when the text changed during the parse or the
-    directory cannot be written.
+    of the text's length and bytes, keys it.
     """
-    path, digest = Path(path), None
-    with suppress(OSError, CheckpointError):  # the parse raises, if any
-        digest = content_digest(_SCORES_TAG, [path])
-        header, arrays = read_container(scores_copy_path(path))
-        if scores := _copied_scores(digest, header, arrays):
-            return scores
-    scores = _parse_scores(path)
-    with suppress(OSError):  # not if the text changed during the parse
-        if digest and digest == content_digest(_SCORES_TAG, [path]):
-            _write_scores_copy(path, digest, scores.raw_score,
-                               scores.submodel_id)
-    return scores
+    path = Path(path)
+    return _kept_scores(path, lambda: _parse_scores(path))
 
 
-def _write_scores_copy(path: str | Path, digest: str, raw: np.ndarray,
-                       submodel_id: str) -> None:
-    write_container(scores_copy_path(path), {
-        "payload": "scores", "digest": digest, "submodel": submodel_id},
-        {"raw_score": raw})
+def _kept_scores(path: Path,
+                 parse: Callable[[], SubModelScores]) -> SubModelScores:
+    """`parse()` of the score file `path`, kept beside it."""
+    return kept_parse(scores_copy_path(path), _SCORES_TAG, [path], parse,
+                      _copied_scores, lambda scores: ({
+                          "payload": "scores", "submodel": scores.submodel_id},
+                          {"raw_score": scores.raw_score}))
 
 
-def _copied_scores(digest: str, header: dict,
-                   arrays: dict[str, np.ndarray]) -> SubModelScores | None:
-    """The scores of a parsed copy made for `digest`, None when the copy
-    is for other text or does not hold one id and one non-empty flat
-    array (`read_container` has rejected non-finite entries)."""
+def _copied_scores(header: dict, arrays: dict[str, np.ndarray]
+                   ) -> SubModelScores | None:
+    """The scores of a parsed copy, None when it does not hold one valid
+    id and one non-empty flat array (`read_container` has rejected
+    non-finite entries)."""
     submodel_id = header.get("submodel")
-    if (header.get("payload") != "scores" or header.get("digest") != digest
+    if (header.get("payload") != "scores"
             or not isinstance(submodel_id, str)
+            or _ID_BREAKS.intersection(submodel_id)
             or list(arrays) != ["raw_score"]
             or arrays["raw_score"].ndim != 1 or not arrays["raw_score"].size):
         return None
@@ -412,7 +392,8 @@ def _parse_scores(path: Path) -> SubModelScores:
 
     def parse(rows: list[str], comments: list[str], start: int) -> None:
         for line in comments:
-            header.update(_header_fields(line))
+            if line.startswith(_SUBMODEL):
+                header["submodel"] = line[len(_SUBMODEL):].rstrip("\n")
         fields = split_fields(rows, 2, "expected 2 fields")
         _check_dense(fields[0::2], start)
         values.append(_floats(fields[1::2]))

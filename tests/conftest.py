@@ -861,9 +861,9 @@ def oracle_load_scores(path) -> SubModelScores:
     values: list[float] = []
     for lineno, line in _oracle_text_lines(path):
         if line.startswith("#"):
-            fields = dict(item.split("=", 1)
-                          for item in line[1:].split() if "=" in item)
-            submodel_id = fields.get("submodel", submodel_id)
+            # the id is the rest of its header line
+            if line.startswith("# submodel="):
+                submodel_id = line[len("# submodel="):]
             continue
         parts = line.split("\t")
         if len(parts) != 2:

@@ -289,10 +289,10 @@ def test_c6_desk_scale_subsampling_direction():
         wins += weighted >= baseline
 
     # model-based and mixed pipelines, end to end
-    sub_config = RunConfig(nu=4, batch_size=64, steps=600,
+    sub_config = RunConfig(model="complex", submodel_subsampling="none",
+                           nu=4, batch_size=64, steps=600,
                            learning_rate=0.05, seed=1, dim=24, gamma=6.0)
-    sub_params, sid = pretrain_submodel(dataset, ModelKind.COMPLEX, "none",
-                                        config=sub_config)
+    sub_params, sid = pretrain_submodel(dataset, sub_config)
     scores = score_training_triples(sub_params, dataset, sid)
     mbs = mbs_weights(log_model_frequencies(dataset, scores),
                       SubsamplingMethod.BASE, alpha=0.5, submodel_id=sid)

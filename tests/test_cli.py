@@ -128,9 +128,13 @@ class TestExitCodes:
         (["train", "--seed", "-1"], ""),
         (["sweep", "--alpha-grid", "0"], ""),
         (["sweep", "--lambda-grid", "1.5"], ""),
+        (["pretrain-submodel", "--submodel-subsampling", "uniq"], ""),
+        (["pretrain-submodel"],
+         "[subsampling]\nsubmodel_subsampling = uniq\n"),
     ], ids=["adversarial_beta", "gamma", "init_epsilon", "learning_rate",
             "smoothing", "adam_beta1", "norm_p", "seed", "alpha_grid",
-            "lambda_grid"])
+            "lambda_grid", "submodel_subsampling_flag",
+            "submodel_subsampling_file"])
     def test_bad_setting_is_exit_1(self, data_dir, tmp_path, capsys, argv,
                                    config_text):
         """An out-of-range setting is a config error, not a traceback or
@@ -149,9 +153,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "rotate"], ["train", "--model", "complex"],
         ["train", "--model", "hake"],
-        ["pretrain-submodel", "--submodel-kind", "rotate"],
-        ["pretrain-submodel", "--submodel-kind", "complex"],
-        ["pretrain-submodel", "--submodel-kind", "hake"],
+        ["pretrain-submodel", "--model", "rotate"],
+        ["pretrain-submodel", "--model", "complex"],
+        ["pretrain-submodel", "--model", "hake"],
     ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
     def test_odd_dim_for_complex_kind_is_exit_1(self, tmp_path, capsys,
                                                 argv):
@@ -393,7 +397,7 @@ class TestSubmodelPipeline:
     def test_full_mbs_and_mix_flow(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
-                    "--run-dir", sub_dir, "--submodel-kind", "complex",
+                    "--run-dir", sub_dir, "--model", "complex",
                     "--submodel-subsampling", "none"] + FAST) == 0
         score_dir = tmp_path / "scores"
         assert run(["score-triples", "--data", data_dir,
@@ -418,6 +422,60 @@ class TestSubmodelPipeline:
         assert table.provenance.source == "mix"
         assert table.provenance.alpha == 0.1
         assert table.provenance.lam == 0.7
+
+    def test_refed_echo_reproduces_the_submodel(self, data_dir, tmp_path,
+                                                capsys):
+        """The kind and weighting are settings: re-feeding the echoed
+        config trains the same sub-model under the same id."""
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    tmp_path / "one", "--model", "complex",
+                    "--submodel-subsampling", "cbs-base"] + FAST) == 0
+        first = capsys.readouterr().out
+        assert run(["pretrain-submodel", "--config",
+                    tmp_path / "one" / "config.resolved.cfg",
+                    "--run-dir", tmp_path / "two"]) == 0
+        second = capsys.readouterr().out
+        assert first.startswith("sub-model complex-cbs-base-seed3 in ")
+        assert second.split(" in ")[0] == first.split(" in ")[0]
+        assert (tmp_path / "one" / "submodel.bin").read_bytes() == (
+            tmp_path / "two" / "submodel.bin").read_bytes()
+
+    def test_submodel_id_is_read_back_whole(self, data_dir, tmp_path,
+                                            capsys):
+        """An untagged checkpoint's file name with a space is one id in
+        `score-triples`' output, the score file and the sweep ledger."""
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    tmp_path / "sub"] + FAST) == 0
+        checkpoint = tmp_path / "my model.bin"
+        save_params(load_params(tmp_path / "sub" / "submodel.bin"),
+                    checkpoint)
+        capsys.readouterr()
+        assert run(["score-triples", "--data", data_dir, "--checkpoint",
+                    checkpoint, "--run-dir", tmp_path / "scores"]) == 0
+        assert " under my model; " in capsys.readouterr().out
+        scores = tmp_path / "scores" / "scores.tsv"
+        assert subsampling.load_scores(scores).submodel_id == "my model"
+        scores_copy_path(scores).unlink()
+        assert subsampling.load_scores(scores).submodel_id == "my model"
+        assert run(["sweep", "--data", data_dir, "--method", "freq",
+                    "--submodel-scores", scores, "--alpha-grid", "0.5",
+                    "--lambda-grid", "0.5", "--run-dir", tmp_path / "sweep"]
+                   + FAST) == 0
+        ledger = (tmp_path / "sweep" / "ledger.tsv").read_text("utf-8")
+        assert [row.split("\t")[0] for row in ledger.splitlines()] == [
+            "my model"]
+
+    def test_id_with_a_tab_is_exit_2(self, data_dir, tmp_path, capsys):
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    tmp_path / "sub"] + FAST) == 0
+        checkpoint = tmp_path / "my\tmodel.bin"
+        save_params(load_params(tmp_path / "sub" / "submodel.bin"),
+                    checkpoint)
+        assert run(["score-triples", "--data", data_dir, "--checkpoint",
+                    checkpoint, "--run-dir", tmp_path / "scores"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sub-model id 'my\\tmodel' holds a tab or a line break\n")
+        assert not (tmp_path / "scores" / "scores.tsv").exists()
 
     def test_score_file_is_parsed_once(self, data_dir, tmp_path,
                                        monkeypatch):
@@ -465,11 +523,11 @@ class TestSubmodelPipeline:
         ("distmult", {}), ("hake", {"phase_weight": 0.5})])
     def test_submodel_aux_follows_its_kind(self, data_dir, tmp_path, kind,
                                            aux):
-        """Under the default --model transe, the sub-model's checkpoint
-        header holds the auxiliary settings of its own kind."""
+        """The sub-model's checkpoint header holds the auxiliary settings
+        of its own kind."""
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
-                    "--run-dir", sub_dir, "--submodel-kind", kind]
+                    "--run-dir", sub_dir, "--model", kind]
                    + FAST) == 0
         assert load_params(sub_dir / "submodel.bin").aux == aux
 
@@ -491,7 +549,7 @@ class TestReportCommands:
                     "--method", "freq", "--smoothing", "0"]) == 0
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
-                    "--run-dir", sub_dir, "--submodel-kind", "distmult"]
+                    "--run-dir", sub_dir, "--model", "distmult"]
                    + FAST) == 0
         score_dir = tmp_path / "scores"
         assert run(["score-triples", "--data", data_dir,
@@ -571,7 +629,7 @@ class TestSweepCommand:
     def test_sweep_selects_and_resumes(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
-                    "--run-dir", sub_dir, "--submodel-kind", "distmult"]
+                    "--run-dir", sub_dir, "--model", "distmult"]
                    + FAST) == 0
         score_dir = tmp_path / "scores"
         assert run(["score-triples", "--data", data_dir,
@@ -625,7 +683,7 @@ class TestSweepResumesTornLedger:
         selection equal those of an uninterrupted sweep."""
         sub_dir, score_dir = tmp_path / "sub", tmp_path / "scores"
         assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
-                    sub_dir, "--submodel-kind", "distmult"] + FAST) == 0
+                    sub_dir, "--model", "distmult"] + FAST) == 0
         assert run(["score-triples", "--data", data_dir, "--run-dir",
                     score_dir, "--checkpoint", sub_dir / "submodel.bin"]) == 0
         sweep_dir = tmp_path / "sweep"
@@ -700,7 +758,7 @@ class TestAllCandidatesSwitch:
     def test_mbs_from_submodel_checkpoint(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
-                    "--run-dir", sub_dir, "--submodel-kind", "distmult"]
+                    "--run-dir", sub_dir, "--model", "distmult"]
                    + FAST) == 0
         run_dir = tmp_path / "mbs-all"
         code = run(["train", "--data", data_dir, "--run-dir", run_dir,
@@ -832,7 +890,7 @@ class TestSweepSingletonGrid:
     def test_one_by_one_grid_records_one_run(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
-                    "--run-dir", sub_dir, "--submodel-kind", "transe"]
+                    "--run-dir", sub_dir, "--model", "transe"]
                    + FAST) == 0
         score_dir = tmp_path / "scores"
         assert run(["score-triples", "--data", data_dir,
@@ -907,8 +965,7 @@ PARSER_TABLE = {
                  ("--split", "split", None, ["valid", "test"])],
     "build-weights": SUBSAMPLING,
     "pretrain-submodel": MODEL_AND_TRAIN + [
-        ("--submodel-kind", "submodel_kind", None, MODELS),
-        ("--submodel-subsampling", "submodel_subsampling", None,
+        ("--submodel-subsampling", "submodel_subsampling", "str",
          ["none", "cbs-base"])],
     "score-triples": [("--checkpoint", "checkpoint", None, None)],
     "weights-report": [("--cbs-weights", "cbs_weights", None, None),

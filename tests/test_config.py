@@ -21,7 +21,8 @@ EVERY_KEY = RunConfig(
     seed=7, valid_every=50, lr_decay_every=100, lr_decay_factor=0.1,
     subsampling="mix", method="uniq", alpha=0.05, lam=0.3,
     submodel_scores="runs/scores/scores.tsv", mbs_query_mass="all_candidates",
-    submodel_checkpoint="runs/sub/submodel.bin")
+    submodel_checkpoint="runs/sub/submodel.bin",
+    submodel_subsampling="cbs-base")
 EVERY_KEY_FILE = """\
 [data]
 dir = data/fb15k237
@@ -58,6 +59,7 @@ lambda = 0.3
 submodel_scores = runs/scores/scores.tsv
 mbs_query_mass = all_candidates
 submodel_checkpoint = runs/sub/submodel.bin
+submodel_subsampling = cbs-base
 
 """
 
@@ -180,9 +182,15 @@ class TestDataRoot:
         assert str(config.resolved_data_dir()) == "relative/dir"
 
 
+# the command whose flag each setting is reached by: `train`'s, but for
+# the settings that only another command takes
+REACHED_BY = {"submodel_subsampling": "pretrain-submodel"}
+
+
 def test_every_field_is_reachable_from_a_file_and_a_flag(tmp_path):
-    """The every-key file and `train` with every setting's flag both give
-    EVERY_KEY, which differs from the defaults in every field."""
+    """The every-key file gives EVERY_KEY, which differs from the
+    defaults in every field, and so do the flags of `train` and
+    `pretrain-submodel`, each setting its own fields."""
     defaults = RunConfig()
     assert all(getattr(EVERY_KEY, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(RunConfig))
@@ -191,10 +199,16 @@ def test_every_field_is_reachable_from_a_file_and_a_flag(tmp_path):
     path = tmp_path / "every.cfg"
     path.write_text(EVERY_KEY_FILE, encoding="utf-8")
     assert load_config(path) == EVERY_KEY
-    argv = ["train"]
-    for field in dataclasses.fields(RunConfig):
-        argv += [flag_name(field), str(getattr(EVERY_KEY, field.name))]
-    assert _resolve_config(build_parser().parse_args(argv)) == EVERY_KEY
+    values = {}
+    for command in ("train", "pretrain-submodel"):
+        taken = [f for f in dataclasses.fields(RunConfig)
+                 if REACHED_BY.get(f.name, "train") == command]
+        argv = [command]
+        for field in taken:
+            argv += [flag_name(field), str(getattr(EVERY_KEY, field.name))]
+        config = _resolve_config(build_parser().parse_args(argv))
+        values.update((f.name, getattr(config, f.name)) for f in taken)
+    assert RunConfig(**values) == EVERY_KEY
 
 
 def test_readme_lists_every_key(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from kgesub.config import RunConfig
 from kgesub.data import Dataset
-from kgesub.errors import DataError, VocabMismatchError
+from kgesub.errors import ConfigError, DataError, VocabMismatchError
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import (GridRecord, append_ledger, pretrain_submodel,
                              read_ledger, score_training_triples,
@@ -21,9 +21,9 @@ from conftest import mbs_weights
 
 class TestPretrain:
     def test_zero_steps_yields_usable_scores(self, toy_dataset):
-        params, sid = pretrain_submodel(
-            toy_dataset, ModelKind.DISTMULT, "none",
-            config=RunConfig(dim=4, gamma=1.0, steps=0, seed=3))
+        params, sid = pretrain_submodel(toy_dataset, RunConfig(
+            model="distmult", submodel_subsampling="none", dim=4, gamma=1.0,
+            steps=0, seed=3))
         scores = score_training_triples(params, toy_dataset, sid)
         assert scores.raw_score.shape == (6,)
         assert np.all(np.isfinite(scores.raw_score))
@@ -31,10 +31,9 @@ class TestPretrain:
 
     def test_same_seed_identical_downstream_weights(self, toy_dataset):
         def build():
-            params, sid = pretrain_submodel(
-                toy_dataset, ModelKind.COMPLEX, "none",
-                config=RunConfig(dim=4, gamma=1.0, steps=8, batch_size=4,
-                                 nu=2, seed=5))
+            params, sid = pretrain_submodel(toy_dataset, RunConfig(
+                model="complex", submodel_subsampling="none", dim=4,
+                gamma=1.0, steps=8, batch_size=4, nu=2, seed=5))
             scores = score_training_triples(params, toy_dataset, sid)
             return mbs_weights(log_model_frequencies(toy_dataset, scores),
                                SubsamplingMethod.FREQ, 0.5)
@@ -43,16 +42,15 @@ class TestPretrain:
         assert np.array_equal(one.b, two.b)
 
     def test_cbs_base_candidate_supported(self, toy_dataset):
-        params, sid = pretrain_submodel(
-            toy_dataset, ModelKind.TRANSE, "cbs-base",
-            config=RunConfig(dim=4, gamma=1.0, steps=4, batch_size=4, nu=2,
-                             seed=1, smoothing=0.0))
+        params, sid = pretrain_submodel(toy_dataset, RunConfig(
+            model="transe", submodel_subsampling="cbs-base", dim=4,
+            gamma=1.0, steps=4, batch_size=4, nu=2, seed=1, smoothing=0.0))
         assert sid.startswith("transe-cbs-base")
 
-    def test_unknown_subsampling_rejected(self, toy_dataset):
-        with pytest.raises(ValueError):
-            pretrain_submodel(toy_dataset, ModelKind.TRANSE, "uniq",
-                              config=RunConfig(dim=4, gamma=1.0, steps=0))
+    def test_unknown_subsampling_rejected(self):
+        with pytest.raises(ConfigError, match="submodel_subsampling"):
+            RunConfig(model="transe", submodel_subsampling="uniq", dim=4,
+                      gamma=1.0, steps=0)
 
 
 class TestScoreTrainingTriples:
@@ -113,10 +111,9 @@ class TestDegenerateSubmodel:
     def test_frozen_scores_round_trip_reproduce_weights(self, tmp_path,
                                                         toy_dataset):
         """Weights from persisted scores equal weights from live scores."""
-        params, sid = pretrain_submodel(
-            toy_dataset, ModelKind.COMPLEX, "none",
-            config=RunConfig(dim=4, gamma=1.0, steps=5, batch_size=4, nu=2,
-                             seed=8))
+        params, sid = pretrain_submodel(toy_dataset, RunConfig(
+            model="complex", submodel_subsampling="none", dim=4, gamma=1.0,
+            steps=5, batch_size=4, nu=2, seed=8))
         live = score_training_triples(params, toy_dataset, sid)
         path = tmp_path / "scores.tsv"
         save_scores(live, path)

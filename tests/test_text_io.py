@@ -407,21 +407,27 @@ class TestScoresCopy:
                                   max_size=6)))
     def test_saved_file_is_a_hit(self, values, block, name):
         """The copy that `save_scores` writes is what a parse of its text
-        gives, the id as read back from the header included; an id with
-        a line break gets no copy."""
+        gives, the whole id included; an id with a tab or a line break
+        is refused before anything is written, and no scores get no
+        copy."""
+        raw = np.array(values, dtype=np.float64)
+        if {"\t", "\n", "\r"} & set(name):
+            with pytest.raises(DataError, match="tab or a line break"):
+                SubModelScores(raw, name)
+            return
         with tempfile.TemporaryDirectory() as directory, \
                 mock.patch.object(data, "BLOCK_BYTES", block):
             path = Path(directory) / "scores.tsv"
-            scores = SubModelScores(np.array(values, dtype=np.float64), name)
-            save_scores(scores, path)
+            save_scores(SubModelScores(raw, name), path)
             copied = scores_copy_path(path).exists()
-            assert copied == (bool(values) and not {"\n", "\r"} & set(name))
+            assert copied == bool(values)
             want = outcome(oracle_load_scores, path)
             with mock.patch.object(subsampling, "parse_text",
                                    no_parse if copied else data.parse_text):
                 same_scores(outcome(load_scores, path), want)
             if copied:
-                assert bitwise_equal(want[1].raw_score, scores.raw_score)
+                assert want[1].submodel_id == name
+                assert bitwise_equal(want[1].raw_score, raw)
 
     def test_save_writes_the_text_as_before(self, tmp_path):
         """Block-wise rows are the bytes of one `repr` row at a time, for
@@ -477,6 +483,8 @@ class TestScoresCopy:
         "id not a string": _crafted(lambda header, arrays: header.update(
             submodel=7)),
         "no id": _crafted(lambda header, arrays: header.pop("submodel")),
+        "id with a tab": _crafted(lambda header, arrays: header.update(
+            submodel="a\tb")),
         "wrong shape": _crafted(lambda header, arrays: arrays.update(
             raw_score=arrays["raw_score"].reshape(2, -1))),
         "no entries": _crafted(lambda header, arrays: arrays.update(
