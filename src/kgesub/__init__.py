@@ -17,8 +17,7 @@ from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
                          evaluate)
 from .models import (ModelKind, ModelParams, init_params, load_params,
                      save_params, score_triples)
-from .submodel import (Selection, mbs_frequencies_all_candidates,
-                       pretrain_submodel, score_training_triples,
+from .submodel import (Selection, pretrain_submodel, score_training_triples,
                        select_submodel)
 from .subsampling import (ALPHA_GRID, LAMBDA_GRID, SubModelScores,
                           SubsamplingMethod, WeightTable, build_cbs_weights,

@@ -10,9 +10,9 @@ through `data.replacing`.  Every setting a command uses is a
 for one, takes the sub-model's kind as --model and its weighting as
 --submodel-subsampling.  train, build-weights, pretrain-submodel and
 sweep also echo the effective configuration; re-feeding that echo
-reproduces the run.
-Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 numerical divergence.
+reproduces the run, as `sweep`'s `best.cfg` reproduces its winner.
+Exit codes: 0 success, 1 usage or config error, 2 data error or a
+failed read, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .data import (DIRECTION_NAMES, Dataset, load_dataset, replacing,
                    singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
-from .models import load_params, load_tagged_params, save_params
+from .models import ModelParams, load_params, load_tagged_params, save_params
 from .subsampling import (Provenance, SubModelScores, SubsamplingMethod,
                           WeightTable, build_cbs_weights, discounted_weights,
                           load_scores, log_model_frequencies, mix_weights,
@@ -82,59 +82,45 @@ def _resolve_config(args) -> RunConfig:
         if getattr(args, setting.name, None) is not None})
 
 
-def _load_data(config: RunConfig) -> Dataset:
-    directory = config.resolved_data_dir()
-    try:
-        return load_dataset(directory)
-    except OSError as exc:
-        raise DataError(f"cannot load dataset from {directory}: {exc}") from exc
-
-
 def _start(args) -> tuple[RunConfig, Dataset, Path]:
     """A command's resolved config, its dataset and its run directory."""
     config = _resolve_config(args)
-    dataset = _load_data(config)
+    dataset = load_dataset(config.resolved_data_dir())
     return config, dataset, _make_run_dir(args)
 
 
 def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
+    """The weight table that `config` describes, for every command and
+    `sweep` grid point.  The two MBS query masses differ only in where
+    the raw scores come from: the score file, or the checkpoint live."""
     source = config.subsampling
     if source == "none":
         return uniform_weights(dataset.num_examples)
     method = SubsamplingMethod(config.method)
     if source == "cbs":
         return build_cbs_weights(dataset, method, config.smoothing)
+    sub = None
     if config.mbs_query_mass == "all_candidates":
-        try:
-            sub_params, tag = load_tagged_params(config.submodel_checkpoint)
-        except OSError as exc:
-            raise DataError(f"cannot read sub-model checkpoint "
-                            f"{config.submodel_checkpoint}: {exc}") from exc
-        sid = tag or Path(config.submodel_checkpoint).stem
-        log_f = submodel.mbs_frequencies_all_candidates(sub_params, dataset)
+        sub, sid = _load_submodel(config.submodel_checkpoint)
+        scores = submodel.score_training_triples(sub, dataset, sid)
     else:
         scores = _load_scores_checked(config.submodel_scores, dataset)
-        sid, log_f = scores.submodel_id, log_model_frequencies(dataset, scores)
-    mix = None if source == "mbs" else (
-        build_cbs_weights(dataset, method, config.smoothing), config.lam)
-    return _model_weights(log_f, method, config.alpha, sid, mix)
+    mbs = discounted_weights(
+        *log_model_frequencies(dataset, scores, sub), method, config.alpha,
+        Provenance(source="mbs", method=method.value, alpha=config.alpha,
+                   submodel_id=scores.submodel_id))
+    return mbs if source == "mbs" else mix_weights(
+        build_cbs_weights(dataset, method, config.smoothing), mbs, config.lam)
 
 
-def _model_weights(log_f: tuple[np.ndarray, np.ndarray],
-                   method: SubsamplingMethod, alpha: float, sid: str,
-                   mix: tuple[WeightTable, float] | None) -> WeightTable:
-    """The model-based table on log frequencies `log_f`, or its mix with
-    a count-based table when `mix` is (that table, lambda)."""
-    mbs = discounted_weights(*log_f, method, alpha, Provenance(
-        source="mbs", method=method.value, alpha=alpha, submodel_id=sid))
-    return mbs if mix is None else mix_weights(mix[0], mbs, mix[1])
+def _load_submodel(path: str) -> tuple[ModelParams, str]:
+    """A sub-model checkpoint's params and id: its tag, else its stem."""
+    params, tag = load_tagged_params(path)
+    return params, tag or Path(path).stem
 
 
 def _load_scores_checked(path: str, dataset: Dataset) -> SubModelScores:
-    try:
-        scores = load_scores(path)
-    except OSError as exc:
-        raise DataError(f"cannot read sub-model scores {path}: {exc}") from exc
+    scores = load_scores(path)
     if scores.raw_score.shape[0] != dataset.num_examples:
         raise DataError(
             f"score file {path} covers {scores.raw_score.shape[0]} examples, "
@@ -177,10 +163,7 @@ def cmd_evaluate(args) -> int:
     reports = []
     artifacts: dict[str, Path] = {}
     for index, checkpoint in enumerate(args.checkpoint):
-        try:
-            params = load_params(checkpoint)
-        except OSError as exc:
-            raise DataError(f"cannot read checkpoint: {exc}") from exc
+        params = load_params(checkpoint)
         report = evaluation.evaluate(params, dataset, args.split)
         reports.append(report)
         suffix = "" if len(args.checkpoint) == 1 else f".run{index}"
@@ -233,15 +216,11 @@ def cmd_pretrain_submodel(args) -> int:
 
 def cmd_score_triples(args) -> int:
     config, dataset, run_dir = _start(args)
-    try:
-        params, tag = load_tagged_params(args.checkpoint)
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint: {exc}") from exc
-    provenance = tag or Path(args.checkpoint).stem
-    scores = submodel.score_training_triples(params, dataset, provenance)
+    params, sid = _load_submodel(args.checkpoint)
+    scores = submodel.score_training_triples(params, dataset, sid)
     save_scores(scores, run_dir / "scores.tsv")
     _write_manifest(run_dir, {"scores": run_dir / "scores.tsv"})
-    print(f"scored {dataset.num_examples} examples under {provenance}; "
+    print(f"scored {dataset.num_examples} examples under {sid}; "
           f"artifacts in {run_dir}")
     return 0
 
@@ -250,11 +229,8 @@ def cmd_weights_report(args) -> int:
     if args.num_queries < 0:
         raise ConfigError("n must be >= 0")
     config, dataset, run_dir = _start(args)
-    try:
-        cbs = subsampling.load_weight_table(args.cbs_weights)
-        mbs = subsampling.load_weight_table(args.mbs_weights)
-    except OSError as exc:
-        raise DataError(f"cannot read weight table: {exc}") from exc
+    cbs = subsampling.load_weight_table(args.cbs_weights)
+    mbs = subsampling.load_weight_table(args.mbs_weights)
     for name, table in (("cbs", cbs), ("mbs", mbs)):
         if table.num_examples != dataset.num_examples:
             raise DataError(f"{name} table covers {table.num_examples} "
@@ -332,7 +308,7 @@ def cmd_sweep(args) -> int:
                              "alpha")
     lambda_grid = _parse_grid(args.lambda_grid, subsampling.LAMBDA_GRID,
                               "lam")
-    dataset = _load_data(config)
+    dataset = load_dataset(config.resolved_data_dir())
     run_dir = _make_run_dir(args)
     save_config(config, run_dir / "config.resolved.cfg")
 
@@ -345,18 +321,20 @@ def cmd_sweep(args) -> int:
                 f"duplicate sub-model id {scores.submodel_id!r}")
         by_id[scores.submodel_id] = path
 
-    method = SubsamplingMethod(config.method)
-    cbs = build_cbs_weights(dataset, method, config.smoothing)
+    def point(sid: str, alpha: float, lam: float | None) -> RunConfig:
+        """A grid point's config: MBS when `lam` is None, else MIX, both
+        on the observed mass, since each candidate is a score file."""
+        return replace(config, subsampling="mbs" if lam is None else "mix",
+                       alpha=alpha, lam=config.lam if lam is None else lam,
+                       mbs_query_mass="observed", submodel_scores=by_id[sid])
 
     def evaluate_point(scores: SubModelScores, alpha: float,
                        lam: float | None) -> float:
-        table = _model_weights(log_model_frequencies(dataset, scores),
-                               method, alpha, scores.submodel_id,
-                               None if lam is None else (cbs, lam))
-        params = config.initial_params(dataset.num_entities,
-                                       dataset.num_relations)
-        result = training.train(dataset, weights=table, params=params,
-                                config=config)
+        point_config = point(scores.submodel_id, alpha, lam)
+        weights = _build_weights(point_config, dataset)
+        params = point_config.initial_params(dataset.num_entities,
+                                             dataset.num_relations)
+        result = training.train(dataset, weights, params, point_config)
         mrr = evaluation.evaluate(result.params, dataset, "valid").mrr
         lam_text = "-" if lam is None else lam
         print(f"  {scores.submodel_id} alpha={alpha} lambda={lam_text} "
@@ -367,11 +345,8 @@ def cmd_sweep(args) -> int:
     selection = submodel.select_submodel(candidates, alpha_grid, lambda_grid,
                                          evaluate_point,
                                          ledger_path=ledger_path)
-    # the grid ran on score files, so the best point's mass is observed
-    best = replace(config, subsampling="mix", alpha=selection.alpha,
-                   lam=selection.lam, mbs_query_mass="observed",
-                   submodel_scores=str(by_id[selection.submodel_id]))
-    save_config(best, run_dir / "best.cfg")
+    save_config(point(selection.submodel_id, selection.alpha, selection.lam),
+                run_dir / "best.cfg")
     _write_manifest(run_dir, {
         "config": run_dir / "config.resolved.cfg",
         "ledger": ledger_path,
@@ -395,6 +370,8 @@ def _parse_grid(text: str | None, default: tuple[float, ...],
         points = [float(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}") from exc
+    if not points:
+        raise ConfigError(f"grid {text!r} has no points")
     return [check_setting(setting, point) for point in points]
 
 

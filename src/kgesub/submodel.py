@@ -7,7 +7,7 @@ and weighting are settings like any other, `[model] kind` and
 `[subsampling] submodel_subsampling`, so the echoed configuration of a
 pre-training run reproduces it.  Its raw scores over the training
 examples are persisted so the expensive pre-training runs once per
-candidate, and weight construction only ever reads the score file.
+candidate; only the all-candidates mass scores the checkpoint again.
 
 Selection is a two-stage grid search on validation MRR: first the best
 (sub-model, temperature) pair under model-based weights, then, with
@@ -28,11 +28,9 @@ import numpy as np
 from .config import RunConfig
 from .data import Dataset, text_lines
 from .errors import DataError
-from .models import (ModelParams, check_vocab, iter_candidate_scores,
-                     score_triples)
+from .models import ModelParams, check_vocab, score_triples
 from .subsampling import (SubModelScores, SubsamplingMethod,
-                          build_cbs_weights, log_frequency_offset, logsumexp,
-                          uniform_weights)
+                          build_cbs_weights, uniform_weights)
 from .training import train
 
 
@@ -70,31 +68,6 @@ def score_training_triples(submodel: ModelParams, dataset: Dataset,
     return SubModelScores(raw_score=raw, submodel_id=provenance)
 
 
-def mbs_frequencies_all_candidates(
-        submodel: ModelParams,
-        dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Log query frequencies summed over every candidate entity.
-
-    Alternative reading of the model-based query mass: instead of the
-    answers observed for the query in the training set, the sub-model's
-    probability is accumulated over all E candidate answers.  The
-    probability of any (query, candidate) pair shares the training-set
-    softmax normalizer, and the link frequencies are unchanged.  Returns
-    (log f_xy, log f_x) as `log_model_frequencies` does.
-    Needs the live sub-model, so this variant cannot be driven from a
-    persisted score file.  Each distinct query is scored once, in
-    chunks, and its log mass is gathered back to every example asking it.
-    """
-    raw = score_training_triples(submodel, dataset, "_").raw_score
-    offset = log_frequency_offset(raw)
-    index = dataset.train_index
-    log_mass = np.empty(index.num_queries)
-    for start, stop, candidate_scores in iter_candidate_scores(
-            submodel, index.direction, index.entity, index.relation):
-        log_mass[start:stop] = logsumexp(candidate_scores, axis=1)
-    return raw + offset, (log_mass + offset)[index.query_id]
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -123,8 +96,6 @@ def read_ledger(path: str | Path) -> list[GridRecord]:
         return []
     records = []
     for lineno, line in text_lines(path):
-        if line.startswith("#"):
-            continue
         try:
             sid, alpha, lam, mrr = line.split("\t")
             record = GridRecord(submodel_id=sid, alpha=float(alpha),

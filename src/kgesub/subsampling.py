@@ -17,9 +17,11 @@ for the query.  Both live in log space:
     log f_xy = log |D| + raw - logsumexp(raw)
     log f_x  = logsumexp of log f_xy over the query's examples
 
-and each weight column is the temperature-alpha discount f ** -alpha,
-normalized to mean 1 as n * exp(x - logsumexp(x)) with
-x = -alpha * log f, so scores any distance apart give finite weights.
+(given the live sub-model, log f_x sums over every candidate entity
+instead, with the same offset), and each weight column is the
+temperature-alpha discount f ** -alpha, normalized to mean 1 as
+n * exp(x - logsumexp(x)) with x = -alpha * log f, so scores any
+distance apart give finite weights.
 Count-based weights (CBS) are the same discount with alpha = 1/2 on
 counted frequencies: the query frequency is the query's count and the
 link frequency the mean of its triple's two query counts.  Mixed
@@ -49,6 +51,7 @@ import numpy as np
 from .data import (DIRECTION_NAMES, Dataset, kept_parse, parse_text,
                    replacing, split_fields)
 from .errors import DataError, DegenerateInputError
+from .models import ModelParams, iter_candidate_scores
 
 # Hyper-parameter search grids.
 ALPHA_GRID = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
@@ -155,13 +158,8 @@ def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.log(np.exp(terms, out=terms).sum(axis=axis)) + peak.squeeze(axis)
 
 
-def log_frequency_offset(raw_score: np.ndarray) -> float:
-    """log |D| - logsumexp(raw): added to a raw score, the log of |D|
-    times that score's softmax probability over the training examples."""
-    return math.log(raw_score.shape[0]) - float(logsumexp(raw_score))
-
-
-def log_model_frequencies(dataset: Dataset, scores: SubModelScores
+def log_model_frequencies(dataset: Dataset, scores: SubModelScores,
+                          submodel: ModelParams | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Model-based (log f_xy, log f_x) per expanded example.
 
@@ -169,18 +167,28 @@ def log_model_frequencies(dataset: Dataset, scores: SubModelScores
     over the training examples.  The query frequency of example i sums
     the link frequencies of the examples that share its query, i.e. the
     probability mass of the answers observed for that query; each sum is
-    taken in log space, shifted by the query's largest term.
+    taken in log space, shifted by the query's largest term.  Given the
+    `submodel` that produced `scores`, it sums the mass of all E
+    candidate answers instead, scoring each distinct query once.
     """
     raw, n = scores.raw_score, dataset.num_examples
     if raw.shape[0] != n:
         raise ValueError(f"scores cover {raw.shape[0]} examples, dataset "
                          f"has {n}")
-    log_f_xy = raw + log_frequency_offset(raw)
-    query_id = dataset.train_index.query_id
-    peak = np.full(dataset.train_index.num_queries, -np.inf)
-    np.maximum.at(peak, query_id, log_f_xy)
-    mass = np.bincount(query_id, weights=np.exp(log_f_xy - peak[query_id]))
-    return log_f_xy, (np.log(mass) + peak)[query_id]
+    offset = math.log(n) - float(logsumexp(raw))
+    index = dataset.train_index
+    if submodel is not None:
+        log_mass = np.empty(index.num_queries)
+        for start, stop, candidate_scores in iter_candidate_scores(
+                submodel, index.direction, index.entity, index.relation):
+            log_mass[start:stop] = logsumexp(candidate_scores, axis=1)
+        return raw + offset, (log_mass + offset)[index.query_id]
+    log_f_xy = raw + offset
+    peak = np.full(index.num_queries, -np.inf)
+    np.maximum.at(peak, index.query_id, log_f_xy)
+    mass = np.bincount(index.query_id,
+                       weights=np.exp(log_f_xy - peak[index.query_id]))
+    return log_f_xy, (np.log(mass) + peak)[index.query_id]
 
 
 def discounted_weights(log_f_xy: np.ndarray, log_f_x: np.ndarray,

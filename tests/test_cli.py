@@ -128,13 +128,15 @@ class TestExitCodes:
         (["train", "--seed", "-1"], ""),
         (["sweep", "--alpha-grid", "0"], ""),
         (["sweep", "--lambda-grid", "1.5"], ""),
+        (["sweep", "--alpha-grid", ","], ""),
+        (["sweep", "--lambda-grid", " , "], ""),
         (["pretrain-submodel", "--submodel-subsampling", "uniq"], ""),
         (["pretrain-submodel"],
          "[subsampling]\nsubmodel_subsampling = uniq\n"),
     ], ids=["adversarial_beta", "gamma", "init_epsilon", "learning_rate",
             "smoothing", "adam_beta1", "norm_p", "seed", "alpha_grid",
-            "lambda_grid", "submodel_subsampling_flag",
-            "submodel_subsampling_file"])
+            "lambda_grid", "alpha_grid_empty", "lambda_grid_empty",
+            "submodel_subsampling_flag", "submodel_subsampling_file"])
     def test_bad_setting_is_exit_1(self, data_dir, tmp_path, capsys, argv,
                                    config_text):
         """An out-of-range setting is a config error, not a traceback or
@@ -170,6 +172,31 @@ class TestExitCodes:
         config.write_text("[train]\nwarp_speed = 9\n", encoding="utf-8")
         assert run(["train", "--config", config,
                     "--run-dir", tmp_path / "r"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{missing}"],
+        ["evaluate", "--checkpoint", "{missing}"],
+        ["score-triples", "--checkpoint", "{missing}"],
+        ["build-weights", "--subsampling", "mbs", "--method", "base",
+         "--mbs-query-mass", "all_candidates",
+         "--submodel-checkpoint", "{missing}"],
+        ["build-weights", "--subsampling", "mbs", "--method", "base",
+         "--submodel-scores", "{missing}"],
+        ["weights-report", "--cbs-weights", "{missing}", "--mbs-weights",
+         "{missing}"],
+    ], ids=["dataset", "evaluate_checkpoint", "score_triples_checkpoint",
+            "all_candidates_submodel", "score_file", "weight_table"])
+    def test_missing_file_is_exit_2_naming_it(self, data_dir, tmp_path,
+                                              capsys, argv):
+        """`main` alone turns a failed read into exit 2, with the
+        system's message, which names the path."""
+        missing = str(tmp_path / "absent")
+        args = [arg.format(missing=missing) for arg in argv]
+        if "--data" not in args:
+            args += ["--data", data_dir]
+        assert run(args + ["--run-dir", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
 
     @pytest.mark.parametrize("argv", [
         ["singleton-stats", "--stride", "0"],
@@ -655,11 +682,45 @@ class TestSweepCommand:
                         .read_text().strip().split("\n"))
         assert ledger_again == ledger
 
-        # the emitted best config is runnable as-is
+        # the emitted best config reproduces the selected MIX point: its
+        # final valid MRR is the one in the ledger, to the last digit
         best_dir = tmp_path / "best"
         assert run(["train", "--config", sweep_dir / "best.cfg",
-                    "--run-dir", best_dir]) == 0
+                    "--valid-every", "12", "--run-dir", best_dir]) == 0
         assert (best_dir / "checkpoint.bin").exists()
+        best = load_config(sweep_dir / "best.cfg")
+        assert best.subsampling == "mix"
+        mix_rows = [row.split("\t") for row in ledger
+                    if row.split("\t")[2] != "-"]
+        [selected] = [row[3] for row in mix_rows
+                      if row[1:3] == [repr(best.alpha), repr(best.lam)]]
+        log = (best_dir / "train.log").read_text().strip().split("\n")
+        assert log[-1].split("\t")[2] == selected
+
+    def test_resumed_sweep_of_a_hash_id_adds_no_rows(self, data_dir,
+                                                     tmp_path):
+        """An untagged checkpoint `#1.bin` gives the id `#1`, and its
+        ledger rows are records, not comments: a second run of the same
+        sweep finds every grid point done."""
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    tmp_path / "sub"] + FAST) == 0
+        checkpoint = tmp_path / "#1.bin"
+        save_params(load_params(tmp_path / "sub" / "submodel.bin"),
+                    checkpoint)
+        assert run(["score-triples", "--data", data_dir, "--checkpoint",
+                    checkpoint, "--run-dir", tmp_path / "scores"]) == 0
+        args = ["sweep", "--data", data_dir, "--method", "freq",
+                "--submodel-scores", tmp_path / "scores" / "scores.tsv",
+                "--alpha-grid", "1.0,0.5", "--lambda-grid", "0.5",
+                "--run-dir", tmp_path / "sweep"] + FAST
+        assert run(args) == 0
+        ledger = tmp_path / "sweep" / "ledger.tsv"
+        first = ledger.read_text("utf-8")
+        assert run(args) == 0
+        assert ledger.read_text("utf-8") == first
+        # two model-based points, then one mixed point
+        assert [row.split("\t")[0] for row in first.splitlines()] == [
+            "#1"] * 3
 
     def test_nan_mrr_in_resumed_ledger_is_exit_2(self, data_dir, tmp_path,
                                                  capsys):

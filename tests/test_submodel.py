@@ -274,19 +274,19 @@ class TestAllCandidatesQueryMass:
     def test_constant_submodel_gives_entity_count(self, toy_dataset):
         """Flat scores spread 1/|D| mass on every candidate, so each
         query accumulates E / |D| and the frequency becomes E."""
-        from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.DISTMULT, 3, 1, 4, 1.0, seed=6)
         sub.entity_emb[:] = 0.0
-        log_f_xy, log_f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
+        log_f_xy, log_f_x = log_model_frequencies(
+            toy_dataset, score_training_triples(sub, toy_dataset, "_"), sub)
         np.testing.assert_allclose(np.exp(log_f_xy), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.exp(log_f_x), 3.0, atol=1e-12)
 
     def test_matches_brute_force_probability_sums(self, toy_dataset):
         from kgesub.data import Direction
         from conftest import Triple, as_triples, query_of, score
-        from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.COMPLEX, 3, 1, 4, 1.0, seed=7)
-        _, log_f_x = mbs_frequencies_all_candidates(sub, toy_dataset)
+        _, log_f_x = log_model_frequencies(
+            toy_dataset, score_training_triples(sub, toy_dataset, "_"), sub)
         train_scores = []
         for triple in as_triples(toy_dataset.train):
             train_scores.extend([score(sub, triple)] * 2)
@@ -315,14 +315,13 @@ class TestAllCandidatesQueryMass:
         from kgesub import models
         from kgesub.data import Direction
         from conftest import as_triples, query_of, score_batch
-        from kgesub.submodel import mbs_frequencies_all_candidates
         from conftest import zipf_kg
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 50 * 7)
         dataset = zipf_kg(3)  # Zipf heads: most queries repeat
         sub = init_params(kind, dataset.num_entities, dataset.num_relations,
                           8, 2.0, seed=9)
-        log_f_xy, log_f_x = mbs_frequencies_all_candidates(sub, dataset)
         train_scores = score_training_triples(sub, dataset, "_")
+        log_f_xy, log_f_x = log_model_frequencies(dataset, train_scores, sub)
         raw = train_scores.raw_score
         shift = raw.max()
         z = np.exp(raw - shift).sum()
@@ -343,7 +342,8 @@ class TestAllCandidatesQueryMass:
             log_f_xy, log_model_frequencies(dataset, train_scores)[0])
 
     def test_vocab_mismatch_rejected(self, toy_dataset):
-        from kgesub.submodel import mbs_frequencies_all_candidates
         sub = init_params(ModelKind.DISTMULT, 9, 1, 4, 1.0, seed=8)
         with pytest.raises(VocabMismatchError):
-            mbs_frequencies_all_candidates(sub, toy_dataset)
+            log_model_frequencies(
+                toy_dataset, score_training_triples(sub, toy_dataset, "_"),
+                sub)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kgesub.data import Dataset, Direction
 from kgesub.errors import DataError, DegenerateInputError
 from kgesub.models import ModelKind, init_params
-from kgesub.submodel import mbs_frequencies_all_candidates
+from kgesub.submodel import score_training_triples
 from kgesub.subsampling import (ALPHA_GRID, Provenance, SubModelScores,
                                 SubsamplingMethod, WeightTable,
                                 build_cbs_weights, discounted_weights,
@@ -283,7 +283,8 @@ class TestWideScoreSpread:
         sub = init_params(ModelKind.DISTMULT, 3, 1, 1, 1.0, seed=1)
         sub.entity_emb[:] = [[0.0], [40.0], [50.0]]
         sub.relation_emb[:] = [[1.0]]
-        log_f = mbs_frequencies_all_candidates(sub, toy_dataset)
+        log_f = log_model_frequencies(
+            toy_dataset, score_training_triples(sub, toy_dataset, "_"), sub)
         assert np.ptp(log_f[0]) == 2000.0
         self._check_every_alpha(log_f)
 
