@@ -63,7 +63,7 @@ _FORMAT_VERSION = 1
 _PIECE = 1 << 16  # entries (512 KiB) of a container array read at once
 SPLITS = ("train", "valid", "test")
 COPY_NAME = ".kgesub-dataset.bin"  # the parsed copy in a dataset directory
-COPY_VERSION = 1  # of the parse rules: a change must bump it
+COPY_VERSION = 2  # of the parse rules: a change must bump it
 _DATASET_TAG = f"kgesub-dataset {COPY_VERSION}"  # of the copy's digest
 _T = TypeVar("_T")
 
@@ -156,10 +156,11 @@ class QueryIndex:
 
 def text_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, line) of each non-blank line of a UTF-8 text file,
-    without its newline; undecodable bytes raise DataError."""
+    without its newline or a leading byte-order mark; undecodable bytes
+    raise DataError."""
     lineno = 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if line:
@@ -171,12 +172,13 @@ def text_lines(path: Path) -> Iterator[tuple[int, str]]:
 
 def parse_text(path: Path,
                parse: Callable[[list[str], list[str], int], None]) -> None:
-    """Feed a UTF-8 text file to `parse(rows, comments, start)` in blocks
-    of about BLOCK_BYTES of lines (newlines kept; `comments` start with
-    `#`, `rows` are the other non-blank lines, `start` counts the rows
-    before them).  A block that `parse` raises ValueError on, or that is
-    not UTF-8, is fed again a line at a time, so that its first bad line
-    raises DataError with `path:line`."""
+    """Feed a UTF-8 text file, less a leading byte-order mark, to
+    `parse(rows, comments, start)` in blocks of about BLOCK_BYTES of
+    lines (newlines kept; `comments` start with `#`, `rows` are the
+    other non-blank lines, `start` counts the rows before them).  A
+    block that `parse` raises ValueError on, or that is not UTF-8, is fed
+    again a line at a time, so that its first bad line raises DataError
+    with `path:line`."""
     lines_done = rows_done = 0
 
     def one_by_one(numbered: Iterator[tuple[int, str]]) -> None:
@@ -191,7 +193,7 @@ def parse_text(path: Path,
                 rows_done += not comment
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             while lines := fh.readlines(BLOCK_BYTES):
                 rows = [line for line in lines
                         if line[0] != "#" and line != "\n"]

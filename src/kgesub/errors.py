@@ -32,3 +32,8 @@ class CheckpointError(KgesubError):
 
 class TrainingDivergedError(KgesubError):
     """A non-finite loss or score was produced during training."""
+
+
+class WriterError(KgesubError):
+    """A helper process that formats text rows exited with an error or
+    before it sent every block."""

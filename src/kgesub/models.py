@@ -349,7 +349,8 @@ def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
         start = stop
 
 
-# Ranking workers: one per CPU that the process may run on.
+# Workers of ranking and of the text writers of `subsampling`: one per
+# CPU that the process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 

@@ -30,9 +30,16 @@ weights (MIX) are the elementwise convex combination of the two tables.
 Weight construction is a pure function of its frozen inputs, and the
 resulting tables are immutable and safe for concurrent readers.
 
-Weight tables and score files are text, written a block of rows at a
-time.  A score file's header gives the sub-model id as the rest of its
-line, so an id may hold spaces but no tab or line break.
+Weight tables and score files are text, written a block of `_ROWS`
+rows at a time.  The rows' decimals are the costly part, so a table of
+more than one block is formatted on every CPU that the process may run
+on: the calling process takes blocks 0, W, 2W, ... and each of W - 1
+helper interpreters, running `_rowtext` as a script with no numpy or
+kgesub, the blocks of its own stride, sent to it as float64 bytes.
+Every block comes from `_rowtext.format_rows` wherever it is formatted,
+so the bytes do not depend on the CPU count.  A score file's header
+gives the sub-model id as the rest of its line, so an id may hold
+spaces but no tab or line break.
 `load_scores` keeps each score file's parse beside it as a container
 (`scores_copy_path`) through `data.kept_parse`, as `data.load_dataset`
 does for a dataset; `save_scores` writes the copy with the text.
@@ -42,15 +49,19 @@ from __future__ import annotations
 
 import enum
 import math
+import subprocess
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable
 
 import numpy as np
 
+from . import _rowtext, models
 from .data import (DIRECTION_NAMES, Dataset, kept_parse, parse_text,
                    replacing, split_fields)
-from .errors import DataError, DegenerateInputError
+from .errors import DataError, DegenerateInputError, WriterError
 from .models import ModelParams, iter_candidate_scores
 
 # Hyper-parameter search grids.
@@ -60,7 +71,7 @@ LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _TINY = np.finfo(np.float64).tiny
 _ROWS = 1 << 14  # table rows formatted and written at once
 # of a score copy's digest; a change to the score parse rules must bump it
-_SCORES_TAG = "kgesub-scores 2"
+_SCORES_TAG = "kgesub-scores 3"
 _SUBMODEL = "# submodel="  # a score file's header, before the id
 # not in a sub-model id: a tab splits a ledger row, a line break a header
 _ID_BREAKS = frozenset("\t\n\r")
@@ -251,29 +262,85 @@ def save_weight_table(table: WeightTable, path: str | Path) -> None:
     reloads to bitwise-equal arrays.  A table whose weights are all
     exactly 1 is written as its header alone, ending in `examples=N`.
     """
-    with replacing(path) as fh:
+    with replacing(path, "wb") as fh:
         if np.all(table.a == 1.0) and np.all(table.b == 1.0):
             fh.write(f"# {table.provenance.describe()} "
-                     f"examples={table.num_examples}\n")
+                     f"examples={table.num_examples}\n".encode())
             return
-        fh.write(f"# {table.provenance.describe()}\n")
-        _write_rows(fh, table.a, table.b, directions=True)
+        fh.write(f"# {table.provenance.describe()}\n".encode())
+        _write_rows(fh, table.a, table.b, labels=DIRECTION_NAMES)
 
 
-def _write_rows(fh: IO[str], *columns: np.ndarray,
-                directions: bool = False) -> None:
-    """`example_id[<TAB>direction]<TAB>value...` rows of float columns,
-    as shortest round-trip decimals, `_ROWS` rows per write."""
-    n = len(columns[0])
-    for start in range(0, n, _ROWS):
-        ids = range(start, min(start + _ROWS, n))
-        fields = [map(str, ids)]
-        if directions:  # a block starts at an even id, a tail query
-            fields.append((DIRECTION_NAMES * (len(ids) // 2 + 1))[:len(ids)])
-        # the repr of a list of floats is theirs, joined by ", "
-        fields += [repr(np.asarray(column[ids.start:ids.stop], np.float64)
-                        .tolist())[1:-1].split(", ") for column in columns]
-        fh.write("\n".join(map("\t".join, zip(*fields))) + "\n")
+def _write_rows(fh: IO[bytes], *columns: np.ndarray,
+                labels: tuple[str, ...] = ()) -> None:
+    """`example_id[<TAB>label]<TAB>value...` rows of float columns, as
+    shortest round-trip decimals, `_ROWS` rows per block, through
+    `_rowtext.format_rows`.
+
+    Of W = min(CPUs, blocks) formatters, the calling process formats
+    blocks 0, W, 2W, ... and helper interpreter w blocks w, w + W, ...,
+    which it gets as float64 bytes on stdin; the calling process writes
+    every block in order.  A helper that does not start leaves its
+    blocks to a smaller W, and one that fails raises WriterError.  No
+    helper outlives the call."""
+    starts = range(0, len(columns[0]), _ROWS)
+    helpers = _start_helpers(min(models._WORKERS, len(starts)) - 1,
+                             len(columns), labels)
+    count = 1 + len(helpers)
+
+    def block(start: int) -> list[np.ndarray]:
+        return [np.ascontiguousarray(column[start:start + _ROWS], np.float64)
+                for column in columns]
+    try:
+        for w, helper in enumerate(helpers, 1):
+            try:
+                for start in starts[w::count]:
+                    _rowtext.send_block(helper.stdin, start, block(start))
+                helper.stdin.close()
+            except BrokenPipeError:
+                raise WriterError(f"text helper {helper.pid} exited before "
+                                  "it read its blocks") from None
+        for k, start in enumerate(starts):
+            if k % count:
+                helper = helpers[k % count - 1]
+                rows = _rowtext.receive_block(helper.stdout)
+                if rows is None:
+                    raise WriterError(f"text helper {helper.pid} stopped "
+                                      "before it sent every block")
+            else:
+                rows = _rowtext.format_rows(
+                    start, [column.tolist() for column in block(start)],
+                    labels)
+            fh.write(rows)
+        for helper in helpers:
+            if helper.wait():
+                raise WriterError(f"text helper {helper.pid} exited with "
+                                  f"status {helper.returncode}")
+    finally:
+        for helper in helpers:
+            if helper.poll() is None:
+                helper.kill()
+            helper.wait()
+            helper.stdout.close()
+            with suppress(BrokenPipeError):  # bytes left for a dead helper
+                helper.stdin.close()
+
+
+def _start_helpers(count: int, num_columns: int,
+                   labels: tuple[str, ...]) -> list[subprocess.Popen]:
+    """Up to `count` helper interpreters of `_rowtext`; none when this
+    interpreter's path is unknown, and no more after one fails to
+    start."""
+    helpers = []
+    command = [sys.executable, "-I", "-S", _rowtext.__file__,
+               str(num_columns), *labels]
+    for _ in range(count if sys.executable else 0):
+        try:
+            helpers.append(subprocess.Popen(
+                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+        except OSError:
+            break
+    return helpers
 
 
 def load_weight_table(path: str | Path) -> WeightTable:
@@ -350,8 +417,8 @@ def save_scores(scores: SubModelScores, path: str | Path) -> None:
     """`example_id<TAB>raw_score` rows behind a `# submodel=<id>` header,
     and the parsed copy of those bytes beside them, so that the first
     `load_scores` of the file reads the copy.  No scores, no copy."""
-    with replacing(path) as fh:
-        fh.write(f"{_SUBMODEL}{scores.submodel_id}\n")
+    with replacing(path, "wb") as fh:
+        fh.write(f"{_SUBMODEL}{scores.submodel_id}\n".encode())
         _write_rows(fh, scores.raw_score)
     if len(scores.raw_score):  # `scores` is the parse of that text
         _kept_scores(Path(path), lambda: scores)

@@ -768,7 +768,7 @@ def load_triples(path, existing_vocab: Vocab = Vocab()
 def _oracle_text_lines(path: Path):
     lineno = 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if line:

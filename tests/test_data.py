@@ -565,6 +565,18 @@ class TestParsedCopy:
         assert sorted(os.listdir(kg_dir)) == sorted(
             [data.COPY_NAME] + [f"{split}.txt" for split in SPLITS])
 
+    def test_byte_order_mark_is_not_part_of_a_label(self, kg_dir, tmp_path):
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for split in SPLITS:
+            text = (kg_dir / f"{split}.txt").read_bytes()
+            (marked / f"{split}.txt").write_bytes(
+                "\ufeff".encode("utf-8") + text)
+        want = parsed(kg_dir)
+        for _ in range(2):  # the parse, then its copy
+            assert_same_dataset(load_dataset(marked), want)
+        assert (marked / data.COPY_NAME).is_file()
+
     def test_hit_does_not_parse_text(self, kg_dir, monkeypatch):
         load_dataset(kg_dir)
         monkeypatch.setattr(data, "parse_text", no_parse)

@@ -4,10 +4,14 @@
 `data.BLOCK_BYTES` of lines at a time and read a failing block again
 line by line.  Generated files, cut into blocks of sizes from one line
 to 1 MiB, must give the oracles' ids, vocabulary order and bitwise
-arrays, or the same exception type and message.
+arrays, or the same exception type and message.  `save_scores` and
+`save_weight_table` must write the bytes of one `repr` per row however
+many helper processes format their blocks.
 """
 
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgesub import data, subsampling
+from kgesub import _rowtext, data, models, subsampling
 from kgesub.data import Dataset, Vocab, read_container, write_container
-from kgesub.errors import DataError, DegenerateInputError, KgesubError
+from kgesub.errors import (DataError, DegenerateInputError, KgesubError,
+                           WriterError)
 from kgesub.subsampling import (Provenance, SubModelScores,
                                 SubsamplingMethod, WeightTable,
                                 discounted_weights, load_scores,
@@ -46,8 +51,8 @@ LINE_KIND = st.sampled_from(["row"] * 12 + ["comment", "blank", "fields",
 @st.composite
 def text_file(draw, row, start: int = 0) -> bytes:
     """Lines of `row(draw, index)` rows, comments, blank lines, lines of
-    any field count and rows cut by "\r", with mixed line endings and
-    maybe undecodable bytes somewhere."""
+    any field count and rows cut by "\r", with mixed line endings, maybe
+    a byte-order mark first and maybe undecodable bytes somewhere."""
     lines, rows = [], start
     for kind in draw(st.lists(LINE_KIND, max_size=25)):
         if kind == "row":
@@ -70,6 +75,8 @@ def text_file(draw, row, start: int = 0) -> bytes:
     if lines and draw(st.booleans()):
         text = text[:-len(endings[-1])]  # no newline at the end
     blob = text.encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:  # a byte-order mark is not text
+        blob = "\ufeff".encode("utf-8") + blob
     if draw(st.integers(0, 5)) == 0:
         cut = draw(st.integers(0, len(blob)))
         blob = blob[:cut] + draw(BAD_BYTES) + blob[cut:]
@@ -364,6 +371,14 @@ def no_parse(*args):
     raise AssertionError("the text was parsed")
 
 
+def weight_text(table: WeightTable) -> str:
+    """A table's text, one `repr` row at a time."""
+    directions = ("tail-query", "head-query")
+    return f"# {table.provenance.describe()}\n" + "".join(
+        f"{i}\t{directions[i % 2]}\t{float(table.a[i])!r}\t"
+        f"{float(table.b[i])!r}\n" for i in range(table.num_examples))
+
+
 # finite doubles whose decimals are long, tiny, huge or signed zero
 SCORE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                   st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
@@ -429,12 +444,16 @@ class TestScoresCopy:
                 assert want[1].submodel_id == name
                 assert bitwise_equal(want[1].raw_score, raw)
 
-    def test_save_writes_the_text_as_before(self, tmp_path):
-        """Block-wise rows are the bytes of one `repr` row at a time, for
-        row counts on both sides of a block."""
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_save_writes_the_text_as_before(self, tmp_path, monkeypatch,
+                                            workers):
+        """Block-wise rows, formatted by up to `workers` processes, are
+        the bytes of one `repr` row at a time, for row counts on both
+        sides of a block."""
+        monkeypatch.setattr(models, "_WORKERS", workers)
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, subsampling._ROWS - 1, subsampling._ROWS,
-                  2 * subsampling._ROWS + 1):
+                  subsampling._ROWS + 1, 3 * subsampling._ROWS + 5):
             raw = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
             path = tmp_path / f"scores{n}.tsv"
             save_scores(SubModelScores(raw, "m"), path)
@@ -443,11 +462,16 @@ class TestScoresCopy:
             table = WeightTable(a=np.exp(raw / 1e300), b=np.abs(raw) + 1e-9,
                                 provenance=Provenance("mbs", "freq"))
             save_weight_table(table, path)
-            directions = ("tail-query", "head-query")
-            assert path.read_text(encoding="utf-8") == (
-                f"# {table.provenance.describe()}\n" + "".join(
-                    f"{i}\t{directions[i % 2]}\t{float(table.a[i])!r}\t"
-                    f"{float(table.b[i])!r}\n" for i in range(n)))
+            assert path.read_text(encoding="utf-8") == weight_text(table)
+
+    def test_byte_order_mark_gives_the_same_scores(self, scores_file,
+                                                   tmp_path):
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes("\ufeff".encode("utf-8") + scores_file.read_bytes())
+        want = load_scores(scores_file)
+        for _ in range(2):  # the parse, then its copy
+            same_scores(("ok", load_scores(marked)), ("ok", want))
+        assert scores_copy_path(marked).is_file()
 
     @pytest.mark.parametrize("block", [1, 7, data.BLOCK_BYTES])
     def test_edit_at_the_same_size_parses_again(self, scores_file, block):
@@ -576,3 +600,126 @@ class TestScoresCopy:
             assert not scores_copy_path(scores_file).exists()
             scores_copy_path(scores_file).write_bytes(stale)
             assert outcome(load_scores, scores_file) == want
+
+
+# helper scripts that stand in for `_rowtext`: each fails in its own way
+BAD_HELPERS = {
+    "exits at once": "import sys; sys.exit(1)",
+    "exits non-zero after its blocks": (
+        "import sys; sys.path.insert(0, {where!r}); import _rowtext; "
+        "_rowtext._serve(int(sys.argv[1]), tuple(sys.argv[2:])); sys.exit(3)"),
+    "dies mid-stream": (
+        "import os, sys; sys.stdin.buffer.read(); "
+        "sys.stdout.buffer.write((1000).to_bytes(8, 'little') + b'0\\t'); "
+        "sys.stdout.flush(); os._exit(0)"),
+}
+
+
+class TestParallelWriter:
+    """Helpers format a share of a big table's blocks: the bytes do not
+    depend on how many run, and none outlives the call."""
+
+    N = 3 * subsampling._ROWS + 5  # four blocks
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The helper processes each call starts."""
+        helpers, popen = [], subprocess.Popen
+
+        def recording(*args, **kwargs):
+            helpers.append(popen(*args, **kwargs))
+            return helpers[-1]
+        monkeypatch.setattr(subprocess, "Popen", recording)
+        return helpers
+
+    @staticmethod
+    def table(n: int) -> WeightTable:
+        rng = np.random.default_rng(n)
+        return WeightTable(a=rng.gamma(1.0, size=n), b=rng.random(n) + 0.5,
+                           provenance=Provenance("mix", "freq", 0.5, 0.5, "s"))
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_helpers_end_with_the_call(self, tmp_path, monkeypatch, started,
+                                       workers):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        table = self.table(self.N)
+        save_weight_table(table, tmp_path / "w.tsv")
+        assert len(started) == min(workers, 4) - 1
+        assert all(helper.poll() == 0 for helper in started)
+        assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == \
+            weight_text(table)
+
+    def test_one_block_starts_no_helper(self, tmp_path, monkeypatch,
+                                        started):
+        monkeypatch.setattr(models, "_WORKERS", 3)
+        save_weight_table(self.table(subsampling._ROWS), tmp_path / "w.tsv")
+        save_scores(SubModelScores(np.arange(subsampling._ROWS, dtype=float),
+                                   "s"), tmp_path / "s.tsv")
+        assert started == []
+
+    def test_no_interpreter_path_gives_the_same_bytes(self, tmp_path,
+                                                       monkeypatch, started):
+        monkeypatch.setattr(models, "_WORKERS", 3)
+        monkeypatch.setattr(sys, "executable", "")
+        table = self.table(self.N)
+        save_weight_table(table, tmp_path / "w.tsv")
+        assert started == []
+        assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == \
+            weight_text(table)
+
+    def test_helper_that_does_not_start_gives_the_same_bytes(
+            self, tmp_path, monkeypatch, started):
+        monkeypatch.setattr(models, "_WORKERS", 3)
+        popen = subprocess.Popen
+
+        def second_fails(*args, **kwargs):
+            if len(started) == 1:
+                raise OSError("no more processes")
+            return popen(*args, **kwargs)
+        monkeypatch.setattr(subprocess, "Popen", second_fails)
+        table = self.table(self.N)
+        save_weight_table(table, tmp_path / "w.tsv")
+        assert len(started) == 1 and started[0].poll() == 0
+        assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == \
+            weight_text(table)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bad", sorted(BAD_HELPERS))
+    def test_failed_helper_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                              started, bad, workers):
+        script = tmp_path / "bad_helper.py"
+        script.write_text(BAD_HELPERS[bad].format(
+            where=str(Path(_rowtext.__file__).parent)), encoding="utf-8")
+        path = tmp_path / "out" / "w.tsv"
+        path.parent.mkdir()
+        path.write_bytes(b"old")
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        monkeypatch.setattr(_rowtext, "__file__", str(script))
+        with pytest.raises(WriterError, match="text helper"):
+            save_weight_table(self.table(self.N), path)
+        with pytest.raises(WriterError, match="text helper"):
+            save_scores(SubModelScores(np.arange(float(self.N)), "s"), path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(path.parent) == ["w.tsv"]
+        assert len(started) == 2 * (workers - 1)
+        assert all(helper.poll() is not None for helper in started)
+
+    def test_helper_beside_a_failed_one_is_ended(self, tmp_path,
+                                                 monkeypatch, started):
+        """The first helper is still sending its block when the second
+        one fails."""
+        script = tmp_path / "bad_helper.py"
+        script.write_text(BAD_HELPERS["exits at once"], encoding="utf-8")
+        monkeypatch.setattr(models, "_WORKERS", 3)
+        popen = subprocess.Popen
+
+        def second_fails(command, **kwargs):
+            if started:
+                command = [*command[:3], str(script), *command[4:]]
+            return popen(command, **kwargs)
+        monkeypatch.setattr(subprocess, "Popen", second_fails)
+        with pytest.raises(WriterError, match="text helper"):
+            save_weight_table(self.table(self.N), tmp_path / "w.tsv")
+        assert len(started) == 2
+        assert all(helper.poll() is not None for helper in started)
+        assert not (tmp_path / "w.tsv").exists()
