@@ -8,9 +8,12 @@ unless --run-dir pins it) together with a manifest, each artifact
 through `data.replacing`.  Every setting a command uses is a
 `RunConfig` field, set by a config file or its flag; pretrain-submodel,
 for one, takes the sub-model's kind as --model and its weighting as
---submodel-subsampling.  train, build-weights, pretrain-submodel and
-sweep also echo the effective configuration; re-feeding that echo
-reproduces the run, as `sweep`'s `best.cfg` reproduces its winner.
+--submodel-subsampling.  Weight tables are built from those settings,
+never read: weights-report builds its CBS and MBS tables as
+build-weights would.  Every command but evaluate, score-triples and
+singleton-stats also echoes the effective configuration; re-feeding
+that echo reproduces the run, as `sweep`'s `best.cfg` reproduces its
+winner.
 Exit codes: 0 success, 1 usage or config error, 2 data error or a
 failed read, 3 numerical divergence.
 """
@@ -228,23 +231,25 @@ def cmd_score_triples(args) -> int:
 def cmd_weights_report(args) -> int:
     if args.num_queries < 0:
         raise ConfigError("n must be >= 0")
-    config, dataset, run_dir = _start(args)
-    cbs = subsampling.load_weight_table(args.cbs_weights)
-    mbs = subsampling.load_weight_table(args.mbs_weights)
-    for name, table in (("cbs", cbs), ("mbs", mbs)):
-        if table.num_examples != dataset.num_examples:
-            raise DataError(f"{name} table covers {table.num_examples} "
-                            f"examples, dataset expands to "
-                            f"{dataset.num_examples}")
-    rows = query_appearance_report(dataset, cbs, mbs, args.num_queries,
-                                   smoothing=config.smoothing)
+    config = _resolve_config(args)
+    # each table is checked against its settings before the data load
+    cbs_config, mbs_config = (replace(config, subsampling=source)
+                              for source in ("cbs", "mbs"))
+    dataset = load_dataset(config.resolved_data_dir())
+    run_dir = _make_run_dir(args)
+    save_config(config, run_dir / "config.resolved.cfg")
+    rows = query_appearance_report(
+        dataset, _build_weights(cbs_config, dataset),
+        _build_weights(mbs_config, dataset), args.num_queries,
+        smoothing=config.smoothing)
     out_path = run_dir / "weights-report.tsv"
     with replacing(out_path) as fh:
         fh.write("entity\trelation\tdirection\tcbs_count\t"
                  "cbs_pct\tmbs_pct\n")
         for row in rows:
             fh.write("\t".join(str(v) for v in row) + "\n")
-    _write_manifest(run_dir, {"weights_report": out_path})
+    _write_manifest(run_dir, {"config": run_dir / "config.resolved.cfg",
+                              "weights_report": out_path})
     print(f"reported {len(rows)} queries; artifacts in {run_dir}")
     return 0
 
@@ -312,14 +317,12 @@ def cmd_sweep(args) -> int:
     run_dir = _make_run_dir(args)
     save_config(config, run_dir / "config.resolved.cfg")
 
-    candidates = [_load_scores_checked(path, dataset)
-                  for path in args.candidate_scores]
     by_id = {}
-    for path, scores in zip(args.candidate_scores, candidates):
-        if scores.submodel_id in by_id:
-            raise ConfigError(
-                f"duplicate sub-model id {scores.submodel_id!r}")
-        by_id[scores.submodel_id] = path
+    for path in args.candidate_scores:
+        sid = _load_scores_checked(path, dataset).submodel_id
+        if sid in by_id:
+            raise ConfigError(f"duplicate sub-model id {sid!r}")
+        by_id[sid] = path
 
     def point(sid: str, alpha: float, lam: float | None) -> RunConfig:
         """A grid point's config: MBS when `lam` is None, else MIX, both
@@ -328,21 +331,20 @@ def cmd_sweep(args) -> int:
                        alpha=alpha, lam=config.lam if lam is None else lam,
                        mbs_query_mass="observed", submodel_scores=by_id[sid])
 
-    def evaluate_point(scores: SubModelScores, alpha: float,
-                       lam: float | None) -> float:
-        point_config = point(scores.submodel_id, alpha, lam)
+    def evaluate_point(sid: str, alpha: float, lam: float | None) -> float:
+        point_config = point(sid, alpha, lam)
         weights = _build_weights(point_config, dataset)
         params = point_config.initial_params(dataset.num_entities,
                                              dataset.num_relations)
         result = training.train(dataset, weights, params, point_config)
         mrr = evaluation.evaluate(result.params, dataset, "valid").mrr
         lam_text = "-" if lam is None else lam
-        print(f"  {scores.submodel_id} alpha={alpha} lambda={lam_text} "
+        print(f"  {sid} alpha={alpha} lambda={lam_text} "
               f"valid MRR {mrr:.4f}")
         return mrr
 
     ledger_path = run_dir / "ledger.tsv"
-    selection = submodel.select_submodel(candidates, alpha_grid, lambda_grid,
+    selection = submodel.select_submodel(list(by_id), alpha_grid, lambda_grid,
                                          evaluate_point,
                                          ledger_path=ledger_path)
     save_config(point(selection.submodel_id, selection.alpha, selection.lam),
@@ -428,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("weights-report", cmd_weights_report, "CBS vs MBS "
                   "appearance probabilities of the rarest queries")
-    sub.add_argument("--cbs-weights", required=True)
-    sub.add_argument("--mbs-weights", required=True)
     sub.add_argument("-n", "--num-queries", dest="num_queries", type=int,
                      default=100)
 

@@ -35,6 +35,8 @@ DATA_ROOT_ENV = "KGESUB_DATA_ROOT"
 
 _TRAINING = ("train", "pretrain-submodel", "sweep")
 _WEIGHTS = ("train", "build-weights")
+# what weights-report builds its CBS and MBS tables from
+_REPORT = _WEIGHTS + ("weights-report",)
 _OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
         "<": operator.lt}
 
@@ -82,19 +84,19 @@ class RunConfig:
     subsampling: str = _setting("none", "subsampling", _WEIGHTS,
                                 key="source",
                                 choices=("none", "cbs", "mbs", "mix"))
-    method: str = _setting("none", "subsampling", _WEIGHTS + ("sweep",),
+    method: str = _setting("none", "subsampling", _REPORT + ("sweep",),
                            choices=("none", "base", "freq", "uniq"))
-    alpha: float = _setting(0.5, "subsampling", _WEIGHTS, rule=((">", 0),))
+    alpha: float = _setting(0.5, "subsampling", _REPORT, rule=((">", 0),))
     # "lambda" is a keyword in Python, so the field is `lam`
     lam: float = _setting(0.5, "subsampling", _WEIGHTS, key="lambda",
                           flag="--lambda", rule=((">=", 0), ("<=", 1)))
-    submodel_scores: str = _setting("", "subsampling", _WEIGHTS)
+    submodel_scores: str = _setting("", "subsampling", _REPORT)
     # query mass: "observed" sums the sub-model probability over the
     # answers seen in training; "all_candidates" sums over every entity
     # and needs the sub-model checkpoint instead of a score file
-    mbs_query_mass: str = _setting("observed", "subsampling", _WEIGHTS,
+    mbs_query_mass: str = _setting("observed", "subsampling", _REPORT,
                                    choices=("observed", "all_candidates"))
-    submodel_checkpoint: str = _setting("", "subsampling", _WEIGHTS)
+    submodel_checkpoint: str = _setting("", "subsampling", _REPORT)
     # the weights a sub-model candidate is pre-trained under
     submodel_subsampling: str = _setting("none", "subsampling",
                                          ("pretrain-submodel",),

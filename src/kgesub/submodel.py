@@ -131,15 +131,15 @@ def append_ledger(path: str | Path, record: GridRecord) -> None:
                  f"{record.valid_mrr!r}\n")
 
 
-def select_submodel(candidates: Sequence[SubModelScores],
+def select_submodel(candidates: Sequence[str],
                     alpha_grid: Sequence[float],
                     lambda_grid: Sequence[float],
-                    evaluate_point: Callable[[SubModelScores, float,
-                                              float | None], float],
+                    evaluate_point: Callable[[str, float, float | None],
+                                             float],
                     ledger_path: str | Path | None = None) -> Selection:
-    """Two-stage validation-MRR grid search.
+    """Two-stage validation-MRR grid search over sub-model ids.
 
-    `evaluate_point(scores, alpha, lam)` must return the validation MRR
+    `evaluate_point(sid, alpha, lam)` must return the validation MRR
     of a main model trained with model-based weights (lam is None) or
     mixed weights (lam set).  Grid points already present in the ledger
     file are reused, so an interrupted sweep resumes without retraining;
@@ -158,13 +158,12 @@ def select_submodel(candidates: Sequence[SubModelScores],
                 record.valid_mrr
     records: list[GridRecord] = []
 
-    def run(scores: SubModelScores, alpha: float,
-            lam: float | None) -> float:
-        key = (scores.submodel_id, alpha, lam)
+    def run(sid: str, alpha: float, lam: float | None) -> float:
+        key = (sid, alpha, lam)
         if key in cached:
             mrr = cached[key]
         else:
-            mrr = evaluate_point(scores, alpha, lam)
+            mrr = evaluate_point(sid, alpha, lam)
             cached[key] = mrr
             if ledger_path is not None:
                 append_ledger(ledger_path, GridRecord(*key, mrr))
@@ -172,25 +171,24 @@ def select_submodel(candidates: Sequence[SubModelScores],
         return mrr
 
     if len(candidates) == 1 and len(alpha_grid) == 1:
-        best_scores, best_alpha, mbs_mrr = candidates[0], alpha_grid[0], None
+        best_sid, best_alpha, mbs_mrr = candidates[0], alpha_grid[0], None
     else:
-        best = None  # ((mrr, -alpha, -candidate_index), scores, alpha, mrr)
-        for index, scores in enumerate(candidates):
+        best = None  # ((mrr, -alpha, -candidate_index), sid, alpha, mrr)
+        for index, sid in enumerate(candidates):
             for alpha in alpha_grid:
-                mrr = run(scores, alpha, None)
+                mrr = run(sid, alpha, None)
                 key = (mrr, -alpha, -index)
                 if best is None or key > best[0]:
-                    best = (key, scores, alpha, mrr)
-        _, best_scores, best_alpha, mbs_mrr = best
+                    best = (key, sid, alpha, mrr)
+        _, best_sid, best_alpha, mbs_mrr = best
 
     best_mix = None
     for lam in lambda_grid:
-        mrr = run(best_scores, best_alpha, lam)
+        mrr = run(best_sid, best_alpha, lam)
         key = (mrr, -lam)
         if best_mix is None or key > best_mix[0]:
             best_mix = (key, lam, mrr)
     _, best_lam, mix_mrr = best_mix
 
-    return Selection(submodel_id=best_scores.submodel_id, alpha=best_alpha,
-                     lam=best_lam, mbs_mrr=mbs_mrr, mix_mrr=mix_mrr,
-                     records=records)
+    return Selection(submodel_id=best_sid, alpha=best_alpha, lam=best_lam,
+                     mbs_mrr=mbs_mrr, mix_mrr=mix_mrr, records=records)

@@ -31,11 +31,13 @@ Weight construction is a pure function of its frozen inputs, and the
 resulting tables are immutable and safe for concurrent readers.
 
 Weight tables and score files are text, written a block of `_ROWS`
-rows at a time.  The rows' decimals are the costly part, so a table of
-more than one block is formatted on every CPU that the process may run
-on: the calling process takes blocks 0, W, 2W, ... and each of W - 1
-helper interpreters, running `_rowtext` as a script with no numpy or
-kgesub, the blocks of its own stride, sent to it as float64 bytes.
+rows at a time.  A weight table is output only: every command builds
+the tables it needs from its settings, and none reads one back.  The
+rows' decimals are the costly part, so a table of more than one block
+is formatted on every CPU that the process may run on: the calling
+process takes blocks 0, W, 2W, ... and each of W - 1 helper
+interpreters, running `_rowtext` as a script with no numpy or kgesub,
+the blocks of its own stride, sent to it as float64 bytes.
 Every block comes from `_rowtext.format_rows` wherever it is formatted,
 so the bytes do not depend on the CPU count.  A score file's header
 gives the sub-model id as the rest of its line, so an id may hold
@@ -258,8 +260,8 @@ def mix_weights(cbs: WeightTable, mbs: WeightTable, lam: float) -> WeightTable:
 def save_weight_table(table: WeightTable, path: str | Path) -> None:
     """`example_id<TAB>direction<TAB>a<TAB>b` rows with a comment header.
 
-    Weights are written as shortest round-trip decimals, so the file
-    reloads to bitwise-equal arrays.  A table whose weights are all
+    Weights are written as shortest round-trip decimals, so a reader
+    gets bitwise-equal arrays back.  A table whose weights are all
     exactly 1 is written as its header alone, ending in `examples=N`.
     """
     with replacing(path, "wb") as fh:
@@ -341,60 +343,6 @@ def _start_helpers(count: int, num_columns: int,
         except OSError:
             break
     return helpers
-
-
-def load_weight_table(path: str | Path) -> WeightTable:
-    """Read a table written by `save_weight_table`; weights must be
-    finite and positive.  A header-only table with `examples=N` is N
-    examples of weight 1."""
-    path = Path(path)
-    header = {"provenance": Provenance(source="unknown", method="unknown"),
-              "examples": 0}
-    columns = [np.empty((2, 0))]  # (a, b) rows of each block
-
-    def parse(rows: list[str], comments: list[str], start: int) -> None:
-        for line in comments:
-            fields = _header_fields(line)
-            header["provenance"] = _parse_provenance(fields)
-            header["examples"] = int(fields.get("examples", 0))
-        fields = split_fields(rows, 4, "expected 4 fields")
-        _check_dense(fields[0::4], start)
-        bad = set(fields[1::4]).difference(DIRECTION_NAMES)
-        if bad:
-            raise ValueError(f"bad direction {min(bad)!r}")
-        weights = np.stack([_floats(fields[2::4]), _floats(fields[3::4])])
-        if not np.all((weights > 0) & (weights < math.inf)):
-            raise ValueError("weights must be finite and positive")
-        columns.append(weights)
-
-    parse_text(path, parse)
-    weights, n = np.concatenate(columns, axis=1), header["examples"]
-    if n > 0 and not weights.shape[1]:  # a read-only view, whatever n
-        weights = np.broadcast_to(1.0, (2, n))
-    if n and weights.shape[1] != n:
-        raise DataError(f"{path}: header gives {n} examples, table has "
-                        f"{weights.shape[1]}")
-    if not weights.shape[1]:
-        raise DataError(f"{path}: empty weight table")
-    return WeightTable(a=weights[0], b=weights[1],
-                       provenance=header["provenance"])
-
-
-def _header_fields(comment: str) -> dict[str, str]:
-    """`key=value` items of a `#` header line."""
-    return dict(item.split("=", 1) for item in comment[1:].split()
-                if "=" in item)
-
-
-def _parse_provenance(fields: dict[str, str]) -> Provenance:
-    def opt_float(key: str) -> float | None:
-        value = fields.get(key, "-")
-        return None if value == "-" else float(value)
-    submodel = fields.get("submodel", "-")
-    return Provenance(source=fields.get("source", "unknown"),
-                      method=fields.get("method", "unknown"),
-                      alpha=opt_float("alpha"), lam=opt_float("lambda"),
-                      submodel_id=None if submodel == "-" else submodel)
 
 
 def _check_dense(ids: list[str], start: int) -> None:

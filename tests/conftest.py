@@ -760,9 +760,11 @@ def load_triples(path, existing_vocab: Vocab = Vocab()
     return _parse_triples(Path(path), *to_ids), Vocab(*map(tuple, to_ids))
 
 
-# Line-by-line text readers that the block-wise `load_triples`,
-# `load_scores` and `load_weight_table` replaced, kept as their oracles:
-# one Python loop iteration and one error check per line.
+# Line-by-line text readers that the block-wise `load_triples` and
+# `load_scores` replaced, kept as their oracles: one Python loop
+# iteration and one error check per line.  The program reads no weight
+# table; `oracle_load_weight_table` is the tests' reader of those it
+# writes.
 
 
 def _oracle_text_lines(path: Path):
@@ -811,9 +813,13 @@ def oracle_load_triples(path, existing_vocab: Vocab = Vocab()):
     return triples, Vocab(tuple(labels["entity"]), tuple(labels["relation"]))
 
 
+def _header_fields(comment: str) -> dict[str, str]:
+    return dict(item.split("=", 1) for item in comment[1:].split()
+                if "=" in item)
+
+
 def _oracle_provenance(comment: str) -> Provenance:
-    fields = dict(item.split("=", 1) for item in comment[1:].split()
-                  if "=" in item)
+    fields = _header_fields(comment)
 
     def opt_float(key: str) -> float | None:
         value = fields.get(key, "-")
@@ -826,14 +832,18 @@ def _oracle_provenance(comment: str) -> Provenance:
 
 
 def oracle_load_weight_table(path) -> WeightTable:
+    """A table written by `save_weight_table`; a header-only table ending
+    in `examples=N` is N examples of weight 1."""
     path = Path(path)
     provenance = Provenance(source="unknown", method="unknown")
+    examples = 0
     a: list[float] = []
     b: list[float] = []
     for lineno, line in _oracle_text_lines(path):
         try:
             if line.startswith("#"):
                 provenance = _oracle_provenance(line)
+                examples = int(_header_fields(line).get("examples", 0))
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
@@ -850,6 +860,8 @@ def oracle_load_weight_table(path) -> WeightTable:
                             "positive")
         a.append(weights[0])
         b.append(weights[1])
+    if not a and examples > 0:
+        a = b = [1.0] * examples
     if not a:
         raise DataError(f"{path}: empty weight table")
     return WeightTable(a=np.array(a), b=np.array(b), provenance=provenance)

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from kgesub import subsampling
-from kgesub.cli import build_parser, main
+from kgesub.cli import build_parser, main, query_appearance_report
 from kgesub.config import load_config
-from kgesub.data import read_container, write_container
+from kgesub.data import load_dataset, read_container, write_container
 from kgesub.models import (ModelKind, init_params, load_params, params_header,
                            save_params)
-from kgesub.subsampling import load_weight_table, scores_copy_path
+from kgesub.subsampling import scores_copy_path
 
-from conftest import save_dataset, zipf_kg
+from conftest import oracle_load_weight_table, save_dataset, zipf_kg
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ class TestTrainCommand:
         code = run(["train", "--data", data_dir, "--run-dir", run_dir,
                     "--subsampling", "none"] + FAST)
         assert code == 0
-        table = load_weight_table(run_dir / "weights.tsv")
+        table = oracle_load_weight_table(run_dir / "weights.tsv")
         assert np.all(table.a == 1.0)
 
     def test_determinism_across_invocations(self, data_dir, tmp_path):
@@ -182,10 +182,10 @@ class TestExitCodes:
          "--submodel-checkpoint", "{missing}"],
         ["build-weights", "--subsampling", "mbs", "--method", "base",
          "--submodel-scores", "{missing}"],
-        ["weights-report", "--cbs-weights", "{missing}", "--mbs-weights",
-         "{missing}"],
+        ["weights-report", "--method", "base",
+         "--submodel-scores", "{missing}"],
     ], ids=["dataset", "evaluate_checkpoint", "score_triples_checkpoint",
-            "all_candidates_submodel", "score_file", "weight_table"])
+            "all_candidates_submodel", "score_file", "report_score_file"])
     def test_missing_file_is_exit_2_naming_it(self, data_dir, tmp_path,
                                               capsys, argv):
         """`main` alone turns a failed read into exit 2, with the
@@ -200,12 +200,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["singleton-stats", "--stride", "0"],
-        ["weights-report", "--cbs-weights", "c", "--mbs-weights", "m",
+        ["weights-report", "--method", "base", "--submodel-scores", "s",
          "-n", "-1"]], ids=["stride", "num_queries"])
     def test_bad_count_is_exit_1_before_the_data_load(self, tmp_path, argv):
         """Not exit 2 for the absent data, and no run directory made."""
         assert run(argv + ["--data", tmp_path / "nope",
                            "--run-dir", tmp_path / "r"]) == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--submodel-scores", "s"], "needs a method"),
+        (["--method", "base"], "needs submodel_scores"),
+        (["--method", "base", "--mbs-query-mass", "all_candidates"],
+         "needs submodel_checkpoint"),
+    ], ids=["method", "scores", "checkpoint"])
+    def test_report_without_a_table_setting_is_exit_1_before_the_data_load(
+            self, tmp_path, capsys, argv, message):
+        """weights-report checks the settings of both of its tables
+        before it reads the data, as sweep does."""
+        assert run(["weights-report", *argv, "--data", tmp_path / "nope",
+                    "--run-dir", tmp_path / "r"]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 
@@ -445,7 +460,7 @@ class TestSubmodelPipeline:
                     "--subsampling", "mix", "--method", "freq",
                     "--alpha", "0.1", "--lambda", "0.7", "--smoothing", "0",
                     "--submodel-scores", scores_path] + FAST) == 0
-        table = load_weight_table(mix_dir / "weights.tsv")
+        table = oracle_load_weight_table(mix_dir / "weights.tsv")
         assert table.provenance.source == "mix"
         assert table.provenance.alpha == 0.1
         assert table.provenance.lam == 0.7
@@ -563,17 +578,13 @@ class TestSubmodelPipeline:
         assert run(["build-weights", "--data", data_dir,
                     "--run-dir", run_dir, "--subsampling", "cbs",
                     "--method", "uniq", "--smoothing", "0"]) == 0
-        table = load_weight_table(run_dir / "weights.tsv")
+        table = oracle_load_weight_table(run_dir / "weights.tsv")
         assert table.provenance.method == "uniq"
         assert table.a.mean() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestReportCommands:
-    def _weights(self, data_dir, tmp_path):
-        cbs_dir = tmp_path / "cbs"
-        assert run(["build-weights", "--data", data_dir,
-                    "--run-dir", cbs_dir, "--subsampling", "cbs",
-                    "--method", "freq", "--smoothing", "0"]) == 0
+    def _scores(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
                     "--run-dir", sub_dir, "--model", "distmult"]
@@ -582,51 +593,94 @@ class TestReportCommands:
         assert run(["score-triples", "--data", data_dir,
                     "--run-dir", score_dir,
                     "--checkpoint", sub_dir / "submodel.bin"]) == 0
-        mbs_dir = tmp_path / "mbs"
-        assert run(["build-weights", "--data", data_dir,
-                    "--run-dir", mbs_dir, "--subsampling", "mbs",
-                    "--method", "freq", "--alpha", "0.1",
-                    "--smoothing", "0",
-                    "--submodel-scores", score_dir / "scores.tsv"]) == 0
-        return cbs_dir / "weights.tsv", mbs_dir / "weights.tsv"
+        return score_dir / "scores.tsv"
 
     def test_weights_report(self, data_dir, tmp_path):
-        cbs, mbs = self._weights(data_dir, tmp_path)
+        scores = self._scores(data_dir, tmp_path)
         report_dir = tmp_path / "report"
         assert run(["weights-report", "--data", data_dir,
-                    "--run-dir", report_dir, "--cbs-weights", cbs,
-                    "--mbs-weights", mbs, "-n", "10",
-                    "--smoothing", "0"]) == 0
+                    "--run-dir", report_dir, "--method", "freq",
+                    "--alpha", "0.1", "--submodel-scores", scores,
+                    "-n", "10", "--smoothing", "0"]) == 0
         lines = ((report_dir / "weights-report.tsv")
                  .read_text().strip().split("\n"))
         assert lines[0].startswith("entity\trelation")
         assert len(lines) == 11
         counts = [float(line.split("\t")[3]) for line in lines[1:]]
         assert counts == sorted(counts, reverse=True)
+        echo = load_config(report_dir / "config.resolved.cfg")
+        assert (echo.method, echo.alpha, echo.smoothing) == ("freq", 0.1, 0.0)
+        assert (report_dir / "manifest.tsv").read_text() == (
+            "config\tconfig.resolved.cfg\n"
+            "weights_report\tweights-report.tsv\n")
 
     def test_weights_report_zero_queries(self, data_dir, tmp_path):
-        cbs, mbs = self._weights(data_dir, tmp_path)
+        scores = self._scores(data_dir, tmp_path)
         report_dir = tmp_path / "report0"
         assert run(["weights-report", "--data", data_dir,
-                    "--run-dir", report_dir, "--cbs-weights", cbs,
-                    "--mbs-weights", mbs, "-n", "0"]) == 0
+                    "--run-dir", report_dir, "--method", "freq",
+                    "--submodel-scores", scores, "-n", "0"]) == 0
         lines = ((report_dir / "weights-report.tsv")
                  .read_text().strip().split("\n"))
         assert len(lines) == 1
 
-    @pytest.mark.parametrize("field, value", [(0, "zero"), (3, "-1")])
-    def test_malformed_weight_table_is_exit_2(self, data_dir, tmp_path,
-                                              capsys, field, value):
-        cbs, mbs = self._weights(data_dir, tmp_path)
-        lines = cbs.read_text(encoding="utf-8").split("\n")
-        parts = lines[3].split("\t")
-        parts[field] = value
-        lines[3] = "\t".join(parts)
-        cbs.write_text("\n".join(lines), encoding="utf-8")
-        assert run(["weights-report", "--data", data_dir,
-                    "--run-dir", tmp_path / "report", "--cbs-weights", cbs,
-                    "--mbs-weights", mbs]) == 2
-        assert "weights.tsv:4:" in capsys.readouterr().err
+    @pytest.mark.parametrize("method", ["base", "freq", "uniq"])
+    def test_report_is_that_of_the_built_tables(self, handmade_dir, tmp_path,
+                                                method):
+        """The report's bytes are the rows of `query_appearance_report`
+        over the CBS and MBS tables that build-weights writes with the
+        same settings."""
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=hand\n" + "".join(
+            f"{i}\t{v!r}\n" for i, v in enumerate(
+                [0.5, 0.5, -1.0, -1.0, 2.0, 2.0, 0.25, 0.25, -3.0, -3.0])),
+            encoding="utf-8")
+        settings = ["--data", handmade_dir, "--method", method, "--alpha",
+                    "0.3", "--smoothing", "1", "--submodel-scores", scores]
+        tables = []
+        for source in ("cbs", "mbs"):
+            assert run(["build-weights", *settings, "--subsampling", source,
+                        "--run-dir", tmp_path / source]) == 0
+            tables.append(oracle_load_weight_table(
+                tmp_path / source / "weights.tsv"))
+        rows = query_appearance_report(load_dataset(handmade_dir), *tables,
+                                       5, smoothing=1.0)
+        assert run(["weights-report", *settings, "-n", "5",
+                    "--run-dir", tmp_path / "report"]) == 0
+        assert (tmp_path / "report" / "weights-report.tsv").read_text(
+            encoding="utf-8") == "".join(
+                "\t".join(map(str, row)) + "\n" for row in [
+                    ("entity", "relation", "direction", "cbs_count",
+                     "cbs_pct", "mbs_pct"), *rows])
+
+    def test_smoothing_moves_count_and_share(self, handmade_dir, tmp_path):
+        """Training counts 2, 1, 1, 1, 1, 2, 2: under Freq a count-1
+        query's share of the CBS mass is 1 / (3 sqrt 2 + 4) with no
+        smoothing and (1 / sqrt 5) / (6 / sqrt 6 + 4 / sqrt 5) with 4."""
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=flat\n" + "".join(
+            f"{i}\t0.0\n" for i in range(10)), encoding="utf-8")
+        reports = {}
+        for smoothing in ("0", "4"):
+            run_dir = tmp_path / smoothing
+            assert run(["weights-report", "--data", handmade_dir,
+                        "--method", "freq", "--submodel-scores", scores,
+                        "--smoothing", smoothing, "--run-dir", run_dir]) == 0
+            reports[smoothing] = [
+                line.split("\t") for line in (run_dir / "weights-report.tsv")
+                .read_text(encoding="utf-8").splitlines()[1:]]
+        plain, smoothed = reports["0"], reports["4"]
+        assert len(plain) == len(smoothed) == 7
+        for row, other in zip(plain, smoothed):
+            assert row[:3] == other[:3] and row[5] == other[5]
+            assert float(other[3]) == float(row[3]) + 4
+        rare = [(float(row[4]), float(other[4]))
+                for row, other in zip(plain, smoothed) if row[3] == "1.0"]
+        assert len(rare) == 4
+        for share, smoothed_share in rare:
+            assert share == pytest.approx(100 / (3 * 2 ** 0.5 + 4))
+            assert smoothed_share == pytest.approx(
+                100 / 5 ** 0.5 / (6 / 6 ** 0.5 + 4 / 5 ** 0.5))
 
     def test_malformed_score_file_is_exit_2(self, data_dir, tmp_path,
                                             capsys):
@@ -808,7 +862,7 @@ class TestWideScoreSpread:
         assert run(["build-weights", "--data", data, "--run-dir", run_dir,
                     "--subsampling", "mbs", "--method", "freq",
                     "--submodel-scores", scores]) == 0
-        table = load_weight_table(run_dir / "weights.tsv")
+        table = oracle_load_weight_table(run_dir / "weights.tsv")
         assert table.provenance.submodel_id == "wide"
         for column in (table.a, table.b):
             assert np.all(np.isfinite(column)) and np.all(column > 0)
@@ -829,7 +883,7 @@ class TestAllCandidatesSwitch:
                     "--submodel-checkpoint", sub_dir / "submodel.bin"]
                    + FAST)
         assert code == 0
-        table = load_weight_table(run_dir / "weights.tsv")
+        table = oracle_load_weight_table(run_dir / "weights.tsv")
         assert table.provenance.source == "mbs"
         assert "distmult-none-seed3" in table.provenance.submodel_id
 
@@ -1029,9 +1083,13 @@ PARSER_TABLE = {
         ("--submodel-subsampling", "submodel_subsampling", "str",
          ["none", "cbs-base"])],
     "score-triples": [("--checkpoint", "checkpoint", None, None)],
-    "weights-report": [("--cbs-weights", "cbs_weights", None, None),
-                       ("--mbs-weights", "mbs_weights", None, None),
-                       ("-n --num-queries", "num_queries", "int", None)],
+    "weights-report": [
+        *METHOD, ("--alpha", "alpha", "float", None),
+        ("--submodel-scores", "submodel_scores", "str", None),
+        ("--mbs-query-mass", "mbs_query_mass", "str",
+         ["observed", "all_candidates"]),
+        ("--submodel-checkpoint", "submodel_checkpoint", "str", None),
+        ("-n --num-queries", "num_queries", "int", None)],
     "singleton-stats": [("--stride", "stride", "int", None)],
     "sweep": MODEL_AND_TRAIN + METHOD + [
         ("--submodel-scores", "candidate_scores", None, None),

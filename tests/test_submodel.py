@@ -10,10 +10,9 @@ from kgesub.models import ModelKind, init_params
 from kgesub.submodel import (GridRecord, append_ledger, pretrain_submodel,
                              read_ledger, score_training_triples,
                              select_submodel)
-from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
-                                build_cbs_weights, load_scores,
-                                log_model_frequencies, mix_weights,
-                                save_scores)
+from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
+                                load_scores, log_model_frequencies,
+                                mix_weights, save_scores)
 
 from conftest import mbs_weights
 
@@ -129,14 +128,10 @@ class TestDegenerateSubmodel:
         assert np.array_equal(a.b, b.b)
 
 
-def fake_scores(sid: str) -> SubModelScores:
-    return SubModelScores(np.zeros(4), sid)
-
-
 class TestSelectSubmodel:
     def test_single_point_returned(self):
         selection = select_submodel(
-            [fake_scores("only")], [0.5], [0.3],
+            ["only"], [0.5], [0.3],
             evaluate_point=lambda s, a, l: 0.42)
         assert selection.submodel_id == "only"
         assert selection.alpha == 0.5
@@ -146,10 +141,10 @@ class TestSelectSubmodel:
         """A 1 x 1 x 1 grid is a forced choice: only the ratio stage
         trains, so exactly one evaluation happens."""
         calls = []
-        def point(scores, alpha, lam):
+        def point(sid, alpha, lam):
             calls.append((alpha, lam))
             return 0.5
-        selection = select_submodel([fake_scores("m")], [0.5], [0.7], point)
+        selection = select_submodel(["m"], [0.5], [0.7], point)
         assert calls == [(0.5, 0.7)]
         assert selection.mbs_mrr is None
         assert selection.mix_mrr == 0.5
@@ -157,38 +152,38 @@ class TestSelectSubmodel:
     def test_grid_sizes_match_two_stage_protocol(self):
         """6 temperatures then 5 ratios: 11 evaluations for 1 candidate."""
         calls = []
-        def point(scores, alpha, lam):
-            calls.append((scores.submodel_id, alpha, lam))
+        def point(sid, alpha, lam):
+            calls.append((sid, alpha, lam))
             return 0.5
         alpha_grid = [2.0, 1.0, 0.5, 0.1, 0.05, 0.01]
         lambda_grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-        selection = select_submodel([fake_scores("m")], alpha_grid,
+        selection = select_submodel(["m"], alpha_grid,
                                     lambda_grid, point)
         assert len(calls) == 11
         assert len([c for c in calls if c[2] is None]) == 6
         assert len(selection.records) == 11
 
     def test_dominant_candidate_selected(self):
-        def point(scores, alpha, lam):
-            return 0.9 if scores.submodel_id == "strong" else 0.1
+        def point(sid, alpha, lam):
+            return 0.9 if sid == "strong" else 0.1
         selection = select_submodel(
-            [fake_scores("weak"), fake_scores("strong")],
+            ["weak", "strong"],
             [1.0, 0.5], [0.1, 0.9], point)
         assert selection.submodel_id == "strong"
 
     def test_stage_two_inherits_stage_one_alpha(self):
         stage_two = []
-        def point(scores, alpha, lam):
+        def point(sid, alpha, lam):
             if lam is not None:
                 stage_two.append(alpha)
                 return 0.5
             return {2.0: 0.1, 0.5: 0.7}[alpha]
-        select_submodel([fake_scores("m")], [2.0, 0.5], [0.1, 0.9], point)
+        select_submodel(["m"], [2.0, 0.5], [0.1, 0.9], point)
         assert set(stage_two) == {0.5}
 
     def test_ties_prefer_smaller_alpha_then_candidate_order(self):
         selection = select_submodel(
-            [fake_scores("first"), fake_scores("second")],
+            ["first", "second"],
             [2.0, 0.5, 1.0], [0.9, 0.1],
             evaluate_point=lambda s, a, l: 0.5)
         assert selection.submodel_id == "first"
@@ -198,14 +193,14 @@ class TestSelectSubmodel:
     def test_ledger_resume_skips_completed_points(self, tmp_path):
         ledger = tmp_path / "ledger.tsv"
         calls = []
-        def point(scores, alpha, lam):
+        def point(sid, alpha, lam):
             calls.append((alpha, lam))
             return alpha / 2  # higher temperature wins; an MRR in [0, 1]
-        first = select_submodel([fake_scores("m")], [1.0, 2.0], [0.5],
+        first = select_submodel(["m"], [1.0, 2.0], [0.5],
                                 point, ledger_path=ledger)
         assert len(calls) == 3
         calls.clear()
-        second = select_submodel([fake_scores("m")], [1.0, 2.0], [0.5],
+        second = select_submodel(["m"], [1.0, 2.0], [0.5],
                                  point, ledger_path=ledger)
         assert calls == []  # fully cached
         assert second.submodel_id == first.submodel_id
@@ -218,19 +213,19 @@ class TestSelectSubmodel:
         even one that still parses (an MRR missing its last digits),
         and appends the point's full record after the whole lines."""
         ledger = tmp_path / "ledger.tsv"
-        def point(scores, alpha, lam):
+        def point(sid, alpha, lam):
             return 0.375 if lam is None else 0.25
-        select_submodel([fake_scores("m")], [1.0, 2.0], [0.5], point,
+        select_submodel(["m"], [1.0, 2.0], [0.5], point,
                         ledger_path=ledger)
         whole = ledger.read_bytes()
         last = whole.rstrip(b"\n").rfind(b"\n") + 1
         ledger.write_bytes(whole[:last + cut] if cut > 0
                            else whole[:cut])
         calls = []
-        def counted(scores, alpha, lam):
+        def counted(sid, alpha, lam):
             calls.append((alpha, lam))
-            return point(scores, alpha, lam)
-        select_submodel([fake_scores("m")], [1.0, 2.0], [0.5], counted,
+            return point(sid, alpha, lam)
+        select_submodel(["m"], [1.0, 2.0], [0.5], counted,
                         ledger_path=ledger)
         assert calls == [(1.0, 0.5)]  # only the torn stage-two point
         assert ledger.read_bytes() == whole

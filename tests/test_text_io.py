@@ -1,12 +1,13 @@
 """Block-wise text readers against the line-by-line oracles.
 
-`load_triples`, `load_scores` and `load_weight_table` parse about
-`data.BLOCK_BYTES` of lines at a time and read a failing block again
-line by line.  Generated files, cut into blocks of sizes from one line
-to 1 MiB, must give the oracles' ids, vocabulary order and bitwise
-arrays, or the same exception type and message.  `save_scores` and
-`save_weight_table` must write the bytes of one `repr` per row however
-many helper processes format their blocks.
+`load_triples` and `load_scores` parse about `data.BLOCK_BYTES` of
+lines at a time and read a failing block again line by line.  Generated
+files, cut into blocks of sizes from one line to 1 MiB, must give the
+oracles' ids, vocabulary order and bitwise arrays, or the same exception
+type and message.  `save_scores` and `save_weight_table` must write the
+bytes of one `repr` per row however many helper processes format their
+blocks; the program reads no weight table, so the tests read them with
+the conftest reader.
 """
 
 import os
@@ -28,9 +29,8 @@ from kgesub.errors import (DataError, DegenerateInputError, KgesubError,
 from kgesub.subsampling import (Provenance, SubModelScores,
                                 SubsamplingMethod, WeightTable,
                                 discounted_weights, load_scores,
-                                load_weight_table, save_scores,
-                                save_weight_table, scores_copy_path,
-                                uniform_weights)
+                                save_scores, save_weight_table,
+                                scores_copy_path, uniform_weights)
 
 from conftest import (load_triples, make_vocab, oracle_load_scores,
                       oracle_load_triples, oracle_load_weight_table)
@@ -104,13 +104,6 @@ def score_row(draw, index: int) -> str:
     return f"{example_id(draw, index)}\t{draw(NUMBER)}"
 
 
-def weight_row(draw, index: int) -> str:
-    direction = draw(st.sampled_from(["tail-query", "head-query"] * 4
-                                     + ["head", ""]))
-    return f"{example_id(draw, index)}\t{direction}\t{draw(NUMBER)}\t" \
-           f"{draw(NUMBER)}"
-
-
 def outcome(load, path: Path, *args):
     """What a reader gives: ("ok", value) or (exception type, message)."""
     try:
@@ -143,16 +136,6 @@ def same_scores(got, want) -> None:
         return
     assert got[1].submodel_id == want[1].submodel_id
     assert bitwise_equal(got[1].raw_score, want[1].raw_score)
-
-
-def same_tables(got, want) -> None:
-    assert got[0] == want[0]
-    if got[0] != "ok":
-        assert got[1] == want[1]
-        return
-    assert got[1].provenance == want[1].provenance
-    assert bitwise_equal(got[1].a, want[1].a)
-    assert bitwise_equal(got[1].b, want[1].b)
 
 
 def written(directory: str, blob: bytes, name: str = "input.txt") -> Path:
@@ -239,47 +222,6 @@ class TestScores:
                         outcome(oracle_load_scores, path))
 
 
-HEADER = st.one_of(
-    st.text(max_size=8),
-    st.builds(lambda alpha, lam: f" source=mbs method=freq alpha={alpha} "
-                                 f"lambda={lam} submodel=s",
-              st.sampled_from(["0.5", "-", "zz", "1e400"]),
-              st.sampled_from(["0.3", "-", "x"])))
-
-
-def weight_file(start: int = 0):
-    """Weight-table files whose comments are provenance headers; none
-    has `examples=`, the header-only form the oracle predates."""
-    return st.tuples(HEADER, text_file(weight_row, start)).map(
-        lambda parts: ("#" + parts[0].replace("examples=", "")
-                       ).encode("utf-8") + b"\n" + parts[1]
-        if parts[0] else parts[1])
-
-
-class TestWeightTables:
-    @settings(max_examples=150, deadline=None)
-    @given(blob=weight_file(), block=BLOCK)
-    def test_matches_line_oracle(self, blob, block):
-        with tempfile.TemporaryDirectory() as directory, \
-                mock.patch.object(data, "BLOCK_BYTES", block):
-            path = written(directory, blob)
-            same_tables(outcome(load_weight_table, path),
-                        outcome(oracle_load_weight_table, path))
-
-    @settings(max_examples=3, deadline=None)
-    @given(tail=text_file(weight_row, start=50_000), block=BIG_BLOCK)
-    def test_error_in_a_later_megabyte_block(self, tail, block):
-        filler = ("# source=cbs method=base alpha=- lambda=- submodel=-\n"
-                  + "".join(f"{i}\thead-query\t{i / 3 + 1!r}\t{2.5 / (i + 1)!r}\n"
-                            for i in range(50_000))).encode("utf-8")
-        assert len(filler) > 1 << 20
-        with tempfile.TemporaryDirectory() as directory, \
-                mock.patch.object(data, "BLOCK_BYTES", block):
-            path = written(directory, filler + b"\n" + tail)
-            same_tables(outcome(load_weight_table, path),
-                        outcome(oracle_load_weight_table, path))
-
-
 class TestHeaderOnlyTables:
     def test_uniform_table_is_its_header(self, tmp_path):
         path = tmp_path / "weights.tsv"
@@ -287,7 +229,7 @@ class TestHeaderOnlyTables:
         assert path.read_text(encoding="utf-8") == (
             "# source=none method=none alpha=- lambda=- submodel=- "
             "examples=7\n")
-        table = load_weight_table(path)
+        table = oracle_load_weight_table(path)
         assert table.provenance == Provenance(source="none", method="none")
         np.testing.assert_array_equal(table.a, np.ones(7))
         np.testing.assert_array_equal(table.b, np.ones(7))
@@ -302,46 +244,13 @@ class TestHeaderOnlyTables:
                                               submodel_id="m"))
         save_weight_table(table, path)
         assert path.read_text(encoding="utf-8").count("\n") == 1
-        assert load_weight_table(path).provenance == table.provenance
+        assert oracle_load_weight_table(path).provenance == table.provenance
         table.b[3] = 1.5
         save_weight_table(table, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 5 and "examples=" not in lines[0]
-        loaded = load_weight_table(path)
+        loaded = oracle_load_weight_table(path)
         assert loaded.b.tolist() == [1.0, 1.0, 1.0, 1.5]
-
-    def test_row_form_of_a_uniform_table_still_loads(self, tmp_path):
-        path = tmp_path / "weights.tsv"
-        path.write_text("# source=none method=none alpha=- lambda=- "
-                        "submodel=-\n0\ttail-query\t1.0\t1.0\n"
-                        "1\thead-query\t1.0\t1.0\n", encoding="utf-8")
-        table = load_weight_table(path)
-        assert table.a.tolist() == table.b.tolist() == [1.0, 1.0]
-
-    @pytest.mark.parametrize("body, message", [
-        ("# source=none examples=3\n0\ttail-query\t1.0\t1.0\n",
-         "header gives 3 examples, table has 1"),
-        ("# source=none examples=-2\n", "header gives -2 examples"),
-        ("# source=none examples=0\n", "empty weight table"),
-        ("# source=none\n", "empty weight table"),
-        ("# source=none examples=two\n", ":1: invalid literal"),
-    ])
-    def test_bad_header_only_tables(self, tmp_path, body, message):
-        path = tmp_path / "weights.tsv"
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(DataError, match=message):
-            load_weight_table(path)
-
-    def test_a_huge_count_allocates_nothing(self, tmp_path):
-        """The ones are a read-only view, so a header cannot make the
-        reader allocate memory in proportion to its count."""
-        path = tmp_path / "weights.tsv"
-        path.write_text("# source=none examples=1000000000000\n",
-                        encoding="utf-8")
-        table = load_weight_table(path)
-        assert table.num_examples == 10 ** 12
-        assert not table.a.flags.writeable
-        assert table.a.strides == (0,)
 
 
 class TestDatasetArrays:
