@@ -1,6 +1,6 @@
-"""Same-bytes gate: one fixed CLI sequence on the seed-1 PIPELINE graph of
-perfbench/graphs.py, run in a fresh process per tree, with every file it
-leaves compared byte for byte.
+"""Same-bytes gate: one fixed CLI sequence on the seed-1 PIPELINE and
+FB15K237 graphs of perfbench/graphs.py, run in a fresh process per tree,
+with every file it leaves compared byte for byte.
 
 usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
                                     [--work DIR]
@@ -8,23 +8,31 @@ usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
 The sequence trains every model kind under both optimizers, builds
 weights of every method on both query masses, runs `weights-report`,
 `singleton-stats`, a 2 x 2 `sweep` over two sub-models, `train --config
-best.cfg` and `evaluate`.  Each step is one `kgesub.cli.main` call with
-the run directory `<step>/`; its exit code and stdout are kept beside it
-as `<step>.exit` and `<step>.stdout`.  Every path is relative to the
-tree's work directory, so no file names the tree it came from.
+best.cfg` and `evaluate`, all on the PIPELINE graph in `data/`.  A second
+group then runs in `fb237/` on the FB15K237 graph, where a weight table
+or score file has 544,230 rows in 34 blocks, so a tree that may use more
+than one CPU formats them with helper interpreters: `build-weights
+--subsampling mix` twice on a score file that the script writes (the
+first parses its text, the second reads the parsed copy), a short
+`pretrain-submodel` and `score-triples` of that sub-model.  Each step is
+one `kgesub.cli.main` call with the run directory `<step>/`; its exit
+code and stdout are kept beside it as `<step>.exit` and `<step>.stdout`.
+Every path is relative to the tree's work directory, so no file names
+the tree it came from.
 
 Given OTHER_SRC, the src directory of another checkout (say the parent
 commit, unpacked with `git archive`), the sequence runs under that tree
 and then under this one.  Without it, the sequence runs twice under
-this one, the second time pinned to one CPU with `taskset -c 0`, which
-checks that a run is a pure function of data, config and seed.
+this one, the second time pinned to one CPU with `taskset -c 0`, where
+no helper starts, which checks that a run is a pure function of data,
+config and seed.
 
 Every file must be present in both trees with the same bytes, except
 files whose path relative to the work directory matches an
 --expect-diff pattern (fnmatch, where `*` also matches `/`; for
-example `report-*`).  The exit status is 1 on any other difference or
-a failed tree, else 0.  The work directory is a temporary one, removed
-at the end, unless --work names one to keep.
+example `report-*` or `fb237/*`).  The exit status is 1 on any other
+difference or a failed tree, else 0.  The work directory is a temporary
+one, removed at the end, unless --work names one to keep.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +114,26 @@ def _sequence() -> list[tuple[str, list[str]]]:
         ("evaluate-best", ["evaluate", *DATA, "--checkpoint",
                            "train-best/checkpoint.bin"]),
     ]
+    fb237 = ["--data", "fb237/data"]
+    mix = ["build-weights", *fb237, "--subsampling", "mix", "--method",
+           "freq", "--alpha", "0.5", "--lambda", "0.5", "--submodel-scores",
+           "fb237/scores.tsv"]
+    steps += [
+        ("fb237/mix-miss", mix),
+        ("fb237/mix-hit", mix),
+        ("fb237/sub", ["pretrain-submodel", *fb237, *MODEL, "--model",
+                       "transe", "--submodel-subsampling", "none"]),
+        ("fb237/scores", ["score-triples", *fb237, "--checkpoint",
+                          "fb237/sub/submodel.bin"]),
+    ]
     return steps
+
+
+def _score_text(rows: int) -> str:
+    """A score file of `rows` seeded normal scores, one `repr` per row."""
+    scores = np.random.default_rng([1, 237]).normal(size=rows)
+    return "# submodel=synthetic-seed1\n" + "".join(
+        f"{i}\t{v!r}\n" for i, v in enumerate(scores.tolist()))
 
 
 def child(src: str) -> None:
@@ -182,6 +211,8 @@ def main(argv: list[str]) -> int:
     import graphs
 
     splits = graphs.generate(graphs.PIPELINE, 1)
+    fb237_splits = graphs.generate(graphs.FB15K237, 1)
+    scores = _score_text(2 * graphs.FB15K237.train)
     try:
         failed = []
         for name, (src, pinned) in trees.items():
@@ -189,6 +220,9 @@ def main(argv: list[str]) -> int:
             if tree.exists():
                 shutil.rmtree(tree)
             graphs.write_dataset(tree / "data", splits)
+            graphs.write_dataset(tree / "fb237" / "data", fb237_splits)
+            (tree / "fb237" / "scores.tsv").write_text(scores,
+                                                       encoding="utf-8")
             print(f"running the sequence under {src} as {name}"
                   + (" on CPU 0" if pinned else ""), flush=True)
             if not _run_tree(src, tree, pinned):

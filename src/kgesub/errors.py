@@ -14,7 +14,7 @@ class ConfigError(KgesubError):
 
 
 class DataError(KgesubError):
-    """Malformed input data (triple and score files, weight tables, ledger)."""
+    """Malformed input data (triple and score files, ledger)."""
 
 
 class VocabMismatchError(DataError):

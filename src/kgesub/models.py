@@ -27,8 +27,9 @@ Each kind has one kernel (`score_block`): a forward pass over the
 candidates of same-direction queries, each query's fixed entity row
 gathered once, and a vector-Jacobian product that folds the loss
 coefficients into the row gradients.  `score_triples` is a view of
-it; the scalar scorers it replaced, and the per-slot gradient view the
-gradient checks use, live in tests/conftest.py.
+it over chunks of triples, each chunk's gathered rows within
+`RANK_BUDGET_BYTES`; the scalar scorers it replaced, and the per-slot
+gradient view the gradient checks use, live in tests/conftest.py.
 
 `iter_candidate_scores` scores chunks of same-direction queries against
 every entity for ranking: one matmul per chunk for DistMult and ComplEx,
@@ -64,8 +65,9 @@ from .errors import CheckpointError, ConfigError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
-# Bytes of one temporary: ranking scores or distances, or a training
-# step's (examples, 1 + nu, dim) candidate rows or update rows.
+# Bytes of one temporary: ranking scores or distances, a training step's
+# (examples, 1 + nu, dim) candidate rows or update rows, or the
+# (triples, dim) rows of a chunk of scored triples.
 RANK_BUDGET_BYTES = 4 << 20
 
 
@@ -307,12 +309,20 @@ def score_block(params: ModelParams, tail: bool, fixed: np.ndarray,
 
 def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> np.ndarray:
-    """Scores of many (h, r, t) id triples at once."""
+    """Scores of many (h, r, t) id triples, in chunks whose gathered
+    (triples, dim) rows fit `RANK_BUDGET_BYTES`.  A triple's score does
+    not depend on the chunk it falls in."""
     heads, relations, tails = (np.asarray(x, dtype=np.int64)
                                for x in (heads, relations, tails))
-    return score_block(params, True, params.entity_emb[heads],
-                       params.relation_emb[relations],
-                       params.entity_emb[tails][:, None])[0][:, 0]
+    step = max(1, RANK_BUDGET_BYTES // (8 * params.dim))
+    out = np.empty(len(heads))
+    for start in range(0, len(heads), step):
+        rows = slice(start, start + step)
+        out[rows] = score_block(params, True, params.entity_emb[heads[rows]],
+                                params.relation_emb[relations[rows]],
+                                params.entity_emb[tails[rows]][:, None]
+                                )[0][:, 0]
+    return out
 
 
 def iter_candidate_scores(params: ModelParams, directions: np.ndarray,

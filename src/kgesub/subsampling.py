@@ -80,7 +80,6 @@ _ID_BREAKS = frozenset("\t\n\r")
 
 
 class SubsamplingMethod(enum.Enum):
-    NONE = "none"
     BASE = "base"
     FREQ = "freq"
     UNIQ = "uniq"
@@ -218,9 +217,6 @@ def discounted_weights(log_f_xy: np.ndarray, log_f_x: np.ndarray,
         raise ValueError(f"alpha must be positive, got {alpha}")
     if log_f_xy.shape != log_f_x.shape:
         raise ValueError("f_xy and f_x must cover the same examples")
-    if method == SubsamplingMethod.NONE:
-        return WeightTable(a=np.ones(len(log_f_xy)),
-                           b=np.ones(len(log_f_xy)), provenance=provenance)
     a, b = (np.maximum(len(x) * np.exp(x - logsumexp(x)), _TINY)
             for x in _columns(method, -alpha * log_f_xy, -alpha * log_f_x))
     return WeightTable(a=a, b=b, provenance=provenance)

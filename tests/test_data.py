@@ -527,6 +527,10 @@ def no_parse(*args):
     raise AssertionError("the text was parsed")
 
 
+def no_write(*args):
+    raise AssertionError("a parsed copy was written")
+
+
 def huge_integer_header(path: Path) -> None:
     """Give a container a 5,000-digit format version, which `json`
     refuses to convert."""
@@ -564,6 +568,16 @@ class TestParsedCopy:
         assert "" in hit.vocab.relation_labels
         assert sorted(os.listdir(kg_dir)) == sorted(
             [data.COPY_NAME] + [f"{split}.txt" for split in SPLITS])
+
+    def test_hit_writes_nothing(self, kg_dir, monkeypatch):
+        load_dataset(kg_dir)
+        copy = kg_dir / data.COPY_NAME
+        before = copy.stat()
+        monkeypatch.setattr(data, "write_container", no_write)
+        load_dataset(kg_dir)
+        after = copy.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
 
     def test_byte_order_mark_is_not_part_of_a_label(self, kg_dir, tmp_path):
         marked = tmp_path / "marked"

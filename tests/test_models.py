@@ -235,6 +235,29 @@ class TestScoreBatch:
                                                 int(tails[i])))
                 assert abs(batch[i] - expected) <= 1e-12
 
+    @pytest.mark.parametrize("kind,aux", GRADIENT_CASES, ids=GRADIENT_IDS)
+    def test_score_triples_chunks_are_bitwise_one_chunk(self, kind, aux,
+                                                        monkeypatch):
+        """Under a budget of 7 triples a chunk, 30 triples score in
+        ragged chunks bitwise as in one, and no chunk gathers more."""
+        params = init_params(kind, 12, 3, 8, 2.0, seed=13, aux=aux)
+        heads, rels, tails = np.random.default_rng(5).integers(
+            0, [[12], [3], [12]], size=(3, 30))
+        whole = models.score_block(
+            params, True, params.entity_emb[heads], params.relation_emb[rels],
+            params.entity_emb[tails][:, None])[0][:, 0]
+        chunks = []
+        block = models.score_block
+
+        def counted(params, tail, fixed, rel, cand):
+            chunks.append(len(fixed))
+            return block(params, tail, fixed, rel, cand)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 7 * 8 * params.dim)
+        monkeypatch.setattr(models, "score_block", counted)
+        got = score_triples(params, heads, rels, tails)
+        assert chunks == [7, 7, 7, 7, 2]
+        assert got.tobytes() == whole.tobytes()
+
 
 class TestScoreGradient:
     def test_distmult_closed_form(self):

@@ -43,11 +43,6 @@ ALL_METHODS = (SubsamplingMethod.BASE, SubsamplingMethod.FREQ,
 
 
 class TestCbsWeights:
-    def test_method_none_gives_ones(self, toy_dataset):
-        table = build_cbs_weights(toy_dataset, SubsamplingMethod.NONE, 0.0)
-        assert np.all(table.a == 1.0)
-        assert np.all(table.b == 1.0)
-
     def test_toy_base_hand_computation(self, toy_dataset):
         """Link frequencies 1.5,1.5,2,2,1.5,1.5 under the back-off mean."""
         table = build_cbs_weights(toy_dataset, SubsamplingMethod.BASE, 0.0)

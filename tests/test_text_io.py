@@ -26,10 +26,8 @@ from kgesub import _rowtext, data, models, subsampling
 from kgesub.data import Dataset, Vocab, read_container, write_container
 from kgesub.errors import (DataError, DegenerateInputError, KgesubError,
                            WriterError)
-from kgesub.subsampling import (Provenance, SubModelScores,
-                                SubsamplingMethod, WeightTable,
-                                discounted_weights, load_scores,
-                                save_scores, save_weight_table,
+from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
+                                load_scores, save_scores, save_weight_table,
                                 scores_copy_path, uniform_weights)
 
 from conftest import (load_triples, make_vocab, oracle_load_scores,
@@ -235,13 +233,12 @@ class TestHeaderOnlyTables:
         np.testing.assert_array_equal(table.b, np.ones(7))
 
     def test_the_condition_is_the_weights_not_the_source(self, tmp_path):
-        """A model-based table of method None is all ones too, and a
+        """A model-based table of all ones is its header too, and a
         table with one weight off 1 keeps its rows."""
         path = tmp_path / "weights.tsv"
-        table = discounted_weights(np.zeros(4), np.zeros(4),
-                                   SubsamplingMethod.NONE, 0.5,
-                                   Provenance("mbs", "none", alpha=0.5,
-                                              submodel_id="m"))
+        table = WeightTable(a=np.ones(4), b=np.ones(4),
+                            provenance=Provenance("mbs", "freq", alpha=0.5,
+                                                  submodel_id="m"))
         save_weight_table(table, path)
         assert path.read_text(encoding="utf-8").count("\n") == 1
         assert oracle_load_weight_table(path).provenance == table.provenance
@@ -278,6 +275,10 @@ class TestDatasetArrays:
 
 def no_parse(*args):
     raise AssertionError("the text was parsed")
+
+
+def no_write(*args):
+    raise AssertionError("a parsed copy was written")
 
 
 def weight_text(table: WeightTable) -> str:
@@ -323,6 +324,16 @@ class TestScoresCopy:
                 hit = load_scores(path)
             for got in (first, hit):
                 self.same_as_parse(got, path)
+
+    def test_hit_writes_nothing(self, scores_file, monkeypatch):
+        load_scores(scores_file)
+        copy = scores_copy_path(scores_file)
+        before = copy.stat()
+        monkeypatch.setattr(data, "write_container", no_write)
+        load_scores(scores_file)
+        after = copy.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(SCORE, max_size=40), block=BLOCK,
