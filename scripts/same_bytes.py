@@ -7,16 +7,21 @@ usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
 
 The sequence trains every model kind under both optimizers, builds
 weights of every method on both query masses, runs `weights-report`,
-`singleton-stats`, a 2 x 2 `sweep` over two sub-models, `train --config
-best.cfg` and `evaluate`, all on the PIPELINE graph in `data/`.  A second
-group then runs in `fb237/` on the FB15K237 graph, where a weight table
-or score file has 544,230 rows in 34 blocks, so a tree that may use more
-than one CPU formats them with helper interpreters: `build-weights
+`singleton-stats`, a 2 x 2 `sweep` over two sub-models, the same sweep
+again into its run directory (`sweep-again`), `train --config best.cfg`
+and `evaluate`, all on the PIPELINE graph in `data/`.  The rerun must
+resume the first: it leaves every file of `sweep/` as it was, and its
+stdout is the first run's without the lines of the grid points it
+trained, so no point trains again.  A second group then runs in
+`fb237/` on the FB15K237 graph, where a weight table or score file has
+544,230 rows in 34 blocks, so a tree that may use more than one CPU
+formats them with helper interpreters: `build-weights
 --subsampling mix` twice on a score file that the script writes (the
 first parses its text, the second reads the parsed copy), a short
 `pretrain-submodel` and `score-triples` of that sub-model.  Each step is
-one `kgesub.cli.main` call with the run directory `<step>/`; its exit
-code and stdout are kept beside it as `<step>.exit` and `<step>.stdout`.
+one `kgesub.cli.main` call with the run directory `<step>/`, unless
+its arguments name one; its exit code and stdout are kept as
+`<step>.exit` and `<step>.stdout`.
 Every path is relative to the tree's work directory, so no file names
 the tree it came from.
 
@@ -103,13 +108,15 @@ def _sequence() -> list[tuple[str, list[str]]]:
             (f"report-{method}", ["weights-report", *DATA, "-n", "100",
                                   "--method", method, "--alpha", "0.3",
                                   *observed])]
+    sweep = ["sweep", *DATA, *MODEL, "--model", "distmult", "--method",
+             "freq", "--submodel-scores", "scores-none/scores.tsv",
+             "scores-cbs-base/scores.tsv", "--alpha-grid", "0.5,0.1",
+             "--lambda-grid", "0.3,0.7"]
     steps += [
         ("report-all-freq", ["weights-report", *DATA, "-n", "100",
                              "--method", "freq", *all_candidates]),
-        ("sweep", ["sweep", *DATA, *MODEL, "--model", "distmult",
-                   "--method", "freq", "--submodel-scores",
-                   "scores-none/scores.tsv", "scores-cbs-base/scores.tsv",
-                   "--alpha-grid", "0.5,0.1", "--lambda-grid", "0.3,0.7"]),
+        ("sweep", sweep),
+        ("sweep-again", [*sweep, "--run-dir", "sweep"]),
         ("train-best", ["train", "--config", "sweep/best.cfg"]),
         ("evaluate-best", ["evaluate", *DATA, "--checkpoint",
                            "train-best/checkpoint.bin"]),
@@ -136,8 +143,14 @@ def _score_text(rows: int) -> str:
         f"{i}\t{v!r}\n" for i, v in enumerate(scores.tolist()))
 
 
+def _contents(directory: str) -> dict[str, bytes]:
+    return {name: Path(directory, name).read_bytes()
+            for name in _files(Path(directory))}
+
+
 def child(src: str) -> None:
-    """Run the sequence under `src`, in the current directory."""
+    """Run the sequence under `src`, in the current directory; a step
+    that reruns into an earlier step's run directory must resume it."""
     sys.path.insert(0, src)
     from kgesub import cli
 
@@ -146,11 +159,22 @@ def child(src: str) -> None:
     main = cli.main
 
     for step, argv in _sequence():
+        rerun = "--run-dir" in argv  # into an earlier step's directory
+        run_dir = argv[argv.index("--run-dir") + 1] if rerun else step
+        before = _contents(run_dir) if rerun else None
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([*argv, "--run-dir", step])
+            code = main(argv if rerun else [*argv, "--run-dir", step])
         Path(f"{step}.exit").write_text(f"{code}\n", encoding="utf-8")
         Path(f"{step}.stdout").write_text(out.getvalue(), encoding="utf-8")
+        if rerun:
+            first = Path(f"{run_dir}.stdout").read_text(encoding="utf-8")
+            # the first run's stdout less its grid points' lines
+            resumed = "".join(line for line in first.splitlines(True)
+                              if not line.startswith("  "))
+            if _contents(run_dir) != before or out.getvalue() != resumed:
+                sys.exit(f"{step} did not resume {run_dir}/: a grid point "
+                         "trained again, or a file or the stdout changed")
 
 
 def _run_tree(src: Path, work: Path, pinned: bool) -> bool:

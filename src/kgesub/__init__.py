@@ -13,8 +13,7 @@ Subpackages:
 
 from .data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
                    singleton_query_stats)
-from .evaluation import (AggregateReport, EvalReport, aggregate_runs,
-                         evaluate)
+from .evaluation import EvalReport, aggregate_runs, evaluate
 from .models import (ModelKind, ModelParams, init_params, load_params,
                      save_params, score_triples)
 from .submodel import (Selection, pretrain_submodel, score_training_triples,

@@ -4,16 +4,18 @@ Commands: train, evaluate, build-weights, pretrain-submodel,
 score-triples, weights-report, singleton-stats, sweep.
 
 Every run writes its artifacts into one run directory (timestamped
-unless --run-dir pins it) together with a manifest, each artifact
-through `data.replacing`.  Every setting a command uses is a
-`RunConfig` field, set by a config file or its flag; pretrain-submodel,
-for one, takes the sub-model's kind as --model and its weighting as
---submodel-subsampling.  Weight tables are built from those settings,
-never read: weights-report builds its CBS and MBS tables as
-build-weights would.  Every command but evaluate, score-triples and
-singleton-stats also echoes the effective configuration; re-feeding
-that echo reproduces the run, as `sweep`'s `best.cfg` reproduces its
-winner.
+unless --run-dir pins it) through `_RunDir`, the one writer of its
+small reports and of the manifest that lists every artifact in the
+order written; `evaluation` and `training` return data.  Every setting
+a command uses is a `RunConfig` field, set by a config file or its
+flag; pretrain-submodel, for one, takes the sub-model's kind as --model
+and its weighting as --submodel-subsampling.  Weight tables are built
+from those settings, never read: weights-report builds its CBS and MBS
+tables as build-weights would.  Every command but evaluate,
+score-triples and singleton-stats also echoes the effective
+configuration; re-feeding that echo reproduces the run, as `sweep`'s
+`best.cfg` reproduces its winner.  A sweep resumes only the ledger of
+its own settings, data and candidates; another's is a config error.
 Exit codes: 0 success, 1 usage or config error, 2 data error or a
 failed read, 3 numerical divergence.
 """
@@ -21,9 +23,11 @@ failed read, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
-from dataclasses import fields, replace
+from contextlib import suppress
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +35,8 @@ import numpy as np
 from . import evaluation, submodel, subsampling, training
 from .config import (RunConfig, check_setting, file_key, flag_name,
                      load_config, save_config)
-from .data import (DIRECTION_NAMES, Dataset, load_dataset, replacing,
-                   singleton_query_stats)
+from .data import (DIRECTION_NAMES, SPLITS, Dataset, content_digest,
+                   load_dataset, replacing, singleton_query_stats)
 from .errors import (ConfigError, DataError, KgesubError,
                      TrainingDivergedError)
 from .models import ModelParams, load_params, load_tagged_params, save_params
@@ -54,26 +58,37 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _make_run_dir(args) -> Path:
-    if args.run_dir:
-        run_dir = Path(args.run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        return run_dir
-    base = Path(args.out)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = base / f"{args.command}-{stamp}"
-    suffix = 0
-    while candidate.exists():
-        suffix += 1
-        candidate = base / f"{args.command}-{stamp}-{suffix}"
-    candidate.mkdir(parents=True)
-    return candidate
+class _RunDir:
+    """A command's run directory, --run-dir or a fresh timestamped one
+    under --out (claimed by `mkdir`, so two commands never share one),
+    and the file of each artifact by manifest name, in the order taken."""
 
+    def __init__(self, args):
+        self.files: dict[str, str] = {}
+        self.root = Path(args.run_dir or args.out)
+        self.root.mkdir(parents=True, exist_ok=True)
+        if not args.run_dir:
+            base = self.root
+            stamp = f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}"
+            for suffix in itertools.count():
+                self.root = base / (f"{stamp}-{suffix}" if suffix else stamp)
+                with suppress(FileExistsError):
+                    self.root.mkdir()
+                    break
 
-def _write_manifest(run_dir: Path, artifacts: dict[str, Path]) -> None:
-    with replacing(run_dir / "manifest.tsv") as fh:
-        for name, path in artifacts.items():
-            fh.write(f"{name}\t{path.name}\n")
+    def path(self, name: str, file_name: str) -> Path:
+        self.files[name] = file_name
+        return self.root / file_name
+
+    def write_rows(self, name: str, file_name: str, rows) -> None:
+        """A tab-separated report, each field as its `str`."""
+        with replacing(self.path(name, file_name)) as fh:
+            fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+    def write_manifest(self) -> None:
+        with replacing(self.root / "manifest.tsv") as fh:
+            fh.writelines(f"{name}\t{file}\n"
+                          for name, file in self.files.items())
 
 
 def _resolve_config(args) -> RunConfig:
@@ -85,11 +100,11 @@ def _resolve_config(args) -> RunConfig:
         if getattr(args, setting.name, None) is not None})
 
 
-def _start(args) -> tuple[RunConfig, Dataset, Path]:
+def _start(args) -> tuple[RunConfig, Dataset, _RunDir]:
     """A command's resolved config, its dataset and its run directory."""
     config = _resolve_config(args)
     dataset = load_dataset(config.resolved_data_dir())
-    return config, dataset, _make_run_dir(args)
+    return config, dataset, _RunDir(args)
 
 
 def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
@@ -135,100 +150,85 @@ def _load_scores_checked(path: str, dataset: Dataset) -> SubModelScores:
 # commands
 
 
-def cmd_train(args) -> int:
-    config, dataset, run_dir = _start(args)
-    save_config(config, run_dir / "config.resolved.cfg")
+def cmd_train(args) -> _RunDir:
+    config, dataset, run = _start(args)
+    save_config(config, run.path("config", "config.resolved.cfg"))
 
     weights = _build_weights(config, dataset)
-    save_weight_table(weights, run_dir / "weights.tsv")
+    save_weight_table(weights, run.path("weights", "weights.tsv"))
 
     params = config.initial_params(dataset.num_entities,
                                    dataset.num_relations)
     callback = None if config.valid_every <= 0 else (
         lambda params, step: evaluation.evaluate(params, dataset, "valid").mrr)
     result = training.train(dataset, weights, params, config, callback)
-    save_checkpoint(result.state, run_dir / "checkpoint.bin")
-    training.write_log(result.log, run_dir / "train.log")
-    _write_manifest(run_dir, {
-        "config": run_dir / "config.resolved.cfg",
-        "weights": run_dir / "weights.tsv",
-        "checkpoint": run_dir / "checkpoint.bin",
-        "log": run_dir / "train.log",
-    })
+    save_checkpoint(result.state, run.path("checkpoint", "checkpoint.bin"))
+    run.write_rows("log", "train.log", (  # valid_mrr only where taken
+        [v for v in astuple(r) if v is not None] for r in result.log))
     final_loss = result.log[-1].loss if result.log else float("nan")
     print(f"trained {config.steps} steps; final batch loss {final_loss:.6f}")
-    print(f"artifacts in {run_dir}")
-    return 0
+    print(f"artifacts in {run.root}")
+    return run
 
 
-def cmd_evaluate(args) -> int:
-    config, dataset, run_dir = _start(args)
+def cmd_evaluate(args) -> _RunDir:
+    config, dataset, run = _start(args)
     reports = []
-    artifacts: dict[str, Path] = {}
     for index, checkpoint in enumerate(args.checkpoint):
-        params = load_params(checkpoint)
-        report = evaluation.evaluate(params, dataset, args.split)
+        report = evaluation.evaluate(load_params(checkpoint), dataset,
+                                     args.split)
         reports.append(report)
         suffix = "" if len(args.checkpoint) == 1 else f".run{index}"
         text = evaluation.format_report(report)
-        with replacing(run_dir / f"report{suffix}.txt") as fh:
+        with replacing(run.path(f"report{suffix}",
+                                f"report{suffix}.txt")) as fh:
             fh.write(text)
-        evaluation.write_aggregate(evaluation.aggregate_runs([report]),
-                                   run_dir / f"metrics{suffix}.tsv")
-        evaluation.write_rank_dump(report, run_dir / f"ranks{suffix}.tsv")
-        artifacts[f"report{suffix}"] = run_dir / f"report{suffix}.txt"
-        artifacts[f"metrics{suffix}"] = run_dir / f"metrics{suffix}.tsv"
-        artifacts[f"ranks{suffix}"] = run_dir / f"ranks{suffix}.tsv"
+        run.write_rows(f"metrics{suffix}", f"metrics{suffix}.tsv", (
+            (name, mean, sd) for name, (mean, sd)
+            in evaluation.aggregate_runs([report]).items()))
+        run.write_rows(f"ranks{suffix}", f"ranks{suffix}.tsv", (
+            (f"{e}|{r}", DIRECTION_NAMES[d], rank) for (d, e, r), rank
+            in zip(report.queries.tolist(), report.per_query_ranks.tolist())))
         print(text, end="")
     if len(reports) > 1:
         aggregate = evaluation.aggregate_runs(reports)
-        evaluation.write_aggregate(aggregate, run_dir / "aggregate.tsv")
-        artifacts["aggregate"] = run_dir / "aggregate.tsv"
-        for name, (mean, sd) in aggregate.metrics.items():
+        run.write_rows("aggregate", "aggregate.tsv", (
+            (name, mean, sd) for name, (mean, sd) in aggregate.items()))
+        for name, (mean, sd) in aggregate.items():
             print(f"{name.upper():<4} mean {100 * mean:5.1f}  "
                   f"sd {100 * sd:4.1f}  over {len(reports)} runs")
-    _write_manifest(run_dir, artifacts)
-    return 0
+    return run
 
 
-def cmd_build_weights(args) -> int:
-    config, dataset, run_dir = _start(args)
-    save_config(config, run_dir / "config.resolved.cfg")
+def cmd_build_weights(args) -> _RunDir:
+    config, dataset, run = _start(args)
+    save_config(config, run.path("config", "config.resolved.cfg"))
     weights = _build_weights(config, dataset)
-    save_weight_table(weights, run_dir / "weights.tsv")
-    _write_manifest(run_dir, {
-        "config": run_dir / "config.resolved.cfg",
-        "weights": run_dir / "weights.tsv",
-    })
-    print(f"weight table ({weights.provenance.describe()}) in {run_dir}")
-    return 0
+    save_weight_table(weights, run.path("weights", "weights.tsv"))
+    print(f"weight table ({weights.provenance.describe()}) in {run.root}")
+    return run
 
 
-def cmd_pretrain_submodel(args) -> int:
-    config, dataset, run_dir = _start(args)
-    save_config(config, run_dir / "config.resolved.cfg")
+def cmd_pretrain_submodel(args) -> _RunDir:
+    config, dataset, run = _start(args)
+    save_config(config, run.path("config", "config.resolved.cfg"))
     params, sid = submodel.pretrain_submodel(dataset, config)
-    save_params(params, run_dir / "submodel.bin", tag=sid)
-    _write_manifest(run_dir, {
-        "config": run_dir / "config.resolved.cfg",
-        "submodel": run_dir / "submodel.bin",
-    })
-    print(f"sub-model {sid} in {run_dir}")
-    return 0
+    save_params(params, run.path("submodel", "submodel.bin"), tag=sid)
+    print(f"sub-model {sid} in {run.root}")
+    return run
 
 
-def cmd_score_triples(args) -> int:
-    config, dataset, run_dir = _start(args)
+def cmd_score_triples(args) -> _RunDir:
+    config, dataset, run = _start(args)
     params, sid = _load_submodel(args.checkpoint)
     scores = submodel.score_training_triples(params, dataset, sid)
-    save_scores(scores, run_dir / "scores.tsv")
-    _write_manifest(run_dir, {"scores": run_dir / "scores.tsv"})
+    save_scores(scores, run.path("scores", "scores.tsv"))
     print(f"scored {dataset.num_examples} examples under {sid}; "
-          f"artifacts in {run_dir}")
-    return 0
+          f"artifacts in {run.root}")
+    return run
 
 
-def cmd_weights_report(args) -> int:
+def cmd_weights_report(args) -> _RunDir:
     if args.num_queries < 0:
         raise ConfigError("n must be >= 0")
     config = _resolve_config(args)
@@ -236,22 +236,16 @@ def cmd_weights_report(args) -> int:
     cbs_config, mbs_config = (replace(config, subsampling=source)
                               for source in ("cbs", "mbs"))
     dataset = load_dataset(config.resolved_data_dir())
-    run_dir = _make_run_dir(args)
-    save_config(config, run_dir / "config.resolved.cfg")
+    run = _RunDir(args)
+    save_config(config, run.path("config", "config.resolved.cfg"))
     rows = query_appearance_report(
         dataset, _build_weights(cbs_config, dataset),
         _build_weights(mbs_config, dataset), args.num_queries,
         smoothing=config.smoothing)
-    out_path = run_dir / "weights-report.tsv"
-    with replacing(out_path) as fh:
-        fh.write("entity\trelation\tdirection\tcbs_count\t"
-                 "cbs_pct\tmbs_pct\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
-    _write_manifest(run_dir, {"config": run_dir / "config.resolved.cfg",
-                              "weights_report": out_path})
-    print(f"reported {len(rows)} queries; artifacts in {run_dir}")
-    return 0
+    run.write_rows("weights_report", "weights-report.tsv", [
+        "entity relation direction cbs_count cbs_pct mbs_pct".split(), *rows])
+    print(f"reported {len(rows)} queries; artifacts in {run.root}")
+    return run
 
 
 def query_appearance_report(dataset: Dataset, cbs: WeightTable,
@@ -286,25 +280,21 @@ def query_appearance_report(dataset: Dataset, cbs: WeightTable,
                  mass_mbs[lowest].tolist())]
 
 
-def cmd_singleton_stats(args) -> int:
+def cmd_singleton_stats(args) -> _RunDir:
     if args.stride < 1:
         raise ConfigError("stride must be >= 1")
-    config, dataset, run_dir = _start(args)
+    config, dataset, run = _start(args)
     directions, *rest = (column[::args.stride].tolist()
                          for column in singleton_query_stats(dataset))
-    out_path = run_dir / "singleton-stats.tsv"
-    with replacing(out_path) as fh:
-        fh.write("entity\trelation\tdirection\tentity_count\t"
-                 "relation_count\n")
-        for d, e, r, entity_count, relation_count in zip(directions, *rest):
-            fh.write(f"{e}\t{r}\t{DIRECTION_NAMES[d]}\t{entity_count}\t"
-                     f"{relation_count}\n")
-    _write_manifest(run_dir, {"singleton_stats": out_path})
-    print(f"{len(directions)} singleton-query rows; artifacts in {run_dir}")
-    return 0
+    run.write_rows("singleton_stats", "singleton-stats.tsv", [
+        "entity relation direction entity_count relation_count".split(),
+        *((e, r, DIRECTION_NAMES[d], *counts)
+          for d, e, r, *counts in zip(directions, *rest))])
+    print(f"{len(directions)} singleton-query rows; artifacts in {run.root}")
+    return run
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> _RunDir:
     config = _resolve_config(args)
     if config.method == "none":
         raise ConfigError("sweep needs a subsampling method "
@@ -314,15 +304,20 @@ def cmd_sweep(args) -> int:
     lambda_grid = _parse_grid(args.lambda_grid, subsampling.LAMBDA_GRID,
                               "lam")
     dataset = load_dataset(config.resolved_data_dir())
-    run_dir = _make_run_dir(args)
-    save_config(config, run_dir / "config.resolved.cfg")
-
+    run = _RunDir(args)
     by_id = {}
     for path in args.candidate_scores:
         sid = _load_scores_checked(path, dataset).submodel_id
         if sid in by_id:
             raise ConfigError(f"duplicate sub-model id {sid!r}")
         by_id[sid] = path
+    config_path, ledger = (run.path("config", "config.resolved.cfg"),
+                           run.path("ledger", "ledger.tsv"))
+    # a ledger resumes only the sweep of its settings, data and candidates
+    submodel.resume_ledger(ledger, content_digest(f"sweep {config!r}", [
+        *(config.resolved_data_dir() / f"{split}.txt" for split in SPLITS),
+        *by_id.values()]))
+    save_config(config, config_path)
 
     def point(sid: str, alpha: float, lam: float | None) -> RunConfig:
         """A grid point's config: MBS when `lam` is None, else MIX, both
@@ -343,24 +338,17 @@ def cmd_sweep(args) -> int:
               f"valid MRR {mrr:.4f}")
         return mrr
 
-    ledger_path = run_dir / "ledger.tsv"
     selection = submodel.select_submodel(list(by_id), alpha_grid, lambda_grid,
-                                         evaluate_point,
-                                         ledger_path=ledger_path)
+                                         evaluate_point, ledger_path=ledger)
     save_config(point(selection.submodel_id, selection.alpha, selection.lam),
-                run_dir / "best.cfg")
-    _write_manifest(run_dir, {
-        "config": run_dir / "config.resolved.cfg",
-        "ledger": ledger_path,
-        "best_config": run_dir / "best.cfg",
-    })
+                run.path("best_config", "best.cfg"))
     mbs_text = ("forced" if selection.mbs_mrr is None
                 else f"MBS valid MRR {selection.mbs_mrr:.4f}")
     print(f"selected sub-model {selection.submodel_id} "
           f"alpha={selection.alpha} ({mbs_text}) "
           f"lambda={selection.lam} (MIX valid MRR {selection.mix_mrr:.4f})")
-    print(f"artifacts in {run_dir}")
-    return 0
+    print(f"artifacts in {run.root}")
+    return run
 
 
 def _parse_grid(text: str | None, default: tuple[float, ...],
@@ -454,16 +442,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # a command returns its run directory, listed once it succeeded
+        args.func(args).write_manifest()
+        return 0
     except (KgesubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return {ConfigError: 1, TrainingDivergedError: 3}.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -27,17 +27,16 @@ stays bounded whatever the split's size, and the scores, so the ranks,
 are bitwise the same whatever the CPU count.
 
 Ranking only reads the parameters; reports are assembled in split order
-for determinism.
+for determinism.  The module writes no file: `cli` writes its reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DIRECTION_NAMES, SPLITS, Dataset, QueryIndex, replacing
+from .data import SPLITS, Dataset, QueryIndex
 from .models import ModelParams, check_vocab, iter_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
@@ -55,13 +54,6 @@ class EvalReport:
 
     def metric(self, name: str) -> float:
         return getattr(self, name)
-
-
-@dataclass
-class AggregateReport:
-    """Per-metric mean and population standard deviation over runs."""
-
-    metrics: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
 def rank_answers(params: ModelParams, index: QueryIndex,
@@ -131,11 +123,12 @@ def evaluate(params: ModelParams, dataset: Dataset,
     )
 
 
-def aggregate_runs(reports: list[EvalReport]) -> AggregateReport:
-    """Mean and population standard deviation of each metric."""
+def aggregate_runs(reports: list[EvalReport]
+                   ) -> dict[str, tuple[float, float]]:
+    """Mean and population standard deviation of each metric, by name."""
     if not reports:
         raise ValueError("need at least one report")
-    aggregate = AggregateReport()
+    aggregate = {}
     for name in METRIC_NAMES:
         values = np.array([report.metric(name) for report in reports])
         # clamp away the ulp of rounding so identical runs aggregate to
@@ -143,12 +136,8 @@ def aggregate_runs(reports: list[EvalReport]) -> AggregateReport:
         mean = min(max(float(values.mean()), float(values.min())),
                    float(values.max()))
         sd = float(np.sqrt(((values - mean) ** 2).mean()))
-        aggregate.metrics[name] = (mean, sd)
+        aggregate[name] = (mean, sd)
     return aggregate
-
-
-# ---------------------------------------------------------------------------
-# report output
 
 
 def format_report(report: EvalReport) -> str:
@@ -158,18 +147,3 @@ def format_report(report: EvalReport) -> str:
         lines.append(f"  {name.upper():<4} {100.0 * report.metric(name):5.1f}")
     return "\n".join(lines) + "\n"
 
-
-def write_aggregate(aggregate: AggregateReport, path: str | Path) -> None:
-    """`metric<TAB>mean<TAB>sd` rows."""
-    with replacing(path) as fh:
-        for name, (mean, sd) in aggregate.metrics.items():
-            fh.write(f"{name}\t{mean!r}\t{sd!r}\n")
-
-
-def write_rank_dump(report: EvalReport, path: str | Path) -> None:
-    """`query<TAB>direction<TAB>rank` rows; query is `entity|relation`."""
-    directions, entities, relations = report.queries.T.tolist()
-    with replacing(path) as fh:
-        for d, e, r, rank in zip(directions, entities, relations,
-                                 report.per_query_ranks.tolist()):
-            fh.write(f"{e}|{r}\t{DIRECTION_NAMES[d]}\t{rank}\n")

@@ -13,12 +13,13 @@ Selection is a two-stage grid search on validation MRR: first the best
 (sub-model, temperature) pair under model-based weights, then, with
 that pair fixed, the best mixing ratio under mixed weights.  Ties break
 toward smaller temperature, then smaller ratio, then candidate order.
+A ledger of the grid points run so far lets an interrupted search
+resume; its first line, `# sweep <key>`, names the search it belongs to.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import Dataset, text_lines
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .models import ModelParams, check_vocab, score_triples
 from .subsampling import (SubModelScores, SubsamplingMethod,
                           build_cbs_weights, uniform_weights)
@@ -90,12 +91,17 @@ class Selection:
     records: list[GridRecord] = field(default_factory=list)
 
 
+LEDGER_KEY = "# sweep "  # then the key of the search, on line 1
+
+
 def read_ledger(path: str | Path) -> list[GridRecord]:
     path = Path(path)
     if not path.exists():
         return []
     records = []
     for lineno, line in text_lines(path):
+        if lineno == 1 and line.startswith(LEDGER_KEY) and "\t" not in line:
+            continue  # every tabbed line is a record, even one of id `#`
         try:
             sid, alpha, lam, mrr = line.split("\t")
             record = GridRecord(submodel_id=sid, alpha=float(alpha),
@@ -116,12 +122,26 @@ def read_ledger(path: str | Path) -> list[GridRecord]:
     return records
 
 
-def drop_torn_tail(path: str | Path) -> None:
-    """Cut a ledger's last line if it lacks its newline: a record that a
-    crash cut short, which may even parse to a wrong MRR."""
-    data = Path(path).read_bytes() if Path(path).exists() else b""
-    if data and not data.endswith(b"\n"):
-        os.truncate(path, data.rfind(b"\n") + 1)
+def resume_ledger(path: str | Path, key: str | None = None
+                  ) -> dict[tuple[str, float, float | None], float]:
+    """The MRR of each grid point in the ledger at `path`, less a last
+    record that a crash cut short.  Given a search's `key`, the ledger
+    must start with `# sweep <key>` (an empty one is given it)."""
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        if not data.endswith(b"\n"):  # torn, even if what is left parses
+            fh.truncate(data.rfind(b"\n") + 1)
+        done = {(record.submodel_id, record.alpha, record.lam):
+                record.valid_mrr for record in read_ledger(path)}
+        first = data[:data.find(b"\n") + 1]
+        line = f"{LEDGER_KEY}{key}\n".encode()
+        if key is not None and first != line:
+            if first:
+                raise ConfigError(f"{path} is the ledger of another sweep, "
+                                  "of other settings, data or candidates")
+            fh.write(line)
+    return done
 
 
 def append_ledger(path: str | Path, record: GridRecord) -> None:
@@ -150,12 +170,7 @@ def select_submodel(candidates: Sequence[str],
     """
     if not candidates or not alpha_grid or not lambda_grid:
         raise ValueError("candidates and grids must be non-empty")
-    cached = {}
-    if ledger_path is not None:
-        drop_torn_tail(ledger_path)
-        for record in read_ledger(ledger_path):
-            cached[(record.submodel_id, record.alpha, record.lam)] = \
-                record.valid_mrr
+    cached = {} if ledger_path is None else resume_ledger(ledger_path)
     records: list[GridRecord] = []
 
     def run(sid: str, alpha: float, lam: float | None) -> float:

@@ -40,7 +40,8 @@ Determinism: the permutation of each epoch and the negative draws of
 each step come from generators derived from (seed, stream, index), so a
 run is a pure function of (data, weights, initial params, config), and
 training resumed from a checkpoint is bitwise-identical to an
-uninterrupted run.
+uninterrupted run.  The module writes only checkpoints; `cli` writes
+the log that `train` returns.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from .config import RunConfig, check_setting
 from .data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
-                   read_container, replacing, write_container)
+                   read_container, write_container)
 from .errors import (CheckpointError, ConfigError, DegenerateInputError,
                      TrainingDivergedError)
 from . import models
@@ -345,14 +346,6 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
         result.log.append(LogRecord(step=state.step, loss=loss,
                                     valid_mrr=valid_mrr))
     return result
-
-
-def write_log(log: list[LogRecord], path: str | Path) -> None:
-    """`step<TAB>loss<TAB>valid_mrr?` lines."""
-    with replacing(path) as fh:
-        for record in log:
-            mrr = "" if record.valid_mrr is None else f"\t{record.valid_mrr!r}"
-            fh.write(f"{record.step}\t{record.loss!r}{mrr}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,27 @@ class TestGoldenOutputs:
             b"mrr\t0.6145833333333333\t0.03125\nh1\t0.375\t0.125\n"
             b"h3\t0.875\t0.125\nh10\t1.0\t0.0\n")
 
+    def test_rank_dump_format(self, handmade_dir, tmp_path):
+        """Each run's ranks file holds `entity|relation<TAB>direction<TAB>
+        rank` rows, the tail then the head query of each test triple;
+        its ranks are those of the metrics beside it (see
+        test_metrics_and_aggregate_tsv)."""
+        models = [save_distmult_1d(tmp_path / f"{name}.bin", *rows)
+                  for name, rows in (("a", ([1.0, 5.0, 4.0, 4.0], [1.0, 2.0])),
+                                     ("b", ([2.0, -1.0, 3.0, 1.0],
+                                            [1.0, -1.0])))]
+        assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "two", "--checkpoint", *models]) == 0
+        for index, ranks in enumerate(([3, 1, 1, 4], [3, 1, 2, 2])):
+            rows = [line.split("\t") for line in (
+                tmp_path / "two" / f"ranks.run{index}.tsv").read_text(
+                    "utf-8").splitlines()]
+            assert rows == [[query, direction, str(rank)] for
+                            (query, direction), rank in zip(
+                                [("1|1", "tail-query"), ("3|1", "head-query"),
+                                 ("0|0", "tail-query"), ("3|0", "head-query")],
+                                ranks)]
+
     def test_singleton_stats_tsv_stride_2(self, handmade_dir, tmp_path):
         """The singleton queries by entity count, relation count, then
         query id: (c, s, ?), (b, r, ?), (?, r, b), (d, s, ?)."""
@@ -503,9 +525,10 @@ class TestSubmodelPipeline:
                     "--submodel-scores", scores, "--alpha-grid", "0.5",
                     "--lambda-grid", "0.5", "--run-dir", tmp_path / "sweep"]
                    + FAST) == 0
-        ledger = (tmp_path / "sweep" / "ledger.tsv").read_text("utf-8")
-        assert [row.split("\t")[0] for row in ledger.splitlines()] == [
-            "my model"]
+        key, *rows = (tmp_path / "sweep" / "ledger.tsv").read_text(
+            "utf-8").splitlines()
+        assert key.startswith("# sweep ")
+        assert [row.split("\t")[0] for row in rows] == ["my model"]
 
     def test_id_with_a_tab_is_exit_2(self, data_dir, tmp_path, capsys):
         assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
@@ -722,7 +745,9 @@ class TestSweepCommand:
                 "--submodel-scores", score_dir / "scores.tsv",
                 "--alpha-grid", "1.0,0.5", "--lambda-grid", "0.3,0.7"] + FAST
         assert run(args) == 0
-        ledger = (sweep_dir / "ledger.tsv").read_text().strip().split("\n")
+        key, *ledger = ((sweep_dir / "ledger.tsv")
+                        .read_text().strip().split("\n"))
+        assert key.startswith("# sweep ") and "\t" not in key
         assert len(ledger) == 4  # 2 alphas + 2 lambdas
         # the candidates are not the [subsampling] submodel_scores setting
         assert load_config(sweep_dir / "config.resolved.cfg") \
@@ -734,7 +759,7 @@ class TestSweepCommand:
         assert run(args) == 0
         ledger_again = ((sweep_dir / "ledger.tsv")
                         .read_text().strip().split("\n"))
-        assert ledger_again == ledger
+        assert ledger_again == [key, *ledger]
 
         # the emitted best config reproduces the selected MIX point: its
         # final valid MRR is the one in the ledger, to the last digit
@@ -772,8 +797,9 @@ class TestSweepCommand:
         first = ledger.read_text("utf-8")
         assert run(args) == 0
         assert ledger.read_text("utf-8") == first
-        # two model-based points, then one mixed point
-        assert [row.split("\t")[0] for row in first.splitlines()] == [
+        # the key, then two model-based points and one mixed point
+        assert first.startswith("# sweep ")
+        assert [row.split("\t")[0] for row in first.splitlines()[1:]] == [
             "#1"] * 3
 
     def test_nan_mrr_in_resumed_ledger_is_exit_2(self, data_dir, tmp_path,
@@ -789,6 +815,57 @@ class TestSweepCommand:
                    + FAST) == 2
         assert "ledger.tsv:1:" in capsys.readouterr().err
         assert not (tmp_path / "best.cfg").exists()
+
+
+class TestSweepLedgerKey:
+    """A sweep resumes only the ledger of its own settings, dataset
+    splits and candidate score files: another's exits 1 before any
+    training and leaves the run directory as it was."""
+
+    @pytest.fixture()
+    def sweep(self, data_dir, tmp_path):
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=m\n" + "".join(
+            f"{i}\t{0.01 * (i % 7)!r}\n" for i in range(examples)),
+            encoding="utf-8")
+        return scores, ["sweep", "--data", data_dir, "--method", "freq",
+                        "--submodel-scores", scores, "--alpha-grid",
+                        "1.0,0.5", "--lambda-grid", "0.5", "--run-dir",
+                        tmp_path / "sw", *FAST]
+
+    @staticmethod
+    def refused(args, run_dir, capsys) -> None:
+        before = {name: (run_dir / name).read_bytes()
+                  for name in os.listdir(run_dir)}
+        capsys.readouterr()
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # no grid point trained
+        assert err.startswith(f"error: {run_dir / 'ledger.tsv'} is the "
+                              "ledger of another sweep")
+        assert {name: (run_dir / name).read_bytes()
+                for name in os.listdir(run_dir)} == before
+
+    def test_other_steps_are_exit_1(self, sweep, tmp_path, capsys):
+        _, args = sweep
+        assert run([*args, "--steps", "1"]) == 0
+        self.refused([*args, "--steps", "20"], tmp_path / "sw", capsys)
+        assert "steps = 1\n" in (tmp_path / "sw" / "best.cfg").read_text()
+
+    def test_rewritten_candidate_is_exit_1(self, sweep, tmp_path, capsys):
+        """The same id, so the same ledger rows, but other scores."""
+        scores, args = sweep
+        assert run(args) == 0
+        scores.write_text(scores.read_text().replace("\t0.01\n", "\t0.5\n"),
+                          encoding="utf-8")
+        self.refused(args, tmp_path / "sw", capsys)
+
+    def test_ledger_without_a_key_is_exit_1(self, sweep, tmp_path, capsys):
+        _, args = sweep
+        (tmp_path / "sw").mkdir()
+        (tmp_path / "sw" / "ledger.tsv").write_text("m\t1.0\t-\t0.5\n")
+        self.refused(args, tmp_path / "sw", capsys)
 
 
 class TestSweepResumesTornLedger:
@@ -816,6 +893,80 @@ class TestSweepResumesTornLedger:
         assert run(args) == 0
         assert ledger.read_bytes() == whole
         assert (sweep_dir / "best.cfg").read_bytes() == best
+
+
+class TestRunDirectory:
+    def test_manifest_lists_every_artifact_in_the_order_written(
+            self, data_dir, tmp_path):
+        """Each command's manifest names every file of its run directory
+        but itself and the hidden parsed copies, in the order written."""
+        checkpoint, scores = (tmp_path / "train" / "checkpoint.bin",
+                              tmp_path / "scores" / "scores.tsv")
+        mbs = ["--method", "freq", "--submodel-scores", scores]
+        evaluated = [(f"{kind}.run{index}", f"{kind}.run{index}.{ext}")
+                     for index in range(2) for kind, ext in (
+                         ("report", "txt"), ("metrics", "tsv"),
+                         ("ranks", "tsv"))]
+        config = ("config", "config.resolved.cfg")
+        for command, argv, expected in [
+                ("train", ["--subsampling", "none", *FAST],
+                 [config, ("weights", "weights.tsv"),
+                  ("checkpoint", "checkpoint.bin"), ("log", "train.log")]),
+                ("evaluate", ["--checkpoint", checkpoint, checkpoint],
+                 [*evaluated, ("aggregate", "aggregate.tsv")]),
+                ("pretrain-submodel", FAST,
+                 [config, ("submodel", "submodel.bin")]),
+                ("score-triples",
+                 ["--checkpoint", tmp_path / "sub" / "submodel.bin"],
+                 [("scores", "scores.tsv")]),
+                ("build-weights", ["--subsampling", "mbs", *mbs],
+                 [config, ("weights", "weights.tsv")]),
+                ("weights-report", [*mbs, "-n", "5"],
+                 [config, ("weights_report", "weights-report.tsv")]),
+                ("singleton-stats", [],
+                 [("singleton_stats", "singleton-stats.tsv")]),
+                ("sweep", [*mbs, "--alpha-grid", "0.5", "--lambda-grid",
+                           "0.5", *FAST],
+                 [config, ("ledger", "ledger.tsv"),
+                  ("best_config", "best.cfg")])]:
+            run_dir = tmp_path / {"pretrain-submodel": "sub",
+                                  "score-triples": "scores"}.get(command,
+                                                                 command)
+            assert run([command, "--data", data_dir, "--run-dir", run_dir,
+                        *argv]) == 0
+            manifest = [tuple(line.split("\t")) for line in (
+                run_dir / "manifest.tsv").read_text("utf-8").splitlines()]
+            assert manifest == expected, command
+            assert sorted(name for name in os.listdir(run_dir)
+                          if not name.startswith(".")) == sorted(
+                              ["manifest.tsv", *(name for _, name in expected)])
+            written = [(run_dir / name).stat().st_mtime_ns
+                       for _, name in expected]
+            assert written == sorted(written), command
+
+    def test_timestamped_directory_taken_meanwhile(self, data_dir, tmp_path,
+                                                   monkeypatch):
+        """A command whose timestamped directory another command makes
+        between the name's choice and its own `mkdir` takes the next
+        `-N` suffix instead of failing."""
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
+        out = tmp_path / "runs"
+        out.mkdir()
+        taken = out / "singleton-stats-20260101-000000"
+        mkdir = Path.mkdir
+
+        def racing_mkdir(path, *args, **kwargs):
+            if path == taken and not taken.exists():
+                os.mkdir(taken)  # the other command claims it first
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        assert run(["singleton-stats", "--data", data_dir, "--out",
+                    out]) == 0
+        assert sorted(os.listdir(out)) == [taken.name, f"{taken.name}-1"]
+        assert os.listdir(taken) == []
+        assert sorted(os.listdir(out / f"{taken.name}-1")) == [
+            "manifest.tsv", "singleton-stats.tsv"]
 
 
 class TestEvaluateAggregation:
@@ -1017,7 +1168,9 @@ class TestSweepSingletonGrid:
                     "--submodel-scores", score_dir / "scores.tsv",
                     "--alpha-grid", "0.5", "--lambda-grid", "0.7"]
                    + FAST) == 0
-        ledger = (sweep_dir / "ledger.tsv").read_text().strip().split("\n")
+        key, *ledger = ((sweep_dir / "ledger.tsv")
+                        .read_text().strip().split("\n"))
+        assert key.startswith("# sweep ")
         assert len(ledger) == 1
 
 

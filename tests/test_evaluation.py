@@ -9,7 +9,7 @@ from kgesub import models
 from kgesub.data import Dataset, Direction
 from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, evaluate,
-                               format_report, write_rank_dump)
+                               format_report)
 from kgesub.models import ModelKind, init_params
 
 from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
@@ -272,13 +272,13 @@ class TestAggregateRuns:
 
     def test_identical_reports_zero_sd(self):
         aggregate = aggregate_runs([self._report(0.4)] * 3)
-        mean, sd = aggregate.metrics["mrr"]
+        mean, sd = aggregate["mrr"]
         assert mean == 0.4
         assert sd == 0.0
 
     def test_two_point_formula(self):
         aggregate = aggregate_runs([self._report(0.3), self._report(0.5)])
-        mean, sd = aggregate.metrics["mrr"]
+        mean, sd = aggregate["mrr"]
         assert mean == pytest.approx(0.4, abs=1e-15)
         assert sd == pytest.approx(0.1, abs=1e-15)
 
@@ -286,7 +286,7 @@ class TestAggregateRuns:
         rng = np.random.default_rng(11)
         values = rng.uniform(0, 1, size=3)
         aggregate = aggregate_runs([self._report(v) for v in values])
-        mean, sd = aggregate.metrics["mrr"]
+        mean, sd = aggregate["mrr"]
         expected_mean = values.sum() / 3.0
         expected_sd = np.sqrt(((values - expected_mean) ** 2).sum() / 3.0)
         assert mean == pytest.approx(expected_mean, abs=1e-12)
@@ -296,7 +296,7 @@ class TestAggregateRuns:
         rng = np.random.default_rng(12)
         values = rng.uniform(0, 1, size=5)
         aggregate = aggregate_runs([self._report(v) for v in values])
-        mean, sd = aggregate.metrics["mrr"]
+        mean, sd = aggregate["mrr"]
         assert values.min() <= mean <= values.max()
         assert sd >= 0.0
 
@@ -313,12 +313,3 @@ class TestReportOutput:
         text = format_report(report)
         assert "34.5" in text
         assert "50.0" in text
-
-    def test_rank_dump_format(self, tmp_path):
-        report = EvalReport(
-            mrr=1.0, h1=1.0, h3=1.0, h10=1.0, per_query_ranks=np.array([4]),
-            queries=np.array([QueryKey(Direction.HEAD_QUERY, 7, 2)]),
-            split="test")
-        path = tmp_path / "ranks.tsv"
-        write_rank_dump(report, path)
-        assert path.read_text() == "7|2\thead-query\t4\n"
