@@ -8,14 +8,17 @@ usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
 The sequence trains every model kind under both optimizers, builds
 weights of every method on both query masses, runs `weights-report`,
 `singleton-stats`, a 2 x 2 `sweep` over two sub-models, the same sweep
-again into its run directory (`sweep-again`), `train --config best.cfg`
-and `evaluate`, all on the PIPELINE graph in `data/`.  The rerun must
-resume the first: it leaves every file of `sweep/` as it was, and its
-stdout is the first run's without the lines of the grid points it
-trained, so no point trains again.  A second group then runs in
-`fb237/` on the FB15K237 graph, where a weight table or score file has
-544,230 rows in 34 blocks, so a tree that may use more than one CPU
-formats them with helper interpreters: `build-weights
+again into its run directory (`sweep-again`), the sweep with its first
+lambda only (`sweep-narrow`), then with both into that run directory
+(`sweep-widen`), `train --config best.cfg` and `evaluate`, all on the
+PIPELINE graph in `data/`.  A rerun must resume its run directory and
+end where `sweep` did: every file of the directory is the same bytes
+as `sweep/`'s, and its stdout is `sweep`'s without the lines of the grid
+points that the directory held already.  So `sweep-again` trains no
+point, and `sweep-widen` only the second lambda's.  A second group then
+runs in `fb237/` on the FB15K237 graph, where a weight table or score
+file has 544,230 rows in 34 blocks, so a tree that may use more than one
+CPU formats them with helper interpreters: `build-weights
 --subsampling mix` twice on a score file that the script writes (the
 first parses its text, the second reads the parsed copy), a short
 `pretrain-submodel` and `score-triples` of that sub-model.  Each step is
@@ -117,6 +120,8 @@ def _sequence() -> list[tuple[str, list[str]]]:
                              "--method", "freq", *all_candidates]),
         ("sweep", sweep),
         ("sweep-again", [*sweep, "--run-dir", "sweep"]),
+        ("sweep-narrow", [*sweep[:-1], "0.3"]),  # the first lambda only
+        ("sweep-widen", [*sweep, "--run-dir", "sweep-narrow"]),
         ("train-best", ["train", "--config", "sweep/best.cfg"]),
         ("evaluate-best", ["evaluate", *DATA, "--checkpoint",
                            "train-best/checkpoint.bin"]),
@@ -148,6 +153,16 @@ def _contents(directory: str) -> dict[str, bytes]:
             for name in _files(Path(directory))}
 
 
+def _stdout(step: str) -> list[str]:
+    return Path(f"{step}.stdout").read_text(
+        encoding="utf-8").splitlines(True)
+
+
+# a step that reruns into an earlier step's run directory, and the step
+# whose run directory and stdout the rerun must end with
+RESUMES = {"sweep-again": "sweep", "sweep-widen": "sweep"}
+
+
 def child(src: str) -> None:
     """Run the sequence under `src`, in the current directory; a step
     that reruns into an earlier step's run directory must resume it."""
@@ -159,22 +174,24 @@ def child(src: str) -> None:
     main = cli.main
 
     for step, argv in _sequence():
-        rerun = "--run-dir" in argv  # into an earlier step's directory
-        run_dir = argv[argv.index("--run-dir") + 1] if rerun else step
-        before = _contents(run_dir) if rerun else None
+        goal = RESUMES.get(step)
+        run_dir = argv[argv.index("--run-dir") + 1] if goal else step
+        goal_files = _contents(goal) if goal else None
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(argv if rerun else [*argv, "--run-dir", step])
+            code = main(argv if goal else [*argv, "--run-dir", step])
         Path(f"{step}.exit").write_text(f"{code}\n", encoding="utf-8")
         Path(f"{step}.stdout").write_text(out.getvalue(), encoding="utf-8")
-        if rerun:
-            first = Path(f"{run_dir}.stdout").read_text(encoding="utf-8")
-            # the first run's stdout less its grid points' lines
-            resumed = "".join(line for line in first.splitlines(True)
-                              if not line.startswith("  "))
-            if _contents(run_dir) != before or out.getvalue() != resumed:
-                sys.exit(f"{step} did not resume {run_dir}/: a grid point "
-                         "trained again, or a file or the stdout changed")
+        if goal:
+            held = set(_stdout(run_dir))
+            # the goal's stdout less the grid points run_dir held already
+            resumed = "".join(line for line in _stdout(goal)
+                              if not (line.startswith("  ") and line in held))
+            resumed = resumed.replace(f" in {goal}\n", f" in {run_dir}\n")
+            if _contents(run_dir) != goal_files or out.getvalue() != resumed:
+                sys.exit(f"{step} did not resume {run_dir}/ to {goal}/: a "
+                         "grid point trained again or not at all, or a file "
+                         "or the stdout differs")
 
 
 def _run_tree(src: Path, work: Path, pinned: bool) -> bool:

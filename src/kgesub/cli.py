@@ -5,19 +5,21 @@ score-triples, weights-report, singleton-stats, sweep.
 
 Every run writes its artifacts into one run directory (timestamped
 unless --run-dir pins it) through `_RunDir`, the one writer of its
-small reports and of the manifest that lists every artifact in the
-order written; `evaluation` and `training` return data.  Every setting
-a command uses is a `RunConfig` field, set by a config file or its
-flag; pretrain-submodel, for one, takes the sub-model's kind as --model
-and its weighting as --submodel-subsampling.  Weight tables are built
-from those settings, never read: weights-report builds its CBS and MBS
-tables as build-weights would.  Every command but evaluate,
-score-triples and singleton-stats also echoes the effective
-configuration; re-feeding that echo reproduces the run, as `sweep`'s
-`best.cfg` reproduces its winner.  A sweep resumes only the ledger of
-its own settings, data and candidates; another's is a config error.
-Exit codes: 0 success, 1 usage or config error, 2 data error or a
-failed read, 3 numerical divergence.
+small reports, the sweep ledger among them, and of the manifest that
+lists every artifact in the order written; `evaluation`, `training` and
+`submodel` return data.  Every setting a command uses is a `RunConfig`
+field, set by a config file or its flag; pretrain-submodel, for one,
+takes the sub-model's kind as --model and its weighting as
+--submodel-subsampling.  Weight tables are built from those settings,
+never read: weights-report builds its CBS and MBS tables as
+build-weights would.  Every command but evaluate, score-triples and
+singleton-stats also echoes the effective configuration; re-feeding
+that echo reproduces the run, as `sweep`'s `best.cfg` reproduces its
+winner, so a path that a config file cannot carry is a config error.
+A sweep resumes only the ledger of its own settings, data and
+candidates; another's is a config error.  Exit codes: 0 success, 1
+usage or config error, 2 data error or a failed read, 3 numerical
+divergence.
 """
 
 from __future__ import annotations
@@ -303,21 +305,28 @@ def cmd_sweep(args) -> _RunDir:
                              "alpha")
     lambda_grid = _parse_grid(args.lambda_grid, subsampling.LAMBDA_GRID,
                               "lam")
+    candidates = [check_setting("submodel_scores", path)  # as in best.cfg
+                  for path in args.candidate_scores]
     dataset = load_dataset(config.resolved_data_dir())
     run = _RunDir(args)
     by_id = {}
-    for path in args.candidate_scores:
+    for path in candidates:
         sid = _load_scores_checked(path, dataset).submodel_id
         if sid in by_id:
             raise ConfigError(f"duplicate sub-model id {sid!r}")
         by_id[sid] = path
-    config_path, ledger = (run.path("config", "config.resolved.cfg"),
-                           run.path("ledger", "ledger.tsv"))
     # a ledger resumes only the sweep of its settings, data and candidates
-    submodel.resume_ledger(ledger, content_digest(f"sweep {config!r}", [
+    key = content_digest(f"sweep {config!r}", [
         *(config.resolved_data_dir() / f"{split}.txt" for split in SPLITS),
-        *by_id.values()]))
-    save_config(config, config_path)
+        *by_id.values()])
+    done = submodel.read_ledger(run.root / "ledger.tsv", key)
+    save_config(config, run.path("config", "config.resolved.cfg"))
+
+    def write_ledger(records: dict[submodel.Point, float]) -> None:
+        run.write_rows("ledger", "ledger.tsv",
+                       submodel.ledger_rows(key, records))
+
+    write_ledger(done)  # a new ledger holds its key before any point runs
 
     def point(sid: str, alpha: float, lam: float | None) -> RunConfig:
         """A grid point's config: MBS when `lam` is None, else MIX, both
@@ -339,7 +348,7 @@ def cmd_sweep(args) -> _RunDir:
         return mrr
 
     selection = submodel.select_submodel(list(by_id), alpha_grid, lambda_grid,
-                                         evaluate_point, ledger_path=ledger)
+                                         evaluate_point, done, write_ledger)
     save_config(point(selection.submodel_id, selection.alpha, selection.lam),
                 run.path("best_config", "best.cfg"))
     mbs_text = ("forced" if selection.mbs_mrr is None

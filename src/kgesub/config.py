@@ -23,6 +23,7 @@ import configparser
 import math
 import operator
 import os
+import re
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
@@ -39,6 +40,9 @@ _WEIGHTS = ("train", "build-weights")
 _REPORT = _WEIGHTS + ("weights-report",)
 _OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
         "<": operator.lt}
+# a config file strips a value's ends, splits its lines, takes a `#` after
+# whitespace as a comment and holds no surrogate (a path's undecodable byte)
+_UNCARRIED = re.compile(r"^\s|\s$|[\r\n\ud800-\udfff]|(^|\s)#")
 
 
 def _setting(default, section: str, commands: tuple[str, ...] | None = None,
@@ -153,6 +157,10 @@ def check_setting(name: str, value):
         problem = "must be finite"
     elif choices and value not in choices:
         problem = f"must be one of {', '.join(map(str, choices))}"
+    elif isinstance(value, str) and _UNCARRIED.search(value):
+        problem = ("cannot be read back from a config file (whitespace at "
+                   "an end, a line break or a `#` first or after whitespace, "
+                   "or a byte that is not UTF-8)")
     elif not all(_OPS[op](value, bound) for op, bound in rule):
         problem = "must be " + " and ".join(f"{op} {bound}"
                                             for op, bound in rule)
@@ -185,7 +193,8 @@ def validate_config(config: RunConfig) -> None:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",))
     by_key = {file_key(setting): setting for setting in _SETTINGS.values()}
     values = {}
     try:
@@ -208,7 +217,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for setting in _SETTINGS.values():
         section, key = file_key(setting)
         if not parser.has_section(section):

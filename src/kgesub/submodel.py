@@ -15,19 +15,20 @@ that pair fixed, the best mixing ratio under mixed weights.  Ties break
 toward smaller temperature, then smaller ratio, then candidate order.
 A ledger of the grid points run so far lets an interrupted search
 resume; its first line, `# sweep <key>`, names the search it belongs to.
+This module writes no file: the CLI writes the rows of the ledger.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .config import RunConfig
-from .data import Dataset, text_lines
+from .data import Dataset
 from .errors import ConfigError, DataError
 from .models import ModelParams, check_vocab, score_triples
 from .subsampling import (SubModelScores, SubsamplingMethod,
@@ -72,13 +73,7 @@ def score_training_triples(submodel: ModelParams, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # selection
 
-
-@dataclass(frozen=True)
-class GridRecord:
-    submodel_id: str
-    alpha: float
-    lam: float | None  # None for the model-based stage
-    valid_mrr: float
+Point = tuple[str, float, float | None]  # sid, alpha, lambda or None
 
 
 @dataclass
@@ -88,67 +83,57 @@ class Selection:
     lam: float
     mix_mrr: float
     mbs_mrr: float | None = None  # None when stage 1 was forced
-    records: list[GridRecord] = field(default_factory=list)
 
 
 LEDGER_KEY = "# sweep "  # then the key of the search, on line 1
 
 
-def read_ledger(path: str | Path) -> list[GridRecord]:
-    path = Path(path)
-    if not path.exists():
-        return []
-    records = []
-    for lineno, line in text_lines(path):
-        if lineno == 1 and line.startswith(LEDGER_KEY) and "\t" not in line:
+def read_ledger(path: str | Path, key: str) -> dict[Point, float]:
+    """The valid MRR of each grid point in the sweep ledger at `path`
+    (none when there is no file), in the order first run.  A last line
+    without its newline is not a record: a crash cut it short, and its
+    point runs again.  The records are checked first (DataError), then
+    the key line, which must be `# sweep <key>` (ConfigError)."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return {}
+    try:
+        text = data[:data.rfind(b"\n") + 1].decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    done = {}
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        if not line or (lineno == 1 and line.startswith(LEDGER_KEY)
+                        and "\t" not in line):
             continue  # every tabbed line is a record, even one of id `#`
         try:
             sid, alpha, lam, mrr = line.split("\t")
-            record = GridRecord(submodel_id=sid, alpha=float(alpha),
-                                lam=None if lam == "-" else float(lam),
-                                valid_mrr=float(mrr))
+            point = (sid, float(alpha), None if lam == "-" else float(lam))
+            done[point] = float(mrr)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: expected `submodel_id<TAB>"
                             f"alpha<TAB>lambda<TAB>valid_mrr` ({exc})"
                             ) from None
         # every comparison with nan is false, so nan fails each check
-        if not (0.0 < record.alpha < math.inf
-                and (record.lam is None or 0.0 <= record.lam <= 1.0)
-                and 0.0 <= record.valid_mrr <= 1.0):
+        if not (0.0 < point[1] < math.inf
+                and (point[2] is None or 0.0 <= point[2] <= 1.0)
+                and 0.0 <= done[point] <= 1.0):
             raise DataError(f"{path}:{lineno}: alpha must be finite and > 0, "
                             f"lambda and valid_mrr in [0, 1], got alpha "
                             f"{alpha}, lambda {lam}, valid_mrr {mrr}")
-        records.append(record)
-    return records
-
-
-def resume_ledger(path: str | Path, key: str | None = None
-                  ) -> dict[tuple[str, float, float | None], float]:
-    """The MRR of each grid point in the ledger at `path`, less a last
-    record that a crash cut short.  Given a search's `key`, the ledger
-    must start with `# sweep <key>` (an empty one is given it)."""
-    with open(path, "a+b") as fh:
-        fh.seek(0)
-        data = fh.read()
-        if not data.endswith(b"\n"):  # torn, even if what is left parses
-            fh.truncate(data.rfind(b"\n") + 1)
-        done = {(record.submodel_id, record.alpha, record.lam):
-                record.valid_mrr for record in read_ledger(path)}
-        first = data[:data.find(b"\n") + 1]
-        line = f"{LEDGER_KEY}{key}\n".encode()
-        if key is not None and first != line:
-            if first:
-                raise ConfigError(f"{path} is the ledger of another sweep, "
-                                  "of other settings, data or candidates")
-            fh.write(line)
+    if text and not text.startswith(f"{LEDGER_KEY}{key}\n"):
+        raise ConfigError(f"{path} is the ledger of another sweep, "
+                          "of other settings, data or candidates")
     return done
 
 
-def append_ledger(path: str | Path, record: GridRecord) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        lam = "-" if record.lam is None else repr(record.lam)
-        fh.write(f"{record.submodel_id}\t{record.alpha!r}\t{lam}\t"
-                 f"{record.valid_mrr!r}\n")
+def ledger_rows(key: str, done: dict[Point, float]) -> list[tuple]:
+    """The rows of the sweep ledger of `key`: the key line, then one
+    `submodel_id, alpha, lambda, valid_mrr` record per grid point."""
+    return [(LEDGER_KEY + key,), *(
+        (sid, alpha, "-" if lam is None else lam, mrr)
+        for (sid, alpha, lam), mrr in done.items())]
 
 
 def select_submodel(candidates: Sequence[str],
@@ -156,34 +141,30 @@ def select_submodel(candidates: Sequence[str],
                     lambda_grid: Sequence[float],
                     evaluate_point: Callable[[str, float, float | None],
                                              float],
-                    ledger_path: str | Path | None = None) -> Selection:
+                    done: Mapping[Point, float] | None = None,
+                    on_record: Callable[[dict[Point, float]], None]
+                    = lambda records: None) -> Selection:
     """Two-stage validation-MRR grid search over sub-model ids.
 
     `evaluate_point(sid, alpha, lam)` must return the validation MRR
     of a main model trained with model-based weights (lam is None) or
-    mixed weights (lam set).  Grid points already present in the ledger
-    file are reused, so an interrupted sweep resumes without retraining;
-    a record the interruption cut short is dropped and run again.
-    A stage-1 grid with a single point is a forced choice and skips its
+    mixed weights (lam set).  Grid points in `done`, the MRR of each
+    point already run, are not run again, so an interrupted sweep
+    resumes.  After each point run, `on_record` is given the MRR of
+    every point run so far, in the order first run, `done`'s first.  A
+    stage-1 grid with a single point is a forced choice and skips its
     evaluation; the ratio stage always evaluates, since its MRR is the
     search's deliverable.
     """
     if not candidates or not alpha_grid or not lambda_grid:
         raise ValueError("candidates and grids must be non-empty")
-    cached = {} if ledger_path is None else resume_ledger(ledger_path)
-    records: list[GridRecord] = []
+    cached = dict(done or {})
 
-    def run(sid: str, alpha: float, lam: float | None) -> float:
-        key = (sid, alpha, lam)
-        if key in cached:
-            mrr = cached[key]
-        else:
-            mrr = evaluate_point(sid, alpha, lam)
-            cached[key] = mrr
-            if ledger_path is not None:
-                append_ledger(ledger_path, GridRecord(*key, mrr))
-        records.append(GridRecord(*key, mrr))
-        return mrr
+    def run(*point) -> float:
+        if point not in cached:
+            cached[point] = evaluate_point(*point)
+            on_record(cached)
+        return cached[point]
 
     if len(candidates) == 1 and len(alpha_grid) == 1:
         best_sid, best_alpha, mbs_mrr = candidates[0], alpha_grid[0], None
@@ -206,4 +187,4 @@ def select_submodel(candidates: Sequence[str],
     _, best_lam, mix_mrr = best_mix
 
     return Selection(submodel_id=best_sid, alpha=best_alpha, lam=best_lam,
-                     mbs_mrr=mbs_mrr, mix_mrr=mix_mrr, records=records)
+                     mbs_mrr=mbs_mrr, mix_mrr=mix_mrr)

@@ -20,6 +20,12 @@ from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
 from kgesub.training import batch_loss
 
 
+def pytest_addoption(parser):
+    parser.addoption("--mutants-per-input", type=int, default=6,
+                     help="seeded mutants of each input in test_fuzz.py "
+                          "(default 6)")
+
+
 class Triple(NamedTuple):
     head: int
     relation: int

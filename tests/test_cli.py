@@ -1,8 +1,10 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
 import argparse
+import itertools
 import json
 import os
+import shutil
 import struct
 import time
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgesub import subsampling
+from kgesub import submodel, subsampling
 from kgesub.cli import build_parser, main, query_appearance_report
 from kgesub.config import load_config
 from kgesub.data import load_dataset, read_container, write_container
@@ -94,6 +96,25 @@ class TestTrainCommand:
                     "--run-dir", second]) == 0
         assert ((first / "checkpoint.bin").read_bytes()
                 == (second / "checkpoint.bin").read_bytes())
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("train", "checkpoint.bin"), ("build-weights", "weights.tsv")])
+    def test_percent_in_a_path_is_literal(self, data_dir, tmp_path, command,
+                                          artifact):
+        """A data directory holding `%` runs, and its echo, re-fed,
+        gives the same bytes (the echo once ended in a traceback)."""
+        data = tmp_path / "da%ta"
+        shutil.copytree(data_dir, data)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run([command, "--data", data, "--run-dir", first,
+                    "--subsampling", "cbs", "--method", "freq",
+                    *(FAST if command == "train" else [])]) == 0
+        assert load_config(first / "config.resolved.cfg").data_dir == str(
+            data)
+        assert run([command, "--config", first / "config.resolved.cfg",
+                    "--run-dir", second]) == 0
+        assert ((first / artifact).read_bytes()
+                == (second / artifact).read_bytes())
 
     def test_validation_mrr_logged(self, data_dir, tmp_path):
         run_dir = tmp_path / "run"
@@ -207,6 +228,36 @@ class TestExitCodes:
         """Not exit 2 for the absent data, and no run directory made."""
         assert run(argv + ["--data", tmp_path / "nope",
                            "--run-dir", tmp_path / "r"]) == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{data} #2"],
+        ["train", "--data", "{data} "],
+        ["build-weights", "--data", "{data}", "--subsampling", "mbs",
+         "--method", "freq", "--submodel-scores", "{scores} #1"],
+        ["sweep", "--data", "{data}", "--method", "freq",
+         "--submodel-scores", "{scores}", "{scores} #1"],
+    ], ids=["data_hash", "data_space", "scores_hash", "candidate_hash"])
+    def test_path_a_config_file_cannot_carry_is_exit_1(
+            self, data_dir, tmp_path, capsys, argv):
+        """A path that its echo would read back otherwise (a comment
+        cut off, or whitespace stripped) is exit 1 before the data
+        load, though each path names a dataset or score file."""
+        data = tmp_path / "my data"
+        shutil.copytree(data_dir, data)
+        shutil.copytree(data_dir, f"{data} #2")
+        shutil.copytree(data_dir, f"{data} ")
+        scores = tmp_path / "scores.tsv"
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        scores.write_text("# submodel=m\n" + "".join(
+            f"{i}\t0.0\n" for i in range(examples)), encoding="utf-8")
+        shutil.copy(scores, f"{scores} #1")
+        args = [arg.format(data=data, scores=scores) for arg in argv]
+        if args[0] != "build-weights":
+            args += FAST
+        assert run(args + ["--run-dir", tmp_path / "r"]) == 1
+        assert "cannot be read back from a config file" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -893,6 +944,59 @@ class TestSweepResumesTornLedger:
         assert run(args) == 0
         assert ledger.read_bytes() == whole
         assert (sweep_dir / "best.cfg").read_bytes() == best
+
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_interrupted_sweep_resumes_to_the_same_ledger(
+            self, data_dir, tmp_path, monkeypatch, capsys, k):
+        """A sweep whose k-th grid point raises leaves a ledger of whole
+        records, one for each point before it, and no temporary file;
+        the rerun trains only the remaining points and ends with the
+        uninterrupted sweep's ledger and best config."""
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# submodel=m\n" + "".join(
+            f"{i}\t{0.01 * (i % 7)!r}\n" for i in range(examples)),
+            encoding="utf-8")
+        args = ["sweep", "--data", data_dir, "--method", "freq",
+                "--submodel-scores", scores, "--alpha-grid", "1.0,0.5",
+                "--lambda-grid", "0.3,0.7", *FAST]
+        assert run([*args, "--run-dir", tmp_path / "whole"]) == 0
+        points = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  ")]
+        assert len(points) == 4
+
+        select = submodel.select_submodel
+
+        def interrupted(candidates, alphas, lambdas, evaluate_point,
+                        *rest):
+            calls = itertools.count(1)
+
+            def point(*grid_point):
+                if next(calls) == k:
+                    raise RuntimeError("interrupted")
+                return evaluate_point(*grid_point)
+            return select(candidates, alphas, lambdas, point, *rest)
+
+        sweep_dir = tmp_path / "sweep"
+        monkeypatch.setattr(submodel, "select_submodel", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run([*args, "--run-dir", sweep_dir])
+        monkeypatch.setattr(submodel, "select_submodel", select)
+        whole = (tmp_path / "whole" / "ledger.tsv").read_text("utf-8")
+        ledger = (sweep_dir / "ledger.tsv").read_text("utf-8")
+        assert ledger == "".join(whole.splitlines(True)[:k])  # key first
+        assert sorted(os.listdir(sweep_dir)) == ["config.resolved.cfg",
+                                                  "ledger.tsv"]
+        capsys.readouterr()
+
+        assert run([*args, "--run-dir", sweep_dir]) == 0
+        rerun = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  ")]
+        assert rerun == points[k - 1:]
+        for name in ("ledger.tsv", "best.cfg"):
+            assert ((sweep_dir / name).read_bytes()
+                    == (tmp_path / "whole" / name).read_bytes())
 
 
 class TestRunDirectory:

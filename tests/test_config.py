@@ -1,10 +1,14 @@
 """Config files: parsing, validation, round trips."""
 
+import configparser
 import dataclasses
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgesub.cli import _resolve_config, build_parser
 from kgesub.config import (RunConfig, file_key, flag_name, load_config,
@@ -112,7 +116,6 @@ class TestValidation:
         b"[data]\ndim = 4\n[data]\n",  # section twice
         b"dim = 4\n",  # no section header
         b"[model]\ndim = \xff\n",
-        b"[data]\ndir = 100%\n",  # bad interpolation
     ])
     def test_unparsable_file_is_a_config_error(self, tmp_path, body):
         path = tmp_path / "run.cfg"
@@ -163,6 +166,74 @@ class TestValidation:
     def test_cbs_needs_method(self):
         with pytest.raises(ConfigError, match="method"):
             RunConfig(subsampling="cbs")
+
+
+SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# the string settings: free text, and those of a few choices
+FREE_TEXT = [f.name for f in dataclasses.fields(RunConfig)
+             if isinstance(f.default, str) and not f.metadata["choices"]]
+CHOSEN = [(f.name, choice) for f in dataclasses.fields(RunConfig)
+          if isinstance(f.default, str) for choice in f.metadata["choices"]]
+
+
+class TestStringSettings:
+    """Every string setting reads back from its echo as written."""
+
+    def test_free_text_settings(self):
+        assert FREE_TEXT == ["data_dir", "submodel_scores",
+                             "submodel_checkpoint"]
+
+    @pytest.mark.parametrize("name, choice", CHOSEN)
+    def test_every_choice_round_trips(self, tmp_path, name, choice):
+        # a method of none needs a subsampling source of none
+        config = dataclasses.replace(EVERY_KEY,
+                                     **{"subsampling": "none", name: choice})
+        save_config(config, tmp_path / "echo.cfg")
+        assert load_config(tmp_path / "echo.cfg") == config
+
+    @pytest.mark.parametrize("text", ["100%", "100%%", "%(dir)s", "a%b"])
+    def test_percent_is_literal(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[data]\ndir = {text}\n", encoding="utf-8")
+        assert load_config(path).data_dir == text
+        config = RunConfig(data_dir=text, submodel_scores=text)
+        save_config(config, tmp_path / "echo.cfg")
+        assert load_config(tmp_path / "echo.cfg") == config
+
+    @pytest.mark.parametrize("text", ["my data #2", "#2", " data", "data ",
+                                      "data\t", "a\nb", "a\rb", "\udcff"])
+    def test_text_a_file_cannot_carry_is_refused(self, text):
+        for name in FREE_TEXT:
+            with pytest.raises(ConfigError, match="cannot be read back"):
+                RunConfig(**{name: text})
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(FREE_TEXT), value=st.text() | st.text(
+        alphabet=" \t\n\r#%;=:[]ab\xa0\x1c\u2028\udcff"))
+    def test_free_text_round_trips_or_is_refused(self, name, value):
+        """A value that a run accepts reads back from its echo as it
+        was; one refused does not, or holds a line break."""
+        config = RunConfig()
+        setattr(config, name, value)  # unchecked, as no run holds it
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "echo.cfg"
+            # what the echo gives back to a reader of load_config's
+            # settings that checks no value
+            reader = configparser.ConfigParser(
+                interpolation=None, inline_comment_prefixes=("#",))
+            try:
+                save_config(config, path)
+                reader.read(path, encoding="utf-8")
+                echoed = reader.get(*file_key(SETTINGS[name]))
+            except (UnicodeEncodeError, configparser.Error):
+                echoed = None
+            try:
+                validate_config(config)
+            except ConfigError:
+                assert echoed != value or "\n" in value
+            else:
+                assert echoed == value
+                assert load_config(path) == config
 
 
 class TestDataRoot:

@@ -401,7 +401,7 @@ class TestSingletonQueryStats:
 
 class TestTextParsersFuzz:
     @pytest.mark.parametrize("load", [load_triples, load_scores,
-                                      read_ledger],
+                                      lambda path: read_ledger(path, "k")],
                              ids=["triples", "scores", "ledger"])
     @settings(max_examples=150, deadline=None)
     @given(blob=st.binary(max_size=200))

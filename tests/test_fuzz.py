@@ -6,9 +6,12 @@ config, a checkpoint, a sub-model and a sweep ledger) is damaged by one
 of a fixed list of mutations, and the command that reads it runs again.
 It must exit 0, 1 or 2 without a traceback, and an `evaluate` that
 exits 0 must write finite metrics in [0, 1].  Every mutant is a pure
-function of its input's name and its index, so a failure reproduces.
+function of its input's name, its mutation and its round, so a failure
+reproduces.  Tier-1 makes 6 mutants of each input; a larger seeded set
+runs with `pytest tests/test_fuzz.py --mutants-per-input 150`.
 """
 
+import itertools
 import math
 import random
 import re
@@ -49,7 +52,6 @@ INPUTS = {
                           "--run-dir", "{w}/out"]],
     "sweep/ledger.tsv": [SWEEP],
 }
-MUTANTS_PER_INPUT = 6
 
 
 def _lines(blob: bytes) -> list[bytes]:
@@ -112,8 +114,29 @@ def _header_number(blob, rng):
 
 MUTATIONS = [_bom, _crlf, _truncate, _flip_byte, _delete_line,
              _duplicate_line, _junk_field, _header_number]
-CASES = [(name, (2 * i + j) % len(MUTATIONS))
-         for i, name in enumerate(INPUTS) for j in range(MUTANTS_PER_INPUT)]
+UNSEEDED = (_bom, _crlf)  # the same mutant in every round
+
+
+def mutants(per_input: int) -> list[tuple[str, int, int]]:
+    """(input, mutation, round) of `per_input` mutants of each input:
+    each input takes the mutations in turn from its own offset, round
+    after round, and an unseeded one in the first round only."""
+    cases = []
+    for i, name in enumerate(INPUTS):
+        turns = ((name, (2 * i + j) % len(MUTATIONS), j // len(MUTATIONS))
+                 for j in itertools.count())
+        cases += itertools.islice(
+            (case for case in turns
+             if not (case[2] and MUTATIONS[case[1]] in UNSEEDED)), per_input)
+    return cases
+
+
+def pytest_generate_tests(metafunc):
+    if "mutant" in metafunc.fixturenames:
+        cases = mutants(metafunc.config.getoption("mutants_per_input"))
+        metafunc.parametrize("mutant", cases, ids=[
+            f"{name}-{MUTATIONS[m].__name__[1:]}" + (f"-{r}" if r else "")
+            for name, m, r in cases])
 
 
 def run(argv, work) -> int:
@@ -142,15 +165,13 @@ def pristine(tmp_path_factory):
     return work
 
 
-@pytest.mark.parametrize("name, mutation", CASES,
-                         ids=[f"{name}-{MUTATIONS[m].__name__[1:]}"
-                              for name, m in CASES])
 def test_mutant_exits_cleanly(pristine, tmp_path, capsys, monkeypatch,
-                              name, mutation):
+                              mutant):
+    name, mutation, turn = mutant
     monkeypatch.chdir(tmp_path)  # where a config that lost its dir points
     work = tmp_path / "w"
     shutil.copytree(pristine, work)
-    rng = random.Random(f"{name} {mutation}")
+    rng = random.Random(f"{name} {mutation}" + (f" {turn}" if turn else ""))
     path = work / name
     path.write_bytes(MUTATIONS[mutation](path.read_bytes(), rng))
     for argv in INPUTS[name]:

@@ -7,9 +7,8 @@ from kgesub.config import RunConfig
 from kgesub.data import Dataset
 from kgesub.errors import ConfigError, DataError, VocabMismatchError
 from kgesub.models import ModelKind, init_params
-from kgesub.submodel import (GridRecord, append_ledger, pretrain_submodel,
-                             read_ledger, score_training_triples,
-                             select_submodel)
+from kgesub.submodel import (ledger_rows, pretrain_submodel, read_ledger,
+                             score_training_triples, select_submodel)
 from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
                                 load_scores, log_model_frequencies,
                                 mix_weights, save_scores)
@@ -128,6 +127,14 @@ class TestDegenerateSubmodel:
         assert np.array_equal(a.b, b.b)
 
 
+def write_ledger(path, done, key="k") -> None:
+    """The ledger of `done` under `key`, as the CLI's row writer
+    writes it."""
+    path.write_text("".join("\t".join(map(str, row)) + "\n"
+                            for row in ledger_rows(key, done)),
+                    encoding="utf-8")
+
+
 class TestSelectSubmodel:
     def test_single_point_returned(self):
         selection = select_submodel(
@@ -157,11 +164,9 @@ class TestSelectSubmodel:
             return 0.5
         alpha_grid = [2.0, 1.0, 0.5, 0.1, 0.05, 0.01]
         lambda_grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-        selection = select_submodel(["m"], alpha_grid,
-                                    lambda_grid, point)
+        select_submodel(["m"], alpha_grid, lambda_grid, point)
         assert len(calls) == 11
         assert len([c for c in calls if c[2] is None]) == 6
-        assert len(selection.records) == 11
 
     def test_dominant_candidate_selected(self):
         def point(sid, alpha, lam):
@@ -191,61 +196,89 @@ class TestSelectSubmodel:
         assert selection.lam == 0.1
 
     def test_ledger_resume_skips_completed_points(self, tmp_path):
+        """After each point run, the records so far are handed on; a
+        search given those of a ledger written from them runs no point
+        again."""
         ledger = tmp_path / "ledger.tsv"
-        calls = []
+        calls, recorded = [], []
         def point(sid, alpha, lam):
             calls.append((alpha, lam))
             return alpha / 2  # higher temperature wins; an MRR in [0, 1]
-        first = select_submodel(["m"], [1.0, 2.0], [0.5],
-                                point, ledger_path=ledger)
-        assert len(calls) == 3
+        first = select_submodel(["m"], [1.0, 2.0], [0.5], point,
+                                on_record=lambda r: recorded.append(dict(r)))
+        points = [("m", 1.0, None), ("m", 2.0, None), ("m", 2.0, 0.5)]
+        assert calls == [(alpha, lam) for _, alpha, lam in points]
+        assert [list(records) for records in recorded] == [
+            points[:1], points[:2], points]
+        assert list(recorded[-1].values()) == [0.5, 1.0, 1.0]
+        write_ledger(ledger, recorded[-1])
         calls.clear()
-        second = select_submodel(["m"], [1.0, 2.0], [0.5],
-                                 point, ledger_path=ledger)
+        second = select_submodel(["m"], [1.0, 2.0], [0.5], point,
+                                 read_ledger(ledger, "k"))
         assert calls == []  # fully cached
-        assert second.submodel_id == first.submodel_id
-        assert second.alpha == first.alpha
-        assert second.lam == first.lam
+        assert second == first
 
     @pytest.mark.parametrize("cut", [1, 7, -2])
     def test_torn_last_record_is_run_again(self, tmp_path, cut):
-        """A resumed search drops a last record cut short by a crash,
-        even one that still parses (an MRR missing its last digits),
-        and appends the point's full record after the whole lines."""
+        """A last record cut short by a crash is not read, even one that
+        still parses (an MRR missing its last digits): its point runs
+        again, and the records then give the whole ledger's rows."""
         ledger = tmp_path / "ledger.tsv"
         def point(sid, alpha, lam):
             return 0.375 if lam is None else 0.25
+        whole = {}
         select_submodel(["m"], [1.0, 2.0], [0.5], point,
-                        ledger_path=ledger)
-        whole = ledger.read_bytes()
-        last = whole.rstrip(b"\n").rfind(b"\n") + 1
-        ledger.write_bytes(whole[:last + cut] if cut > 0
-                           else whole[:cut])
+                        on_record=whole.update)
+        write_ledger(ledger, whole)
+        text = ledger.read_bytes()
+        last = text.rstrip(b"\n").rfind(b"\n") + 1
+        ledger.write_bytes(text[:last + cut] if cut > 0 else text[:cut])
+        done = read_ledger(ledger, "k")
+        assert len(done) == 2
         calls = []
         def counted(sid, alpha, lam):
             calls.append((alpha, lam))
             return point(sid, alpha, lam)
-        select_submodel(["m"], [1.0, 2.0], [0.5], counted,
-                        ledger_path=ledger)
+        select_submodel(["m"], [1.0, 2.0], [0.5], counted, done,
+                        done.update)
         assert calls == [(1.0, 0.5)]  # only the torn stage-two point
-        assert ledger.read_bytes() == whole
-        assert len(read_ledger(ledger)) == 3
+        assert ledger_rows("k", done) == ledger_rows("k", whole)
 
     def test_ledger_round_trip(self, tmp_path):
+        """Records come back in the order written, each field as its
+        `str`, "-" for the model-based stage's lambda."""
         ledger = tmp_path / "ledger.tsv"
-        record = GridRecord("m", 0.5, None, 0.25)
-        append_ledger(ledger, record)
-        append_ledger(ledger, GridRecord("m", 0.5, 0.7, 0.3))
-        loaded = read_ledger(ledger)
-        assert loaded[0] == record
-        assert loaded[1].lam == 0.7
+        done = {("m", 0.5, None): 0.25, ("#1 two", 0.1, 0.7): 1 / 3}
+        write_ledger(ledger, done)
+        assert ledger.read_text("utf-8") == (
+            "# sweep k\nm\t0.5\t-\t0.25\n"
+            "#1 two\t0.1\t0.7\t0.3333333333333333\n")
+        loaded = read_ledger(ledger, "k")
+        assert list(loaded.items()) == list(done.items())
+
+    @pytest.mark.parametrize("blob", [b"", b"# sweep k", b"# sweep other"])
+    def test_empty_ledger_reads_as_no_records(self, tmp_path, blob):
+        """No file, an empty one, or a key line that a crash cut short
+        (whichever key it names): nothing has run."""
+        ledger = tmp_path / "ledger.tsv"
+        assert read_ledger(ledger, "k") == {}
+        ledger.write_bytes(blob)
+        assert read_ledger(ledger, "k") == {}
+
+    @pytest.mark.parametrize("first", ["# sweep other", "# sweep k ", "",
+                                       "m\t0.5\t-\t0.25"])
+    def test_other_or_missing_key_is_a_config_error(self, tmp_path, first):
+        ledger = tmp_path / "ledger.tsv"
+        ledger.write_text(f"{first}\nm\t0.1\t-\t0.5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="ledger of another sweep"):
+            read_ledger(ledger, "k")
 
     @pytest.mark.parametrize("line", [
         "m\t0.5\t-\n",  # three fields
         "m\t0.5\t-\t0.25\textra\n",
         "m\thalf\t-\t0.25\n",
         "m\t0.5\tx\t0.25\n",
-        "m\t0.5\t0.7\t",  # torn mid-number
+        "m\t0.5\t0.7\t\n",  # no MRR
         # numbers that no grid point or MRR can be
         "m\t0.5\t-\tnan\n", "m\t0.5\t-\tinf\n", "m\t0.5\t-\t1.5\n",
         "m\t0.5\t-\t-0.25\n", "m\tnan\t-\t0.25\n", "m\tinf\t-\t0.25\n",
@@ -253,12 +286,14 @@ class TestSelectSubmodel:
         "m\t0.5\t-0.1\t0.25\n", "m\t0.5\tnan\t0.25\n",
     ])
     def test_malformed_ledger_line_is_a_data_error(self, tmp_path, line):
+        """A bad record is a data error even in a ledger of another key:
+        the records are checked before the key."""
         ledger = tmp_path / "ledger.tsv"
-        append_ledger(ledger, GridRecord("m", 0.5, None, 0.25))
+        write_ledger(ledger, {("m", 0.5, None): 0.25}, key="other")
         with open(ledger, "a", encoding="utf-8") as fh:
             fh.write(line)
-        with pytest.raises(DataError, match="ledger.tsv:2:"):
-            read_ledger(ledger)
+        with pytest.raises(DataError, match="ledger.tsv:3:"):
+            read_ledger(ledger, "k")
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
