@@ -5,11 +5,13 @@ with every file it leaves compared byte for byte.
 usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
                                     [--work DIR]
 
-The sequence trains every model kind under both optimizers, builds
-weights of every method on both query masses, runs `weights-report`,
-`singleton-stats`, a 2 x 2 `sweep` over two sub-models, the same sweep
-again into its run directory (`sweep-again`), the sweep with its first
-lambda only (`sweep-narrow`), then with both into that run directory
+The sequence trains every model kind under both optimizers, scores
+the training set under the TransE `train` checkpoint as a sub-model
+(`scores-train-transe`), builds weights of every method on both query
+masses, runs `weights-report`, `singleton-stats`, a 2 x 2 `sweep` over
+two sub-models, the same sweep again into its run directory
+(`sweep-again`), the sweep with its first lambda only
+(`sweep-narrow`), then with both into that run directory
 (`sweep-widen`), `train --config best.cfg` and `evaluate`, all on the
 PIPELINE graph in `data/`.  A rerun must resume its run directory and
 end where `sweep` did: every file of the directory is the same bytes
@@ -86,6 +88,10 @@ def _sequence() -> list[tuple[str, list[str]]]:
     steps.append(("evaluate-kinds",
                   ["evaluate", *DATA, "--split", "valid", "--checkpoint",
                    *(f"train-{kind}/checkpoint.bin" for kind, _, _ in trains)]))
+    # a `train` checkpoint is a sub-model too, named by its header's tag
+    steps.append(("scores-train-transe",
+                  ["score-triples", *DATA, "--checkpoint",
+                   "train-transe/checkpoint.bin"]))
     subs = {"none": "distmult", "cbs-base": "complex"}
     for sub, kind in subs.items():
         steps.append((f"sub-{sub}",

@@ -7,7 +7,7 @@ Subpackages:
     subsampling  count-based / model-based / mixed weight tables
     training     batched negative sampling, weighted loss, SGD/Adam loop
     evaluation   filtered link-prediction ranking and metrics
-    submodel     sub-model pre-training, scoring, and grid selection
+    submodel     sub-model scoring and grid selection
     cli          command-line pipeline
 """
 
@@ -16,8 +16,7 @@ from .data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
 from .evaluation import EvalReport, aggregate_runs, evaluate
 from .models import (ModelKind, ModelParams, init_params, load_params,
                      save_params, score_triples)
-from .submodel import (Selection, pretrain_submodel, score_training_triples,
-                       select_submodel)
+from .submodel import Selection, score_training_triples, select_submodel
 from .subsampling import (ALPHA_GRID, LAMBDA_GRID, SubModelScores,
                           SubsamplingMethod, WeightTable, build_cbs_weights,
                           counted_frequencies, discounted_weights,

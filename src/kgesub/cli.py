@@ -8,18 +8,18 @@ unless --run-dir pins it) through `_RunDir`, the one writer of its
 small reports, the sweep ledger among them, and of the manifest that
 lists every artifact in the order written; `evaluation`, `training` and
 `submodel` return data.  Every setting a command uses is a `RunConfig`
-field, set by a config file or its flag; pretrain-submodel, for one,
-takes the sub-model's kind as --model and its weighting as
---submodel-subsampling.  Weight tables are built from those settings,
-never read: weights-report builds its CBS and MBS tables as
-build-weights would.  Every command but evaluate, score-triples and
-singleton-stats also echoes the effective configuration; re-feeding
-that echo reproduces the run, as `sweep`'s `best.cfg` reproduces its
-winner, so a path that a config file cannot carry is a config error.
-A sweep resumes only the ledger of its own settings, data and
-candidates; another's is a config error.  Exit codes: 0 success, 1
-usage or config error, 2 data error or a failed read, 3 numerical
-divergence.
+field, set by a config file or its flag.  Weight tables are built from
+those settings, never read: weights-report builds its CBS and MBS
+tables as build-weights would.  A sub-model is a `train` run whose
+checkpoint holds its id, `RunConfig.model_id`; pretrain-submodel is
+train under --submodel-subsampling none or cbs-base (cbs, base).
+Every command but evaluate, score-triples and singleton-stats also
+echoes the effective configuration; re-feeding that echo reproduces
+the run, as `sweep`'s `best.cfg` reproduces its winner, so a path that
+a config file cannot carry is a config error.  A sweep resumes only
+the ledger of its own settings, data and candidates; another's is a
+config error.  Exit codes: 0 success, 1 usage or config error, 2 data
+error or a failed read, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ def cmd_train(args) -> _RunDir:
     callback = None if config.valid_every <= 0 else (
         lambda params, step: evaluation.evaluate(params, dataset, "valid").mrr)
     result = training.train(dataset, weights, params, config, callback)
-    save_checkpoint(result.state, run.path("checkpoint", "checkpoint.bin"))
+    save_checkpoint(result.state, run.path("checkpoint", "checkpoint.bin"),
+                    tag=config.model_id())
     run.write_rows("log", "train.log", (  # valid_mrr only where taken
         [v for v in astuple(r) if v is not None] for r in result.log))
     final_loss = result.log[-1].loss if result.log else float("nan")
@@ -214,8 +215,16 @@ def cmd_build_weights(args) -> _RunDir:
 def cmd_pretrain_submodel(args) -> _RunDir:
     config, dataset, run = _start(args)
     save_config(config, run.path("config", "config.resolved.cfg"))
-    params, sid = submodel.pretrain_submodel(dataset, config)
-    save_params(params, run.path("submodel", "submodel.bin"), tag=sid)
+    # `train` under the sub-model's weighting: none, or cbs with base
+    trained = (replace(config, subsampling="cbs", method="base")
+               if config.submodel_subsampling == "cbs-base"
+               else replace(config, subsampling="none"))
+    weights = _build_weights(trained, dataset)
+    params = trained.initial_params(dataset.num_entities,
+                                    dataset.num_relations)
+    result = training.train(dataset, weights, params, trained)
+    sid = trained.model_id()
+    save_params(result.params, run.path("submodel", "submodel.bin"), tag=sid)
     print(f"sub-model {sid} in {run.root}")
     return run
 

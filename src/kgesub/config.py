@@ -101,7 +101,8 @@ class RunConfig:
     mbs_query_mass: str = _setting("observed", "subsampling", _REPORT,
                                    choices=("observed", "all_candidates"))
     submodel_checkpoint: str = _setting("", "subsampling", _REPORT)
-    # the weights a sub-model candidate is pre-trained under
+    # the weights `pretrain-submodel` trains under: `train`'s none, or
+    # cbs with method base
     submodel_subsampling: str = _setting("none", "subsampling",
                                          ("pretrain-submodel",),
                                          choices=("none", "cbs-base"))
@@ -128,6 +129,12 @@ class RunConfig:
                            num_relations, self.dim, self.gamma, self.seed,
                            aux=self.model_aux(),
                            init_epsilon=self.init_epsilon)
+
+    def model_id(self) -> str:
+        """The sub-model id of the model these settings train, `<kind>-
+        <source>[-<method>]-seed<seed>`, with no method under none."""
+        method = "" if self.subsampling == "none" else f"-{self.method}"
+        return f"{self.model}-{self.subsampling}{method}-seed{self.seed}"
 
     def rate_at(self, step: int) -> float:
         if self.lr_decay_every <= 0:

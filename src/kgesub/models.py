@@ -533,19 +533,20 @@ def _chunk_scorer(params: ModelParams):
 # ---------------------------------------------------------------------------
 # parameter checkpoints
 
-def params_header(params: ModelParams, payload: str) -> dict:
-    """The container header fields that describe `params`."""
-    return {"payload": payload, "kind": params.kind.value, "dim": params.dim,
-            "gamma": params.gamma, "aux": params.aux,
-            "num_entities": params.num_entities,
-            "num_relations": params.num_relations}
+def params_header(params: ModelParams, payload: str,
+                  tag: str | None = None) -> dict:
+    """The container header fields that describe `params`, and its
+    sub-model id `tag` when given."""
+    header = {"payload": payload, "kind": params.kind.value,
+              "dim": params.dim, "gamma": params.gamma, "aux": params.aux,
+              "num_entities": params.num_entities,
+              "num_relations": params.num_relations}
+    return header if tag is None else dict(header, tag=tag)
 
 
 def save_params(params: ModelParams, path: str | Path,
                 tag: str | None = None) -> None:
-    header = params_header(params, "model-params")
-    if tag is not None:
-        header["tag"] = tag
+    header = params_header(params, "model-params", tag)
     write_container(path, header, {"entity_emb": params.entity_emb,
                                    "relation_emb": params.relation_emb})
 
@@ -600,13 +601,18 @@ def params_from_container(header: dict,
 
 
 def load_tagged_params(path: str | Path) -> tuple[ModelParams, str | None]:
-    """Parameters and the provenance tag they were saved with, if any,
-    from one read of the checkpoint."""
+    """Parameters and the sub-model id they were saved with, if any,
+    from one read of the checkpoint.  A `tag` that is not a string
+    raises CheckpointError."""
     header, arrays = read_container(path)
     if header.get("payload") not in ("model-params", "train-checkpoint"):
         raise CheckpointError(f"{path}: unexpected payload "
                               f"{header.get('payload')!r}")
-    return params_from_container(header, arrays), header.get("tag")
+    tag = header.get("tag")
+    if "tag" in header and type(tag) is not str:
+        raise CheckpointError(f"{path}: header field tag must be str, "
+                              f"got {tag!r}")
+    return params_from_container(header, arrays), tag
 
 
 def load_params(path: str | Path) -> ModelParams:

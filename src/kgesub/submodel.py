@@ -1,13 +1,12 @@
-"""Pre-training, scoring, and selection of the frozen sub-model that
-drives model-based subsampling.
+"""Scoring and selection of the frozen sub-model that drives
+model-based subsampling.
 
-The sub-model is an ordinary embedding model trained up front (with no
-subsampling or with count-based Base weights), then frozen.  Its kind
-and weighting are settings like any other, `[model] kind` and
-`[subsampling] submodel_subsampling`, so the echoed configuration of a
-pre-training run reproduces it.  Its raw scores over the training
-examples are persisted so the expensive pre-training runs once per
-candidate; only the all-candidates mass scores the checkpoint again.
+A sub-model is an ordinary `train` run (with no subsampling or with
+count-based Base weights), then frozen; this module trains nothing.
+Its checkpoint carries its id, `RunConfig.model_id` of the settings it
+was trained under.  Its raw scores over the training examples are
+persisted so the expensive training runs once per candidate; only the
+all-candidates mass scores the checkpoint again.
 
 Selection is a two-stage grid search on validation MRR: first the best
 (sub-model, temperature) pair under model-based weights, then, with
@@ -27,33 +26,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import RunConfig
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .models import ModelParams, check_vocab, score_triples
-from .subsampling import (SubModelScores, SubsamplingMethod,
-                          build_cbs_weights, uniform_weights)
-from .training import train
-
-
-def pretrain_submodel(dataset: Dataset,
-                      config: RunConfig) -> tuple[ModelParams, str]:
-    """Train the sub-model candidate that `config` describes and tag it
-    with its provenance id, `<kind>-<weighting>-seed<seed>`.
-
-    The candidate is of kind `config.model`, trained under
-    `config.submodel_subsampling` weights: none, or count-based Base.
-    """
-    if config.submodel_subsampling == "cbs-base":
-        weights = build_cbs_weights(dataset, SubsamplingMethod.BASE,
-                                    config.smoothing)
-    else:
-        weights = uniform_weights(dataset.num_examples)
-    params = config.initial_params(dataset.num_entities,
-                                   dataset.num_relations)
-    result = train(dataset, weights, params, config)
-    return result.params, (f"{config.model}-{config.submodel_subsampling}"
-                           f"-seed{config.seed}")
+from .subsampling import SubModelScores
 
 
 def score_training_triples(submodel: ModelParams, dataset: Dataset,

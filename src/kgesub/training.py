@@ -352,9 +352,10 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
 # checkpoints
 
 
-def save_checkpoint(state: TrainState, path: str | Path) -> None:
+def save_checkpoint(state: TrainState, path: str | Path,
+                    tag: str | None = None) -> None:
     params = state.params
-    header = dict(params_header(params, "train-checkpoint"),
+    header = dict(params_header(params, "train-checkpoint", tag),
                   optimizer=state.optimizer.kind, step=state.step)
     arrays = {"entity_emb": params.entity_emb,
               "relation_emb": params.relation_emb}

@@ -17,7 +17,7 @@ from kgesub.config import RunConfig
 from kgesub.data import Dataset, Direction
 from kgesub.evaluation import evaluate
 from kgesub.models import ModelKind, init_params
-from kgesub.submodel import pretrain_submodel, score_training_triples
+from kgesub.submodel import score_training_triples
 from kgesub.subsampling import (SubModelScores, SubsamplingMethod,
                                 build_cbs_weights, counted_frequencies,
                                 log_model_frequencies, mix_weights,
@@ -289,10 +289,11 @@ def test_c6_desk_scale_subsampling_direction():
         wins += weighted >= baseline
 
     # model-based and mixed pipelines, end to end
-    sub_config = RunConfig(model="complex", submodel_subsampling="none",
-                           nu=4, batch_size=64, steps=600,
+    sub_config = RunConfig(model="complex", nu=4, batch_size=64, steps=600,
                            learning_rate=0.05, seed=1, dim=24, gamma=6.0)
-    sub_params, sid = pretrain_submodel(dataset, sub_config)
+    sub_params = train(dataset, none, sub_config.initial_params(
+        dataset.num_entities, dataset.num_relations), sub_config).params
+    sid = sub_config.model_id()
     scores = score_training_triples(sub_params, dataset, sid)
     mbs = mbs_weights(log_model_frequencies(dataset, scores),
                       SubsamplingMethod.BASE, alpha=0.5, submodel_id=sid)

@@ -657,6 +657,101 @@ class TestSubmodelPipeline:
         assert table.a.mean() == pytest.approx(1.0, abs=1e-9)
 
 
+# the paper's two sub-model recipes: kind, pretrain-submodel's
+# --submodel-subsampling, and the `train` flags of the same weights
+RECIPES = [("distmult", "none", ["--subsampling", "none"]),
+           ("complex", "cbs-base", ["--subsampling", "cbs", "--method",
+                                    "base"])]
+
+
+def make_submodel(maker, data_dir, run_dir, kind, weighting, flags):
+    """A sub-model of one recipe made by `train` or `pretrain-submodel`,
+    scored by `score-triples` into `<run_dir>-scores`; the score file."""
+    weights = (flags if maker == "train"
+               else ["--submodel-subsampling", weighting])
+    assert run([maker, "--data", data_dir, "--model", kind, *weights, *FAST,
+                "--run-dir", run_dir]) == 0
+    checkpoint = run_dir / ("checkpoint.bin" if maker == "train"
+                            else "submodel.bin")
+    scores = run_dir.with_name(run_dir.name + "-scores")
+    assert run(["score-triples", "--data", data_dir, "--checkpoint",
+                checkpoint, "--run-dir", scores]) == 0
+    return scores / "scores.tsv"
+
+
+class TestSubmodelIsATrainRun:
+    @pytest.mark.parametrize("kind, weighting, flags", RECIPES,
+                             ids=[recipe[1] for recipe in RECIPES])
+    def test_train_makes_the_pretrained_submodel(self, data_dir, tmp_path,
+                                                 kind, weighting, flags):
+        """`pretrain-submodel` is `train` under none or cbs-base: the same
+        tables, and a score file of the same bytes, id line included."""
+        scores = [make_submodel(maker, data_dir, tmp_path / maker, kind,
+                                weighting, flags)
+                  for maker in ("train", "pretrain-submodel")]
+        trained = load_params(tmp_path / "train" / "checkpoint.bin")
+        pretrained = load_params(tmp_path / "pretrain-submodel"
+                                 / "submodel.bin")
+        assert np.array_equal(trained.entity_emb, pretrained.entity_emb)
+        assert np.array_equal(trained.relation_emb, pretrained.relation_emb)
+        assert scores[0].read_bytes() == scores[1].read_bytes()
+        assert scores[0].read_text("utf-8").startswith(
+            f"# submodel={kind}-{weighting}-seed3\n")
+
+    def test_sweep_over_train_made_submodels(self, data_dir, tmp_path):
+        """Two `train`-made sub-models have two ids, and their sweep
+        writes the ledger of the `pretrain-submodel` pair's sweep."""
+        ledgers = []
+        for maker in ("train", "pretrain-submodel"):
+            candidates = [make_submodel(maker, data_dir,
+                                        tmp_path / f"{maker}-{kind}",
+                                        kind, weighting, flags)
+                          for kind, weighting, flags in RECIPES]
+            sweep = tmp_path / f"{maker}-sweep"
+            assert run(["sweep", "--data", data_dir, "--model", "transe",
+                        "--method", "freq", "--submodel-scores",
+                        *candidates, "--alpha-grid", "0.5", "--lambda-grid",
+                        "0.5", "--run-dir", sweep, *FAST]) == 0
+            ledgers.append((sweep / "ledger.tsv").read_text("utf-8"))
+        assert ledgers[0] == ledgers[1]
+        assert [row.split("\t")[0] for row in ledgers[0].splitlines()[1:3]
+                ] == ["distmult-none-seed3", "complex-cbs-base-seed3"]
+
+
+class TestSubmodelTag:
+    @pytest.fixture(scope="class")
+    def submodel(self, data_dir, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("tagged")
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    run_dir, "--model", "distmult"] + FAST) == 0
+        return run_dir / "submodel.bin"
+
+    @pytest.mark.parametrize("tag", ["5", "true", "null", '["x"]',
+                                     '{"a": 1}'])
+    @pytest.mark.parametrize("argv", [
+        ["score-triples", "--checkpoint", "{c}"],
+        ["build-weights", "--subsampling", "mbs", "--method", "base",
+         "--mbs-query-mass", "all_candidates", "--submodel-checkpoint",
+         "{c}"],
+        ["weights-report", "--method", "base", "--mbs-query-mass",
+         "all_candidates", "--submodel-checkpoint", "{c}", "-n", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_tag_that_is_not_a_string_is_exit_2(self, data_dir, submodel,
+                                                 tmp_path, capsys, tag,
+                                                 argv):
+        """A sub-model id is a string: any other header `tag` is a
+        failed read that names the field, before anything is written."""
+        checkpoint = tmp_path / "submodel.bin"
+        shutil.copyfile(submodel, checkpoint)
+        rewrite_header(checkpoint, "tag", tag)
+        assert run([*(arg.format(c=checkpoint) for arg in argv), "--data",
+                    data_dir, "--run-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "header field tag" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
+
+
 class TestReportCommands:
     def _scores(self, data_dir, tmp_path):
         sub_dir = tmp_path / "sub"

@@ -3,7 +3,7 @@
 Each input of a small finished pipeline (the train and test splits, a
 score file and its parsed copy, the dataset's parsed copy, an echoed
 config, a checkpoint, a sub-model and a sweep ledger) is damaged by one
-of a fixed list of mutations, and the command that reads it runs again.
+of a fixed list of mutations, and the commands that read it run again.
 It must exit 0, 1 or 2 without a traceback, and an `evaluate` that
 exits 0 must write finite metrics in [0, 1].  Every mutant is a pure
 function of its input's name, its mutation and its round, so a failure
@@ -46,7 +46,10 @@ INPUTS = {
          "--run-dir", "{w}/again"],
         ["evaluate", "--data", "{w}/data", "--checkpoint",
          "{w}/again/checkpoint.bin", "--run-dir", "{w}/out"]],
-    "train/checkpoint.bin": [EVALUATE],
+    # a `train` checkpoint is read as a model and as a sub-model
+    "train/checkpoint.bin": [EVALUATE, [
+        "score-triples", "--data", "{w}/data", "--checkpoint",
+        "{w}/train/checkpoint.bin", "--run-dir", "{w}/out"]],
     "sub/submodel.bin": [["score-triples", "--data", "{w}/data",
                           "--checkpoint", "{w}/sub/submodel.bin",
                           "--run-dir", "{w}/out"]],

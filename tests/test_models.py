@@ -545,6 +545,20 @@ class TestCheckpoints:
         save_params(params, path)
         assert load_tagged_params(path)[1] is None
 
+    @pytest.mark.parametrize("tag", [5, True, None, ["x"], {"a": 1}],
+                             ids=json.dumps)
+    def test_tag_that_is_not_a_string_is_rejected(self, tmp_path, tag):
+        """A sub-model id is a string; any other `tag`, null included,
+        is CheckpointError, not a raw exception where the id is used."""
+        path = tmp_path / "model.bin"
+        path.write_bytes(_container_bytes(dict(_GOOD_HEADER, tag=tag),
+                                          bytes(32)))
+        with pytest.raises(CheckpointError, match="header field tag"):
+            load_tagged_params(path)
+        path.write_bytes(_container_bytes(dict(_GOOD_HEADER, tag="x"),
+                                          bytes(32)))
+        assert load_tagged_params(path)[1] == "x"
+
     @pytest.mark.parametrize("key, value", [
         ("arrays", None),
         ("arrays", {"entity_emb": [1, 2]}),

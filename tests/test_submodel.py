@@ -1,4 +1,5 @@
-"""Sub-model pre-training, scoring, and two-stage grid selection."""
+"""Sub-models trained as `train` trains them, their scoring, and
+two-stage grid selection."""
 
 import numpy as np
 import pytest
@@ -7,21 +8,34 @@ from kgesub.config import RunConfig
 from kgesub.data import Dataset
 from kgesub.errors import ConfigError, DataError, VocabMismatchError
 from kgesub.models import ModelKind, init_params
-from kgesub.submodel import (ledger_rows, pretrain_submodel, read_ledger,
+from kgesub.submodel import (ledger_rows, read_ledger,
                              score_training_triples, select_submodel)
 from kgesub.subsampling import (SubsamplingMethod, build_cbs_weights,
                                 load_scores, log_model_frequencies,
-                                mix_weights, save_scores)
+                                mix_weights, save_scores, uniform_weights)
+from kgesub.training import train
 
 from conftest import mbs_weights
 
 
 
+def trained_submodel(dataset, **settings):
+    """A sub-model as `train` makes one: the params trained under the
+    weights of `settings` (none, or cbs), and their id."""
+    config = RunConfig(**settings)
+    weights = (uniform_weights(dataset.num_examples)
+               if config.subsampling == "none" else build_cbs_weights(
+                   dataset, SubsamplingMethod(config.method),
+                   config.smoothing))
+    params = config.initial_params(dataset.num_entities,
+                                   dataset.num_relations)
+    return train(dataset, weights, params, config).params, config.model_id()
+
+
 class TestPretrain:
     def test_zero_steps_yields_usable_scores(self, toy_dataset):
-        params, sid = pretrain_submodel(toy_dataset, RunConfig(
-            model="distmult", submodel_subsampling="none", dim=4, gamma=1.0,
-            steps=0, seed=3))
+        params, sid = trained_submodel(
+            toy_dataset, model="distmult", dim=4, gamma=1.0, steps=0, seed=3)
         scores = score_training_triples(params, toy_dataset, sid)
         assert scores.raw_score.shape == (6,)
         assert np.all(np.isfinite(scores.raw_score))
@@ -29,9 +43,9 @@ class TestPretrain:
 
     def test_same_seed_identical_downstream_weights(self, toy_dataset):
         def build():
-            params, sid = pretrain_submodel(toy_dataset, RunConfig(
-                model="complex", submodel_subsampling="none", dim=4,
-                gamma=1.0, steps=8, batch_size=4, nu=2, seed=5))
+            params, sid = trained_submodel(
+                toy_dataset, model="complex", dim=4, gamma=1.0, steps=8,
+                batch_size=4, nu=2, seed=5)
             scores = score_training_triples(params, toy_dataset, sid)
             return mbs_weights(log_model_frequencies(toy_dataset, scores),
                                SubsamplingMethod.FREQ, 0.5)
@@ -40,10 +54,26 @@ class TestPretrain:
         assert np.array_equal(one.b, two.b)
 
     def test_cbs_base_candidate_supported(self, toy_dataset):
-        params, sid = pretrain_submodel(toy_dataset, RunConfig(
-            model="transe", submodel_subsampling="cbs-base", dim=4,
-            gamma=1.0, steps=4, batch_size=4, nu=2, seed=1, smoothing=0.0))
-        assert sid.startswith("transe-cbs-base")
+        params, sid = trained_submodel(
+            toy_dataset, model="transe", subsampling="cbs", method="base",
+            dim=4, gamma=1.0, steps=4, batch_size=4, nu=2, seed=1,
+            smoothing=0.0)
+        assert sid == "transe-cbs-base-seed1"
+        assert params.kind is ModelKind.TRANSE
+
+    @pytest.mark.parametrize("settings, sid", [
+        ({"model": "distmult", "seed": 1}, "distmult-none-seed1"),
+        ({"model": "distmult", "method": "freq", "seed": 1},
+         "distmult-none-seed1"),
+        ({"model": "complex", "subsampling": "cbs", "method": "base",
+          "seed": 1}, "complex-cbs-base-seed1"),
+        ({"model": "hake", "subsampling": "mix", "method": "uniq",
+          "submodel_scores": "s.tsv"}, "hake-mix-uniq-seed0"),
+    ])
+    def test_id_rule(self, settings, sid):
+        """`<kind>-<source>[-<method>]-seed<seed>`, no method under
+        none: the ids that `pretrain-submodel` has always written."""
+        assert RunConfig(**settings).model_id() == sid
 
     def test_unknown_subsampling_rejected(self):
         with pytest.raises(ConfigError, match="submodel_subsampling"):
@@ -109,9 +139,9 @@ class TestDegenerateSubmodel:
     def test_frozen_scores_round_trip_reproduce_weights(self, tmp_path,
                                                         toy_dataset):
         """Weights from persisted scores equal weights from live scores."""
-        params, sid = pretrain_submodel(toy_dataset, RunConfig(
-            model="complex", submodel_subsampling="none", dim=4, gamma=1.0,
-            steps=5, batch_size=4, nu=2, seed=8))
+        params, sid = trained_submodel(
+            toy_dataset, model="complex", dim=4, gamma=1.0, steps=5,
+            batch_size=4, nu=2, seed=8)
         live = score_training_triples(params, toy_dataset, sid)
         path = tmp_path / "scores.tsv"
         save_scores(live, path)

@@ -664,6 +664,26 @@ class TestCheckpointResume:
         assert np.array_equal(restored.optimizer.m_entity,
                               result.state.optimizer.m_entity)
 
+    def test_tag_names_the_checkpoint_and_nothing_else(self, tmp_path):
+        """A tagged checkpoint reads back as a sub-model of that id and
+        resumes to the same state as an untagged one."""
+        from kgesub.models import load_tagged_params
+        dataset, params, weights = self._setup()
+        result = train(dataset, weights, params,
+                       RunConfig(steps=3, batch_size=16, nu=2, seed=9))
+        save_checkpoint(result.state, tmp_path / "plain.bin")
+        save_checkpoint(result.state, tmp_path / "tagged.bin", tag="m 1")
+        assert load_tagged_params(tmp_path / "plain.bin")[1] is None
+        assert load_tagged_params(tmp_path / "tagged.bin")[1] == "m 1"
+        plain, tagged = (load_checkpoint(tmp_path / name)
+                         for name in ("plain.bin", "tagged.bin"))
+        assert tagged.step == plain.step == 3
+        for name in ("entity_emb", "relation_emb"):
+            assert np.array_equal(getattr(tagged.params, name),
+                                  getattr(plain.params, name))
+        assert np.array_equal(tagged.optimizer.v_entity,
+                              plain.optimizer.v_entity)
+
     def test_resume_equals_uninterrupted(self, tmp_path):
         """Stop at k, resume to k+m: bitwise-equal to a straight run."""
         dataset, params, weights = self._setup()
