@@ -8,10 +8,12 @@ usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
 The sequence trains every model kind under both optimizers, scores
 the training set under the TransE `train` checkpoint as a sub-model
 (`scores-train-transe`), builds weights of every method on both query
-masses, runs `weights-report`, `singleton-stats`, a 2 x 2 `sweep` over
-two sub-models, the same sweep again into its run directory
-(`sweep-again`), the sweep with its first lambda only
-(`sweep-narrow`), then with both into that run directory
+masses, the all-candidates mass also under the HAKE `train` checkpoint
+(`weights-all-hake`), so that the mass is ranked by a distance kernel
+as well as by DistMult's matrix product, runs `weights-report`,
+`singleton-stats`, a 2 x 2 `sweep` over two sub-models, the same sweep
+again into its run directory (`sweep-again`), the sweep with its first
+lambda only (`sweep-narrow`), then with both into that run directory
 (`sweep-widen`), `train --config best.cfg` and `evaluate`, all on the
 PIPELINE graph in `data/`.  A rerun must resume its run directory and
 end where `sweep` did: every file of the directory is the same bytes
@@ -117,6 +119,13 @@ def _sequence() -> list[tuple[str, list[str]]]:
             (f"report-{method}", ["weights-report", *DATA, "-n", "100",
                                   "--method", method, "--alpha", "0.3",
                                   *observed])]
+    # the all-candidates mass of a distance kind: HAKE ranks every entity
+    # for each training query
+    steps.append(("weights-all-hake",
+                  ["build-weights", *DATA, "--method", "uniq", "--alpha",
+                   "0.3", "--subsampling", "mbs", "--mbs-query-mass",
+                   "all_candidates", "--submodel-checkpoint",
+                   "train-hake/checkpoint.bin"]))
     sweep = ["sweep", *DATA, *MODEL, "--model", "distmult", "--method",
              "freq", "--submodel-scores", "scores-none/scores.tsv",
              "scores-cbs-base/scores.tsv", "--alpha-grid", "0.5,0.1",

@@ -110,9 +110,9 @@ def _start(args) -> tuple[RunConfig, Dataset, _RunDir]:
 
 
 def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
-    """The weight table that `config` describes, for every command and
-    `sweep` grid point.  The two MBS query masses differ only in where
-    the raw scores come from: the score file, or the checkpoint live."""
+    """The weight table that `config` describes, for every command but
+    `sweep`.  The two MBS query masses differ only in where the raw
+    scores come from: the score file, or the checkpoint live."""
     source = config.subsampling
     if source == "none":
         return uniform_weights(dataset.num_examples)
@@ -125,12 +125,22 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
         scores = submodel.score_training_triples(sub, dataset, sid)
     else:
         scores = _load_scores_checked(config.submodel_scores, dataset)
-    mbs = discounted_weights(
-        *log_model_frequencies(dataset, scores, sub), method, config.alpha,
-        Provenance(source="mbs", method=method.value, alpha=config.alpha,
-                   submodel_id=scores.submodel_id))
+    mbs = _mbs_weights(config, log_model_frequencies(dataset, scores, sub),
+                       scores.submodel_id)
     return mbs if source == "mbs" else mix_weights(
         build_cbs_weights(dataset, method, config.smoothing), mbs, config.lam)
+
+
+def _mbs_weights(config: RunConfig,
+                 frequencies: tuple[np.ndarray, np.ndarray],
+                 submodel_id: str) -> WeightTable:
+    """The MBS table of `config` from a sub-model's model-based
+    (log f_xy, log f_x)."""
+    method = SubsamplingMethod(config.method)
+    return discounted_weights(
+        *frequencies, method, config.alpha,
+        Provenance(source="mbs", method=method.value, alpha=config.alpha,
+                   submodel_id=submodel_id))
 
 
 def _load_submodel(path: str) -> tuple[ModelParams, str]:
@@ -318,12 +328,19 @@ def cmd_sweep(args) -> _RunDir:
                   for path in args.candidate_scores]
     dataset = load_dataset(config.resolved_data_dir())
     run = _RunDir(args)
-    by_id = {}
+    # each candidate's score file is read and its model-based
+    # frequencies taken once, and the CBS table built once: a grid point
+    # only discounts and mixes them
+    by_id, frequencies = {}, {}
     for path in candidates:
-        sid = _load_scores_checked(path, dataset).submodel_id
+        scores = _load_scores_checked(path, dataset)
+        sid = scores.submodel_id
         if sid in by_id:
             raise ConfigError(f"duplicate sub-model id {sid!r}")
         by_id[sid] = path
+        frequencies[sid] = log_model_frequencies(dataset, scores)
+    cbs = build_cbs_weights(dataset, SubsamplingMethod(config.method),
+                            config.smoothing)
     # a ledger resumes only the sweep of its settings, data and candidates
     key = content_digest(f"sweep {config!r}", [
         *(config.resolved_data_dir() / f"{split}.txt" for split in SPLITS),
@@ -346,7 +363,8 @@ def cmd_sweep(args) -> _RunDir:
 
     def evaluate_point(sid: str, alpha: float, lam: float | None) -> float:
         point_config = point(sid, alpha, lam)
-        weights = _build_weights(point_config, dataset)
+        mbs = _mbs_weights(point_config, frequencies[sid], sid)
+        weights = mbs if lam is None else mix_weights(cbs, mbs, lam)
         params = point_config.initial_params(dataset.num_entities,
                                              dataset.num_relations)
         result = training.train(dataset, weights, params, point_config)

@@ -22,9 +22,13 @@ candidate list per query.  A chunk holds as many queries as fit
 `models.RANK_BUDGET_BYTES` of (queries, E) scores, and at most dim of
 them, so its scores are never larger than the entity table; distances
 are taken over blocks of entities under the same budget, split across
-one worker thread per CPU whose scratch shares that budget.  Memory
-stays bounded whatever the split's size, and the scores, so the ranks,
-are bitwise the same whatever the CPU count.
+one worker thread per CPU whose scratch shares that budget.  A block
+adds one (queries, block) term per feature, read from a feature-major
+entity table, in the order of numpy's pairwise add.reduce, so a block
+holds a few (queries, block) buffers rather than a (queries, block,
+dim) difference and stays wide.  Memory stays bounded whatever the
+split's size, and the scores, so the ranks, are bitwise the same
+whatever the CPU count.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.  The module writes no file: `cli` writes its reports.

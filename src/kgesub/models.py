@@ -34,14 +34,25 @@ gradient view the gradient checks use, live in tests/conftest.py.
 `iter_candidate_scores` scores chunks of same-direction queries against
 every entity for ranking: one matmul per chunk for DistMult and ComplEx,
 and for TransE, RotatE and HAKE direct distances over blocks of
-entities.  The blocks of a chunk are shared by one worker thread per
-CPU that the process may use, worker w taking blocks w, w + W, ...;
-each writes its blocks' columns of the chunk's scores in place, with
-its temporaries in scratch that the calling thread allocates once per
-chunk.  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk, the
-scratch of all workers together.  Every score comes from the same
-operations in the same order whatever the number of workers, so
-rankings do not depend on the CPU count.
+entities.  A distance is a sum over features, taken feature by feature:
+each feature gives one (queries, block) term, read from a feature-major
+entity table (the transposed entity table for TransE and RotatE, the
+sine and cosine of the half phases for HAKE) or, for HAKE's modulus,
+from the block's |modulus| transposed into scratch.  The terms are
+added in the order numpy's add.reduce adds a contiguous row (eight
+partial sums of the terms j = k (mod 8) up to 128 terms, halves above),
+so the scores are bitwise those of summing a (queries, block, dim)
+difference over its last axis, which tests/conftest.py keeps as the
+oracle.  A block's scratch is a handful of (queries, block) buffers:
+the term, the partial sums, and for RotatE and HAKE's phase a spare.
+The blocks of a chunk are shared by one worker thread per CPU that the
+process may use, worker w taking blocks w, w + W, ...; each writes its
+blocks' columns of the chunk's scores in place, with its temporaries in
+scratch that the calling thread allocates once per chunk.
+`RANK_BUDGET_BYTES` bounds the temporaries of one chunk, the scratch of
+all workers together.  Every score comes from the same operations in
+the same order whatever the number of workers, so rankings do not
+depend on the CPU count.
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -428,12 +439,87 @@ def _blocked(num_queries: int, num_entities: int, widths: list[int],
     return out
 
 
+# numpy's add.reduce sums a contiguous row of n <= 128 terms in eight
+# partial sums, of the terms j = k (mod 8) each, and splits longer rows
+_PAIRWISE_BLOCK = 128
+
+
+def _sum_buffers(n: int) -> int:
+    """(Q, W) buffers that `_add_terms` of n terms needs besides `out`."""
+    if n < 8:
+        return 1
+    if n <= _PAIRWISE_BLOCK:
+        return 4
+    head = n // 2 - n // 2 % 8
+    return max(_sum_buffers(head), 1 + _sum_buffers(n - head))
+
+
+def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
+               lo: int = 0) -> None:
+    """Write into `out` the sum of the n (Q, W) terms lo, lo + 1, ...,
+    where term(j, buf) writes term j into buf and returns it, added in
+    the order of numpy's add.reduce over a contiguous row of n terms:
+    below 8 terms one after another; up to 128 as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), r_k the running
+    sum of the terms j = k (mod 8) below n - n % 8, then the rest one
+    after another; above 128 the sum of the halves, the first of a
+    multiple of 8 terms.  The eight r_k are built one after another, so
+    `free` needs only `_sum_buffers(n)` buffers: free[0] takes each
+    term, the others hold partial sums.  No term is negative or -0.0, so
+    the reduction's initial 0.0 changes no sum and is left out."""
+    if n < 8:
+        term(lo, out)
+        for j in range(lo + 1, lo + n):
+            out += term(j, free[0])
+        return
+    if n > _PAIRWISE_BLOCK:
+        head = n // 2 - n // 2 % 8
+        _add_terms(term, head, out, free, lo)
+        _add_terms(term, n - head, free[1], [free[0]] + free[2:], lo + head)
+        out += free[1]
+        return
+    stop = lo + n - n % 8
+
+    def stripe(k, dst):  # r_k
+        term(lo + k, dst)
+        for j in range(lo + k + 8, stop, 8):
+            dst += term(j, free[0])
+        return dst
+    a, b, c = free[1:4]
+    stripe(0, out)
+    out += stripe(1, a)
+    stripe(2, a)
+    a += stripe(3, b)
+    out += a
+    stripe(4, a)
+    a += stripe(5, b)
+    stripe(6, b)
+    b += stripe(7, c)
+    a += b
+    out += a
+    for j in range(stop, lo + n):
+        out += term(j, free[0])
+
+
+def _feature_major(columns: np.ndarray) -> np.ndarray:
+    """columns.T as a contiguous (features, E) table, copied from the
+    (E, features) view `columns` a cache-sized block of entities at a
+    time, which is several times faster than one transposing copy."""
+    table = np.empty(columns.shape[::-1])
+    for lo in range(0, len(columns), 1024):
+        table[:, lo:lo + 1024] = columns[lo:lo + 1024].T
+    return table
+
+
 def _chunk_scorer(params: ModelParams):
     """score(tail, fixed, rel) -> (Q, E) for one chunk of queries.
 
     `tail` says whether the chunk asks for tails; `fixed` (Q, dim) and
     `rel` (Q, dim_r) are the rows of the given entities and relations.
-    Entity-side tables are computed once, here, for all chunks.
+    Entity-side tables are computed once, here, for all chunks:
+    feature-major, so that one feature of a block of entities is a
+    contiguous row.  A distance block adds one (Q, W) term per feature
+    with `_add_terms`, each term from its row of the table.
     """
     kind, ent, dim = params.kind, params.entity_emb, params.dim
     num_entities = ent.shape[0]
@@ -442,52 +528,61 @@ def _chunk_scorer(params: ModelParams):
     if kind == ModelKind.COMPLEX:
         return lambda tail, fixed, rel: _complex_query(
             tail, fixed, rel) @ ent.T
+    half = dim // 2
+    # (Q, W) buffers of a block's sum over its dim (TransE) or half terms
+    buffers = _sum_buffers(dim if kind == ModelKind.TRANSE else half)
+    if kind in (ModelKind.TRANSE, ModelKind.ROTATE):
+        ent_t = _feature_major(ent)  # RotatE: re 2j, im 2j + 1
     if kind == ModelKind.TRANSE:
         l1 = params.aux.get("norm_p", 1.0) == 1.0
+        norm = np.abs if l1 else np.square
 
         def transe_scores(tail, fixed, rel):
-            q = (fixed + rel if tail else fixed - rel)[:, None, :]
+            q = fixed + rel if tail else fixed - rel
+            num_queries = len(q)
 
             def block(cols, out, scratch):
-                d, = _carve(scratch, (len(q), out.shape[1], dim))
-                np.subtract(q, ent[cols], out=d)
-                (np.abs if l1 else np.square)(d, out=d)
-                np.sum(d, axis=2, out=out)
+                free = _carve(scratch, *buffers * [out.shape])
+
+                def term(j, buf):
+                    np.subtract(q[:, j, None], ent_t[j, cols], out=buf)
+                    return norm(buf, out=buf)
+                _add_terms(term, dim, out, free)
                 if not l1:
                     np.sqrt(out, out=out)
                 np.negative(out, out=out)
-            return _blocked(len(q), num_entities, [len(q) * dim], block)
+            return _blocked(num_queries, num_entities,
+                            buffers * [num_queries], block)
         return transe_scores
-    half = dim // 2
     if kind == ModelKind.ROTATE:
-        e_re, e_im = _complex_view(ent)
-
         def rotate_scores(tail, fixed, rel):
             q_re, q_im, _, _ = _rotation(tail, fixed, rel)
+            num_queries = len(q_re)
 
             def block(cols, out, scratch):
-                u_re, u_im = _carve(scratch,
-                                    *2 * [(len(q_re), out.shape[1], half)])
-                np.subtract(q_re[:, None, :], e_re[cols], out=u_re)
-                np.subtract(q_im[:, None, :], e_im[cols], out=u_im)
-                u_re *= u_re
-                u_im *= u_im
-                u_re += u_im
-                np.sum(np.sqrt(u_re, out=u_re), axis=2, out=out)
+                *free, spare = _carve(scratch, *(buffers + 1) * [out.shape])
+
+                def term(j, buf):  # |q_j - e_j| of the complex feature j
+                    np.subtract(q_re[:, j, None], ent_t[2 * j, cols], out=buf)
+                    buf *= buf
+                    np.subtract(q_im[:, j, None], ent_t[2 * j + 1, cols],
+                                out=spare)
+                    buf += np.multiply(spare, spare, out=spare)
+                    return np.sqrt(buf, out=buf)
+                _add_terms(term, half, out, free)
                 np.negative(out, out=out)
-            return _blocked(len(q_re), num_entities,
-                            2 * [len(q_re) * half], block)
+            return _blocked(num_queries, num_entities,
+                            (buffers + 1) * [num_queries], block)
         return rotate_scores
     if kind == ModelKind.HAKE:
         weight = params.aux["phase_weight"]
-        sin_e = np.empty((num_entities, half))
-        cos_e = np.empty((num_entities, half))
+        cos_e = _feature_major(ent[:, half:])
+        sin_e = np.empty_like(cos_e)
         count = _WORKERS
 
-        def tables(w):  # sin and cos of e / 2 over worker w's rows
-            rows = slice(num_entities * w // count,
-                         num_entities * (w + 1) // count)
-            np.divide(ent[rows, half:], 2.0, out=cos_e[rows])
+        def tables(w):  # sin and cos of e / 2 over worker w's features
+            rows = slice(half * w // count, half * (w + 1) // count)
+            cos_e[rows] /= 2.0
             np.sin(cos_e[rows], out=sin_e[rows])
             np.cos(cos_e[rows], out=cos_e[rows])
         _run_workers(count, tables)
@@ -499,33 +594,41 @@ def _chunk_scorer(params: ModelParams):
             # fixed side; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine
             # per (query, entity) pair
             a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
-            sin_a, cos_a = np.sin(a)[:, None, :], np.cos(a)[:, None, :]
-            q_mod = (f_mod * r_mod)[:, None, :]
+            sin_a, cos_a = np.sin(a), np.cos(a)
+            q_mod = f_mod * r_mod
             num_queries = len(a)
 
             def block(cols, out, scratch):
-                width = out.shape[1]
-                v, s, phase, e_mod = _carve(
-                    scratch, (num_queries, width, half),
-                    (num_queries, width, half), (num_queries, width),
-                    (width, half))
-                np.abs(ent[cols, :half], out=e_mod)
-                if tail:
-                    np.subtract(q_mod, e_mod, out=v)
-                else:
-                    np.multiply(e_mod, r_mod[:, None, :], out=v)
-                    v -= f_mod[:, None, :]
-                np.sum(np.square(v, out=v), axis=2, out=out)
+                # the last flat array holds the block's |modulus|,
+                # transposed, then the phase sum and the spare of a term
+                *free, e_mod = _carve(scratch, *buffers * [out.shape],
+                                      (half, out.shape[1]))
+                phase, spare = scratch[-1][:2 * out.size].reshape(
+                    2, *out.shape)
+                np.abs(ent[cols, :half].T, out=e_mod)
+
+                def modulus_term(j, buf):
+                    if tail:
+                        np.subtract(q_mod[:, j, None], e_mod[j], out=buf)
+                    else:
+                        np.multiply(e_mod[j], r_mod[:, j, None], out=buf)
+                        buf -= f_mod[:, j, None]
+                    return np.square(buf, out=buf)
+
+                def phase_term(j, buf):
+                    np.multiply(sin_a[:, j, None], cos_e[j, cols], out=buf)
+                    buf -= np.multiply(cos_a[:, j, None], sin_e[j, cols],
+                                       out=spare)
+                    return np.abs(buf, out=buf)
+                _add_terms(modulus_term, half, out, free)
                 np.sqrt(out, out=out)  # the modulus distance
-                np.multiply(sin_a, cos_e[cols], out=s)
-                s -= np.multiply(cos_a, sin_e[cols], out=v)  # v is free
-                np.sum(np.abs(s, out=s), axis=2, out=phase)
+                _add_terms(phase_term, half, phase, free)
                 phase *= weight
                 out += phase
                 np.negative(out, out=out)
             return _blocked(num_queries, num_entities,
-                            [num_queries * half, num_queries * half,
-                             num_queries, half], block)
+                            buffers * [num_queries]
+                            + [max(half, 2 * num_queries)], block)
         return hake_scores
     raise AssertionError(f"unhandled kind {kind}")
 

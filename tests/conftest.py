@@ -297,6 +297,58 @@ def score_batch(params: ModelParams, query: QueryKey,
     return _score_rows(params, cand_rows, r, fixed)
 
 
+def oracle_distance_scores(params: ModelParams, tail: bool,
+                           fixed: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """(Q, E) ranking scores of a TransE, RotatE or HAKE chunk by the
+    entity blocks that `models._chunk_scorer` replaced: one (Q, E, dim)
+    difference per chunk and `np.sum` over its rows of features.  The
+    feature-major blocks must give these scores bit for bit."""
+    kind, ent, dim = params.kind, params.entity_emb, params.dim
+    half = dim // 2
+    if kind == ModelKind.TRANSE:
+        q = (fixed + rel if tail else fixed - rel)[:, None, :]
+        d = np.subtract(q, ent)
+        l1 = params.aux.get("norm_p", 1.0) == 1.0
+        (np.abs if l1 else np.square)(d, out=d)
+        out = np.sum(d, axis=2)
+        if not l1:
+            np.sqrt(out, out=out)
+        return np.negative(out, out=out)
+    if kind == ModelKind.ROTATE:
+        f_re, f_im = _complex_view(fixed)
+        cos_r, sin_r = np.cos(rel), np.sin(rel) * (1.0 if tail else -1.0)
+        q_re, q_im = f_re * cos_r - f_im * sin_r, f_re * sin_r + f_im * cos_r
+        u_re = np.subtract(q_re[:, None, :], ent[:, 0::2])
+        u_im = np.subtract(q_im[:, None, :], ent[:, 1::2])
+        u_re *= u_re
+        u_im *= u_im
+        u_re += u_im
+        out = np.sum(np.sqrt(u_re, out=u_re), axis=2)
+        return np.negative(out, out=out)
+    assert kind == ModelKind.HAKE
+    weight = params.aux["phase_weight"]
+    cos_e = np.divide(ent[:, half:], 2.0)
+    sin_e, cos_e = np.sin(cos_e), np.cos(cos_e)
+    f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
+    f_phase, r_phase = fixed[:, half:], rel[:, half:]
+    a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
+    sin_a, cos_a = np.sin(a)[:, None, :], np.cos(a)[:, None, :]
+    e_mod = np.abs(ent[:, :half])
+    if tail:
+        v = np.subtract((f_mod * r_mod)[:, None, :], e_mod)
+    else:
+        v = np.multiply(e_mod, r_mod[:, None, :])
+        v -= f_mod[:, None, :]
+    out = np.sum(np.square(v, out=v), axis=2)
+    np.sqrt(out, out=out)
+    s = np.multiply(sin_a, cos_e)
+    s -= np.multiply(cos_a, sin_e)
+    phase = np.sum(np.abs(s, out=s), axis=2)
+    phase *= weight
+    out += phase
+    return np.negative(out, out=out)
+
+
 def score_gradient(params: ModelParams, triple: Triple):
     """(d score / d head_row, d/d relation_row, d/d tail_row) of one
     triple."""

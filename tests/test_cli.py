@@ -922,6 +922,36 @@ class TestSweepCommand:
         log = (best_dir / "train.log").read_text().strip().split("\n")
         assert log[-1].split("\t")[2] == selected
 
+    def test_sweep_reads_each_candidate_once(self, data_dir, tmp_path,
+                                             monkeypatch):
+        """A 2 x 2 sweep over two score files reads each file, and takes
+        each one's frequencies, once, and builds the CBS table once."""
+        from kgesub import cli
+        calls = {name: [] for name in ("load_scores", "log_model_frequencies",
+                                       "build_cbs_weights")}
+        for name, record in calls.items():
+            def counted(*args, _original=getattr(cli, name), _record=record):
+                _record.append(args[0])
+                return _original(*args)
+            monkeypatch.setattr(cli, name, counted)
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        paths = []
+        for sid, step in (("m1", 0.25), ("m2", 0.5)):
+            paths.append(tmp_path / f"{sid}.tsv")
+            paths[-1].write_text(f"# submodel={sid}\n" + "".join(
+                f"{i}\t{step * (i % 3)}\n" for i in range(examples)),
+                encoding="utf-8")
+        assert run(["sweep", "--data", data_dir, "--method", "freq",
+                    "--submodel-scores", *paths, "--alpha-grid", "1.0,0.5",
+                    "--lambda-grid", "0.3,0.7", "--run-dir",
+                    tmp_path / "sweep"] + FAST) == 0
+        ledger = (tmp_path / "sweep" / "ledger.tsv").read_text("utf-8")
+        assert len(ledger.splitlines()) == 1 + 2 * 2 + 2
+        assert [str(path) for path in calls["load_scores"]] == [
+            str(path) for path in paths]
+        assert len(calls["log_model_frequencies"]) == 2
+        assert len(calls["build_cbs_weights"]) == 1
+
     def test_resumed_sweep_of_a_hash_id_adds_no_rows(self, data_dir,
                                                      tmp_path):
         """An untagged checkpoint `#1.bin` gives the id `#1`, and its

@@ -24,8 +24,9 @@ from kgesub.models import (INIT_EPSILON, ModelKind, init_params,
                            score_triples)
 
 from conftest import (QueryKey, Triple, as_triples, fd_score_row_gradients,
-                      looped_zipf_kg, max_relative_error, score,
-                      score_and_grad, score_batch, score_gradient)
+                      looped_zipf_kg, max_relative_error,
+                      oracle_distance_scores, score, score_and_grad,
+                      score_batch, score_gradient)
 
 ALL_KINDS = list(ModelKind)
 GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [
@@ -484,6 +485,53 @@ class TestRankingWorkers:
         with pytest.raises(ZeroDivisionError):
             models._run_workers(3, task)
         assert sorted(done) == [1, 2]
+
+
+class TestFeatureMajorRanking:
+    """The feature-major distance blocks give the scores of the
+    (Q, W, dim) blocks they replaced bit for bit."""
+
+    CASES = TestRankingWorkers.DISTANCE_CASES
+    # the sums run over dim terms (TransE) or dim / 2 (RotatE, HAKE):
+    # 1, 2, 3 and 6 take the terms one after another, 8, 10, 16, 20, 32
+    # and 64 the eight partial sums with and without a rest, 132 and 264
+    # the split in halves
+    DIMS = (2, 6, 16, 20, 64, 264)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize(
+        "kind, aux", CASES,
+        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
+    def test_bitwise_equal_to_oracle(self, kind, aux, dim, monkeypatch):
+        params = init_params(kind, 37, 3, dim, 2.0, seed=dim, aux=aux)
+        params.entity_emb[5] = params.entity_emb[6]  # tied candidates
+        rng = np.random.default_rng(dim)
+        directions = np.repeat([Direction.TAIL_QUERY, Direction.HEAD_QUERY],
+                               [10, 11])
+        entities = rng.integers(0, 37, size=21)
+        relations = rng.integers(0, 3, size=21)
+        ent, rel = params.entity_emb, params.relation_emb
+        for workers in TestRankingWorkers.WORKER_COUNTS:
+            monkeypatch.setattr(models, "_WORKERS", workers)
+            for budget in (models.RANK_BUDGET_BYTES, 2560 * workers):
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                    chunks = list(iter_candidate_scores(
+                        params, directions, entities, relations))
+                assert chunks[-1][1] == 21
+                for start, stop, scores in chunks:
+                    want = oracle_distance_scores(
+                        params, directions[start] == Direction.TAIL_QUERY,
+                        ent[entities[start:stop]], rel[relations[start:stop]])
+                    assert np.array_equal(scores, want), (workers, budget,
+                                                          start)
+
+    def test_feature_major_table_is_the_transpose(self):
+        # more entities than one copied block, the last block ragged
+        rows = np.random.default_rng(17).normal(size=(2500, 6))
+        table = models._feature_major(rows[:, 2:])
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, rows[:, 2:].T)
 
 
 def _container_bytes(header: dict, payload: bytes = b"") -> bytes:
