@@ -131,6 +131,15 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
         build_cbs_weights(dataset, method, config.smoothing), mbs, config.lam)
 
 
+def _train(config: RunConfig, dataset: Dataset, weights: WeightTable,
+           callback=None) -> training.TrainResult:
+    """The one training path, from `config`'s initial parameters."""
+    return training.train(
+        dataset, weights,
+        config.initial_params(dataset.num_entities, dataset.num_relations),
+        config, callback)
+
+
 def _mbs_weights(config: RunConfig,
                  frequencies: tuple[np.ndarray, np.ndarray],
                  submodel_id: str) -> WeightTable:
@@ -169,11 +178,9 @@ def cmd_train(args) -> _RunDir:
     weights = _build_weights(config, dataset)
     save_weight_table(weights, run.path("weights", "weights.tsv"))
 
-    params = config.initial_params(dataset.num_entities,
-                                   dataset.num_relations)
     callback = None if config.valid_every <= 0 else (
         lambda params, step: evaluation.evaluate(params, dataset, "valid").mrr)
-    result = training.train(dataset, weights, params, config, callback)
+    result = _train(config, dataset, weights, callback)
     save_checkpoint(result.state, run.path("checkpoint", "checkpoint.bin"),
                     tag=config.model_id())
     run.write_rows("log", "train.log", (  # valid_mrr only where taken
@@ -229,10 +236,7 @@ def cmd_pretrain_submodel(args) -> _RunDir:
     trained = (replace(config, subsampling="cbs", method="base")
                if config.submodel_subsampling == "cbs-base"
                else replace(config, subsampling="none"))
-    weights = _build_weights(trained, dataset)
-    params = trained.initial_params(dataset.num_entities,
-                                    dataset.num_relations)
-    result = training.train(dataset, weights, params, trained)
+    result = _train(trained, dataset, _build_weights(trained, dataset))
     sid = trained.model_id()
     save_params(result.params, run.path("submodel", "submodel.bin"), tag=sid)
     print(f"sub-model {sid} in {run.root}")
@@ -365,9 +369,7 @@ def cmd_sweep(args) -> _RunDir:
         point_config = point(sid, alpha, lam)
         mbs = _mbs_weights(point_config, frequencies[sid], sid)
         weights = mbs if lam is None else mix_weights(cbs, mbs, lam)
-        params = point_config.initial_params(dataset.num_entities,
-                                             dataset.num_relations)
-        result = training.train(dataset, weights, params, point_config)
+        result = _train(point_config, dataset, weights)
         mrr = evaluation.evaluate(result.params, dataset, "valid").mrr
         lam_text = "-" if lam is None else lam
         print(f"  {sid} alpha={alpha} lambda={lam_text} "
@@ -437,9 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("evaluate", cmd_evaluate, "filtered link-prediction "
                   "metrics of one or more checkpoints")
+    # a repeated list flag adds to its list
     sub.add_argument("--checkpoint", required=True, nargs="+",
-                     help="one checkpoint per trained seed; several "
-                          "produce a mean/sd aggregate")
+                     action="extend", help="one checkpoint per trained "
+                     "seed; several produce a mean/sd aggregate")
     sub.add_argument("--split", choices=["valid", "test"], default="test")
 
     command("build-weights", cmd_build_weights,
@@ -465,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                   "selection on validation MRR")
     # the candidates, not the [subsampling] submodel_scores setting
     sub.add_argument("--submodel-scores", dest="candidate_scores",
-                     nargs="+", required=True)
+                     nargs="+", action="extend", required=True)
     for flag, grid in (("--alpha-grid", subsampling.ALPHA_GRID),
                        ("--lambda-grid", subsampling.LAMBDA_GRID)):
         sub.add_argument(flag, help="comma-separated, default "

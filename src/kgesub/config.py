@@ -78,13 +78,14 @@ class RunConfig:
                                  rule=((">=", 0), ("<", 1)))
     adam_beta2: float = _setting(0.999, "train", _TRAINING,
                                  rule=((">=", 0), ("<", 1)))
-    adam_epsilon: float = _setting(1e-8, "train", _TRAINING)
+    adam_epsilon: float = _setting(1e-8, "train", _TRAINING, rule=((">", 0),))
     adversarial_beta: float = _setting(0.0, "train", _TRAINING,
                                        rule=((">=", 0),))
     seed: int = _setting(0, "train", rule=((">=", 0),))
     valid_every: int = _setting(0, "train", _TRAINING)  # 0 disables it
     lr_decay_every: int = _setting(0, "train", _TRAINING)  # 0: constant
-    lr_decay_factor: float = _setting(1.0, "train", _TRAINING)
+    lr_decay_factor: float = _setting(1.0, "train", _TRAINING,
+                                      rule=((">", 0),))
     subsampling: str = _setting("none", "subsampling", _WEIGHTS,
                                 key="source",
                                 choices=("none", "cbs", "mbs", "mix"))

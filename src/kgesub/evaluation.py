@@ -20,15 +20,15 @@ score above or tie with the answer over the whole row, then subtract
 the known other answers that do, instead of masking an E-sized
 candidate list per query.  A chunk holds as many queries as fit
 `models.RANK_BUDGET_BYTES` of (queries, E) scores, and at most dim of
-them, so its scores are never larger than the entity table; distances
-are taken over blocks of entities under the same budget, split across
-one worker thread per CPU whose scratch shares that budget.  A block
-adds one (queries, block) term per feature, read from a feature-major
-entity table, in the order of numpy's pairwise add.reduce, so a block
-holds a few (queries, block) buffers rather than a (queries, block,
-dim) difference and stays wide.  Memory stays bounded whatever the
-split's size, and the scores, so the ranks, are bitwise the same
-whatever the CPU count.
+them, so its scores are never larger than the entity table; each
+chunk's scores are freed before the next chunk is scored, so one chunk
+is alive at a time.  Distances are taken over blocks of entities under
+the same budget, split across one worker thread per CPU whose scratch
+shares that budget: `models._blocked` owns each block's few (queries,
+block) buffers and its sign, and the block adds one term per feature
+in the order of numpy's pairwise add.reduce.  Memory stays bounded
+whatever the split's size, and the scores, so the ranks, are bitwise
+the same whatever the CPU count.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.  The module writes no file: `cli` writes its reports.
@@ -74,6 +74,7 @@ def rank_answers(params: ModelParams, index: QueryIndex,
             index.relation[query_ids]):
         ranks[order[start:stop]] = _rank_rows(
             scores, answers[start:stop], index, query_ids[start:stop])
+        del scores  # freed before the next chunk is scored
     return ranks
 
 

@@ -43,14 +43,16 @@ added in the order numpy's add.reduce adds a contiguous row (eight
 partial sums of the terms j = k (mod 8) up to 128 terms, halves above),
 so the scores are bitwise those of summing a (queries, block, dim)
 difference over its last axis, which tests/conftest.py keeps as the
-oracle.  A block's scratch is a handful of (queries, block) buffers:
-the term, the partial sums, and for RotatE and HAKE's phase a spare.
+oracle.  `_blocked` owns each block's scratch and its sign: it carves
+the block's (queries, block) buffers (the term, the partial sums, and
+for RotatE a spare) and HAKE's region (the block's |modulus|
+transposed, then the phase sum and its spare) from one flat array per
+worker, lets the kind's terms write the distances, and negates them.
 The blocks of a chunk are shared by one worker thread per CPU that the
-process may use, worker w taking blocks w, w + W, ...; each writes its
-blocks' columns of the chunk's scores in place, with its temporaries in
-scratch that the calling thread allocates once per chunk.
+process may use, worker w taking blocks w, w + W, ...
 `RANK_BUDGET_BYTES` bounds the temporaries of one chunk, the scratch of
-all workers together.  Every score comes from the same operations in
+all workers together, and a consumer of `iter_candidate_scores` holds
+one chunk at a time.  Every score comes from the same operations in
 the same order whatever the number of workers, so rankings do not
 depend on the CPU count.
 
@@ -76,7 +78,8 @@ from .errors import CheckpointError, ConfigError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
-# Bytes of one temporary: ranking scores or distances, a training step's
+# Bytes of one temporary: the scores of the one ranking chunk alive or
+# the scratch `_blocked` carves into its blocks, a training step's
 # (examples, 1 + nu, dim) candidate rows or update rows, or the
 # (triples, dim) rows of a chunk of scored triples.
 RANK_BUDGET_BYTES = 4 << 20
@@ -343,11 +346,12 @@ def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
 
     Query i is (directions[i], entities[i], relations[i]) with the
     `Direction` convention.  Yields (start, stop, scores) with scores of
-    shape (stop - start, E), a fresh array the caller may overwrite.  A
-    chunk never mixes directions, so sorting the queries by direction
-    keeps the chunks full.  Scores equal `score_triples` of the same
-    triples up to rounding in the last bits, and do not depend on the
-    number of workers.
+    shape (stop - start, E), a fresh array the caller may overwrite and
+    should free before it asks for the next chunk.  A chunk never mixes
+    directions, so sorting the queries by direction keeps the chunks
+    full.  Scores equal `score_triples` of the same triples up to
+    rounding in the last bits, and do not depend on the number of
+    workers.
     """
     directions = np.asarray(directions, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -400,41 +404,39 @@ def _run_workers(count: int, task) -> None:
             raise error
 
 
-def _carve(scratch: list[np.ndarray], *shapes) -> list[np.ndarray]:
-    """Contiguous views, one per shape, of the fronts of the flat arrays
-    `scratch`."""
-    return [flat[:math.prod(shape)].reshape(shape)
-            for flat, shape in zip(scratch, shapes)]
+def _blocked(num_queries: int, num_entities: int, buffers: int, block,
+             extra: int = 0) -> np.ndarray:
+    """(Q, E) scores, the negated distances that `block(cols, out, free,
+    region)` writes for blocks of entities: those of the entities `cols`
+    (a slice) into `out`, the (Q, cols) view of the result, with `free`
+    a list of `buffers` (Q, cols) scratch buffers and `region` an
+    (extra, cols) one, contiguous and disjoint.
 
-
-def _blocked(num_queries: int, num_entities: int, widths: list[int],
-             block) -> np.ndarray:
-    """(Q, E) scores, written by `block(cols, out, scratch)` for blocks of
-    entities: it writes the scores of the entities `cols` (a slice) into
-    `out`, the (Q, cols) view of the result, and keeps its temporaries
-    in `scratch`, one flat float64 array per temporary with `widths[i]`
-    floats per entity.
-
-    Worker w takes blocks w, w + W, ... of the W workers, each into its
-    own scratch.  The calling thread allocates the scratch of all
-    workers here, once per chunk, and together it fits the budget:
-    fewer workers take blocks when the budget holds less than one
-    entity each.  A block's scores come from the same operations in the
-    same order whichever worker takes it and however large it is, so
-    they do not depend on the worker count."""
-    floats_per_entity = sum(widths)
+    Worker w takes blocks w, w + W, ... of the W workers, each block's
+    buffers carved from the worker's one flat array.  The calling thread
+    allocates those arrays once per chunk, and together they fit the
+    budget: fewer workers take blocks when it holds less than one entity
+    each.  A block's scores come from the same operations in the same
+    order whichever worker takes it and however large it is, so they do
+    not depend on the worker count."""
+    floats_per_entity = buffers * num_queries + extra
     count = max(1, min(_WORKERS,
                        RANK_BUDGET_BYTES // (8 * floats_per_entity)))
     size = max(1, RANK_BUDGET_BYTES // (8 * count * floats_per_entity))
     starts = range(0, num_entities, size)
     out = np.empty((num_queries, num_entities))
-    scratch = [[np.empty(size * width) for width in widths]
+    scratch = [np.empty(min(size, num_entities) * floats_per_entity)
                for _ in range(min(count, len(starts)))]
 
     def task(w):
         for lo in starts[w::count]:
             cols = slice(lo, min(lo + size, num_entities))
-            block(cols, out[:, cols], scratch[w])
+            width, view = cols.stop - lo, out[:, cols]
+            free, region = np.split(scratch[w][:floats_per_entity * width],
+                                    [buffers * num_queries * width])
+            block(cols, view, list(free.reshape(buffers, num_queries, width)),
+                  region.reshape(extra, width))
+            np.negative(view, out=view)
     _run_workers(count, task)
     return out
 
@@ -539,28 +541,22 @@ def _chunk_scorer(params: ModelParams):
 
         def transe_scores(tail, fixed, rel):
             q = fixed + rel if tail else fixed - rel
-            num_queries = len(q)
 
-            def block(cols, out, scratch):
-                free = _carve(scratch, *buffers * [out.shape])
-
+            def block(cols, out, free, region):
                 def term(j, buf):
                     np.subtract(q[:, j, None], ent_t[j, cols], out=buf)
                     return norm(buf, out=buf)
                 _add_terms(term, dim, out, free)
                 if not l1:
                     np.sqrt(out, out=out)
-                np.negative(out, out=out)
-            return _blocked(num_queries, num_entities,
-                            buffers * [num_queries], block)
+            return _blocked(len(q), num_entities, buffers, block)
         return transe_scores
     if kind == ModelKind.ROTATE:
         def rotate_scores(tail, fixed, rel):
             q_re, q_im, _, _ = _rotation(tail, fixed, rel)
-            num_queries = len(q_re)
 
-            def block(cols, out, scratch):
-                *free, spare = _carve(scratch, *(buffers + 1) * [out.shape])
+            def block(cols, out, free, region):
+                *free, spare = free
 
                 def term(j, buf):  # |q_j - e_j| of the complex feature j
                     np.subtract(q_re[:, j, None], ent_t[2 * j, cols], out=buf)
@@ -570,9 +566,7 @@ def _chunk_scorer(params: ModelParams):
                     buf += np.multiply(spare, spare, out=spare)
                     return np.sqrt(buf, out=buf)
                 _add_terms(term, half, out, free)
-                np.negative(out, out=out)
-            return _blocked(num_queries, num_entities,
-                            (buffers + 1) * [num_queries], block)
+            return _blocked(len(q_re), num_entities, buffers + 1, block)
         return rotate_scores
     if kind == ModelKind.HAKE:
         weight = params.aux["phase_weight"]
@@ -598,14 +592,13 @@ def _chunk_scorer(params: ModelParams):
             q_mod = f_mod * r_mod
             num_queries = len(a)
 
-            def block(cols, out, scratch):
-                # the last flat array holds the block's |modulus|,
-                # transposed, then the phase sum and the spare of a term
-                *free, e_mod = _carve(scratch, *buffers * [out.shape],
-                                      (half, out.shape[1]))
-                phase, spare = scratch[-1][:2 * out.size].reshape(
-                    2, *out.shape)
-                np.abs(ent[cols, :half].T, out=e_mod)
+            def block(cols, out, free, region):
+                # the region holds the block's |modulus|, transposed, and
+                # once the modulus terms are added, the phase sum and the
+                # spare of a phase term
+                e_mod = np.abs(ent[cols, :half].T, out=region[:half])
+                phase, spare = region[:2 * num_queries].reshape(
+                    2, num_queries, -1)
 
                 def modulus_term(j, buf):
                     if tail:
@@ -625,10 +618,8 @@ def _chunk_scorer(params: ModelParams):
                 _add_terms(phase_term, half, phase, free)
                 phase *= weight
                 out += phase
-                np.negative(out, out=out)
-            return _blocked(num_queries, num_entities,
-                            buffers * [num_queries]
-                            + [max(half, 2 * num_queries)], block)
+            return _blocked(num_queries, num_entities, buffers, block,
+                            max(half, 2 * num_queries))
         return hake_scores
     raise AssertionError(f"unhandled kind {kind}")
 

@@ -194,6 +194,7 @@ def log_model_frequencies(dataset: Dataset, scores: SubModelScores,
         for start, stop, candidate_scores in iter_candidate_scores(
                 submodel, index.direction, index.entity, index.relation):
             log_mass[start:stop] = logsumexp(candidate_scores, axis=1)
+            del candidate_scores  # freed before the next chunk is scored
         return raw + offset, (log_mass + offset)[index.query_id]
     log_f_xy = raw + offset
     peak = np.full(index.num_queries, -np.inf)

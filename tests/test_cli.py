@@ -116,6 +116,35 @@ class TestTrainCommand:
         assert ((first / artifact).read_bytes()
                 == (second / artifact).read_bytes())
 
+    def test_every_training_goes_through_the_training_module(
+            self, data_dir, tmp_path, monkeypatch):
+        """train, pretrain-submodel and each sweep grid point look up
+        `training.train` when they train, so a wrapper set on the module
+        (as the benchmark's tracer sets one) sees every training."""
+        from kgesub import training
+        calls = []
+
+        def counted(*args, _original=training.train):
+            calls.append(args[3].subsampling)
+            return _original(*args)
+        monkeypatch.setattr(training, "train", counted)
+        assert run(["train", "--data", data_dir, "--run-dir", tmp_path / "t",
+                    "--subsampling", "cbs", "--method", "freq"] + FAST) == 0
+        assert run(["pretrain-submodel", "--data", data_dir, "--run-dir",
+                    tmp_path / "p", "--model", "distmult"] + FAST) == 0
+        assert run(["score-triples", "--data", data_dir, "--run-dir",
+                    tmp_path / "s", "--checkpoint",
+                    tmp_path / "p" / "submodel.bin"]) == 0
+        assert run(["sweep", "--data", data_dir, "--method", "freq",
+                    "--submodel-scores", tmp_path / "s" / "scores.tsv",
+                    "--alpha-grid", "0.5,1.0", "--lambda-grid", "0.5",
+                    "--run-dir", tmp_path / "w"] + FAST) == 0
+        # one training each for train and pretrain-submodel, then the
+        # sweep's three grid points, the ledger's rows after its key
+        assert calls == ["cbs", "none", "mbs", "mbs", "mix"]
+        ledger = (tmp_path / "w" / "ledger.tsv").read_text("utf-8")
+        assert len(ledger.splitlines()) == 1 + 3
+
     def test_validation_mrr_logged(self, data_dir, tmp_path):
         run_dir = tmp_path / "run"
         assert run(["train", "--data", data_dir, "--run-dir", run_dir,
@@ -173,6 +202,23 @@ class TestExitCodes:
             args += ["--config", config]
         assert run(args + FAST + argv[1:]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, config_text", [
+        ("--adam-epsilon=0", "[train]\nadam_epsilon = -0.001\n"),
+        ("--lr-decay-factor=-1", "[train]\nlr_decay_factor = 0\n"),
+    ], ids=["adam_epsilon", "lr_decay_factor"])
+    def test_nonpositive_rate_setting_is_exit_1_before_the_data_load(
+            self, tmp_path, capsys, flag, config_text):
+        """A rate setting at or below 0 would let training climb the
+        loss; as a flag or in a config file it is exit 1, not exit 2 for
+        the absent data, and no run directory is made."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        for form in ([flag], ["--config", config]):
+            assert run(["train", *form, "--data", tmp_path / "nope",
+                        "--run-dir", tmp_path / "r"]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "rotate"], ["train", "--model", "complex"],
@@ -360,6 +406,38 @@ class TestGoldenOutputs:
         assert (tmp_path / "stats" / "singleton-stats.tsv").read_bytes() == (
             b"entity\trelation\tdirection\tentity_count\trelation_count\n"
             b"2\t1\ttail-query\t3\t2\n1\t0\thead-query\t2\t3\n")
+
+
+class TestRepeatedListFlags:
+    """A repeated list flag adds to its list; it does not replace it."""
+
+    def test_evaluate_checkpoint_twice(self, handmade_dir, tmp_path):
+        models = [save_distmult_1d(tmp_path / f"{name}.bin", *rows)
+                  for name, rows in (("a", ([1.0, 5.0, 4.0, 4.0], [1.0, 2.0])),
+                                     ("b", ([2.0, -1.0, 3.0, 1.0],
+                                            [1.0, -1.0])))]
+        assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "eval", "--checkpoint", models[0],
+                    "--checkpoint", models[1]]) == 0
+        for name in ("report.run0.txt", "report.run1.txt", "aggregate.tsv"):
+            assert (tmp_path / "eval" / name).exists(), name
+        assert not (tmp_path / "eval" / "report.txt").exists()
+
+    def test_sweep_submodel_scores_twice(self, data_dir, tmp_path):
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        paths = []
+        for sid, step in (("m1", 0.25), ("m2", 0.5)):
+            paths.append(tmp_path / f"{sid}.tsv")
+            paths[-1].write_text(f"# submodel={sid}\n" + "".join(
+                f"{i}\t{step * (i % 3)}\n" for i in range(examples)),
+                encoding="utf-8")
+        assert run(["sweep", "--data", data_dir, "--method", "freq",
+                    "--submodel-scores", paths[0], "--submodel-scores",
+                    paths[1], "--alpha-grid", "0.5", "--lambda-grid", "0.5",
+                    "--run-dir", tmp_path / "sweep"] + FAST) == 0
+        ledger = (tmp_path / "sweep" / "ledger.tsv").read_text("utf-8")
+        assert {row.split("\t")[0] for row in ledger.splitlines()[1:]} == {
+            "m1", "m2"}
 
 
 class TestEvaluateCommand:

@@ -145,6 +145,10 @@ class TestValidation:
         ("init_epsilon", float("nan")),
         ("learning_rate", float("inf")),
         ("lr_decay_factor", float("-inf")),
+        ("lr_decay_factor", 0.0),
+        ("lr_decay_factor", -1.0),
+        ("adam_epsilon", 0.0),
+        ("adam_epsilon", -0.001),
         ("adam_beta1", 1.0),
         ("adam_beta2", -0.5),
         ("adversarial_beta", -1.0),

@@ -1,5 +1,6 @@
 """Filtered ranking, metrics, and multi-run aggregation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from kgesub import models
 from kgesub.data import Dataset, Direction
 from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, evaluate,
-                               format_report)
+                               format_report, rank_answers)
 from kgesub.models import ModelKind, init_params
+from kgesub.submodel import score_training_triples
+from kgesub.subsampling import log_model_frequencies
 
 from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
                       filtered_rank, looped_zipf_kg, make_vocab,
@@ -263,6 +266,62 @@ class TestEvaluate:
                 filtered = filtered_rank(params, query, answer, known[query])
                 raw = filtered_rank(params, query, answer, set())
                 assert filtered <= raw
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of call(), as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneChunkAlive:
+    """A consumer of `iter_candidate_scores` frees each chunk's scores
+    before the next chunk is scored: over four chunks its traced peak is
+    that of one chunk, not one chunk more."""
+
+    # 16 tail queries a chunk at dim 16, 512 KiB of (16, 4096) scores
+    ENTITIES, DIM, STEP = 4096, 16, 16
+    CHUNK_BYTES = 8 * STEP * ENTITIES
+
+    def _case(self, kind, num_chunks):
+        """Params, and a dataset of `num_chunks` full chunks of distinct
+        tail queries (i, 0, ?) and one head query (?, 0, 0)."""
+        num_queries = num_chunks * self.STEP
+        dataset = Dataset(
+            train=[Triple(i, 0, 0) for i in range(num_queries)], valid=[],
+            test=[], vocab=make_vocab(self.ENTITIES, 1))
+        params = init_params(kind, self.ENTITIES, 1, self.DIM, 2.0, seed=4)
+        index = dataset.train_index  # built before tracing
+        assert np.array_equal(index.direction[:num_queries], np.zeros(
+            num_queries)) and index.num_queries == num_queries + 1
+        return params, dataset, num_queries
+
+    @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.DISTMULT])
+    def test_rank_answers(self, kind, monkeypatch):
+        monkeypatch.setattr(models, "_WORKERS", 1)
+
+        def peak(num_chunks):
+            params, dataset, num_queries = self._case(kind, num_chunks)
+            query_ids = np.arange(num_queries)
+            return traced_peak(lambda: rank_answers(
+                params, dataset.train_index, query_ids,
+                np.zeros(num_queries, dtype=np.int64)))
+        assert peak(4) - peak(1) < self.CHUNK_BYTES / 2
+
+    @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.DISTMULT])
+    def test_all_candidates_mass(self, kind, monkeypatch):
+        monkeypatch.setattr(models, "_WORKERS", 1)
+
+        def peak(num_chunks):
+            params, dataset, _ = self._case(kind, num_chunks)
+            scores = score_training_triples(params, dataset, "sub")
+            return traced_peak(lambda: log_model_frequencies(
+                dataset, scores, params))
+        assert peak(4) - peak(1) < self.CHUNK_BYTES / 2
 
 
 class TestAggregateRuns:

@@ -434,19 +434,26 @@ class TestRankingWorkers:
     def test_scratch_fits_budget_and_blocks_cover_entities(
             self, workers, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", workers)
-        widths = [3 * 8, 5]
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * sum(widths))
+        # eight (3, W) buffers and a (5, W) region: 29 floats an entity
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * 29)
         scratch_bytes = {}
 
-        def block(cols, out, scratch):
-            for flat, width in zip(scratch, widths, strict=True):
-                assert flat.size >= (cols.stop - cols.start) * width
-                scratch_bytes[id(flat)] = flat.nbytes
+        def block(cols, out, free, region):
+            width = cols.stop - cols.start
+            assert [buf.shape for buf in free] == 8 * [(3, width)]
+            assert region.shape == (5, width)
+            parts = [*free, region]
+            for i, part in enumerate(parts):
+                assert part.flags.c_contiguous
+                assert not any(np.shares_memory(part, other)
+                               for other in parts[i + 1:])
+                scratch_bytes[id(part.base)] = part.base.nbytes
             out[:] = cols.start
-        out = models._blocked(3, 40, widths, block)
+        out = models._blocked(3, 40, 8, block, 5)
         assert sum(scratch_bytes.values()) <= models.RANK_BUDGET_BYTES
         size = 7 // min(workers, 7)
-        assert np.array_equal(out[0], np.arange(40) // size * size)
+        # the block's distances come back negated
+        assert np.array_equal(out[0], -(np.arange(40) // size * size))
 
     @pytest.mark.parametrize("failing_block", [0, 1, 4])
     def test_block_error_reaches_caller(self, failing_block, monkeypatch):
@@ -455,7 +462,7 @@ class TestRankingWorkers:
         monkeypatch.setattr(models, "_WORKERS", 3)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 3)
 
-        def block(cols, out, scratch):
+        def block(cols, out, free, region):
             if cols.start == failing_block:
                 raise ZeroDivisionError(f"block {cols.start}")
             out[:] = 0.0
@@ -463,7 +470,7 @@ class TestRankingWorkers:
 
         def call():
             try:
-                models._blocked(1, 10, [1], block)
+                models._blocked(1, 10, 1, block)
             except ZeroDivisionError as exc:
                 raised.append(str(exc))
         thread = threading.Thread(target=call)
