@@ -340,7 +340,8 @@ def cmd_sweep(args) -> _RunDir:
         scores = _load_scores_checked(path, dataset)
         sid = scores.submodel_id
         if sid in by_id:
-            raise ConfigError(f"duplicate sub-model id {sid!r}")
+            raise ConfigError(f"duplicate sub-model id {sid!r}: "
+                              f"{by_id[sid]} and {path}")
         by_id[sid] = path
         frequencies[sid] = log_model_frequencies(dataset, scores)
     cbs = build_cbs_weights(dataset, SubsamplingMethod(config.method),

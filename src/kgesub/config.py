@@ -82,8 +82,9 @@ class RunConfig:
     adversarial_beta: float = _setting(0.0, "train", _TRAINING,
                                        rule=((">=", 0),))
     seed: int = _setting(0, "train", rule=((">=", 0),))
-    valid_every: int = _setting(0, "train", _TRAINING)  # 0 disables it
-    lr_decay_every: int = _setting(0, "train", _TRAINING)  # 0: constant
+    # 0 disables validation, and keeps the learning rate constant
+    valid_every: int = _setting(0, "train", _TRAINING, rule=((">=", 0),))
+    lr_decay_every: int = _setting(0, "train", _TRAINING, rule=((">=", 0),))
     lr_decay_factor: float = _setting(1.0, "train", _TRAINING,
                                       rule=((">", 0),))
     subsampling: str = _setting("none", "subsampling", _WEIGHTS,

@@ -13,22 +13,23 @@ Score ties use the mean-rank convention: rank = 1 + |better| + |tied
 others| / 2, rounded half up, which avoids the optimistic bias of
 insertion-order ranking.
 
-Ranking is chunked.  The split's queries are scored against every
-entity a chunk of one direction at a time (`models.iter_candidate_scores`),
-and each is ranked from its row of scores: count the entities that
-score above or tie with the answer over the whole row, then subtract
-the known other answers that do, instead of masking an E-sized
-candidate list per query.  A chunk holds as many queries as fit
-`models.RANK_BUDGET_BYTES` of (queries, E) scores, and at most dim of
-them, so its scores are never larger than the entity table; each
-chunk's scores are freed before the next chunk is scored, so one chunk
-is alive at a time.  Distances are taken over blocks of entities under
-the same budget, split across one worker thread per CPU whose scratch
-shares that budget: `models._blocked` owns each block's few (queries,
-block) buffers and its sign, and the block adds one term per feature
-in the order of numpy's pairwise add.reduce.  Memory stays bounded
-whatever the split's size, and the scores, so the ranks, are bitwise
-the same whatever the CPU count.
+Ranking is chunked.  `models.reduce_candidate_scores` owns the chunks:
+it scores the split's queries against every entity a chunk of one
+direction at a time and hands each chunk's (queries, E) scores to
+`rank_answers`' reducer, which overwrites them.  The reducer filters by
+masking: it reads the answer's score, writes NaN, which compares false
+both ways, over the query's known answers and the answer itself, and
+counts the entities that score above or tie with the answer.  A chunk
+holds as many queries as fit `models.RANK_BUDGET_BYTES` of (queries,
+E) scores, and at most dim of them, so its scores are never larger than
+the entity table, and it is freed before the next chunk is scored, so
+one chunk is alive at a time.  Distances are taken over blocks of
+entities under the same budget, split across one worker thread per CPU
+whose scratch shares that budget: `models._blocked` owns each block's
+few (queries, block) buffers and its sign, and the block adds one term
+per feature in the order of numpy's pairwise add.reduce.  Memory stays
+bounded whatever the split's size, and the scores, so the ranks, are
+bitwise the same whatever the CPU count.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.  The module writes no file: `cli` writes its reports.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SPLITS, Dataset, QueryIndex
-from .models import ModelParams, check_vocab, iter_candidate_scores
+from .models import ModelParams, check_vocab, reduce_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
 
@@ -64,43 +65,25 @@ def rank_answers(params: ModelParams, index: QueryIndex,
                  query_ids: np.ndarray, answers: np.ndarray) -> np.ndarray:
     """Filtered rank of answers[i] to query query_ids[i] of `index`, in
     input order; the query's answers in `index` are the known ones."""
-    directions = index.direction[query_ids]
-    # one direction at a time, so that every chunk is full
-    order = np.argsort(directions, kind="stable")
-    query_ids, answers = query_ids[order], answers[order]
-    ranks = np.empty(len(answers), dtype=np.int64)
-    for start, stop, scores in iter_candidate_scores(
-            params, directions[order], index.entity[query_ids],
-            index.relation[query_ids]):
-        ranks[order[start:stop]] = _rank_rows(
-            scores, answers[start:stop], index, query_ids[start:stop])
-        del scores  # freed before the next chunk is scored
-    return ranks
 
-
-def _rank_rows(scores: np.ndarray, answers: np.ndarray, index: QueryIndex,
-               query_ids: np.ndarray) -> np.ndarray:
-    """Rank of answers[i] in scores[i], counting neither the answers of
-    query query_ids[i] in `index` nor the answer itself as competitors."""
-    rows = np.arange(len(answers))
-    own = scores[rows, answers]
-    better = (scores > own[:, None]).sum(axis=1)
-    ties = (scores == own[:, None]).sum(axis=1) - 1
-    # each row's CSR slice: position in the slice plus the slice's start
-    starts = index.offsets[query_ids]
-    sizes = index.offsets[query_ids + 1] - starts
-    owner = np.repeat(rows, sizes)
-    others = index.answers[np.arange(len(owner))
-                           + np.repeat(starts - (np.cumsum(sizes) - sizes),
-                                       sizes)]
-    competing = others != answers[owner]
-    owner, others = owner[competing], others[competing]
-    other_scores, answer_scores = scores[owner, others], own[owner]
-    better -= np.bincount(owner[other_scores > answer_scores],
-                          minlength=len(rows))
-    ties -= np.bincount(owner[other_scores == answer_scores],
-                        minlength=len(rows))
-    return 1 + better + (ties + 1) // 2
+    def rank_rows(rows, scores):
+        ids, own_answers = query_ids[rows], answers[rows]
+        picks = np.arange(len(rows))
+        own = scores[picks, own_answers]
+        # each row's CSR slice: position in the slice plus the slice's start
+        starts = index.offsets[ids]
+        sizes = index.offsets[ids + 1] - starts
+        owner = np.repeat(picks, sizes)
+        known = index.answers[np.arange(len(owner)) + np.repeat(
+            starts - (np.cumsum(sizes) - sizes), sizes)]
+        scores[owner, known] = np.nan
+        scores[picks, own_answers] = np.nan
+        better = (scores > own[:, None]).sum(axis=1)
+        ties = (scores == own[:, None]).sum(axis=1)
+        return 1 + better + (ties + 1) // 2
+    return reduce_candidate_scores(
+        params, index.direction[query_ids], index.entity[query_ids],
+        index.relation[query_ids], rank_rows, np.int64)
 
 
 def evaluate(params: ModelParams, dataset: Dataset,

@@ -31,30 +31,30 @@ it over chunks of triples, each chunk's gathered rows within
 `RANK_BUDGET_BYTES`; the scalar scorers it replaced, and the per-slot
 gradient view the gradient checks use, live in tests/conftest.py.
 
-`iter_candidate_scores` scores chunks of same-direction queries against
-every entity for ranking: one matmul per chunk for DistMult and ComplEx,
-and for TransE, RotatE and HAKE direct distances over blocks of
+`reduce_candidate_scores` owns the chunks of same-direction queries
+scored against every entity, for ranking and the all-candidates mass: it
+hands each chunk to the consumer's reducer to overwrite and frees it
+before the next is scored.  A chunk takes one matmul for DistMult and
+ComplEx, and for TransE, RotatE and HAKE direct distances over blocks of
 entities.  A distance is a sum over features, taken feature by feature:
 each feature gives one (queries, block) term, read from a feature-major
 entity table (the transposed entity table for TransE and RotatE, the
 sine and cosine of the half phases for HAKE) or, for HAKE's modulus,
-from the block's |modulus| transposed into scratch.  The terms are
-added in the order numpy's add.reduce adds a contiguous row (eight
-partial sums of the terms j = k (mod 8) up to 128 terms, halves above),
-so the scores are bitwise those of summing a (queries, block, dim)
-difference over its last axis, which tests/conftest.py keeps as the
-oracle.  `_blocked` owns each block's scratch and its sign: it carves
-the block's (queries, block) buffers (the term, the partial sums, and
-for RotatE a spare) and HAKE's region (the block's |modulus|
-transposed, then the phase sum and its spare) from one flat array per
-worker, lets the kind's terms write the distances, and negates them.
-The blocks of a chunk are shared by one worker thread per CPU that the
-process may use, worker w taking blocks w, w + W, ...
-`RANK_BUDGET_BYTES` bounds the temporaries of one chunk, the scratch of
-all workers together, and a consumer of `iter_candidate_scores` holds
-one chunk at a time.  Every score comes from the same operations in
-the same order whatever the number of workers, so rankings do not
-depend on the CPU count.
+from the block's |modulus| transposed into scratch.  The terms are added
+in the order numpy's add.reduce adds a contiguous row (eight partial
+sums of the terms j = k (mod 8) up to 128 terms, halves above), so the
+scores are bitwise those of summing a (queries, block, dim) difference
+over its last axis, which tests/conftest.py keeps as the oracle.
+`_blocked` owns each block's scratch and its sign: it carves the block's
+(queries, block) buffers (the term, the partial sums, and for RotatE a
+spare) and HAKE's region (the block's |modulus| transposed, then the
+phase sum and its spare) from one flat array per worker, lets the kind's
+terms write the distances, and negates them.  The blocks of a chunk are
+shared by one worker thread per CPU that the process may use, worker w
+taking blocks w, w + W, ...  `RANK_BUDGET_BYTES` bounds the temporaries
+of one chunk and the scratch of all workers together.  Every score comes
+from the same operations in the same order whatever the number of
+workers, so rankings do not depend on the CPU count.
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -67,7 +67,6 @@ import enum
 import math
 import os
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -339,39 +338,42 @@ def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
     return out
 
 
-def iter_candidate_scores(params: ModelParams, directions: np.ndarray,
-                          entities: np.ndarray, relations: np.ndarray
-                          ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Scores of every entity as the answer to each query, by chunks.
+def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
+                            entities: np.ndarray, relations: np.ndarray,
+                            reduce, dtype=np.float64) -> np.ndarray:
+    """reduce(rows, scores) of each chunk of queries: one `dtype` value a
+    query, in input order.
 
     Query i is (directions[i], entities[i], relations[i]) with the
-    `Direction` convention.  Yields (start, stop, scores) with scores of
-    shape (stop - start, E), a fresh array the caller may overwrite and
-    should free before it asks for the next chunk.  A chunk never mixes
-    directions, so sorting the queries by direction keeps the chunks
-    full.  Scores equal `score_triples` of the same triples up to
-    rounding in the last bits, and do not depend on the number of
-    workers.
+    `Direction` convention.  The queries are sorted by direction (stable)
+    and scored a full same-direction chunk at a time: `rows` are the
+    chunk's input positions and `scores` its fresh (len(rows), E) scores
+    of every entity as the answer, which `reduce` may overwrite and must
+    not keep, so that the chunk is freed before the next is scored.
+    Scores equal `score_triples` of the same triples up to rounding in
+    the last bits, and do not depend on the number of workers.
     """
-    directions = np.asarray(directions, dtype=np.int64)
-    entities = np.asarray(entities, dtype=np.int64)
-    relations = np.asarray(relations, dtype=np.int64)
+    order = np.argsort(np.asarray(directions), kind="stable")
+    directions, entities, relations = (
+        np.asarray(column, dtype=np.int64)[order]
+        for column in (directions, entities, relations))
     score_chunk = _chunk_scorer(params)
     # a chunk's scores fit the budget and are no larger than the entity
     # table, which every matmul chunk reads once anyway
     step = max(1, min(params.dim,
                       RANK_BUDGET_BYTES // (8 * params.num_entities)))
+    out = np.empty(len(order), dtype)
     start = 0
-    while start < len(directions):
-        stop = min(start + step, len(directions))
-        switch = np.flatnonzero(directions[start:stop] != directions[start])
-        if switch.size:
-            stop = start + int(switch[0])
-        yield start, stop, score_chunk(
+    while start < len(order):
+        stop = min(start + step, int(np.searchsorted(
+            directions, directions[start], side="right")))
+        rows = order[start:stop]
+        out[rows] = reduce(rows, score_chunk(
             directions[start] == Direction.TAIL_QUERY,
             params.entity_emb[entities[start:stop]],
-            params.relation_emb[relations[start:stop]])
+            params.relation_emb[relations[start:stop]]))
         start = stop
+    return out
 
 
 # Workers of ranking and of the text writers of `subsampling`: one per
@@ -694,19 +696,26 @@ def params_from_container(header: dict,
                        relation_emb=tables[1], gamma=gamma, aux=aux)
 
 
-def load_tagged_params(path: str | Path) -> tuple[ModelParams, str | None]:
-    """Parameters and the sub-model id they were saved with, if any,
-    from one read of the checkpoint.  A `tag` that is not a string
-    raises CheckpointError."""
+def read_checkpoint(path: str | Path,
+                    payloads=("model-params", "train-checkpoint")
+                    ) -> tuple[ModelParams, str | None, dict, dict]:
+    """Parameters, the sub-model id they were saved with (None without
+    one), header and arrays of a checkpoint of one of `payloads`: the
+    header checks that every checkpoint reader makes."""
     header, arrays = read_container(path)
-    if header.get("payload") not in ("model-params", "train-checkpoint"):
+    if header.get("payload") not in payloads:
         raise CheckpointError(f"{path}: unexpected payload "
                               f"{header.get('payload')!r}")
     tag = header.get("tag")
     if "tag" in header and type(tag) is not str:
         raise CheckpointError(f"{path}: header field tag must be str, "
                               f"got {tag!r}")
-    return params_from_container(header, arrays), tag
+    return params_from_container(header, arrays), tag, header, arrays
+
+
+def load_tagged_params(path: str | Path) -> tuple[ModelParams, str | None]:
+    """Parameters and the sub-model id they were saved with, if any."""
+    return read_checkpoint(path)[:2]
 
 
 def load_params(path: str | Path) -> ModelParams:

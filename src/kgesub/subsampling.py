@@ -21,7 +21,8 @@ for the query.  Both live in log space:
 instead, with the same offset), and each weight column is the
 temperature-alpha discount f ** -alpha, normalized to mean 1 as
 n * exp(x - logsumexp(x)) with x = -alpha * log f, so scores any
-distance apart give finite weights.
+distance apart give finite weights.  An all-candidates sum is taken in
+its chunk of `models.reduce_candidate_scores`, overwritten by its terms.
 Count-based weights (CBS) are the same discount with alpha = 1/2 on
 counted frequencies: the query frequency is the query's count and the
 link frequency the mean of its triple's two query counts.  Mixed
@@ -64,7 +65,7 @@ from . import _rowtext, models
 from .data import (DIRECTION_NAMES, Dataset, kept_parse, parse_text,
                    replacing, split_fields)
 from .errors import DataError, DegenerateInputError, WriterError
-from .models import ModelParams, iter_candidate_scores
+from .models import ModelParams, reduce_candidate_scores
 
 # Hyper-parameter search grids.
 ALPHA_GRID = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
@@ -162,11 +163,12 @@ def _columns(method: SubsamplingMethod, link: np.ndarray,
     return (link, query) if method == SubsamplingMethod.FREQ else (query, query)
 
 
-def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(x))) along `axis`, shifted by the maximum so that no
-    term overflows and the largest is exp(0) = 1."""
+def logsumexp(x: np.ndarray, axis: int = -1,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """log(sum(exp(x))) along `axis`, the terms shifted (into `out`, which
+    may be x) by the maximum so that none overflows and the largest is 1."""
     peak = x.max(axis=axis, keepdims=True)
-    terms = x - peak
+    terms = np.subtract(x, peak, out=out)
     return np.log(np.exp(terms, out=terms).sum(axis=axis)) + peak.squeeze(axis)
 
 
@@ -190,11 +192,9 @@ def log_model_frequencies(dataset: Dataset, scores: SubModelScores,
     offset = math.log(n) - float(logsumexp(raw))
     index = dataset.train_index
     if submodel is not None:
-        log_mass = np.empty(index.num_queries)
-        for start, stop, candidate_scores in iter_candidate_scores(
-                submodel, index.direction, index.entity, index.relation):
-            log_mass[start:stop] = logsumexp(candidate_scores, axis=1)
-            del candidate_scores  # freed before the next chunk is scored
+        log_mass = reduce_candidate_scores(
+            submodel, index.direction, index.entity, index.relation,
+            lambda rows, scores: logsumexp(scores, axis=1, out=scores))
         return raw + offset, (log_mass + offset)[index.query_id]
     log_f_xy = raw + offset
     peak = np.full(index.num_queries, -np.inf)

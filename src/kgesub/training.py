@@ -55,12 +55,11 @@ import numpy as np
 
 from .config import RunConfig, check_setting
 from .data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
-                   read_container, write_container)
+                   write_container)
 from .errors import (CheckpointError, ConfigError, DegenerateInputError,
                      TrainingDivergedError)
 from . import models
-from .models import (ModelParams, params_from_container, params_header,
-                     score_block)
+from .models import ModelParams, params_header, read_checkpoint, score_block
 from .subsampling import WeightTable
 
 _PERM_STREAM = 0
@@ -366,10 +365,9 @@ def save_checkpoint(state: TrainState, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
-    header, arrays = read_container(path)
-    if header.get("payload") != "train-checkpoint":
-        raise CheckpointError(f"{path}: not a training checkpoint")
-    params = params_from_container(header, arrays)
+    """A training checkpoint: `models.read_checkpoint`'s header checks,
+    then those of the optimizer, the step and the Adam moments."""
+    params, _, header, arrays = read_checkpoint(path, ("train-checkpoint",))
     try:
         kind = check_setting("optimizer", header.get("optimizer"))
     except ConfigError as exc:

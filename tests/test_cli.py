@@ -220,6 +220,22 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("error: ")
             assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("name", ["valid_every", "lr_decay_every"])
+    def test_negative_period_setting_is_exit_1_before_the_data_load(
+            self, tmp_path, capsys, name):
+        """A period below 0 would silently mean "off", as 0 does: as a
+        flag or in a config file it is exit 1, not exit 2 for the absent
+        data, and no run directory is made."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"[train]\n{name} = -2\n", encoding="utf-8")
+        flag = f"--{name.replace('_', '-')}=-2"
+        for form in ([flag], ["--config", config]):
+            assert run(["train", *form, "--data", tmp_path / "nope",
+                        "--run-dir", tmp_path / "r"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: [train] {name} must be >= 0, got -2\n")
+            assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "rotate"], ["train", "--model", "complex"],
         ["train", "--model", "hake"],
@@ -1029,6 +1045,28 @@ class TestSweepCommand:
             str(path) for path in paths]
         assert len(calls["log_model_frequencies"]) == 2
         assert len(calls["build_cbs_weights"]) == 1
+
+    def test_duplicate_submodel_id_names_both_files(self, data_dir,
+                                                    tmp_path, capsys):
+        """The id names only kind, weighting and seed, so two `train`
+        runs of one recipe at two dims share it: as two candidates they
+        are exit 1 before any point runs, and the error names both
+        score files."""
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        paths = []
+        for dim in (8, 16):
+            paths.append(tmp_path / f"dim{dim}" / "scores.tsv")
+            paths[-1].parent.mkdir()
+            paths[-1].write_text("# submodel=distmult-none-seed1\n" + "".join(
+                f"{i}\t{0.5 * (i % dim)}\n" for i in range(examples)),
+                encoding="utf-8")
+        assert run(["sweep", "--data", data_dir, "--method", "freq",
+                    "--submodel-scores", *paths, "--run-dir",
+                    tmp_path / "sweep"] + FAST) == 1
+        assert capsys.readouterr().err == (
+            "error: duplicate sub-model id 'distmult-none-seed1': "
+            f"{paths[0]} and {paths[1]}\n")
+        assert not (tmp_path / "sweep" / "ledger.tsv").exists()
 
     def test_resumed_sweep_of_a_hash_id_adds_no_rows(self, data_dir,
                                                      tmp_path):

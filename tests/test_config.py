@@ -153,6 +153,8 @@ class TestValidation:
         ("adam_beta2", -0.5),
         ("adversarial_beta", -1.0),
         ("seed", -1),
+        ("valid_every", -2),
+        ("lr_decay_every", -3),
         ("model", "bert"),
         ("alpha", 0.0),
     ])

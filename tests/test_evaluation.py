@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kgesub import models
-from kgesub.data import Dataset, Direction
+from kgesub.data import Dataset, Direction, QueryIndex
 from kgesub.errors import VocabMismatchError
 from kgesub.evaluation import (EvalReport, aggregate_runs, evaluate,
                                format_report, rank_answers)
@@ -16,7 +16,7 @@ from kgesub.submodel import score_training_triples
 from kgesub.subsampling import log_model_frequencies
 
 from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
-                      filtered_rank, looped_zipf_kg, make_vocab,
+                      filtered_rank, find, looped_zipf_kg, make_vocab,
                       oracle_answer_sets, oracle_filtered_rank, query_of,
                       random_kg, score_batch)
 
@@ -86,6 +86,42 @@ class TestFilteredRank:
             scores = score_batch(params, query, np.arange(n))
             expected = oracle_filtered_rank(scores, answer, known)
             assert filtered_rank(params, query, answer, known) == expected
+
+    def test_known_answers_tied_with_the_answer_are_filtered(self):
+        """Entities 2, 3 and 5 tie with answer 1; only the unfiltered
+        ones count half."""
+        params = scripted_distmult(np.array([1.0, 3.0, 3.0, 3.0, 2.0, 3.0]))
+        query = QueryKey(Direction.TAIL_QUERY, 0, 0)
+        for known, expected in (({2, 3, 5}, 1), ({2, 3}, 2), (set(), 3),
+                                ({1, 2}, 2)):
+            assert filtered_rank(params, query, 1, known) == expected
+
+    def test_answer_scored_minus_inf(self):
+        """A TransE answer at distance inf ties with the unfiltered
+        entity at distance inf, not with the filtered one."""
+        params = init_params(ModelKind.TRANSE, 6, 1, 2, 1.0, seed=0)
+        params.relation_emb[:] = 0.0
+        # distances to entity 0: 0, inf, inf, inf, 2 and 2
+        params.entity_emb[:] = [[0.0, 0.0], [1e308, 1e308], [1e308, 1e308],
+                                [-1e308, -1e308], [1.0, 1.0], [2.0, 0.0]]
+        query = QueryKey(Direction.TAIL_QUERY, 0, 0)
+        with np.errstate(over="ignore"):
+            scores = score_batch(params, query, np.arange(6))
+            assert np.array_equal(scores, [0.0, -np.inf, -np.inf, -np.inf,
+                                           -2.0, -2.0])
+            for known, expected in (({2}, 5), (set(), 5), ({2, 3}, 4)):
+                assert filtered_rank(params, query, 1, known) == expected
+                assert expected == oracle_filtered_rank(scores, 1, known)
+
+    def test_answer_outside_the_known_answers(self):
+        """The answer's own score is never a competitor, even when its
+        query's known answers do not hold it."""
+        params = scripted_distmult(np.array([1.0, 2.0, 5.0, 4.0, 3.0, 2.0]))
+        index = QueryIndex.build([(0, 0, 2), (0, 0, 3)], 6, 1)
+        query_id = find(index, [Direction.TAIL_QUERY], [0], [0])
+        # competitors 0 (1.0), 4 (3.0) and 5 (2.0, tied)
+        assert rank_answers(params, index, query_id, np.array([1])) == [3]
+        assert oracle_filtered_rank(params.entity_emb[:, 0], 1, {2, 3}) == 3
 
     def test_monotone_transform_leaves_rank_unchanged(self):
         """Ranks depend only on score order, not score values."""
@@ -279,8 +315,8 @@ def traced_peak(call) -> int:
 
 
 class TestOneChunkAlive:
-    """A consumer of `iter_candidate_scores` frees each chunk's scores
-    before the next chunk is scored: over four chunks its traced peak is
+    """`reduce_candidate_scores` frees each chunk's scores before the
+    next chunk is scored: over four chunks a consumer's traced peak is
     that of one chunk, not one chunk more."""
 
     # 16 tail queries a chunk at dim 16, 512 KiB of (16, 4096) scores
@@ -322,6 +358,22 @@ class TestOneChunkAlive:
             return traced_peak(lambda: log_model_frequencies(
                 dataset, scores, params))
         assert peak(4) - peak(1) < self.CHUNK_BYTES / 2
+
+    def test_mass_takes_its_sums_inside_the_chunk(self, monkeypatch):
+        """The all-candidates mass writes its shifted terms over the
+        chunk, so it holds no more than ranking the same queries does.
+        DistMult scores with a matmul and no scratch, so the chunk and
+        what its consumer makes of it set the peak."""
+        monkeypatch.setattr(models, "_WORKERS", 1)
+        params, dataset, _ = self._case(ModelKind.DISTMULT, 1)
+        scores = score_training_triples(params, dataset, "sub")
+        index = dataset.train_index
+        query_ids = np.arange(index.num_queries)
+        ranking = traced_peak(lambda: rank_answers(
+            params, index, query_ids, np.zeros(len(query_ids), np.int64)))
+        mass = traced_peak(lambda: log_model_frequencies(
+            dataset, scores, params))
+        assert mass - ranking < self.CHUNK_BYTES / 2
 
 
 class TestAggregateRuns:

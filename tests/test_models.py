@@ -19,9 +19,9 @@ from kgesub import models
 from kgesub.data import Direction
 from kgesub.errors import CheckpointError
 from kgesub.models import (INIT_EPSILON, ModelKind, init_params,
-                           iter_candidate_scores, load_params,
-                           load_tagged_params, relation_dim, save_params,
-                           score_triples)
+                           load_params, load_tagged_params,
+                           reduce_candidate_scores, relation_dim,
+                           save_params, score_triples)
 
 from conftest import (QueryKey, Triple, as_triples, fd_score_row_gradients,
                       looped_zipf_kg, max_relative_error,
@@ -342,6 +342,21 @@ class TestScoreGradient:
                     np.testing.assert_array_equal(got[b], want)
 
 
+def candidate_chunks(params, directions, entities, relations):
+    """(rows, scores) of each chunk that `reduce_candidate_scores` hands
+    its reducer, in the order it scores them, with a check that each
+    reducer value comes back at its query's input position."""
+    chunks = []
+
+    def keep(rows, scores):
+        chunks.append((rows.copy(), scores.copy()))
+        return rows
+    positions = reduce_candidate_scores(params, directions, entities,
+                                        relations, keep, np.int64)
+    assert np.array_equal(positions, np.arange(len(directions)))
+    return chunks
+
+
 class TestCandidateScores:
     """Chunked all-entity scoring against the per-query `score_batch`."""
 
@@ -360,26 +375,26 @@ class TestCandidateScores:
         entities = rng.integers(0, 40, size=30)
         relations = rng.integers(0, 3, size=30)
         covered = []
-        for start, stop, scores in iter_candidate_scores(
-                params, directions, entities, relations):
-            assert scores.shape == (stop - start, 40)
-            assert len(set(directions[start:stop])) == 1
-            for i in range(start, stop):
+        for rows, scores in candidate_chunks(params, directions, entities,
+                                             relations):
+            assert scores.shape == (len(rows), 40)
+            assert len(set(directions[rows])) == 1
+            for i, got in zip(rows, scores):
                 query = QueryKey(Direction(int(directions[i])),
                                  int(entities[i]), int(relations[i]))
                 want = score_batch(params, query, np.arange(40))
-                got = scores[i - start]
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            covered.extend(range(start, stop))
-        assert covered == list(range(30))
+            covered.extend(rows)
+        # one direction after the other, each in input order
+        assert covered == list(np.argsort(directions, kind="stable"))
 
     def test_chunk_size_follows_budget_and_dim(self, monkeypatch):
         params = init_params(ModelKind.DISTMULT, 10, 1, 4, 1.0, seed=14)
         zeros = np.zeros(9, dtype=np.int64)
 
         def spans():
-            return [(start, stop) for start, stop, _ in
-                    iter_candidate_scores(params, zeros, zeros, zeros)]
+            return [(rows[0], rows[-1] + 1) for rows, _ in
+                    candidate_chunks(params, zeros, zeros, zeros)]
         # the default budget holds far more than dim = 4 queries
         assert spans() == [(0, 4), (4, 8), (8, 9)]
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
@@ -399,8 +414,8 @@ class TestRankingWorkers:
 
     @staticmethod
     def _scores(params, queries):
-        return np.concatenate([scores for _, _, scores in
-                               iter_candidate_scores(params, *queries)])
+        return np.concatenate([scores for _, scores in
+                               candidate_chunks(params, *queries)])
 
     @pytest.mark.parametrize(
         "kind, aux", DISTANCE_CASES,
@@ -523,15 +538,15 @@ class TestFeatureMajorRanking:
             for budget in (models.RANK_BUDGET_BYTES, 2560 * workers):
                 with monkeypatch.context() as patch:
                     patch.setattr(models, "RANK_BUDGET_BYTES", budget)
-                    chunks = list(iter_candidate_scores(
-                        params, directions, entities, relations))
-                assert chunks[-1][1] == 21
-                for start, stop, scores in chunks:
+                    chunks = candidate_chunks(params, directions, entities,
+                                              relations)
+                assert chunks[-1][0][-1] == 20
+                for rows, scores in chunks:
                     want = oracle_distance_scores(
-                        params, directions[start] == Direction.TAIL_QUERY,
-                        ent[entities[start:stop]], rel[relations[start:stop]])
+                        params, directions[rows[0]] == Direction.TAIL_QUERY,
+                        ent[entities[rows]], rel[relations[rows]])
                     assert np.array_equal(scores, want), (workers, budget,
-                                                          start)
+                                                          rows[0])
 
     def test_feature_major_table_is_the_transpose(self):
         # more entities than one copied block, the last block ragged

@@ -757,6 +757,27 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("tag", ["5", "true", "null", '["x"]',
+                                     '{"a": 1}'])
+    def test_tag_that_is_not_a_string_rejected(self, tmp_path, tag):
+        """The training reader makes the header checks of the parameter
+        reader: a `tag` that is not a string fails both alike."""
+        import json
+        from kgesub.data import read_container, write_container
+        from kgesub.errors import CheckpointError
+        from kgesub.models import load_tagged_params
+        dataset, params, weights = self._setup()
+        result = train(dataset, weights, params,
+                       RunConfig(steps=3, batch_size=16, nu=2, seed=9))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(result.state, path, tag="m 1")
+        header, arrays = read_container(path)
+        write_container(path, dict(header, tag=json.loads(tag)), arrays)
+        for read in (load_checkpoint, load_tagged_params):
+            with pytest.raises(CheckpointError,
+                               match="header field tag must be str"):
+                read(path)
+
 
 class TestLearningRateDecay:
     def test_constant_by_default(self):
