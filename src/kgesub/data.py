@@ -10,18 +10,22 @@ tail, 1 for head queries).
 
 `QueryIndex` is the one array index of examples and queries behind
 query counts, subsampling weights, the negative-sample filter and
-filtered ranking.  Built once from an (N, 3) id array, it holds per
-example (in example-id order) `query_id` and `answer`; per query
-`direction`, `entity`, `relation` and `count`; and a CSR list of
-answers: the sorted distinct answers of query q are
-``answers[offsets[q]:offsets[q + 1]]``, and `complement_key` maps a rank
-among q's non-answers to the entity, for negative sampling.  Query ids
-follow the packed int64 key ``(direction * E + entity) * R + relation``,
-ascending, which is the lexicographic order of (direction, entity,
-relation).  `Dataset.train_index` is the index of the training split
-and `Dataset.filter_index` that of train, valid and test concatenated
-in `SPLITS` order, each built on first use; the examples of one split
-are a contiguous range of the filter index's examples.
+filtered ranking.  Built from an (N, 3) id array, which it keeps as
+`triples`, it is one sort of the examples by packed int64 query key
+``(direction * E + entity) * R + relation``, then answer, then example
+id (a lexsort where the three do not fit one int64).  What reads every
+query derives, on first use, per example (in example-id order)
+`query_id` and `answer`, and per query `direction`, `entity`,
+`relation` and `count`; query ids follow the keys ascending, which is
+the lexicographic order of (direction, entity, relation).  What reads
+a few examples does not: `example_queries` reads an example's query and
+answer from its triple, and `QueryIndex.lookup` finds the sorted
+distinct answers of given queries by two binary searches in the sort,
+so a training step draws its negatives from the complement of those
+answers, and ranking masks them, without the arrays of every example.
+`Dataset.train_index` is the index of the training split and
+`Dataset.filter_index` that of train, valid and test concatenated in
+`SPLITS` order, each built on first use.
 
 `load_dataset` keeps its parse beside the text as `.kgesub-dataset.bin`,
 in the binary container of checkpoints, and reads that copy while the
@@ -81,77 +85,162 @@ DIRECTION_NAMES = ("tail-query", "head-query")
 
 @dataclass(frozen=True, eq=False)
 class QueryIndex:
-    """Examples, queries and answers of a triple list as arrays."""
+    """Examples, queries and answers of a triple list, from one sort."""
 
     num_entities: int
     num_relations: int
-    query_id: np.ndarray  # (2N,) per example
-    answer: np.ndarray  # (2N,) per example
-    direction: np.ndarray  # (Q,)
-    entity: np.ndarray  # (Q,)
-    relation: np.ndarray  # (Q,)
-    count: np.ndarray  # (Q,)
-    offsets: np.ndarray  # (Q + 1,)
-    answers: np.ndarray  # (offsets[-1],)
+    triples: np.ndarray  # (N, 3), read-only: example 2i + d is row i's
+    # ascending: (query key, answer, example id) codes, the key above
+    # `_answer_bits + _example_bits` bits; or, when they do not fit one
+    # int64, the query keys alone, with `_lexsorted`
+    _sorted: np.ndarray
+    _answer_bits: int
+    _example_bits: int
+    _lexsorted: tuple[np.ndarray, np.ndarray] | None  # answers, example ids
 
     @classmethod
     def build(cls, triples: np.ndarray, num_entities: int,
               num_relations: int) -> "QueryIndex":
+        """The index of `triples`, which it keeps: a writable array is
+        copied first."""
         ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         if ids.size and (ids.min() < 0 or ids[:, 1].max() >= num_relations
-                         or ids[:, [0, 2]].max() >= num_entities):
+                         or max(ids[:, 0].max(),
+                                ids[:, 2].max()) >= num_entities):
             raise ValueError("triple ids outside the vocabulary")
-        # query keys of the tail then head query of each triple
-        packed = (np.stack([ids[:, 0], ids[:, 2] + num_entities], axis=1)
-                  * num_relations + ids[:, 1:2]).ravel()
-        answer = ids[:, [2, 0]].ravel()
+        if ids.flags.writeable:
+            ids = ids.copy()
+            ids.flags.writeable = False
+        # query keys of the tail then head query of each triple, built in
+        # place: each temporary of every example is faulted in anew
+        coded = np.empty((len(ids), 2), dtype=np.int64)
+        np.multiply(ids[:, 0], num_relations, out=coded[:, 0])
+        np.add(ids[:, 2], num_entities, out=coded[:, 1])
+        coded[:, 1] *= num_relations
+        coded += ids[:, 1:2]
+        answers = ids[:, 2::-2]  # (tail, head): each example's answer
         # one sort by (query key, answer): of both and the example id in
         # one int64 where that fits, else a lexsort of the two
         key_bits, ebits, nbits = ((int(n) - 1).bit_length() for n in (
-            2 * num_entities * num_relations, num_entities, len(packed)))
+            2 * num_entities * num_relations, num_entities, coded.size))
         if key_bits + ebits + nbits <= 63:
-            coded = (packed << ebits | answer) << nbits | np.arange(answer.size)
+            coded <<= ebits
+            coded |= answers
+            coded <<= nbits
+            coded = coded.reshape(-1)
+            coded |= np.arange(coded.size)
             coded.sort()
-            order = coded & ((1 << nbits) - 1)
-            coded >>= nbits
-            answers = coded & ((1 << ebits) - 1)
-            keys = np.right_shift(coded, ebits, out=coded)
+            coded.flags.writeable = False
+            return cls(num_entities, num_relations, ids, coded, ebits, nbits,
+                       None)
+        keys, answer = coded.reshape(-1), answers.reshape(-1)
+        order = np.lexsort((answer, keys))
+        arrays = keys[order], answer[order], order
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(num_entities, num_relations, ids, arrays[0], 0, 0,
+                   arrays[1:])
+
+    @cached_property
+    def _queries(self) -> tuple[np.ndarray, ...]:
+        """query_id, direction, entity, relation and count, from the sort."""
+        if self._lexsorted is None:
+            keys = self._sorted >> (self._answer_bits + self._example_bits)
+            order = self._sorted & ((1 << self._example_bits) - 1)
         else:
-            order = np.lexsort((answer, packed))
-            keys, answers = packed[order], answer[order]
+            keys, order = self._sorted, self._lexsorted[1]
         starts = np.diff(keys, prepend=-1) != 0  # each query's first example
-        distinct = starts | (np.diff(answers, prepend=-1) != 0)
         query_id = np.empty(len(order), dtype=np.int64)
         query_id[order] = np.cumsum(starts) - 1
         first = np.flatnonzero(starts)
-        rest, relation = np.divmod(keys[first], num_relations)
-        direction, entity = np.divmod(rest, num_entities)
-        # each query's first example is distinct, so it starts its list
-        offsets = np.append(np.flatnonzero(starts[distinct]),
-                            np.count_nonzero(distinct))
-        arrays = (query_id, answer, direction, entity, relation,
-                  np.diff(first, append=len(keys)), offsets, answers[distinct])
+        rest, relation = np.divmod(keys[first], self.num_relations)
+        direction, entity = np.divmod(rest, self.num_entities)
+        arrays = (query_id, direction, entity, relation,
+                  np.diff(first, append=len(keys)))
         for array in arrays:
             array.flags.writeable = False
-        return cls(num_entities, num_relations, *arrays)
+        return arrays
+
+    @property
+    def query_id(self) -> np.ndarray:
+        """(2N,) the query of each example."""
+        return self._queries[0]
+
+    @cached_property
+    def answer(self) -> np.ndarray:
+        """(2N,) the answer of each example."""
+        answer = self.triples[:, 2::-2].ravel()
+        answer.flags.writeable = False
+        return answer
+
+    @property
+    def direction(self) -> np.ndarray:
+        """(Q,) of each query, like `entity`, `relation` and `count`."""
+        return self._queries[1]
+
+    @property
+    def entity(self) -> np.ndarray:
+        return self._queries[2]
+
+    @property
+    def relation(self) -> np.ndarray:
+        return self._queries[3]
+
+    @property
+    def count(self) -> np.ndarray:
+        """(Q,) examples of each query."""
+        return self._queries[4]
 
     @property
     def num_queries(self) -> int:
         return len(self.count)
 
-    @cached_property
-    def complement_key(self) -> np.ndarray:
-        """q * E + (answer - its position in q's list), per CSR answer.
+    def lookup(self, directions, entities, relations
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(query, offsets, answers) of the queries (directions[i],
+        entities[i], relations[i]): query i is the query[i]-th of the
+        distinct ones, in key order, and the q-th has the sorted distinct
+        answers ``answers[offsets[q]:offsets[q + 1]]``, none when the
+        index lacks it.
 
-        The second term counts the entities below the answer that do
-        not answer q, so the keys ascend and the u-th such entity of
-        query q is u plus the number of q's keys <= q * E + u.
+        Two binary searches in the sort give each distinct query's run
+        of examples, ordered by answer; a repeated triple repeats its
+        code but for the example id, and only the first of each is kept.
         """
-        owner = np.repeat(np.arange(self.num_queries), np.diff(self.offsets))
-        key = (owner * self.num_entities + self.answers
-               - (np.arange(len(self.answers)) - self.offsets[owner]))
-        key.flags.writeable = False
-        return key
+        below = self._answer_bits + self._example_bits
+        keys, query = np.unique(
+            (np.asarray(directions, dtype=np.int64) * self.num_entities
+             + entities) * self.num_relations + relations, return_inverse=True)
+        keys <<= below
+        lo = np.searchsorted(self._sorted, keys)
+        sizes = np.searchsorted(self._sorted, keys | ((1 << below) - 1),
+                                side="right") - lo
+        ends = np.cumsum(sizes)
+        at = np.arange(sizes.sum()) + np.repeat(lo - ends + sizes, sizes)
+        # `at - 1` of the first code wraps to the last, a head query's,
+        # whose key differs from every tail query's
+        if self._lexsorted is None:
+            pairs = self._sorted[at] >> self._example_bits
+            fresh = pairs != self._sorted[at - 1] >> self._example_bits
+            found = pairs & ((1 << self._answer_bits) - 1)
+        else:
+            answers = self._lexsorted[0]
+            found = answers[at]
+            fresh = ((self._sorted[at] != self._sorted[at - 1])
+                     | (found != answers[at - 1]))
+        kept = np.concatenate(([0], np.cumsum(fresh)))
+        return query, kept[np.concatenate(([0], ends))], found[fresh]
+
+
+def example_queries(triples: np.ndarray, example_ids
+                    ) -> tuple[np.ndarray, ...]:
+    """Direction, entity, relation and answer of each example of
+    `triples`, read from its row: example 2i + d asks query d of row i."""
+    example_ids = np.asarray(example_ids, dtype=np.int64)
+    rows = triples[example_ids >> 1]
+    direction = example_ids & 1
+    return (direction, np.where(direction, rows[:, 2], rows[:, 0]),
+            rows[:, 1], np.where(direction, rows[:, 0], rows[:, 2]))
 
 
 def text_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -376,9 +465,10 @@ class Dataset:
     def filter_index(self) -> QueryIndex:
         """The query index of all three splits, in `SPLITS` order: the
         known answers that filtered ranking leaves out."""
-        return QueryIndex.build(
-            np.concatenate([getattr(self, split) for split in SPLITS]),
-            self.num_entities, self.num_relations)
+        joined = np.concatenate([getattr(self, split) for split in SPLITS])
+        joined.flags.writeable = False  # the index keeps it
+        return QueryIndex.build(joined, self.num_entities,
+                                self.num_relations)
 
 
 def _parse_triples(path: Path, entity_ids: dict[str, int],

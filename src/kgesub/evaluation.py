@@ -5,10 +5,11 @@ direction: example ``2 * i + d`` asks the tail query (d = 0) or the
 head query (d = 1) of triple i, and reports keep that order.  The
 candidate list is all entities minus the other answers known to be
 true anywhere in the dataset (the evaluated answer itself always stays
-in the list).  Queries and answers come from `Dataset.filter_index`,
-the query index of train, valid and test concatenated in that order,
-so a split's examples are one contiguous range of the index's examples
-and each query's known answers are its slice of the index's CSR list.
+in the list).  Each example's query and answer are read from its
+triple of the split, and the known answers of the split's queries are
+found at once by `QueryIndex.lookup` in `Dataset.filter_index`, the
+query index of train, valid and test concatenated in that order;
+ranking derives no array of every example of that index.
 Score ties use the mean-rank convention: rank = 1 + |better| + |tied
 others| / 2, rounded half up, which avoids the optimistic bias of
 insertion-order ranking.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SPLITS, Dataset, QueryIndex
+from .data import Dataset, QueryIndex, example_queries
 from .models import ModelParams, check_vocab, reduce_candidate_scores
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
@@ -61,43 +62,43 @@ class EvalReport:
         return getattr(self, name)
 
 
-def rank_answers(params: ModelParams, index: QueryIndex,
-                 query_ids: np.ndarray, answers: np.ndarray) -> np.ndarray:
-    """Filtered rank of answers[i] to query query_ids[i] of `index`, in
-    input order; the query's answers in `index` are the known ones."""
+def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
+                 answers: np.ndarray) -> np.ndarray:
+    """Filtered rank of answers[i] to query queries[i], a (direction,
+    entity, relation) row, in input order; the query's answers in
+    `index` are the known ones."""
+    directions, entities, relations = np.asarray(queries, np.int64).T
+    query, offsets, known = index.lookup(directions, entities, relations)
 
     def rank_rows(rows, scores):
-        ids, own_answers = query_ids[rows], answers[rows]
+        own_answers = answers[rows]
         picks = np.arange(len(rows))
         own = scores[picks, own_answers]
-        # each row's CSR slice: position in the slice plus the slice's start
-        starts = index.offsets[ids]
-        sizes = index.offsets[ids + 1] - starts
+        # each row's known answers: position in its slice plus the start
+        starts = offsets[query[rows]]
+        sizes = offsets[query[rows] + 1] - starts
         owner = np.repeat(picks, sizes)
-        known = index.answers[np.arange(len(owner)) + np.repeat(
-            starts - (np.cumsum(sizes) - sizes), sizes)]
-        scores[owner, known] = np.nan
+        scores[owner, known[np.arange(len(owner)) + np.repeat(
+            starts - (np.cumsum(sizes) - sizes), sizes)]] = np.nan
         scores[picks, own_answers] = np.nan
         better = (scores > own[:, None]).sum(axis=1)
         ties = (scores == own[:, None]).sum(axis=1)
         return 1 + better + (ties + 1) // 2
-    return reduce_candidate_scores(
-        params, index.direction[query_ids], index.entity[query_ids],
-        index.relation[query_ids], rank_rows, np.int64)
+    return reduce_candidate_scores(params, directions, entities, relations,
+                                   rank_rows, np.int64)
 
 
 def evaluate(params: ModelParams, dataset: Dataset,
              split: str) -> EvalReport:
     """Filtered MRR and Hits@{1,3,10} over both directions of a split."""
-    sizes = [2 * len(getattr(dataset, name)) for name in SPLITS]
-    position = SPLITS.index(split)
-    if not sizes[position]:
+    triples = getattr(dataset, split)
+    if not len(triples):
         raise ValueError(f"split {split!r} is empty")
     check_vocab(params, dataset)
-    index = dataset.filter_index
-    examples = slice(sum(sizes[:position]), sum(sizes[:position + 1]))
-    query_ids = index.query_id[examples]
-    ranks = rank_answers(params, index, query_ids, index.answer[examples])
+    direction, entity, relation, answer = example_queries(
+        triples, np.arange(2 * len(triples)))
+    queries = np.stack([direction, entity, relation], axis=1)
+    ranks = rank_answers(params, dataset.filter_index, queries, answer)
     rank_arr = ranks.astype(np.float64)
     return EvalReport(
         mrr=float((1.0 / rank_arr).mean()),
@@ -105,8 +106,7 @@ def evaluate(params: ModelParams, dataset: Dataset,
         h3=float((rank_arr <= 3).mean()),
         h10=float((rank_arr <= 10).mean()),
         per_query_ranks=ranks,
-        queries=np.stack([index.direction[query_ids], index.entity[query_ids],
-                          index.relation[query_ids]], axis=1),
+        queries=queries,
         split=split,
     )
 

@@ -16,17 +16,24 @@ A step works on the batch in array operations:
 
 - `sample_negatives` draws the (B, nu) negatives in one `rng.integers`
   call, each uniform over the entities that are not a training answer
-  of its query.  A query q with n_q answers a_0 < a_1 < ... draws u
-  from [0, E - n_q); the u-th free entity is u plus the number of j
-  with a_j - j <= u, which `QueryIndex.complement_key` turns into one
-  binary search.  No draw is rejected, however many answers q has.
-- `batch_loss` takes the batch in one-direction chunks whose
-  (chunk, 1 + nu, dim) candidate block (the answer, then the negatives)
-  fits `models.RANK_BUDGET_BYTES`, so memory is bounded whatever nu and
-  dim are.  It gathers each fixed entity row once, scores and
-  back-propagates with `models.score_block`, and sums the B(1 + nu) + B
-  entity terms into the step's unique rows, ascending, by one bincount
-  (one per chunk when the batch's block exceeds the budget).
+  of its query.  A query q with n_q distinct answers a_0 < a_1 < ...
+  draws u from [0, E - n_q); the u-th free entity is u plus the number
+  of j with a_j - j <= u, which the per-batch complement keys of
+  `Complement` turn into one binary search.  No draw is rejected,
+  however many answers q has.  `Complement.of` reads the examples'
+  queries from their triples and finds their answers with one
+  `QueryIndex.lookup`, for up to `_WINDOW` examples of consecutive
+  batches at once, so a step makes no lookup of its own and no array of
+  every example is built.
+- `batch_loss` reads each example's query and answer from its triple
+  (example 2i + d asks query d of row i) and takes the batch in
+  one-direction chunks whose (chunk, 1 + nu, dim) candidate block (the
+  answer, then the negatives) fits `models.RANK_BUDGET_BYTES`, so
+  memory is bounded whatever nu and dim are.  It gathers each fixed
+  entity row once, scores and back-propagates with `models.score_block`,
+  and sums the B(1 + nu) + B entity terms into the step's unique rows,
+  ascending, by one bincount (one per chunk when the batch's block
+  exceeds the budget).
 - `_apply_update` applies SGD or lazy Adam (bias-corrected by the global
   step) in place to those rows only, in row blocks under the same budget.
 
@@ -54,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import RunConfig, check_setting
-from .data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
+from .data import (DIRECTION_NAMES, Dataset, QueryIndex, example_queries,
                    write_container)
 from .errors import (CheckpointError, ConfigError, DegenerateInputError,
                      TrainingDivergedError)
@@ -64,6 +71,11 @@ from .subsampling import WeightTable
 
 _PERM_STREAM = 0
 _NEG_STREAM = 1
+# examples of consecutive batches whose queries one lookup covers: a
+# short run looks up once, a long one spreads each lookup's few dozen
+# numpy calls over many steps, and the keys are the distinct answers of
+# at most this many queries
+_WINDOW = 1 << 13
 
 
 @dataclass
@@ -83,26 +95,61 @@ class Gradients(NamedTuple):
     relation: np.ndarray
 
 
-def sample_negatives(query_ids: np.ndarray, nu: int, rng: np.random.Generator,
-                     index: QueryIndex) -> np.ndarray:
-    """(len(query_ids), nu) entities drawn uniformly from the entities
-    that are not training answers of each query, in one draw."""
+class Complement(NamedTuple):
+    """The non-answers of examples' queries, for `sample_negatives`.
+
+    Row i draws from the `free[i]` entities that no training triple
+    gives as an answer to its query.  The distinct queries of the rows
+    are looked up once: the q-th, with sorted distinct answers a_0 < a_1
+    < ..., has the keys ``q * E + a_j - j``, ascending over all queries,
+    from ``keys[start[i]]`` on for each of its rows, whose `base[i]` is
+    q * E.  So the u-th free entity of row i is u plus the number of its
+    keys <= base[i] + u.  Rows of consecutive batches are looked up at
+    once, and `rows` hands out one batch's share of them.
+    """
+
+    free: np.ndarray
+    base: np.ndarray
+    start: np.ndarray
+    keys: np.ndarray
+
+    @classmethod
+    def of(cls, index: QueryIndex, example_ids: np.ndarray) -> "Complement":
+        """The complement of each example's query of `index`; a query
+        whose answers are every entity raises DegenerateInputError."""
+        direction, entity, relation, _ = example_queries(index.triples,
+                                                         example_ids)
+        query, offsets, answers = index.lookup(direction, entity, relation)
+        start, sizes = offsets[:-1], np.diff(offsets)
+        free = index.num_entities - sizes
+        if np.any(free <= 0):
+            i = int(np.argmax(free[query] <= 0))
+            raise DegenerateInputError(
+                f"{DIRECTION_NAMES[direction[i]]} of entity {entity[i]}, "
+                f"relation {relation[i]} has no false candidates: all "
+                f"{index.num_entities} entities are true answers")
+        base = np.arange(len(free)) * index.num_entities
+        keys = (np.repeat(base + start, sizes) + answers
+                - np.arange(len(answers)))
+        return cls(free[query], base[query], start[query], keys)
+
+    def rows(self, lo: int, hi: int) -> "Complement":
+        """Rows lo to hi, with the keys of every row."""
+        return Complement(self.free[lo:hi], self.base[lo:hi],
+                          self.start[lo:hi], self.keys)
+
+
+def sample_negatives(complement: Complement, nu: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """(rows, nu) entities, each row's drawn uniformly from the
+    non-answers of its example's query, in one draw."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    query_ids = np.asarray(query_ids, dtype=np.int64)
-    start = index.offsets[query_ids]
-    free = index.num_entities - (index.offsets[query_ids + 1] - start)
-    if np.any(free <= 0):
-        q = int(query_ids[np.argmin(free)])
-        raise DegenerateInputError(
-            f"{DIRECTION_NAMES[index.direction[q]]} of entity "
-            f"{index.entity[q]}, relation {index.relation[q]} has no false "
-            f"candidates: all {index.num_entities} entities are true answers")
-    draws = rng.integers(0, free[:, None], size=(len(query_ids), nu))
-    below = np.searchsorted(index.complement_key,
-                            query_ids[:, None] * index.num_entities + draws,
+    draws = rng.integers(0, complement.free[:, None],
+                         size=(len(complement.free), nu))
+    below = np.searchsorted(complement.keys, complement.base[:, None] + draws,
                             side="right")
-    return draws + (below - start[:, None])
+    return draws + (below - complement.start[:, None])
 
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -137,13 +184,16 @@ def batch_loss(params: ModelParams, index: QueryIndex,
     if (negatives.ndim != 2 or len(negatives) != len(example_ids)
             or not negatives.size):
         raise ValueError("negatives must be a non-empty (B, nu) block")
-    queries = index.query_id[example_ids]
-    tail = index.direction[queries] == Direction.TAIL_QUERY
-    order = np.argsort(~tail, kind="stable")  # tail queries first
-    examples, queries = example_ids[order], queries[order]
-    fixed, relations = index.entity[queries], index.relation[queries]
-    candidates = np.concatenate([index.answer[examples][:, None],
-                                 negatives[order]], axis=1)
+    # example 2i + d asks query d of triple i: tail queries first, and a
+    # head query's triple read backwards as (fixed, relation, answer)
+    head = example_ids & 1
+    order = np.argsort(head, kind="stable")
+    examples = example_ids[order]
+    num_tail = len(examples) - int(np.count_nonzero(head))
+    rows = index.triples[examples >> 1]
+    rows[num_tail:] = rows[num_tail:, ::-1]
+    fixed, relations, answers = rows.T
+    candidates = np.concatenate([answers[:, None], negatives[order]], axis=1)
     a, b = weights.a[examples], weights.b[examples]
     num, width = candidates.shape
     # the rows a step touches: each fixed entity once, then the candidates
@@ -151,7 +201,7 @@ def batch_loss(params: ModelParams, index: QueryIndex,
         np.concatenate([fixed, candidates.ravel()]), return_inverse=True)
     relation_rows, relation_at = np.unique(relations, return_inverse=True)
     entity, relation, dim = params.entity_emb, params.relation_emb, params.dim
-    gamma, scale, num_tail = params.gamma, 1.0 / num, int(tail.sum())
+    gamma, scale = params.gamma, 1.0 / num
     losses, relation_terms = np.empty(num), np.empty((num, relation.shape[1]))
     step = max(1, models.RANK_BUDGET_BYTES // (8 * width * dim))
     whole = num <= step  # fits the budget: one bincount, not one per chunk
@@ -314,6 +364,7 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
     index = dataset.train_index
     num_examples = dataset.num_examples
     batches_per_epoch = max(1, math.ceil(num_examples / config.batch_size))
+    window_batches = max(1, _WINDOW // config.batch_size)
 
     result = TrainResult(state=state)
     perm_epoch = -1
@@ -323,13 +374,19 @@ def continue_train(dataset: Dataset, weights: WeightTable, state: TrainState,
         if epoch != perm_epoch:
             perm_rng = np.random.default_rng([config.seed, _PERM_STREAM, epoch])
             perm = perm_rng.permutation(num_examples)
-            perm_epoch = epoch
+            perm_epoch, window_end = epoch, 0
         lo = batch_index * config.batch_size
+        if lo >= window_end:  # look up this and the next batches at once
+            window = min(batches_per_epoch - batch_index, config.steps - step,
+                         window_batches) * config.batch_size
+            window_start, window_end = lo, lo + window
+            complement = Complement.of(index, perm[lo:window_end])
         batch_ids = perm[lo:lo + config.batch_size]
 
         neg_rng = np.random.default_rng([config.seed, _NEG_STREAM, step])
-        negatives = sample_negatives(index.query_id[batch_ids], config.nu,
-                                     neg_rng, index)
+        at = lo - window_start
+        negatives = sample_negatives(
+            complement.rows(at, at + len(batch_ids)), config.nu, neg_rng)
         loss, grads = batch_loss(state.params, index, batch_ids, negatives,
                                  weights, config.adversarial_beta)
         if not math.isfinite(loss):

@@ -175,8 +175,18 @@ def toy_dataset(toy_triples) -> Dataset:
 
 
 def answers_of(index: QueryIndex, query_id: int) -> np.ndarray:
-    """Sorted distinct answers of one query of `index`."""
-    return index.answers[index.offsets[query_id]:index.offsets[query_id + 1]]
+    """Sorted distinct answers of one query of `index`, through its
+    lookup."""
+    query, offsets, answers = index.lookup(index.direction[[query_id]],
+                                           index.entity[[query_id]],
+                                           index.relation[[query_id]])
+    assert query.tolist() == [0] and offsets.tolist() == [0, len(answers)]
+    return answers
+
+
+def query_examples(index: QueryIndex) -> np.ndarray:
+    """The first example of each query of `index`, in query order."""
+    return np.unique(index.query_id, return_index=True)[1]
 
 
 def find(index: QueryIndex, directions, entities, relations) -> np.ndarray:
@@ -205,8 +215,7 @@ def filtered_rank(params: ModelParams, query: QueryKey, answer: int,
                else (other, relation, entity) for other in others]
     index = QueryIndex.build(triples, params.num_entities,
                              params.num_relations)
-    query_id = find(index, [direction], [entity], [relation])
-    return int(rank_answers(params, index, query_id, np.array([answer]))[0])
+    return int(rank_answers(params, index, [query], np.array([answer]))[0])
 
 
 def score_and_grad(params: ModelParams, h: np.ndarray, r: np.ndarray,
@@ -756,14 +765,21 @@ def oracle_complement_negatives(nu: int, rng: np.random.Generator,
                                 answer_sets: list[set[int]],
                                 num_entities: int) -> np.ndarray:
     """The same uniform ranks as `training.sample_negatives` draws, each
-    looked up in an explicit list of the query's non-answers."""
-    free = [[e for e in range(num_entities) if e not in answers]
-            for answers in answer_sets]
-    ranks = rng.integers(0, np.array([[len(f)] for f in free]),
-                         size=(len(free), nu))
-    return np.array([[f[u] for u in row]
-                     for f, row in zip(free, ranks.tolist())],
-                    dtype=np.int64).reshape(len(free), nu)
+    looked up among the query's non-answers: in an explicit list of them,
+    or, past 10**6 entities, by stepping over each answer at or below the
+    entity reached."""
+    def nth(answers, u):
+        if num_entities <= 10 ** 6:
+            return [e for e in range(num_entities) if e not in answers][u]
+        for answer in sorted(answers):
+            u += answer <= u
+        return u
+    ranks = rng.integers(0, np.array([[num_entities - len(answers)]
+                                      for answers in answer_sets]),
+                         size=(len(answer_sets), nu))
+    return np.array([[nth(answers, u) for u in row]
+                     for answers, row in zip(answer_sets, ranks.tolist())],
+                    dtype=np.int64).reshape(len(answer_sets), nu)
 
 
 def oracle_singleton_query_stats(train: list[Triple]) -> list:

@@ -18,21 +18,26 @@ from kgesub.data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
                          write_container)
 from kgesub.errors import CheckpointError, DataError, KgesubError
 from kgesub.submodel import read_ledger
+from kgesub.config import RunConfig
+from kgesub.evaluation import evaluate
+from kgesub.models import ModelKind, init_params
+from kgesub.training import Complement, train
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 counted_frequencies, load_scores,
                                 save_scores, save_weight_table,
-                                scores_copy_path)
+                                scores_copy_path, uniform_weights)
 
 from conftest import (QueryKey, Triple, answers_of, as_triples,
                       brute_force_query_counts, find, load_triples,
                       looped_zipf_kg, make_vocab, oracle_answer_sets,
                       oracle_counted_frequencies, oracle_query_counts,
                       oracle_query_index, oracle_singleton_query_stats,
-                      query_of, random_triples, save_dataset, singleton_rows,
-                      sorted_query_counts, zipf_kg)
+                      query_examples, query_of, random_triples,
+                      save_dataset, singleton_rows, sorted_query_counts,
+                      zipf_kg)
 
 INDEX_FIELDS = ("query_id", "answer", "direction", "entity", "relation",
-                "count", "offsets", "answers")
+                "count")
 
 
 def index_of(train, num_entities=None, num_relations=None):
@@ -224,31 +229,63 @@ class TestQueryIndex:
         assert toy_dataset.train_index is toy_dataset.train_index
 
     def test_complement_key_locates_non_answers(self):
-        """Key q * E + u finds the u-th non-answer of q, by the rule
-        `training.sample_negatives` uses, for every q and u."""
+        """Key i * E + u of the complement that the lookup gives row i
+        finds the u-th non-answer of its query, by the rule
+        `training.sample_negatives` uses, for every query and u."""
         dataset = looped_zipf_kg(5, num_entities=12, num_links=150,
                                  num_valid=10, num_test=10)
         index = dataset.train_index
-        key = index.complement_key
+        complement = Complement.of(index, query_examples(index))
+        key = complement.keys
         assert np.all(np.diff(key) >= 0)
-        with pytest.raises(ValueError):
-            key[0] = 0
         num = dataset.num_entities
         for q in range(index.num_queries):
             answers = set(answers_of(index, q).tolist())
             free = [e for e in range(num) if e not in answers]
+            assert complement.free[q] == len(free)
             found = [u + int(np.searchsorted(key, q * num + u, "right"))
-                     - int(index.offsets[q]) for u in range(len(free))]
+                     - int(complement.start[q]) for u in range(len(free))]
             assert found == free
+
+
+    def test_train_and_evaluate_derive_no_example_arrays(self):
+        """A `train` on uniform weights and an `evaluate` read examples
+        from the triples and look their queries up, so neither derives
+        an array of every example of its index; the arrays derived after
+        those lookups are still the earlier builder's."""
+        dataset = looped_zipf_kg(6)
+        params = init_params(ModelKind.TRANSE, dataset.num_entities,
+                             dataset.num_relations, 8, 2.0, seed=1)
+        result = train(dataset, uniform_weights(dataset.num_examples),
+                       params, RunConfig(steps=40, batch_size=64, nu=4))
+        evaluate(result.params, dataset, "test")
+        indexes = {"train": dataset.train_index,
+                   "filter": dataset.filter_index}
+        for name, index in indexes.items():
+            assert not {"_queries", "answer"} & vars(index).keys(), name
+        joined = np.concatenate([dataset.train, dataset.valid, dataset.test])
+        for index, triples in zip(indexes.values(),
+                                  (dataset.train, joined)):
+            same_index(index, as_triples(triples), dataset.num_entities,
+                       dataset.num_relations)
 
 
 def same_index(index: QueryIndex, triples, num_entities: int,
                num_relations: int) -> None:
     """The index's arrays equal the earlier builder's, value and dtype,
+    its lookup of every query equals that builder's CSR list of answers,
     and its queries, counts and answers equal the dict oracles."""
-    for name, want in zip(INDEX_FIELDS, oracle_query_index(
-            triples, num_entities, num_relations)):
+    *arrays, offsets, answers = oracle_query_index(
+        triples, num_entities, num_relations)
+    for name, want in zip(INDEX_FIELDS, arrays):
         got = getattr(index, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    query, *found = index.lookup(index.direction, index.entity,
+                                 index.relation)
+    np.testing.assert_array_equal(query, np.arange(len(offsets) - 1))
+    for name, got, want in zip(("offsets", "answers"), found,
+                               (offsets, answers)):
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
     counts = oracle_query_counts(triples)

@@ -16,7 +16,7 @@ from kgesub.submodel import score_training_triples
 from kgesub.subsampling import log_model_frequencies
 
 from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
-                      filtered_rank, find, looped_zipf_kg, make_vocab,
+                      filtered_rank, looped_zipf_kg, make_vocab,
                       oracle_answer_sets, oracle_filtered_rank, query_of,
                       random_kg, score_batch)
 
@@ -118,9 +118,9 @@ class TestFilteredRank:
         query's known answers do not hold it."""
         params = scripted_distmult(np.array([1.0, 2.0, 5.0, 4.0, 3.0, 2.0]))
         index = QueryIndex.build([(0, 0, 2), (0, 0, 3)], 6, 1)
-        query_id = find(index, [Direction.TAIL_QUERY], [0], [0])
         # competitors 0 (1.0), 4 (3.0) and 5 (2.0, tied)
-        assert rank_answers(params, index, query_id, np.array([1])) == [3]
+        assert rank_answers(params, index, [(Direction.TAIL_QUERY, 0, 0)],
+                            np.array([1])) == [3]
         assert oracle_filtered_rank(params.entity_emb[:, 0], 1, {2, 3}) == 3
 
     def test_monotone_transform_leaves_rank_unchanged(self):
@@ -304,6 +304,11 @@ class TestEvaluate:
                 assert filtered <= raw
 
 
+def all_queries(index) -> np.ndarray:
+    """The (direction, entity, relation) row of every query of `index`."""
+    return np.stack([index.direction, index.entity, index.relation], axis=1)
+
+
 def traced_peak(call) -> int:
     """Bytes allocated at the peak of call(), as tracemalloc counts them."""
     tracemalloc.start()
@@ -342,9 +347,9 @@ class TestOneChunkAlive:
 
         def peak(num_chunks):
             params, dataset, num_queries = self._case(kind, num_chunks)
-            query_ids = np.arange(num_queries)
+            queries = all_queries(dataset.train_index)[:num_queries]
             return traced_peak(lambda: rank_answers(
-                params, dataset.train_index, query_ids,
+                params, dataset.train_index, queries,
                 np.zeros(num_queries, dtype=np.int64)))
         assert peak(4) - peak(1) < self.CHUNK_BYTES / 2
 
@@ -368,9 +373,9 @@ class TestOneChunkAlive:
         params, dataset, _ = self._case(ModelKind.DISTMULT, 1)
         scores = score_training_triples(params, dataset, "sub")
         index = dataset.train_index
-        query_ids = np.arange(index.num_queries)
+        queries = all_queries(index)
         ranking = traced_peak(lambda: rank_answers(
-            params, index, query_ids, np.zeros(len(query_ids), np.int64)))
+            params, index, queries, np.zeros(len(queries), np.int64)))
         mass = traced_peak(lambda: log_model_frequencies(
             dataset, scores, params))
         assert mass - ranking < self.CHUNK_BYTES / 2

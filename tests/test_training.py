@@ -17,9 +17,10 @@ from kgesub.models import ModelKind, init_params
 from kgesub.subsampling import (Provenance, SubsamplingMethod,
                                 build_cbs_weights, discounted_weights,
                                 mix_weights, uniform_weights)
-from kgesub.training import (Gradients, OptimizerState, _apply_update,
-                             batch_loss, load_checkpoint, sample_negatives,
-                             save_checkpoint, train, continue_train)
+from kgesub.training import (Complement, Gradients, OptimizerState,
+                             _apply_update, batch_loss, load_checkpoint,
+                             sample_negatives, save_checkpoint, train,
+                             continue_train)
 
 from conftest import (Triple, TrainExample, answers_of, as_triples,
                       example_batch_loss, fd_function_row_gradients,
@@ -27,6 +28,7 @@ from conftest import (Triple, TrainExample, answers_of, as_triples,
                       oracle_answer_sets,
                       oracle_apply_update, oracle_batch_loss,
                       oracle_complement_negatives, oracle_sample_negatives,
+                      query_examples,
                       random_kg, row_dict, score)
 
 
@@ -53,23 +55,45 @@ class CountingRng:
         return self.rng.integers(*args, **kwargs)
 
 
+def draw(index, example_ids, nu, rng):
+    """`sample_negatives` for the examples `example_ids` of `index`."""
+    return sample_negatives(Complement.of(index, np.asarray(example_ids)),
+                            nu, rng)
+
+
+def same_draws(index, triples, num_entities, nu):
+    """Negatives of every query with a non-answer, one example each, equal
+    the oracle's ranks looked up among its non-answers."""
+    sets = oracle_answer_sets(triples)
+    keys = sorted(sets)
+    assert [len(sets[k]) for k in keys] == [
+        len(answers_of(index, q)) for q in range(index.num_queries)]
+    queries = [q for q, k in enumerate(keys) if len(sets[k]) < num_entities]
+    got = draw(index, query_examples(index)[queries], nu,
+               np.random.default_rng(nu))
+    want = oracle_complement_negatives(
+        nu, np.random.default_rng(nu), [sets[keys[q]] for q in queries],
+        num_entities)
+    np.testing.assert_array_equal(got, want)
+
+
 class TestSampleNegatives:
     def test_only_candidate_left(self):
         """A query with E - 1 answers gets the one free entity nu times,
         from one draw."""
         index = answer_index([0, 1, 2, 4, 5], 6)
         rng = CountingRng(0)
-        out = sample_negatives(np.array([0, 0, 0]), 10, rng, index)
+        out = draw(index, [0, 0, 0], 10, rng)
         assert out.shape == (3, 10)
         assert np.all(out == 3)
         assert rng.calls == 1
 
     def test_deterministic_given_stream(self):
         index = answer_index([3], 100)
-        a = sample_negatives(np.zeros(5, dtype=np.int64), 50,
-                             np.random.default_rng(42), index)
-        b = sample_negatives(np.zeros(5, dtype=np.int64), 50,
-                             np.random.default_rng(42), index)
+        a = draw(index, np.zeros(5, dtype=np.int64), 50,
+                 np.random.default_rng(42))
+        b = draw(index, np.zeros(5, dtype=np.int64), 50,
+                 np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_true_answers(self):
@@ -78,11 +102,11 @@ class TestSampleNegatives:
         dataset = looped_zipf_kg(5, num_entities=15, num_links=200,
                                  num_valid=10, num_test=10)
         index = dataset.train_index
-        queries = np.arange(index.num_queries)
-        out = sample_negatives(queries, 64, np.random.default_rng(1), index)
+        out = draw(index, query_examples(index), 64,
+                   np.random.default_rng(1))
         assert out.shape == (index.num_queries, 64)
         assert out.min() >= 0 and out.max() < dataset.num_entities
-        for q, row in zip(queries, out):
+        for q, row in enumerate(out):
             assert not set(row.tolist()) & set(answers_of(index, q).tolist())
 
     def test_uniform_within_binomial_bounds(self):
@@ -90,8 +114,8 @@ class TestSampleNegatives:
         over 1e5 draws."""
         answers = [0, 7, 8, 9, 50, 99]
         index = answer_index(answers, 100)
-        draws = sample_negatives(np.zeros(100, dtype=np.int64), 1000,
-                                 np.random.default_rng(2), index)
+        draws = draw(index, np.zeros(100, dtype=np.int64), 1000,
+                     np.random.default_rng(2))
         counts = np.bincount(draws.ravel(), minlength=100)
         assert np.all(counts[answers] == 0)
         free = np.delete(counts, answers)
@@ -103,13 +127,11 @@ class TestSampleNegatives:
     def test_degenerate_query_rejected(self):
         index = answer_index([0, 1, 2], 3)
         with pytest.raises(DegenerateInputError):
-            sample_negatives(np.array([0]), 1, np.random.default_rng(3),
-                             index)
+            draw(index, [0], 1, np.random.default_rng(3))
 
     def test_nu_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_negatives(np.array([0]), 0, np.random.default_rng(3),
-                             answer_index([0], 3))
+            draw(answer_index([0], 3), [0], 0, np.random.default_rng(3))
 
     @pytest.mark.parametrize("nu", [1, 4, 16])
     def test_same_draws_as_set_loop(self, nu):
@@ -117,17 +139,30 @@ class TestSampleNegatives:
         equal the same ranks looked up in a list of its non-answers."""
         dataset = looped_zipf_kg(2, num_entities=12, num_links=120,
                                  num_valid=10, num_test=10)
-        index = dataset.train_index
-        sets = oracle_answer_sets(dataset.train)
-        keys = sorted(sets)
-        assert [len(sets[k]) for k in keys] == np.diff(index.offsets).tolist()
-        queries = np.array([q for q, k in enumerate(keys)
-                            if len(sets[k]) < dataset.num_entities])
-        got = sample_negatives(queries, nu, np.random.default_rng(nu), index)
-        want = oracle_complement_negatives(
-            nu, np.random.default_rng(nu), [sets[keys[q]] for q in queries],
-            dataset.num_entities)
-        np.testing.assert_array_equal(got, want)
+        same_draws(dataset.train_index, as_triples(dataset.train),
+                   dataset.num_entities, nu)
+
+    @pytest.mark.parametrize("nu", [1, 4, 16])
+    def test_same_draws_when_lexsorted(self, nu):
+        """The same on an index that takes the lexsort (2**40 entities),
+        whose queries repeat their triples, so that a query's draw
+        ranges over E less its distinct answers."""
+        num_entities = 2 ** 40
+        rng = np.random.default_rng(2)
+        pool = np.array([0, 1, 2, 3, num_entities - 1])
+        ids = np.stack([rng.choice(pool, 300), rng.integers(0, 2, 300),
+                        rng.choice(pool, 300)], axis=1)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+            index = QueryIndex.build(ids, num_entities, 2)
+        assert spy.called
+        triples = as_triples(ids)
+        repeated = Triple(*ids[0].tolist())
+        assert triples.count(repeated) > 1
+        complement = Complement.of(index, [0])
+        assert complement.free.tolist() == [num_entities - len(
+            {t.tail for t in triples if t[:2] == repeated[:2]})]
+        same_draws(index, triples, num_entities, nu)
+
 
     def test_same_distribution_as_rejection_loop(self):
         """The complement draw and the old rejection loop draw from the
@@ -135,8 +170,8 @@ class TestSampleNegatives:
         answers = set(range(0, 40, 3))
         index = answer_index(sorted(answers), 40)
         n = 60_000
-        new = sample_negatives(np.zeros(60, dtype=np.int64), n // 60,
-                               np.random.default_rng(4), index).ravel()
+        new = draw(index, np.zeros(60, dtype=np.int64), n // 60,
+                   np.random.default_rng(4)).ravel()
         old = oracle_sample_negatives(n, np.random.default_rng(5), answers,
                                       40)
         new_counts = np.bincount(new, minlength=40)
@@ -285,7 +320,7 @@ def looped_step(seed, kind, aux, batch_size=48, nu=5):
     ids = np.concatenate([loops, rng.permutation(dataset.num_examples)
                           [:batch_size - len(loops)]]).astype(np.int64)
     index = dataset.train_index
-    negatives = sample_negatives(index.query_id[ids], nu, rng, index)
+    negatives = draw(index, ids, nu, rng)
     weights = uniform_weights(dataset.num_examples)
     weights.a[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
     weights.b[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
@@ -448,7 +483,7 @@ class TestStepMemory:
         index = dataset.train_index
         params = init_params(kind, 1000, 4, 256, 2.0, seed=41)
         ids = rng.permutation(dataset.num_examples)[:64]
-        negatives = sample_negatives(index.query_id[ids], 127, rng, index)
+        negatives = draw(index, ids, 127, rng)
         block = 8 * ids.size * (1 + 127) * params.dim
         assert block == 64 * budget
         opt = OptimizerState.fresh("adam", params)
