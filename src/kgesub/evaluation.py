@@ -28,9 +28,21 @@ one chunk is alive at a time.  Distances are taken over blocks of
 entities under the same budget, split across one worker thread per CPU
 whose scratch shares that budget: `models._blocked` owns each block's
 few (queries, block) buffers and its sign, and the block adds one term
-per feature in the order of numpy's pairwise add.reduce.  Memory stays
-bounded whatever the split's size, and the scores, so the ranks, are
-bitwise the same whatever the CPU count.
+per feature in the order of numpy's pairwise add.reduce.
+
+TransE, RotatE and HAKE chunks are scored in float32, which only
+screens; float64 decides every rank.  The chunk's `models.Screen` holds
+eps(q), an a-priori bound of the float32 error of each query's finite
+scores, and the float64 score of any (query, entity) pair, bitwise that
+of the float64 block.  The reducer takes the answer's float64 score,
+counts in float32 the entities above answer + eps as better, leaves
+those below answer - eps out, and scores again in float64 the band
+between, a few entities a query, and every entity whose float32 score
+is not finite (an overflow).  Both thresholds are rounded outward with
+`np.nextafter` and compared float32 to float32, so numpy 1.24 and 2.x
+agree.  DistMult and ComplEx chunks are float64 matmuls and counted
+directly.  Memory stays bounded whatever the split's size, and the
+ranks are bitwise those of float64 scores whatever the CPU count.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.  The module writes no file: `cli` writes its reports.
@@ -70,10 +82,18 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
     directions, entities, relations = np.asarray(queries, np.int64).T
     query, offsets, known = index.lookup(directions, entities, relations)
 
-    def rank_rows(rows, scores):
+    def rank_rows(rows, scores, screen):
         own_answers = answers[rows]
         picks = np.arange(len(rows))
-        own = scores[picks, own_answers]
+        if screen is None:
+            own = scores[picks, own_answers]
+        else:
+            own = screen.exact(picks, own_answers)
+            low, high = _float32_band(own, screen.bound)
+            # a float32 score that is not finite (NaN or -inf, which the
+            # row's minimum shows) is moved into the band
+            for row in np.flatnonzero(~np.isfinite(scores.min(axis=1))):
+                scores[row, ~np.isfinite(scores[row])] = high[row]
         # each row's known answers: position in its slice plus the start
         starts = offsets[query[rows]]
         sizes = offsets[query[rows] + 1] - starts
@@ -81,11 +101,47 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
         scores[owner, known[np.arange(len(owner)) + np.repeat(
             starts - (np.cumsum(sizes) - sizes), sizes)]] = np.nan
         scores[picks, own_answers] = np.nan
-        better = (scores > own[:, None]).sum(axis=1)
-        ties = (scores == own[:, None]).sum(axis=1)
+        if screen is None:
+            better = _row_counts(scores > own[:, None])
+            ties = _row_counts(scores == own[:, None])
+        else:
+            above = scores > high[:, None]
+            better = _row_counts(above)
+            band = np.greater_equal(scores, low[:, None])
+            band ^= above
+            near, cands = np.divmod(np.flatnonzero(band), scores.shape[1])
+            exact = screen.exact(near, cands)
+            better += np.bincount(near[exact > own[near]],
+                                  minlength=len(rows))
+            ties = np.bincount(near[exact == own[near]], minlength=len(rows))
         return 1 + better + (ties + 1) // 2
     return reduce_candidate_scores(params, directions, entities, relations,
-                                   rank_rows, np.int64)
+                                   rank_rows, np.int64, screen=True)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The number of true entries of each row of a 2-D mask (a row at a
+    time, several times faster than summing along the rows)."""
+    return np.array([np.count_nonzero(row) for row in mask], np.int64)
+
+
+def _float32_band(own: np.ndarray, bound: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """float32 (low, high) with low < own - bound and high > own + bound
+    exactly, each rounded outward past its float64 value with
+    `np.nextafter`; (-inf, inf) where either is not finite.  A float32
+    score above `high` is then above `own` in float64 too, one below
+    `low` below it, so float64 decides only the band between them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, high = own - bound, own + bound
+        wide = ~(np.isfinite(low) & np.isfinite(high))
+        low[wide], high[wide] = -np.inf, np.inf
+        low32, high32 = low.astype(np.float32), high.astype(np.float32)
+        low32 = np.where(low32 < low, low32,
+                         np.nextafter(low32, np.float32(-np.inf)))
+        high32 = np.where(high32 > high, high32,
+                          np.nextafter(high32, np.float32(np.inf)))
+    return low32, high32
 
 
 def evaluate(params: ModelParams, dataset: Dataset,

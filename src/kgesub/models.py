@@ -1,7 +1,8 @@
 """Embedding models: parameter storage, scoring, and analytic gradients.
 
 Five score functions are provided.  Higher scores mean "more plausible".
-All arithmetic is float64.
+All arithmetic is float64, except the float32 screening of TransE,
+RotatE and HAKE ranking chunks, which decides no rank by itself.
 
 Embedding layouts (dim = per-entity real degrees of freedom):
 
@@ -38,23 +39,32 @@ before the next is scored.  A chunk takes one matmul for DistMult and
 ComplEx, and for TransE, RotatE and HAKE direct distances over blocks of
 entities.  A distance is a sum over features, taken feature by feature:
 each feature gives one (queries, block) term, read from a feature-major
-entity table (the transposed entity table for TransE and RotatE, the
-sine and cosine of the half phases for HAKE) or, for HAKE's modulus,
-from the block's |modulus| transposed into scratch.  The terms are added
-in the order numpy's add.reduce adds a contiguous row (eight partial
-sums of the terms j = k (mod 8) up to 128 terms, halves above), so the
-scores are bitwise those of summing a (queries, block, dim) difference
-over its last axis, which tests/conftest.py keeps as the oracle.
-`_blocked` owns each block's scratch and its sign: it carves the block's
-(queries, block) buffers (the term, the partial sums, and for RotatE a
-spare) and HAKE's region (the block's |modulus| transposed, then the
-phase sum and its spare) from one flat array per worker, lets the kind's
-terms write the distances, and negates them.  The blocks of a chunk are
-shared by one worker thread per CPU that the process may use, worker w
-taking blocks w, w + W, ...  `RANK_BUDGET_BYTES` bounds the temporaries
-of one chunk and the scratch of all workers together.  Every score comes
-from the same operations in the same order whatever the number of
-workers, so rankings do not depend on the CPU count.
+entity table (the transposed entity table for TransE and RotatE; the
+|modulus| and the sine and cosine of the half phases for HAKE).  The
+terms are added in the order numpy's add.reduce adds a contiguous row
+(eight partial sums of the terms j = k (mod 8) up to 128 terms, halves
+above), so the float64 scores are bitwise those of summing a (queries,
+block, dim) difference over its last axis, which tests/conftest.py
+keeps as the oracle.  `_blocked` owns each block's scratch and its sign:
+it carves the block's (queries, block) buffers (the term, the partial
+sums, and for RotatE and HAKE the spares) from one flat array per
+worker, lets the kind's terms write the distances, and negates them.
+The blocks of a chunk are shared by one worker thread per CPU that the
+process may use, worker w taking blocks w, w + W, ...
+`RANK_BUDGET_BYTES` bounds the temporaries of one chunk and the scratch
+of all workers together.  Every score comes from the same operations in
+the same order whatever the number of workers, so rankings do not
+depend on the CPU count.
+
+Ranking screens TransE, RotatE and HAKE in float32: the same blocks run
+on float32 tables, half the bytes, and each chunk comes with a `Screen`,
+an a-priori bound eps(q) of each query's float32 error and the float64
+score of any (query, entity) pair, bitwise the float64 block's, since it
+runs the block's operations in the block's order.  Float32 only
+screens: the consumer decides in float64 every comparison that float32
+cannot (see `evaluation`).  DistMult and ComplEx keep their float64
+matmul, whose bits BLAS blocking sets, so no pair could reproduce them;
+the all-candidates mass keeps its float64 scores.
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -68,7 +78,9 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,7 +92,10 @@ INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 # Bytes of one temporary: the scores of the one ranking chunk alive or
 # the scratch `_blocked` carves into its blocks, a training step's
 # (examples, 1 + nu, dim) candidate rows or update rows, or the
-# (triples, dim) rows of a chunk of scored triples.
+# (triples, dim) rows of a chunk of scored triples.  It counts bytes,
+# not values: a chunk of float32 scores, which only screen the ranks
+# that float64 decides, holds twice the queries of a float64 one, and a
+# float32 block twice the entities.
 RANK_BUDGET_BYTES = 4 << 20
 
 
@@ -338,11 +353,23 @@ def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
     return out
 
 
+class Screen(NamedTuple):
+    """How the float32 scores of a chunk stand to its float64 ones.
+
+    `bound[i]` (float64) bounds |float32 score - float64 score| of query
+    i over every entity whose float32 score is finite, and
+    `exact(picks, cands)` gives the float64 scores of the pairs (query
+    picks[k], entity cands[k]), bitwise those of the float64 block."""
+    bound: np.ndarray
+    exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
                             entities: np.ndarray, relations: np.ndarray,
-                            reduce, dtype=np.float64) -> np.ndarray:
-    """reduce(rows, scores) of each chunk of queries: one `dtype` value a
-    query, in input order.
+                            reduce, dtype=np.float64,
+                            screen: bool = False) -> np.ndarray:
+    """reduce(rows, scores, check) of each chunk of queries: one `dtype`
+    value a query, in input order.
 
     Query i is (directions[i], entities[i], relations[i]) with the
     `Direction` convention.  The queries are sorted by direction (stable)
@@ -350,25 +377,32 @@ def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
     chunk's input positions and `scores` its fresh (len(rows), E) scores
     of every entity as the answer, which `reduce` may overwrite and must
     not keep, so that the chunk is freed before the next is scored.
-    Scores equal `score_triples` of the same triples up to rounding in
-    the last bits, and do not depend on the number of workers.
+    Scores are float64 and `check` None, unless `screen` is set and the
+    kind is TransE, RotatE or HAKE: then the scores are float32 and
+    `check` the chunk's `Screen`, so that float64 decides what float32
+    cannot.  Scores equal `score_triples` of the same triples up to
+    rounding in the last bits, and do not depend on the number of
+    workers.
     """
     order = np.argsort(np.asarray(directions), kind="stable")
     directions, entities, relations = (
         np.asarray(column, dtype=np.int64)[order]
         for column in (directions, entities, relations))
-    score_chunk = _chunk_scorer(params)
-    # a chunk's scores fit the budget and are no larger than the entity
-    # table, which every matmul chunk reads once anyway
-    step = max(1, min(params.dim,
-                      RANK_BUDGET_BYTES // (8 * params.num_entities)))
+    scores_dtype = np.dtype(np.float32 if screen and params.kind in _SCREENED
+                            else np.float64)
+    score_chunk = _chunk_scorer(params, scores_dtype)
+    # a chunk's scores fit the budget and hold no more queries than the
+    # dim, so they are never larger than the float64 entity table, which
+    # every matmul chunk reads once anyway
+    step = max(1, min(params.dim, RANK_BUDGET_BYTES // (
+        scores_dtype.itemsize * params.num_entities)))
     out = np.empty(len(order), dtype)
     start = 0
     while start < len(order):
         stop = min(start + step, int(np.searchsorted(
             directions, directions[start], side="right")))
         rows = order[start:stop]
-        out[rows] = reduce(rows, score_chunk(
+        out[rows] = reduce(rows, *score_chunk(
             directions[start] == Direction.TAIL_QUERY,
             params.entity_emb[entities[start:stop]],
             params.relation_emb[relations[start:stop]]))
@@ -407,37 +441,37 @@ def _run_workers(count: int, task) -> None:
 
 
 def _blocked(num_queries: int, num_entities: int, buffers: int, block,
-             extra: int = 0) -> np.ndarray:
-    """(Q, E) scores, the negated distances that `block(cols, out, free,
-    region)` writes for blocks of entities: those of the entities `cols`
-    (a slice) into `out`, the (Q, cols) view of the result, with `free`
-    a list of `buffers` (Q, cols) scratch buffers and `region` an
-    (extra, cols) one, contiguous and disjoint.
+             dtype=np.float64) -> np.ndarray:
+    """(Q, E) `dtype` scores, the negated distances that `block(cols, out,
+    free)` writes for blocks of entities: those of the entities `cols` (a
+    slice) into `out`, the (Q, cols) view of the result, with `free` a
+    list of `buffers` (Q, cols) scratch buffers, contiguous, disjoint and
+    of the same dtype.
 
     Worker w takes blocks w, w + W, ... of the W workers, each block's
     buffers carved from the worker's one flat array.  The calling thread
     allocates those arrays once per chunk, and together they fit the
-    budget: fewer workers take blocks when it holds less than one entity
-    each.  A block's scores come from the same operations in the same
-    order whichever worker takes it and however large it is, so they do
-    not depend on the worker count."""
-    floats_per_entity = buffers * num_queries + extra
-    count = max(1, min(_WORKERS,
-                       RANK_BUDGET_BYTES // (8 * floats_per_entity)))
-    size = max(1, RANK_BUDGET_BYTES // (8 * count * floats_per_entity))
+    budget, which counts bytes, so a float32 block holds twice the
+    entities of a float64 one: fewer workers take blocks when it holds
+    less than one entity each.  A block's scores come from the same
+    operations in the same order whichever worker takes it and however
+    large it is, so they do not depend on the worker count.  Float32
+    scores only screen: float64 decides every rank (see `_Distance`)."""
+    floats_per_entity = buffers * num_queries
+    bytes_per_entity = np.dtype(dtype).itemsize * floats_per_entity
+    count = max(1, min(_WORKERS, RANK_BUDGET_BYTES // bytes_per_entity))
+    size = max(1, RANK_BUDGET_BYTES // (count * bytes_per_entity))
     starts = range(0, num_entities, size)
-    out = np.empty((num_queries, num_entities))
-    scratch = [np.empty(min(size, num_entities) * floats_per_entity)
+    out = np.empty((num_queries, num_entities), dtype)
+    scratch = [np.empty(min(size, num_entities) * floats_per_entity, dtype)
                for _ in range(min(count, len(starts)))]
 
     def task(w):
         for lo in starts[w::count]:
             cols = slice(lo, min(lo + size, num_entities))
             width, view = cols.stop - lo, out[:, cols]
-            free, region = np.split(scratch[w][:floats_per_entity * width],
-                                    [buffers * num_queries * width])
-            block(cols, view, list(free.reshape(buffers, num_queries, width)),
-                  region.reshape(extra, width))
+            block(cols, view, list(scratch[w][:floats_per_entity * width]
+                                   .reshape(buffers, num_queries, width)))
             np.negative(view, out=view)
     _run_workers(count, task)
     return out
@@ -449,7 +483,8 @@ _PAIRWISE_BLOCK = 128
 
 
 def _sum_buffers(n: int) -> int:
-    """(Q, W) buffers that `_add_terms` of n terms needs besides `out`."""
+    """Buffers of out's shape that `_add_terms` of n terms needs besides
+    `out`."""
     if n < 8:
         return 1
     if n <= _PAIRWISE_BLOCK:
@@ -460,10 +495,10 @@ def _sum_buffers(n: int) -> int:
 
 def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
                lo: int = 0) -> None:
-    """Write into `out` the sum of the n (Q, W) terms lo, lo + 1, ...,
-    where term(j, buf) writes term j into buf and returns it, added in
-    the order of numpy's add.reduce over a contiguous row of n terms:
-    below 8 terms one after another; up to 128 as
+    """Write into `out` the sum of the n terms lo, lo + 1, ..., of out's
+    shape, where term(j, buf) writes term j into buf and returns it,
+    added in the order of numpy's add.reduce over a contiguous row of n
+    terms: below 8 terms one after another; up to 128 as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), r_k the running
     sum of the terms j = k (mod 8) below n - n % 8, then the rest one
     after another; above 128 the sum of the halves, the first of a
@@ -505,125 +540,312 @@ def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
         out += term(j, free[0])
 
 
-def _feature_major(columns: np.ndarray) -> np.ndarray:
-    """columns.T as a contiguous (features, E) table, copied from the
-    (E, features) view `columns` a cache-sized block of entities at a
-    time, which is several times faster than one transposing copy."""
-    table = np.empty(columns.shape[::-1])
-    for lo in range(0, len(columns), 1024):
-        table[:, lo:lo + 1024] = columns[lo:lo + 1024].T
+def _feature_major(columns: np.ndarray, dtype=np.float64,
+                   fn=None) -> np.ndarray:
+    """fn(columns).T as a contiguous (features, E) `dtype` table, fn
+    elementwise (the identity when None), made from the (E, features)
+    view `columns` a cache-sized block of 1,024 entities at a time, which
+    is several times faster than one transposing copy; the workers share
+    the blocks.  A float64 value beyond float32's range becomes an
+    infinity of a float32 table."""
+    table = np.empty(columns.shape[::-1], dtype)
+    starts = range(0, len(columns), 1024)
+    count = max(1, min(_WORKERS, len(starts)))
+
+    def task(w):
+        with np.errstate(over="ignore"):
+            for lo in starts[w::count]:
+                rows = columns[lo:lo + 1024]
+                table[:, lo:lo + 1024] = (rows if fn is None else fn(rows)).T
+    _run_workers(count, task)
     return table
 
 
-def _chunk_scorer(params: ModelParams):
-    """score(tail, fixed, rel) -> (Q, E) for one chunk of queries.
+def _half_cos(phases: np.ndarray) -> np.ndarray:
+    """cos(phases / 2) of a float64 array, taken on a contiguous copy, so
+    that every caller gets the same bits for the same phase."""
+    return np.cos(phases / 2.0)
+
+
+def _half_sin(phases: np.ndarray) -> np.ndarray:
+    """sin(phases / 2), as `_half_cos`."""
+    return np.sin(phases / 2.0)
+
+
+def _max_norm(rows: np.ndarray, order) -> float:
+    """The largest finite norm of order `order` of the rows of `rows`,
+    taken a budget of rows at a time.  A row without a finite norm holds
+    a value beyond float32's range, so its float32 distances are not
+    finite and are decided in float64 anyway."""
+    step = max(1, RANK_BUDGET_BYTES // (8 * rows.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.concatenate([
+            np.linalg.norm(rows[lo:lo + step], order, axis=1)
+            for lo in range(0, len(rows), step)])
+    return float(np.max(norms, where=np.isfinite(norms), initial=0.0))
+
+
+# float32's unit roundoff u, and the absolute slack of one term that
+# covers float32's subnormals
+_U32 = 2.0 ** -24
+_TINY = 2.0 ** -64
+
+
+class _Distance:
+    """The ranking blocks of a TransE, RotatE or HAKE chunk, in float64 or
+    float32, and the float64 scores of single pairs.
+
+    `query(tail, fixed, rel)` is a chunk's query side, a tuple of float64
+    (Q, features) arrays.  `distance(tail, q, e, out, free)` writes into
+    `out` the distances of query side q to entity side e, one term per
+    feature added by `_add_terms`: q[k][:, j] and e[k][j] are feature j
+    of the k-th array of either side, and broadcast to out's shape.  A
+    block passes its queries as (Q, features, 1) arrays and its entities
+    as the (features, W) columns of the kind's feature-major `tables`,
+    all in the block's dtype, so `out` is (Q, W).  `exact` passes the
+    float64 query and entity rows of its pairs as (P, features) and
+    (features, P) arrays, so `out` is (P,): every pair takes the
+    operations of the float64 block in its order, and gets its bits.
+
+    `bound(tail, query)` is eps(q), which bounds |float32 - float64| of
+    query q's finite float32 distances.  With u = 2^-24 and n the number
+    of terms (dim for TransE, dim / 2 for RotatE and HAKE), a first-order
+    analysis of float32's rounding of the inputs, of each term and of
+    their sum bounds the float32 error by (c - 1) u S(q), with a
+    constant c and a scale S(q) of the query and the largest entity row
+    per kind; eps(q) = 2 c u S(q) + (n + 1) 2^-64.  The factor 2, safety
+    against the second-order terms and the float64 block's own error
+    (2^-29 times float32's), and the last term covers float32's
+    subnormals.  A float32 distance that overflows is not finite, and
+    the consumer decides it in float64.
+    """
+
+    def __init__(self, params: ModelParams, dtype):
+        self.params, self.dtype = params, np.dtype(dtype)
+        self.ent = params.entity_emb
+        # float32 may overflow where float64 does not: float64 decides
+        self.quiet = ({"over": "ignore", "invalid": "ignore"}
+                      if self.dtype == np.float32 else {})
+
+    def __call__(self, tail, fixed, rel):
+        """(scores, check) of one chunk: `check` is None for float64
+        scores, and the chunk's `Screen` for float32 ones."""
+        query = self.query(tail, fixed, rel)
+        with np.errstate(**self.quiet):
+            side = tuple(x.astype(self.dtype, copy=False)[..., None]
+                         for x in query)
+
+        def block(cols, out, free):
+            with np.errstate(**self.quiet):
+                self.distance(tail, side,
+                              tuple(table[:, cols] for table in self.tables),
+                              out, free)
+        scores = _blocked(len(fixed), len(self.ent), self.buffers, block,
+                          self.dtype)
+        if self.dtype == np.float64:
+            return scores, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self.bound(tail, query)
+        return scores, Screen(bound, partial(self.exact, tail, query))
+
+    def exact(self, tail, query, picks, cands):
+        """float64 scores of the pairs (query picks[k], entity cands[k])
+        of a chunk whose query side is `query`, taken a budget of pairs
+        at a time (a pair gathers fewer than 6 dim floats besides its
+        buffers), since a query whose bound is not finite rechecks every
+        entity."""
+        scores = np.empty(len(picks))
+        step = max(1, RANK_BUDGET_BYTES // (
+            8 * (6 * self.params.dim + 1 + self.buffers)))
+        for lo in range(0, len(picks), step):
+            pairs = slice(lo, lo + step)
+            out, *free = np.empty((1 + self.buffers, len(picks[pairs])))
+            self.distance(tail, tuple(x[picks[pairs]] for x in query),
+                          self.pair_side(cands[pairs]), out, free)
+            np.negative(out, out=scores[pairs])
+        return scores
+
+    def pair_side(self, cands):
+        return (self.ent[cands].T,)
+
+
+class _TransE(_Distance):
+    """|q - e| with q = h + r (tails) or t - r (heads), L1 or L2.  L1:
+    c = n + 2, S(q) = |q|_1 + max_e |e|_1; L2: c = n + 4, with L2 norms."""
+
+    def __init__(self, params: ModelParams, dtype):
+        super().__init__(params, dtype)
+        self.l1 = params.aux.get("norm_p", 1.0) == 1.0
+        self.order = 1 if self.l1 else 2
+        self.buffers = _sum_buffers(params.dim)
+        self.tables = (_feature_major(self.ent, dtype),)
+
+    def query(self, tail, fixed, rel):
+        return (fixed + rel if tail else fixed - rel,)
+
+    def distance(self, tail, q, e, out, free):
+        (q,), (e,) = q, e
+        norm = np.abs if self.l1 else np.square
+
+        def term(j, buf):
+            np.subtract(q[:, j], e[j], out=buf)
+            return norm(buf, out=buf)
+        _add_terms(term, self.params.dim, out, free)
+        if not self.l1:
+            np.sqrt(out, out=out)
+
+    @cached_property
+    def scale(self) -> float:
+        return _max_norm(self.ent, self.order)
+
+    def bound(self, tail, query):
+        n = self.params.dim
+        scale = np.linalg.norm(query[0], self.order, axis=1) + self.scale
+        constant = n + 2 if self.l1 else n + 4
+        return 2 * constant * _U32 * scale + (n + 1) * _TINY
+
+
+class _RotatE(_Distance):
+    """The sum over complex features of |q_j - e_j|, q = h * r (tails) or
+    t * conj(r) (heads): c = n + 4, S(q) = |q|_1 + max_e |e|_1, the L1
+    norms over real and imaginary parts."""
+
+    def __init__(self, params: ModelParams, dtype):
+        super().__init__(params, dtype)
+        self.half = params.dim // 2
+        # a term's spare is the last buffer
+        self.buffers = _sum_buffers(self.half) + 1
+        self.tables = (_feature_major(self.ent, dtype),)  # re 2j, im 2j + 1
+
+    def query(self, tail, fixed, rel):
+        return _rotation(tail, fixed, rel)[:2]
+
+    def distance(self, tail, q, e, out, free):
+        (q_re, q_im), (e,), (*free, spare) = q, e, free
+
+        def term(j, buf):  # |q_j - e_j| of the complex feature j
+            np.subtract(q_re[:, j], e[2 * j], out=buf)
+            buf *= buf
+            np.subtract(q_im[:, j], e[2 * j + 1], out=spare)
+            buf += np.multiply(spare, spare, out=spare)
+            return np.sqrt(buf, out=buf)
+        _add_terms(term, self.half, out, free)
+
+    @cached_property
+    def scale(self) -> float:
+        return _max_norm(self.ent, 1)
+
+    def bound(self, tail, query):
+        n = self.half
+        scale = sum(np.abs(part).sum(axis=1) for part in query) + self.scale
+        return 2 * (n + 4) * _U32 * scale + (n + 1) * _TINY
+
+
+class _HAKE(_Distance):
+    """|v|_2 + w sum_j |sin(a_j - e_j / 2)| over the modulus difference v
+    (|h| |r| - |t|) and the half phases a (h + r or t - r, halved), with
+    w the phase weight.  The modulus takes c = n + 7 and S(q) =
+    |q_mod|_2 + max_e |e_mod|_2 for tails, |r_mod|_inf max_e |e_mod|_2 +
+    |f_mod|_2 for heads (the moduli of the query's product |h| |r|, its
+    relation, its given entity and the candidate).  The phase's n terms
+    are differences of products of sines and cosines, at most 1 each,
+    whose first-order float32 error is |w| n (n + 8) u: eps(q) adds
+    2 u |w| n (n + 10), and the subnormals' slack is (1 + |w|) times
+    the others'.  The float32 tables of the half phases' sines and
+    cosines are float64 ones rounded to float32."""
+
+    def __init__(self, params: ModelParams, dtype):
+        super().__init__(params, dtype)
+        self.half = half = params.dim // 2
+        self.weight = params.aux["phase_weight"]
+        # the phase sum and a phase term's spare are the last two buffers
+        self.buffers = _sum_buffers(half) + 2
+        self.tables = (_feature_major(self.ent[:, :half], dtype, np.abs),
+                       _feature_major(self.ent[:, half:], dtype, _half_cos),
+                       _feature_major(self.ent[:, half:], dtype, _half_sin))
+
+    def query(self, tail, fixed, rel):
+        half = self.half
+        f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
+        f_phase, r_phase = fixed[:, half:], rel[:, half:]
+        # |sin((h + r - t) / 2)| = |sin(a - e / 2)| with a from the fixed
+        # side; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine per (query,
+        # entity) pair
+        a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
+        return f_mod * r_mod, r_mod, f_mod, np.sin(a), np.cos(a)
+
+    def pair_side(self, cands):
+        rows = self.ent[cands]
+        phases = rows[:, self.half:]
+        return (np.abs(rows[:, :self.half]).T, _half_cos(phases).T,
+                _half_sin(phases).T)
+
+    def distance(self, tail, q, e, out, free):
+        q_mod, r_mod, f_mod, sin_a, cos_a = q
+        e_mod, cos_e, sin_e = e
+        *free, phase, spare = free
+
+        def modulus_term(j, buf):
+            if tail:
+                np.subtract(q_mod[:, j], e_mod[j], out=buf)
+            else:
+                np.multiply(e_mod[j], r_mod[:, j], out=buf)
+                buf -= f_mod[:, j]
+            return np.square(buf, out=buf)
+        _add_terms(modulus_term, self.half, out, free)
+        np.sqrt(out, out=out)  # the modulus distance
+
+        def phase_term(j, buf):
+            np.multiply(sin_a[:, j], cos_e[j], out=buf)
+            buf -= np.multiply(cos_a[:, j], sin_e[j], out=spare)
+            return np.abs(buf, out=buf)
+        _add_terms(phase_term, self.half, phase, free)
+        phase *= self.weight
+        out += phase
+
+    @cached_property
+    def scale(self) -> float:
+        return _max_norm(self.ent[:, :self.half], 2)
+
+    def bound(self, tail, query):
+        q_mod, r_mod, f_mod = query[:3]
+        n, w = self.half, abs(self.weight)
+        scale = (np.linalg.norm(q_mod, axis=1) + self.scale if tail else
+                 r_mod.max(axis=1) * self.scale
+                 + np.linalg.norm(f_mod, axis=1))
+        return (2 * _U32 * ((n + 7) * scale + w * n * (n + 10))
+                + (n + 1) * (1 + w) * _TINY)
+
+
+_DISTANCES = {ModelKind.TRANSE: _TransE, ModelKind.ROTATE: _RotatE,
+              ModelKind.HAKE: _HAKE}
+# the kinds whose ranking chunks float32 screens
+_SCREENED = frozenset(_DISTANCES)
+
+
+def _chunk_scorer(params: ModelParams, dtype=np.float64):
+    """score(tail, fixed, rel) -> (scores, check) for one chunk of
+    queries.
 
     `tail` says whether the chunk asks for tails; `fixed` (Q, dim) and
     `rel` (Q, dim_r) are the rows of the given entities and relations.
-    Entity-side tables are computed once, here, for all chunks:
-    feature-major, so that one feature of a block of entities is a
-    contiguous row.  A distance block adds one (Q, W) term per feature
-    with `_add_terms`, each term from its row of the table.
+    DistMult and ComplEx take one float64 matmul, whose bits BLAS
+    blocking sets, and `check` is None.  TransE, RotatE and HAKE take
+    distance blocks in `dtype`, float64 or float32, from entity-side
+    tables computed once, here, for all chunks: feature-major, so that
+    one feature of a block of entities is a contiguous row, and in
+    `dtype`, so float32 reads half the bytes.  Float32 only screens: its
+    `check` is the chunk's `Screen`, whose bound and exact float64 pairs
+    let the consumer decide in float64 every comparison that float32
+    cannot.
     """
-    kind, ent, dim = params.kind, params.entity_emb, params.dim
-    num_entities = ent.shape[0]
+    kind, ent = params.kind, params.entity_emb
     if kind == ModelKind.DISTMULT:
-        return lambda tail, fixed, rel: (fixed * rel) @ ent.T
+        return lambda tail, fixed, rel: ((fixed * rel) @ ent.T, None)
     if kind == ModelKind.COMPLEX:
-        return lambda tail, fixed, rel: _complex_query(
-            tail, fixed, rel) @ ent.T
-    half = dim // 2
-    # (Q, W) buffers of a block's sum over its dim (TransE) or half terms
-    buffers = _sum_buffers(dim if kind == ModelKind.TRANSE else half)
-    if kind in (ModelKind.TRANSE, ModelKind.ROTATE):
-        ent_t = _feature_major(ent)  # RotatE: re 2j, im 2j + 1
-    if kind == ModelKind.TRANSE:
-        l1 = params.aux.get("norm_p", 1.0) == 1.0
-        norm = np.abs if l1 else np.square
-
-        def transe_scores(tail, fixed, rel):
-            q = fixed + rel if tail else fixed - rel
-
-            def block(cols, out, free, region):
-                def term(j, buf):
-                    np.subtract(q[:, j, None], ent_t[j, cols], out=buf)
-                    return norm(buf, out=buf)
-                _add_terms(term, dim, out, free)
-                if not l1:
-                    np.sqrt(out, out=out)
-            return _blocked(len(q), num_entities, buffers, block)
-        return transe_scores
-    if kind == ModelKind.ROTATE:
-        def rotate_scores(tail, fixed, rel):
-            q_re, q_im, _, _ = _rotation(tail, fixed, rel)
-
-            def block(cols, out, free, region):
-                *free, spare = free
-
-                def term(j, buf):  # |q_j - e_j| of the complex feature j
-                    np.subtract(q_re[:, j, None], ent_t[2 * j, cols], out=buf)
-                    buf *= buf
-                    np.subtract(q_im[:, j, None], ent_t[2 * j + 1, cols],
-                                out=spare)
-                    buf += np.multiply(spare, spare, out=spare)
-                    return np.sqrt(buf, out=buf)
-                _add_terms(term, half, out, free)
-            return _blocked(len(q_re), num_entities, buffers + 1, block)
-        return rotate_scores
-    if kind == ModelKind.HAKE:
-        weight = params.aux["phase_weight"]
-        cos_e = _feature_major(ent[:, half:])
-        sin_e = np.empty_like(cos_e)
-        count = _WORKERS
-
-        def tables(w):  # sin and cos of e / 2 over worker w's features
-            rows = slice(half * w // count, half * (w + 1) // count)
-            cos_e[rows] /= 2.0
-            np.sin(cos_e[rows], out=sin_e[rows])
-            np.cos(cos_e[rows], out=cos_e[rows])
-        _run_workers(count, tables)
-
-        def hake_scores(tail, fixed, rel):
-            f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
-            f_phase, r_phase = fixed[:, half:], rel[:, half:]
-            # |sin((h + r - t) / 2)| = |sin(a - e / 2)| with a from the
-            # fixed side; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine
-            # per (query, entity) pair
-            a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
-            sin_a, cos_a = np.sin(a), np.cos(a)
-            q_mod = f_mod * r_mod
-            num_queries = len(a)
-
-            def block(cols, out, free, region):
-                # the region holds the block's |modulus|, transposed, and
-                # once the modulus terms are added, the phase sum and the
-                # spare of a phase term
-                e_mod = np.abs(ent[cols, :half].T, out=region[:half])
-                phase, spare = region[:2 * num_queries].reshape(
-                    2, num_queries, -1)
-
-                def modulus_term(j, buf):
-                    if tail:
-                        np.subtract(q_mod[:, j, None], e_mod[j], out=buf)
-                    else:
-                        np.multiply(e_mod[j], r_mod[:, j, None], out=buf)
-                        buf -= f_mod[:, j, None]
-                    return np.square(buf, out=buf)
-
-                def phase_term(j, buf):
-                    np.multiply(sin_a[:, j, None], cos_e[j, cols], out=buf)
-                    buf -= np.multiply(cos_a[:, j, None], sin_e[j, cols],
-                                       out=spare)
-                    return np.abs(buf, out=buf)
-                _add_terms(modulus_term, half, out, free)
-                np.sqrt(out, out=out)  # the modulus distance
-                _add_terms(phase_term, half, phase, free)
-                phase *= weight
-                out += phase
-            return _blocked(num_queries, num_entities, buffers, block,
-                            max(half, 2 * num_queries))
-        return hake_scores
-    raise AssertionError(f"unhandled kind {kind}")
+        return lambda tail, fixed, rel: (
+            _complex_query(tail, fixed, rel) @ ent.T, None)
+    return _DISTANCES[kind](params, dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def log_model_frequencies(dataset: Dataset, scores: SubModelScores,
     if submodel is not None:
         log_mass = reduce_candidate_scores(
             submodel, index.direction, index.entity, index.relation,
-            lambda rows, scores: logsumexp(scores, axis=1, out=scores))
+            lambda rows, scores, _: logsumexp(scores, axis=1, out=scores))
         return raw + offset, (log_mass + offset)[index.query_id]
     log_f_xy = raw + offset
     peak = np.full(index.num_queries, -np.inf)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from kgesub import models
-from kgesub.data import Dataset, Direction, QueryIndex
+from kgesub.data import Dataset, Direction, QueryIndex, example_queries
 from kgesub.errors import VocabMismatchError
-from kgesub.evaluation import (EvalReport, aggregate_runs, evaluate,
-                               format_report, rank_answers)
+from kgesub.evaluation import (EvalReport, _float32_band, aggregate_runs,
+                               evaluate, format_report, rank_answers)
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import score_training_triples
 from kgesub.subsampling import log_model_frequencies
@@ -302,6 +302,137 @@ class TestEvaluate:
                 filtered = filtered_rank(params, query, answer, known[query])
                 raw = filtered_rank(params, query, answer, set())
                 assert filtered <= raw
+
+
+class TestScreenedRanks:
+    """TransE, RotatE and HAKE rank in float32 and decide in float64 every
+    entity that float32 cannot place against the answer: the ranks equal
+    those of the float64 reducer in both directions, at 1, 2 and 3
+    workers and under a small budget, with exact ties, scores within an
+    ulp of the answer's and float32 scores that overflow."""
+
+    CASES = [
+        (ModelKind.TRANSE, {}), (ModelKind.TRANSE, {"norm_p": 2.0}),
+        (ModelKind.ROTATE, {}), (ModelKind.HAKE, {})]
+    IDS = [kind.value + ("-l2" if aux else "") for kind, aux in CASES]
+
+    @staticmethod
+    def _check(params, triples, monkeypatch) -> int:
+        """Assert that both queries of every row of `triples`, whose rows
+        are the known answers, rank as under the float64 reducer, and
+        return the number of pairs that float64 rechecked besides the
+        answers."""
+        num_entities = params.num_entities
+        index = QueryIndex.build(triples, num_entities, params.num_relations)
+        direction, entity, relation, answer = example_queries(
+            triples, np.arange(2 * len(triples)))
+        queries = np.stack([direction, entity, relation], axis=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_SCREENED", frozenset())
+            want = rank_answers(params, index, queries, answer).tolist()
+        pairs = []
+        exact = models._Distance.exact
+
+        def counted(self, tail, query, picks, cands):
+            pairs.append(len(picks))
+            return exact(self, tail, query, picks, cands)
+        monkeypatch.setattr(models._Distance, "exact", counted)
+        runs = 0
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(models, "_WORKERS", workers)
+            # the small budget: float32 chunks of 3 queries, several blocks
+            for budget in (models.RANK_BUDGET_BYTES, 4 * num_entities * 3):
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                    got = rank_answers(params, index, queries, answer)
+                assert got.tolist() == want, (workers, budget)
+                runs += 1
+        return sum(pairs) - runs * len(queries)
+
+    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
+    def test_ties_and_ulps_from_the_answer(self, kind, aux, monkeypatch):
+        """Six groups of eight entities: a row, two exact copies and five
+        copies nudged by np.nextafter, one or two ulps up or down in one
+        feature, so their scores tie with the answer's or lie within an
+        ulp or so of it, which float32 cannot tell apart.  Each row's
+        answer also has a copy among the known answers, so ties with
+        known answers are filtered."""
+        rng = np.random.default_rng(19)
+        params = init_params(kind, 48, 2, 6, 1.5, seed=20, aux=aux)
+        ent = params.entity_emb
+        for group in range(6):
+            base = ent[8 * group].copy()
+            for k in range(1, 8):
+                row = base.copy()
+                j = (group + k) % params.dim
+                for _ in range(0 if k < 3 else 1 + k % 2):
+                    row[j] = np.nextafter(row[j], np.inf if k % 4 < 2
+                                          else -np.inf)
+                ent[8 * group + k] = row
+        heads, tails = rng.integers(0, 48, size=(2, 16))
+        relations = rng.integers(0, 2, size=16)
+        # a copy of the tail (entity k ^ 1 of its group) or of the head
+        # is a known answer too
+        triples = np.concatenate([
+            np.stack([heads, relations, tails], axis=1),
+            np.stack([heads[:8], relations[:8], tails[:8] ^ 1], axis=1),
+            np.stack([heads[8:] ^ 1, relations[8:], tails[8:]], axis=1)])
+        assert self._check(params, triples, monkeypatch) > 0
+
+    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
+    def test_float32_overflow_is_rechecked(self, kind, aux, monkeypatch):
+        """Entities whose finite float64 entries from 1e38 to 1e39
+        overflow their float32 scores, to -inf or, where float32 takes an
+        infinity from an infinity, to NaN: answers and competitors alike,
+        two of them tied."""
+        rng = np.random.default_rng(21)
+        params = init_params(kind, 24, 2, 6, 1.5, seed=22, aux=aux)
+        ent = params.entity_emb
+        # HAKE's phases stay angles; its moduli overflow
+        width = 3 if kind == ModelKind.HAKE else 6
+        ent[16:, :width] = rng.choice([-1.0, 1.0], size=(8, width)) * (
+            rng.uniform(1e38, 1e39, size=(8, width)))
+        ent[20] = ent[16]
+        fixed, rel = ent[:4], params.relation_emb[[0, 1, 0, 1]]
+        for tail in (True, False):
+            float64, _ = models._chunk_scorer(params)(tail, fixed, rel)
+            float32, _ = models._chunk_scorer(params, np.float32)(
+                tail, fixed, rel)
+            assert np.isfinite(float64).all()
+            assert not np.isfinite(float32[:, 16:]).any()
+        triples = np.stack([rng.integers(0, 24, size=20),
+                            rng.integers(0, 2, size=20),
+                            rng.integers(0, 24, size=20)], axis=1)
+        triples[:4, 2] = [16, 20, 17, 3]
+        triples[4:8, 0] = [16, 20, 18, 5]
+        assert self._check(params, triples, monkeypatch) > 0
+
+    def test_band_is_rounded_outward(self):
+        """The float32 band holds own +- bound strictly, whatever the
+        float64 rounding, and is all scores where own or the bound is not
+        finite."""
+        rng = np.random.default_rng(23)
+        own = -np.concatenate([rng.uniform(0, 10, 3000),
+                               rng.uniform(0, 1e-30, 10),
+                               10.0 ** rng.uniform(30, 39, 10),
+                               [0.0, 3e38, 1e39, 2.0 ** -149, np.inf,
+                                np.nan, 1.0]])
+        bound = np.concatenate([10.0 ** rng.uniform(-12, -4, 3020),
+                                np.full(6, 1e-6), [np.inf]])
+        low, high = _float32_band(own, bound)
+        assert low.dtype == high.dtype == np.float32
+        finite = np.isfinite(own) & np.isfinite(bound)
+        assert (low[finite] < own[finite] - bound[finite]).all()
+        assert (high[finite] > own[finite] + bound[finite]).all()
+        # the rounding is outward, and by no more than two float32 ulps
+        # past it
+        with np.errstate(over="ignore"):
+            up, down = (np.nextafter(np.nextafter(x, y), y) for x, y in (
+                (low, np.float32(np.inf)), (high, np.float32(-np.inf))))
+        assert (up[finite] >= (own - bound)[finite]).all()
+        assert (down[finite] <= (own + bound)[finite]).all()
+        assert np.isneginf(low[~finite]).all()
+        assert np.isposinf(high[~finite]).all()
 
 
 def all_queries(index) -> np.ndarray:

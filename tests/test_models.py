@@ -342,17 +342,23 @@ class TestScoreGradient:
                     np.testing.assert_array_equal(got[b], want)
 
 
-def candidate_chunks(params, directions, entities, relations):
+def candidate_chunks(params, directions, entities, relations,
+                     screen=False):
     """(rows, scores) of each chunk that `reduce_candidate_scores` hands
     its reducer, in the order it scores them, with a check that each
-    reducer value comes back at its query's input position."""
+    reducer value comes back at its query's input position.  Screened
+    distance kinds hand float32 scores and a `Screen`, the others
+    float64 scores and no check."""
     chunks = []
+    screened = screen and params.kind in models._SCREENED
 
-    def keep(rows, scores):
+    def keep(rows, scores, check):
+        assert scores.dtype == (np.float32 if screened else np.float64)
+        assert (check is None) != screened
         chunks.append((rows.copy(), scores.copy()))
         return rows
     positions = reduce_candidate_scores(params, directions, entities,
-                                        relations, keep, np.int64)
+                                        relations, keep, np.int64, screen)
     assert np.array_equal(positions, np.arange(len(directions)))
     return chunks
 
@@ -400,6 +406,19 @@ class TestCandidateScores:
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
         assert spans() == [(0, 3), (3, 6), (6, 9)]
 
+    def test_chunk_size_follows_the_scores_dtype(self, monkeypatch):
+        """The budget counts bytes: a screened distance kind's float32
+        chunks hold twice the queries of its float64 ones."""
+        params = init_params(ModelKind.TRANSE, 10, 1, 8, 1.0, seed=14)
+        zeros = np.zeros(13, dtype=np.int64)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
+
+        def spans(screen):
+            return [(rows[0], rows[-1] + 1) for rows, _ in candidate_chunks(
+                params, zeros, zeros, zeros, screen)]
+        assert spans(False) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 13)]
+        assert spans(True) == [(0, 6), (6, 12), (12, 13)]
+
 
 class TestRankingWorkers:
     """Entity blocks split across worker threads give the one-worker
@@ -413,9 +432,9 @@ class TestRankingWorkers:
     WORKER_COUNTS = (1, 2, 3, 12)
 
     @staticmethod
-    def _scores(params, queries):
+    def _scores(params, queries, screen=False):
         return np.concatenate([scores for _, scores in
-                               candidate_chunks(params, *queries)])
+                               candidate_chunks(params, *queries, screen)])
 
     @pytest.mark.parametrize(
         "kind, aux", DISTANCE_CASES,
@@ -430,18 +449,23 @@ class TestRankingWorkers:
         rng = np.random.default_rng(16)
         queries = (np.sort(rng.integers(0, 2, size=21)),
                    rng.integers(0, 37, size=21), rng.integers(0, 3, size=21))
-        monkeypatch.setattr(models, "_WORKERS", 1)
-        want = self._scores(params, queries)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in self.WORKER_COUNTS:
-                monkeypatch.setattr(models, "_WORKERS", workers)
-                for budget in (models.RANK_BUDGET_BYTES, 2560 * workers):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(models, "RANK_BUDGET_BYTES", budget)
-                        got = self._scores(params, queries)
-                    assert np.array_equal(got, want), (workers, budget)
+            # float64, then float32 screening scores, whose scratch holds
+            # twice the entities in the same bytes
+            for screen in (False, True):
+                monkeypatch.setattr(models, "_WORKERS", 1)
+                want = self._scores(params, queries, screen)
+                assert want.dtype == (np.float32 if screen else np.float64)
+                for workers in self.WORKER_COUNTS:
+                    monkeypatch.setattr(models, "_WORKERS", workers)
+                    for budget in (models.RANK_BUDGET_BYTES, 2560 * workers):
+                        with monkeypatch.context() as patch:
+                            patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                            got = self._scores(params, queries, screen)
+                        assert np.array_equal(got, want), (screen, workers,
+                                                           budget)
         finally:
             sys.setswitchinterval(interval)
 
@@ -449,26 +473,27 @@ class TestRankingWorkers:
     def test_scratch_fits_budget_and_blocks_cover_entities(
             self, workers, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", workers)
-        # eight (3, W) buffers and a (5, W) region: 29 floats an entity
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * 29)
-        scratch_bytes = {}
+        # eight (3, W) buffers: 24 floats an entity.  The budget counts
+        # bytes: it holds 7 float64 entities, or 14 float32 ones
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * 24)
+        for dtype, room in ((np.float64, 7), (np.float32, 14)):
+            scratch_bytes = {}
 
-        def block(cols, out, free, region):
-            width = cols.stop - cols.start
-            assert [buf.shape for buf in free] == 8 * [(3, width)]
-            assert region.shape == (5, width)
-            parts = [*free, region]
-            for i, part in enumerate(parts):
-                assert part.flags.c_contiguous
-                assert not any(np.shares_memory(part, other)
-                               for other in parts[i + 1:])
-                scratch_bytes[id(part.base)] = part.base.nbytes
-            out[:] = cols.start
-        out = models._blocked(3, 40, 8, block, 5)
-        assert sum(scratch_bytes.values()) <= models.RANK_BUDGET_BYTES
-        size = 7 // min(workers, 7)
-        # the block's distances come back negated
-        assert np.array_equal(out[0], -(np.arange(40) // size * size))
+            def block(cols, out, free):
+                width = cols.stop - cols.start
+                assert [buf.shape for buf in free] == 8 * [(3, width)]
+                for i, part in enumerate(free):
+                    assert part.dtype == dtype and part.flags.c_contiguous
+                    assert not any(np.shares_memory(part, other)
+                                   for other in free[i + 1:])
+                    scratch_bytes[id(part.base)] = part.base.nbytes
+                out[:] = cols.start
+            out = models._blocked(3, 40, 8, block, dtype)
+            assert out.dtype == dtype
+            assert sum(scratch_bytes.values()) <= models.RANK_BUDGET_BYTES
+            size = room // min(workers, room)
+            # the block's distances come back negated
+            assert np.array_equal(out[0], -(np.arange(40) // size * size))
 
     @pytest.mark.parametrize("failing_block", [0, 1, 4])
     def test_block_error_reaches_caller(self, failing_block, monkeypatch):
@@ -477,7 +502,7 @@ class TestRankingWorkers:
         monkeypatch.setattr(models, "_WORKERS", 3)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 3)
 
-        def block(cols, out, free, region):
+        def block(cols, out, free):
             if cols.start == failing_block:
                 raise ZeroDivisionError(f"block {cols.start}")
             out[:] = 0.0
@@ -554,6 +579,64 @@ class TestFeatureMajorRanking:
         table = models._feature_major(rows[:, 2:])
         assert table.flags.c_contiguous
         assert np.array_equal(table, rows[:, 2:].T)
+
+
+class TestFloat32Screen:
+    """Float32 distance blocks stay within their kind's eps(q) of the
+    float64 ones, and the float64 pairs that decide what float32 cannot
+    are the float64 block's scores bit for bit."""
+
+    CASES = TestRankingWorkers.DISTANCE_CASES
+    ENTITIES = 300
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    @pytest.mark.parametrize(
+        "kind, aux", CASES,
+        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
+    def test_within_bound_and_pairs_bitwise(self, kind, aux, magnitude):
+        rng = np.random.default_rng(int(magnitude * 1e3))
+        # dim 20: TransE adds 20 terms, with the eight partial sums and a
+        # rest; RotatE and HAKE add 10 terms
+        params = init_params(kind, self.ENTITIES, 3, 20, 2.0, seed=18,
+                             aux=aux)
+        angles = params.copy()
+        # every entry at the magnitude, each scaled by up to 10 either
+        # way; then the phases (RotatE's relations, HAKE's second halves)
+        # back to their drawn angles, so that HAKE's phase sum is not
+        # small beside a small modulus
+        for table in (params.entity_emb, params.relation_emb):
+            table[:] = magnitude * rng.normal(size=table.shape) * 10.0 ** (
+                rng.uniform(-1, 1, size=table.shape))
+        params.entity_emb[7] = params.entity_emb[3]  # tied candidates
+        queries = (rng.integers(0, self.ENTITIES, size=9),
+                   rng.integers(0, 3, size=9))
+        picks, cands = np.divmod(np.arange(9 * self.ENTITIES), self.ENTITIES)
+        self._check(params, *queries, picks, cands)
+        if kind == ModelKind.ROTATE:
+            params.relation_emb[:] = angles.relation_emb
+        if kind == ModelKind.HAKE:
+            for table, drawn in ((params.entity_emb, angles.entity_emb),
+                                 (params.relation_emb, angles.relation_emb)):
+                table[:, 10:] = drawn[:, 10:]
+        self._check(params, *queries, picks, cands)
+
+    @staticmethod
+    def _check(params, heads, relations, picks, cands):
+        fixed = params.entity_emb[heads]
+        rel = params.relation_emb[relations]
+        for tail in (True, False):
+            want, check = models._chunk_scorer(params)(tail, fixed, rel)
+            assert check is None and want.dtype == np.float64
+            got, screen = models._chunk_scorer(params, np.float32)(
+                tail, fixed, rel)
+            assert got.dtype == np.float32 and np.isfinite(got).all()
+            error = np.abs(got.astype(np.float64) - want)
+            assert (error <= screen.bound[:, None]).all()
+            # the bound is not vacuous: within 1e4 of the largest error
+            assert (screen.bound < 1e4 * error.max(axis=1)).all()
+            exact = screen.exact(picks, cands)
+            assert exact.dtype == np.float64
+            assert np.array_equal(exact, want.ravel())
 
 
 def _container_bytes(header: dict, payload: bytes = b"") -> bytes:
