@@ -14,35 +14,32 @@ Score ties use the mean-rank convention: rank = 1 + |better| + |tied
 others| / 2, rounded half up, which avoids the optimistic bias of
 insertion-order ranking.
 
-Ranking is chunked.  `models.reduce_candidate_scores` owns the chunks:
-it scores the split's queries against every entity a chunk of one
-direction at a time and hands each chunk's (queries, E) scores to
-`rank_answers`' reducer, which overwrites them.  The reducer filters by
-masking: it reads the answer's score, writes NaN, which compares false
-both ways, over the query's known answers and the answer itself, and
-counts the entities that score above or tie with the answer.  A chunk
-holds as many queries as fit `models.RANK_BUDGET_BYTES` of (queries,
-E) scores, and at most dim of them, so its scores are never larger than
-the entity table, and it is freed before the next chunk is scored, so
-one chunk is alive at a time.  Distances are taken over blocks of
-entities under the same budget, split across one worker thread per CPU
-whose scratch shares that budget: `models._blocked` owns each block's
-few (queries, block) buffers and its sign, and the block adds one term
-per feature in the order of numpy's pairwise add.reduce.
+Ranking streams tiles.  `models.reduce_candidate_scores` takes the
+split's queries a pass of one direction at a time and scores each pass
+against tiles of entity columns, split across one worker thread per
+CPU whose scratch shares `models.RANK_BUDGET_BYTES`; no (queries, E)
+array is made.  A pass holds as many queries as leave every worker
+tiles of `models._TILE` entities, so the benchmark's 30 test queries a
+direction take one or two passes, and memory stays bounded whatever the
+split's size.
 
-TransE, RotatE and HAKE chunks are scored in float32, which only
-screens; float64 decides every rank.  The chunk's `models.Screen` holds
-eps(q), an a-priori bound of the float32 error of each query's finite
-scores, and the float64 score of any (query, entity) pair, bitwise that
-of the float64 block.  The reducer takes the answer's float64 score,
-counts in float32 the entities above answer + eps as better, leaves
-those below answer - eps out, and scores again in float64 the band
-between, a few entities a query, and every entity whose float32 score
-is not finite (an overflow).  Both thresholds are rounded outward with
-`np.nextafter` and compared float32 to float32, so numpy 1.24 and 2.x
-agree.  DistMult and ComplEx chunks are float64 matmuls and counted
-directly.  Memory stays bounded whatever the split's size, and the
-ranks are bitwise those of float64 scores whatever the CPU count.
+Every kind is scored in float32, which only screens; float64 decides
+every rank.  The pass's `models.Screen` holds eps(q), an a-priori bound
+of the float32 error of each query's finite scores, and the float64
+score of any (query, entity) pair in one fixed order of operations.
+`rank_answers`' reducer takes the answer's float64 score; in each tile
+it counts the entities above answer + eps as better, leaves those below
+answer - eps out, and keeps the band between, a few entities a query,
+and every entity whose float32 score is not finite (an overflow), to
+score again in float64 after the last tile.  Both thresholds are
+rounded outward with `np.nextafter` and compared float32 to float32, so
+numpy 1.24 and 2.x agree.  The tiles count the query's known answers
+and the answer itself like any entity, each as its float64 score
+compares, so the reducer then takes each out by that score.  Counts are
+kept as 2 |better| + |tied|, one integer a
+query, so the tiles' counts add up in any order, and the ranks are
+those of the float64 pair scores whatever the CPU count, the tile
+width or the BLAS library.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.  The module writes no file: `cli` writes its reports.
@@ -82,39 +79,43 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
     directions, entities, relations = np.asarray(queries, np.int64).T
     query, offsets, known = index.lookup(directions, entities, relations)
 
-    def rank_rows(rows, scores, screen):
+    def rank_rows(rows, screen):
         own_answers = answers[rows]
         picks = np.arange(len(rows))
-        if screen is None:
-            own = scores[picks, own_answers]
-        else:
-            own = screen.exact(picks, own_answers)
-            low, high = _float32_band(own, screen.bound)
-            # a float32 score that is not finite (NaN or -inf, which the
-            # row's minimum shows) is moved into the band
-            for row in np.flatnonzero(~np.isfinite(scores.min(axis=1))):
-                scores[row, ~np.isfinite(scores[row])] = high[row]
-        # each row's known answers: position in its slice plus the start
-        starts = offsets[query[rows]]
-        sizes = offsets[query[rows] + 1] - starts
-        owner = np.repeat(picks, sizes)
-        scores[owner, known[np.arange(len(owner)) + np.repeat(
-            starts - (np.cumsum(sizes) - sizes), sizes)]] = np.nan
-        scores[picks, own_answers] = np.nan
-        if screen is None:
-            better = _row_counts(scores > own[:, None])
-            ties = _row_counts(scores == own[:, None])
-        else:
-            above = scores > high[:, None]
-            better = _row_counts(above)
-            band = np.greater_equal(scores, low[:, None])
+        own = screen.exact(picks, own_answers)
+        low, high = (x[:, None] for x in _float32_band(own, screen.bound))
+        better, near, cands = [], [], []
+
+        def add(cols, tile):  # on a worker thread, so it only appends
+            if not (np.isfinite(tile.min()) and np.isfinite(tile.max())):
+                np.copyto(tile, high, where=~np.isfinite(tile))
+            above = np.greater(tile, high)
+            better.append(_row_counts(above))
+            band = np.greater_equal(tile, low)
             band ^= above
-            near, cands = np.divmod(np.flatnonzero(band), scores.shape[1])
-            exact = screen.exact(near, cands)
-            better += np.bincount(near[exact > own[near]],
-                                  minlength=len(rows))
-            ties = np.bincount(near[exact == own[near]], minlength=len(rows))
-        return 1 + better + (ties + 1) // 2
+            pick, cand = np.divmod(np.flatnonzero(band), tile.shape[1])
+            near.append(pick)
+            cands.append(cand + cols.start)
+
+        def total():
+            # each row's known answers, and its answer where it is not
+            # one of them, were counted by their exact scores
+            starts = offsets[query[rows]]
+            sizes = offsets[query[rows] + 1] - starts
+            owner = np.repeat(picks, sizes)
+            mine = known[np.arange(len(owner)) + np.repeat(
+                starts - (np.cumsum(sizes) - sizes), sizes)]
+            lone = np.bincount(owner[mine == own_answers[owner]],
+                               minlength=len(rows)) == 0
+            taken = np.concatenate(near + [owner, picks[lone]])
+            exact = screen.exact(taken, np.concatenate(
+                cands + [mine, own_answers[lone]]))
+            weight = 2 * (exact > own[taken]) + (exact == own[taken])
+            weight[len(taken) - len(owner) - lone.sum():] *= -1
+            counts = 2 * np.sum(better, axis=0)
+            np.add.at(counts, taken, weight)
+            return 1 + (counts + 1) // 2
+        return add, total
     return reduce_candidate_scores(params, directions, entities, relations,
                                    rank_rows, np.int64, screen=True)
 

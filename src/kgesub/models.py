@@ -1,8 +1,8 @@
 """Embedding models: parameter storage, scoring, and analytic gradients.
 
 Five score functions are provided.  Higher scores mean "more plausible".
-All arithmetic is float64, except the float32 screening of TransE,
-RotatE and HAKE ranking chunks, which decides no rank by itself.
+All arithmetic is float64, except the float32 screening of ranking
+tiles, which decides no rank by itself.
 
 Embedding layouts (dim = per-entity real degrees of freedom):
 
@@ -32,39 +32,44 @@ it over chunks of triples, each chunk's gathered rows within
 `RANK_BUDGET_BYTES`; the scalar scorers it replaced, and the per-slot
 gradient view the gradient checks use, live in tests/conftest.py.
 
-`reduce_candidate_scores` owns the chunks of same-direction queries
-scored against every entity, for ranking and the all-candidates mass: it
-hands each chunk to the consumer's reducer to overwrite and frees it
-before the next is scored.  A chunk takes one matmul for DistMult and
-ComplEx, and for TransE, RotatE and HAKE direct distances over blocks of
-entities.  A distance is a sum over features, taken feature by feature:
-each feature gives one (queries, block) term, read from a feature-major
+`reduce_candidate_scores` scores passes of same-direction queries
+against every entity, for the all-candidates mass and for ranking, and
+hands each to the consumer's reducer.  The mass takes float64 chunks of
+(queries, E) scores: a chunk is one matmul for DistMult and ComplEx,
+and for TransE, RotatE and HAKE direct distances over blocks of
+entities; each is freed before the next is scored.  Ranking makes no
+(queries, E) array: a pass streams its queries over float32 tiles of
+entity columns, and the reducer adds up what each tile gives.
+
+A distance is a sum over features, taken feature by feature: each
+feature gives one (queries, block) term, read from a feature-major
 entity table (the transposed entity table for TransE and RotatE; the
-|modulus| and the sine and cosine of the half phases for HAKE).  The
+|modulus| and the cosine and sine of the half phases for HAKE).  The
 terms are added in the order numpy's add.reduce adds a contiguous row
 (eight partial sums of the terms j = k (mod 8) up to 128 terms, halves
 above), so the float64 scores are bitwise those of summing a (queries,
 block, dim) difference over its last axis, which tests/conftest.py
-keeps as the oracle.  `_blocked` owns each block's scratch and its sign:
-it carves the block's (queries, block) buffers (the term, the partial
-sums, and for RotatE and HAKE the spares) from one flat array per
-worker, lets the kind's terms write the distances, and negates them.
-The blocks of a chunk are shared by one worker thread per CPU that the
-process may use, worker w taking blocks w, w + W, ...
-`RANK_BUDGET_BYTES` bounds the temporaries of one chunk and the scratch
-of all workers together.  Every score comes from the same operations in
-the same order whatever the number of workers, so rankings do not
-depend on the CPU count.
+keeps as the oracle.  `_blocked` owns each block's scratch: it carves
+the block's (queries, block) buffers (the term, the partial sums, and
+for RotatE and HAKE the spares) from one flat array per worker and
+lets the kind write the scores.  The blocks are shared by one worker
+thread per CPU that the process may use, worker w taking blocks w,
+w + W, ...  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk and
+the scratch of all workers together.  Every float64 score comes from
+the same operations in the same order whatever the number of workers,
+so nothing depends on the CPU count.
 
-Ranking screens TransE, RotatE and HAKE in float32: the same blocks run
-on float32 tables, half the bytes, and each chunk comes with a `Screen`,
-an a-priori bound eps(q) of each query's float32 error and the float64
-score of any (query, entity) pair, bitwise the float64 block's, since it
-runs the block's operations in the block's order.  Float32 only
+Ranking screens every kind in float32, from float32 tables, half the
+bytes: a tile is a distance block for TransE, RotatE and HAKE and one
+float32 matmul for DistMult and ComplEx.  Each pass comes with a
+`Screen`, an a-priori bound eps(q) of each query's float32 error and
+the float64 score of any (query, entity) pair, from one fixed order of
+operations: a distance pair runs the float64 block's operations in its
+order, and gets its bits; a dot-product pair adds its products in
+`_add_terms`' order, whatever order BLAS would take.  Float32 only
 screens: the consumer decides in float64 every comparison that float32
-cannot (see `evaluation`).  DistMult and ComplEx keep their float64
-matmul, whose bits BLAS blocking sets, so no pair could reproduce them;
-the all-candidates mass keeps its float64 scores.
+cannot (see `evaluation`), so no rank depends on BLAS, on the tile
+width or on the CPU count.
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -78,7 +83,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -89,13 +94,13 @@ from .errors import CheckpointError, ConfigError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
-# Bytes of one temporary: the scores of the one ranking chunk alive or
-# the scratch `_blocked` carves into its blocks, a training step's
-# (examples, 1 + nu, dim) candidate rows or update rows, or the
-# (triples, dim) rows of a chunk of scored triples.  It counts bytes,
-# not values: a chunk of float32 scores, which only screen the ranks
-# that float64 decides, holds twice the queries of a float64 one, and a
-# float32 block twice the entities.
+# Bytes of one temporary: the scores of the one all-candidates chunk
+# alive, the scratch `_blocked` carves into its blocks (with ranking's
+# tiles and their masks), a training step's (examples, 1 + nu, dim)
+# candidate rows or update rows, or the (triples, dim) rows of a chunk
+# of scored triples.  It counts bytes, not values: a float32 block,
+# which only screens the ranks that float64 decides, holds twice the
+# entities of a float64 one.
 RANK_BUDGET_BYTES = 4 << 20
 
 
@@ -354,12 +359,13 @@ def score_triples(params: ModelParams, heads: np.ndarray, relations: np.ndarray,
 
 
 class Screen(NamedTuple):
-    """How the float32 scores of a chunk stand to its float64 ones.
+    """How the float32 scores of a ranking pass stand to its float64 ones.
 
     `bound[i]` (float64) bounds |float32 score - float64 score| of query
     i over every entity whose float32 score is finite, and
     `exact(picks, cands)` gives the float64 scores of the pairs (query
-    picks[k], entity cands[k]), bitwise those of the float64 block."""
+    picks[k], entity cands[k]), each from the same operations in the
+    same order whatever the other pairs."""
     bound: np.ndarray
     exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -368,44 +374,64 @@ def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
                             entities: np.ndarray, relations: np.ndarray,
                             reduce, dtype=np.float64,
                             screen: bool = False) -> np.ndarray:
-    """reduce(rows, scores, check) of each chunk of queries: one `dtype`
-    value a query, in input order.
+    """One `dtype` value a query, in input order, that `reduce` makes of
+    the query's scores of every entity as the answer.
 
     Query i is (directions[i], entities[i], relations[i]) with the
     `Direction` convention.  The queries are sorted by direction (stable)
-    and scored a full same-direction chunk at a time: `rows` are the
-    chunk's input positions and `scores` its fresh (len(rows), E) scores
-    of every entity as the answer, which `reduce` may overwrite and must
-    not keep, so that the chunk is freed before the next is scored.
-    Scores are float64 and `check` None, unless `screen` is set and the
-    kind is TransE, RotatE or HAKE: then the scores are float32 and
-    `check` the chunk's `Screen`, so that float64 decides what float32
-    cannot.  Scores equal `score_triples` of the same triples up to
-    rounding in the last bits, and do not depend on the number of
-    workers.
+    and taken a pass of same-direction queries at a time; `rows` are a
+    pass's input positions.
+
+    Without `screen` (the all-candidates mass) a pass is a chunk:
+    reduce(rows, scores) gets its fresh float64 (len(rows), E) scores,
+    which it may overwrite and must not keep, so that the chunk is freed
+    before the next is scored.  The scores equal `score_triples` of the
+    same triples up to rounding in the last bits, and do not depend on
+    the number of workers.
+
+    With `screen` (ranking) no (len(rows), E) array is made.
+    reduce(rows, screen) gets the pass's `Screen` and returns (add,
+    total): the workers call add(cols, tile) with the float32 scores of
+    each tile of entity columns `cols` (a slice), which add may
+    overwrite and must not keep, and total() then gives the pass's
+    values.  A pass holds as many queries as leave every worker tiles of
+    `_TILE` entities, and the passes of a direction are of equal size.
+    Float32 only screens: the `Screen` lets the consumer decide in
+    float64 every comparison that float32 cannot.
     """
     order = np.argsort(np.asarray(directions), kind="stable")
     directions, entities, relations = (
         np.asarray(column, dtype=np.int64)[order]
         for column in (directions, entities, relations))
-    scores_dtype = np.dtype(np.float32 if screen and params.kind in _SCREENED
-                            else np.float64)
-    score_chunk = _chunk_scorer(params, scores_dtype)
-    # a chunk's scores fit the budget and hold no more queries than the
-    # dim, so they are never larger than the float64 entity table, which
-    # every matmul chunk reads once anyway
-    step = max(1, min(params.dim, RANK_BUDGET_BYTES // (
-        scores_dtype.itemsize * params.num_entities)))
+    scorer = _SCORERS[params.kind](params,
+                                   np.float32 if screen else np.float64)
+    if screen:
+        # every worker's tiles hold `_TILE` entities at least, or an
+        # equal share of fewer
+        width = min(_TILE, -(-params.num_entities // _WORKERS))
+        step = RANK_BUDGET_BYTES // (_WORKERS * scorer.tile_bytes * width)
+    else:
+        # a chunk's scores fit the budget and hold no more queries than
+        # the dim, so they are never larger than the float64 entity
+        # table, which every matmul chunk reads once anyway
+        step = min(params.dim,
+                   RANK_BUDGET_BYTES // (8 * params.num_entities))
+    step = max(1, step)
     out = np.empty(len(order), dtype)
     start = 0
     while start < len(order):
-        stop = min(start + step, int(np.searchsorted(
-            directions, directions[start], side="right")))
+        end = int(np.searchsorted(directions, directions[start],
+                                  side="right"))
+        size = step
+        if screen:  # the passes of a direction are of equal size
+            size = -(-(end - start) // -(-(end - start) // step))
+        stop = min(start + size, end)
         rows = order[start:stop]
-        out[rows] = reduce(rows, *score_chunk(
-            directions[start] == Direction.TAIL_QUERY,
-            params.entity_emb[entities[start:stop]],
-            params.relation_emb[relations[start:stop]]))
+        args = (directions[start] == Direction.TAIL_QUERY,
+                params.entity_emb[entities[start:stop]],
+                params.relation_emb[relations[start:stop]])
+        out[rows] = (scorer.screened(rows, reduce, *args) if screen
+                     else reduce(rows, scorer.scores(*args)))
         start = stop
     return out
 
@@ -414,6 +440,16 @@ def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
 # CPU that the process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# Entities of a cache-sized block, which `_feature_major` copies at a time.
+_BLOCK = 1024
+# Entities of a ranking tile at least.  numpy 2.4 takes a (Q, W) ufunc
+# with a (Q, 1) operand several times slower per element below about
+# 2,730 columns (0.5 against 0.12 ns an element, 2-vCPU Xeon), so a pass
+# holds no more queries than leave every worker tiles of this many.
+_TILE = 4096
+# The boolean masks, one byte a score, that a ranking reducer's add may
+# make of a tile: the budget holds them with the tile.
+_TILE_MASKS = 2
 
 
 def _run_workers(count: int, task) -> None:
@@ -441,38 +477,48 @@ def _run_workers(count: int, task) -> None:
 
 
 def _blocked(num_queries: int, num_entities: int, buffers: int, block,
-             dtype=np.float64) -> np.ndarray:
-    """(Q, E) `dtype` scores, the negated distances that `block(cols, out,
-    free)` writes for blocks of entities: those of the entities `cols` (a
-    slice) into `out`, the (Q, cols) view of the result, with `free` a
-    list of `buffers` (Q, cols) scratch buffers, contiguous, disjoint and
-    of the same dtype.
+             dtype=np.float64, add=None) -> np.ndarray | None:
+    """(Q, E) `dtype` scores that `block(cols, out, free)` writes for
+    blocks of entities: those of the entities `cols` (a slice) into
+    `out`, the (Q, cols) view of the result, with `free` a list of
+    `buffers` (Q, cols) scratch buffers, contiguous, disjoint and of the
+    same dtype.  With `add`, no (Q, E) array is made: `out` is one more
+    buffer of the block's, add(cols, out) is called on it once the block
+    is written, and None is returned.
 
     Worker w takes blocks w, w + W, ... of the W workers, each block's
     buffers carved from the worker's one flat array.  The calling thread
-    allocates those arrays once per chunk, and together they fit the
+    allocates those arrays once per call, and together they fit the
     budget, which counts bytes, so a float32 block holds twice the
-    entities of a float64 one: fewer workers take blocks when it holds
-    less than one entity each.  A block's scores come from the same
-    operations in the same order whichever worker takes it and however
-    large it is, so they do not depend on the worker count.  Float32
-    scores only screen: float64 decides every rank (see `_Distance`)."""
-    floats_per_entity = buffers * num_queries
-    bytes_per_entity = np.dtype(dtype).itemsize * floats_per_entity
+    entities of a float64 one; with `add` it also holds the
+    `_TILE_MASKS` masks that add may make of a block.  Fewer workers
+    take blocks when the budget holds less than one entity each.  A
+    distance block's scores come from the same operations in the same
+    order whichever worker takes it and however wide it is, so they do
+    not depend on the worker count; DistMult and ComplEx tiles are a
+    float32 matmul, which only screens."""
+    floats_per_entity = (buffers + (add is not None)) * num_queries
+    bytes_per_entity = (np.dtype(dtype).itemsize * floats_per_entity
+                        + (0 if add is None else _TILE_MASKS * num_queries))
     count = max(1, min(_WORKERS, RANK_BUDGET_BYTES // bytes_per_entity))
     size = max(1, RANK_BUDGET_BYTES // (count * bytes_per_entity))
     starts = range(0, num_entities, size)
-    out = np.empty((num_queries, num_entities), dtype)
+    out = (None if add is not None
+           else np.empty((num_queries, num_entities), dtype))
     scratch = [np.empty(min(size, num_entities) * floats_per_entity, dtype)
                for _ in range(min(count, len(starts)))]
 
     def task(w):
         for lo in starts[w::count]:
             cols = slice(lo, min(lo + size, num_entities))
-            width, view = cols.stop - lo, out[:, cols]
-            block(cols, view, list(scratch[w][:floats_per_entity * width]
-                                   .reshape(buffers, num_queries, width)))
-            np.negative(view, out=view)
+            width = cols.stop - lo
+            free = list(scratch[w][:floats_per_entity * width].reshape(
+                -1, num_queries, width))
+            if add is None:
+                block(cols, out[:, cols], free)
+            else:
+                block(cols, free[-1], free[:-1])
+                add(cols, free[-1])
     _run_workers(count, task)
     return out
 
@@ -504,8 +550,9 @@ def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
     after another; above 128 the sum of the halves, the first of a
     multiple of 8 terms.  The eight r_k are built one after another, so
     `free` needs only `_sum_buffers(n)` buffers: free[0] takes each
-    term, the others hold partial sums.  No term is negative or -0.0, so
-    the reduction's initial 0.0 changes no sum and is left out."""
+    term, the others hold partial sums.  The reduction's initial 0.0 is
+    left out, which changes no sum of terms that are not all -0.0 (and
+    no comparison of any)."""
     if n < 8:
         term(lo, out)
         for j in range(lo + 1, lo + n):
@@ -541,24 +588,40 @@ def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
 
 
 def _feature_major(columns: np.ndarray, dtype=np.float64,
-                   fn=None) -> np.ndarray:
-    """fn(columns).T as a contiguous (features, E) `dtype` table, fn
-    elementwise (the identity when None), made from the (E, features)
-    view `columns` a cache-sized block of 1,024 entities at a time, which
-    is several times faster than one transposing copy; the workers share
-    the blocks.  A float64 value beyond float32's range becomes an
-    infinity of a float32 table."""
-    table = np.empty(columns.shape[::-1], dtype)
-    starts = range(0, len(columns), 1024)
+                   fn=lambda rows: (rows,), order=None
+                   ) -> tuple[tuple[np.ndarray, ...], float]:
+    """The tables fn(columns)[k].T as contiguous (features, E) `dtype`
+    arrays, fn elementwise and giving a tuple, made from the (E,
+    features) view `columns` a block of `_BLOCK` entities at a time,
+    which is several times faster than one transposing copy; the workers
+    share the blocks.  A float64 value beyond float32's range becomes an
+    infinity of a float32 table.
+
+    With `order` (1 or 2), the largest finite float64 norm of that order
+    of the rows of fn(columns)[0] comes too, taken from each block while
+    it is in cache (0.0 without `order`).  A row without a finite norm
+    holds a value beyond float32's range, so its float32 scores are not
+    finite and are decided in float64 anyway."""
+    tables = tuple(np.empty(columns.shape[::-1], dtype)
+                   for _ in fn(columns[:0]))
+    starts = range(0, len(columns), _BLOCK)
     count = max(1, min(_WORKERS, len(starts)))
+    peaks = [0.0] * count  # order 2 keeps squared norms
 
     def task(w):
         with np.errstate(over="ignore"):
             for lo in starts[w::count]:
-                rows = columns[lo:lo + 1024]
-                table[:, lo:lo + 1024] = (rows if fn is None else fn(rows)).T
+                parts = fn(columns[lo:lo + _BLOCK])
+                for table, part in zip(tables, parts):
+                    table[:, lo:lo + _BLOCK] = part.T
+                if order is not None:
+                    first = parts[0]
+                    norms = (np.abs(first).sum(axis=1) if order == 1 else
+                             np.einsum("ij,ij->i", first, first))
+                    peaks[w] = max(peaks[w], float(np.max(
+                        norms, where=np.isfinite(norms), initial=0.0)))
     _run_workers(count, task)
-    return table
+    return tables, math.sqrt(max(peaks)) if order == 2 else max(peaks)
 
 
 def _half_cos(phases: np.ndarray) -> np.ndarray:
@@ -572,52 +635,46 @@ def _half_sin(phases: np.ndarray) -> np.ndarray:
     return np.sin(phases / 2.0)
 
 
-def _max_norm(rows: np.ndarray, order) -> float:
-    """The largest finite norm of order `order` of the rows of `rows`,
-    taken a budget of rows at a time.  A row without a finite norm holds
-    a value beyond float32's range, so its float32 distances are not
-    finite and are decided in float64 anyway."""
-    step = max(1, RANK_BUDGET_BYTES // (8 * rows.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.concatenate([
-            np.linalg.norm(rows[lo:lo + step], order, axis=1)
-            for lo in range(0, len(rows), step)])
-    return float(np.max(norms, where=np.isfinite(norms), initial=0.0))
+def _half_angles(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos(phases / 2), sin(phases / 2)) of a float64 array from one
+    tangent, t = tan(phases / 4): (1 - t^2) / (1 + t^2) and
+    2t / (1 + t^2), which takes less time than a sine and a cosine.
+    They lie within 2^-40 of `_half_cos` and `_half_sin`, which give the
+    float64 scores; only float32 tables, which round them to float32,
+    read these."""
+    t = np.tan(phases / 4.0)
+    square = t * t
+    scale = 1.0 / (1.0 + square)
+    return (1.0 - square) * scale, 2.0 * t * scale
 
 
-# float32's unit roundoff u, and the absolute slack of one term that
-# covers float32's subnormals
+# float32's unit roundoff u; the absolute slack of one distance term that
+# covers float32's subnormals; and float32's smallest normal value, which
+# bounds what rounding a product's input or result to float32 loses when
+# it is subnormal or flushed to zero
 _U32 = 2.0 ** -24
 _TINY = 2.0 ** -64
+_FLUSH = 2.0 ** -126
 
 
-class _Distance:
-    """The ranking blocks of a TransE, RotatE or HAKE chunk, in float64 or
-    float32, and the float64 scores of single pairs.
+class _Scorer:
+    """The candidate scores of one model kind: float64 chunks of every
+    entity for the all-candidates mass, float32 tiles and their `Screen`
+    for ranking, and the float64 scores of single pairs, from entity
+    tables in `dtype` built once per `reduce_candidate_scores` call.
 
-    `query(tail, fixed, rel)` is a chunk's query side, a tuple of float64
-    (Q, features) arrays.  `distance(tail, q, e, out, free)` writes into
-    `out` the distances of query side q to entity side e, one term per
-    feature added by `_add_terms`: q[k][:, j] and e[k][j] are feature j
-    of the k-th array of either side, and broadcast to out's shape.  A
-    block passes its queries as (Q, features, 1) arrays and its entities
-    as the (features, W) columns of the kind's feature-major `tables`,
-    all in the block's dtype, so `out` is (Q, W).  `exact` passes the
-    float64 query and entity rows of its pairs as (P, features) and
-    (features, P) arrays, so `out` is (P,): every pair takes the
-    operations of the float64 block in its order, and gets its bits.
-
-    `bound(tail, query)` is eps(q), which bounds |float32 - float64| of
-    query q's finite float32 distances.  With u = 2^-24 and n the number
-    of terms (dim for TransE, dim / 2 for RotatE and HAKE), a first-order
-    analysis of float32's rounding of the inputs, of each term and of
-    their sum bounds the float32 error by (c - 1) u S(q), with a
-    constant c and a scale S(q) of the query and the largest entity row
-    per kind; eps(q) = 2 c u S(q) + (n + 1) 2^-64.  The factor 2, safety
-    against the second-order terms and the float64 block's own error
-    (2^-29 times float32's), and the last term covers float32's
-    subnormals.  A float32 distance that overflows is not finite, and
-    the consumer decides it in float64.
+    A kind gives `query(tail, fixed, rel)`, a pass's query side: a tuple
+    of float64 (Q, features) arrays.  `side(query)` lays it out in
+    `dtype` for `block(tail, side, cols, out, free)`, which writes into
+    `out` the (Q, W) scores of the entities `cols` (a slice), using the
+    kind's `buffers` scratch buffers `free`.  `pair(tail, q, e, out,
+    free)` writes into `out` the (P,) float64 scores of the pairs whose
+    query and entity sides are the (P, features) arrays q and the
+    (features, P) arrays e from `pair_side`, in one fixed order of
+    operations, with `pair_buffers` scratch buffers.  `bound(tail,
+    query)` is eps(q), which bounds |float32 - float64| of query q's
+    finite float32 scores.  A float32 score that is not finite, which
+    an overflow makes, is decided in float64 by the consumer.
     """
 
     def __init__(self, params: ModelParams, dtype):
@@ -627,46 +684,100 @@ class _Distance:
         self.quiet = ({"over": "ignore", "invalid": "ignore"}
                       if self.dtype == np.float32 else {})
 
-    def __call__(self, tail, fixed, rel):
-        """(scores, check) of one chunk: `check` is None for float64
-        scores, and the chunk's `Screen` for float32 ones."""
-        query = self.query(tail, fixed, rel)
+    @property
+    def tile_bytes(self) -> int:
+        """Bytes a (query, entity) score of a ranking tile holds: the
+        score, the block's scratch and the reducer's masks."""
+        return self.dtype.itemsize * (self.buffers + 1) + _TILE_MASKS
+
+    def feature_major(self, columns, order, fn=lambda rows: (rows,)):
+        """`_feature_major` tables of `columns` in `dtype`, and with
+        float32 ones, which screen, the largest norm of order `order`,
+        which eps(q) reads."""
+        return _feature_major(columns, self.dtype, fn,
+                              order if self.dtype == np.float32 else None)
+
+    def side(self, query):
+        """The query side in `dtype`, each array (Q, features, 1), so
+        that feature j is a (Q, 1) column against a block's (W,) row."""
         with np.errstate(**self.quiet):
-            side = tuple(x.astype(self.dtype, copy=False)[..., None]
+            return tuple(x.astype(self.dtype, copy=False)[..., None]
                          for x in query)
+
+    def scores(self, tail, fixed, rel) -> np.ndarray:
+        """The (Q, E) `dtype` scores of a chunk, in blocks of entities."""
+        side = self.side(self.query(tail, fixed, rel))
+        return _blocked(len(fixed), len(self.ent), self.buffers,
+                        partial(self.block, tail, side), self.dtype)
+
+    def screened(self, rows, reduce, tail, fixed, rel):
+        """The values of one ranking pass: `reduce` gets the pass's
+        `Screen` and adds up its float32 tiles."""
+        query = self.query(tail, fixed, rel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self.bound(tail, query)
+        add, total = reduce(rows, Screen(bound,
+                                         partial(self.exact, tail, query)))
+        side = self.side(query)
 
         def block(cols, out, free):
             with np.errstate(**self.quiet):
-                self.distance(tail, side,
-                              tuple(table[:, cols] for table in self.tables),
-                              out, free)
-        scores = _blocked(len(fixed), len(self.ent), self.buffers, block,
-                          self.dtype)
-        if self.dtype == np.float64:
-            return scores, None
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = self.bound(tail, query)
-        return scores, Screen(bound, partial(self.exact, tail, query))
+                self.block(tail, side, cols, out, free)
+        _blocked(len(fixed), len(self.ent), self.buffers, block, self.dtype,
+                 add)
+        return total()
 
     def exact(self, tail, query, picks, cands):
         """float64 scores of the pairs (query picks[k], entity cands[k])
-        of a chunk whose query side is `query`, taken a budget of pairs
-        at a time (a pair gathers fewer than 6 dim floats besides its
+        of a pass whose query side is `query`, taken a budget of pairs at
+        a time (a pair gathers fewer than 6 dim floats besides its
         buffers), since a query whose bound is not finite rechecks every
         entity."""
         scores = np.empty(len(picks))
         step = max(1, RANK_BUDGET_BYTES // (
-            8 * (6 * self.params.dim + 1 + self.buffers)))
+            8 * (6 * self.params.dim + self.pair_buffers)))
         for lo in range(0, len(picks), step):
             pairs = slice(lo, lo + step)
-            out, *free = np.empty((1 + self.buffers, len(picks[pairs])))
-            self.distance(tail, tuple(x[picks[pairs]] for x in query),
-                          self.pair_side(cands[pairs]), out, free)
-            np.negative(out, out=scores[pairs])
+            self.pair(tail, tuple(x[picks[pairs]] for x in query),
+                      self.pair_side(cands[pairs]), scores[pairs],
+                      list(np.empty((self.pair_buffers,
+                                     len(picks[pairs])))))
         return scores
 
     def pair_side(self, cands):
         return (self.ent[cands].T,)
+
+
+class _Distance(_Scorer):
+    """A TransE, RotatE or HAKE score, the negated distance
+    `distance(tail, q, e, out, free)` writes: that of query side q to
+    entity side e, one term per feature added by `_add_terms`, where
+    q[k][:, j] and e[k][j] are feature j of the k-th array of either
+    side and broadcast to out's shape.  A block passes its queries as
+    (Q, features, 1) arrays and its entities as the (features, W)
+    columns of the kind's feature-major `tables`, all in the block's
+    dtype, so `out` is (Q, W).  A pair passes the float64 (P, features)
+    and (features, P) arrays, so `out` is (P,): every pair takes the
+    operations of the float64 block in its order, and gets its bits.
+
+    With u = 2^-24 and n the number of terms (dim for TransE, dim / 2
+    for RotatE and HAKE), a first-order analysis of float32's rounding
+    of the inputs, of each term and of their sum bounds the float32
+    error by (c - 1) u S(q), with a constant c and a scale S(q) of the
+    query and the largest entity row per kind; eps(q) = 2 c u S(q) +
+    (n + 1) 2^-64.  The factor 2 is safety against the second-order
+    terms and the float64 block's own error (2^-29 times float32's), and
+    the last term covers float32's subnormals.
+    """
+
+    def block(self, tail, side, cols, out, free):
+        self.distance(tail, side, tuple(table[:, cols]
+                                        for table in self.tables), out, free)
+        np.negative(out, out=out)
+
+    def pair(self, tail, q, e, out, free):
+        self.distance(tail, q, e, out, free)
+        np.negative(out, out=out)
 
 
 class _TransE(_Distance):
@@ -677,8 +788,8 @@ class _TransE(_Distance):
         super().__init__(params, dtype)
         self.l1 = params.aux.get("norm_p", 1.0) == 1.0
         self.order = 1 if self.l1 else 2
-        self.buffers = _sum_buffers(params.dim)
-        self.tables = (_feature_major(self.ent, dtype),)
+        self.buffers = self.pair_buffers = _sum_buffers(params.dim)
+        self.tables, self.scale = self.feature_major(self.ent, self.order)
 
     def query(self, tail, fixed, rel):
         return (fixed + rel if tail else fixed - rel,)
@@ -693,10 +804,6 @@ class _TransE(_Distance):
         _add_terms(term, self.params.dim, out, free)
         if not self.l1:
             np.sqrt(out, out=out)
-
-    @cached_property
-    def scale(self) -> float:
-        return _max_norm(self.ent, self.order)
 
     def bound(self, tail, query):
         n = self.params.dim
@@ -714,8 +821,9 @@ class _RotatE(_Distance):
         super().__init__(params, dtype)
         self.half = params.dim // 2
         # a term's spare is the last buffer
-        self.buffers = _sum_buffers(self.half) + 1
-        self.tables = (_feature_major(self.ent, dtype),)  # re 2j, im 2j + 1
+        self.buffers = self.pair_buffers = _sum_buffers(self.half) + 1
+        # re 2j, im 2j + 1
+        self.tables, self.scale = self.feature_major(self.ent, 1)
 
     def query(self, tail, fixed, rel):
         return _rotation(tail, fixed, rel)[:2]
@@ -730,10 +838,6 @@ class _RotatE(_Distance):
             buf += np.multiply(spare, spare, out=spare)
             return np.sqrt(buf, out=buf)
         _add_terms(term, self.half, out, free)
-
-    @cached_property
-    def scale(self) -> float:
-        return _max_norm(self.ent, 1)
 
     def bound(self, tail, query):
         n = self.half
@@ -751,18 +855,24 @@ class _HAKE(_Distance):
     are differences of products of sines and cosines, at most 1 each,
     whose first-order float32 error is |w| n (n + 8) u: eps(q) adds
     2 u |w| n (n + 10), and the subnormals' slack is (1 + |w|) times
-    the others'.  The float32 tables of the half phases' sines and
-    cosines are float64 ones rounded to float32."""
+    the others'.  The float32 tables of the half phases' cosines and
+    sines are `_half_angles` rounded to float32: within 2^-40 of the
+    float64 `_half_cos` and `_half_sin` that the pairs take, a gap of
+    2^-16 u per table entry, which the factor 2 over the first-order
+    error covers many times over."""
 
     def __init__(self, params: ModelParams, dtype):
         super().__init__(params, dtype)
         self.half = half = params.dim // 2
         self.weight = params.aux["phase_weight"]
         # the phase sum and a phase term's spare are the last two buffers
-        self.buffers = _sum_buffers(half) + 2
-        self.tables = (_feature_major(self.ent[:, :half], dtype, np.abs),
-                       _feature_major(self.ent[:, half:], dtype, _half_cos),
-                       _feature_major(self.ent[:, half:], dtype, _half_sin))
+        self.buffers = self.pair_buffers = _sum_buffers(half) + 2
+        angles = (_half_angles if self.dtype == np.float32 else
+                  lambda phases: (_half_cos(phases), _half_sin(phases)))
+        (modulus,), self.scale = self.feature_major(
+            self.ent[:, :half], 2, lambda rows: (np.abs(rows),))
+        self.tables = (modulus,
+                       *_feature_major(self.ent[:, half:], dtype, angles)[0])
 
     def query(self, tail, fixed, rel):
         half = self.half
@@ -803,10 +913,6 @@ class _HAKE(_Distance):
         phase *= self.weight
         out += phase
 
-    @cached_property
-    def scale(self) -> float:
-        return _max_norm(self.ent[:, :self.half], 2)
-
     def bound(self, tail, query):
         q_mod, r_mod, f_mod = query[:3]
         n, w = self.half, abs(self.weight)
@@ -817,35 +923,65 @@ class _HAKE(_Distance):
                 + (n + 1) * (1 + w) * _TINY)
 
 
-_DISTANCES = {ModelKind.TRANSE: _TransE, ModelKind.ROTATE: _RotatE,
-              ModelKind.HAKE: _HAKE}
-# the kinds whose ranking chunks float32 screens
-_SCREENED = frozenset(_DISTANCES)
+class _Dot(_Scorer):
+    """DistMult and ComplEx: the dot product q . e of the answer's row
+    with q = h * r (DistMult), or, interleaved, h * r (ComplEx tails) or
+    t * conj(r) (heads).  A chunk of the all-candidates mass is one
+    float64 matmul of every entity, whose bits the weight tables keep.
+    A ranking tile is one float32 matmul of the tile's columns of the
+    feature-major float32 table, summed in an order that BLAS sets; a
+    pair adds the n = dim float64 products q_j e_j in `_add_terms`'
+    order, so no rank depends on BLAS, on the tile width or on the CPU
+    count.
 
-
-def _chunk_scorer(params: ModelParams, dtype=np.float64):
-    """score(tail, fixed, rel) -> (scores, check) for one chunk of
-    queries.
-
-    `tail` says whether the chunk asks for tails; `fixed` (Q, dim) and
-    `rel` (Q, dim_r) are the rows of the given entities and relations.
-    DistMult and ComplEx take one float64 matmul, whose bits BLAS
-    blocking sets, and `check` is None.  TransE, RotatE and HAKE take
-    distance blocks in `dtype`, float64 or float32, from entity-side
-    tables computed once, here, for all chunks: feature-major, so that
-    one feature of a block of entities is a contiguous row, and in
-    `dtype`, so float32 reads half the bytes.  Float32 only screens: its
-    `check` is the chunk's `Screen`, whose bound and exact float64 pairs
-    let the consumer decide in float64 every comparison that float32
-    cannot.
+    Rounding q and e to float32 costs 2 u |q_j e_j| a product, taking
+    the products u and adding them in any order (n - 1) u sum_j
+    |q_j e_j|, which Cauchy-Schwarz bounds by |q|_2 M, M = max_e |e|_2.
+    An input or result below float32's normal range, subnormal or
+    flushed to zero, may lose up to 2^-126: |e_j| 2^-126 or |q_j| 2^-126
+    an input, summed over j at most sqrt(n) (M + |q|_2) 2^-126, and
+    2^-126 each of the 2n products and sums.  eps(q) is twice the sum,
+    2 (n + 2) u |q|_2 M + 2^-125 (sqrt(n) (|q|_2 + M) + 2n): the factor
+    2 covers the second-order terms and the float64 pair's own error.
     """
-    kind, ent = params.kind, params.entity_emb
-    if kind == ModelKind.DISTMULT:
-        return lambda tail, fixed, rel: ((fixed * rel) @ ent.T, None)
-    if kind == ModelKind.COMPLEX:
-        return lambda tail, fixed, rel: (
-            _complex_query(tail, fixed, rel) @ ent.T, None)
-    return _DISTANCES[kind](params, dtype)
+
+    def __init__(self, params: ModelParams, dtype):
+        super().__init__(params, dtype)
+        self.buffers = 0  # a tile's matmul writes its scores directly
+        self.pair_buffers = _sum_buffers(params.dim)
+        self.tables, self.scale = (self.feature_major(self.ent, 2)
+                                   if self.dtype == np.float32 else ((), 0.0))
+
+    def query(self, tail, fixed, rel):
+        if self.params.kind == ModelKind.DISTMULT:
+            return (fixed * rel,)
+        return (_complex_query(tail, fixed, rel),)
+
+    def side(self, query):
+        with np.errstate(**self.quiet):
+            return (query[0].astype(self.dtype, copy=False),)
+
+    def scores(self, tail, fixed, rel):
+        return self.query(tail, fixed, rel)[0] @ self.ent.T
+
+    def block(self, tail, side, cols, out, free):
+        np.matmul(side[0], self.tables[0][:, cols], out=out)
+
+    def pair(self, tail, q, e, out, free):
+        (q,), (e,) = q, e
+        _add_terms(lambda j, buf: np.multiply(q[:, j], e[j], out=buf),
+                   self.params.dim, out, free)
+
+    def bound(self, tail, query):
+        n = self.params.dim
+        norm = np.linalg.norm(query[0], axis=1)
+        return (2 * (n + 2) * _U32 * norm * self.scale
+                + 2 * _FLUSH * (math.sqrt(n) * (norm + self.scale) + 2 * n))
+
+
+_SCORERS = {ModelKind.TRANSE: _TransE, ModelKind.ROTATE: _RotatE,
+            ModelKind.HAKE: _HAKE, ModelKind.DISTMULT: _Dot,
+            ModelKind.COMPLEX: _Dot}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from kgesub.data import (DIRECTION_NAMES, Dataset, Direction, QueryIndex,
                          Vocab, _parse_triples)
 from kgesub.errors import DataError, DegenerateInputError
 from kgesub.evaluation import rank_answers
+from kgesub import models
 from kgesub.models import ModelKind, ModelParams, score_block
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 discounted_weights, uniform_weights)
@@ -308,10 +309,11 @@ def score_batch(params: ModelParams, query: QueryKey,
 
 def oracle_distance_scores(params: ModelParams, tail: bool,
                            fixed: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """(Q, E) ranking scores of a TransE, RotatE or HAKE chunk by the
-    entity blocks that `models._chunk_scorer` replaced: one (Q, E, dim)
+    """(Q, E) float64 scores of a TransE, RotatE or HAKE chunk by the
+    entity blocks that the feature-major ones replaced: one (Q, E, dim)
     difference per chunk and `np.sum` over its rows of features.  The
-    feature-major blocks must give these scores bit for bit."""
+    feature-major blocks and the pairs of a ranking `Screen` must give
+    these scores bit for bit."""
     kind, ent, dim = params.kind, params.entity_emb, params.dim
     half = dim // 2
     if kind == ModelKind.TRANSE:
@@ -356,6 +358,53 @@ def oracle_distance_scores(params: ModelParams, tail: bool,
     phase *= weight
     out += phase
     return np.negative(out, out=out)
+
+
+def oracle_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
+                  rel: np.ndarray) -> np.ndarray:
+    """(Q, E) float64 scores of every (query, entity) pair in the one
+    order of operations that ranking's float64 pairs take, whatever BLAS
+    does: `oracle_distance_scores` for TransE, RotatE and HAKE, and for
+    DistMult and ComplEx the products q_j e_j of the query side q
+    (h * r, or interleaved h * r for tails and t * conj(r) for heads)
+    summed by `np.sum` over a contiguous (Q, E, dim) row."""
+    if params.kind not in (ModelKind.DISTMULT, ModelKind.COMPLEX):
+        return oracle_distance_scores(params, tail, fixed, rel)
+    if params.kind == ModelKind.DISTMULT:
+        q = fixed * rel
+    else:
+        (f_re, f_im), (r_re, r_im) = _complex_view(fixed), _complex_view(rel)
+        if not tail:
+            r_im = -r_im
+        q = np.empty_like(fixed)
+        q[:, 0::2] = f_re * r_re - f_im * r_im
+        q[:, 1::2] = f_re * r_im + f_im * r_re
+    return np.sum(q[:, None, :] * params.entity_emb, axis=2)
+
+
+def screened_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
+                    rel: np.ndarray):
+    """The float32 (Q, E) scores of one ranking pass, put together from
+    the tiles that `models` hands its reducer, each entity once, and the
+    pass's `Screen`."""
+    scorer = models._SCORERS[params.kind](params, np.float32)
+    scores = np.empty((len(fixed), params.num_entities), np.float32)
+    seen = np.zeros(params.num_entities, bool)
+    screens = []
+
+    def reduce(rows, screen):
+        def add(cols, tile):
+            assert tile.dtype == np.float32 and not seen[cols].any()
+            seen[cols] = True
+            scores[:, cols] = tile
+
+        def total():
+            screens.append(screen)
+            return rows
+        return add, total
+    scorer.screened(np.arange(len(fixed)), reduce, tail, fixed, rel)
+    assert seen.all()
+    return scores, screens[0]
 
 
 def score_gradient(params: ModelParams, triple: Triple):

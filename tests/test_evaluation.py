@@ -1,5 +1,6 @@
 """Filtered ranking, metrics, and multi-run aggregation."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -17,8 +18,8 @@ from kgesub.subsampling import log_model_frequencies
 
 from conftest import (QueryKey, Triple, answer_of, answers_of, as_triples,
                       filtered_rank, looped_zipf_kg, make_vocab,
-                      oracle_answer_sets, oracle_filtered_rank, query_of,
-                      random_kg, score_batch)
+                      oracle_answer_sets, oracle_filtered_rank, oracle_scores,
+                      query_of, random_kg, score_batch, screened_scores)
 
 
 def known_answers(dataset):
@@ -305,48 +306,69 @@ class TestEvaluate:
 
 
 class TestScreenedRanks:
-    """TransE, RotatE and HAKE rank in float32 and decide in float64 every
-    entity that float32 cannot place against the answer: the ranks equal
-    those of the float64 reducer in both directions, at 1, 2 and 3
-    workers and under a small budget, with exact ties, scores within an
-    ulp of the answer's and float32 scores that overflow."""
+    """Every kind ranks in float32 and decides in float64 every entity
+    that float32 cannot place against the answer: the ranks equal those
+    of the canonical float64 pair scores in both directions, at 1, 2, 3
+    and 12 workers and under small budgets, with exact ties, scores
+    within an ulp of the answer's, float32 scores that overflow and
+    query sides that float32 flushes to zero."""
 
     CASES = [
         (ModelKind.TRANSE, {}), (ModelKind.TRANSE, {"norm_p": 2.0}),
-        (ModelKind.ROTATE, {}), (ModelKind.HAKE, {})]
+        (ModelKind.ROTATE, {}), (ModelKind.HAKE, {}),
+        (ModelKind.DISTMULT, {}), (ModelKind.COMPLEX, {})]
     IDS = [kind.value + ("-l2" if aux else "") for kind, aux in CASES]
 
     @staticmethod
     def _check(params, triples, monkeypatch) -> int:
         """Assert that both queries of every row of `triples`, whose rows
-        are the known answers, rank as under the float64 reducer, and
-        return the number of pairs that float64 rechecked besides the
-        answers."""
-        num_entities = params.num_entities
-        index = QueryIndex.build(triples, num_entities, params.num_relations)
+        are the known answers, rank as the canonical float64 scores of
+        every pair (`oracle_scores`) do, and return the number of pairs
+        that float64 rechecked besides the answers."""
+        index = QueryIndex.build(triples, params.num_entities,
+                                 params.num_relations)
         direction, entity, relation, answer = example_queries(
             triples, np.arange(2 * len(triples)))
         queries = np.stack([direction, entity, relation], axis=1)
-        with monkeypatch.context() as patch:
-            patch.setattr(models, "_SCREENED", frozenset())
-            want = rank_answers(params, index, queries, answer).tolist()
+        known = oracle_answer_sets(triples)
+        want = []
+        for d, e, r, a in zip(direction, entity, relation, answer):
+            scores = oracle_scores(params, d == Direction.TAIL_QUERY,
+                                   params.entity_emb[[e]],
+                                   params.relation_emb[[r]])[0]
+            want.append(oracle_filtered_rank(
+                scores, a, known[QueryKey(Direction(d), e, r)]))
         pairs = []
-        exact = models._Distance.exact
+        exact = models._Scorer.exact
 
         def counted(self, tail, query, picks, cands):
             pairs.append(len(picks))
             return exact(self, tail, query, picks, cands)
-        monkeypatch.setattr(models._Distance, "exact", counted)
+        monkeypatch.setattr(models._Scorer, "exact", counted)
         runs = 0
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(models, "_WORKERS", workers)
-            # the small budget: float32 chunks of 3 queries, several blocks
-            for budget in (models.RANK_BUDGET_BYTES, 4 * num_entities * 3):
-                with monkeypatch.context() as patch:
-                    patch.setattr(models, "RANK_BUDGET_BYTES", budget)
-                    got = rank_answers(params, index, queries, answer)
-                assert got.tolist() == want, (workers, budget)
-                runs += 1
+        # the workers' tiles add to the pass's counts: switching threads
+        # often, 12 workers on fewer CPUs would show a lost update
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 12):
+                monkeypatch.setattr(models, "_WORKERS", workers)
+                # the default budget: one pass a direction, one tile; a
+                # small one: one query a pass, tiles of a few entities;
+                # and tiles of 4 entities at least: passes of several
+                # queries
+                for budget, tile in (
+                        (models.RANK_BUDGET_BYTES, models._TILE),
+                        (576, models._TILE), (576, 4)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                        patch.setattr(models, "_TILE", tile)
+                        got = rank_answers(params, index, queries, answer)
+                    assert got.tolist() == want, (workers, budget, tile)
+                    runs += 1
+        finally:
+            sys.setswitchinterval(interval)
+        # each run scores each answer once, and the band besides
         return sum(pairs) - runs * len(queries)
 
     @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
@@ -395,9 +417,8 @@ class TestScreenedRanks:
         ent[20] = ent[16]
         fixed, rel = ent[:4], params.relation_emb[[0, 1, 0, 1]]
         for tail in (True, False):
-            float64, _ = models._chunk_scorer(params)(tail, fixed, rel)
-            float32, _ = models._chunk_scorer(params, np.float32)(
-                tail, fixed, rel)
+            float64 = oracle_scores(params, tail, fixed, rel)
+            float32, _ = screened_scores(params, tail, fixed, rel)
             assert np.isfinite(float64).all()
             assert not np.isfinite(float32[:, 16:]).any()
         triples = np.stack([rng.integers(0, 24, size=20),
@@ -405,6 +426,43 @@ class TestScreenedRanks:
                             rng.integers(0, 24, size=20)], axis=1)
         triples[:4, 2] = [16, 20, 17, 3]
         triples[4:8, 0] = [16, 20, 18, 5]
+        assert self._check(params, triples, monkeypatch) > 0
+
+    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
+    def test_flushed_queries_against_huge_entities(self, kind, aux,
+                                                   monkeypatch):
+        """Query sides whose float64 components lie below float32's
+        subnormal range, which float32 rounds to zero, set against entity
+        components near 1e38: float32 ties what float64 tells apart.
+        Entities 0 to 7 and relation 0 are of order 1e-24 and 1e-23, so
+        the products h * r of DistMult and ComplEx are of order 1e-47;
+        entities 16 to 23 are of order 1e38, within float32's range."""
+        rng = np.random.default_rng(25)
+        params = init_params(kind, 24, 2, 6, 1.5, seed=26, aux=aux)
+        ent, rel = params.entity_emb, params.relation_emb
+        # HAKE's and RotatE's relation phases stay angles
+        moduli = 3 if kind == ModelKind.HAKE else 6
+        ent[:8, :moduli] *= 1e-24 / np.abs(ent[:8, :moduli]).max()
+        if kind != ModelKind.ROTATE:
+            rel[0, :moduli] *= 1e-23 / np.abs(rel[0, :moduli]).max()
+        ent[16:, :moduli] = rng.choice([-1.0, 1.0], size=(8, moduli)) * (
+            rng.uniform(0.5e38, 3e38, size=(8, moduli)))
+        ent[21] = ent[17]
+        if kind in (ModelKind.DISTMULT, ModelKind.COMPLEX):
+            for tail in (True, False):
+                small = oracle_scores(params, tail, ent[:8], rel[[0] * 8])
+                float32, _ = screened_scores(params, tail, ent[:8],
+                                             rel[[0] * 8])
+                # float32 scores every pair 0; float64 does not
+                assert not float32.any() and small[:, 16:].all()
+        triples = np.stack([rng.integers(0, 24, size=20),
+                            rng.integers(0, 2, size=20),
+                            rng.integers(0, 24, size=20)], axis=1)
+        triples[:8, 0] = np.arange(8)
+        triples[:8, 1] = 0
+        triples[8:12, 2] = [0, 1, 2, 3]
+        triples[8:12, 1] = 0
+        triples[:4, 2] = [16, 21, 17, 4]
         assert self._check(params, triples, monkeypatch) > 0
 
     def test_band_is_rounded_outward(self):
@@ -451,9 +509,11 @@ def traced_peak(call) -> int:
 
 
 class TestOneChunkAlive:
-    """`reduce_candidate_scores` frees each chunk's scores before the
-    next chunk is scored: over four chunks a consumer's traced peak is
-    that of one chunk, not one chunk more."""
+    """`reduce_candidate_scores` frees each chunk of the all-candidates
+    mass before the next chunk is scored: over four chunks a consumer's
+    traced peak is that of one chunk, not one chunk more.  Ranking makes
+    no (queries, E) chunk: its peak is its tiles' budget and its float32
+    tables, whatever the number of queries."""
 
     # 16 tail queries a chunk at dim 16, 512 KiB of (16, 4096) scores
     ENTITIES, DIM, STEP = 4096, 16, 16
@@ -472,17 +532,23 @@ class TestOneChunkAlive:
             num_queries)) and index.num_queries == num_queries + 1
         return params, dataset, num_queries
 
-    @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.DISTMULT])
+    @pytest.mark.parametrize(
+        "kind", [ModelKind.TRANSE, ModelKind.DISTMULT, ModelKind.HAKE])
     def test_rank_answers(self, kind, monkeypatch):
+        """Under a budget of one mass chunk, which the tiles' scratch
+        reaches from 16 queries on, ranking 16 to 256 queries peaks
+        within the budget, the float32 tables and a quarter chunk."""
         monkeypatch.setattr(models, "_WORKERS", 1)
-
-        def peak(num_chunks):
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
+        tables = sum(table.nbytes for table in models._SCORERS[kind](
+            self._case(kind, 1)[0], np.float32).tables)
+        for num_chunks in (1, 4, 16):
             params, dataset, num_queries = self._case(kind, num_chunks)
             queries = all_queries(dataset.train_index)[:num_queries]
-            return traced_peak(lambda: rank_answers(
+            peak = traced_peak(lambda: rank_answers(
                 params, dataset.train_index, queries,
                 np.zeros(num_queries, dtype=np.int64)))
-        assert peak(4) - peak(1) < self.CHUNK_BYTES / 2
+            assert peak < self.CHUNK_BYTES * 5 / 4 + tables, num_chunks
 
     @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.DISTMULT])
     def test_all_candidates_mass(self, kind, monkeypatch):
@@ -497,19 +563,15 @@ class TestOneChunkAlive:
 
     def test_mass_takes_its_sums_inside_the_chunk(self, monkeypatch):
         """The all-candidates mass writes its shifted terms over the
-        chunk, so it holds no more than ranking the same queries does.
-        DistMult scores with a matmul and no scratch, so the chunk and
-        what its consumer makes of it set the peak."""
+        chunk, so it holds little more than the chunk.  DistMult scores
+        with a matmul and no scratch, so the chunk and what its consumer
+        makes of it set the peak."""
         monkeypatch.setattr(models, "_WORKERS", 1)
         params, dataset, _ = self._case(ModelKind.DISTMULT, 1)
         scores = score_training_triples(params, dataset, "sub")
-        index = dataset.train_index
-        queries = all_queries(index)
-        ranking = traced_peak(lambda: rank_answers(
-            params, index, queries, np.zeros(len(queries), np.int64)))
         mass = traced_peak(lambda: log_model_frequencies(
             dataset, scores, params))
-        assert mass - ranking < self.CHUNK_BYTES / 2
+        assert mass < self.CHUNK_BYTES * 5 / 4
 
 
 class TestAggregateRuns:

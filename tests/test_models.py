@@ -25,8 +25,9 @@ from kgesub.models import (INIT_EPSILON, ModelKind, init_params,
 
 from conftest import (QueryKey, Triple, as_triples, fd_score_row_gradients,
                       looped_zipf_kg, max_relative_error,
-                      oracle_distance_scores, score, score_and_grad,
-                      score_batch, score_gradient)
+                      oracle_distance_scores, oracle_scores, score,
+                      score_and_grad, score_batch, score_gradient,
+                      screened_scores)
 
 ALL_KINDS = list(ModelKind)
 GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [
@@ -344,21 +345,36 @@ class TestScoreGradient:
 
 def candidate_chunks(params, directions, entities, relations,
                      screen=False):
-    """(rows, scores) of each chunk that `reduce_candidate_scores` hands
-    its reducer, in the order it scores them, with a check that each
-    reducer value comes back at its query's input position.  Screened
-    distance kinds hand float32 scores and a `Screen`, the others
-    float64 scores and no check."""
+    """(rows, scores) of each pass that `reduce_candidate_scores` scores,
+    in order, with a check that each reducer value comes back at its
+    query's input position.  The all-candidates mass hands its reducer
+    float64 (len(rows), E) chunks; ranking hands float32 tiles, each
+    entity once, which are put together here."""
     chunks = []
-    screened = screen and params.kind in models._SCREENED
 
-    def keep(rows, scores, check):
-        assert scores.dtype == (np.float32 if screened else np.float64)
-        assert (check is None) != screened
+    def keep(rows, scores):
+        assert scores.dtype == np.float64
         chunks.append((rows.copy(), scores.copy()))
         return rows
+
+    def tiles(rows, check):
+        assert isinstance(check, models.Screen)
+        scores = np.empty((len(rows), params.num_entities), np.float32)
+        seen = np.zeros(params.num_entities, bool)
+
+        def add(cols, tile):
+            assert tile.dtype == np.float32 and not seen[cols].any()
+            seen[cols] = True
+            scores[:, cols] = tile
+
+        def total():
+            assert seen.all()
+            chunks.append((rows.copy(), scores))
+            return rows
+        return add, total
     positions = reduce_candidate_scores(params, directions, entities,
-                                        relations, keep, np.int64, screen)
+                                        relations, tiles if screen else keep,
+                                        np.int64, screen)
     assert np.array_equal(positions, np.arange(len(directions)))
     return chunks
 
@@ -406,23 +422,35 @@ class TestCandidateScores:
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
         assert spans() == [(0, 3), (3, 6), (6, 9)]
 
-    def test_chunk_size_follows_the_scores_dtype(self, monkeypatch):
-        """The budget counts bytes: a screened distance kind's float32
-        chunks hold twice the queries of its float64 ones."""
-        params = init_params(ModelKind.TRANSE, 10, 1, 8, 1.0, seed=14)
+    def test_pass_size_follows_the_tile_bytes(self, monkeypatch):
+        """A ranking pass holds as many queries as leave every worker a
+        tile of `_TILE` entities, or an equal share of fewer, and the
+        passes of a direction are of equal size.  TransE at dim 8 keeps
+        four float32 buffers and the tile, and two mask bytes: 22 bytes
+        a (query, entity) score."""
+        params = init_params(ModelKind.TRANSE, 40, 1, 8, 1.0, seed=14)
         zeros = np.zeros(13, dtype=np.int64)
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
+        monkeypatch.setattr(models, "_WORKERS", 2)
 
         def spans(screen):
             return [(rows[0], rows[-1] + 1) for rows, _ in candidate_chunks(
                 params, zeros, zeros, zeros, screen)]
-        assert spans(False) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 13)]
-        assert spans(True) == [(0, 6), (6, 12), (12, 13)]
+        # tiles of 20 entities, the two workers' share: 6 queries a pass
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 22 * 20 * 6)
+        assert spans(True) == [(0, 5), (5, 9), (9, 13)]
+        # the float64 mass fills its chunks up to the budget and the dim
+        assert spans(False) == [(0, 8), (8, 13)]
+        # tiles of `_TILE` = 4 entities: 15 queries a pass
+        monkeypatch.setattr(models, "_TILE", 4)
+        assert spans(True) == [(0, 13)]
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 22 * 4 * 4)
+        assert spans(True) == [(0, 4), (4, 7), (7, 10), (10, 13)]
 
 
 class TestRankingWorkers:
     """Entity blocks split across worker threads give the one-worker
-    scores bit for bit."""
+    scores bit for bit: the float64 ones of the mass, and the float32
+    distance tiles of ranking."""
 
     DISTANCE_CASES = [(ModelKind.TRANSE, {}),
                       (ModelKind.TRANSE, {"norm_p": 2.0}),
@@ -452,8 +480,8 @@ class TestRankingWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # float64, then float32 screening scores, whose scratch holds
-            # twice the entities in the same bytes
+            # the float64 mass, then float32 ranking tiles, which hold
+            # more entities in the same bytes
             for screen in (False, True):
                 monkeypatch.setattr(models, "_WORKERS", 1)
                 want = self._scores(params, queries, screen)
@@ -474,26 +502,40 @@ class TestRankingWorkers:
             self, workers, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", workers)
         # eight (3, W) buffers: 24 floats an entity.  The budget counts
-        # bytes: it holds 7 float64 entities, or 14 float32 ones
+        # bytes: it holds 7 float64 entities, or 14 float32 ones; a
+        # ranking tile, which adds its scores (3 floats) and the masks
+        # (3 bytes) of its reducer, 6 float64 entities or 11 float32 ones
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * 24)
-        for dtype, room in ((np.float64, 7), (np.float32, 14)):
+        for dtype, room, tiles in ((np.float64, 7, False),
+                                   (np.float32, 14, False),
+                                   (np.float64, 6, True),
+                                   (np.float32, 11, True)):
             scratch_bytes = {}
+            added = np.zeros((3, 40), dtype)
 
             def block(cols, out, free):
                 width = cols.stop - cols.start
                 assert [buf.shape for buf in free] == 8 * [(3, width)]
-                for i, part in enumerate(free):
+                assert out.shape == (3, width)
+                for i, part in enumerate(free + tiles * [out]):
                     assert part.dtype == dtype and part.flags.c_contiguous
                     assert not any(np.shares_memory(part, other)
-                                   for other in free[i + 1:])
+                                   for other in (free + [out])[i + 1:])
                     scratch_bytes[id(part.base)] = part.base.nbytes
                 out[:] = cols.start
-            out = models._blocked(3, 40, 8, block, dtype)
-            assert out.dtype == dtype
+
+            def add(cols, tile):
+                assert not added[:, cols].any()
+                added[:, cols] = tile + 1
+            out = models._blocked(3, 40, 8, block, dtype, add if tiles
+                                  else None)
             assert sum(scratch_bytes.values()) <= models.RANK_BUDGET_BYTES
             size = room // min(workers, room)
-            # the block's distances come back negated
-            assert np.array_equal(out[0], -(np.arange(40) // size * size))
+            if tiles:
+                assert out is None
+                out = added - 1
+            assert out.dtype == dtype
+            assert np.array_equal(out[0], np.arange(40) // size * size)
 
     @pytest.mark.parametrize("failing_block", [0, 1, 4])
     def test_block_error_reaches_caller(self, failing_block, monkeypatch):
@@ -576,17 +618,33 @@ class TestFeatureMajorRanking:
     def test_feature_major_table_is_the_transpose(self):
         # more entities than one copied block, the last block ragged
         rows = np.random.default_rng(17).normal(size=(2500, 6))
-        table = models._feature_major(rows[:, 2:])
-        assert table.flags.c_contiguous
+        rows[1234, 3] = 1e200  # beyond float32: its norm overflows too
+        (table,), norm = models._feature_major(rows[:, 2:])
+        assert table.flags.c_contiguous and norm == 0.0
         assert np.array_equal(table, rows[:, 2:].T)
+        finite = np.delete(rows[:, 2:], 1234, axis=0)
+        for order in (1, 2):
+            tables, norm = models._feature_major(
+                rows[:, 2:], np.float32, lambda part: (np.abs(part), -part),
+                order)
+            assert [t.dtype for t in tables] == [np.float32] * 2
+            with np.errstate(over="ignore"):
+                assert np.array_equal(tables[1], (-rows[:, 2:]).T.astype(
+                    np.float32))
+            want = np.linalg.norm(finite if order == 2 else rows[:, 2:],
+                                  order, axis=1).max()
+            assert norm == pytest.approx(want, rel=1e-15)
 
 
 class TestFloat32Screen:
-    """Float32 distance blocks stay within their kind's eps(q) of the
-    float64 ones, and the float64 pairs that decide what float32 cannot
-    are the float64 block's scores bit for bit."""
+    """Float32 ranking tiles stay within their kind's eps(q) of the
+    float64 scores, and the float64 pairs that decide what float32
+    cannot are the canonical float64 scores bit for bit: those of the
+    float64 distance blocks, and for DistMult and ComplEx the products
+    summed in one fixed order, whatever order BLAS takes."""
 
-    CASES = TestRankingWorkers.DISTANCE_CASES
+    CASES = TestRankingWorkers.DISTANCE_CASES + [(ModelKind.DISTMULT, {}),
+                                                 (ModelKind.COMPLEX, {})]
     ENTITIES = 300
 
     @pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e1, 1e3])
@@ -595,8 +653,8 @@ class TestFloat32Screen:
         ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
     def test_within_bound_and_pairs_bitwise(self, kind, aux, magnitude):
         rng = np.random.default_rng(int(magnitude * 1e3))
-        # dim 20: TransE adds 20 terms, with the eight partial sums and a
-        # rest; RotatE and HAKE add 10 terms
+        # dim 20: TransE, DistMult and ComplEx add 20 terms, with the
+        # eight partial sums and a rest; RotatE and HAKE add 10 terms
         params = init_params(kind, self.ENTITIES, 3, 20, 2.0, seed=18,
                              aux=aux)
         angles = params.copy()
@@ -618,18 +676,17 @@ class TestFloat32Screen:
             for table, drawn in ((params.entity_emb, angles.entity_emb),
                                  (params.relation_emb, angles.relation_emb)):
                 table[:, 10:] = drawn[:, 10:]
-        self._check(params, *queries, picks, cands)
+        if kind in (ModelKind.ROTATE, ModelKind.HAKE):
+            self._check(params, *queries, picks, cands)
 
     @staticmethod
     def _check(params, heads, relations, picks, cands):
         fixed = params.entity_emb[heads]
         rel = params.relation_emb[relations]
         for tail in (True, False):
-            want, check = models._chunk_scorer(params)(tail, fixed, rel)
-            assert check is None and want.dtype == np.float64
-            got, screen = models._chunk_scorer(params, np.float32)(
-                tail, fixed, rel)
-            assert got.dtype == np.float32 and np.isfinite(got).all()
+            want = oracle_scores(params, tail, fixed, rel)
+            got, screen = screened_scores(params, tail, fixed, rel)
+            assert np.isfinite(got).all()
             error = np.abs(got.astype(np.float64) - want)
             assert (error <= screen.bound[:, None]).all()
             # the bound is not vacuous: within 1e4 of the largest error
@@ -637,6 +694,18 @@ class TestFloat32Screen:
             exact = screen.exact(picks, cands)
             assert exact.dtype == np.float64
             assert np.array_equal(exact, want.ravel())
+
+    def test_hake_half_angles_from_one_tangent(self):
+        """HAKE's float32 tables take the cosine and sine of the half
+        phases from one tangent; they lie within 2^-40 of the float64
+        `_half_cos` and `_half_sin` that its pairs take."""
+        rng = np.random.default_rng(24)
+        phases = np.concatenate([
+            rng.uniform(-np.pi, np.pi, 20000), rng.uniform(-1e4, 1e4, 5000),
+            [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e4, -1e4]])
+        cos, sin = models._half_angles(phases)
+        assert np.abs(cos - models._half_cos(phases)).max() <= 2.0 ** -40
+        assert np.abs(sin - models._half_sin(phases)).max() <= 2.0 ** -40
 
 
 def _container_bytes(header: dict, payload: bytes = b"") -> bytes:
