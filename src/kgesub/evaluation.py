@@ -31,15 +31,20 @@ score of any (query, entity) pair in one fixed order of operations.
 it counts the entities above answer + eps as better, leaves those below
 answer - eps out, and keeps the band between, a few entities a query,
 and every entity whose float32 score is not finite (an overflow), to
-score again in float64 after the last tile.  Both thresholds are
-rounded outward with `np.nextafter` and compared float32 to float32, so
-numpy 1.24 and 2.x agree.  The tiles count the query's known answers
-and the answer itself like any entity, each as its float64 score
-compares, so the reducer then takes each out by that score.  Counts are
-kept as 2 |better| + |tied|, one integer a
-query, so the tiles' counts add up in any order, and the ranks are
-those of the float64 pair scores whatever the CPU count, the tile
-width or the BLAS library.
+score again in float64 after the last tile.  A tile whose band holds
+more pairs than the tile has entities (a huge eps, or scores that
+overflow) keeps its rows instead, and each of those rows is scored in
+float64 over the tile's every entity, so a pass keeps no more pairs than
+there are entities.  The masks of a tile reuse a scratch buffer that its
+block has spent, and each worker hands on a tile's counts and pairs in
+one append.  Both thresholds are rounded outward with `np.nextafter` and
+compared float32 to float32, so numpy 1.24 and 2.x agree.  The tiles
+count the query's known answers and the answer itself like any entity,
+each as its float64 score compares, so the reducer then takes each out
+by that score.  Counts are kept as 2 |better| + |tied|, one integer a
+query, so the tiles' counts add up in any order, and the ranks are those
+of the float64 pair scores whatever the CPU count, the tile width or the
+BLAS library.
 
 Ranking only reads the parameters; reports are assembled in split order
 for determinism.  The module writes no file: `cli` writes its reports.
@@ -84,18 +89,34 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
         picks = np.arange(len(rows))
         own = screen.exact(picks, own_answers)
         low, high = (x[:, None] for x in _float32_band(own, screen.bound))
-        better, near, cands = [], [], []
+        # each tile's (2 |better| + |tied| a row, rows and entities of
+        # its band's pairs, rows left to total() whole, its entities),
+        # appended in one piece by the worker thread that scored it
+        found = []
 
-        def add(cols, tile):  # on a worker thread, so it only appends
-            if not (np.isfinite(tile.min()) and np.isfinite(tile.max())):
-                np.copyto(tile, high, where=~np.isfinite(tile))
-            above = np.greater(tile, high)
-            better.append(_row_counts(above))
-            band = np.greater_equal(tile, low)
+        def add(cols, tile, spare):
+            # two masks of the tile's shape, from the spare's bytes
+            above, band = spare.reshape(-1).view(np.bool_)[
+                :2 * tile.size].reshape((2,) + tile.shape)
+            if not np.isfinite(tile, out=above).all():
+                np.copyto(tile, high,
+                          where=np.logical_not(above, out=above))
+            np.greater(tile, high, out=above)
+            counts = 2 * _row_counts(above)
+            np.greater_equal(tile, low, out=band)
             band ^= above
-            pick, cand = np.divmod(np.flatnonzero(band), tile.shape[1])
-            near.append(pick)
-            cands.append(cand + cols.start)
+            width = tile.shape[1]
+            if np.count_nonzero(band) <= width:
+                pick, cand = np.divmod(np.flatnonzero(band), width)
+                found.append((counts, pick, cand + cols.start, picks[:0],
+                              cols))
+                return
+            # a band wider than the tile, which a huge eps(q) or scores
+            # that overflow float32 make: total() scores its rows' every
+            # entity of the tile, so that a pass keeps no more pairs than E
+            wide = np.flatnonzero(band.any(axis=1))
+            counts[wide] = 0
+            found.append((counts, picks[:0], picks[:0], wide, cols))
 
         def total():
             # each row's known answers, and its answer where it is not
@@ -107,13 +128,20 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
                 starts - (np.cumsum(sizes) - sizes), sizes)]
             lone = np.bincount(owner[mine == own_answers[owner]],
                                minlength=len(rows)) == 0
-            taken = np.concatenate(near + [owner, picks[lone]])
+            counts, near, cands, wide, spans = zip(*found)
+            taken = np.concatenate(near + (owner, picks[lone]))
             exact = screen.exact(taken, np.concatenate(
-                cands + [mine, own_answers[lone]]))
+                cands + (mine, own_answers[lone])))
             weight = 2 * (exact > own[taken]) + (exact == own[taken])
             weight[len(taken) - len(owner) - lone.sum():] *= -1
-            counts = 2 * np.sum(better, axis=0)
+            counts = np.sum(counts, axis=0)
             np.add.at(counts, taken, weight)
+            for rows_of_tile, cols in zip(wide, spans):
+                entities = np.arange(cols.start, cols.stop)
+                for i in rows_of_tile:
+                    exact = screen.exact(np.full(len(entities), i), entities)
+                    counts[i] += (2 * np.count_nonzero(exact > own[i])
+                                  + np.count_nonzero(exact == own[i]))
             return 1 + (counts + 1) // 2
         return add, total
     return reduce_candidate_scores(params, directions, entities, relations,

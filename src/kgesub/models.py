@@ -39,7 +39,8 @@ hands each to the consumer's reducer.  The mass takes float64 chunks of
 and for TransE, RotatE and HAKE direct distances over blocks of
 entities; each is freed before the next is scored.  Ranking makes no
 (queries, E) array: a pass streams its queries over float32 tiles of
-entity columns, and the reducer adds up what each tile gives.
+entity columns, and the reducer adds up what each tile gives, reusing a
+spent scratch buffer of the tile's block.
 
 A distance is a sum over features, taken feature by feature: each
 feature gives one (queries, block) term, read from a feature-major
@@ -54,10 +55,10 @@ the block's (queries, block) buffers (the term, the partial sums, and
 for RotatE and HAKE the spares) from one flat array per worker and
 lets the kind write the scores.  The blocks are shared by one worker
 thread per CPU that the process may use, worker w taking blocks w,
-w + W, ...  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk and
-the scratch of all workers together.  Every float64 score comes from
-the same operations in the same order whatever the number of workers,
-so nothing depends on the CPU count.
+w + W, ...  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk,
+the scratch of all workers together, and the scores of their tiles.
+Every float64 score comes from the same operations in the same order
+whatever the number of workers, so nothing depends on the CPU count.
 
 Ranking screens every kind in float32, from float32 tables, half the
 bytes: a tile is a distance block for TransE, RotatE and HAKE and one
@@ -95,8 +96,8 @@ from .errors import CheckpointError, ConfigError, VocabMismatchError
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
 # Bytes of one temporary: the scores of the one all-candidates chunk
-# alive, the scratch `_blocked` carves into its blocks (with ranking's
-# tiles and their masks), a training step's (examples, 1 + nu, dim)
+# alive, the scratch `_blocked` carves into its blocks, the scores of
+# ranking's tiles beyond it, a training step's (examples, 1 + nu, dim)
 # candidate rows or update rows, or the (triples, dim) rows of a chunk
 # of scored triples.  It counts bytes, not values: a float32 block,
 # which only screens the ranks that float64 decides, holds twice the
@@ -391,8 +392,9 @@ def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
 
     With `screen` (ranking) no (len(rows), E) array is made.
     reduce(rows, screen) gets the pass's `Screen` and returns (add,
-    total): the workers call add(cols, tile) with the float32 scores of
-    each tile of entity columns `cols` (a slice), which add may
+    total): the workers call add(cols, tile, spare) with the float32
+    scores of each tile of entity columns `cols` (a slice) and a spent
+    scratch buffer of the tile's shape and dtype, both of which add may
     overwrite and must not keep, and total() then gives the pass's
     values.  A pass holds as many queries as leave every worker tiles of
     `_TILE` entities, and the passes of a direction are of equal size.
@@ -447,9 +449,6 @@ _BLOCK = 1024
 # 2,730 columns (0.5 against 0.12 ns an element, 2-vCPU Xeon), so a pass
 # holds no more queries than leave every worker tiles of this many.
 _TILE = 4096
-# The boolean masks, one byte a score, that a ranking reducer's add may
-# make of a tile: the budget holds them with the tile.
-_TILE_MASKS = 2
 
 
 def _run_workers(count: int, task) -> None:
@@ -483,28 +482,30 @@ def _blocked(num_queries: int, num_entities: int, buffers: int, block,
     `out`, the (Q, cols) view of the result, with `free` a list of
     `buffers` (Q, cols) scratch buffers, contiguous, disjoint and of the
     same dtype.  With `add`, no (Q, E) array is made: `out` is one more
-    buffer of the block's, add(cols, out) is called on it once the block
-    is written, and None is returned.
+    buffer beyond the scratch, a tile, and add(cols, out, spare) is
+    called once the block is written, `spare` the first of its spent
+    scratch buffers, or one more where the block takes none.
 
     Worker w takes blocks w, w + W, ... of the W workers, each block's
     buffers carved from the worker's one flat array.  The calling thread
-    allocates those arrays once per call, and together they fit the
-    budget, which counts bytes, so a float32 block holds twice the
-    entities of a float64 one; with `add` it also holds the
-    `_TILE_MASKS` masks that add may make of a block.  Fewer workers
-    take blocks when the budget holds less than one entity each.  A
-    distance block's scores come from the same operations in the same
-    order whichever worker takes it and however wide it is, so they do
-    not depend on the worker count; DistMult and ComplEx tiles are a
-    float32 matmul, which only screens."""
-    floats_per_entity = (buffers + (add is not None)) * num_queries
-    bytes_per_entity = (np.dtype(dtype).itemsize * floats_per_entity
-                        + (0 if add is None else _TILE_MASKS * num_queries))
+    allocates those arrays once per call, and the scratch of all of them
+    fits the budget, which counts bytes, so a float32 block holds twice
+    the entities of a float64 one; the tiles' scores, one buffer a
+    worker beyond it, are at most the budget too, as a chunk's are.
+    Fewer workers take blocks when the budget holds less than one entity
+    each.  A distance block's scores come from the same operations in
+    the same order whichever worker takes it and however wide it is, so
+    they do not depend on the worker count; DistMult and ComplEx tiles
+    are a float32 matmul, which only screens."""
+    scratch_buffers = buffers if add is None else max(buffers, 1)
+    bytes_per_entity = (np.dtype(dtype).itemsize * scratch_buffers
+                        * num_queries)
     count = max(1, min(_WORKERS, RANK_BUDGET_BYTES // bytes_per_entity))
     size = max(1, RANK_BUDGET_BYTES // (count * bytes_per_entity))
     starts = range(0, num_entities, size)
     out = (None if add is not None
            else np.empty((num_queries, num_entities), dtype))
+    floats_per_entity = (scratch_buffers + (add is not None)) * num_queries
     scratch = [np.empty(min(size, num_entities) * floats_per_entity, dtype)
                for _ in range(min(count, len(starts)))]
 
@@ -517,8 +518,9 @@ def _blocked(num_queries: int, num_entities: int, buffers: int, block,
             if add is None:
                 block(cols, out[:, cols], free)
             else:
-                block(cols, free[-1], free[:-1])
-                add(cols, free[-1])
+                *free, tile = free
+                block(cols, tile, free[:buffers])
+                add(cols, tile, free[0])
     _run_workers(count, task)
     return out
 
@@ -686,9 +688,10 @@ class _Scorer:
 
     @property
     def tile_bytes(self) -> int:
-        """Bytes a (query, entity) score of a ranking tile holds: the
-        score, the block's scratch and the reducer's masks."""
-        return self.dtype.itemsize * (self.buffers + 1) + _TILE_MASKS
+        """Bytes of the budget that a (query, entity) score of a ranking
+        tile takes: the block's scratch, which the reducer reuses, or the
+        reducer's spare where the block takes none."""
+        return self.dtype.itemsize * max(self.buffers, 1)
 
     def feature_major(self, columns, order, fn=lambda rows: (rows,)):
         """`_feature_major` tables of `columns` in `dtype`, and with

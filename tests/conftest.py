@@ -393,8 +393,10 @@ def screened_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
     screens = []
 
     def reduce(rows, screen):
-        def add(cols, tile):
+        def add(cols, tile, spare):
             assert tile.dtype == np.float32 and not seen[cols].any()
+            assert spare.shape == tile.shape and spare.dtype == tile.dtype
+            assert not np.shares_memory(spare, tile)
             seen[cols] = True
             scores[:, cols] = tile
 

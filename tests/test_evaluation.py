@@ -465,6 +465,22 @@ class TestScreenedRanks:
         triples[:4, 2] = [16, 21, 17, 4]
         assert self._check(params, triples, monkeypatch) > 0
 
+    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
+    def test_band_in_every_tile(self, kind, aux, monkeypatch):
+        """Every entity is a copy of one of entities 0 to 3, so each tile
+        of four entities or more holds a copy of every answer, tied with
+        it: every tile has a band.  A pass of one query keeps its tiles'
+        bands for the pass's end, one of several queries has bands wider
+        than its tiles, which the tiles decide, and the workers hand
+        their tiles' counts and pairs on together."""
+        rng = np.random.default_rng(27)
+        params = init_params(kind, 40, 2, 6, 1.5, seed=28, aux=aux)
+        params.entity_emb[4:] = params.entity_emb[np.arange(4, 40) % 4]
+        triples = np.stack([rng.integers(0, 40, size=12),
+                            rng.integers(0, 2, size=12),
+                            rng.integers(0, 40, size=12)], axis=1)
+        assert self._check(params, triples, monkeypatch) > 0
+
     def test_band_is_rounded_outward(self):
         """The float32 band holds own +- bound strictly, whatever the
         float64 rounding, and is all scores where own or the bound is not
@@ -512,8 +528,8 @@ class TestOneChunkAlive:
     """`reduce_candidate_scores` frees each chunk of the all-candidates
     mass before the next chunk is scored: over four chunks a consumer's
     traced peak is that of one chunk, not one chunk more.  Ranking makes
-    no (queries, E) chunk: its peak is its tiles' budget and its float32
-    tables, whatever the number of queries."""
+    no (queries, E) chunk: its peak is its tiles' scratch, their scores
+    and its float32 tables, whatever the number of queries."""
 
     # 16 tail queries a chunk at dim 16, 512 KiB of (16, 4096) scores
     ENTITIES, DIM, STEP = 4096, 16, 16
@@ -532,23 +548,61 @@ class TestOneChunkAlive:
             num_queries)) and index.num_queries == num_queries + 1
         return params, dataset, num_queries
 
+    def ranking_peak(self, params) -> float:
+        """What ranking may hold at its peak under a budget of one mass
+        chunk: the tiles' scratch, within the budget; their scores, one
+        buffer to the scratch's `max(buffers, 1)`, so a quarter of the
+        budget at TransE's four buffers and all of it for DistMult's
+        matmul, whose scratch is the reducer's spare; the float32
+        tables; and a quarter chunk."""
+        scorer = models._SCORERS[params.kind](params, np.float32)
+        tables = sum(table.nbytes for table in scorer.tables)
+        return (self.CHUNK_BYTES * (1 + 1 / max(scorer.buffers, 1) + 1 / 4)
+                + tables)
+
     @pytest.mark.parametrize(
         "kind", [ModelKind.TRANSE, ModelKind.DISTMULT, ModelKind.HAKE])
     def test_rank_answers(self, kind, monkeypatch):
         """Under a budget of one mass chunk, which the tiles' scratch
         reaches from 16 queries on, ranking 16 to 256 queries peaks
-        within the budget, the float32 tables and a quarter chunk."""
+        within `ranking_peak`."""
         monkeypatch.setattr(models, "_WORKERS", 1)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
-        tables = sum(table.nbytes for table in models._SCORERS[kind](
-            self._case(kind, 1)[0], np.float32).tables)
         for num_chunks in (1, 4, 16):
             params, dataset, num_queries = self._case(kind, num_chunks)
             queries = all_queries(dataset.train_index)[:num_queries]
             peak = traced_peak(lambda: rank_answers(
                 params, dataset.train_index, queries,
                 np.zeros(num_queries, dtype=np.int64)))
-            assert peak < self.CHUNK_BYTES * 5 / 4 + tables, num_chunks
+            assert peak < self.ranking_peak(params), num_chunks
+
+    @pytest.mark.parametrize(
+        "kind", [ModelKind.TRANSE, ModelKind.DISTMULT, ModelKind.HAKE])
+    def test_rank_answers_whose_float32_scores_overflow(self, kind,
+                                                        monkeypatch):
+        """Entity moduli from 1e38 to 3e38 overflow the float32 scores,
+        all but TransE's of a query's own entity, so nearly every pair of
+        every query falls in its band.  The tiles decide such bands
+        themselves, and ranking 16 to 256 queries peaks within
+        `ranking_peak` as before."""
+        monkeypatch.setattr(models, "_WORKERS", 1)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
+        rng = np.random.default_rng(29)
+        moduli = self.DIM // 2 if kind == ModelKind.HAKE else self.DIM
+        for num_chunks in (1, 4, 16):
+            params, dataset, num_queries = self._case(kind, num_chunks)
+            params.entity_emb[:, :moduli] = rng.choice(
+                [-1.0, 1.0], size=(self.ENTITIES, moduli)) * rng.uniform(
+                    1e38, 3e38, size=(self.ENTITIES, moduli))
+            queries = all_queries(dataset.train_index)[:num_queries]
+            float32, _ = screened_scores(
+                params, True, params.entity_emb[:4], params.relation_emb[
+                    np.zeros(4, np.int64)])
+            assert (np.isfinite(float32).sum(axis=1) <= 1).all()
+            peak = traced_peak(lambda: rank_answers(
+                params, dataset.train_index, queries,
+                np.zeros(num_queries, dtype=np.int64)))
+            assert peak < self.ranking_peak(params), num_chunks
 
     @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.DISTMULT])
     def test_all_candidates_mass(self, kind, monkeypatch):

@@ -362,8 +362,10 @@ def candidate_chunks(params, directions, entities, relations,
         scores = np.empty((len(rows), params.num_entities), np.float32)
         seen = np.zeros(params.num_entities, bool)
 
-        def add(cols, tile):
+        def add(cols, tile, spare):
             assert tile.dtype == np.float32 and not seen[cols].any()
+            assert spare.shape == tile.shape and spare.dtype == tile.dtype
+            assert not np.shares_memory(spare, tile)
             seen[cols] = True
             scores[:, cols] = tile
 
@@ -425,26 +427,29 @@ class TestCandidateScores:
     def test_pass_size_follows_the_tile_bytes(self, monkeypatch):
         """A ranking pass holds as many queries as leave every worker a
         tile of `_TILE` entities, or an equal share of fewer, and the
-        passes of a direction are of equal size.  TransE at dim 8 keeps
-        four float32 buffers and the tile, and two mask bytes: 22 bytes
-        a (query, entity) score."""
-        params = init_params(ModelKind.TRANSE, 40, 1, 8, 1.0, seed=14)
-        zeros = np.zeros(13, dtype=np.int64)
+        passes of a direction are of equal size.  TransE at dim 16 keeps
+        four float32 buffers: 16 bytes of the budget a (query, entity)
+        score, whose tile lies beyond it."""
+        params = init_params(ModelKind.TRANSE, 40, 1, 16, 1.0, seed=14)
+        zeros = np.zeros(37, dtype=np.int64)
         monkeypatch.setattr(models, "_WORKERS", 2)
 
         def spans(screen):
             return [(rows[0], rows[-1] + 1) for rows, _ in candidate_chunks(
                 params, zeros, zeros, zeros, screen)]
+        assert spans(True) == [(0, 37)]
         # tiles of 20 entities, the two workers' share: 6 queries a pass
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 22 * 20 * 6)
-        assert spans(True) == [(0, 5), (5, 9), (9, 13)]
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 20 * 6)
+        assert spans(True) == [(0, 6), (6, 12), (12, 17), (17, 22),
+                               (22, 27), (27, 32), (32, 37)]
         # the float64 mass fills its chunks up to the budget and the dim
-        assert spans(False) == [(0, 8), (8, 13)]
-        # tiles of `_TILE` = 4 entities: 15 queries a pass
+        assert spans(False) == [(0, 12), (12, 24), (24, 36), (36, 37)]
+        # tiles of `_TILE` = 4 entities: 4 queries a pass
         monkeypatch.setattr(models, "_TILE", 4)
-        assert spans(True) == [(0, 13)]
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 22 * 4 * 4)
-        assert spans(True) == [(0, 4), (4, 7), (7, 10), (10, 13)]
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 4 * 4)
+        assert spans(True) == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20),
+                               (20, 24), (24, 28), (28, 31), (31, 34),
+                               (34, 37)]
 
 
 class TestRankingWorkers:
@@ -502,34 +507,48 @@ class TestRankingWorkers:
             self, workers, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", workers)
         # eight (3, W) buffers: 24 floats an entity.  The budget counts
-        # bytes: it holds 7 float64 entities, or 14 float32 ones; a
-        # ranking tile, which adds its scores (3 floats) and the masks
-        # (3 bytes) of its reducer, 6 float64 entities or 11 float32 ones
+        # bytes: it holds 7 float64 entities, or 14 float32 ones, and a
+        # ranking tile's scores lie beyond it.  A block that takes no
+        # buffers gets one for the reducer: 3 floats an entity, 112
+        # float32 entities
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * 24)
-        for dtype, room, tiles in ((np.float64, 7, False),
-                                   (np.float32, 14, False),
-                                   (np.float64, 6, True),
-                                   (np.float32, 11, True)):
+        for dtype, buffers, room, tiles in ((np.float64, 8, 7, False),
+                                            (np.float32, 8, 14, False),
+                                            (np.float64, 8, 7, True),
+                                            (np.float32, 8, 14, True),
+                                            (np.float32, 0, 112, True)):
             scratch_bytes = {}
+            blocks = {}
             added = np.zeros((3, 40), dtype)
 
             def block(cols, out, free):
                 width = cols.stop - cols.start
-                assert [buf.shape for buf in free] == 8 * [(3, width)]
+                assert [buf.shape for buf in free] == buffers * [(3, width)]
                 assert out.shape == (3, width)
                 for i, part in enumerate(free + tiles * [out]):
                     assert part.dtype == dtype and part.flags.c_contiguous
                     assert not any(np.shares_memory(part, other)
                                    for other in (free + [out])[i + 1:])
                     scratch_bytes[id(part.base)] = part.base.nbytes
+                blocks[cols.start] = free
                 out[:] = cols.start
 
-            def add(cols, tile):
+            def add(cols, tile, spare):
                 assert not added[:, cols].any()
+                # the spare is the block's first buffer, or one more
+                assert spare.shape == tile.shape and spare.dtype == dtype
+                assert spare.flags.c_contiguous
+                assert not np.shares_memory(spare, tile)
+                if buffers:
+                    assert np.shares_memory(spare, blocks[cols.start][0])
+                else:
+                    scratch_bytes[id(spare.base)] = spare.base.nbytes
                 added[:, cols] = tile + 1
-            out = models._blocked(3, 40, 8, block, dtype, add if tiles
-                                  else None)
-            assert sum(scratch_bytes.values()) <= models.RANK_BUDGET_BYTES
+            out = models._blocked(3, 40, buffers, block, dtype,
+                                  add if tiles else None)
+            # the scratch fits the budget, the tiles one buffer beyond
+            assert sum(scratch_bytes.values()) <= (
+                models.RANK_BUDGET_BYTES * (1 + tiles / max(buffers, 1)))
             size = room // min(workers, room)
             if tiles:
                 assert out is None
