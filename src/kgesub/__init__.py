@@ -11,6 +11,13 @@ Subpackages:
     cli          command-line pipeline
 """
 
+import os
+
+# kgesub's worker threads are its parallelism: one BLAS thread each, set
+# before numpy is imported (a process that imported it keeps its threads)
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .data import (Dataset, Direction, QueryIndex, Vocab, load_dataset,
                    singleton_query_stats)
 from .evaluation import EvalReport, aggregate_runs, evaluate

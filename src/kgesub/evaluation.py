@@ -17,9 +17,9 @@ insertion-order ranking.
 Ranking streams tiles.  `models.reduce_candidate_scores` takes the
 split's queries a pass of one direction at a time and scores each pass
 against tiles of entity columns, split across one worker thread per
-CPU whose scratch shares `models.RANK_BUDGET_BYTES`; no (queries, E)
-array is made.  A pass holds as many queries as leave every worker
-tiles of `models._TILE` entities, so the benchmark's 30 test queries a
+CPU, each worker's scratch half of `models.RANK_BUDGET_BYTES`; no
+(queries, E) array is made.  A pass holds as many queries as fit that
+share at `models._TILE` entities, so the benchmark's 30 test queries a
 direction take one or two passes, and memory stays bounded whatever the
 split's size.
 
@@ -145,7 +145,7 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
             return 1 + (counts + 1) // 2
         return add, total
     return reduce_candidate_scores(params, directions, entities, relations,
-                                   rank_rows, np.int64, screen=True)
+                                   rank_rows, np.int64, np.float32)
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

@@ -34,43 +34,39 @@ gradient view the gradient checks use, live in tests/conftest.py.
 
 `reduce_candidate_scores` scores passes of same-direction queries
 against every entity, for the all-candidates mass and for ranking, and
-hands each to the consumer's reducer.  The mass takes float64 chunks of
-(queries, E) scores: a chunk is one matmul for DistMult and ComplEx,
-and for TransE, RotatE and HAKE direct distances over blocks of
-entities; each is freed before the next is scored.  Ranking makes no
-(queries, E) array: a pass streams its queries over float32 tiles of
-entity columns, and the reducer adds up what each tile gives, reusing a
-spent scratch buffer of the tile's block.
+makes no (queries, E) array: a pass streams its queries over tiles of
+entity columns, in the dtype its consumer names (float64 for the mass,
+float32 for ranking), and the consumer's reducer adds up what each tile
+gives, free to reuse the tile and a spent scratch buffer of it.  A tile
+is one matmul for DistMult and ComplEx, and for TransE, RotatE and HAKE
+direct distances.
 
 A distance is a sum over features, taken feature by feature: each
-feature gives one (queries, block) term, read from a feature-major
+feature gives one (queries, tile) term, read from a feature-major
 entity table (the transposed entity table for TransE and RotatE; the
 |modulus| and the cosine and sine of the half phases for HAKE).  The
 terms are added in the order numpy's add.reduce adds a contiguous row
 (eight partial sums of the terms j = k (mod 8) up to 128 terms, halves
 above), so the float64 scores are bitwise those of summing a (queries,
-block, dim) difference over its last axis, which tests/conftest.py
-keeps as the oracle.  `_blocked` owns each block's scratch: it carves
-the block's (queries, block) buffers (the term, the partial sums, and
-for RotatE and HAKE the spares) from one flat array per worker and
-lets the kind write the scores.  The blocks are shared by one worker
-thread per CPU that the process may use, worker w taking blocks w,
-w + W, ...  `RANK_BUDGET_BYTES` bounds the temporaries of one chunk,
-the scratch of all workers together, and the scores of their tiles.
-Every float64 score comes from the same operations in the same order
-whatever the number of workers, so nothing depends on the CPU count.
+tile, dim) difference over its last axis, which tests/conftest.py
+keeps as the oracle.  `_blocked` owns each tile's scratch: it carves
+the tile's (queries, tile) buffers (the scores, the term, the partial
+sums, and for RotatE and HAKE the spares) from one flat array per
+worker and lets the kind write the scores.  The tiles are shared by one
+worker thread per CPU that the process may use, worker w taking tiles
+w, w + W, ...  Each worker's scratch fits half of `RANK_BUDGET_BYTES`,
+and the shapes of passes and tiles follow from that share, not from the
+number of workers, so no value depends on the CPU count.
 
 Ranking screens every kind in float32, from float32 tables, half the
-bytes: a tile is a distance block for TransE, RotatE and HAKE and one
-float32 matmul for DistMult and ComplEx.  Each pass comes with a
-`Screen`, an a-priori bound eps(q) of each query's float32 error and
-the float64 score of any (query, entity) pair, from one fixed order of
-operations: a distance pair runs the float64 block's operations in its
-order, and gets its bits; a dot-product pair adds its products in
-`_add_terms`' order, whatever order BLAS would take.  Float32 only
-screens: the consumer decides in float64 every comparison that float32
-cannot (see `evaluation`), so no rank depends on BLAS, on the tile
-width or on the CPU count.
+bytes.  Each pass comes with a `Screen`, an a-priori bound eps(q) of
+each query's float32 error and the float64 score of any (query, entity)
+pair, from one fixed order of operations: a distance pair runs the
+float64 block's operations in its order, and gets its bits; a
+dot-product pair adds its products in `_add_terms`' order, whatever
+order BLAS would take.  Float32 only screens: the consumer decides in
+float64 every comparison that float32 cannot (see `evaluation`), so no
+rank depends on BLAS, on the tile width or on the CPU count.
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -95,13 +91,15 @@ from .errors import CheckpointError, ConfigError, VocabMismatchError
 
 INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 
-# Bytes of one temporary: the scores of the one all-candidates chunk
-# alive, the scratch `_blocked` carves into its blocks, the scores of
-# ranking's tiles beyond it, a training step's (examples, 1 + nu, dim)
-# candidate rows or update rows, or the (triples, dim) rows of a chunk
-# of scored triples.  It counts bytes, not values: a float32 block,
-# which only screens the ranks that float64 decides, holds twice the
-# entities of a float64 one.
+# Bytes of one temporary: a training step's (examples, 1 + nu, dim)
+# candidate rows or update rows, the (triples, dim) rows of a chunk of
+# scored triples, or two workers' shares of the scratch that `_blocked`
+# carves into its tiles.  Each worker's share is half of it, whatever
+# the number of workers, so that no pass or tile depends on the CPU
+# count: one or two workers hold at most the budget, and each worker
+# beyond two one share more.  A tile's scores lie beyond its share.
+# It counts bytes, not values: a float32 tile, which only screens the
+# ranks that float64 decides, holds twice the entities of a float64 one.
 RANK_BUDGET_BYTES = 4 << 20
 
 
@@ -374,66 +372,50 @@ class Screen(NamedTuple):
 def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
                             entities: np.ndarray, relations: np.ndarray,
                             reduce, dtype=np.float64,
-                            screen: bool = False) -> np.ndarray:
+                            tile_dtype=np.float64) -> np.ndarray:
     """One `dtype` value a query, in input order, that `reduce` makes of
     the query's scores of every entity as the answer.
 
     Query i is (directions[i], entities[i], relations[i]) with the
     `Direction` convention.  The queries are sorted by direction (stable)
     and taken a pass of same-direction queries at a time; `rows` are a
-    pass's input positions.
+    pass's input positions.  No (len(rows), E) array is made:
+    reduce(rows, screen) returns (add, total), the workers call
+    add(cols, tile, spare) with the `tile_dtype` scores of each tile of
+    entity columns `cols` (a slice) and a spent scratch buffer of the
+    tile's shape and dtype, both of which add may overwrite and must not
+    keep, and total() then gives the pass's values.
 
-    Without `screen` (the all-candidates mass) a pass is a chunk:
-    reduce(rows, scores) gets its fresh float64 (len(rows), E) scores,
-    which it may overwrite and must not keep, so that the chunk is freed
-    before the next is scored.  The scores equal `score_triples` of the
-    same triples up to rounding in the last bits, and do not depend on
-    the number of workers.
-
-    With `screen` (ranking) no (len(rows), E) array is made.
-    reduce(rows, screen) gets the pass's `Screen` and returns (add,
-    total): the workers call add(cols, tile, spare) with the float32
-    scores of each tile of entity columns `cols` (a slice) and a spent
-    scratch buffer of the tile's shape and dtype, both of which add may
-    overwrite and must not keep, and total() then gives the pass's
-    values.  A pass holds as many queries as leave every worker tiles of
-    `_TILE` entities, and the passes of a direction are of equal size.
-    Float32 only screens: the `Screen` lets the consumer decide in
-    float64 every comparison that float32 cannot.
+    A float32 pass (ranking) hands `reduce` its `Screen`: float32 only
+    screens, and the `Screen` lets the consumer decide in float64 every
+    comparison that float32 cannot.  A float64 pass (the all-candidates
+    mass) hands it None; its scores equal `score_triples` of the same
+    triples up to rounding in the last bits.  A pass holds as many
+    queries as fit one worker's share of the budget (`RANK_BUDGET_BYTES`)
+    at min(E, `_TILE`) entities, and the passes of a direction are of
+    equal size, so no pass depends on the number of workers.
     """
     order = np.argsort(np.asarray(directions), kind="stable")
     directions, entities, relations = (
         np.asarray(column, dtype=np.int64)[order]
         for column in (directions, entities, relations))
-    scorer = _SCORERS[params.kind](params,
-                                   np.float32 if screen else np.float64)
-    if screen:
-        # every worker's tiles hold `_TILE` entities at least, or an
-        # equal share of fewer
-        width = min(_TILE, -(-params.num_entities // _WORKERS))
-        step = RANK_BUDGET_BYTES // (_WORKERS * scorer.tile_bytes * width)
-    else:
-        # a chunk's scores fit the budget and hold no more queries than
-        # the dim, so they are never larger than the float64 entity
-        # table, which every matmul chunk reads once anyway
-        step = min(params.dim,
-                   RANK_BUDGET_BYTES // (8 * params.num_entities))
-    step = max(1, step)
+    scorer = _SCORERS[params.kind](params, tile_dtype)
+    # a score takes the block's buffers, or the reducer's spare if none
+    step = max(1, RANK_BUDGET_BYTES // 2 // (
+        scorer.dtype.itemsize * max(scorer.buffers, 1)
+        * min(params.num_entities, _TILE)))
     out = np.empty(len(order), dtype)
     start = 0
     while start < len(order):
         end = int(np.searchsorted(directions, directions[start],
                                   side="right"))
-        size = step
-        if screen:  # the passes of a direction are of equal size
-            size = -(-(end - start) // -(-(end - start) // step))
+        size = -(-(end - start) // -(-(end - start) // step))
         stop = min(start + size, end)
         rows = order[start:stop]
-        args = (directions[start] == Direction.TAIL_QUERY,
-                params.entity_emb[entities[start:stop]],
-                params.relation_emb[relations[start:stop]])
-        out[rows] = (scorer.screened(rows, reduce, *args) if screen
-                     else reduce(rows, scorer.scores(*args)))
+        out[rows] = scorer.reduced(
+            rows, reduce, directions[start] == Direction.TAIL_QUERY,
+            params.entity_emb[entities[start:stop]],
+            params.relation_emb[relations[start:stop]])
         start = stop
     return out
 
@@ -444,10 +426,11 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # Entities of a cache-sized block, which `_feature_major` copies at a time.
 _BLOCK = 1024
-# Entities of a ranking tile at least.  numpy 2.4 takes a (Q, W) ufunc
-# with a (Q, 1) operand several times slower per element below about
-# 2,730 columns (0.5 against 0.12 ns an element, 2-vCPU Xeon), so a pass
-# holds no more queries than leave every worker tiles of this many.
+# Entities of a tile at least, where E has as many.  numpy 2.4 takes a
+# (Q, W) ufunc with a (Q, 1) operand several times slower per element
+# below about 2,730 columns (0.5 against 0.12 ns an element, 2-vCPU
+# Xeon), so a pass holds no more queries than leave a worker's share
+# tiles of this many.
 _TILE = 4096
 
 
@@ -476,53 +459,40 @@ def _run_workers(count: int, task) -> None:
 
 
 def _blocked(num_queries: int, num_entities: int, buffers: int, block,
-             dtype=np.float64, add=None) -> np.ndarray | None:
-    """(Q, E) `dtype` scores that `block(cols, out, free)` writes for
-    blocks of entities: those of the entities `cols` (a slice) into
-    `out`, the (Q, cols) view of the result, with `free` a list of
-    `buffers` (Q, cols) scratch buffers, contiguous, disjoint and of the
-    same dtype.  With `add`, no (Q, E) array is made: `out` is one more
-    buffer beyond the scratch, a tile, and add(cols, out, spare) is
-    called once the block is written, `spare` the first of its spent
-    scratch buffers, or one more where the block takes none.
+             add, dtype=np.float64) -> None:
+    """add(cols, tile, spare) for each tile of the entities `cols` (a
+    slice), once block(cols, tile, free) has written the (Q, cols)
+    `dtype` scores into `tile`, with `free` a list of `buffers` (Q, cols)
+    scratch buffers, contiguous, disjoint and of the tile's dtype;
+    `spare` is the first of them, spent, or one more where the block
+    takes none.
 
-    Worker w takes blocks w, w + W, ... of the W workers, each block's
-    buffers carved from the worker's one flat array.  The calling thread
-    allocates those arrays once per call, and the scratch of all of them
-    fits the budget, which counts bytes, so a float32 block holds twice
-    the entities of a float64 one; the tiles' scores, one buffer a
-    worker beyond it, are at most the budget too, as a chunk's are.
-    Fewer workers take blocks when the budget holds less than one entity
-    each.  A distance block's scores come from the same operations in
-    the same order whichever worker takes it and however wide it is, so
-    they do not depend on the worker count; DistMult and ComplEx tiles
-    are a float32 matmul, which only screens."""
-    scratch_buffers = buffers if add is None else max(buffers, 1)
-    bytes_per_entity = (np.dtype(dtype).itemsize * scratch_buffers
-                        * num_queries)
-    count = max(1, min(_WORKERS, RANK_BUDGET_BYTES // bytes_per_entity))
-    size = max(1, RANK_BUDGET_BYTES // (count * bytes_per_entity))
+    A tile holds as many entities as its scratch fits in one worker's
+    share of the budget, half of it, its scores one buffer beyond.
+    Worker w takes tiles w, w + W, ... of the W workers, each tile's
+    buffers carved from the worker's one flat array, which the calling
+    thread allocates once per call.  No tile's shape depends on the
+    worker count, and a distance tile's scores come from the same
+    operations in the same order whichever worker takes it and however
+    wide it is."""
+    scratch_buffers = max(buffers, 1)
+    size = max(1, RANK_BUDGET_BYTES // 2 // (
+        np.dtype(dtype).itemsize * scratch_buffers * num_queries))
     starts = range(0, num_entities, size)
-    out = (None if add is not None
-           else np.empty((num_queries, num_entities), dtype))
-    floats_per_entity = (scratch_buffers + (add is not None)) * num_queries
+    count = max(1, min(_WORKERS, len(starts)))
+    floats_per_entity = (scratch_buffers + 1) * num_queries
     scratch = [np.empty(min(size, num_entities) * floats_per_entity, dtype)
-               for _ in range(min(count, len(starts)))]
+               for _ in range(count)]
 
     def task(w):
         for lo in starts[w::count]:
             cols = slice(lo, min(lo + size, num_entities))
             width = cols.stop - lo
-            free = list(scratch[w][:floats_per_entity * width].reshape(
-                -1, num_queries, width))
-            if add is None:
-                block(cols, out[:, cols], free)
-            else:
-                *free, tile = free
-                block(cols, tile, free[:buffers])
-                add(cols, tile, free[0])
+            *free, tile = scratch[w][:floats_per_entity * width].reshape(
+                -1, num_queries, width)
+            block(cols, tile, free[:buffers])
+            add(cols, tile, free[0])
     _run_workers(count, task)
-    return out
 
 
 # numpy's add.reduce sums a contiguous row of n <= 128 terms in eight
@@ -660,10 +630,11 @@ _FLUSH = 2.0 ** -126
 
 
 class _Scorer:
-    """The candidate scores of one model kind: float64 chunks of every
-    entity for the all-candidates mass, float32 tiles and their `Screen`
-    for ranking, and the float64 scores of single pairs, from entity
-    tables in `dtype` built once per `reduce_candidate_scores` call.
+    """The candidate scores of one model kind: `dtype` tiles of every
+    entity, float64 for the all-candidates mass and float32 with their
+    `Screen` for ranking, and the float64 scores of single pairs, from
+    entity tables in `dtype` built once per `reduce_candidate_scores`
+    call.
 
     A kind gives `query(tail, fixed, rel)`, a pass's query side: a tuple
     of float64 (Q, features) arrays.  `side(query)` lays it out in
@@ -686,13 +657,6 @@ class _Scorer:
         self.quiet = ({"over": "ignore", "invalid": "ignore"}
                       if self.dtype == np.float32 else {})
 
-    @property
-    def tile_bytes(self) -> int:
-        """Bytes of the budget that a (query, entity) score of a ranking
-        tile takes: the block's scratch, which the reducer reuses, or the
-        reducer's spare where the block takes none."""
-        return self.dtype.itemsize * max(self.buffers, 1)
-
     def feature_major(self, columns, order, fn=lambda rows: (rows,)):
         """`_feature_major` tables of `columns` in `dtype`, and with
         float32 ones, which screen, the largest norm of order `order`,
@@ -707,27 +671,23 @@ class _Scorer:
             return tuple(x.astype(self.dtype, copy=False)[..., None]
                          for x in query)
 
-    def scores(self, tail, fixed, rel) -> np.ndarray:
-        """The (Q, E) `dtype` scores of a chunk, in blocks of entities."""
-        side = self.side(self.query(tail, fixed, rel))
-        return _blocked(len(fixed), len(self.ent), self.buffers,
-                        partial(self.block, tail, side), self.dtype)
-
-    def screened(self, rows, reduce, tail, fixed, rel):
-        """The values of one ranking pass: `reduce` gets the pass's
-        `Screen` and adds up its float32 tiles."""
+    def reduced(self, rows, reduce, tail, fixed, rel):
+        """The values of one pass: `reduce` gets the pass's `Screen`, or
+        None in float64, and adds up its tiles."""
         query = self.query(tail, fixed, rel)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = self.bound(tail, query)
-        add, total = reduce(rows, Screen(bound,
-                                         partial(self.exact, tail, query)))
+        screen = None
+        if self.dtype == np.float32:
+            with np.errstate(over="ignore", invalid="ignore"):
+                screen = Screen(self.bound(tail, query),
+                                partial(self.exact, tail, query))
+        add, total = reduce(rows, screen)
         side = self.side(query)
 
         def block(cols, out, free):
             with np.errstate(**self.quiet):
                 self.block(tail, side, cols, out, free)
-        _blocked(len(fixed), len(self.ent), self.buffers, block, self.dtype,
-                 add)
+        _blocked(len(fixed), len(self.ent), self.buffers, block, add,
+                 self.dtype)
         return total()
 
     def exact(self, tail, query, picks, cands):
@@ -929,13 +889,12 @@ class _HAKE(_Distance):
 class _Dot(_Scorer):
     """DistMult and ComplEx: the dot product q . e of the answer's row
     with q = h * r (DistMult), or, interleaved, h * r (ComplEx tails) or
-    t * conj(r) (heads).  A chunk of the all-candidates mass is one
-    float64 matmul of every entity, whose bits the weight tables keep.
-    A ranking tile is one float32 matmul of the tile's columns of the
-    feature-major float32 table, summed in an order that BLAS sets; a
-    pair adds the n = dim float64 products q_j e_j in `_add_terms`'
-    order, so no rank depends on BLAS, on the tile width or on the CPU
-    count.
+    t * conj(r) (heads).  A tile is one matmul of the tile's columns of
+    the feature-major table, summed in an order that BLAS sets: in
+    float64, for the all-candidates mass, the transposed view of the
+    entity table; in float32, for ranking, a float32 copy.  A pair adds
+    the n = dim float64 products q_j e_j in `_add_terms`' order, so no
+    rank depends on BLAS, on the tile width or on the CPU count.
 
     Rounding q and e to float32 costs 2 u |q_j e_j| a product, taking
     the products u and adding them in any order (n - 1) u sum_j
@@ -953,7 +912,8 @@ class _Dot(_Scorer):
         self.buffers = 0  # a tile's matmul writes its scores directly
         self.pair_buffers = _sum_buffers(params.dim)
         self.tables, self.scale = (self.feature_major(self.ent, 2)
-                                   if self.dtype == np.float32 else ((), 0.0))
+                                   if self.dtype == np.float32
+                                   else ((self.ent.T,), 0.0))
 
     def query(self, tail, fixed, rel):
         if self.params.kind == ModelKind.DISTMULT:
@@ -963,9 +923,6 @@ class _Dot(_Scorer):
     def side(self, query):
         with np.errstate(**self.quiet):
             return (query[0].astype(self.dtype, copy=False),)
-
-    def scores(self, tail, fixed, rel):
-        return self.query(tail, fixed, rel)[0] @ self.ent.T
 
     def block(self, tail, side, cols, out, free):
         np.matmul(side[0], self.tables[0][:, cols], out=out)

@@ -21,8 +21,9 @@ for the query.  Both live in log space:
 instead, with the same offset), and each weight column is the
 temperature-alpha discount f ** -alpha, normalized to mean 1 as
 n * exp(x - logsumexp(x)) with x = -alpha * log f, so scores any
-distance apart give finite weights.  An all-candidates sum is taken in
-its chunk of `models.reduce_candidate_scores`, overwritten by its terms.
+distance apart give finite weights.  An all-candidates sum streams
+float64 tiles of entity columns, each overwritten by its shifted terms
+(`log_candidate_mass`).
 Count-based weights (CBS) are the same discount with alpha = 1/2 on
 counted frequencies: the query frequency is the query's count and the
 link frequency the mean of its triple's two query counts.  Mixed
@@ -163,13 +164,45 @@ def _columns(method: SubsamplingMethod, link: np.ndarray,
     return (link, query) if method == SubsamplingMethod.FREQ else (query, query)
 
 
-def logsumexp(x: np.ndarray, axis: int = -1,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """log(sum(exp(x))) along `axis`, the terms shifted (into `out`, which
-    may be x) by the maximum so that none overflows and the largest is 1."""
-    peak = x.max(axis=axis, keepdims=True)
+def _peak_sums(x: np.ndarray, out: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The maxima along x's last axis and the sums along it of exp(x -
+    maximum), its terms (at most 1) written into `out`, which may be x."""
+    peak = x.max(axis=-1, keepdims=True)
     terms = np.subtract(x, peak, out=out)
-    return np.log(np.exp(terms, out=terms).sum(axis=axis)) + peak.squeeze(axis)
+    return peak[..., 0], np.exp(terms, out=terms).sum(axis=-1)
+
+
+def logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis."""
+    peak, sums = _peak_sums(x)
+    return np.log(sums) + peak
+
+
+def log_candidate_mass(submodel: ModelParams, directions: np.ndarray,
+                       entities: np.ndarray, relations: np.ndarray
+                       ) -> np.ndarray:
+    """log sum_e exp(score) over every entity e as the query's answer, in
+    input order.  Each float64 tile gives its rows' `_peak_sums`, and the
+    tiles' sums are added in column order, shifted by the row's maximum,
+    whatever the number of workers: `logsumexp` of the row bit for bit
+    where one tile holds it."""
+    def mass(rows, screen):
+        tiles = []  # (first column, maxima, sums), appended in one piece
+
+        def add(cols, tile, spare):
+            peak, sums = _peak_sums(tile, out=tile)
+            sums[peak == -np.inf] = 0.0  # no mass beside other tiles'
+            tiles.append((cols.start, peak, sums))
+
+        def total():
+            _, peaks, sums = zip(*sorted(tiles, key=lambda found: found[0]))
+            peak = np.max(peaks, axis=0)
+            return np.log(sum(part * np.exp(top - peak)
+                              for top, part in zip(peaks, sums))) + peak
+        return add, total
+    return reduce_candidate_scores(submodel, directions, entities, relations,
+                                   mass)
 
 
 def log_model_frequencies(dataset: Dataset, scores: SubModelScores,
@@ -192,9 +225,8 @@ def log_model_frequencies(dataset: Dataset, scores: SubModelScores,
     offset = math.log(n) - float(logsumexp(raw))
     index = dataset.train_index
     if submodel is not None:
-        log_mass = reduce_candidate_scores(
-            submodel, index.direction, index.entity, index.relation,
-            lambda rows, scores: logsumexp(scores, axis=1, out=scores))
+        log_mass = log_candidate_mass(submodel, index.direction,
+                                      index.entity, index.relation)
         return raw + offset, (log_mass + offset)[index.query_id]
     log_f_xy = raw + offset
     peak = np.full(index.num_queries, -np.inf)

@@ -404,9 +404,42 @@ def screened_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
             screens.append(screen)
             return rows
         return add, total
-    scorer.screened(np.arange(len(fixed)), reduce, tail, fixed, rel)
+    scorer.reduced(np.arange(len(fixed)), reduce, tail, fixed, rel)
     assert seen.all()
     return scores, screens[0]
+
+
+def candidate_chunks(params: ModelParams, directions, entities, relations,
+                     tile_dtype=np.float64):
+    """(rows, scores) of each pass that `models.reduce_candidate_scores`
+    scores, in order, with a check that each reducer value comes back at
+    its query's input position.  The reducer gets the pass's
+    `tile_dtype` tiles, each entity once, which are put together here,
+    and its `Screen` in float32, None in float64."""
+    chunks = []
+
+    def keep(rows, screen):
+        assert (screen is None) == (tile_dtype == np.float64)
+        assert screen is None or isinstance(screen, models.Screen)
+        scores = np.empty((len(rows), params.num_entities), tile_dtype)
+        seen = np.zeros(params.num_entities, bool)
+
+        def add(cols, tile, spare):
+            assert tile.dtype == tile_dtype and not seen[cols].any()
+            assert spare.shape == tile.shape and spare.dtype == tile.dtype
+            assert not np.shares_memory(spare, tile)
+            seen[cols] = True
+            scores[:, cols] = tile
+
+        def total():
+            assert seen.all()
+            chunks.append((rows.copy(), scores))
+            return rows
+        return add, total
+    positions = models.reduce_candidate_scores(
+        params, directions, entities, relations, keep, np.int64, tile_dtype)
+    assert np.array_equal(positions, np.arange(len(directions)))
+    return chunks
 
 
 def score_gradient(params: ModelParams, triple: Triple):

@@ -525,11 +525,11 @@ def traced_peak(call) -> int:
 
 
 class TestOneChunkAlive:
-    """`reduce_candidate_scores` frees each chunk of the all-candidates
-    mass before the next chunk is scored: over four chunks a consumer's
-    traced peak is that of one chunk, not one chunk more.  Ranking makes
-    no (queries, E) chunk: its peak is its tiles' scratch, their scores
-    and its float32 tables, whatever the number of queries."""
+    """`reduce_candidate_scores` makes no (queries, E) chunk: the peak of
+    ranking and of the all-candidates mass is their tiles' scratch, the
+    tiles' scores and the scorer's tables, whatever the number of
+    queries, under a budget of `CHUNK_BYTES`, the float64 scores of 16
+    queries against every entity."""
 
     # 16 tail queries a chunk at dim 16, 512 KiB of (16, 4096) scores
     ENTITIES, DIM, STEP = 4096, 16, 16
@@ -550,7 +550,8 @@ class TestOneChunkAlive:
 
     def ranking_peak(self, params) -> float:
         """What ranking may hold at its peak under a budget of one mass
-        chunk: the tiles' scratch, within the budget; their scores, one
+        chunk: the tiles' scratch, within the budget (half of it, one
+        worker's share); their scores, one
         buffer to the scratch's `max(buffers, 1)`, so a quarter of the
         budget at TransE's four buffers and all of it for DistMult's
         matmul, whose scratch is the reducer's spare; the float32
@@ -563,9 +564,9 @@ class TestOneChunkAlive:
     @pytest.mark.parametrize(
         "kind", [ModelKind.TRANSE, ModelKind.DISTMULT, ModelKind.HAKE])
     def test_rank_answers(self, kind, monkeypatch):
-        """Under a budget of one mass chunk, which the tiles' scratch
-        reaches from 16 queries on, ranking 16 to 256 queries peaks
-        within `ranking_peak`."""
+        """Under a budget of one mass chunk, whose worker share the
+        tiles' scratch fills at every pass, ranking 16 to 256 queries
+        peaks within `ranking_peak`."""
         monkeypatch.setattr(models, "_WORKERS", 1)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
         for num_chunks in (1, 4, 16):
@@ -607,6 +608,7 @@ class TestOneChunkAlive:
     @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.DISTMULT])
     def test_all_candidates_mass(self, kind, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", 1)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
 
         def peak(num_chunks):
             params, dataset, _ = self._case(kind, num_chunks)
@@ -616,11 +618,13 @@ class TestOneChunkAlive:
         assert peak(4) - peak(1) < self.CHUNK_BYTES / 2
 
     def test_mass_takes_its_sums_inside_the_chunk(self, monkeypatch):
-        """The all-candidates mass writes its shifted terms over the
-        chunk, so it holds little more than the chunk.  DistMult scores
-        with a matmul and no scratch, so the chunk and what its consumer
-        makes of it set the peak."""
+        """The all-candidates mass writes its shifted terms over each
+        tile, so it holds little more than the tiles' scratch, one share
+        of the budget and a tile's scores beyond it.  DistMult scores with
+        a matmul, whose scratch is the reducer's unused spare, so the
+        tiles and what their consumer makes of them set the peak."""
         monkeypatch.setattr(models, "_WORKERS", 1)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
         params, dataset, _ = self._case(ModelKind.DISTMULT, 1)
         scores = score_training_triples(params, dataset, "sub")
         mass = traced_peak(lambda: log_model_frequencies(

@@ -1,6 +1,8 @@
 """Score functions, analytic gradients, and parameter checkpoints."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -19,15 +21,14 @@ from kgesub import models
 from kgesub.data import Direction
 from kgesub.errors import CheckpointError
 from kgesub.models import (INIT_EPSILON, ModelKind, init_params,
-                           load_params, load_tagged_params,
-                           reduce_candidate_scores, relation_dim,
+                           load_params, load_tagged_params, relation_dim,
                            save_params, score_triples)
 
-from conftest import (QueryKey, Triple, as_triples, fd_score_row_gradients,
-                      looped_zipf_kg, max_relative_error,
-                      oracle_distance_scores, oracle_scores, score,
-                      score_and_grad, score_batch, score_gradient,
-                      screened_scores)
+from conftest import (QueryKey, Triple, as_triples, candidate_chunks,
+                      fd_score_row_gradients, looped_zipf_kg,
+                      max_relative_error, oracle_distance_scores,
+                      oracle_scores, score, score_and_grad, score_batch,
+                      score_gradient, screened_scores)
 
 ALL_KINDS = list(ModelKind)
 GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [
@@ -343,44 +344,6 @@ class TestScoreGradient:
                     np.testing.assert_array_equal(got[b], want)
 
 
-def candidate_chunks(params, directions, entities, relations,
-                     screen=False):
-    """(rows, scores) of each pass that `reduce_candidate_scores` scores,
-    in order, with a check that each reducer value comes back at its
-    query's input position.  The all-candidates mass hands its reducer
-    float64 (len(rows), E) chunks; ranking hands float32 tiles, each
-    entity once, which are put together here."""
-    chunks = []
-
-    def keep(rows, scores):
-        assert scores.dtype == np.float64
-        chunks.append((rows.copy(), scores.copy()))
-        return rows
-
-    def tiles(rows, check):
-        assert isinstance(check, models.Screen)
-        scores = np.empty((len(rows), params.num_entities), np.float32)
-        seen = np.zeros(params.num_entities, bool)
-
-        def add(cols, tile, spare):
-            assert tile.dtype == np.float32 and not seen[cols].any()
-            assert spare.shape == tile.shape and spare.dtype == tile.dtype
-            assert not np.shares_memory(spare, tile)
-            seen[cols] = True
-            scores[:, cols] = tile
-
-        def total():
-            assert seen.all()
-            chunks.append((rows.copy(), scores))
-            return rows
-        return add, total
-    positions = reduce_candidate_scores(params, directions, entities,
-                                        relations, tiles if screen else keep,
-                                        np.int64, screen)
-    assert np.array_equal(positions, np.arange(len(directions)))
-    return chunks
-
-
 class TestCandidateScores:
     """Chunked all-entity scoring against the per-query `score_batch`."""
 
@@ -412,93 +375,118 @@ class TestCandidateScores:
         # one direction after the other, each in input order
         assert covered == list(np.argsort(directions, kind="stable"))
 
-    def test_chunk_size_follows_budget_and_dim(self, monkeypatch):
-        params = init_params(ModelKind.DISTMULT, 10, 1, 4, 1.0, seed=14)
-        zeros = np.zeros(9, dtype=np.int64)
-
-        def spans():
-            return [(rows[0], rows[-1] + 1) for rows, _ in
-                    candidate_chunks(params, zeros, zeros, zeros)]
-        # the default budget holds far more than dim = 4 queries
-        assert spans() == [(0, 4), (4, 8), (8, 9)]
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 10 * 3)
-        assert spans() == [(0, 3), (3, 6), (6, 9)]
-
     def test_pass_size_follows_the_tile_bytes(self, monkeypatch):
-        """A ranking pass holds as many queries as leave every worker a
-        tile of `_TILE` entities, or an equal share of fewer, and the
-        passes of a direction are of equal size.  TransE at dim 16 keeps
-        four float32 buffers: 16 bytes of the budget a (query, entity)
-        score, whose tile lies beyond it."""
-        params = init_params(ModelKind.TRANSE, 40, 1, 16, 1.0, seed=14)
-        zeros = np.zeros(37, dtype=np.int64)
-        monkeypatch.setattr(models, "_WORKERS", 2)
+        """A pass holds as many queries as fit one worker's share of the
+        budget, half of it, at min(E, `_TILE`) entities, the passes of a
+        direction are of equal size, and a tile holds as many entities
+        as fit the share at the pass's bytes per entity: the same at 1, 2
+        and 3 workers.  TransE at dim 16 keeps four buffers, 16 bytes of
+        the share a (query, entity) score in float32 and 32 in float64;
+        DistMult's matmul keeps one spare, 8 bytes in float64."""
+        transe = init_params(ModelKind.TRANSE, 40, 1, 16, 1.0, seed=14)
+        distmult = init_params(ModelKind.DISTMULT, 10, 1, 4, 1.0, seed=14)
 
-        def spans(screen):
-            return [(rows[0], rows[-1] + 1) for rows, _ in candidate_chunks(
-                params, zeros, zeros, zeros, screen)]
-        assert spans(True) == [(0, 37)]
-        # tiles of 20 entities, the two workers' share: 6 queries a pass
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 20 * 6)
-        assert spans(True) == [(0, 6), (6, 12), (12, 17), (17, 22),
-                               (22, 27), (27, 32), (32, 37)]
-        # the float64 mass fills its chunks up to the budget and the dim
-        assert spans(False) == [(0, 12), (12, 24), (24, 36), (36, 37)]
-        # tiles of `_TILE` = 4 entities: 4 queries a pass
-        monkeypatch.setattr(models, "_TILE", 4)
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 4 * 4)
-        assert spans(True) == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20),
-                               (20, 24), (24, 28), (28, 31), (31, 34),
-                               (34, 37)]
+        def spans(params, queries, tile_dtype=np.float64):
+            zeros = np.zeros(queries, dtype=np.int64)
+            widths = set()
+            blocked = models._blocked
+
+            def recorded(q, e, buffers, block, add, dtype):
+                def counted(cols, tile, spare):
+                    widths.add((q, cols.stop - cols.start))
+                    add(cols, tile, spare)
+                blocked(q, e, buffers, block, counted, dtype)
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "_blocked", recorded)
+                chunks = candidate_chunks(params, zeros, zeros, zeros,
+                                          tile_dtype)
+            return ([(rows[0], rows[-1] + 1) for rows, _ in chunks],
+                    sorted(widths))
+
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(models, "_WORKERS", workers)
+            with monkeypatch.context() as patch:
+                for tile_dtype in (np.float32, np.float64):
+                    assert spans(transe, 37, tile_dtype) == (
+                        [(0, 37)], [(37, 40)])
+                assert spans(distmult, 9) == ([(0, 9)], [(9, 10)])
+                # a share of 6 float32 TransE queries at 40 entities
+                patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 40 * 6)
+                assert spans(transe, 37, np.float32) == (
+                    [(0, 6), (6, 12), (12, 17), (17, 22), (22, 27),
+                     (27, 32), (32, 37)], [(5, 40), (6, 40)])
+                # 3 float64 ones
+                assert spans(transe, 37)[0] == (
+                    [(i, i + 3) for i in range(0, 33, 3)]
+                    + [(33, 35), (35, 37)])
+                # 3 DistMult queries at 10 entities
+                patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 8 * 10 * 3)
+                assert spans(distmult, 9) == ([(0, 3), (3, 6), (6, 9)],
+                                              [(3, 10)])
+                # tiles of `_TILE` = 4 entities: 4 queries a pass, whose
+                # tiles hold 4 entities, or 5 for the passes of 3
+                patch.setattr(models, "_TILE", 4)
+                patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 4 * 4)
+                assert spans(transe, 37, np.float32) == (
+                    [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24),
+                     (24, 28), (28, 31), (31, 34), (34, 37)],
+                    [(3, 5), (4, 4)])
 
 
 class TestRankingWorkers:
-    """Entity blocks split across worker threads give the one-worker
-    scores bit for bit: the float64 ones of the mass, and the float32
-    distance tiles of ranking."""
+    """Tiles split across worker threads give the one-worker scores bit
+    for bit, float64 and float32: no tile's shape depends on the worker
+    count, and the distance tiles' scores do not depend on their width
+    either."""
 
     DISTANCE_CASES = [(ModelKind.TRANSE, {}),
                       (ModelKind.TRANSE, {"norm_p": 2.0}),
                       (ModelKind.ROTATE, {}), (ModelKind.HAKE, {})]
-    # 12 workers are more than the 8 to 10 blocks of the ragged budget and
-    # the one block of the default budget
+    CASES = DISTANCE_CASES + [(ModelKind.DISTMULT, {}),
+                              (ModelKind.COMPLEX, {})]
+    # 12 workers are more than the 2 to 8 tiles of a pass under the
+    # small budget and the one tile under the default budget
     WORKER_COUNTS = (1, 2, 3, 12)
 
     @staticmethod
-    def _scores(params, queries, screen=False):
-        return np.concatenate([scores for _, scores in
-                               candidate_chunks(params, *queries, screen)])
+    def _scores(params, queries, tile_dtype):
+        return np.concatenate([scores for _, scores in candidate_chunks(
+            params, *queries, tile_dtype)])
 
     @pytest.mark.parametrize(
-        "kind, aux", DISTANCE_CASES,
-        ids=[kind.value + ("-l2" if aux else "")
-             for kind, aux in DISTANCE_CASES])
+        "kind, aux", CASES,
+        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
     def test_bitwise_equal_across_workers(self, kind, aux, monkeypatch):
-        # 37 entities (a prime) at dim 8: the small budget holds chunks
-        # of 8 queries and blocks of 5 entities (4 for HAKE) per worker,
-        # so the last block is ragged whatever the worker count
+        # 37 entities (a prime) at dim 8, in tiles of about `_TILE` = 5
+        # under the small budget, so the last tile is ragged whatever the
+        # pass
         params = init_params(kind, 37, 3, 8, 2.0, seed=15, aux=aux)
         params.entity_emb[5] = params.entity_emb[6]  # tied candidates
         rng = np.random.default_rng(16)
         queries = (np.sort(rng.integers(0, 2, size=21)),
                    rng.integers(0, 37, size=21), rng.integers(0, 3, size=21))
+        monkeypatch.setattr(models, "_TILE", 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             # the float64 mass, then float32 ranking tiles, which hold
             # more entities in the same bytes
-            for screen in (False, True):
-                monkeypatch.setattr(models, "_WORKERS", 1)
-                want = self._scores(params, queries, screen)
-                assert want.dtype == (np.float32 if screen else np.float64)
-                for workers in self.WORKER_COUNTS:
-                    monkeypatch.setattr(models, "_WORKERS", workers)
-                    for budget in (models.RANK_BUDGET_BYTES, 2560 * workers):
-                        with monkeypatch.context() as patch:
-                            patch.setattr(models, "RANK_BUDGET_BYTES", budget)
-                            got = self._scores(params, queries, screen)
-                        assert np.array_equal(got, want), (screen, workers,
-                                                           budget)
+            for tile_dtype in (np.float64, np.float32):
+                wants = []
+                for budget in (models.RANK_BUDGET_BYTES, 2560):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                        patch.setattr(models, "_WORKERS", 1)
+                        want = self._scores(params, queries, tile_dtype)
+                        assert want.dtype == tile_dtype
+                        wants.append(want)
+                        for workers in self.WORKER_COUNTS:
+                            patch.setattr(models, "_WORKERS", workers)
+                            got = self._scores(params, queries, tile_dtype)
+                            assert np.array_equal(got, want), (
+                                tile_dtype, workers, budget)
+                if (kind, aux) in self.DISTANCE_CASES:
+                    assert np.array_equal(*wants)
         finally:
             sys.setswitchinterval(interval)
 
@@ -506,17 +494,15 @@ class TestRankingWorkers:
     def test_scratch_fits_budget_and_blocks_cover_entities(
             self, workers, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", workers)
-        # eight (3, W) buffers: 24 floats an entity.  The budget counts
-        # bytes: it holds 7 float64 entities, or 14 float32 ones, and a
-        # ranking tile's scores lie beyond it.  A block that takes no
-        # buffers gets one for the reducer: 3 floats an entity, 112
-        # float32 entities
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 7 * 24)
-        for dtype, buffers, room, tiles in ((np.float64, 8, 7, False),
-                                            (np.float32, 8, 14, False),
-                                            (np.float64, 8, 7, True),
-                                            (np.float32, 8, 14, True),
-                                            (np.float32, 0, 112, True)):
+        # eight (3, W) buffers: 24 floats an entity.  A worker's share,
+        # half the budget, counts bytes: it holds 7 float64 entities, or
+        # 14 float32 ones, and a tile's scores lie beyond it.  A block
+        # that takes no buffers gets one for the reducer: 3 floats an
+        # entity, 112 float32 entities
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 8 * 7 * 24)
+        share = models.RANK_BUDGET_BYTES // 2
+        for dtype, buffers, room in ((np.float64, 8, 7), (np.float32, 8, 14),
+                                     (np.float32, 0, 112)):
             scratch_bytes = {}
             blocks = {}
             added = np.zeros((3, 40), dtype)
@@ -525,7 +511,7 @@ class TestRankingWorkers:
                 width = cols.stop - cols.start
                 assert [buf.shape for buf in free] == buffers * [(3, width)]
                 assert out.shape == (3, width)
-                for i, part in enumerate(free + tiles * [out]):
+                for i, part in enumerate(free + [out]):
                     assert part.dtype == dtype and part.flags.c_contiguous
                     assert not any(np.shares_memory(part, other)
                                    for other in (free + [out])[i + 1:])
@@ -544,17 +530,13 @@ class TestRankingWorkers:
                 else:
                     scratch_bytes[id(spare.base)] = spare.base.nbytes
                 added[:, cols] = tile + 1
-            out = models._blocked(3, 40, buffers, block, dtype,
-                                  add if tiles else None)
-            # the scratch fits the budget, the tiles one buffer beyond
-            assert sum(scratch_bytes.values()) <= (
-                models.RANK_BUDGET_BYTES * (1 + tiles / max(buffers, 1)))
-            size = room // min(workers, room)
-            if tiles:
-                assert out is None
-                out = added - 1
-            assert out.dtype == dtype
-            assert np.array_equal(out[0], np.arange(40) // size * size)
+            assert models._blocked(3, 40, buffers, block, add, dtype) is None
+            # one flat array a worker that takes a tile, each within its
+            # share and the tile's scores one buffer beyond it
+            assert len(scratch_bytes) == min(workers, -(-40 // room))
+            assert max(scratch_bytes.values()) <= share * (
+                1 + 1 / max(buffers, 1))
+            assert np.array_equal(added[0] - 1, np.arange(40) // room * room)
 
     @pytest.mark.parametrize("failing_block", [0, 1, 4])
     def test_block_error_reaches_caller(self, failing_block, monkeypatch):
@@ -571,7 +553,7 @@ class TestRankingWorkers:
 
         def call():
             try:
-                models._blocked(1, 10, 1, block)
+                models._blocked(1, 10, 1, block, lambda *tile: None)
             except ZeroDivisionError as exc:
                 raised.append(str(exc))
         thread = threading.Thread(target=call)
@@ -593,6 +575,29 @@ class TestRankingWorkers:
         with pytest.raises(ZeroDivisionError):
             models._run_workers(3, task)
         assert sorted(done) == [1, 2]
+
+
+class TestBlasThreads:
+    """Importing kgesub gives the BLAS library one thread, since its own
+    worker threads are its parallelism, unless the environment names
+    another count."""
+
+    VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS")
+
+    def _seen(self, **settings):
+        env = {key: value for key, value in os.environ.items()
+               if key not in self.VARIABLES}
+        env["PYTHONPATH"] = str(Path(models.__file__).parents[1])
+        code = ("import os, kgesub; print(*(os.environ[key] for key in "
+                f"{self.VARIABLES!r}))")
+        return subprocess.run([sys.executable, "-c", code],
+                              env=dict(env, **settings), capture_output=True,
+                              text=True, check=True).stdout.split()
+
+    def test_one_thread_unless_set(self):
+        assert self._seen() == ["1", "1", "1"]
+        assert self._seen(OMP_NUM_THREADS="2") == ["1", "2", "1"]
 
 
 class TestFeatureMajorRanking:

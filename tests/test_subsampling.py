@@ -1,10 +1,12 @@
 """Weight tables: count-based, model-based, and mixed."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from kgesub import models
 from kgesub.data import Dataset, Direction
 from kgesub.errors import DataError, DegenerateInputError
 from kgesub.models import ModelKind, init_params
@@ -12,14 +14,15 @@ from kgesub.submodel import score_training_triples
 from kgesub.subsampling import (ALPHA_GRID, Provenance, SubModelScores,
                                 SubsamplingMethod, WeightTable,
                                 build_cbs_weights, discounted_weights,
-                                load_scores, log_model_frequencies,
+                                load_scores, log_candidate_mass,
+                                log_model_frequencies, logsumexp,
                                 mix_weights, save_scores, save_weight_table,
                                 uniform_weights)
 
-from conftest import (Triple, as_triples, looped_zipf_kg, make_vocab,
-                      mbs_weights, oracle_counted_frequencies,
+from conftest import (Triple, as_triples, candidate_chunks, looped_zipf_kg,
+                      make_vocab, mbs_weights, oracle_counted_frequencies,
                       oracle_load_weight_table, oracle_log_model_frequencies,
-                      oracle_mean_one, query_of, random_kg)
+                      oracle_mean_one, oracle_scores, query_of, random_kg)
 
 
 def cycle_dataset(n=6):
@@ -198,6 +201,84 @@ class TestMbsFrequencies:
                                                                raw)
             np.testing.assert_array_equal(log_f_xy, oracle_xy)
             np.testing.assert_array_equal(log_f_x, oracle_x)
+
+
+class TestCandidateMassOnTiles:
+    """The all-candidates log mass streams float64 tiles of entity
+    columns and adds their sums in column order: the same bits at any
+    worker count, within rounding of the logsumexp of each query's whole
+    row, and that logsumexp bit for bit where one tile holds the row."""
+
+    CASES = [(kind, {}) for kind in ModelKind] + [(ModelKind.TRANSE,
+                                                   {"norm_p": 2.0})]
+    IDS = [kind.value + ("-l2" if aux else "") for kind, aux in CASES]
+    QUERIES = 40
+
+    def _case(self, kind, aux):
+        params = init_params(kind, 37, 3, 8, 2.0, seed=32, aux=aux)
+        rng = np.random.default_rng(33)
+        return params, (rng.integers(0, 2, size=self.QUERIES),
+                        rng.integers(0, 37, size=self.QUERIES),
+                        rng.integers(0, 3, size=self.QUERIES))
+
+    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
+    def test_many_tiles(self, kind, aux, monkeypatch):
+        """Tiles of about `_TILE` = 4 entities, from 4 to 10 a pass, on
+        up to 12 workers that hand their tiles on in whatever order the
+        threads run."""
+        params, queries = self._case(kind, aux)
+        monkeypatch.setattr(models, "_TILE", 4)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 4096)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            monkeypatch.setattr(models, "_WORKERS", 1)
+            want = log_candidate_mass(params, *queries)
+            for workers in (2, 3, 12):
+                monkeypatch.setattr(models, "_WORKERS", workers)
+                got = log_candidate_mass(params, *queries)
+                assert np.array_equal(got, want), workers
+        finally:
+            sys.setswitchinterval(interval)
+        directions, entities, relations = queries
+        oracle = np.empty(self.QUERIES)
+        for tail in (True, False):
+            mine = (directions == Direction.TAIL_QUERY) == tail
+            oracle[mine] = logsumexp(oracle_scores(
+                params, tail, params.entity_emb[entities[mine]],
+                params.relation_emb[relations[mine]]))
+        assert (np.abs(want - oracle) <= 1e-14 * np.abs(oracle)).all()
+
+    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
+    def test_one_tile_is_the_row_logsumexp(self, kind, aux):
+        """37 entities, fewer than `_TILE`: one tile holds each row."""
+        params, queries = self._case(kind, aux)
+        want = np.empty(self.QUERIES)
+        for rows, scores in candidate_chunks(params, *queries):
+            want[rows] = logsumexp(scores)
+        assert np.array_equal(log_candidate_mass(params, *queries), want)
+
+    def test_tile_without_mass(self, monkeypatch):
+        """A query whose scores are -inf over a whole tile, a float64
+        overflow, and finite elsewhere, takes its mass from the other
+        tiles, as the logsumexp of its whole row does.  DistMult at dim 1
+        scores q e with q = h r: q = 1e-300 * 1e308 against entities 0 to
+        3 at -1e301, the first tile of four, and scores of order 1 from
+        entities 5 to 11."""
+        params = init_params(ModelKind.DISTMULT, 12, 1, 1, 1.0, seed=34)
+        params.relation_emb[:] = 1e308
+        params.entity_emb[:4] = -1e301
+        params.entity_emb[4] = 1e-300
+        params.entity_emb[5:] = np.linspace(-2e-8, 2e-8, 7)[:, None]
+        monkeypatch.setattr(models, "_WORKERS", 1)
+        monkeypatch.setattr(models, "_TILE", 4)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = log_candidate_mass(params, np.zeros(1, np.int64),
+                                     np.full(1, 4), np.zeros(1, np.int64))
+        scores = 1e-300 * 1e308 * params.entity_emb[4:, 0]
+        assert np.isfinite(scores).all() and 0.5 < np.ptp(scores) < 5
+        assert got[0] == pytest.approx(logsumexp(scores), rel=1e-14)
 
 
 class TestMbsWeights:
