@@ -303,12 +303,11 @@ def _hake(params, tail, fixed, rel, cand):
     # a = h + r (tails) or t - r (heads), since |sin| is even
     r_phase = rel[:, half:]
     a = fixed[:, half:] + (r_phase if tail else -r_phase)
-    theta = (a[:, None] - cand[..., half:]) / 2.0
-    sin_theta = np.sin(theta)
+    cos_theta, sin_theta = _half_angles(a[:, None] - cand[..., half:])
 
     def back(c):
         g_v = v * _safe_div(c, norm)[..., None]  # -d loss / d v
-        g_phase = weight * np.sign(sin_theta) * np.cos(theta) * 0.5
+        g_phase = weight * np.sign(sin_theta) * cos_theta * 0.5
         g_phase *= c[..., None]  # d loss / d cand phase
         g_a = -g_phase.sum(axis=1)
         if tail:  # d loss / d |fixed|, |r| (both summed over K), |cand|
@@ -596,24 +595,12 @@ def _feature_major(columns: np.ndarray, dtype=np.float64,
     return tables, math.sqrt(max(peaks)) if order == 2 else max(peaks)
 
 
-def _half_cos(phases: np.ndarray) -> np.ndarray:
-    """cos(phases / 2) of a float64 array, taken on a contiguous copy, so
-    that every caller gets the same bits for the same phase."""
-    return np.cos(phases / 2.0)
-
-
-def _half_sin(phases: np.ndarray) -> np.ndarray:
-    """sin(phases / 2), as `_half_cos`."""
-    return np.sin(phases / 2.0)
-
-
 def _half_angles(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cos(phases / 2), sin(phases / 2)) of a float64 array from one
     tangent, t = tan(phases / 4): (1 - t^2) / (1 + t^2) and
-    2t / (1 + t^2), which takes less time than a sine and a cosine.
-    They lie within 2^-40 of `_half_cos` and `_half_sin`, which give the
-    float64 scores; only float32 tables, which round them to float32,
-    read these."""
+    2t / (1 + t^2), which takes less time than a sine and a cosine.  The
+    tangent is taken on a contiguous copy, so every caller gets the same
+    bits for the same phase; every HAKE half angle comes from here."""
     t = np.tan(phases / 4.0)
     square = t * t
     scale = 1.0 / (1.0 + square)
@@ -818,11 +805,9 @@ class _HAKE(_Distance):
     are differences of products of sines and cosines, at most 1 each,
     whose first-order float32 error is |w| n (n + 8) u: eps(q) adds
     2 u |w| n (n + 10), and the subnormals' slack is (1 + |w|) times
-    the others'.  The float32 tables of the half phases' cosines and
-    sines are `_half_angles` rounded to float32: within 2^-40 of the
-    float64 `_half_cos` and `_half_sin` that the pairs take, a gap of
-    2^-16 u per table entry, which the factor 2 over the first-order
-    error covers many times over."""
+    the others'.  Every cosine and sine of a half phase, in either
+    dtype, is `_half_angles`' float64 value, rounded in a float32
+    table."""
 
     def __init__(self, params: ModelParams, dtype):
         super().__init__(params, dtype)
@@ -830,28 +815,26 @@ class _HAKE(_Distance):
         self.weight = params.aux["phase_weight"]
         # the phase sum and a phase term's spare are the last two buffers
         self.buffers = self.pair_buffers = _sum_buffers(half) + 2
-        angles = (_half_angles if self.dtype == np.float32 else
-                  lambda phases: (_half_cos(phases), _half_sin(phases)))
         (modulus,), self.scale = self.feature_major(
             self.ent[:, :half], 2, lambda rows: (np.abs(rows),))
-        self.tables = (modulus,
-                       *_feature_major(self.ent[:, half:], dtype, angles)[0])
+        self.tables = (modulus, *_feature_major(self.ent[:, half:], dtype,
+                                                _half_angles)[0])
 
     def query(self, tail, fixed, rel):
         half = self.half
         f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
         f_phase, r_phase = fixed[:, half:], rel[:, half:]
-        # |sin((h + r - t) / 2)| = |sin(a - e / 2)| with a from the fixed
-        # side; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine per (query,
-        # entity) pair
-        a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
-        return f_mod * r_mod, r_mod, f_mod, np.sin(a), np.cos(a)
+        # |sin((h + r - t) / 2)| = |sin(a - e / 2)| with a the fixed
+        # side's half phase; sin(a)cos(e/2) - cos(a)sin(e/2) takes no sine
+        # per (query, entity) pair
+        cos_a, sin_a = _half_angles(f_phase + r_phase if tail
+                                    else f_phase - r_phase)
+        return f_mod * r_mod, r_mod, f_mod, sin_a, cos_a
 
     def pair_side(self, cands):
         rows = self.ent[cands]
-        phases = rows[:, self.half:]
-        return (np.abs(rows[:, :self.half]).T, _half_cos(phases).T,
-                _half_sin(phases).T)
+        cos_e, sin_e = _half_angles(rows[:, self.half:])
+        return np.abs(rows[:, :self.half]).T, cos_e.T, sin_e.T
 
     def distance(self, tail, q, e, out, free):
         q_mod, r_mod, f_mod, sin_a, cos_a = q

@@ -338,12 +338,17 @@ def oracle_distance_scores(params: ModelParams, tail: bool,
         return np.negative(out, out=out)
     assert kind == ModelKind.HAKE
     weight = params.aux["phase_weight"]
-    cos_e = np.divide(ent[:, half:], 2.0)
-    sin_e, cos_e = np.sin(cos_e), np.cos(cos_e)
+
+    def half_angles(phases):  # cos and sin of phases / 2 from one tangent
+        t = np.tan(phases / 4.0)
+        square = t * t
+        scale = 1.0 / (1.0 + square)
+        return (1.0 - square) * scale, 2.0 * t * scale
+    cos_e, sin_e = half_angles(ent[:, half:])
     f_mod, r_mod = np.abs(fixed[:, :half]), np.abs(rel[:, :half])
     f_phase, r_phase = fixed[:, half:], rel[:, half:]
-    a = (f_phase + r_phase if tail else f_phase - r_phase) / 2.0
-    sin_a, cos_a = np.sin(a)[:, None, :], np.cos(a)[:, None, :]
+    cos_a, sin_a = (x[:, None, :] for x in half_angles(
+        f_phase + r_phase if tail else f_phase - r_phase))
     e_mod = np.abs(ent[:, :half])
     if tail:
         v = np.subtract((f_mod * r_mod)[:, None, :], e_mod)

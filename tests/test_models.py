@@ -720,16 +720,16 @@ class TestFloat32Screen:
             assert np.array_equal(exact, want.ravel())
 
     def test_hake_half_angles_from_one_tangent(self):
-        """HAKE's float32 tables take the cosine and sine of the half
-        phases from one tangent; they lie within 2^-40 of the float64
-        `_half_cos` and `_half_sin` that its pairs take."""
+        """HAKE takes every cosine and sine of a half phase from one
+        tangent; they lie within 2^-50 of `np.cos` and `np.sin` of the
+        half phases."""
         rng = np.random.default_rng(24)
         phases = np.concatenate([
             rng.uniform(-np.pi, np.pi, 20000), rng.uniform(-1e4, 1e4, 5000),
             [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e4, -1e4]])
         cos, sin = models._half_angles(phases)
-        assert np.abs(cos - models._half_cos(phases)).max() <= 2.0 ** -40
-        assert np.abs(sin - models._half_sin(phases)).max() <= 2.0 ** -40
+        assert np.abs(cos - np.cos(phases / 2.0)).max() <= 2.0 ** -50
+        assert np.abs(sin - np.sin(phases / 2.0)).max() <= 2.0 ** -50
 
 
 def _container_bytes(header: dict, payload: bytes = b"") -> bytes:

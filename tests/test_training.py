@@ -378,6 +378,22 @@ class TestBatchLoss:
         assert total == pytest.approx(looped, abs=1e-12)
         assert_rows_close(grads, looped_grads, 1e-12)
 
+    def test_hake_zero_phase_difference_has_zero_phase_gradient(self):
+        """Every candidate's phase equals its query's (one phase for all
+        entities, zero relation phases), so theta = 0 exactly: by the
+        convention sign(0) = 0, no phase gets a gradient, while the
+        moduli do."""
+        dataset, ids, negatives, weights, params = looped_step(
+            6, ModelKind.HAKE, None)
+        half = params.dim // 2
+        params.entity_emb[:, half:] = params.entity_emb[0, half:]
+        params.relation_emb[:, half:] = 0.0
+        _, grads = batch_loss(params, dataset.train_index, ids, negatives,
+                              weights)
+        assert np.all(grads.entity[:, half:] == 0.0)
+        assert np.all(grads.relation[:, half:] == 0.0)
+        assert np.all(np.abs(grads.entity[:, :half]).max(axis=1) > 0.0)
+
     @pytest.mark.parametrize("kind, aux, beta", ORACLE_CASES, ids=ORACLE_IDS)
     def test_matches_dict_oracle(self, kind, aux, beta):
         """Loss to 1e-12 and every touched row's gradient to 1e-12
