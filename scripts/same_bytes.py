@@ -21,8 +21,7 @@ as `sweep/`'s, and its stdout is `sweep`'s without the lines of the grid
 points that the directory held already.  So `sweep-again` trains no
 point, and `sweep-widen` only the second lambda's.  A second group then
 runs in `fb237/` on the FB15K237 graph, where a weight table or score
-file has 544,230 rows in 34 blocks, so a tree that may use more than one
-CPU formats them with helper interpreters: `build-weights
+file has 544,230 rows in 34 blocks of text: `build-weights
 --subsampling mix` twice on a score file that the script writes (the
 first parses its text, the second reads the parsed copy), a short
 `pretrain-submodel` and `score-triples` of that sub-model.  Each step is
@@ -36,8 +35,8 @@ Given OTHER_SRC, the src directory of another checkout (say the parent
 commit, unpacked with `git archive`), the sequence runs under that tree
 and then under this one.  Without it, the sequence runs twice under
 this one, the second time pinned to one CPU with `taskset -c 0`, where
-no helper starts, which checks that a run is a pure function of data,
-config and seed.
+ranking and the all-candidates mass run on one worker, which checks
+that a run is a pure function of data, config and seed.
 
 Every file must be present in both trees with the same bytes, except
 files whose path relative to the work directory matches an

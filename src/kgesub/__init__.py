@@ -5,6 +5,7 @@ Subpackages:
     data         triples, vocabularies, the query index
     models       batched scores and gradients, parameter checkpoints
     subsampling  count-based / model-based / mixed weight tables
+    decimals     shortest round-trip decimals, the text of weight rows
     training     batched negative sampling, weighted loss, SGD/Adam loop
     evaluation   filtered link-prediction ranking and metrics
     submodel     sub-model scoring and grid selection

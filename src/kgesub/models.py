@@ -600,11 +600,19 @@ def _half_angles(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tangent, t = tan(phases / 4): (1 - t^2) / (1 + t^2) and
     2t / (1 + t^2), which takes less time than a sine and a cosine.  The
     tangent is taken on a contiguous copy, so every caller gets the same
-    bits for the same phase; every HAKE half angle comes from here."""
-    t = np.tan(phases / 4.0)
-    square = t * t
-    scale = 1.0 / (1.0 + square)
-    return (1.0 - square) * scale, 2.0 * t * scale
+    bits for the same phase; every HAKE half angle comes from here.
+    Each pass writes into one of three arrays, which become the two
+    results."""
+    t = np.divide(phases, 4.0)
+    np.tan(t, out=t)
+    square = np.multiply(t, t)
+    scale = np.add(square, 1.0)
+    np.divide(1.0, scale, out=scale)
+    cos = np.subtract(1.0, square, out=square)
+    cos *= scale
+    t *= 2.0
+    t *= scale
+    return cos, t
 
 
 # float32's unit roundoff u; the absolute slack of one distance term that

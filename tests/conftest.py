@@ -976,6 +976,24 @@ def oracle_load_triples(path, existing_vocab: Vocab = Vocab()):
     return triples, Vocab(tuple(labels["entity"]), tuple(labels["relation"]))
 
 
+def oracle_rows(start: int, columns, labels: tuple[str, ...] = ()) -> bytes:
+    """`decimals.format_rows` one `%` format at a time: the lines
+    `id[<TAB>label]<TAB>value...` of rows start, start + 1, ..., each
+    value `%r` of its float, row i labelled `labels[i % len(labels)]`."""
+    columns = [np.asarray(column, np.float64).tolist() for column in columns]
+    m, width = len(columns[0]), 1 + bool(labels) + len(columns)
+    fields: list = [None] * (m * width)
+    fields[0::width] = range(start, start + m)
+    if labels:
+        first = start % len(labels)
+        fields[1::width] = (labels * (m // len(labels) + 2))[first:first + m]
+    for c, column in enumerate(columns, width - len(columns)):
+        fields[c::width] = column
+    line = "\t".join(["%d"] + ["%s"] * bool(labels)
+                     + ["%r"] * len(columns)) + "\n"
+    return (line * m % tuple(fields)).encode()
+
+
 def _header_fields(comment: str) -> dict[str, str]:
     return dict(item.split("=", 1) for item in comment[1:].split()
                 if "=" in item)

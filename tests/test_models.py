@@ -731,6 +731,25 @@ class TestFloat32Screen:
         assert np.abs(cos - np.cos(phases / 2.0)).max() <= 2.0 ** -50
         assert np.abs(sin - np.sin(phases / 2.0)).max() <= 2.0 ** -50
 
+    def test_hake_half_angles_keep_the_expression_bits(self):
+        """The in-place passes give the bits of the expression form, on
+        contiguous phases and on a strided view of a row block."""
+        def expression(phases):
+            t = np.tan(phases / 4.0)
+            square = t * t
+            scale = 1.0 / (1.0 + square)
+            return (1.0 - square) * scale, 2.0 * t * scale
+        rng = np.random.default_rng(35)
+        rows = rng.uniform(-1e3, 1e3, (500, 64))
+        for phases in (rng.uniform(-np.pi, np.pi, 139_000), rows[:, 32:],
+                       rows[:, None, 32:] - rows[:7, 32:],
+                       np.array([0.0, -0.0, np.pi, -np.pi, 1e300])):
+            for got, want in zip(models._half_angles(phases),
+                                 expression(phases)):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
 
 def _container_bytes(header: dict, payload: bytes = b"") -> bytes:
     blob = json.dumps(header).encode("utf-8")

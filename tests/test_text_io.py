@@ -5,14 +5,13 @@ lines at a time and read a failing block again line by line.  Generated
 files, cut into blocks of sizes from one line to 1 MiB, must give the
 oracles' ids, vocabulary order and bitwise arrays, or the same exception
 type and message.  `save_scores` and `save_weight_table` must write the
-bytes of one `repr` per row however many helper processes format their
-blocks; the program reads no weight table, so the tests read them with
-the conftest reader.
+bytes of one `repr` per row whatever the block size and CPU count; the
+program reads no weight table, so the tests read them with the conftest
+reader.
 """
 
 import os
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,10 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgesub import _rowtext, data, models, subsampling
+from kgesub import data, models, subsampling
 from kgesub.data import Dataset, Vocab, read_container, write_container
-from kgesub.errors import (DataError, DegenerateInputError, KgesubError,
-                           WriterError)
+from kgesub.errors import DataError, DegenerateInputError, KgesubError
 from kgesub.subsampling import (Provenance, SubModelScores, WeightTable,
                                 load_scores, save_scores, save_weight_table,
                                 scores_copy_path, uniform_weights)
@@ -367,9 +365,9 @@ class TestScoresCopy:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_save_writes_the_text_as_before(self, tmp_path, monkeypatch,
                                             workers):
-        """Block-wise rows, formatted by up to `workers` processes, are
-        the bytes of one `repr` row at a time, for row counts on both
-        sides of a block."""
+        """Block-wise rows, with `workers` CPUs, are the bytes of one
+        `repr` row at a time, for row counts on both sides of a
+        block."""
         monkeypatch.setattr(models, "_WORKERS", workers)
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, subsampling._ROWS - 1, subsampling._ROWS,
@@ -522,35 +520,12 @@ class TestScoresCopy:
             assert outcome(load_scores, scores_file) == want
 
 
-# helper scripts that stand in for `_rowtext`: each fails in its own way
-BAD_HELPERS = {
-    "exits at once": "import sys; sys.exit(1)",
-    "exits non-zero after its blocks": (
-        "import sys; sys.path.insert(0, {where!r}); import _rowtext; "
-        "_rowtext._serve(int(sys.argv[1]), tuple(sys.argv[2:])); sys.exit(3)"),
-    "dies mid-stream": (
-        "import os, sys; sys.stdin.buffer.read(); "
-        "sys.stdout.buffer.write((1000).to_bytes(8, 'little') + b'0\\t'); "
-        "sys.stdout.flush(); os._exit(0)"),
-}
-
-
-class TestParallelWriter:
-    """Helpers format a share of a big table's blocks: the bytes do not
-    depend on how many run, and none outlives the call."""
+class TestWriter:
+    """Weight tables and score files are formatted in the calling
+    process: the bytes depend on neither the CPU count nor the block
+    size, and no process is started."""
 
     N = 3 * subsampling._ROWS + 5  # four blocks
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The helper processes each call starts."""
-        helpers, popen = [], subprocess.Popen
-
-        def recording(*args, **kwargs):
-            helpers.append(popen(*args, **kwargs))
-            return helpers[-1]
-        monkeypatch.setattr(subprocess, "Popen", recording)
-        return helpers
 
     @staticmethod
     def table(n: int) -> WeightTable:
@@ -558,88 +533,37 @@ class TestParallelWriter:
         return WeightTable(a=rng.gamma(1.0, size=n), b=rng.random(n) + 0.5,
                            provenance=Provenance("mix", "freq", 0.5, 0.5, "s"))
 
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_helpers_end_with_the_call(self, tmp_path, monkeypatch, started,
-                                       workers):
+    @staticmethod
+    def scores_text(raw: np.ndarray) -> str:
+        return "# submodel=s\n" + "".join(
+            f"{i}\t{float(v)!r}\n" for i, v in enumerate(raw))
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("rows", [1, 7, subsampling._ROWS])
+    def test_bytes_depend_on_no_workers_or_block_rows(
+            self, tmp_path, monkeypatch, workers, rows):
+        n = self.N if rows == subsampling._ROWS else 23
         monkeypatch.setattr(models, "_WORKERS", workers)
-        table = self.table(self.N)
+        monkeypatch.setattr(subsampling, "_ROWS", rows)
+        table = self.table(n)
         save_weight_table(table, tmp_path / "w.tsv")
-        assert len(started) == min(workers, 4) - 1
-        assert all(helper.poll() == 0 for helper in started)
         assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == \
             weight_text(table)
+        raw = np.random.default_rng(1).normal(size=n)
+        save_scores(SubModelScores(raw, "s"), tmp_path / "s.tsv")
+        assert (tmp_path / "s.tsv").read_text(encoding="utf-8") == \
+            self.scores_text(raw)
 
-    def test_one_block_starts_no_helper(self, tmp_path, monkeypatch,
-                                        started):
+    def test_no_process_is_started(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no process may start")
+        monkeypatch.setattr(subprocess, "Popen", refuse)
         monkeypatch.setattr(models, "_WORKERS", 3)
-        save_weight_table(self.table(subsampling._ROWS), tmp_path / "w.tsv")
-        save_scores(SubModelScores(np.arange(subsampling._ROWS, dtype=float),
-                                   "s"), tmp_path / "s.tsv")
-        assert started == []
-
-    def test_no_interpreter_path_gives_the_same_bytes(self, tmp_path,
-                                                       monkeypatch, started):
-        monkeypatch.setattr(models, "_WORKERS", 3)
-        monkeypatch.setattr(sys, "executable", "")
         table = self.table(self.N)
         save_weight_table(table, tmp_path / "w.tsv")
-        assert started == []
         assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == \
             weight_text(table)
-
-    def test_helper_that_does_not_start_gives_the_same_bytes(
-            self, tmp_path, monkeypatch, started):
-        monkeypatch.setattr(models, "_WORKERS", 3)
-        popen = subprocess.Popen
-
-        def second_fails(*args, **kwargs):
-            if len(started) == 1:
-                raise OSError("no more processes")
-            return popen(*args, **kwargs)
-        monkeypatch.setattr(subprocess, "Popen", second_fails)
-        table = self.table(self.N)
-        save_weight_table(table, tmp_path / "w.tsv")
-        assert len(started) == 1 and started[0].poll() == 0
-        assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == \
-            weight_text(table)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("bad", sorted(BAD_HELPERS))
-    def test_failed_helper_keeps_the_old_file(self, tmp_path, monkeypatch,
-                                              started, bad, workers):
-        script = tmp_path / "bad_helper.py"
-        script.write_text(BAD_HELPERS[bad].format(
-            where=str(Path(_rowtext.__file__).parent)), encoding="utf-8")
-        path = tmp_path / "out" / "w.tsv"
-        path.parent.mkdir()
-        path.write_bytes(b"old")
-        monkeypatch.setattr(models, "_WORKERS", workers)
-        monkeypatch.setattr(_rowtext, "__file__", str(script))
-        with pytest.raises(WriterError, match="text helper"):
-            save_weight_table(self.table(self.N), path)
-        with pytest.raises(WriterError, match="text helper"):
-            save_scores(SubModelScores(np.arange(float(self.N)), "s"), path)
-        assert path.read_bytes() == b"old"
-        assert os.listdir(path.parent) == ["w.tsv"]
-        assert len(started) == 2 * (workers - 1)
-        assert all(helper.poll() is not None for helper in started)
-
-    def test_helper_beside_a_failed_one_is_ended(self, tmp_path,
-                                                 monkeypatch, started):
-        """The first helper is still sending its block when the second
-        one fails."""
-        script = tmp_path / "bad_helper.py"
-        script.write_text(BAD_HELPERS["exits at once"], encoding="utf-8")
-        monkeypatch.setattr(models, "_WORKERS", 3)
-        popen = subprocess.Popen
-
-        def second_fails(command, **kwargs):
-            if started:
-                command = [*command[:3], str(script), *command[4:]]
-            return popen(command, **kwargs)
-        monkeypatch.setattr(subprocess, "Popen", second_fails)
-        with pytest.raises(WriterError, match="text helper"):
-            save_weight_table(self.table(self.N), tmp_path / "w.tsv")
-        assert len(started) == 2
-        assert all(helper.poll() is not None for helper in started)
-        assert not (tmp_path / "w.tsv").exists()
+        raw = np.arange(float(self.N))
+        save_scores(SubModelScores(raw, "s"), tmp_path / "s.tsv")
+        assert (tmp_path / "s.tsv").read_text(encoding="utf-8") == \
+            self.scores_text(raw)
