@@ -25,6 +25,7 @@ error or a failed read, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
@@ -408,6 +409,7 @@ def _parse_grid(text: str | None, default: tuple[float, ...],
 # argument wiring
 
 
+@functools.cache  # argparse keeps no state of a parse in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kgesub",
                      description="Knowledge-graph embedding training with "

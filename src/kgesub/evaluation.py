@@ -145,7 +145,7 @@ def rank_answers(params: ModelParams, index: QueryIndex, queries: np.ndarray,
             return 1 + (counts + 1) // 2
         return add, total
     return reduce_candidate_scores(params, directions, entities, relations,
-                                   rank_rows, np.int64, np.float32)
+                                   rank_rows, np.int64)
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Embedding models: parameter storage, scoring, and analytic gradients.
 
 Five score functions are provided.  Higher scores mean "more plausible".
-All arithmetic is float64, except the float32 screening of ranking
-tiles, which decides no rank by itself.
+All arithmetic is float64, except the float32 tiles of ranking and of
+the all-candidates mass, which come with a bound on their error.
 
 Embedding layouts (dim = per-entity real degrees of freedom):
 
@@ -34,12 +34,11 @@ gradient view the gradient checks use, live in tests/conftest.py.
 
 `reduce_candidate_scores` scores passes of same-direction queries
 against every entity, for the all-candidates mass and for ranking, and
-makes no (queries, E) array: a pass streams its queries over tiles of
-entity columns, in the dtype its consumer names (float64 for the mass,
-float32 for ranking), and the consumer's reducer adds up what each tile
-gives, free to reuse the tile and a spent scratch buffer of it.  A tile
-is one matmul for DistMult and ComplEx, and for TransE, RotatE and HAKE
-direct distances.
+makes no (queries, E) array: a pass streams its queries over float32
+tiles of entity columns, and the consumer's reducer adds up what each
+tile gives, free to reuse the tile and a spent scratch buffer of it.  A
+tile is one matmul for DistMult and ComplEx, and for TransE, RotatE and
+HAKE direct distances.
 
 A distance is a sum over features, taken feature by feature: each
 feature gives one (queries, tile) term, read from a feature-major
@@ -47,26 +46,27 @@ entity table (the transposed entity table for TransE and RotatE; the
 |modulus| and the cosine and sine of the half phases for HAKE).  The
 terms are added in the order numpy's add.reduce adds a contiguous row
 (eight partial sums of the terms j = k (mod 8) up to 128 terms, halves
-above), so the float64 scores are bitwise those of summing a (queries,
-tile, dim) difference over its last axis, which tests/conftest.py
-keeps as the oracle.  `_blocked` owns each tile's scratch: it carves
-the tile's (queries, tile) buffers (the scores, the term, the partial
-sums, and for RotatE and HAKE the spares) from one flat array per
-worker and lets the kind write the scores.  The tiles are shared by one
-worker thread per CPU that the process may use, worker w taking tiles
-w, w + W, ...  Each worker's scratch fits half of `RANK_BUDGET_BYTES`,
-and the shapes of passes and tiles follow from that share, not from the
-number of workers, so no value depends on the CPU count.
+above), so the float64 pair scores are bitwise those of summing a
+(queries, tile, dim) difference over its last axis, which
+tests/conftest.py keeps as the oracle.  `_blocked` owns each tile's
+scratch: it carves the tile's (queries, tile) buffers (the scores, the
+term, the partial sums, and for RotatE and HAKE the spares) from one
+flat array per worker and lets the kind write the scores.  The tiles
+are shared by one worker thread per CPU that the process may use,
+worker w taking tiles w, w + W, ...  Each worker's scratch fits half of
+`RANK_BUDGET_BYTES`, and the shapes of passes and tiles follow from
+that share, not from the number of workers, so no value depends on the
+CPU count.
 
-Ranking screens every kind in float32, from float32 tables, half the
-bytes.  Each pass comes with a `Screen`, an a-priori bound eps(q) of
-each query's float32 error and the float64 score of any (query, entity)
-pair, from one fixed order of operations: a distance pair runs the
-float64 block's operations in its order, and gets its bits; a
-dot-product pair adds its products in `_add_terms`' order, whatever
-order BLAS would take.  Float32 only screens: the consumer decides in
-float64 every comparison that float32 cannot (see `evaluation`), so no
-rank depends on BLAS, on the tile width or on the CPU count.
+Every tile is float32, from float32 tables.  Each pass comes with a
+`Screen`, an a-priori bound eps(q) of each query's float32 error and
+the float64 score of any (query, entity) pair, from one fixed order of
+operations: a distance pair runs a block's operations in its order, in
+float64; a dot-product pair adds its products in `_add_terms`' order,
+whatever order BLAS would take.  Ranking decides in float64 every
+comparison that float32 cannot (see `evaluation`), so no rank depends
+on BLAS, the tile width or the CPU count, and the all-candidates mass
+stays within its stated bound of the float64 one (see `subsampling`).
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -98,8 +98,6 @@ INIT_EPSILON = 2.0  # widens the uniform init range beyond gamma/dim
 # the number of workers, so that no pass or tile depends on the CPU
 # count: one or two workers hold at most the budget, and each worker
 # beyond two one share more.  A tile's scores lie beyond its share.
-# It counts bytes, not values: a float32 tile, which only screens the
-# ranks that float64 decides, holds twice the entities of a float64 one.
 RANK_BUDGET_BYTES = 4 << 20
 
 
@@ -370,8 +368,7 @@ class Screen(NamedTuple):
 
 def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
                             entities: np.ndarray, relations: np.ndarray,
-                            reduce, dtype=np.float64,
-                            tile_dtype=np.float64) -> np.ndarray:
+                            reduce, dtype=np.float64) -> np.ndarray:
     """One `dtype` value a query, in input order, that `reduce` makes of
     the query's scores of every entity as the answer.
 
@@ -380,29 +377,27 @@ def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
     and taken a pass of same-direction queries at a time; `rows` are a
     pass's input positions.  No (len(rows), E) array is made:
     reduce(rows, screen) returns (add, total), the workers call
-    add(cols, tile, spare) with the `tile_dtype` scores of each tile of
+    add(cols, tile, spare) with the float32 scores of each tile of
     entity columns `cols` (a slice) and a spent scratch buffer of the
     tile's shape and dtype, both of which add may overwrite and must not
     keep, and total() then gives the pass's values.
 
-    A float32 pass (ranking) hands `reduce` its `Screen`: float32 only
-    screens, and the `Screen` lets the consumer decide in float64 every
-    comparison that float32 cannot.  A float64 pass (the all-candidates
-    mass) hands it None; its scores equal `score_triples` of the same
-    triples up to rounding in the last bits.  A pass holds as many
-    queries as fit one worker's share of the budget (`RANK_BUDGET_BYTES`)
-    at min(E, `_TILE`) entities, and the passes of a direction are of
-    equal size, so no pass depends on the number of workers.
+    `screen` is the pass's `Screen`: it bounds the float32 error of each
+    query's finite scores and gives the float64 score of any pair, so
+    the consumer can take in float64 whatever float32 cannot decide or
+    does not hold.  A pass holds as many queries as fit one worker's
+    share of the budget (`RANK_BUDGET_BYTES`) at min(E, `_TILE`)
+    entities, and the passes of a direction are of equal size, so no
+    pass depends on the number of workers.
     """
     order = np.argsort(np.asarray(directions), kind="stable")
     directions, entities, relations = (
         np.asarray(column, dtype=np.int64)[order]
         for column in (directions, entities, relations))
-    scorer = _SCORERS[params.kind](params, tile_dtype)
-    # a score takes the block's buffers, or the reducer's spare if none
+    scorer = _SCORERS[params.kind](params)
+    # a float32 score in each of the block's buffers, or the spare if none
     step = max(1, RANK_BUDGET_BYTES // 2 // (
-        scorer.dtype.itemsize * max(scorer.buffers, 1)
-        * min(params.num_entities, _TILE)))
+        4 * max(scorer.buffers, 1) * min(params.num_entities, _TILE)))
     out = np.empty(len(order), dtype)
     start = 0
     while start < len(order):
@@ -419,8 +414,8 @@ def reduce_candidate_scores(params: ModelParams, directions: np.ndarray,
     return out
 
 
-# Workers of ranking and of the text writers of `subsampling`: one per
-# CPU that the process may run on.
+# Workers of `reduce_candidate_scores` and `_feature_major`: one per CPU
+# that the process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # Entities of a cache-sized block, which `_feature_major` copies at a time.
@@ -458,11 +453,11 @@ def _run_workers(count: int, task) -> None:
 
 
 def _blocked(num_queries: int, num_entities: int, buffers: int, block,
-             add, dtype=np.float64) -> None:
+             add) -> None:
     """add(cols, tile, spare) for each tile of the entities `cols` (a
     slice), once block(cols, tile, free) has written the (Q, cols)
-    `dtype` scores into `tile`, with `free` a list of `buffers` (Q, cols)
-    scratch buffers, contiguous, disjoint and of the tile's dtype;
+    float32 scores into `tile`, with `free` a list of `buffers` (Q, cols)
+    float32 scratch buffers, contiguous and disjoint;
     `spare` is the first of them, spent, or one more where the block
     takes none.
 
@@ -476,12 +471,12 @@ def _blocked(num_queries: int, num_entities: int, buffers: int, block,
     wide it is."""
     scratch_buffers = max(buffers, 1)
     size = max(1, RANK_BUDGET_BYTES // 2 // (
-        np.dtype(dtype).itemsize * scratch_buffers * num_queries))
+        4 * scratch_buffers * num_queries))
     starts = range(0, num_entities, size)
     count = max(1, min(_WORKERS, len(starts)))
     floats_per_entity = (scratch_buffers + 1) * num_queries
-    scratch = [np.empty(min(size, num_entities) * floats_per_entity, dtype)
-               for _ in range(count)]
+    scratch = [np.empty(min(size, num_entities) * floats_per_entity,
+                        np.float32) for _ in range(count)]
 
     def task(w):
         for lo in starts[w::count]:
@@ -558,22 +553,20 @@ def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
         out += term(j, free[0])
 
 
-def _feature_major(columns: np.ndarray, dtype=np.float64,
-                   fn=lambda rows: (rows,), order=None
-                   ) -> tuple[tuple[np.ndarray, ...], float]:
-    """The tables fn(columns)[k].T as contiguous (features, E) `dtype`
+def _feature_major(columns: np.ndarray, fn=lambda rows: (rows,),
+                   order=None) -> tuple[tuple[np.ndarray, ...], float]:
+    """The tables fn(columns)[k].T as contiguous (features, E) float32
     arrays, fn elementwise and giving a tuple, made from the (E,
     features) view `columns` a block of `_BLOCK` entities at a time,
     which is several times faster than one transposing copy; the workers
-    share the blocks.  A float64 value beyond float32's range becomes an
-    infinity of a float32 table.
+    share the blocks.  A value beyond float32's range becomes infinite.
 
     With `order` (1 or 2), the largest finite float64 norm of that order
     of the rows of fn(columns)[0] comes too, taken from each block while
     it is in cache (0.0 without `order`).  A row without a finite norm
     holds a value beyond float32's range, so its float32 scores are not
     finite and are decided in float64 anyway."""
-    tables = tuple(np.empty(columns.shape[::-1], dtype)
+    tables = tuple(np.empty(columns.shape[::-1], np.float32)
                    for _ in fn(columns[:0]))
     starts = range(0, len(columns), _BLOCK)
     count = max(1, min(_WORKERS, len(starts)))
@@ -625,15 +618,14 @@ _FLUSH = 2.0 ** -126
 
 
 class _Scorer:
-    """The candidate scores of one model kind: `dtype` tiles of every
-    entity, float64 for the all-candidates mass and float32 with their
-    `Screen` for ranking, and the float64 scores of single pairs, from
-    entity tables in `dtype` built once per `reduce_candidate_scores`
+    """The candidate scores of one model kind: float32 tiles of every
+    entity with their `Screen`, and the float64 scores of single pairs,
+    from float32 entity tables built once per `reduce_candidate_scores`
     call.
 
     A kind gives `query(tail, fixed, rel)`, a pass's query side: a tuple
     of float64 (Q, features) arrays.  `side(query)` lays it out in
-    `dtype` for `block(tail, side, cols, out, free)`, which writes into
+    float32 for `block(tail, side, cols, out, free)`, which writes into
     `out` the (Q, W) scores of the entities `cols` (a slice), using the
     kind's `buffers` scratch buffers `free`.  `pair(tail, q, e, out,
     free)` writes into `out` the (P,) float64 scores of the pairs whose
@@ -645,44 +637,28 @@ class _Scorer:
     an overflow makes, is decided in float64 by the consumer.
     """
 
-    def __init__(self, params: ModelParams, dtype):
-        self.params, self.dtype = params, np.dtype(dtype)
-        self.ent = params.entity_emb
-        # float32 may overflow where float64 does not: float64 decides
-        self.quiet = ({"over": "ignore", "invalid": "ignore"}
-                      if self.dtype == np.float32 else {})
-
-    def feature_major(self, columns, order, fn=lambda rows: (rows,)):
-        """`_feature_major` tables of `columns` in `dtype`, and with
-        float32 ones, which screen, the largest norm of order `order`,
-        which eps(q) reads."""
-        return _feature_major(columns, self.dtype, fn,
-                              order if self.dtype == np.float32 else None)
+    def __init__(self, params: ModelParams):
+        self.params, self.ent = params, params.entity_emb
 
     def side(self, query):
-        """The query side in `dtype`, each array (Q, features, 1), so
-        that feature j is a (Q, 1) column against a block's (W,) row."""
-        with np.errstate(**self.quiet):
-            return tuple(x.astype(self.dtype, copy=False)[..., None]
-                         for x in query)
+        with np.errstate(over="ignore"):
+            return tuple(x.astype(np.float32) for x in query)
 
     def reduced(self, rows, reduce, tail, fixed, rel):
-        """The values of one pass: `reduce` gets the pass's `Screen`, or
-        None in float64, and adds up its tiles."""
+        """The values of one pass: `reduce` gets the pass's `Screen` and
+        adds up its tiles."""
         query = self.query(tail, fixed, rel)
-        screen = None
-        if self.dtype == np.float32:
-            with np.errstate(over="ignore", invalid="ignore"):
-                screen = Screen(self.bound(tail, query),
-                                partial(self.exact, tail, query))
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen = Screen(self.bound(tail, query),
+                            partial(self.exact, tail, query))
         add, total = reduce(rows, screen)
         side = self.side(query)
 
         def block(cols, out, free):
-            with np.errstate(**self.quiet):
+            # float32 may overflow: the consumer takes such scores in float64
+            with np.errstate(over="ignore", invalid="ignore"):
                 self.block(tail, side, cols, out, free)
-        _blocked(len(fixed), len(self.ent), self.buffers, block, add,
-                 self.dtype)
+        _blocked(len(fixed), len(self.ent), self.buffers, block, add)
         return total()
 
     def exact(self, tail, query, picks, cands):
@@ -712,11 +688,11 @@ class _Distance(_Scorer):
     entity side e, one term per feature added by `_add_terms`, where
     q[k][:, j] and e[k][j] are feature j of the k-th array of either
     side and broadcast to out's shape.  A block passes its queries as
-    (Q, features, 1) arrays and its entities as the (features, W)
-    columns of the kind's feature-major `tables`, all in the block's
-    dtype, so `out` is (Q, W).  A pair passes the float64 (P, features)
-    and (features, P) arrays, so `out` is (P,): every pair takes the
-    operations of the float64 block in its order, and gets its bits.
+    float32 (Q, features, 1) arrays and its entities as the (features,
+    W) columns of the kind's float32 feature-major `tables`, so `out` is
+    (Q, W).  A pair passes the float64 (P, features) and (features, P)
+    arrays, so `out` is (P,): every pair takes a block's operations in
+    its order, in float64.
 
     With u = 2^-24 and n the number of terms (dim for TransE, dim / 2
     for RotatE and HAKE), a first-order analysis of float32's rounding
@@ -724,13 +700,14 @@ class _Distance(_Scorer):
     error by (c - 1) u S(q), with a constant c and a scale S(q) of the
     query and the largest entity row per kind; eps(q) = 2 c u S(q) +
     (n + 1) 2^-64.  The factor 2 is safety against the second-order
-    terms and the float64 block's own error (2^-29 times float32's), and
+    terms and the float64 pair's own error (2^-29 times float32's), and
     the last term covers float32's subnormals.
     """
 
     def block(self, tail, side, cols, out, free):
-        self.distance(tail, side, tuple(table[:, cols]
-                                        for table in self.tables), out, free)
+        # feature j of the query side is a (Q, 1) column against (W,) rows
+        self.distance(tail, tuple(x[..., None] for x in side),
+                      tuple(t[:, cols] for t in self.tables), out, free)
         np.negative(out, out=out)
 
     def pair(self, tail, q, e, out, free):
@@ -742,12 +719,12 @@ class _TransE(_Distance):
     """|q - e| with q = h + r (tails) or t - r (heads), L1 or L2.  L1:
     c = n + 2, S(q) = |q|_1 + max_e |e|_1; L2: c = n + 4, with L2 norms."""
 
-    def __init__(self, params: ModelParams, dtype):
-        super().__init__(params, dtype)
+    def __init__(self, params: ModelParams):
+        super().__init__(params)
         self.l1 = params.aux.get("norm_p", 1.0) == 1.0
         self.order = 1 if self.l1 else 2
         self.buffers = self.pair_buffers = _sum_buffers(params.dim)
-        self.tables, self.scale = self.feature_major(self.ent, self.order)
+        self.tables, self.scale = _feature_major(self.ent, order=self.order)
 
     def query(self, tail, fixed, rel):
         return (fixed + rel if tail else fixed - rel,)
@@ -775,13 +752,13 @@ class _RotatE(_Distance):
     t * conj(r) (heads): c = n + 4, S(q) = |q|_1 + max_e |e|_1, the L1
     norms over real and imaginary parts."""
 
-    def __init__(self, params: ModelParams, dtype):
-        super().__init__(params, dtype)
+    def __init__(self, params: ModelParams):
+        super().__init__(params)
         self.half = params.dim // 2
         # a term's spare is the last buffer
         self.buffers = self.pair_buffers = _sum_buffers(self.half) + 1
         # re 2j, im 2j + 1
-        self.tables, self.scale = self.feature_major(self.ent, 1)
+        self.tables, self.scale = _feature_major(self.ent, order=1)
 
     def query(self, tail, fixed, rel):
         return _rotation(tail, fixed, rel)[:2]
@@ -813,20 +790,19 @@ class _HAKE(_Distance):
     are differences of products of sines and cosines, at most 1 each,
     whose first-order float32 error is |w| n (n + 8) u: eps(q) adds
     2 u |w| n (n + 10), and the subnormals' slack is (1 + |w|) times
-    the others'.  Every cosine and sine of a half phase, in either
-    dtype, is `_half_angles`' float64 value, rounded in a float32
-    table."""
+    the others'.  Every cosine and sine of a half phase is
+    `_half_angles`' float64 value, rounded in the float32 tables."""
 
-    def __init__(self, params: ModelParams, dtype):
-        super().__init__(params, dtype)
+    def __init__(self, params: ModelParams):
+        super().__init__(params)
         self.half = half = params.dim // 2
         self.weight = params.aux["phase_weight"]
         # the phase sum and a phase term's spare are the last two buffers
         self.buffers = self.pair_buffers = _sum_buffers(half) + 2
-        (modulus,), self.scale = self.feature_major(
-            self.ent[:, :half], 2, lambda rows: (np.abs(rows),))
-        self.tables = (modulus, *_feature_major(self.ent[:, half:], dtype,
-                                                _half_angles)[0])
+        (modulus,), self.scale = _feature_major(
+            self.ent[:, :half], lambda rows: (np.abs(rows),), 2)
+        self.tables = (modulus,
+                       *_feature_major(self.ent[:, half:], _half_angles)[0])
 
     def query(self, tail, fixed, rel):
         half = self.half
@@ -880,12 +856,11 @@ class _HAKE(_Distance):
 class _Dot(_Scorer):
     """DistMult and ComplEx: the dot product q . e of the answer's row
     with q = h * r (DistMult), or, interleaved, h * r (ComplEx tails) or
-    t * conj(r) (heads).  A tile is one matmul of the tile's columns of
-    the feature-major table, summed in an order that BLAS sets: in
-    float64, for the all-candidates mass, the transposed view of the
-    entity table; in float32, for ranking, a float32 copy.  A pair adds
-    the n = dim float64 products q_j e_j in `_add_terms`' order, so no
-    rank depends on BLAS, on the tile width or on the CPU count.
+    t * conj(r) (heads).  A tile is one float32 matmul of the tile's
+    columns of the feature-major table, summed in an order that BLAS
+    sets.  A pair adds the n = dim float64 products q_j e_j in
+    `_add_terms`' order, so no rank depends on BLAS, on the tile width
+    or on the CPU count.
 
     Rounding q and e to float32 costs 2 u |q_j e_j| a product, taking
     the products u and adding them in any order (n - 1) u sum_j
@@ -898,22 +873,16 @@ class _Dot(_Scorer):
     2 covers the second-order terms and the float64 pair's own error.
     """
 
-    def __init__(self, params: ModelParams, dtype):
-        super().__init__(params, dtype)
+    def __init__(self, params: ModelParams):
+        super().__init__(params)
         self.buffers = 0  # a tile's matmul writes its scores directly
         self.pair_buffers = _sum_buffers(params.dim)
-        self.tables, self.scale = (self.feature_major(self.ent, 2)
-                                   if self.dtype == np.float32
-                                   else ((self.ent.T,), 0.0))
+        self.tables, self.scale = _feature_major(self.ent, order=2)
 
     def query(self, tail, fixed, rel):
         if self.params.kind == ModelKind.DISTMULT:
             return (fixed * rel,)
         return (_complex_query(tail, fixed, rel),)
-
-    def side(self, query):
-        with np.errstate(**self.quiet):
-            return (query[0].astype(self.dtype, copy=False),)
 
     def block(self, tail, side, cols, out, free):
         np.matmul(side[0], self.tables[0][:, cols], out=out)

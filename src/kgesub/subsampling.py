@@ -22,8 +22,9 @@ instead, with the same offset), and each weight column is the
 temperature-alpha discount f ** -alpha, normalized to mean 1 as
 n * exp(x - logsumexp(x)) with x = -alpha * log f, so scores any
 distance apart give finite weights.  An all-candidates sum streams
-float64 tiles of entity columns, each overwritten by its shifted terms
-(`log_candidate_mass`).
+ranking's float32 tiles of entity columns, each overwritten by its
+shifted terms, and carries their sums in float64 (`log_candidate_mass`,
+which states its bound).
 Count-based weights (CBS) are the same discount with alpha = 1/2 on
 counted frequencies: the query frequency is the query's count and the
 link frequency the mean of its triple's two query counts.  Mixed
@@ -177,16 +178,43 @@ def log_candidate_mass(submodel: ModelParams, directions: np.ndarray,
                        entities: np.ndarray, relations: np.ndarray
                        ) -> np.ndarray:
     """log sum_e exp(score) over every entity e as the query's answer, in
-    input order.  Each float64 tile gives its rows' `_peak_sums`, and the
-    tiles' sums are added in column order, shifted by the row's maximum,
-    whatever the number of workers: `logsumexp` of the row bit for bit
-    where one tile holds it."""
+    input order.  Each float32 tile of `reduce_candidate_scores` gives
+    its rows' `_peak_sums`, carried on in float64 and added in column
+    order, each shifted by the row's maximum, whatever the number of
+    workers.  A row whose float32 scores in a tile are not all finite (an
+    overflow) takes the tile's float64 pair scores from the `Screen`
+    instead, as ranking's wide rows do, so the mass is finite wherever
+    the float64 mass is; a row that is -inf over a whole tile takes no
+    mass from it.
+
+    With eps(q) the `Screen`'s bound, W the widest tile and u = 2^-24,
+    the log mass is within eps(q) + (2 log2(W) + 32) u of the logsumexp
+    of the query's float64 scores, to first order and besides float64's
+    rounding: logsumexp is 1-Lipschitz in the max norm; rounding s -
+    max(s) moves a tile's log sum by at most u times the softmax mean of
+    max(s) - s, at most the softmax entropy, ln W; a float32 exp is
+    within 3 ulp (6 u), or loses less than 2^-126 of a sum of at least 1
+    below float32's normal range; and numpy's pairwise sum of W terms
+    (eight running sums up to 128 terms, then halves) adds each term at
+    most log2(W) + 25 times."""
     def mass(rows, screen):
         tiles = []  # (first column, maxima, sums), appended in one piece
 
         def add(cols, tile, spare):
-            peak, sums = _peak_sums(tile, out=tile)
-            sums[peak == -np.inf] = 0.0  # no mass beside other tiles'
+            # the finiteness mask, from the spare's bytes
+            finite = spare.reshape(-1).view(np.bool_)[:tile.size].reshape(
+                tile.shape)
+            wide = np.flatnonzero(~np.isfinite(tile, out=finite).all(axis=1))
+            tile[wide] = 0.0
+            peak, sums = (x.astype(np.float64)
+                          for x in _peak_sums(tile, out=tile))
+            if len(wide):
+                entities = np.arange(cols.start, cols.stop)
+                exact = screen.exact(np.repeat(wide, len(entities)),
+                                     np.tile(entities, len(wide)))
+                top, part = _peak_sums(exact.reshape(len(wide), -1))
+                part[top == -np.inf] = 0.0  # no mass beside other tiles'
+                peak[wide], sums[wide] = top, part
             tiles.append((cols.start, peak, sums))
 
         def total():

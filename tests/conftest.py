@@ -312,8 +312,8 @@ def oracle_distance_scores(params: ModelParams, tail: bool,
     """(Q, E) float64 scores of a TransE, RotatE or HAKE chunk by the
     entity blocks that the feature-major ones replaced: one (Q, E, dim)
     difference per chunk and `np.sum` over its rows of features.  The
-    feature-major blocks and the pairs of a ranking `Screen` must give
-    these scores bit for bit."""
+    float64 pairs of a pass's `Screen` must give these scores bit for
+    bit."""
     kind, ent, dim = params.kind, params.entity_emb, params.dim
     half = dim // 2
     if kind == ModelKind.TRANSE:
@@ -392,7 +392,7 @@ def screened_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
     """The float32 (Q, E) scores of one ranking pass, put together from
     the tiles that `models` hands its reducer, each entity once, and the
     pass's `Screen`."""
-    scorer = models._SCORERS[params.kind](params, np.float32)
+    scorer = models._SCORERS[params.kind](params)
     scores = np.empty((len(fixed), params.num_entities), np.float32)
     seen = np.zeros(params.num_entities, bool)
     screens = []
@@ -414,23 +414,21 @@ def screened_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
     return scores, screens[0]
 
 
-def candidate_chunks(params: ModelParams, directions, entities, relations,
-                     tile_dtype=np.float64):
-    """(rows, scores) of each pass that `models.reduce_candidate_scores`
-    scores, in order, with a check that each reducer value comes back at
-    its query's input position.  The reducer gets the pass's
-    `tile_dtype` tiles, each entity once, which are put together here,
-    and its `Screen` in float32, None in float64."""
+def candidate_chunks(params: ModelParams, directions, entities, relations):
+    """(rows, scores, screen) of each pass that
+    `models.reduce_candidate_scores` scores, in order, with a check that
+    each reducer value comes back at its query's input position.  The
+    reducer gets the pass's float32 tiles, each entity once, which are
+    put together here, and its `Screen`."""
     chunks = []
 
     def keep(rows, screen):
-        assert (screen is None) == (tile_dtype == np.float64)
-        assert screen is None or isinstance(screen, models.Screen)
-        scores = np.empty((len(rows), params.num_entities), tile_dtype)
+        assert isinstance(screen, models.Screen)
+        scores = np.empty((len(rows), params.num_entities), np.float32)
         seen = np.zeros(params.num_entities, bool)
 
         def add(cols, tile, spare):
-            assert tile.dtype == tile_dtype and not seen[cols].any()
+            assert tile.dtype == np.float32 and not seen[cols].any()
             assert spare.shape == tile.shape and spare.dtype == tile.dtype
             assert not np.shares_memory(spare, tile)
             seen[cols] = True
@@ -438,13 +436,26 @@ def candidate_chunks(params: ModelParams, directions, entities, relations,
 
         def total():
             assert seen.all()
-            chunks.append((rows.copy(), scores))
+            chunks.append((rows.copy(), scores, screen))
             return rows
         return add, total
     positions = models.reduce_candidate_scores(
-        params, directions, entities, relations, keep, np.int64, tile_dtype)
+        params, directions, entities, relations, keep, np.int64)
     assert np.array_equal(positions, np.arange(len(directions)))
     return chunks
+
+
+def candidate_mass_bound(params: ModelParams, directions, entities,
+                         relations) -> np.ndarray:
+    """The bound that `subsampling.log_candidate_mass` states of each
+    query's log mass against the logsumexp of its float64 scores: eps(q)
+    of its pass's `Screen` plus (2 log2(W) + 32) 2^-24 at tiles of W = E
+    entities, the widest a tile can be."""
+    eps = np.empty(len(directions))
+    for rows, _, screen in candidate_chunks(params, directions, entities,
+                                            relations):
+        eps[rows] = screen.bound
+    return eps + (2 * math.log2(params.num_entities) + 32) * 2.0 ** -24
 
 
 def score_gradient(params: ModelParams, triple: Triple):

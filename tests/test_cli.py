@@ -456,6 +456,42 @@ class TestRepeatedListFlags:
             "m1", "m2"}
 
 
+class TestParserBuiltOnce:
+    """`main` builds its parser once a process; each call's list flags
+    start empty, and a call that fails leaves nothing to the next."""
+
+    def test_list_flags_kept_apart(self, handmade_dir, data_dir, tmp_path):
+        assert build_parser() is build_parser()
+        checkpoints = [save_distmult_1d(tmp_path / f"{name}.bin", *rows)
+                       for name, rows in (
+                           ("a", ([1.0, 5.0, 4.0, 4.0], [1.0, 2.0])),
+                           ("b", ([2.0, -1.0, 3.0, 1.0], [1.0, -1.0])))]
+        # a config error after both checkpoints were taken
+        assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                    tmp_path / "bad", "--checkpoint", *checkpoints,
+                    "--split", "train"]) == 1
+        for name in ("a", "b"):
+            assert run(["evaluate", "--data", handmade_dir, "--run-dir",
+                        tmp_path / name, "--checkpoint",
+                        tmp_path / f"{name}.bin"]) == 0
+            assert (tmp_path / name / "report.txt").exists()
+            assert not (tmp_path / name / "report.run0.txt").exists()
+        examples = 2 * (data_dir / "train.txt").read_text().count("\n")
+        for sid in ("m1", "m2"):
+            path = tmp_path / f"{sid}.tsv"
+            path.write_text(f"# submodel={sid}\n" + "".join(
+                f"{i}\t{0.25 * (i % 3)}\n" for i in range(examples)),
+                encoding="utf-8")
+            assert run(["sweep", "--data", data_dir, "--method", "freq",
+                        "--submodel-scores", path, "--alpha-grid", "0.5",
+                        "--lambda-grid", "0.5", "--run-dir",
+                        tmp_path / f"sweep-{sid}"] + FAST) == 0
+            ledger = (tmp_path / f"sweep-{sid}" / "ledger.tsv").read_text(
+                "utf-8")
+            assert {row.split("\t")[0]
+                    for row in ledger.splitlines()[1:]} == {sid}
+
+
 class TestEvaluateCommand:
     def test_reports_written(self, data_dir, tmp_path):
         train_dir = tmp_path / "train"

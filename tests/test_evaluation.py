@@ -556,7 +556,7 @@ class TestOneChunkAlive:
         budget at TransE's four buffers and all of it for DistMult's
         matmul, whose scratch is the reducer's spare; the float32
         tables; and a quarter chunk."""
-        scorer = models._SCORERS[params.kind](params, np.float32)
+        scorer = models._SCORERS[params.kind](params)
         tables = sum(table.nbytes for table in scorer.tables)
         return (self.CHUNK_BYTES * (1 + 1 / max(scorer.buffers, 1) + 1 / 4)
                 + tables)
@@ -619,17 +619,21 @@ class TestOneChunkAlive:
 
     def test_mass_takes_its_sums_inside_the_chunk(self, monkeypatch):
         """The all-candidates mass writes its shifted terms over each
-        tile, so it holds little more than the tiles' scratch, one share
-        of the budget and a tile's scores beyond it.  DistMult scores with
-        a matmul, whose scratch is the reducer's unused spare, so the
-        tiles and what their consumer makes of them set the peak."""
+        tile and takes its finiteness mask from the spare, so it holds
+        little more than the float32 tables, which ranking holds too,
+        the tiles' scratch, one share of the budget, and a tile's scores
+        beyond it.  DistMult scores with a matmul, whose scratch is the
+        reducer's spare, so the tiles and what their consumer makes of
+        them set the peak."""
         monkeypatch.setattr(models, "_WORKERS", 1)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", self.CHUNK_BYTES)
         params, dataset, _ = self._case(ModelKind.DISTMULT, 1)
         scores = score_training_triples(params, dataset, "sub")
         mass = traced_peak(lambda: log_model_frequencies(
             dataset, scores, params))
-        assert mass < self.CHUNK_BYTES * 5 / 4
+        tables = sum(table.nbytes
+                     for table in models._SCORERS[params.kind](params).tables)
+        assert mass < self.CHUNK_BYTES * 5 / 4 + tables
 
 
 class TestAggregateRuns:

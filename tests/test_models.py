@@ -345,7 +345,9 @@ class TestScoreGradient:
 
 
 class TestCandidateScores:
-    """Chunked all-entity scoring against the per-query `score_batch`."""
+    """Tiled all-entity scoring against the per-query `score_batch`: the
+    float32 tiles within their `Screen`'s eps(q) of its float64 pairs,
+    and those pairs within rounding of `score_batch`."""
 
     CASES = [(kind, {}) for kind in ALL_KINDS] + [(ModelKind.TRANSE,
                                                    {"norm_p": 2.0})]
@@ -362,15 +364,20 @@ class TestCandidateScores:
         entities = rng.integers(0, 40, size=30)
         relations = rng.integers(0, 3, size=30)
         covered = []
-        for rows, scores in candidate_chunks(params, directions, entities,
-                                             relations):
+        for rows, scores, screen in candidate_chunks(params, directions,
+                                                     entities, relations):
             assert scores.shape == (len(rows), 40)
             assert len(set(directions[rows])) == 1
-            for i, got in zip(rows, scores):
+            picks, cands = np.divmod(np.arange(scores.size), 40)
+            pairs = screen.exact(picks, cands).reshape(scores.shape)
+            for i, got, exact, bound in zip(rows, scores, pairs,
+                                            screen.bound):
                 query = QueryKey(Direction(int(directions[i])),
                                  int(entities[i]), int(relations[i]))
                 want = score_batch(params, query, np.arange(40))
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(exact - want).max() <= (
+                    1e-12 * np.abs(want).max())
+                assert (np.abs(got - exact) <= bound).all()
             covered.extend(rows)
         # one direction after the other, each in input order
         assert covered == list(np.argsort(directions, kind="stable"))
@@ -381,53 +388,46 @@ class TestCandidateScores:
         direction are of equal size, and a tile holds as many entities
         as fit the share at the pass's bytes per entity: the same at 1, 2
         and 3 workers.  TransE at dim 16 keeps four buffers, 16 bytes of
-        the share a (query, entity) score in float32 and 32 in float64;
-        DistMult's matmul keeps one spare, 8 bytes in float64."""
+        the share a (query, entity) float32 score; DistMult's matmul keeps
+        one spare, 4 bytes."""
         transe = init_params(ModelKind.TRANSE, 40, 1, 16, 1.0, seed=14)
         distmult = init_params(ModelKind.DISTMULT, 10, 1, 4, 1.0, seed=14)
 
-        def spans(params, queries, tile_dtype=np.float64):
+        def spans(params, queries):
             zeros = np.zeros(queries, dtype=np.int64)
             widths = set()
             blocked = models._blocked
 
-            def recorded(q, e, buffers, block, add, dtype):
+            def recorded(q, e, buffers, block, add):
                 def counted(cols, tile, spare):
                     widths.add((q, cols.stop - cols.start))
                     add(cols, tile, spare)
-                blocked(q, e, buffers, block, counted, dtype)
+                blocked(q, e, buffers, block, counted)
             with monkeypatch.context() as patch:
                 patch.setattr(models, "_blocked", recorded)
-                chunks = candidate_chunks(params, zeros, zeros, zeros,
-                                          tile_dtype)
-            return ([(rows[0], rows[-1] + 1) for rows, _ in chunks],
+                chunks = candidate_chunks(params, zeros, zeros, zeros)
+            return ([(rows[0], rows[-1] + 1) for rows, _, _ in chunks],
                     sorted(widths))
 
         for workers in (1, 2, 3):
             monkeypatch.setattr(models, "_WORKERS", workers)
             with monkeypatch.context() as patch:
-                for tile_dtype in (np.float32, np.float64):
-                    assert spans(transe, 37, tile_dtype) == (
-                        [(0, 37)], [(37, 40)])
+                assert spans(transe, 37) == ([(0, 37)], [(37, 40)])
                 assert spans(distmult, 9) == ([(0, 9)], [(9, 10)])
-                # a share of 6 float32 TransE queries at 40 entities
+                # a share of 6 TransE queries at 40 entities
                 patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 40 * 6)
-                assert spans(transe, 37, np.float32) == (
+                assert spans(transe, 37) == (
                     [(0, 6), (6, 12), (12, 17), (17, 22), (22, 27),
                      (27, 32), (32, 37)], [(5, 40), (6, 40)])
-                # 3 float64 ones
-                assert spans(transe, 37)[0] == (
-                    [(i, i + 3) for i in range(0, 33, 3)]
-                    + [(33, 35), (35, 37)])
                 # 3 DistMult queries at 10 entities
-                patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 8 * 10 * 3)
+                patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 4 * 10 * 3)
                 assert spans(distmult, 9) == ([(0, 3), (3, 6), (6, 9)],
                                               [(3, 10)])
                 # tiles of `_TILE` = 4 entities: 4 queries a pass, whose
                 # tiles hold 4 entities, or 5 for the passes of 3
                 patch.setattr(models, "_TILE", 4)
                 patch.setattr(models, "RANK_BUDGET_BYTES", 2 * 16 * 4 * 4)
-                assert spans(transe, 37, np.float32) == (
+                assert spans(transe, 37) == (
                     [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24),
                      (24, 28), (28, 31), (31, 34), (34, 37)],
                     [(3, 5), (4, 4)])
@@ -435,9 +435,8 @@ class TestCandidateScores:
 
 class TestRankingWorkers:
     """Tiles split across worker threads give the one-worker scores bit
-    for bit, float64 and float32: no tile's shape depends on the worker
-    count, and the distance tiles' scores do not depend on their width
-    either."""
+    for bit: no tile's shape depends on the worker count, and the
+    distance tiles' scores do not depend on their width either."""
 
     DISTANCE_CASES = [(ModelKind.TRANSE, {}),
                       (ModelKind.TRANSE, {"norm_p": 2.0}),
@@ -449,9 +448,9 @@ class TestRankingWorkers:
     WORKER_COUNTS = (1, 2, 3, 12)
 
     @staticmethod
-    def _scores(params, queries, tile_dtype):
-        return np.concatenate([scores for _, scores in candidate_chunks(
-            params, *queries, tile_dtype)])
+    def _scores(params, queries):
+        return np.concatenate([scores for _, scores, _ in candidate_chunks(
+            params, *queries)])
 
     @pytest.mark.parametrize(
         "kind, aux", CASES,
@@ -469,24 +468,20 @@ class TestRankingWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # the float64 mass, then float32 ranking tiles, which hold
-            # more entities in the same bytes
-            for tile_dtype in (np.float64, np.float32):
-                wants = []
-                for budget in (models.RANK_BUDGET_BYTES, 2560):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(models, "RANK_BUDGET_BYTES", budget)
-                        patch.setattr(models, "_WORKERS", 1)
-                        want = self._scores(params, queries, tile_dtype)
-                        assert want.dtype == tile_dtype
-                        wants.append(want)
-                        for workers in self.WORKER_COUNTS:
-                            patch.setattr(models, "_WORKERS", workers)
-                            got = self._scores(params, queries, tile_dtype)
-                            assert np.array_equal(got, want), (
-                                tile_dtype, workers, budget)
-                if (kind, aux) in self.DISTANCE_CASES:
-                    assert np.array_equal(*wants)
+            wants = []
+            for budget in (models.RANK_BUDGET_BYTES, 2560):
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "RANK_BUDGET_BYTES", budget)
+                    patch.setattr(models, "_WORKERS", 1)
+                    want = self._scores(params, queries)
+                    assert want.dtype == np.float32
+                    wants.append(want)
+                    for workers in self.WORKER_COUNTS:
+                        patch.setattr(models, "_WORKERS", workers)
+                        got = self._scores(params, queries)
+                        assert np.array_equal(got, want), (workers, budget)
+            if (kind, aux) in self.DISTANCE_CASES:
+                assert np.array_equal(*wants)
         finally:
             sys.setswitchinterval(interval)
 
@@ -495,24 +490,23 @@ class TestRankingWorkers:
             self, workers, monkeypatch):
         monkeypatch.setattr(models, "_WORKERS", workers)
         # eight (3, W) buffers: 24 floats an entity.  A worker's share,
-        # half the budget, counts bytes: it holds 7 float64 entities, or
-        # 14 float32 ones, and a tile's scores lie beyond it.  A block
-        # that takes no buffers gets one for the reducer: 3 floats an
-        # entity, 112 float32 entities
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 8 * 7 * 24)
+        # half the budget, holds 14 entities, and a tile's scores lie
+        # beyond it.  A block that takes no buffers gets one for the
+        # reducer: 3 floats an entity, 112 entities
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 4 * 14 * 24)
         share = models.RANK_BUDGET_BYTES // 2
-        for dtype, buffers, room in ((np.float64, 8, 7), (np.float32, 8, 14),
-                                     (np.float32, 0, 112)):
+        for buffers, room in ((8, 14), (0, 112)):
             scratch_bytes = {}
             blocks = {}
-            added = np.zeros((3, 40), dtype)
+            added = np.zeros((3, 40), np.float32)
 
             def block(cols, out, free):
                 width = cols.stop - cols.start
                 assert [buf.shape for buf in free] == buffers * [(3, width)]
                 assert out.shape == (3, width)
                 for i, part in enumerate(free + [out]):
-                    assert part.dtype == dtype and part.flags.c_contiguous
+                    assert part.dtype == np.float32
+                    assert part.flags.c_contiguous
                     assert not any(np.shares_memory(part, other)
                                    for other in (free + [out])[i + 1:])
                     scratch_bytes[id(part.base)] = part.base.nbytes
@@ -522,7 +516,8 @@ class TestRankingWorkers:
             def add(cols, tile, spare):
                 assert not added[:, cols].any()
                 # the spare is the block's first buffer, or one more
-                assert spare.shape == tile.shape and spare.dtype == dtype
+                assert spare.shape == tile.shape
+                assert spare.dtype == np.float32
                 assert spare.flags.c_contiguous
                 assert not np.shares_memory(spare, tile)
                 if buffers:
@@ -530,7 +525,7 @@ class TestRankingWorkers:
                 else:
                     scratch_bytes[id(spare.base)] = spare.base.nbytes
                 added[:, cols] = tile + 1
-            assert models._blocked(3, 40, buffers, block, add, dtype) is None
+            assert models._blocked(3, 40, buffers, block, add) is None
             # one flat array a worker that takes a tile, each within its
             # share and the tile's scores one buffer beyond it
             assert len(scratch_bytes) == min(workers, -(-40 // room))
@@ -543,7 +538,8 @@ class TestRankingWorkers:
         """Block 0 runs in the calling thread, blocks 1 and 4 on other
         threads; the error comes back and the call returns."""
         monkeypatch.setattr(models, "_WORKERS", 3)
-        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 3)
+        # a share of one float32 score: tiles of one entity
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 4)
 
         def block(cols, out, free):
             if cols.start == failing_block:
@@ -601,8 +597,9 @@ class TestBlasThreads:
 
 
 class TestFeatureMajorRanking:
-    """The feature-major distance blocks give the scores of the
-    (Q, W, dim) blocks they replaced bit for bit."""
+    """The float64 pairs of a pass's `Screen` give the scores of the
+    (Q, W, dim) distance blocks that the feature-major ones replaced bit
+    for bit."""
 
     CASES = TestRankingWorkers.DISTANCE_CASES
     # the sums run over dim terms (TransE) or dim / 2 (RotatE, HAKE):
@@ -632,29 +629,31 @@ class TestFeatureMajorRanking:
                     chunks = candidate_chunks(params, directions, entities,
                                               relations)
                 assert chunks[-1][0][-1] == 20
-                for rows, scores in chunks:
+                for rows, _, screen in chunks:
                     want = oracle_distance_scores(
                         params, directions[rows[0]] == Direction.TAIL_QUERY,
                         ent[entities[rows]], rel[relations[rows]])
-                    assert np.array_equal(scores, want), (workers, budget,
-                                                          rows[0])
+                    picks, cands = np.divmod(np.arange(want.size), 37)
+                    got = screen.exact(picks, cands).reshape(want.shape)
+                    assert np.array_equal(got, want), (workers, budget,
+                                                       rows[0])
 
     def test_feature_major_table_is_the_transpose(self):
         # more entities than one copied block, the last block ragged
         rows = np.random.default_rng(17).normal(size=(2500, 6))
         rows[1234, 3] = 1e200  # beyond float32: its norm overflows too
+        with np.errstate(over="ignore"):
+            transposed = rows[:, 2:].T.astype(np.float32)
         (table,), norm = models._feature_major(rows[:, 2:])
         assert table.flags.c_contiguous and norm == 0.0
-        assert np.array_equal(table, rows[:, 2:].T)
+        assert np.array_equal(table, transposed)
         finite = np.delete(rows[:, 2:], 1234, axis=0)
         for order in (1, 2):
             tables, norm = models._feature_major(
-                rows[:, 2:], np.float32, lambda part: (np.abs(part), -part),
-                order)
+                rows[:, 2:], lambda part: (np.abs(part), -part), order)
             assert [t.dtype for t in tables] == [np.float32] * 2
-            with np.errstate(over="ignore"):
-                assert np.array_equal(tables[1], (-rows[:, 2:]).T.astype(
-                    np.float32))
+            assert all(t.flags.c_contiguous for t in tables)
+            assert np.array_equal(tables[1], -transposed)
             want = np.linalg.norm(finite if order == 2 else rows[:, 2:],
                                   order, axis=1).max()
             assert norm == pytest.approx(want, rel=1e-15)
@@ -664,7 +663,7 @@ class TestFloat32Screen:
     """Float32 ranking tiles stay within their kind's eps(q) of the
     float64 scores, and the float64 pairs that decide what float32
     cannot are the canonical float64 scores bit for bit: those of the
-    float64 distance blocks, and for DistMult and ComplEx the products
+    (Q, W, dim) distance blocks, and for DistMult and ComplEx the products
     summed in one fixed order, whatever order BLAS takes."""
 
     CASES = TestRankingWorkers.DISTANCE_CASES + [(ModelKind.DISTMULT, {}),

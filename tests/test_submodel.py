@@ -1,6 +1,8 @@
 """Sub-models trained as `train` trains them, their scoring, and
 two-stage grid selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -342,8 +344,11 @@ class TestAllCandidatesQueryMass:
         np.testing.assert_allclose(np.exp(log_f_x), 3.0, atol=1e-12)
 
     def test_matches_brute_force_probability_sums(self, toy_dataset):
+        """Within the bound that `log_candidate_mass` states, against
+        float64 sums of the scalar scores."""
         from kgesub.data import Direction
-        from conftest import Triple, as_triples, query_of, score
+        from conftest import (Triple, as_triples, candidate_mass_bound,
+                              query_of, score)
         sub = init_params(ModelKind.COMPLEX, 3, 1, 4, 1.0, seed=7)
         _, log_f_x = log_model_frequencies(
             toy_dataset, score_training_triples(sub, toy_dataset, "_"), sub)
@@ -364,18 +369,20 @@ class TestAllCandidatesQueryMass:
                         probe = Triple(candidate, query.relation,
                                        query.entity)
                     mass += np.exp(score(sub, probe)) / z
-                expected = n * mass
-                got = np.exp(log_f_x[2 * i + int(direction)])
-                assert got == pytest.approx(expected, rel=1e-9)
+                bound = candidate_mass_bound(
+                    sub, [direction], [query.entity], [query.relation])[0]
+                got = log_f_x[2 * i + int(direction)]
+                assert abs(got - math.log(n * mass)) <= bound + 1e-12
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_per_query_loop(self, kind, monkeypatch):
         """Chunked unique-query scoring gives the per-example masses of
-        scoring every example's query on its own, in linear space."""
+        scoring every example's query on its own, in linear space, within
+        the bound that `log_candidate_mass` states."""
         from kgesub import models
         from kgesub.data import Direction
-        from conftest import as_triples, query_of, score_batch
-        from conftest import zipf_kg
+        from conftest import (as_triples, candidate_mass_bound, query_of,
+                              score_batch, zipf_kg)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 50 * 7)
         dataset = zipf_kg(3)  # Zipf heads: most queries repeat
         sub = init_params(kind, dataset.num_entities, dataset.num_relations,
@@ -388,15 +395,18 @@ class TestAllCandidatesQueryMass:
         n = dataset.num_examples
         candidates = np.arange(dataset.num_entities)
         expected = np.empty(n)
+        queries = np.empty((n, 3), np.int64)
         for i, triple in enumerate(as_triples(dataset.train)):
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
-                scores = score_batch(sub, query_of(triple, direction),
-                                     candidates)
+                query = query_of(triple, direction)
+                scores = score_batch(sub, query, candidates)
                 mass = np.exp(scores - shift).sum() / z
                 expected[2 * i + int(direction)] = n * mass
+                queries[2 * i + int(direction)] = (
+                    direction, query.entity, query.relation)
         assert len(set(expected.tolist())) < n / 2
-        np.testing.assert_allclose(np.exp(log_f_x), expected, rtol=1e-12,
-                                   atol=0)
+        bound = candidate_mass_bound(sub, *queries.T)
+        assert (np.abs(log_f_x - np.log(expected)) <= bound + 1e-12).all()
         # the link frequencies are those of the observed-mass path
         np.testing.assert_array_equal(
             log_f_xy, log_model_frequencies(dataset, train_scores)[0])

@@ -12,15 +12,16 @@ from kgesub.errors import DataError, DegenerateInputError
 from kgesub.models import ModelKind, init_params
 from kgesub.submodel import score_training_triples
 from kgesub.subsampling import (ALPHA_GRID, Provenance, SubModelScores,
-                                SubsamplingMethod, WeightTable,
+                                SubsamplingMethod, WeightTable, _peak_sums,
                                 build_cbs_weights, discounted_weights,
                                 load_scores, log_candidate_mass,
                                 log_model_frequencies, logsumexp,
                                 mix_weights, save_scores, save_weight_table,
                                 uniform_weights)
 
-from conftest import (Triple, as_triples, candidate_chunks, looped_zipf_kg,
-                      make_vocab, mbs_weights, oracle_counted_frequencies,
+from conftest import (Triple, as_triples, candidate_chunks,
+                      candidate_mass_bound, looped_zipf_kg, make_vocab,
+                      mbs_weights, oracle_counted_frequencies,
                       oracle_load_weight_table, oracle_log_model_frequencies,
                       oracle_mean_one, oracle_scores, query_of, random_kg)
 
@@ -204,10 +205,11 @@ class TestMbsFrequencies:
 
 
 class TestCandidateMassOnTiles:
-    """The all-candidates log mass streams float64 tiles of entity
-    columns and adds their sums in column order: the same bits at any
-    worker count, within rounding of the logsumexp of each query's whole
-    row, and that logsumexp bit for bit where one tile holds the row."""
+    """The all-candidates log mass streams float32 tiles of entity
+    columns and adds their sums in float64 in column order: the same
+    bits at any worker count, and within the bound that
+    `log_candidate_mass` states of the logsumexp of each query's float64
+    scores."""
 
     CASES = [(kind, {}) for kind in ModelKind] + [(ModelKind.TRANSE,
                                                    {"norm_p": 2.0})]
@@ -220,6 +222,21 @@ class TestCandidateMassOnTiles:
         return params, (rng.integers(0, 2, size=self.QUERIES),
                         rng.integers(0, 37, size=self.QUERIES),
                         rng.integers(0, 3, size=self.QUERIES))
+
+    @staticmethod
+    def _oracle_and_bound(params, queries):
+        """logsumexp of each query's float64 `oracle_scores`, and the
+        mass's stated bound with float64's rounding."""
+        directions, entities, relations = queries
+        oracle = np.empty(len(directions))
+        for tail in (True, False):
+            mine = (directions == Direction.TAIL_QUERY) == tail
+            with np.errstate(over="ignore"):
+                oracle[mine] = logsumexp(oracle_scores(
+                    params, tail, params.entity_emb[entities[mine]],
+                    params.relation_emb[relations[mine]]))
+        return oracle, (candidate_mass_bound(params, *queries)
+                        + 1e-14 * np.abs(oracle))
 
     @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
     def test_many_tiles(self, kind, aux, monkeypatch):
@@ -240,23 +257,52 @@ class TestCandidateMassOnTiles:
                 assert np.array_equal(got, want), workers
         finally:
             sys.setswitchinterval(interval)
-        directions, entities, relations = queries
-        oracle = np.empty(self.QUERIES)
-        for tail in (True, False):
-            mine = (directions == Direction.TAIL_QUERY) == tail
-            oracle[mine] = logsumexp(oracle_scores(
-                params, tail, params.entity_emb[entities[mine]],
-                params.relation_emb[relations[mine]]))
-        assert (np.abs(want - oracle) <= 1e-14 * np.abs(oracle)).all()
+        oracle, bound = self._oracle_and_bound(params, queries)
+        assert (np.abs(want - oracle) <= bound).all()
 
     @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
     def test_one_tile_is_the_row_logsumexp(self, kind, aux):
-        """37 entities, fewer than `_TILE`: one tile holds each row."""
+        """37 entities, fewer than `_TILE`: one tile holds each row, and
+        the log mass is the float32 row's maximum plus the log of its
+        float32 shifted sum, both taken on in float64."""
         params, queries = self._case(kind, aux)
         want = np.empty(self.QUERIES)
-        for rows, scores in candidate_chunks(params, *queries):
-            want[rows] = logsumexp(scores)
-        assert np.array_equal(log_candidate_mass(params, *queries), want)
+        for rows, scores, _ in candidate_chunks(params, *queries):
+            peak, sums = (x.astype(np.float64) for x in _peak_sums(scores))
+            want[rows] = np.log(sums) + peak
+        got = log_candidate_mass(params, *queries)
+        assert np.array_equal(got, want)
+        oracle, bound = self._oracle_and_bound(params, queries)
+        assert (np.abs(got - oracle) <= bound).all()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 12])
+    def test_float32_overflow_takes_float64_scores(self, workers,
+                                                  monkeypatch):
+        """Rows whose float32 scores overflow take their tile's float64
+        scores, so the mass is finite wherever the float64 mass is.
+        DistMult at dim 1 scores q e with q = h r: entities 0 and 1 at
+        +-4e38 are infinite in the float32 table.  Under the relation
+        2.5e-38 their float64 scores are +-10 beside the others' [-7.5,
+        7.5], so overflow hides a row's largest term; under the relation
+        1 they are +-4e38, and the mass is about 4e38.  Tiles of four
+        entities, so that one tile in three overflows."""
+        params = init_params(ModelKind.DISTMULT, 12, 2, 1, 1.0, seed=35)
+        params.entity_emb[:2, 0] = [4e38, -4e38]
+        params.entity_emb[2:, 0] = np.linspace(-3e38, 3e38, 10)
+        params.entity_emb[2, 0] = 1.0  # the given entity
+        params.relation_emb[:, 0] = [2.5e-38, 1.0]
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        monkeypatch.setattr(models, "_TILE", 4)
+        monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 2 * 4 * 4 * 4)
+        queries = (np.array([0, 1, 0, 1]), np.full(4, 2), np.array([0, 0, 1, 1]))
+        float32 = np.concatenate([scores for _, scores, _ in candidate_chunks(
+            params, *queries)])
+        assert not np.isfinite(float32[:, :2]).any()
+        got = log_candidate_mass(params, *queries)
+        oracle, bound = self._oracle_and_bound(params, queries)
+        assert np.isfinite(oracle).all() and np.isfinite(got).all()
+        assert (np.abs(got - oracle) <= bound).all()
+        assert oracle[0] > 10 and oracle[2] == pytest.approx(4e38)
 
     def test_tile_without_mass(self, monkeypatch):
         """A query whose scores are -inf over a whole tile, a float64
@@ -273,12 +319,15 @@ class TestCandidateMassOnTiles:
         monkeypatch.setattr(models, "_WORKERS", 1)
         monkeypatch.setattr(models, "_TILE", 4)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 64)
+        queries = (np.zeros(1, np.int64), np.full(1, 4),
+                   np.zeros(1, np.int64))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = log_candidate_mass(params, np.zeros(1, np.int64),
-                                     np.full(1, 4), np.zeros(1, np.int64))
+            got = log_candidate_mass(params, *queries)
         scores = 1e-300 * 1e308 * params.entity_emb[4:, 0]
         assert np.isfinite(scores).all() and 0.5 < np.ptp(scores) < 5
-        assert got[0] == pytest.approx(logsumexp(scores), rel=1e-14)
+        oracle, bound = self._oracle_and_bound(params, queries)
+        assert oracle[0] == pytest.approx(logsumexp(scores), rel=1e-14)
+        assert abs(got[0] - oracle[0]) <= bound[0]
 
 
 class TestMbsWeights:
