@@ -5,7 +5,7 @@ with every file it leaves compared byte for byte.
 usage: python scripts/same_bytes.py [OTHER_SRC] [--expect-diff PATTERN]...
                                     [--work DIR]
 
-The sequence trains every model kind under both optimizers, scores
+The sequence trains every model kind with Adam, scores
 the training set under the TransE `train` checkpoint as a sub-model
 (`scores-train-transe`), builds weights of every method on both query
 masses, the all-candidates mass also under the HAKE `train` checkpoint
@@ -72,23 +72,20 @@ METHODS = ("base", "freq", "uniq")
 def _sequence() -> list[tuple[str, list[str]]]:
     """(step, argv) pairs; a later step reads what earlier ones wrote."""
     steps = [("singleton-stats", ["singleton-stats", *DATA, "--stride", "7"])]
-    trains = [("transe", "adam", ["--subsampling", "none", "--norm-p", "2"]),
-              ("rotate", "sgd", ["--subsampling", "cbs", "--method", "base"]),
-              ("complex", "adam", ["--subsampling", "cbs", "--method", "freq",
-                                   "--smoothing", "1"]),
-              ("distmult", "sgd", ["--subsampling", "cbs", "--method",
-                                   "uniq", "--valid-every", "4"]),
-              ("hake", "adam", ["--subsampling", "none",
-                                "--adversarial-beta", "1.0",
-                                "--lr-decay-every", "4",
-                                "--lr-decay-factor", "0.5"])]
-    for kind, optimizer, extra in trains:
+    trains = [("transe", ["--subsampling", "none"]),
+              ("rotate", ["--subsampling", "cbs", "--method", "base"]),
+              ("complex", ["--subsampling", "cbs", "--method", "freq",
+                           "--smoothing", "1"]),
+              ("distmult", ["--subsampling", "cbs", "--method", "uniq",
+                            "--valid-every", "4"]),
+              ("hake", ["--subsampling", "none", "--adversarial-beta", "1.0",
+                        "--lr-decay-every", "4", "--lr-decay-factor", "0.5"])]
+    for kind, extra in trains:
         steps.append((f"train-{kind}",
-                      ["train", *DATA, *MODEL, "--model", kind,
-                       "--optimizer", optimizer, *extra]))
+                      ["train", *DATA, *MODEL, "--model", kind, *extra]))
     steps.append(("evaluate-kinds",
                   ["evaluate", *DATA, "--split", "valid", "--checkpoint",
-                   *(f"train-{kind}/checkpoint.bin" for kind, _, _ in trains)]))
+                   *(f"train-{kind}/checkpoint.bin" for kind, _ in trains)]))
     # a `train` checkpoint is a sub-model too, named by its header's tag
     steps.append(("scores-train-transe",
                   ["score-triples", *DATA, "--checkpoint",

@@ -6,7 +6,7 @@ Subpackages:
     models       batched scores and gradients, parameter checkpoints
     subsampling  count-based / model-based / mixed weight tables
     decimals     shortest round-trip decimals, the text of weight rows
-    training     batched negative sampling, weighted loss, SGD/Adam loop
+    training     batched negative sampling, weighted loss, lazy Adam loop
     evaluation   filtered link-prediction ranking and metrics
     submodel     sub-model scoring and grid selection
     cli          command-line pipeline

@@ -123,6 +123,12 @@ def _build_weights(config: RunConfig, dataset: Dataset) -> WeightTable:
     sub = None
     if config.mbs_query_mass == "all_candidates":
         sub, sid = _load_submodel(config.submodel_checkpoint)
+        # the mass scores every distinct training query against every
+        # entity, which runs for hours at YAGO3-10's size
+        queries = dataset.train_index.num_queries
+        print(f"all-candidates mass: {queries} training queries x "
+              f"{dataset.num_entities} entities = "
+              f"{queries * dataset.num_entities} scores", file=sys.stderr)
         scores = submodel.score_training_triples(sub, dataset, sid)
     else:
         scores = _load_scores_checked(config.submodel_scores, dataset)

@@ -63,8 +63,9 @@ class RunConfig:
                           choices=tuple(kind.value for kind in ModelKind))
     dim: int = _setting(32, "model", _TRAINING, rule=((">=", 1),))
     gamma: float = _setting(6.0, "model", _TRAINING)
-    # the TransE distance is L1 or L2; nothing else is implemented
-    norm_p: float = _setting(1.0, "model", _TRAINING, choices=(1.0, 2.0))
+    # TransE's distance is L1 only, as in the RotatE code; the key stays
+    # so that config echoes and checkpoint headers keep their bytes
+    norm_p: float = _setting(1.0, "model", _TRAINING, choices=(1.0,))
     phase_weight: float = _setting(0.5, "model", _TRAINING)
     init_epsilon: float = _setting(INIT_EPSILON, "model", _TRAINING)
     nu: int = _setting(4, "train", _TRAINING, rule=((">=", 1),))
@@ -72,8 +73,8 @@ class RunConfig:
     steps: int = _setting(1000, "train", _TRAINING, rule=((">=", 0),))
     learning_rate: float = _setting(0.01, "train", _TRAINING,
                                     rule=((">", 0),))
-    optimizer: str = _setting("adam", "train", _TRAINING,
-                              choices=("adam", "sgd"))
+    # lazy Adam only, as in the RotatE code; the key stays likewise
+    optimizer: str = _setting("adam", "train", _TRAINING, choices=("adam",))
     adam_beta1: float = _setting(0.9, "train", _TRAINING,
                                  rule=((">=", 0), ("<", 1)))
     adam_beta2: float = _setting(0.999, "train", _TRAINING,

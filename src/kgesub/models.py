@@ -228,15 +228,12 @@ def _cmul(a_re, a_im, b_re, b_im):
 def _transe(params, tail, fixed, rel, cand):
     # |h + r - t| = |q - cand| with q = h + r (tails) or t - r (heads)
     u = (fixed + rel if tail else fixed - rel)[:, None] - cand
-    l1 = params.aux.get("norm_p", 1.0) == 1.0
-    norm = np.abs(u).sum(axis=-1) if l1 else np.sqrt((u * u).sum(axis=-1))
 
-    def back(c):  # d loss / d cand = c d|u| / du
-        g_cand = (np.multiply(np.sign(u), c[..., None]) if l1
-                  else u * _safe_div(c, norm)[..., None])
+    def back(c):  # d loss / d cand = c sign(u)
+        g_cand = np.multiply(np.sign(u), c[..., None])
         g_q = -g_cand.sum(axis=1)
         return g_q, g_q if tail else -g_q, g_cand
-    return -norm, back
+    return -np.abs(u).sum(axis=-1), back
 
 
 def _distmult(params, tail, fixed, rel, cand):
@@ -716,35 +713,29 @@ class _Distance(_Scorer):
 
 
 class _TransE(_Distance):
-    """|q - e| with q = h + r (tails) or t - r (heads), L1 or L2.  L1:
-    c = n + 2, S(q) = |q|_1 + max_e |e|_1; L2: c = n + 4, with L2 norms."""
+    """The L1 distance |q - e|_1 with q = h + r (tails) or t - r (heads):
+    c = n + 2, S(q) = |q|_1 + max_e |e|_1."""
 
     def __init__(self, params: ModelParams):
         super().__init__(params)
-        self.l1 = params.aux.get("norm_p", 1.0) == 1.0
-        self.order = 1 if self.l1 else 2
         self.buffers = self.pair_buffers = _sum_buffers(params.dim)
-        self.tables, self.scale = _feature_major(self.ent, order=self.order)
+        self.tables, self.scale = _feature_major(self.ent, order=1)
 
     def query(self, tail, fixed, rel):
         return (fixed + rel if tail else fixed - rel,)
 
     def distance(self, tail, q, e, out, free):
         (q,), (e,) = q, e
-        norm = np.abs if self.l1 else np.square
 
         def term(j, buf):
             np.subtract(q[:, j], e[j], out=buf)
-            return norm(buf, out=buf)
+            return np.abs(buf, out=buf)
         _add_terms(term, self.params.dim, out, free)
-        if not self.l1:
-            np.sqrt(out, out=out)
 
     def bound(self, tail, query):
         n = self.params.dim
-        scale = np.linalg.norm(query[0], self.order, axis=1) + self.scale
-        constant = n + 2 if self.l1 else n + 4
-        return 2 * constant * _U32 * scale + (n + 1) * _TINY
+        scale = np.abs(query[0]).sum(axis=1) + self.scale
+        return 2 * (n + 2) * _U32 * scale + (n + 1) * _TINY
 
 
 class _RotatE(_Distance):

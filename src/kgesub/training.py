@@ -34,8 +34,8 @@ A step works on the batch in array operations:
   and sums the B(1 + nu) + B entity terms into the step's unique rows,
   ascending, by one bincount (one per chunk when the batch's block
   exceeds the budget).
-- `_apply_update` applies SGD or lazy Adam (bias-corrected by the global
-  step) in place to those rows only, in row blocks under the same budget.
+- `_apply_update` applies lazy Adam (bias-corrected by the global step)
+  in place to those rows only, in row blocks under the same budget.
 
 No step loops over examples or triples in Python.  The per-example
 loss with dict-of-rows gradients, the per-triple scorers and the
@@ -254,22 +254,20 @@ def batch_loss(params: ModelParams, index: QueryIndex,
 # optimizers
 
 
-_MOMENTS = ("m_entity", "v_entity", "m_relation", "v_relation")  # Adam's
+_MOMENTS = ("m_entity", "v_entity", "m_relation", "v_relation")
 
 
 @dataclass
 class OptimizerState:
-    kind: str
-    m_entity: np.ndarray | None = None
-    v_entity: np.ndarray | None = None
-    m_relation: np.ndarray | None = None
-    v_relation: np.ndarray | None = None
+    """Adam's moments, one row per embedding row."""
+    m_entity: np.ndarray
+    v_entity: np.ndarray
+    m_relation: np.ndarray
+    v_relation: np.ndarray
 
     @classmethod
-    def fresh(cls, kind: str, params: ModelParams) -> "OptimizerState":
-        if kind == "sgd":
-            return cls(kind="sgd")
-        return cls(kind="adam", **{name: np.zeros_like(
+    def fresh(cls, params: ModelParams) -> "OptimizerState":
+        return cls(**{name: np.zeros_like(
             params.entity_emb if name.endswith("entity")
             else params.relation_emb) for name in _MOMENTS})
 
@@ -277,8 +275,8 @@ class OptimizerState:
 def _apply_update(params: ModelParams, opt: OptimizerState,
                   grads: Gradients, rate: float, step: int,
                   config: RunConfig) -> None:
-    """One optimizer step touching only the rows present in `grads`, in
-    blocks of rows whose buffers stay small.
+    """One Adam step touching only the rows present in `grads`, in blocks
+    of rows whose buffers stay small.
 
     Adam moment rows are updated lazily; bias correction uses the global
     step count.
@@ -294,9 +292,6 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
         block = max(1, models.RANK_BUDGET_BYTES // (256 * table.shape[1]))
         for lo in range(0, len(all_rows), block):
             rows, g = all_rows[lo:lo + block], all_g[lo:lo + block]
-            if opt.kind == "sgd":
-                table[rows] -= rate * g
-                continue
             # the dict loop's formulas, operation by operation, in three
             # row buffers ("wrap": unbuffered, reads what `table[rows]` writes)
             m_rows, v_rows, buf = m[rows], v[rows], g * (1.0 - b1)
@@ -342,8 +337,7 @@ def train(dataset: Dataset, weights: WeightTable, params: ModelParams,
           ) -> TrainResult:
     """Run `config.steps` batch updates from fresh optimizer state."""
     state = TrainState(params=params.copy(),
-                       optimizer=OptimizerState.fresh(config.optimizer,
-                                                      params),
+                       optimizer=OptimizerState.fresh(params),
                        step=0)
     return continue_train(dataset, weights, state, config, eval_callback)
 
@@ -412,12 +406,11 @@ def save_checkpoint(state: TrainState, path: str | Path,
                     tag: str | None = None) -> None:
     params = state.params
     header = dict(params_header(params, "train-checkpoint", tag),
-                  optimizer=state.optimizer.kind, step=state.step)
+                  optimizer="adam", step=state.step)
     arrays = {"entity_emb": params.entity_emb,
               "relation_emb": params.relation_emb}
-    if state.optimizer.kind == "adam":
-        arrays.update({f"adam_{name}": getattr(state.optimizer, name)
-                       for name in _MOMENTS})
+    arrays.update({f"adam_{name}": getattr(state.optimizer, name)
+                   for name in _MOMENTS})
     write_container(path, header, arrays)
 
 
@@ -426,7 +419,7 @@ def load_checkpoint(path: str | Path) -> TrainState:
     then those of the optimizer, the step and the Adam moments."""
     params, _, header, arrays = read_checkpoint(path, ("train-checkpoint",))
     try:
-        kind = check_setting("optimizer", header.get("optimizer"))
+        check_setting("optimizer", header.get("optimizer"))
     except ConfigError as exc:
         raise CheckpointError(
             f"{path}: header field optimizer: {exc}") from None
@@ -435,14 +428,13 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise CheckpointError(f"{path}: header field step must be an int "
                               f">= 0, got {step!r}")
     moments = {}
-    if kind == "adam":
-        for name in _MOMENTS:
-            moment = arrays.get(f"adam_{name}")
-            table = (params.entity_emb if name.endswith("entity")
-                     else params.relation_emb)
-            if moment is None or moment.shape != table.shape:
-                raise CheckpointError(f"{path}: adam_{name} is missing or "
-                                      f"not of shape {table.shape}")
-            moments[name] = moment
-    return TrainState(params=params, optimizer=OptimizerState(kind, **moments),
+    for name in _MOMENTS:
+        moment = arrays.get(f"adam_{name}")
+        table = (params.entity_emb if name.endswith("entity")
+                 else params.relation_emb)
+        if moment is None or moment.shape != table.shape:
+            raise CheckpointError(f"{path}: adam_{name} is missing or not "
+                                  f"of shape {table.shape}")
+        moments[name] = moment
+    return TrainState(params=params, optimizer=OptimizerState(**moments),
                       step=step)

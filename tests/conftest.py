@@ -263,10 +263,7 @@ def _score_rows(params: ModelParams, h: np.ndarray, r: np.ndarray,
     kind = params.kind
     r = r if r.ndim == 2 else r[None, :]
     if kind == ModelKind.TRANSE:
-        d = h + r - t
-        if params.aux.get("norm_p", 1.0) == 1.0:
-            return -np.abs(d).sum(axis=1)
-        return -np.sqrt((d * d).sum(axis=1))
+        return -np.abs(h + r - t).sum(axis=1)
     if kind == ModelKind.DISTMULT:
         return (h * r * t).sum(axis=1)
     if kind == ModelKind.COMPLEX:
@@ -319,11 +316,8 @@ def oracle_distance_scores(params: ModelParams, tail: bool,
     if kind == ModelKind.TRANSE:
         q = (fixed + rel if tail else fixed - rel)[:, None, :]
         d = np.subtract(q, ent)
-        l1 = params.aux.get("norm_p", 1.0) == 1.0
-        (np.abs if l1 else np.square)(d, out=d)
+        np.abs(d, out=d)
         out = np.sum(d, axis=2)
-        if not l1:
-            np.sqrt(out, out=out)
         return np.negative(out, out=out)
     if kind == ModelKind.ROTATE:
         f_re, f_im = _complex_view(fixed)
@@ -466,11 +460,7 @@ def score_gradient(params: ModelParams, triple: Triple):
     t = params.entity_emb[triple.tail]
     r = params.relation_emb[triple.relation]
     if kind == ModelKind.TRANSE:
-        d = h + r - t
-        if params.aux.get("norm_p", 1.0) == 1.0:
-            g = -np.sign(d)
-        else:
-            g = -_safe_div(d, math.sqrt(float((d * d).sum())))
+        g = -np.sign(h + r - t)
         return g.copy(), g.copy(), -g
     if kind == ModelKind.DISTMULT:
         return r * t, h * t, h * r
@@ -595,12 +585,8 @@ def oracle_batch_loss(params: ModelParams, batch, adversarial_beta=0.0):
 
 def oracle_apply_update(params: ModelParams, opt, grads: dict, rate: float,
                         step: int, config) -> None:
-    """SGD or lazy Adam, one dict row at a time."""
+    """Lazy Adam, one dict row at a time."""
     matrices = {"entity": params.entity_emb, "relation": params.relation_emb}
-    if opt.kind == "sgd":
-        for (name, row), g in grads.items():
-            matrices[name][row] -= rate * g
-        return
     moments = {"entity": (opt.m_entity, opt.v_entity),
                "relation": (opt.m_relation, opt.v_relation)}
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon

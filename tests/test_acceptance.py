@@ -147,10 +147,7 @@ def test_c4_gradient_suite():
     worst_score = 0.0
     for kind in ALL_KINDS:
         for point in range(20):
-            aux = ({"norm_p": 1.0 if point % 2 else 2.0}
-                   if kind == ModelKind.TRANSE else None)
-            params = init_params(kind, 8, 3, 8, 2.0,
-                                 seed=1000 + point, aux=aux)
+            params = init_params(kind, 8, 3, 8, 2.0, seed=1000 + point)
             triple = Triple(int(rng.integers(8)), int(rng.integers(3)),
                             int(rng.integers(8)))
             ent, rel = params.entity_emb, params.relation_emb

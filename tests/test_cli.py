@@ -97,6 +97,19 @@ class TestTrainCommand:
         assert ((first / "checkpoint.bin").read_bytes()
                 == (second / "checkpoint.bin").read_bytes())
 
+    def test_only_allowed_values_as_flags_change_no_byte(self, data_dir,
+                                                         tmp_path):
+        """`--optimizer adam --norm-p 1` (the benchmark's flags) name the
+        defaults: the echo and the checkpoint keep their bytes."""
+        common = ["train", "--data", data_dir, "--model", "transe"] + FAST
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(common + ["--run-dir", first]) == 0
+        assert run(common + ["--run-dir", second, "--optimizer", "adam",
+                             "--norm-p", "1"]) == 0
+        for artifact in ("config.resolved.cfg", "checkpoint.bin"):
+            assert ((first / artifact).read_bytes()
+                    == (second / artifact).read_bytes())
+
     @pytest.mark.parametrize("command, artifact", [
         ("train", "checkpoint.bin"), ("build-weights", "weights.tsv")])
     def test_percent_in_a_path_is_literal(self, data_dir, tmp_path, command,
@@ -176,6 +189,10 @@ class TestExitCodes:
         (["train"], "[data]\nsmoothing = nan\n"),
         (["train"], "[train]\nadam_beta1 = 1.0\n"),
         (["train", "--norm-p", "3"], ""),
+        (["train", "--norm-p", "2"], ""),
+        (["train"], "[model]\nnorm_p = 2.0\n"),
+        (["train", "--optimizer", "sgd"], ""),
+        (["train"], "[train]\noptimizer = sgd\n"),
         (["train", "--seed", "-1"], ""),
         (["sweep", "--alpha-grid", "0"], ""),
         (["sweep", "--lambda-grid", "1.5"], ""),
@@ -185,7 +202,9 @@ class TestExitCodes:
         (["pretrain-submodel"],
          "[subsampling]\nsubmodel_subsampling = uniq\n"),
     ], ids=["adversarial_beta", "gamma", "init_epsilon", "learning_rate",
-            "smoothing", "adam_beta1", "norm_p", "seed", "alpha_grid",
+            "smoothing", "adam_beta1", "norm_p", "norm_p_l2_flag",
+            "norm_p_l2_file", "optimizer", "optimizer_file", "seed",
+            "alpha_grid",
             "lambda_grid", "alpha_grid_empty", "lambda_grid_empty",
             "submodel_subsampling_flag", "submodel_subsampling_file"])
     def test_bad_setting_is_exit_1(self, data_dir, tmp_path, capsys, argv,
@@ -593,6 +612,7 @@ class TestEvaluateInputErrors:
         ("hake", "aux.phase_weight", "NaN", "NaN is not a JSON value"),
         ("hake", "aux.phase_weight", "1e999", "header field aux.phase_weight"),
         ("transe", "aux.norm_p", "3.0", "header field aux.norm_p"),
+        ("transe", "aux.norm_p", "2.0", "header field aux.norm_p"),
         ("transe", "dim", "4.9", "header field dim"),
         ("transe", "num_entities", "5", "header field num_entities"),
         ("transe", "gamma", "NaN", "NaN is not a JSON value"),
@@ -1402,11 +1422,12 @@ class TestWideScoreSpread:
 
 
 class TestAllCandidatesSwitch:
-    def test_mbs_from_submodel_checkpoint(self, data_dir, tmp_path):
+    def test_mbs_from_submodel_checkpoint(self, data_dir, tmp_path, capsys):
         sub_dir = tmp_path / "sub"
         assert run(["pretrain-submodel", "--data", data_dir,
                     "--run-dir", sub_dir, "--model", "distmult"]
                    + FAST) == 0
+        capsys.readouterr()
         run_dir = tmp_path / "mbs-all"
         code = run(["train", "--data", data_dir, "--run-dir", run_dir,
                     "--subsampling", "mbs", "--method", "base",
@@ -1415,9 +1436,61 @@ class TestAllCandidatesSwitch:
                     "--submodel-checkpoint", sub_dir / "submodel.bin"]
                    + FAST)
         assert code == 0
+        # the work estimate: distinct training queries x entities
+        dataset = load_dataset(data_dir)
+        queries = len({(d, (h, t)[d], r)
+                       for h, r, t in dataset.train.tolist() for d in (0, 1)})
+        entities = dataset.num_entities
+        assert capsys.readouterr().err == (
+            f"all-candidates mass: {queries} training queries x {entities} "
+            f"entities = {queries * entities} scores\n")
         table = oracle_load_weight_table(run_dir / "weights.tsv")
         assert table.provenance.source == "mbs"
         assert "distmult-none-seed3" in table.provenance.submodel_id
+
+    @pytest.mark.parametrize("command", ["build-weights",
+                                         "weights-report"])
+    def test_work_estimate_before_the_mass(self, data_dir, tmp_path, capsys,
+                                           command):
+        """The other commands that build an all-candidates table write
+        the same one-line estimate, once, and to stderr only."""
+        sub_dir = tmp_path / "sub"
+        assert run(["pretrain-submodel", "--data", data_dir,
+                    "--run-dir", sub_dir, "--model", "distmult"]
+                   + FAST) == 0
+        capsys.readouterr()
+        assert run([command, "--data", data_dir, "--run-dir",
+                    tmp_path / "r", "--method", "base",
+                    "--mbs-query-mass", "all_candidates",
+                    "--submodel-checkpoint", sub_dir / "submodel.bin"]
+                   + (["--subsampling", "mbs"]
+                      if command == "build-weights" else ["-n", "5"])) == 0
+        dataset = load_dataset(data_dir)
+        queries = dataset.train_index.num_queries
+        out, err = capsys.readouterr()
+        assert err == (
+            f"all-candidates mass: {queries} training queries x "
+            f"{dataset.num_entities} entities = "
+            f"{queries * dataset.num_entities} scores\n")
+        assert "all-candidates" not in out
+
+    def test_no_estimate_for_the_scored_mass(self, data_dir, tmp_path,
+                                             capsys):
+        """A table from a scores file computes no mass and says nothing
+        on stderr."""
+        sub_dir = tmp_path / "sub"
+        assert run(["pretrain-submodel", "--data", data_dir,
+                    "--run-dir", sub_dir, "--model", "distmult"]
+                   + FAST) == 0
+        assert run(["score-triples", "--data", data_dir, "--run-dir",
+                    tmp_path / "s", "--checkpoint",
+                    sub_dir / "submodel.bin"]) == 0
+        capsys.readouterr()
+        assert run(["build-weights", "--data", data_dir, "--run-dir",
+                    tmp_path / "r", "--subsampling", "mbs", "--method",
+                    "base", "--submodel-scores",
+                    tmp_path / "s" / "scores.tsv"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_all_candidates_without_checkpoint_is_config_error(
             self, data_dir, tmp_path):
@@ -1430,12 +1503,15 @@ class TestAllCandidatesSwitch:
 class TestDivergenceExitCode:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_run_exits_3(self, data_dir, tmp_path):
+        # an Adam step moves each entry it touches by about the learning
+        # rate, whatever the gradient, so the rate itself must overflow a
+        # score: after one step at 1e110, a DistMult score's products of
+        # three entries lie far beyond float64's 1.8e308
         code = run(["train", "--data", data_dir,
                     "--run-dir", tmp_path / "r", "--subsampling", "none",
                     "--dim", "8", "--steps", "60", "--batch-size", "16",
                     "--nu", "2", "--gamma", "4.0", "--seed", "3",
-                    "--optimizer", "sgd", "--learning-rate", "1e18",
-                    "--model", "distmult"])
+                    "--learning-rate", "1e110", "--model", "distmult"])
         assert code == 3
 
 
@@ -1584,14 +1660,14 @@ MODEL_AND_TRAIN = [
     ("--model", "model", "str", MODELS),
     ("--dim", "dim", "int", None),
     ("--gamma", "gamma", "float", None),
-    ("--norm-p", "norm_p", "float", [1.0, 2.0]),
+    ("--norm-p", "norm_p", "float", [1.0]),
     ("--phase-weight", "phase_weight", "float", None),
     ("--init-epsilon", "init_epsilon", "float", None),
     ("--nu", "nu", "int", None),
     ("--batch-size", "batch_size", "int", None),
     ("--steps", "steps", "int", None),
     ("--learning-rate", "learning_rate", "float", None),
-    ("--optimizer", "optimizer", "str", ["adam", "sgd"]),
+    ("--optimizer", "optimizer", "str", ["adam"]),
     ("--adam-beta1", "adam_beta1", "float", None),
     ("--adam-beta2", "adam_beta2", "float", None),
     ("--adam-epsilon", "adam_epsilon", "float", None),

@@ -15,12 +15,13 @@ from kgesub.config import (RunConfig, file_key, flag_name, load_config,
                            save_config, validate_config)
 from kgesub.errors import ConfigError
 
-# a config that sets every key to a value other than its default, and
-# the bytes that save_config has always written for it
+# a config that sets every key to a value other than its default (norm_p
+# and optimizer, which allow one value, at that value), and the bytes
+# that save_config has always written for it
 EVERY_KEY = RunConfig(
     data_dir="data/fb15k237", smoothing=0.25, model="hake", dim=48,
-    gamma=9.5, norm_p=2.0, phase_weight=0.75, init_epsilon=1.5, nu=8,
-    batch_size=128, steps=250, learning_rate=2.5e-4, optimizer="sgd",
+    gamma=9.5, norm_p=1.0, phase_weight=0.75, init_epsilon=1.5, nu=8,
+    batch_size=128, steps=250, learning_rate=2.5e-4, optimizer="adam",
     adam_beta1=0.8, adam_beta2=0.99, adam_epsilon=1e-6, adversarial_beta=0.5,
     seed=7, valid_every=50, lr_decay_every=100, lr_decay_factor=0.1,
     subsampling="mix", method="uniq", alpha=0.05, lam=0.3,
@@ -36,7 +37,7 @@ smoothing = 0.25
 kind = hake
 dim = 48
 gamma = 9.5
-norm_p = 2.0
+norm_p = 1.0
 phase_weight = 0.75
 init_epsilon = 1.5
 
@@ -45,7 +46,7 @@ nu = 8
 batch_size = 128
 steps = 250
 learning_rate = 0.00025
-optimizer = sgd
+optimizer = adam
 adam_beta1 = 0.8
 adam_beta2 = 0.99
 adam_epsilon = 1e-06
@@ -94,8 +95,8 @@ class TestRoundTrip:
 
     def test_integral_norm_p_loads(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[model]\nnorm_p = 2\n", encoding="utf-8")
-        assert load_config(path).norm_p == 2.0
+        path.write_text("[model]\nnorm_p = 1\n", encoding="utf-8")
+        assert load_config(path).norm_p == 1.0
 
     def test_inline_comments_allowed(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -139,8 +140,10 @@ class TestValidation:
         ("lam", 1.5),
         ("smoothing", -1.0),
         ("optimizer", "lion"),
+        ("optimizer", "sgd"),
         ("mbs_query_mass", "guess"),
         ("norm_p", 3),
+        ("norm_p", 2.0),
         ("gamma", float("nan")),
         ("init_epsilon", float("nan")),
         ("learning_rate", float("inf")),
@@ -266,11 +269,14 @@ REACHED_BY = {"submodel_subsampling": "pretrain-submodel"}
 
 def test_every_field_is_reachable_from_a_file_and_a_flag(tmp_path):
     """The every-key file gives EVERY_KEY, which differs from the
-    defaults in every field, and so do the flags of `train` and
-    `pretrain-submodel`, each setting its own fields."""
+    defaults in every field that allows more than one value, and so do
+    the flags of `train` and `pretrain-submodel`, each setting its own
+    fields."""
     defaults = RunConfig()
-    assert all(getattr(EVERY_KEY, f.name) != getattr(defaults, f.name)
-               for f in dataclasses.fields(RunConfig))
+    for f in dataclasses.fields(RunConfig):
+        single = len(f.metadata["choices"]) == 1
+        assert (getattr(EVERY_KEY, f.name) == getattr(defaults, f.name)
+                ) == single, f.name
     keys = [file_key(f) for f in dataclasses.fields(RunConfig)]
     assert len(set(keys)) == len(keys)
     path = tmp_path / "every.cfg"

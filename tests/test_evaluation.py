@@ -313,11 +313,9 @@ class TestScreenedRanks:
     within an ulp of the answer's, float32 scores that overflow and
     query sides that float32 flushes to zero."""
 
-    CASES = [
-        (ModelKind.TRANSE, {}), (ModelKind.TRANSE, {"norm_p": 2.0}),
-        (ModelKind.ROTATE, {}), (ModelKind.HAKE, {}),
-        (ModelKind.DISTMULT, {}), (ModelKind.COMPLEX, {})]
-    IDS = [kind.value + ("-l2" if aux else "") for kind, aux in CASES]
+    KINDS = [ModelKind.TRANSE, ModelKind.ROTATE, ModelKind.HAKE,
+             ModelKind.DISTMULT, ModelKind.COMPLEX]
+    IDS = [kind.value for kind in KINDS]
 
     @staticmethod
     def _check(params, triples, monkeypatch) -> int:
@@ -371,8 +369,8 @@ class TestScreenedRanks:
         # each run scores each answer once, and the band besides
         return sum(pairs) - runs * len(queries)
 
-    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
-    def test_ties_and_ulps_from_the_answer(self, kind, aux, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_ties_and_ulps_from_the_answer(self, kind, monkeypatch):
         """Six groups of eight entities: a row, two exact copies and five
         copies nudged by np.nextafter, one or two ulps up or down in one
         feature, so their scores tie with the answer's or lie within an
@@ -380,7 +378,7 @@ class TestScreenedRanks:
         answer also has a copy among the known answers, so ties with
         known answers are filtered."""
         rng = np.random.default_rng(19)
-        params = init_params(kind, 48, 2, 6, 1.5, seed=20, aux=aux)
+        params = init_params(kind, 48, 2, 6, 1.5, seed=20)
         ent = params.entity_emb
         for group in range(6):
             base = ent[8 * group].copy()
@@ -401,14 +399,14 @@ class TestScreenedRanks:
             np.stack([heads[8:] ^ 1, relations[8:], tails[8:]], axis=1)])
         assert self._check(params, triples, monkeypatch) > 0
 
-    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
-    def test_float32_overflow_is_rechecked(self, kind, aux, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_float32_overflow_is_rechecked(self, kind, monkeypatch):
         """Entities whose finite float64 entries from 1e38 to 1e39
         overflow their float32 scores, to -inf or, where float32 takes an
         infinity from an infinity, to NaN: answers and competitors alike,
         two of them tied."""
         rng = np.random.default_rng(21)
-        params = init_params(kind, 24, 2, 6, 1.5, seed=22, aux=aux)
+        params = init_params(kind, 24, 2, 6, 1.5, seed=22)
         ent = params.entity_emb
         # HAKE's phases stay angles; its moduli overflow
         width = 3 if kind == ModelKind.HAKE else 6
@@ -428,8 +426,8 @@ class TestScreenedRanks:
         triples[4:8, 0] = [16, 20, 18, 5]
         assert self._check(params, triples, monkeypatch) > 0
 
-    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
-    def test_flushed_queries_against_huge_entities(self, kind, aux,
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_flushed_queries_against_huge_entities(self, kind,
                                                    monkeypatch):
         """Query sides whose float64 components lie below float32's
         subnormal range, which float32 rounds to zero, set against entity
@@ -438,7 +436,7 @@ class TestScreenedRanks:
         the products h * r of DistMult and ComplEx are of order 1e-47;
         entities 16 to 23 are of order 1e38, within float32's range."""
         rng = np.random.default_rng(25)
-        params = init_params(kind, 24, 2, 6, 1.5, seed=26, aux=aux)
+        params = init_params(kind, 24, 2, 6, 1.5, seed=26)
         ent, rel = params.entity_emb, params.relation_emb
         # HAKE's and RotatE's relation phases stay angles
         moduli = 3 if kind == ModelKind.HAKE else 6
@@ -465,8 +463,8 @@ class TestScreenedRanks:
         triples[:4, 2] = [16, 21, 17, 4]
         assert self._check(params, triples, monkeypatch) > 0
 
-    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
-    def test_band_in_every_tile(self, kind, aux, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_band_in_every_tile(self, kind, monkeypatch):
         """Every entity is a copy of one of entities 0 to 3, so each tile
         of four entities or more holds a copy of every answer, tied with
         it: every tile has a band.  A pass of one query keeps its tiles'
@@ -474,7 +472,7 @@ class TestScreenedRanks:
         than its tiles, which the tiles decide, and the workers hand
         their tiles' counts and pairs on together."""
         rng = np.random.default_rng(27)
-        params = init_params(kind, 40, 2, 6, 1.5, seed=28, aux=aux)
+        params = init_params(kind, 40, 2, 6, 1.5, seed=28)
         params.entity_emb[4:] = params.entity_emb[np.arange(4, 40) % 4]
         triples = np.stack([rng.integers(0, 40, size=12),
                             rng.integers(0, 2, size=12),

@@ -31,10 +31,10 @@ from conftest import (QueryKey, Triple, as_triples, candidate_chunks,
                       score_gradient, screened_scores)
 
 ALL_KINDS = list(ModelKind)
-GRADIENT_CASES = [(kind, None) for kind in ALL_KINDS] + [
-    (ModelKind.TRANSE, {"norm_p": 2.0})]
-GRADIENT_IDS = [kind.value + ("-l2" if aux else "")
-                for kind, aux in GRADIENT_CASES]
+
+
+def kind_id(kind):
+    return kind.value
 
 
 def _triple_score(params, triple):
@@ -207,8 +207,8 @@ class TestScoreBatch:
         """Blocks of mixed-direction queries score like the scalar
         path to 1e-12."""
         rng = np.random.default_rng(3)
-        for kind, aux in GRADIENT_CASES:
-            params = init_params(kind, 50, 4, 8, 2.0, seed=11, aux=aux)
+        for kind in ALL_KINDS:
+            params = init_params(kind, 50, 4, 8, 2.0, seed=11)
             for direction in (Direction.TAIL_QUERY, Direction.HEAD_QUERY):
                 query = QueryKey(direction, int(rng.integers(50)),
                                  int(rng.integers(4)))
@@ -227,8 +227,8 @@ class TestScoreBatch:
 
     def test_score_triples_matches_scalar(self):
         rng = np.random.default_rng(4)
-        for kind, aux in GRADIENT_CASES:
-            params = init_params(kind, 12, 3, 8, 2.0, seed=13, aux=aux)
+        for kind in ALL_KINDS:
+            params = init_params(kind, 12, 3, 8, 2.0, seed=13)
             heads = rng.integers(0, 12, size=20)
             rels = rng.integers(0, 3, size=20)
             tails = rng.integers(0, 12, size=20)
@@ -238,12 +238,12 @@ class TestScoreBatch:
                                                 int(tails[i])))
                 assert abs(batch[i] - expected) <= 1e-12
 
-    @pytest.mark.parametrize("kind,aux", GRADIENT_CASES, ids=GRADIENT_IDS)
-    def test_score_triples_chunks_are_bitwise_one_chunk(self, kind, aux,
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+    def test_score_triples_chunks_are_bitwise_one_chunk(self, kind,
                                                         monkeypatch):
         """Under a budget of 7 triples a chunk, 30 triples score in
         ragged chunks bitwise as in one, and no chunk gathers more."""
-        params = init_params(kind, 12, 3, 8, 2.0, seed=13, aux=aux)
+        params = init_params(kind, 12, 3, 8, 2.0, seed=13)
         heads, rels, tails = np.random.default_rng(5).integers(
             0, [[12], [3], [12]], size=(3, 30))
         whole = models.score_block(
@@ -274,9 +274,9 @@ class TestScoreGradient:
         np.testing.assert_allclose(
             g_t, params.entity_emb[0] * params.relation_emb[1], atol=1e-15)
 
-    def test_transe_l2_stationary_point_has_zero_gradient(self):
-        params = init_params(ModelKind.TRANSE, 3, 1, 4, 1.0, seed=6,
-                             aux={"norm_p": 2.0})
+    def test_transe_stationary_point_has_zero_gradient(self):
+        """At h + r = t every L1 term is at its kink, sign(0) = 0."""
+        params = init_params(ModelKind.TRANSE, 3, 1, 4, 1.0, seed=6)
         params.entity_emb[2] = params.entity_emb[0] + params.relation_emb[0]
         _, g_h, g_r, g_t = _triple_slots(params, [Triple(0, 0, 2)])
         assert np.all(g_h == 0.0)
@@ -287,17 +287,13 @@ class TestScoreGradient:
     def test_matches_finite_differences(self, kind):
         """Analytic row gradients within 1e-4 of central differences."""
         rng = np.random.default_rng(17)
-        auxes = ([{"norm_p": 1.0}, {"norm_p": 2.0}]
-                 if kind == ModelKind.TRANSE else [None])
-        for aux in auxes:
-            for trial in range(5):
-                params = init_params(kind, 6, 3, 8, 2.0, seed=100 + trial,
-                                     aux=aux)
-                triple = Triple(int(rng.integers(6)), int(rng.integers(3)),
-                                int(rng.integers(6)))
-                analytic = _accumulated_row_gradients(params, triple)
-                numeric = fd_score_row_gradients(params, triple)
-                assert max_relative_error(analytic, numeric) <= 1e-4
+        for trial in range(5):
+            params = init_params(kind, 6, 3, 8, 2.0, seed=100 + trial)
+            triple = Triple(int(rng.integers(6)), int(rng.integers(3)),
+                            int(rng.integers(6)))
+            analytic = _accumulated_row_gradients(params, triple)
+            numeric = fd_score_row_gradients(params, triple)
+            assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_self_loop_accumulates_entity_row(self):
         """head == tail: the shared row's gradient is the slot sum."""
@@ -307,14 +303,14 @@ class TestScoreGradient:
         numeric = fd_score_row_gradients(params, triple)
         assert max_relative_error(analytic, numeric) <= 1e-8
 
-    @pytest.mark.parametrize("kind, aux", GRADIENT_CASES, ids=GRADIENT_IDS)
-    def test_matches_scalar_gradient(self, kind, aux):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+    def test_matches_scalar_gradient(self, kind):
         """Every slot gradient of a block of training triples, self-loops
         included, equals `score_gradient` to 1e-12 of its largest entry."""
         dataset = looped_zipf_kg(4, num_entities=20, num_links=150,
                                  num_valid=10, num_test=10)
         params = init_params(kind, 20, dataset.num_relations, 8, 2.0,
-                             seed=15, aux=aux)
+                             seed=15)
         train = as_triples(dataset.train)
         blocks = _triple_slots(params, train)
         assert any(h == t for h, _, t in train)
@@ -327,8 +323,8 @@ class TestScoreGradient:
     def test_gradient_blocks_broadcast_the_relation(self):
         """A (B, K) block equals its triples scored one by one."""
         rng = np.random.default_rng(18)
-        for kind, aux in GRADIENT_CASES:
-            params = init_params(kind, 10, 3, 8, 2.0, seed=19, aux=aux)
+        for kind in ALL_KINDS:
+            params = init_params(kind, 10, 3, 8, 2.0, seed=19)
             heads = rng.integers(0, 10, size=(4, 5))
             tails = rng.integers(0, 10, size=(4, 5))
             rels = rng.integers(0, 3, size=4)
@@ -349,16 +345,11 @@ class TestCandidateScores:
     float32 tiles within their `Screen`'s eps(q) of its float64 pairs,
     and those pairs within rounding of `score_batch`."""
 
-    CASES = [(kind, {}) for kind in ALL_KINDS] + [(ModelKind.TRANSE,
-                                                   {"norm_p": 2.0})]
-
-    @pytest.mark.parametrize(
-        "kind, aux", CASES,
-        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
-    def test_matches_score_batch(self, kind, aux, monkeypatch):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_id)
+    def test_matches_score_batch(self, kind, monkeypatch):
         # room for 3 queries of 40 entities: many chunks and entity blocks
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 8 * 40 * 3)
-        params = init_params(kind, 40, 3, 8, 2.0, seed=12, aux=aux)
+        params = init_params(kind, 40, 3, 8, 2.0, seed=12)
         rng = np.random.default_rng(13)
         directions = rng.integers(0, 2, size=30)
         entities = rng.integers(0, 40, size=30)
@@ -438,11 +429,8 @@ class TestRankingWorkers:
     for bit: no tile's shape depends on the worker count, and the
     distance tiles' scores do not depend on their width either."""
 
-    DISTANCE_CASES = [(ModelKind.TRANSE, {}),
-                      (ModelKind.TRANSE, {"norm_p": 2.0}),
-                      (ModelKind.ROTATE, {}), (ModelKind.HAKE, {})]
-    CASES = DISTANCE_CASES + [(ModelKind.DISTMULT, {}),
-                              (ModelKind.COMPLEX, {})]
+    DISTANCE_KINDS = [ModelKind.TRANSE, ModelKind.ROTATE, ModelKind.HAKE]
+    KINDS = DISTANCE_KINDS + [ModelKind.DISTMULT, ModelKind.COMPLEX]
     # 12 workers are more than the 2 to 8 tiles of a pass under the
     # small budget and the one tile under the default budget
     WORKER_COUNTS = (1, 2, 3, 12)
@@ -452,14 +440,12 @@ class TestRankingWorkers:
         return np.concatenate([scores for _, scores, _ in candidate_chunks(
             params, *queries)])
 
-    @pytest.mark.parametrize(
-        "kind, aux", CASES,
-        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
-    def test_bitwise_equal_across_workers(self, kind, aux, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+    def test_bitwise_equal_across_workers(self, kind, monkeypatch):
         # 37 entities (a prime) at dim 8, in tiles of about `_TILE` = 5
         # under the small budget, so the last tile is ragged whatever the
         # pass
-        params = init_params(kind, 37, 3, 8, 2.0, seed=15, aux=aux)
+        params = init_params(kind, 37, 3, 8, 2.0, seed=15)
         params.entity_emb[5] = params.entity_emb[6]  # tied candidates
         rng = np.random.default_rng(16)
         queries = (np.sort(rng.integers(0, 2, size=21)),
@@ -480,7 +466,7 @@ class TestRankingWorkers:
                         patch.setattr(models, "_WORKERS", workers)
                         got = self._scores(params, queries)
                         assert np.array_equal(got, want), (workers, budget)
-            if (kind, aux) in self.DISTANCE_CASES:
+            if kind in self.DISTANCE_KINDS:
                 assert np.array_equal(*wants)
         finally:
             sys.setswitchinterval(interval)
@@ -601,7 +587,6 @@ class TestFeatureMajorRanking:
     (Q, W, dim) distance blocks that the feature-major ones replaced bit
     for bit."""
 
-    CASES = TestRankingWorkers.DISTANCE_CASES
     # the sums run over dim terms (TransE) or dim / 2 (RotatE, HAKE):
     # 1, 2, 3 and 6 take the terms one after another, 8, 10, 16, 20, 32
     # and 64 the eight partial sums with and without a rest, 132 and 264
@@ -609,11 +594,10 @@ class TestFeatureMajorRanking:
     DIMS = (2, 6, 16, 20, 64, 264)
 
     @pytest.mark.parametrize("dim", DIMS)
-    @pytest.mark.parametrize(
-        "kind, aux", CASES,
-        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
-    def test_bitwise_equal_to_oracle(self, kind, aux, dim, monkeypatch):
-        params = init_params(kind, 37, 3, dim, 2.0, seed=dim, aux=aux)
+    @pytest.mark.parametrize("kind", TestRankingWorkers.DISTANCE_KINDS,
+                             ids=kind_id)
+    def test_bitwise_equal_to_oracle(self, kind, dim, monkeypatch):
+        params = init_params(kind, 37, 3, dim, 2.0, seed=dim)
         params.entity_emb[5] = params.entity_emb[6]  # tied candidates
         rng = np.random.default_rng(dim)
         directions = np.repeat([Direction.TAIL_QUERY, Direction.HEAD_QUERY],
@@ -666,20 +650,16 @@ class TestFloat32Screen:
     (Q, W, dim) distance blocks, and for DistMult and ComplEx the products
     summed in one fixed order, whatever order BLAS takes."""
 
-    CASES = TestRankingWorkers.DISTANCE_CASES + [(ModelKind.DISTMULT, {}),
-                                                 (ModelKind.COMPLEX, {})]
     ENTITIES = 300
 
     @pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e1, 1e3])
-    @pytest.mark.parametrize(
-        "kind, aux", CASES,
-        ids=[kind.value + ("-l2" if aux else "") for kind, aux in CASES])
-    def test_within_bound_and_pairs_bitwise(self, kind, aux, magnitude):
+    @pytest.mark.parametrize("kind", TestRankingWorkers.KINDS,
+                             ids=kind_id)
+    def test_within_bound_and_pairs_bitwise(self, kind, magnitude):
         rng = np.random.default_rng(int(magnitude * 1e3))
         # dim 20: TransE, DistMult and ComplEx add 20 terms, with the
         # eight partial sums and a rest; RotatE and HAKE add 10 terms
-        params = init_params(kind, self.ENTITIES, 3, 20, 2.0, seed=18,
-                             aux=aux)
+        params = init_params(kind, self.ENTITIES, 3, 20, 2.0, seed=18)
         angles = params.copy()
         # every entry at the magnitude, each scaled by up to 10 either
         # way; then the phases (RotatE's relations, HAKE's second halves)

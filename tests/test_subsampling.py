@@ -211,13 +211,12 @@ class TestCandidateMassOnTiles:
     `log_candidate_mass` states of the logsumexp of each query's float64
     scores."""
 
-    CASES = [(kind, {}) for kind in ModelKind] + [(ModelKind.TRANSE,
-                                                   {"norm_p": 2.0})]
-    IDS = [kind.value + ("-l2" if aux else "") for kind, aux in CASES]
+    KINDS = list(ModelKind)
+    IDS = [kind.value for kind in KINDS]
     QUERIES = 40
 
-    def _case(self, kind, aux):
-        params = init_params(kind, 37, 3, 8, 2.0, seed=32, aux=aux)
+    def _case(self, kind):
+        params = init_params(kind, 37, 3, 8, 2.0, seed=32)
         rng = np.random.default_rng(33)
         return params, (rng.integers(0, 2, size=self.QUERIES),
                         rng.integers(0, 37, size=self.QUERIES),
@@ -238,12 +237,12 @@ class TestCandidateMassOnTiles:
         return oracle, (candidate_mass_bound(params, *queries)
                         + 1e-14 * np.abs(oracle))
 
-    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
-    def test_many_tiles(self, kind, aux, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_many_tiles(self, kind, monkeypatch):
         """Tiles of about `_TILE` = 4 entities, from 4 to 10 a pass, on
         up to 12 workers that hand their tiles on in whatever order the
         threads run."""
-        params, queries = self._case(kind, aux)
+        params, queries = self._case(kind)
         monkeypatch.setattr(models, "_TILE", 4)
         monkeypatch.setattr(models, "RANK_BUDGET_BYTES", 4096)
         interval = sys.getswitchinterval()
@@ -260,12 +259,12 @@ class TestCandidateMassOnTiles:
         oracle, bound = self._oracle_and_bound(params, queries)
         assert (np.abs(want - oracle) <= bound).all()
 
-    @pytest.mark.parametrize("kind, aux", CASES, ids=IDS)
-    def test_one_tile_is_the_row_logsumexp(self, kind, aux):
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_one_tile_is_the_row_logsumexp(self, kind):
         """37 entities, fewer than `_TILE`: one tile holds each row, and
         the log mass is the float32 row's maximum plus the log of its
         float32 shifted sum, both taken on in float64."""
-        params, queries = self._case(kind, aux)
+        params, queries = self._case(kind)
         want = np.empty(self.QUERIES)
         for rows, scores, _ in candidate_chunks(params, *queries):
             peak, sums = (x.astype(np.float64) for x in _peak_sums(scores))

@@ -292,13 +292,9 @@ class TestNsLoss:
         assert s2 != s3
 
 
-# all five kinds, TransE with both norms, uniform and self-adversarial
-ORACLE_CASES = [(kind, aux, beta)
-                for kind, aux in [(k, None) for k in ModelKind]
-                + [(ModelKind.TRANSE, {"norm_p": 2.0})]
-                for beta in (0.0, 1.0)]
-ORACLE_IDS = [f"{kind.value}{'-l2' if aux else ''}-beta{beta:g}"
-              for kind, aux, beta in ORACLE_CASES]
+# all five kinds, uniform and self-adversarial
+ORACLE_CASES = [(kind, beta) for kind in ModelKind for beta in (0.0, 1.0)]
+ORACLE_IDS = [f"{kind.value}-beta{beta:g}" for kind, beta in ORACLE_CASES]
 
 
 def oracle_batch(dataset, ids, negatives, weights):
@@ -309,7 +305,7 @@ def oracle_batch(dataset, ids, negatives, weights):
             for e, row in zip(ids.tolist(), negatives)]
 
 
-def looped_step(seed, kind, aux, batch_size=48, nu=5):
+def looped_step(seed, kind, batch_size=48, nu=5):
     """A training-step batch of a graph with self-loops and repeated
     triples, with every self-loop example in it."""
     dataset = looped_zipf_kg(seed, num_entities=25, num_links=250,
@@ -325,7 +321,7 @@ def looped_step(seed, kind, aux, batch_size=48, nu=5):
     weights.a[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
     weights.b[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
     params = init_params(kind, dataset.num_entities, dataset.num_relations,
-                         8, 2.0, seed=seed, aux=aux)
+                         8, 2.0, seed=seed)
     return dataset, ids, negatives, weights, params
 
 
@@ -384,7 +380,7 @@ class TestBatchLoss:
         convention sign(0) = 0, no phase gets a gradient, while the
         moduli do."""
         dataset, ids, negatives, weights, params = looped_step(
-            6, ModelKind.HAKE, None)
+            6, ModelKind.HAKE)
         half = params.dim // 2
         params.entity_emb[:, half:] = params.entity_emb[0, half:]
         params.relation_emb[:, half:] = 0.0
@@ -394,11 +390,11 @@ class TestBatchLoss:
         assert np.all(grads.relation[:, half:] == 0.0)
         assert np.all(np.abs(grads.entity[:, :half]).max(axis=1) > 0.0)
 
-    @pytest.mark.parametrize("kind, aux, beta", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_matches_dict_oracle(self, kind, aux, beta):
+    @pytest.mark.parametrize("kind, beta", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_matches_dict_oracle(self, kind, beta):
         """Loss to 1e-12 and every touched row's gradient to 1e-12
         relative of the per-triple dict loop, self-loops included."""
-        dataset, ids, negatives, weights, params = looped_step(3, kind, aux)
+        dataset, ids, negatives, weights, params = looped_step(3, kind)
         train = as_triples(dataset.train)
         assert any(train[e // 2].head == train[e // 2].tail
                    for e in ids.tolist())
@@ -413,7 +409,7 @@ class TestBatchLoss:
 
     def test_rejects_mismatched_negatives(self):
         dataset, ids, negatives, weights, params = looped_step(
-            3, ModelKind.DISTMULT, None)
+            3, ModelKind.DISTMULT)
         with pytest.raises(ValueError):
             batch_loss(params, dataset.train_index, ids, negatives[1:],
                        weights)
@@ -446,7 +442,7 @@ class TestBatchLossProperties:
         batch; with `fixed_negative` each query's fixed entity is also
         its first negative.  `chunk` examples fit the budget (None: the
         whole batch does)."""
-        kind, aux, beta = case
+        kind, beta = case
         dataset = looped_graph
         index = dataset.train_index
         rng = np.random.default_rng(seed)
@@ -466,7 +462,7 @@ class TestBatchLossProperties:
         weights.b[:] = rng.uniform(0.2, 2.0, size=dataset.num_examples)
         params = init_params(kind, dataset.num_entities,
                              dataset.num_relations, 8, 2.0,
-                             seed=seed % 1000, aux=aux)
+                             seed=seed % 1000)
         budget = (models.RANK_BUDGET_BYTES if chunk is None
                   else 8 * (1 + nu) * params.dim * chunk)
         with mock.patch.object(models, "RANK_BUDGET_BYTES", budget):
@@ -502,13 +498,12 @@ class TestStepMemory:
         negatives = draw(index, ids, 127, rng)
         block = 8 * ids.size * (1 + 127) * params.dim
         assert block == 64 * budget
-        opt = OptimizerState.fresh("adam", params)
+        opt = OptimizerState.fresh(params)
         weights = uniform_weights(dataset.num_examples)
         tracemalloc.start()
         try:
             _, grads = batch_loss(params, index, ids, negatives, weights)
-            _apply_update(params, opt, grads, 0.01, 1,
-                          RunConfig(optimizer="adam"))
+            _apply_update(params, opt, grads, 0.01, 1, RunConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,20 +513,18 @@ class TestStepMemory:
 
 
 class TestApplyUpdate:
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_matches_dict_loop(self, optimizer):
-        """One step from the batched gradients gives the parameters of
-        the row-at-a-time update of the dict-loop gradients, to 1e-12,
-        and bitwise for the same gradients."""
-        dataset, ids, negatives, weights, params = looped_step(
-            6, ModelKind.ROTATE, None)
-        config = RunConfig(optimizer=optimizer, learning_rate=0.05)
-        opt = OptimizerState.fresh(optimizer, params)
-        if optimizer == "adam":  # moments from an earlier step
-            rng = np.random.default_rng(7)
-            for m in (opt.m_entity, opt.v_entity, opt.m_relation,
-                      opt.v_relation):
-                m[:] = rng.uniform(0.0, 0.1, size=m.shape)
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_dict_loop(self, kind):
+        """One Adam step from the batched gradients gives the parameters
+        of the row-at-a-time update of the dict-loop gradients, to 1e-12,
+        and bitwise for the same gradients, for each kind's table shapes."""
+        dataset, ids, negatives, weights, params = looped_step(6, kind)
+        config = RunConfig(learning_rate=0.05)
+        opt = OptimizerState.fresh(params)
+        rng = np.random.default_rng(7)  # moments from an earlier step
+        for m in (opt.m_entity, opt.v_entity, opt.m_relation,
+                  opt.v_relation):
+            m[:] = rng.uniform(0.0, 0.1, size=m.shape)
         _, grads = batch_loss(params, dataset.train_index, ids, negatives,
                               weights)
         _, dict_grads = oracle_batch_loss(
@@ -541,10 +534,8 @@ class TestApplyUpdate:
         for update, g in ((_apply_update, grads),
                           (oracle_apply_update, dict_grads),
                           (oracle_apply_update, row_dict(grads))):
-            p, o = params.copy(), OptimizerState(
-                opt.kind, *(None if m is None else m.copy() for m in (
-                    opt.m_entity, opt.v_entity, opt.m_relation,
-                    opt.v_relation)))
+            p, o = params.copy(), OptimizerState(*(m.copy() for m in (
+                opt.m_entity, opt.v_entity, opt.m_relation, opt.v_relation)))
             update(p, o, g, 0.05, 3, config)
             runs.append((p, o))
         batched, oracle, same_grads = runs
@@ -557,13 +548,12 @@ class TestApplyUpdate:
                               same_grads[0].entity_emb)
         assert np.array_equal(batched[0].relation_emb,
                               same_grads[0].relation_emb)
-        if optimizer == "adam":
-            assert np.array_equal(batched[1].v_entity, same_grads[1].v_entity)
-            # rows no example touched keep their moments
-            untouched = np.setdiff1d(np.arange(params.num_entities),
-                                     grads.entity_rows)
-            assert np.array_equal(batched[1].m_entity[untouched],
-                                  opt.m_entity[untouched])
+        assert np.array_equal(batched[1].v_entity, same_grads[1].v_entity)
+        # rows no example touched keep their moments
+        untouched = np.setdiff1d(np.arange(params.num_entities),
+                                 grads.entity_rows)
+        assert np.array_equal(batched[1].m_entity[untouched],
+                              opt.m_entity[untouched])
         changed = np.flatnonzero(np.any(
             batched[0].entity_emb != params.entity_emb, axis=1))
         assert set(changed) <= set(grads.entity_rows.tolist())
@@ -576,10 +566,9 @@ class TestApplyUpdate:
         updated = []
         for row in (-1, 4):
             p = params.copy()
-            _apply_update(p, OptimizerState.fresh("adam", p), Gradients(
+            _apply_update(p, OptimizerState.fresh(p), Gradients(
                 np.array([row]), g, np.array([0]),
-                np.zeros((1, p.relation_emb.shape[1]))), 0.1, 1,
-                RunConfig(optimizer="adam"))
+                np.zeros((1, p.relation_emb.shape[1]))), 0.1, 1, RunConfig())
             updated.append(p.entity_emb)
         assert np.array_equal(*updated)
         assert not np.array_equal(updated[0][4], params.entity_emb[4])
@@ -682,17 +671,6 @@ class TestTrainLoop:
         assert [r.valid_mrr for r in result.log] == [None, None, 0.5,
                                                      None, None, 0.5]
 
-    def test_sgd_supported(self):
-        rng = np.random.default_rng(27)
-        dataset = random_kg(rng, num_train=20)
-        params = init_params(ModelKind.DISTMULT, 10, 3, 6, 1.0, seed=28)
-        config = RunConfig(steps=10, batch_size=8, nu=2, seed=8,
-                           optimizer="sgd", learning_rate=0.1)
-        result = train(dataset, uniform_weights(dataset.num_examples),
-                       params, config)
-        assert not np.array_equal(result.params.entity_emb,
-                                  params.entity_emb)
-
 
 class TestCheckpointResume:
     def _setup(self):
@@ -714,6 +692,27 @@ class TestCheckpointResume:
                               result.params.entity_emb)
         assert np.array_equal(restored.optimizer.m_entity,
                               result.state.optimizer.m_entity)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_adam_moments_round_trip(self, tmp_path, kind):
+        """Every checkpoint holds Adam's four moments, shaped like the
+        tables they belong to, under the header field optimizer = adam."""
+        from kgesub.data import read_container
+        dataset, _, weights = self._setup()
+        params = init_params(kind, 10, 3, 8, 2.0, seed=30)
+        result = train(dataset, weights, params,
+                       RunConfig(steps=3, batch_size=16, nu=2, seed=9))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(result.state, path)
+        assert read_container(path)[0]["optimizer"] == "adam"
+        restored = load_checkpoint(path).optimizer
+        for name in ("m_entity", "v_entity", "m_relation", "v_relation"):
+            table = (params.entity_emb if name.endswith("entity")
+                     else params.relation_emb)
+            saved = getattr(result.state.optimizer, name)
+            assert saved.shape == table.shape
+            assert np.any(saved != 0.0)
+            assert np.array_equal(getattr(restored, name), saved)
 
     def test_tag_names_the_checkpoint_and_nothing_else(self, tmp_path):
         """A tagged checkpoint reads back as a sub-model of that id and
@@ -769,7 +768,7 @@ class TestCheckpointResume:
         from kgesub.errors import CheckpointError
         dataset, params, weights = self._setup()
         result = train(dataset, weights, params, RunConfig(
-            steps=3, batch_size=16, nu=2, seed=9, optimizer="adam"))
+            steps=3, batch_size=16, nu=2, seed=9))
         result.state.optimizer.m_entity[4, 1] = float("nan")
         path = tmp_path / "ckpt.bin"
         save_checkpoint(result.state, path)
@@ -787,6 +786,11 @@ class TestCheckpointResume:
         ("adam_v_relation", None, "adam_v_relation is missing"),
         ("adam_m_entity", np.zeros((3, 8)), "adam_m_entity is missing or "
          "not of shape"),
+        ("optimizer", "sgd", "header field optimizer"),
+        ("optimizer", 1.0, "header field optimizer"),
+        ("adam_m_entity", None, "adam_m_entity is missing"),
+        ("adam_v_entity", None, "adam_v_entity is missing"),
+        ("adam_m_relation", None, "adam_m_relation is missing"),
     ])
     def test_bad_train_field_rejected(self, tmp_path, field, value, message):
         """The fields that only a training checkpoint has are input too:
@@ -795,7 +799,7 @@ class TestCheckpointResume:
         from kgesub.errors import CheckpointError
         dataset, params, weights = self._setup()
         result = train(dataset, weights, params, RunConfig(
-            steps=3, batch_size=16, nu=2, seed=9, optimizer="adam"))
+            steps=3, batch_size=16, nu=2, seed=9))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(result.state, path)
         header, arrays = read_container(path)
