@@ -40,17 +40,13 @@ tile gives, free to reuse the tile and a spent scratch buffer of it.  A
 tile is one matmul for DistMult and ComplEx, and for TransE, RotatE and
 HAKE direct distances.
 
-A distance is a sum over features, taken feature by feature: each
-feature gives one (queries, tile) term, read from a feature-major
+A distance tile is a sum over features, taken feature by feature:
+each feature gives one (queries, tile) term, read from a feature-major
 entity table (the transposed entity table for TransE and RotatE; the
-|modulus| and the cosine and sine of the half phases for HAKE).  The
-terms are added in the order numpy's add.reduce adds a contiguous row
-(eight partial sums of the terms j = k (mod 8) up to 128 terms, halves
-above), so the float64 pair scores are bitwise those of summing a
-(queries, tile, dim) difference over its last axis, which
-tests/conftest.py keeps as the oracle.  `_blocked` owns each tile's
-scratch: it carves the tile's (queries, tile) buffers (the scores, the
-term, the partial sums, and for RotatE and HAKE the spares) from one
+|modulus| and the cosine and sine of the half phases for HAKE), and
+the terms are added one after another.  `_blocked` owns each tile's
+scratch: it carves the tile's (queries, tile) buffers (the scores, and
+four more for a distance, of which a kind uses one to three) from one
 flat array per worker and lets the kind write the scores.  The tiles
 are shared by one worker thread per CPU that the process may use,
 worker w taking tiles w, w + W, ...  Each worker's scratch fits half of
@@ -59,14 +55,16 @@ that share, not from the number of workers, so no value depends on the
 CPU count.
 
 Every tile is float32, from float32 tables.  Each pass comes with a
-`Screen`, an a-priori bound eps(q) of each query's float32 error and
-the float64 score of any (query, entity) pair, from one fixed order of
-operations: a distance pair runs a block's operations in its order, in
-float64; a dot-product pair adds its products in `_add_terms`' order,
-whatever order BLAS would take.  Ranking decides in float64 every
-comparison that float32 cannot (see `evaluation`), so no rank depends
-on BLAS, the tile width or the CPU count, and the all-candidates mass
-stays within its stated bound of the float64 one (see `subsampling`).
+`Screen`, an a-priori bound eps(q) of each query's float32 error, which
+holds whatever order a tile adds its terms in, and the float64 score of
+any (query, entity) pair: one numpy expression over the pair's gathered
+rows, whose sums over features are numpy's own row sums, never a
+matmul.  So a pair is bitwise the score of summing a (queries,
+entities, dim) block over its last axis, which tests/conftest.py keeps
+as the oracle.  Ranking decides in float64 every comparison that
+float32 cannot (see `evaluation`), so no rank depends on BLAS, the tile
+width or the CPU count, and the all-candidates mass stays within its
+stated bound of the float64 one (see `subsampling`).
 
 Scoring and gradients are pure functions of the parameters: concurrent
 readers are safe as long as a single writer applies updates between
@@ -454,9 +452,9 @@ def _blocked(num_queries: int, num_entities: int, buffers: int, block,
     """add(cols, tile, spare) for each tile of the entities `cols` (a
     slice), once block(cols, tile, free) has written the (Q, cols)
     float32 scores into `tile`, with `free` a list of `buffers` (Q, cols)
-    float32 scratch buffers, contiguous and disjoint;
-    `spare` is the first of them, spent, or one more where the block
-    takes none.
+    float32 scratch buffers, contiguous and disjoint, of which the block
+    may use fewer; `spare` is the first of them, spent, or one more
+    where the block takes none.
 
     A tile holds as many entities as its scratch fits in one worker's
     share of the budget, half of it, its scores one buffer beyond.
@@ -486,68 +484,13 @@ def _blocked(num_queries: int, num_entities: int, buffers: int, block,
     _run_workers(count, task)
 
 
-# numpy's add.reduce sums a contiguous row of n <= 128 terms in eight
-# partial sums, of the terms j = k (mod 8) each, and splits longer rows
-_PAIRWISE_BLOCK = 128
-
-
-def _sum_buffers(n: int) -> int:
-    """Buffers of out's shape that `_add_terms` of n terms needs besides
-    `out`."""
-    if n < 8:
-        return 1
-    if n <= _PAIRWISE_BLOCK:
-        return 4
-    head = n // 2 - n // 2 % 8
-    return max(_sum_buffers(head), 1 + _sum_buffers(n - head))
-
-
-def _add_terms(term, n: int, out: np.ndarray, free: list[np.ndarray],
-               lo: int = 0) -> None:
-    """Write into `out` the sum of the n terms lo, lo + 1, ..., of out's
-    shape, where term(j, buf) writes term j into buf and returns it,
-    added in the order of numpy's add.reduce over a contiguous row of n
-    terms: below 8 terms one after another; up to 128 as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), r_k the running
-    sum of the terms j = k (mod 8) below n - n % 8, then the rest one
-    after another; above 128 the sum of the halves, the first of a
-    multiple of 8 terms.  The eight r_k are built one after another, so
-    `free` needs only `_sum_buffers(n)` buffers: free[0] takes each
-    term, the others hold partial sums.  The reduction's initial 0.0 is
-    left out, which changes no sum of terms that are not all -0.0 (and
-    no comparison of any)."""
-    if n < 8:
-        term(lo, out)
-        for j in range(lo + 1, lo + n):
-            out += term(j, free[0])
-        return
-    if n > _PAIRWISE_BLOCK:
-        head = n // 2 - n // 2 % 8
-        _add_terms(term, head, out, free, lo)
-        _add_terms(term, n - head, free[1], [free[0]] + free[2:], lo + head)
-        out += free[1]
-        return
-    stop = lo + n - n % 8
-
-    def stripe(k, dst):  # r_k
-        term(lo + k, dst)
-        for j in range(lo + k + 8, stop, 8):
-            dst += term(j, free[0])
-        return dst
-    a, b, c = free[1:4]
-    stripe(0, out)
-    out += stripe(1, a)
-    stripe(2, a)
-    a += stripe(3, b)
-    out += a
-    stripe(4, a)
-    a += stripe(5, b)
-    stripe(6, b)
-    b += stripe(7, c)
-    a += b
-    out += a
-    for j in range(stop, lo + n):
-        out += term(j, free[0])
+def _sum_terms(term, n: int, out: np.ndarray, buf: np.ndarray) -> None:
+    """Write into `out` the sum of the n terms 0, 1, ..., of out's shape,
+    added one after another, where term(j, dst) writes term j into dst
+    (`out` or `buf`) and returns it."""
+    term(0, out)
+    for j in range(1, n):
+        out += term(j, buf)
 
 
 def _feature_major(columns: np.ndarray, fn=lambda rows: (rows,),
@@ -624,14 +567,15 @@ class _Scorer:
     of float64 (Q, features) arrays.  `side(query)` lays it out in
     float32 for `block(tail, side, cols, out, free)`, which writes into
     `out` the (Q, W) scores of the entities `cols` (a slice), using the
-    kind's `buffers` scratch buffers `free`.  `pair(tail, q, e, out,
-    free)` writes into `out` the (P,) float64 scores of the pairs whose
-    query and entity sides are the (P, features) arrays q and the
-    (features, P) arrays e from `pair_side`, in one fixed order of
-    operations, with `pair_buffers` scratch buffers.  `bound(tail,
-    query)` is eps(q), which bounds |float32 - float64| of query q's
-    finite float32 scores.  A float32 score that is not finite, which
-    an overflow makes, is decided in float64 by the consumer.
+    kind's `buffers` scratch buffers `free`.  `pair(tail, q, e)` gives
+    the (P,) float64 scores of the pairs whose query sides are the
+    (P, features) arrays q and whose entity rows are the (P, dim) array
+    e: one numpy expression whose sums over features are numpy's own
+    row sums, so a pair's score does not depend on the other pairs.
+    `bound(tail, query)` is eps(q), which bounds |float32 - float64| of
+    query q's finite float32 scores.  A float32 score that is not
+    finite, which an overflow makes, is decided in float64 by the
+    consumer.
     """
 
     def __init__(self, params: ModelParams):
@@ -661,54 +605,51 @@ class _Scorer:
     def exact(self, tail, query, picks, cands):
         """float64 scores of the pairs (query picks[k], entity cands[k])
         of a pass whose query side is `query`, taken a budget of pairs at
-        a time (a pair gathers fewer than 6 dim floats besides its
-        buffers), since a query whose bound is not finite rechecks every
+        a time (a pair's arrays hold at most 6.5 dim floats at once, for
+        HAKE), since a query whose bound is not finite rechecks every
         entity."""
         scores = np.empty(len(picks))
-        step = max(1, RANK_BUDGET_BYTES // (
-            8 * (6 * self.params.dim + self.pair_buffers)))
+        step = max(1, RANK_BUDGET_BYTES // (8 * 7 * self.params.dim))
         for lo in range(0, len(picks), step):
             pairs = slice(lo, lo + step)
-            self.pair(tail, tuple(x[picks[pairs]] for x in query),
-                      self.pair_side(cands[pairs]), scores[pairs],
-                      list(np.empty((self.pair_buffers,
-                                     len(picks[pairs])))))
+            scores[pairs] = self.pair(
+                tail, tuple(x[picks[pairs]] for x in query),
+                self.ent[cands[pairs]])
         return scores
-
-    def pair_side(self, cands):
-        return (self.ent[cands].T,)
 
 
 class _Distance(_Scorer):
-    """A TransE, RotatE or HAKE score, the negated distance
-    `distance(tail, q, e, out, free)` writes: that of query side q to
-    entity side e, one term per feature added by `_add_terms`, where
-    q[k][:, j] and e[k][j] are feature j of the k-th array of either
-    side and broadcast to out's shape.  A block passes its queries as
-    float32 (Q, features, 1) arrays and its entities as the (features,
-    W) columns of the kind's float32 feature-major `tables`, so `out` is
-    (Q, W).  A pair passes the float64 (P, features) and (features, P)
-    arrays, so `out` is (P,): every pair takes a block's operations in
-    its order, in float64.
+    """A TransE, RotatE or HAKE score, the negated distance.  A tile's
+    distance is what `distance(tail, q, e, out, free)` writes into the
+    (Q, W) `out`: that of the float32 query side q, as (Q, features, 1)
+    arrays, to the (features, W) columns e of the kind's float32
+    feature-major `tables`, one (Q, W) term per feature, added one after
+    another (`_sum_terms`).  A pair's is `pair`'s float64 expression over
+    gathered rows.
+
+    Every distance tile is sized for four scratch buffers, whatever the
+    kind uses of them (one to three), so that no tile shape depends on
+    the dim.  Tiles sized for the buffers used were wider, and TransE's
+    ranking of 6,068 WN18RR-shaped queries took 1.2-1.6x as long (2-vCPU
+    VM): its 2 MB term and sum buffers no longer fit a core's L2 cache.
 
     With u = 2^-24 and n the number of terms (dim for TransE, dim / 2
     for RotatE and HAKE), a first-order analysis of float32's rounding
-    of the inputs, of each term and of their sum bounds the float32
-    error by (c - 1) u S(q), with a constant c and a scale S(q) of the
-    query and the largest entity row per kind; eps(q) = 2 c u S(q) +
-    (n + 1) 2^-64.  The factor 2 is safety against the second-order
-    terms and the float64 pair's own error (2^-29 times float32's), and
-    the last term covers float32's subnormals.
+    of the inputs, of each term and of their sum, in any order of
+    addition, bounds the float32 error by (c - 1) u S(q), with a
+    constant c and a scale S(q) of the query and the largest entity row
+    per kind; eps(q) = 2 c u S(q) + (n + 1) 2^-64.  The factor 2 is
+    safety against the second-order terms and the float64 pair's own
+    error (2^-29 times float32's), and the last term covers float32's
+    subnormals.
     """
+
+    buffers = 4
 
     def block(self, tail, side, cols, out, free):
         # feature j of the query side is a (Q, 1) column against (W,) rows
         self.distance(tail, tuple(x[..., None] for x in side),
                       tuple(t[:, cols] for t in self.tables), out, free)
-        np.negative(out, out=out)
-
-    def pair(self, tail, q, e, out, free):
-        self.distance(tail, q, e, out, free)
         np.negative(out, out=out)
 
 
@@ -718,7 +659,6 @@ class _TransE(_Distance):
 
     def __init__(self, params: ModelParams):
         super().__init__(params)
-        self.buffers = self.pair_buffers = _sum_buffers(params.dim)
         self.tables, self.scale = _feature_major(self.ent, order=1)
 
     def query(self, tail, fixed, rel):
@@ -730,7 +670,10 @@ class _TransE(_Distance):
         def term(j, buf):
             np.subtract(q[:, j], e[j], out=buf)
             return np.abs(buf, out=buf)
-        _add_terms(term, self.params.dim, out, free)
+        _sum_terms(term, self.params.dim, out, free[0])
+
+    def pair(self, tail, q, e):
+        return -np.abs(q[0] - e).sum(axis=1)
 
     def bound(self, tail, query):
         n = self.params.dim
@@ -746,8 +689,6 @@ class _RotatE(_Distance):
     def __init__(self, params: ModelParams):
         super().__init__(params)
         self.half = params.dim // 2
-        # a term's spare is the last buffer
-        self.buffers = self.pair_buffers = _sum_buffers(self.half) + 1
         # re 2j, im 2j + 1
         self.tables, self.scale = _feature_major(self.ent, order=1)
 
@@ -755,7 +696,7 @@ class _RotatE(_Distance):
         return _rotation(tail, fixed, rel)[:2]
 
     def distance(self, tail, q, e, out, free):
-        (q_re, q_im), (e,), (*free, spare) = q, e, free
+        (q_re, q_im), (e,), (term_buf, spare) = q, e, free[:2]
 
         def term(j, buf):  # |q_j - e_j| of the complex feature j
             np.subtract(q_re[:, j], e[2 * j], out=buf)
@@ -763,7 +704,12 @@ class _RotatE(_Distance):
             np.subtract(q_im[:, j], e[2 * j + 1], out=spare)
             buf += np.multiply(spare, spare, out=spare)
             return np.sqrt(buf, out=buf)
-        _add_terms(term, self.half, out, free)
+        _sum_terms(term, self.half, out, term_buf)
+
+    def pair(self, tail, q, e):
+        (q_re, q_im), (e_re, e_im) = q, _complex_view(e)
+        u_re, u_im = q_re - e_re, q_im - e_im
+        return -np.sqrt(u_re * u_re + u_im * u_im).sum(axis=1)
 
     def bound(self, tail, query):
         n = self.half
@@ -788,8 +734,6 @@ class _HAKE(_Distance):
         super().__init__(params)
         self.half = half = params.dim // 2
         self.weight = params.aux["phase_weight"]
-        # the phase sum and a phase term's spare are the last two buffers
-        self.buffers = self.pair_buffers = _sum_buffers(half) + 2
         (modulus,), self.scale = _feature_major(
             self.ent[:, :half], lambda rows: (np.abs(rows),), 2)
         self.tables = (modulus,
@@ -806,15 +750,10 @@ class _HAKE(_Distance):
                                     else f_phase - r_phase)
         return f_mod * r_mod, r_mod, f_mod, sin_a, cos_a
 
-    def pair_side(self, cands):
-        rows = self.ent[cands]
-        cos_e, sin_e = _half_angles(rows[:, self.half:])
-        return np.abs(rows[:, :self.half]).T, cos_e.T, sin_e.T
-
     def distance(self, tail, q, e, out, free):
         q_mod, r_mod, f_mod, sin_a, cos_a = q
         e_mod, cos_e, sin_e = e
-        *free, phase, spare = free
+        term_buf, spare, phase = free[:3]
 
         def modulus_term(j, buf):
             if tail:
@@ -823,16 +762,24 @@ class _HAKE(_Distance):
                 np.multiply(e_mod[j], r_mod[:, j], out=buf)
                 buf -= f_mod[:, j]
             return np.square(buf, out=buf)
-        _add_terms(modulus_term, self.half, out, free)
+        _sum_terms(modulus_term, self.half, out, term_buf)
         np.sqrt(out, out=out)  # the modulus distance
 
         def phase_term(j, buf):
             np.multiply(sin_a[:, j], cos_e[j], out=buf)
             buf -= np.multiply(cos_a[:, j], sin_e[j], out=spare)
             return np.abs(buf, out=buf)
-        _add_terms(phase_term, self.half, phase, free)
+        _sum_terms(phase_term, self.half, phase, term_buf)
         phase *= self.weight
         out += phase
+
+    def pair(self, tail, q, e):
+        q_mod, r_mod, f_mod, sin_a, cos_a = q
+        e_mod = np.abs(e[:, :self.half])
+        v = q_mod - e_mod if tail else e_mod * r_mod - f_mod
+        cos_e, sin_e = _half_angles(e[:, self.half:])
+        phase = np.abs(sin_a * cos_e - cos_a * sin_e).sum(axis=1)
+        return -(np.sqrt((v * v).sum(axis=1)) + self.weight * phase)
 
     def bound(self, tail, query):
         q_mod, r_mod, f_mod = query[:3]
@@ -849,9 +796,9 @@ class _Dot(_Scorer):
     with q = h * r (DistMult), or, interleaved, h * r (ComplEx tails) or
     t * conj(r) (heads).  A tile is one float32 matmul of the tile's
     columns of the feature-major table, summed in an order that BLAS
-    sets.  A pair adds the n = dim float64 products q_j e_j in
-    `_add_terms`' order, so no rank depends on BLAS, on the tile width
-    or on the CPU count.
+    sets.  A pair is numpy's row sum of the n = dim float64 products
+    q_j e_j, never a matmul, so no rank depends on BLAS, on the tile
+    width or on the CPU count.
 
     Rounding q and e to float32 costs 2 u |q_j e_j| a product, taking
     the products u and adding them in any order (n - 1) u sum_j
@@ -864,10 +811,10 @@ class _Dot(_Scorer):
     2 covers the second-order terms and the float64 pair's own error.
     """
 
+    buffers = 0  # a tile's matmul writes its scores directly
+
     def __init__(self, params: ModelParams):
         super().__init__(params)
-        self.buffers = 0  # a tile's matmul writes its scores directly
-        self.pair_buffers = _sum_buffers(params.dim)
         self.tables, self.scale = _feature_major(self.ent, order=2)
 
     def query(self, tail, fixed, rel):
@@ -878,10 +825,8 @@ class _Dot(_Scorer):
     def block(self, tail, side, cols, out, free):
         np.matmul(side[0], self.tables[0][:, cols], out=out)
 
-    def pair(self, tail, q, e, out, free):
-        (q,), (e,) = q, e
-        _add_terms(lambda j, buf: np.multiply(q[:, j], e[j], out=buf),
-                   self.params.dim, out, free)
+    def pair(self, tail, q, e):
+        return (q[0] * e).sum(axis=1)
 
     def bound(self, tail, query):
         n = self.params.dim

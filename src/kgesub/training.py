@@ -279,7 +279,8 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
     of rows whose buffers stay small.
 
     Adam moment rows are updated lazily; bias correction uses the global
-    step count.
+    step count.  A second moment beyond float64's range raises
+    TrainingDivergedError.
     """
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
@@ -300,6 +301,11 @@ def _apply_update(params: ModelParams, opt: OptimizerState,
             v_rows *= b2
             v_rows += np.multiply(np.multiply(g, g, out=buf), 1.0 - b2,
                                   out=buf)
+            # a square beyond float64 would make m / sqrt(v) = 0 and
+            # freeze its entries for good
+            if not math.isfinite(v_rows.max()):
+                raise TrainingDivergedError(
+                    f"Adam's second moment overflowed at step {step}")
             m[rows], v[rows] = m_rows, v_rows
             np.add(np.sqrt(np.divide(v_rows, bc2, out=buf), out=buf), eps,
                    out=buf)

@@ -309,8 +309,8 @@ def oracle_distance_scores(params: ModelParams, tail: bool,
     """(Q, E) float64 scores of a TransE, RotatE or HAKE chunk by the
     entity blocks that the feature-major ones replaced: one (Q, E, dim)
     difference per chunk and `np.sum` over its rows of features.  The
-    float64 pairs of a pass's `Screen` must give these scores bit for
-    bit."""
+    float64 pairs of a pass's `Screen`, numpy's row sums of the same
+    terms over (pairs, dim) rows, must give these scores bit for bit."""
     kind, ent, dim = params.kind, params.entity_emb, params.dim
     half = dim // 2
     if kind == ModelKind.TRANSE:
@@ -361,12 +361,13 @@ def oracle_distance_scores(params: ModelParams, tail: bool,
 
 def oracle_scores(params: ModelParams, tail: bool, fixed: np.ndarray,
                   rel: np.ndarray) -> np.ndarray:
-    """(Q, E) float64 scores of every (query, entity) pair in the one
-    order of operations that ranking's float64 pairs take, whatever BLAS
-    does: `oracle_distance_scores` for TransE, RotatE and HAKE, and for
+    """(Q, E) float64 scores of every (query, entity) pair in the order
+    of operations that ranking's float64 pairs take, whatever BLAS does:
+    `oracle_distance_scores` for TransE, RotatE and HAKE, and for
     DistMult and ComplEx the products q_j e_j of the query side q
     (h * r, or interleaved h * r for tails and t * conj(r) for heads)
-    summed by `np.sum` over a contiguous (Q, E, dim) row."""
+    summed by `np.sum` over a contiguous (Q, E, dim) row, as a pair sums
+    its (pairs, dim) row of products."""
     if params.kind not in (ModelKind.DISTMULT, ModelKind.COMPLEX):
         return oracle_distance_scores(params, tail, fixed, rel)
     if params.kind == ModelKind.DISTMULT:

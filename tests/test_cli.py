@@ -1502,16 +1502,19 @@ class TestAllCandidatesSwitch:
 
 class TestDivergenceExitCode:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_exploding_run_exits_3(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("rate", ["1e110", "1e100"])
+    def test_exploding_run_exits_3(self, data_dir, tmp_path, rate):
         # an Adam step moves each entry it touches by about the learning
         # rate, whatever the gradient, so the rate itself must overflow a
         # score: after one step at 1e110, a DistMult score's products of
-        # three entries lie far beyond float64's 1.8e308
+        # three entries lie far beyond float64's 1.8e308.  At 1e100 the
+        # scores stay finite but their gradients' squares overflow Adam's
+        # second moment, after which m / sqrt(v) = 0 would freeze the run
         code = run(["train", "--data", data_dir,
                     "--run-dir", tmp_path / "r", "--subsampling", "none",
                     "--dim", "8", "--steps", "60", "--batch-size", "16",
                     "--nu", "2", "--gamma", "4.0", "--seed", "3",
-                    "--learning-rate", "1e110", "--model", "distmult"])
+                    "--learning-rate", rate, "--model", "distmult"])
         assert code == 3
 
 

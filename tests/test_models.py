@@ -1,5 +1,6 @@
 """Score functions, analytic gradients, and parameter checkpoints."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -378,10 +379,9 @@ class TestCandidateScores:
         budget, half of it, at min(E, `_TILE`) entities, the passes of a
         direction are of equal size, and a tile holds as many entities
         as fit the share at the pass's bytes per entity: the same at 1, 2
-        and 3 workers.  TransE at dim 16 keeps four buffers, 16 bytes of
-        the share a (query, entity) float32 score; DistMult's matmul keeps
-        one spare, 4 bytes."""
-        transe = init_params(ModelKind.TRANSE, 40, 1, 16, 1.0, seed=14)
+        and 3 workers.  TransE keeps four buffers at any dim, 16 bytes of
+        the share a (query, entity) float32 score, so dims 4 and 264 take
+        dim 16's spans; DistMult's matmul keeps one spare, 4 bytes."""
         distmult = init_params(ModelKind.DISTMULT, 10, 1, 4, 1.0, seed=14)
 
         def spans(params, queries):
@@ -400,7 +400,8 @@ class TestCandidateScores:
             return ([(rows[0], rows[-1] + 1) for rows, _, _ in chunks],
                     sorted(widths))
 
-        for workers in (1, 2, 3):
+        for workers, dim in itertools.product((1, 2, 3), (4, 16, 264)):
+            transe = init_params(ModelKind.TRANSE, 40, 1, dim, 1.0, seed=14)
             monkeypatch.setattr(models, "_WORKERS", workers)
             with monkeypatch.context() as patch:
                 assert spans(transe, 37) == ([(0, 37)], [(37, 40)])
@@ -588,9 +589,9 @@ class TestFeatureMajorRanking:
     for bit."""
 
     # the sums run over dim terms (TransE) or dim / 2 (RotatE, HAKE):
-    # 1, 2, 3 and 6 take the terms one after another, 8, 10, 16, 20, 32
-    # and 64 the eight partial sums with and without a rest, 132 and 264
-    # the split in halves
+    # numpy's row sums take 1, 2, 3 and 6 terms one after another, 8, 10,
+    # 16, 20, 32 and 64 in eight partial sums with and without a rest,
+    # 132 and 264 split in halves, and the pairs must follow each order
     DIMS = (2, 6, 16, 20, 64, 264)
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -652,14 +653,17 @@ class TestFloat32Screen:
 
     ENTITIES = 300
 
+    @pytest.mark.parametrize("dim", [20, 264])
     @pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e1, 1e3])
     @pytest.mark.parametrize("kind", TestRankingWorkers.KINDS,
                              ids=kind_id)
-    def test_within_bound_and_pairs_bitwise(self, kind, magnitude):
+    def test_within_bound_and_pairs_bitwise(self, kind, magnitude, dim):
         rng = np.random.default_rng(int(magnitude * 1e3))
-        # dim 20: TransE, DistMult and ComplEx add 20 terms, with the
-        # eight partial sums and a rest; RotatE and HAKE add 10 terms
-        params = init_params(kind, self.ENTITIES, 3, 20, 2.0, seed=18)
+        # TransE, DistMult and ComplEx add dim terms, RotatE and HAKE
+        # dim / 2.  numpy's row sums take 20 terms in eight partial sums
+        # and a rest and split 264 or 132 in halves; the float32 tiles add
+        # them one after another, whose error is largest at 264
+        params = init_params(kind, self.ENTITIES, 3, dim, 2.0, seed=18)
         angles = params.copy()
         # every entry at the magnitude, each scaled by up to 10 either
         # way; then the phases (RotatE's relations, HAKE's second halves)
@@ -672,18 +676,23 @@ class TestFloat32Screen:
         queries = (rng.integers(0, self.ENTITIES, size=9),
                    rng.integers(0, 3, size=9))
         picks, cands = np.divmod(np.arange(9 * self.ENTITIES), self.ENTITIES)
-        self._check(params, *queries, picks, cands)
+        # HAKE's phase term of eps(q), 2 u |w| n (n + 10), does not shrink
+        # with the phases: at n = 132 it is 1.1e-3 against errors of at
+        # most 1e-7 when every phase is near 1e-3, beyond the 1e4 ratio
+        vacuous = (kind == ModelKind.HAKE and magnitude == 1e-3
+                   and dim == 264)
+        self._check(params, *queries, picks, cands, not vacuous)
         if kind == ModelKind.ROTATE:
             params.relation_emb[:] = angles.relation_emb
         if kind == ModelKind.HAKE:
             for table, drawn in ((params.entity_emb, angles.entity_emb),
                                  (params.relation_emb, angles.relation_emb)):
-                table[:, 10:] = drawn[:, 10:]
+                table[:, dim // 2:] = drawn[:, dim // 2:]
         if kind in (ModelKind.ROTATE, ModelKind.HAKE):
             self._check(params, *queries, picks, cands)
 
     @staticmethod
-    def _check(params, heads, relations, picks, cands):
+    def _check(params, heads, relations, picks, cands, tight=True):
         fixed = params.entity_emb[heads]
         rel = params.relation_emb[relations]
         for tail in (True, False):
@@ -693,7 +702,7 @@ class TestFloat32Screen:
             error = np.abs(got.astype(np.float64) - want)
             assert (error <= screen.bound[:, None]).all()
             # the bound is not vacuous: within 1e4 of the largest error
-            assert (screen.bound < 1e4 * error.max(axis=1)).all()
+            assert not tight or (screen.bound < 1e4 * error.max(axis=1)).all()
             exact = screen.exact(picks, cands)
             assert exact.dtype == np.float64
             assert np.array_equal(exact, want.ravel())
